@@ -129,6 +129,8 @@ def _require_model(bundle: FamilyBundle):
 
 
 def _dispatch(ns) -> dict:
+    if ns.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {ns.trials}")
     bundle = build_family(ns.family, trials=ns.trials, seed=ns.seed)
 
     if ns.command == "class-group":

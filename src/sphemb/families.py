@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .divisor_model import (
@@ -33,7 +34,7 @@ from .divisor_model import (
     WonderfulModel,
     with_boundaries,
 )
-from .lattice import IntegerMatrix, determinant, mat_mul, rational_inverse, rational_rank
+from .lattice import IntegerMatrix, determinant, mat_mul, rational_rank
 from .laurent import LaurentPoly
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, pair
 
@@ -203,8 +204,34 @@ def _apply_pair(g_left: Matrix, x: Matrix, g_right_inv: Matrix) -> Matrix:
     return _freeze(mat_mul(mat_mul([list(r) for r in g_left], [list(r) for r in x]), g_right_inv))
 
 
-def _inv(m: Matrix):
-    return rational_inverse([list(r) for r in m])
+def _inv(m: Matrix) -> list[list[Fraction]]:
+    """Inverse of a square rational matrix; ``ZeroDivisionError`` if singular.
+
+    With L the least common multiple of the denominators, M^-1 = L (L M)^-1,
+    and the integer matrix L M is inverted by fraction-free Gauss-Jordan
+    elimination (Bareiss 1968): every division below is exact, and [L M | I]
+    ends as [d I | d (L M)^-1] with d = +-det(L M).
+    """
+    n = len(m)
+    scale = lcm(*(e.denominator for r in m for e in r))
+    rows = [
+        [e.numerator * (scale // e.denominator) for e in r] + [int(i == j) for j in range(n)]
+        for i, r in enumerate(m)
+    ]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                a = rows[i][k]
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], pivot_row)]
+        prev = p
+    return [[Fraction(scale * x, prev) for x in r[n:]] for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +621,10 @@ def _crosscheck_circular(model: SphericalDivisorModel, m: int, n: int, r: int, s
                 )
 
 
-def _sandwich_act_factory(left: int, right: int):
-    def act(g: GroupElement, x: Point) -> Point:
-        g1, g2 = g
-        g1i, g2i = _inv(g1), _inv(g2)
-        return (_apply_pair(g1, x[0], g2i), _apply_pair(g2, x[1], g1i))
-
-    return act
+def _sandwich_act(g: GroupElement, x: Point) -> Point:
+    g1, g2 = g
+    g1i, g2i = _inv(g1), _inv(g2)
+    return (_apply_pair(g1, x[0], g2i), _apply_pair(g2, x[1], g1i))
 
 
 def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDivisorModel) -> MatrixRealization:
@@ -615,8 +639,6 @@ def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDiviso
         ab = mat_mul([list(x) for x in a], [list(x) for x in b])
         ba = mat_mul([list(x) for x in b], [list(x) for x in a])
         return all(e == 0 for row in ab for e in row) and all(e == 0 for row in ba for e in row)
-
-    act = _sandwich_act_factory(m, n)
 
     def group_sampler(rng: random.Random) -> GroupElement:
         return (_rand_generic(rng, m), _rand_generic(rng, n))
@@ -683,7 +705,7 @@ def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDiviso
         ambient_shape=((m, n), (n, m)),
         base_point=base,
         membership=membership,
-        act=act,
+        act=_sandwich_act,
         group_sampler=group_sampler,
         borel_sampler=borel_sampler,
         weight_value=weight_value,
@@ -880,16 +902,19 @@ def finalize_determinantal_model(
     from . import oracle
 
     base_dim = oracle.orbit_dimension(realization)
+    divisorial = [
+        cand
+        for cand in realization.boundary_candidates
+        if base_dim - oracle.orbit_dimension(realization, point=cand.idempotent) == 1
+    ]
     confirmed = []
-    for cand in realization.boundary_candidates:
-        cand_dim = oracle.orbit_dimension(realization, point=cand.idempotent)
-        if base_dim - cand_dim != 1:
-            continue
+    if divisorial:
         verified = oracle.select_semi_invariants(realization, trials=trials, seed=seed)
-        valuation = oracle.infer_boundary_valuation(
-            realization, cand.curve_label, verified, model.weight_lattice, trials=trials, seed=seed
-        )
-        confirmed.append(BoundarySpec(DivisorLabel(BOUNDARY, cand.label), valuation))
+        for cand in divisorial:
+            valuation = oracle.infer_boundary_valuation(
+                realization, cand.curve_label, verified, model.weight_lattice, trials=trials, seed=seed
+            )
+            confirmed.append(BoundarySpec(DivisorLabel(BOUNDARY, cand.label), valuation))
     return with_boundaries(model, confirmed, final=True)
 
 

@@ -93,26 +93,54 @@ def _as_poly(value) -> LaurentPoly:
     return LaurentPoly.constant(value)
 
 
-def t_order(real, f, curve_label: str, trials: int = 8, seed: int = 0) -> TOrderResult:
-    """Generic t-adic order of ``f`` along the labelled curve.
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
-    The curve is translated by seeded random group elements and ``f`` is
-    evaluated as an exact polynomial in t; the generic order is the minimum
-    over trials, with ``stable`` recording all-trials agreement.
-    """
-    curve = real.curve(curve_label)
-    rng = random.Random(seed)
-    orders: list[int | None] = []
-    for _ in range(trials):
-        g = real.group_sampler(rng)
-        value = _as_poly(f.evaluate(real.act(g, curve)))
-        orders.append(value.order())
+
+def _vanished_message(f, curve_label: str, trials: int) -> str:
+    return f"{f.name} vanished identically along {curve_label} on all {trials} trials"
+
+
+def _order_result(orders: list[int | None]) -> TOrderResult | None:
     finite = [o for o in orders if o is not None]
     if not finite:
-        raise IdenticallyZeroError(
-            f"{f.name} vanished identically along {curve_label} on all {trials} trials"
-        )
-    return TOrderResult(order=min(finite), trials=trials, stable=len(set(orders)) == 1 and None not in orders)
+        return None
+    return TOrderResult(order=min(finite), trials=len(orders), stable=len(set(orders)) == 1 and None not in orders)
+
+
+def t_order(
+    real, f, curve_label: str, trials: int = 8, seed: int = 0
+) -> TOrderResult | tuple[TOrderResult | None, ...]:
+    """Generic t-adic order of ``f`` along the labelled curve.
+
+    The curve is translated by ``trials`` seeded random group elements
+    (``trials`` must be at least 1) and ``f`` is evaluated as an exact
+    polynomial in t; the generic order is the minimum over trials, with
+    ``stable`` recording all-trials agreement.
+
+    ``f`` may also be a tuple of semi-invariants: every function is then
+    evaluated on the same seeded translates, each drawn once per trial, and
+    the result is a tuple with one ``TOrderResult`` per function, or ``None``
+    for a function that vanished on every trial.  A single function that
+    vanished on every trial raises ``IdenticallyZeroError``.
+    """
+    _check_trials(trials)
+    functions = f if isinstance(f, tuple) else (f,)
+    curve = real.curve(curve_label)
+    orders: list[list[int | None]] = [[] for _ in functions]
+    if functions:
+        rng = random.Random(seed)
+        for _ in range(trials):
+            translate = real.act(real.group_sampler(rng), curve)
+            for fn, fn_orders in zip(functions, orders):
+                fn_orders.append(_as_poly(fn.evaluate(translate)).order())
+    results = tuple(_order_result(fn_orders) for fn_orders in orders)
+    if isinstance(f, tuple):
+        return results
+    if results[0] is None:
+        raise IdenticallyZeroError(_vanished_message(f, curve_label, trials))
+    return results[0]
 
 
 def limit_signature(real, curve_label: str) -> LimitSignature:
@@ -129,11 +157,10 @@ def limit_signature(real, curve_label: str) -> LimitSignature:
     return LimitSignature(limit_point=tuple(blocks), rank_profile=tuple(ranks))
 
 
-def orbit_dimension(real, seed: int = 0, point=None) -> int:
+def orbit_dimension(real, point=None) -> int:
     """Rank of the infinitesimal group action at a point (default: base point).
 
-    Exact over the rationals; the seed is accepted for interface uniformity
-    but the computation is deterministic.
+    Exact over the rationals and deterministic.
     """
     at = real.base_point if point is None else point
     return rational_rank(real.lie_algebra_rows(at))
@@ -143,44 +170,73 @@ def _sample_orbit_point(real, rng: random.Random):
     return real.act(real.group_sampler(rng), real.base_point)
 
 
+def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[str | None]:
+    """Per candidate, ``None`` if it passes the Borel rescaling check, else why not.
+
+    Each trial draws one Borel element b and two orbit points x, each once and
+    only while some candidate is still undecided, and every undecided
+    candidate f is tested against the same draws: f(b . x) must equal
+    weight_value(chi, b) * f(x) wherever f(x) != 0.  The seeded stream is
+    consumed exactly as a separate run per candidate would consume it.
+    """
+    _check_trials(trials)
+    failures: list[str | None] = [None] * len(candidates)
+    saw_nonzero = [False] * len(candidates)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        if all(failures):
+            break
+        b = real.borel_sampler(rng)
+        factors = {
+            k: real.weight_value(f.claimed_weight, b)
+            for k, f in enumerate(candidates)
+            if failures[k] is None
+        }
+        for _ in range(2):
+            live = [k for k in factors if failures[k] is None]
+            if not live:
+                break
+            x = _sample_orbit_point(real, rng)
+            moved = None
+            for k in live:
+                f = candidates[k]
+                fx = f.evaluate(x)
+                if fx == 0:
+                    continue
+                saw_nonzero[k] = True
+                if moved is None:
+                    moved = real.act(b, x)
+                if f.evaluate(moved) != factors[k] * fx:
+                    failures[k] = f"{f.name} does not rescale by its claimed weight under the Borel action"
+    for k, f in enumerate(candidates):
+        if failures[k] is None and not saw_nonzero[k]:
+            failures[k] = f"{f.name} vanished at every sampled point"
+    return failures
+
+
 def semiinvariance_check(real, f, trials: int = 8, seed: int = 0) -> Character:
     """Confirm that ``f`` rescales by its claimed weight under Borel translation.
 
-    For each trial a Borel element b and orbit points x are sampled and
-    f(b . x) == weight_value(chi, b) * f(x) is required exactly; the claimed
-    weight is returned once every trial agrees.
+    For each of ``trials`` trials (at least 1) a seeded Borel element b and
+    two orbit points x are sampled and f(b . x) == weight_value(chi, b) * f(x)
+    is required exactly; the claimed weight is returned once every trial
+    agrees.  The draws are the ones ``select_semi_invariants`` tests every
+    candidate against, so both give the same verdict for ``f``.
     """
-    rng = random.Random(seed)
-    chi = f.claimed_weight
-    saw_nonzero = False
-    for _ in range(trials):
-        b = real.borel_sampler(rng)
-        factor = real.weight_value(chi, b)
-        for _ in range(2):
-            x = _sample_orbit_point(real, rng)
-            fx = f.evaluate(x)
-            if fx == 0:
-                continue
-            saw_nonzero = True
-            if f.evaluate(real.act(b, x)) != factor * fx:
-                raise SemiInvarianceError(
-                    f"{f.name} does not rescale by its claimed weight under the Borel action"
-                )
-    if not saw_nonzero:
-        raise SemiInvarianceError(f"{f.name} vanished at every sampled point")
-    return chi
+    (failure,) = _semiinvariance_failures(real, (f,), trials, seed)
+    if failure is not None:
+        raise SemiInvarianceError(failure)
+    return f.claimed_weight
 
 
 def select_semi_invariants(real, trials: int = 8, seed: int = 0):
-    """The candidate semi-invariants whose claimed weights survive the check."""
-    selected = []
-    for f in real.semi_invariants:
-        try:
-            semiinvariance_check(real, f, trials=trials, seed=seed)
-        except SemiInvarianceError:
-            continue
-        selected.append(f)
-    return tuple(selected)
+    """The candidate semi-invariants whose claimed weights survive the check.
+
+    All candidates are tested against one shared set of seeded draws.
+    """
+    candidates = real.semi_invariants
+    failures = _semiinvariance_failures(real, candidates, trials, seed)
+    return tuple(f for f, failure in zip(candidates, failures) if failure is None)
 
 
 def verify_boundary_valuations(
@@ -192,22 +248,19 @@ def verify_boundary_valuations(
     the model value <chi, nu> is compared with the generic order of the
     function along the translated curve.
     """
+    _check_trials(trials)
     if semi_invariants is None:
         semi_invariants = select_semi_invariants(real, trials=trials, seed=seed)
+    semi_invariants = tuple(semi_invariants)
     curve_of = dict(real.boundary_curves)
     records = []
     for spec in model.boundaries:
         curve_label = curve_of[spec.label.id]
-        for f in semi_invariants:
+        results = t_order(real, semi_invariants, curve_label, trials=trials, seed=seed) if semi_invariants else ()
+        for f, result in zip(semi_invariants, results):
             expected = pair(f.claimed_weight, spec.valuation)
             model_value = expected.numerator if expected.denominator == 1 else str(expected)
-            try:
-                result = t_order(real, f, curve_label, trials=trials, seed=seed)
-                oracle_value: object = result.order
-                stable = result.stable
-            except IdenticallyZeroError:
-                oracle_value = None
-                stable = False
+            oracle_value = None if result is None else result.order
             records.append(
                 CheckRecord(
                     check="boundary_valuation",
@@ -216,7 +269,7 @@ def verify_boundary_valuations(
                     oracle_value=oracle_value,
                     match=oracle_value == model_value,
                     trials=trials,
-                    stable=stable,
+                    stable=result is not None and result.stable,
                 )
             )
     return VerificationReport(tuple(records))
@@ -234,7 +287,9 @@ def infer_boundary_valuation(
 
     Requires the claimed weights of the given semi-invariants to span the
     lattice; the functional is the unique solution of <weight_i, nu> = order_i.
+    The chosen functions share one set of translates of the curve.
     """
+    _check_trials(trials)
     chosen = []
     rows: list[list[Fraction]] = []
     for f in semi_invariants:
@@ -247,8 +302,9 @@ def infer_boundary_valuation(
     if len(rows) != lattice.rank:
         raise ValueError("semi-invariant weights do not span the character lattice")
     orders = []
-    for f in chosen:
-        result = t_order(real, f, curve_label, trials=trials, seed=seed)
+    for f, result in zip(chosen, t_order(real, tuple(chosen), curve_label, trials=trials, seed=seed)):
+        if result is None:
+            raise IdenticallyZeroError(_vanished_message(f, curve_label, trials))
         if not result.stable:
             raise OracleInstabilityError(f"unstable order for {f.name} along {curve_label}")
         orders.append(result.order)
@@ -256,8 +312,8 @@ def infer_boundary_valuation(
     return Covector(lattice, tuple(solution))
 
 
-def stabilizer_check(real, element, trials: int = 1) -> bool:
-    """Whether the group element fixes the base point (exact; trials ignored)."""
+def stabilizer_check(real, element) -> bool:
+    """Whether the group element fixes the base point (exact)."""
     return real.act(element, real.base_point) == real.base_point
 
 
@@ -281,6 +337,7 @@ def _perturbed_nonstabilizer(real, element):
 
 def verification_report(model, real, trials: int = 8, seed: int = 0) -> VerificationReport:
     """Full oracle suite for one family member, as flat check records."""
+    _check_trials(trials)
     records: list[CheckRecord] = []
     rng = random.Random(seed)
 

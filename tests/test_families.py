@@ -262,3 +262,54 @@ def test_functional_tables_match_ambient_pairings():
     d_r1 = next(c for c in model.colors if c.label.id == "D_r1")
     chi = model.weight_lattice.basis_character("delta_1")
     assert pair(chi, d_r1.functional) == Fraction(1)
+
+
+def _random_matrix(rng, n, rational):
+    if rational:
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+    return [[Fraction(rng.randint(-999, 999)) for _ in range(n)] for _ in range(n)]
+
+
+def test_integer_inverse_matches_rational_inverse():
+    from sphemb.families import _inv
+    from sphemb.lattice import rational_inverse
+
+    rng = random.Random(5)
+    checked = 0
+    for n in range(1, 6):
+        for rational in (False, True):
+            for _ in range(40):
+                rows = _random_matrix(rng, n, rational)
+                try:
+                    want = rational_inverse(rows)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        _inv(rows)
+                    continue
+                got = _inv(tuple(tuple(r) for r in rows))
+                assert got == want
+                assert all(type(e) is Fraction for r in got for e in r)
+                checked += 1
+    assert checked > 350
+    # plain ints are accepted too, and a zero leading pivot forces a row swap
+    swap = ((0, 2, 1), (3, 0, 0), (1, 1, 0))
+    assert _inv(swap) == rational_inverse([list(r) for r in swap])
+    assert _inv(((Fraction(0), Fraction(1, 2)), (Fraction(-3, 4), Fraction(5)))) == rational_inverse(
+        [[0, Fraction(1, 2)], [Fraction(-3, 4), 5]]
+    )
+    assert _inv(()) == []
+
+
+def test_integer_inverse_rejects_singular_matrices():
+    from sphemb.families import _inv
+
+    singular = [
+        ((0,),),
+        ((1, 2), (2, 4)),
+        ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1))),
+        ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+        ((0, 0, 1), (0, 0, 2), (1, 1, 1)),  # no pivot in the second column
+    ]
+    for rows in singular:
+        with pytest.raises(ZeroDivisionError):
+            _inv(rows)

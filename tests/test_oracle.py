@@ -16,6 +16,7 @@ from sphemb.laurent import LaurentPoly, NegativeExponentError
 from sphemb.oracle import (
     IdenticallyZeroError,
     SemiInvarianceError,
+    TOrderResult,
     infer_boundary_valuation,
     limit_signature,
     orbit_dimension,
@@ -239,3 +240,167 @@ def test_verification_report_families():
     assert {"orbit_dimension", "stabilizer_fixes_base_point", "stabilizer_negative_control"} <= {
         rec.check for rec in report.records
     }
+
+
+# Reference copies of the per-function loops that t_order and
+# semiinvariance_check ran before every semi-invariant shared one set of draws.
+def _reference_orders(real, f, curve_label, trials, seed):
+    # The loop's per-trial orders; a run with fewer trials sees a prefix.
+    curve = real.curve(curve_label)
+    rng = random.Random(seed)
+    orders = []
+    for _ in range(trials):
+        g = real.group_sampler(rng)
+        value = f.evaluate(real.act(g, curve))
+        if not isinstance(value, LaurentPoly):
+            value = LaurentPoly.constant(value)
+        orders.append(value.order())
+    return orders
+
+
+def _reference_t_order(orders):
+    finite = [o for o in orders if o is not None]
+    if not finite:
+        return None
+    return TOrderResult(order=min(finite), trials=len(orders), stable=len(set(orders)) == 1 and None not in orders)
+
+
+def _reference_semiinvariance_failure(real, f, trials, seed):
+    """The message the per-function loop raised for ``f``, or None if it passed."""
+    rng = random.Random(seed)
+    chi = f.claimed_weight
+    saw_nonzero = False
+    for _ in range(trials):
+        b = real.borel_sampler(rng)
+        factor = real.weight_value(chi, b)
+        for _ in range(2):
+            x = real.act(real.group_sampler(rng), real.base_point)
+            fx = f.evaluate(x)
+            if fx == 0:
+                continue
+            saw_nonzero = True
+            if f.evaluate(real.act(b, x)) != factor * fx:
+                return f"{f.name} does not rescale by its claimed weight under the Borel action"
+    if not saw_nonzero:
+        return f"{f.name} vanished at every sampled point"
+    return None
+
+
+def _equivalence_realizations():
+    for name, (model, real) in (
+        ("monoid:2", monoid_model(2)),
+        ("monoid:3", monoid_model(3)),
+        ("determinantal:3,3,2", determinantal_realization(3, 3, 2)[::-1]),
+    ):
+        lattice = model.weight_lattice
+        d = _find(real.semi_invariants, "Delta_1")
+        extra = (
+            SemiInvariantSpec("wrong_weight", d.evaluate, d.claimed_weight + d.claimed_weight),
+            SemiInvariantSpec("zero", lambda pt: Fraction(0), lattice.zero_character()),
+            SemiInvariantSpec("one", lambda pt: Fraction(1), lattice.zero_character()),
+        )
+        yield name, dataclasses.replace(real, semi_invariants=real.semi_invariants + extra)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_shared_draws_match_per_function_loops(seed):
+    for name, real in _equivalence_realizations():
+        candidates = real.semi_invariants
+        failures = {}
+        for trials in (1, 8, 20):
+            expected = failures[trials] = [
+                _reference_semiinvariance_failure(real, f, trials, seed) for f in candidates
+            ]
+            assert any(expected) and not all(expected), name
+            selected = select_semi_invariants(real, trials=trials, seed=seed)
+            assert selected == tuple(f for f, why in zip(candidates, expected) if why is None), (name, trials)
+
+        # The extra candidates with a wrong weight or a constant value add
+        # nothing to orders; the zero function covers the vanishing case.
+        functions = tuple(f for f in candidates if f.name not in ("wrong_weight", "one"))
+        for curve_label, _ in real.cocharacter_curves:
+            orders = [_reference_orders(real, f, curve_label, 20, seed) for f in functions]
+            for trials in (1, 8, 20):
+                want = tuple(_reference_t_order(o[:trials]) for o in orders)
+                assert None in want, (name, curve_label)
+                assert t_order(real, functions, curve_label, trials=trials, seed=seed) == want
+
+        # A single function keeps its own contract, on the same draws.
+        for f, why in zip(candidates, failures[8]):
+            if why is None:
+                assert semiinvariance_check(real, f, trials=8, seed=seed) == f.claimed_weight
+            else:
+                with pytest.raises(SemiInvarianceError) as err:
+                    semiinvariance_check(real, f, trials=8, seed=seed)
+                assert str(err.value) == why
+        for f, result in zip(functions, want):
+            if result is None:
+                with pytest.raises(IdenticallyZeroError):
+                    t_order(real, f, curve_label, trials=20, seed=seed)
+            else:
+                assert t_order(real, f, curve_label, trials=20, seed=seed) == result
+
+
+def test_t_order_on_no_functions_draws_nothing():
+    _, real = monoid_model(2)
+    real.group_sampler = real.borel_sampler = None  # any draw would fail
+    assert t_order(real, (), "lambda_0") == ()
+    assert select_semi_invariants(dataclasses.replace(real, semi_invariants=())) == ()
+
+
+def test_trials_below_one_are_rejected():
+    model, real = monoid_model(3)
+    d = _find(real.semi_invariants, "d")
+    for trials in (0, -3):
+        calls = [
+            lambda: t_order(real, d, "lambda_0", trials=trials),
+            lambda: t_order(real, (d,), "lambda_0", trials=trials),
+            lambda: select_semi_invariants(real, trials=trials),
+            lambda: semiinvariance_check(real, d, trials=trials),
+            lambda: infer_boundary_valuation(
+                real, "lambda_0", real.semi_invariants, model.weight_lattice, trials=trials
+            ),
+            lambda: verify_boundary_valuations(model, real, trials=trials),
+            lambda: verification_report(model, real, trials=trials),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                call()
+
+
+def test_verification_report_draw_counts():
+    # Each translate is drawn once per (curve, trial) and each Borel element
+    # and orbit point once per trial, whatever the number of semi-invariants.
+    model, real = monoid_model(3)
+    counts = {"group_sampler": 0, "borel_sampler": 0, "act": 0}
+
+    def counted(name):
+        fn = getattr(real, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in counts:
+        setattr(real, name, counted(name))
+    trials = 8
+
+    verified = select_semi_invariants(real, trials=trials, seed=0)
+    assert len(verified) == 4 and len(real.semi_invariants) == 6
+    # one Borel element and two orbit points per trial
+    assert counts == {"group_sampler": 2 * trials, "borel_sampler": trials, "act": 4 * trials}
+
+    for name in counts:
+        counts[name] = 0
+    verify_boundary_valuations(model, real, verified, trials=trials, seed=0)
+    # four boundary curves, one translate per trial each
+    assert counts == {"group_sampler": 4 * trials, "borel_sampler": 0, "act": 4 * trials}
+
+    for name in counts:
+        counts[name] = 0
+    report = verification_report(model, real, trials=trials, seed=0)
+    assert report.passed and report.stable
+    # plus three acts: the stabilizer check and two perturbed elements
+    assert counts == {"group_sampler": (2 + 4) * trials, "borel_sampler": trials, "act": (4 + 4) * trials + 3}
