@@ -24,7 +24,6 @@ from .lattice import (
     cokernel,
     rational_inverse,
     smith_normal_form,
-    solve_integer,
 )
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, is_antidominant, pair
 
@@ -384,11 +383,15 @@ def _coefficient_vector(model: SphericalDivisorModel, d: Divisor) -> list[int]:
     return [d.coefficient(lab) for lab in order]
 
 
+def _snf_coordinates(model: SphericalDivisorModel, d: Divisor) -> tuple[ClassGroupData, tuple[int, ...]]:
+    """The class-group data and w = V^T v, where v is d's coefficient vector and U R V = D."""
+    data = class_group_data(model)
+    return data, data.snf.V.transpose().apply(_coefficient_vector(model, d))
+
+
 def class_of(model: SphericalDivisorModel, d: Divisor) -> ClassCoordinates:
     """Coordinates of [d] in the class group; equal iff divisors are linearly equivalent."""
-    data = class_group_data(model)
-    v = _coefficient_vector(model, d)
-    w = data.snf.V.transpose().apply(v)
+    data, w = _snf_coordinates(model, d)
     free = [w[i] for i in data.free_indices]
     torsion = tuple(w[i] % f for i, f in data.torsion)
     if data.generators is not None and data._gen_inverse is not None:
@@ -397,12 +400,18 @@ def class_of(model: SphericalDivisorModel, d: Divisor) -> ClassCoordinates:
 
 
 def is_principal(model: SphericalDivisorModel, d: Divisor) -> tuple[bool, Character | None]:
-    """Whether some lattice character has divisor exactly ``d``; witness when so."""
-    data = class_group_data(model)
-    v = _coefficient_vector(model, d)
-    x = solve_integer(data.relation_matrix.transpose(), v)
-    if x is None:
+    """Whether some lattice character has divisor exactly ``d``; witness when so.
+
+    With U R V = D cached by ``class_group_data``, R^T x = v becomes
+    D^T y = w for x = U^T y and w = V^T v: solvable iff w vanishes on the free
+    coordinates and d_i divides w_i on the others.  Free y_i are set to 0.
+    """
+    data, w = _snf_coordinates(model, d)
+    if any(w[i] for i in data.free_indices) or any(w[i] % f for i, f in data.torsion):
         return False, None
+    diag = data.snf.D.diagonal()
+    y = [w[i] // diag[i] if i < len(diag) and diag[i] else 0 for i in range(data.snf.U.rows)]
+    x = data.snf.U.transpose().apply(y)
     chi = model.weight_lattice.zero_character()
     for coeff, b in zip(x, model.basis_characters):
         chi = chi + coeff * b

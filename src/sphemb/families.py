@@ -11,6 +11,10 @@ Four families are provided:
 * ``complexes``: pairs (A, B) with AB = 0 and rank bounds; matrix
   realization only.
 
+The last three are products of GL groups acting on the arrow spaces of a
+small quiver; ``_quiver_parts`` builds their action, samplers, membership
+test and Lie-algebra rows from the quiver data.
+
 Divisor functionals are transcribed tables; every constructor re-derives
 them from the ambient weight map and coroots and asserts agreement, so a
 transcription slip cannot survive construction.
@@ -151,9 +155,6 @@ class BoundaryCandidate:
 class MatrixRealization:
     """Concrete matrix avatar of a family member, for oracle-level checks."""
 
-    family: str
-    params: dict
-    ambient_shape: tuple[tuple[int, int], ...]
     base_point: Point
     membership: Callable[[Point], bool]
     act: Callable[[GroupElement, Point], Point]
@@ -434,9 +435,6 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         return (*g, *g)
 
     return MatrixRealization(
-        family="monoid",
-        params={"m": m},
-        ambient_shape=((m, m), (m, m)),
         base_point=base,
         membership=_monoid_membership,
         act=act,
@@ -451,6 +449,64 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         expected_orbit_dimension=m * m + 1,
         stabilizer_sampler=stabilizer_sampler,
     )
+
+
+# ---------------------------------------------------------------------------
+# Quiver realizations: prod GL(dims) acting on the arrow spaces of a quiver.
+
+
+def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
+    """Action, samplers, membership and Lie-algebra rows of a quiver realization.
+
+    Arrow k = (s, t) carries a dims[s] x dims[t] matrix X_k, moved by
+    g . X_k = g_s X_k g_t^-1.  A point is a member when rk X_k <= ranks[k] and
+    X_i X_j = 0 for every (i, j) in ``zero_paths``.  Borel elements are lower
+    triangular at even vertices and upper triangular at odd ones.
+    """
+    targets = {t for _, t in arrows}
+
+    def act(g: GroupElement, x: Point) -> Point:
+        inverses = {v: _inv(g[v]) for v in targets}
+        return tuple(_apply_pair(g[s], xk, inverses[t]) for (s, t), xk in zip(arrows, x))
+
+    def membership(point: Point) -> bool:
+        if any(_rank(x) > k for x, k in zip(point, ranks)):
+            return False
+        products = [mat_mul(point[i], point[j]) for i, j in zero_paths]
+        return all(e == 0 for p in products for row in p for e in row)
+
+    def group_sampler(rng: random.Random) -> GroupElement:
+        return tuple(_rand_generic(rng, d) for d in dims)
+
+    def borel_sampler(rng: random.Random) -> GroupElement:
+        return tuple(_rand_triangular(rng, d, lower=v % 2 == 0) for v, d in enumerate(dims))
+
+    def lie_algebra_rows(point: Point) -> list[list[Fraction]]:
+        # One row per E_ij of each vertex, in vertex-major order: the tangent
+        # E X_k at arrows leaving the vertex, -X_k E at arrows entering it.
+        rows = []
+        for v, d in enumerate(dims):
+            for i in range(d):
+                for j in range(d):
+                    e = [[Fraction(ii == i and jj == j) for jj in range(d)] for ii in range(d)]
+                    row = []
+                    for (s, t), x in zip(arrows, point):
+                        if v == s:
+                            row += [Fraction(q) for r in mat_mul(e, x) for q in r]
+                        elif v == t:
+                            row += [-Fraction(q) for r in mat_mul(x, e) for q in r]
+                        else:
+                            row += [Fraction(0)] * (dims[s] * dims[t])
+                    rows.append(row)
+        return rows
+
+    return {
+        "act": act,
+        "membership": membership,
+        "group_sampler": group_sampler,
+        "borel_sampler": borel_sampler,
+        "lie_algebra_rows": lie_algebra_rows,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -621,39 +677,25 @@ def _crosscheck_circular(model: SphericalDivisorModel, m: int, n: int, r: int, s
                 )
 
 
-def _sandwich_act(g: GroupElement, x: Point) -> Point:
-    g1, g2 = g
-    g1i, g2i = _inv(g1), _inv(g2)
-    return (_apply_pair(g1, x[0], g2i), _apply_pair(g2, x[1], g1i))
-
-
-def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDivisorModel) -> MatrixRealization:
-    er = _standard_er(m, n, r)
-    fs = _standard_fs(n, m, s)
-    base = (er, fs)
-
-    def membership(point: Point) -> bool:
-        a, b = point
-        if _rank(a) > r or _rank(b) > s:
-            return False
-        ab = mat_mul([list(x) for x in a], [list(x) for x in b])
-        ba = mat_mul([list(x) for x in b], [list(x) for x in a])
-        return all(e == 0 for row in ab for e in row) and all(e == 0 for row in ba for e in row)
-
-    def group_sampler(rng: random.Random) -> GroupElement:
-        return (_rand_generic(rng, m), _rand_generic(rng, n))
-
-    def borel_sampler(rng: random.Random) -> GroupElement:
-        return (_rand_triangular(rng, m, lower=True), _rand_triangular(rng, n, lower=False))
+def _circular_weight_value(r: int, s: int) -> Callable[[Character, GroupElement], Fraction]:
+    """Torus weights on the circular lattice: eps_i at position i, delta_j in the trailing s block."""
 
     def weight_value(chi: Character, g: GroupElement) -> Fraction:
         g1, g2 = g
+        m, n = len(g1), len(g2)
         v = Fraction(1)
         for i in range(r):
             v *= (Fraction(g1[i][i]) / Fraction(g2[i][i])) ** chi.coords[i]
         for j in range(s):
             v *= (Fraction(g2[n - s + j][n - s + j]) / Fraction(g1[m - s + j][m - s + j])) ** chi.coords[r + j]
         return v
+
+    return weight_value
+
+
+def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDivisorModel) -> MatrixRealization:
+    er = _standard_er(m, n, r)
+    fs = _standard_fs(n, m, s)
 
     t = LaurentPoly.t_power(1)
     curves = []
@@ -679,42 +721,15 @@ def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDiviso
             (model.boundaries[1].label.id, f"mu_{r}"),
         )
 
-    def lie_rows(point: Point) -> list[list[Fraction]]:
-        a, b = point
-        rows = []
-        for i in range(m):
-            for j in range(m):
-                e = [[Fraction(ii == i and jj == j) for jj in range(m)] for ii in range(m)]
-                ta = mat_mul(e, [list(x) for x in a])
-                tb = mat_mul([list(x) for x in b], e)
-                rows.append([Fraction(x) for row in ta for x in row] + [-Fraction(x) for row in tb for x in row])
-        for i in range(n):
-            for j in range(n):
-                e = [[Fraction(ii == i and jj == j) for jj in range(n)] for ii in range(n)]
-                ta = mat_mul([list(x) for x in a], e)
-                tb = mat_mul(e, [list(x) for x in b])
-                rows.append([-Fraction(x) for row in ta for x in row] + [Fraction(x) for row in tb for x in row])
-        return rows
-
-    def stabilizer_sampler(rng: random.Random) -> GroupElement:
-        return sample_circular_stabilizer(rng, m, n, r, s)
-
     return MatrixRealization(
-        family="circular",
-        params={"m": m, "n": n, "r": r, "s": s},
-        ambient_shape=((m, n), (n, m)),
-        base_point=base,
-        membership=membership,
-        act=_sandwich_act,
-        group_sampler=group_sampler,
-        borel_sampler=borel_sampler,
-        weight_value=weight_value,
-        lie_algebra_rows=lie_rows,
+        base_point=(er, fs),
+        weight_value=_circular_weight_value(r, s),
         cocharacter_curves=tuple(curves),
         boundary_curves=boundary_curves,
         expected_limit_ranks=tuple(ranks),
         expected_orbit_dimension=(r + s) * (m + n - (r + s)),
-        stabilizer_sampler=stabilizer_sampler,
+        stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, s),
+        **_quiver_parts((m, n), ((0, 1), (1, 0)), (r, s), ((0, 1), (1, 0))),
     )
 
 
@@ -806,86 +821,26 @@ def determinantal_realization(m: int, n: int, r: int) -> tuple[MatrixRealization
         provisional=True,
     )
 
-    er = _standard_er(m, n, r)
-
-    def membership(point: Point) -> bool:
-        return _rank(point[0]) <= r
-
-    def act(g: GroupElement, x: Point) -> Point:
-        g1, g2 = g
-        return (_apply_pair(g1, x[0], _inv(g2)),)
-
-    def group_sampler(rng: random.Random) -> GroupElement:
-        return (_rand_generic(rng, m), _rand_generic(rng, n))
-
-    def borel_sampler(rng: random.Random) -> GroupElement:
-        return (_rand_triangular(rng, m, lower=True), _rand_triangular(rng, n, lower=False))
-
-    def weight_value(chi: Character, g: GroupElement) -> Fraction:
-        g1, g2 = g
-        v = Fraction(1)
-        for i in range(r):
-            v *= (Fraction(g1[i][i]) / Fraction(g2[i][i])) ** chi.coords[i]
-        return v
-
     semi = []
     for i in range(1, r + 1):
         chi = lattice.character([1 if k < i else 0 for k in range(r)])
-        semi.append(
-            SemiInvariantSpec(
-                f"Delta_{i}",
-                (lambda pt, i=i: _det_generic([list(pt[0][a][:i]) for a in range(i)])),
-                chi,
-            )
-        )
+        semi.append(SemiInvariantSpec(f"Delta_{i}", (lambda pt, i=i: leading_minor(pt[0], i)), chi))
 
-    t = LaurentPoly.t_power(1)
+    er = _standard_er(m, n, r)
     a = [list(row) for row in er]
-    a[r - 1][r - 1] = t
+    a[r - 1][r - 1] = LaurentPoly.t_power(1)
     curves = ((f"lambda_{r}", (_freeze(a),)),)
 
-    def lie_rows(point: Point) -> list[list[Fraction]]:
-        x = point[0]
-        rows = []
-        for i in range(m):
-            for j in range(m):
-                e = [[Fraction(ii == i and jj == j) for jj in range(m)] for ii in range(m)]
-                rows.append([Fraction(v) for row in mat_mul(e, [list(q) for q in x]) for v in row])
-        for i in range(n):
-            for j in range(n):
-                e = [[Fraction(ii == i and jj == j) for jj in range(n)] for ii in range(n)]
-                rows.append([-Fraction(v) for row in mat_mul([list(q) for q in x], e) for v in row])
-        return rows
-
-    def stabilizer_sampler(rng: random.Random) -> GroupElement:
-        shared = _rand_invertible(rng, r)
-        a22 = _rand_invertible(rng, m - r)
-        b22 = _rand_invertible(rng, n - r)
-        a_full = _block_matrix(
-            [[shared, _rand_block(rng, r, m - r)], [None, a22]], (r, m - r), (r, m - r)
-        )
-        b_full = _block_matrix(
-            [[shared, None], [_rand_block(rng, n - r, r), b22]], (r, n - r), (r, n - r)
-        )
-        return (a_full, b_full)
-
     realization = MatrixRealization(
-        family="determinantal",
-        params={"m": m, "n": n, "r": r},
-        ambient_shape=((m, n),),
         base_point=(er,),
-        membership=membership,
-        act=act,
-        group_sampler=group_sampler,
-        borel_sampler=borel_sampler,
-        weight_value=weight_value,
-        lie_algebra_rows=lie_rows,
+        weight_value=_circular_weight_value(r, 0),
         semi_invariants=tuple(semi),
         cocharacter_curves=curves,
         expected_limit_ranks=((f"lambda_{r}", (r - 1,)),),
         expected_orbit_dimension=r * (m + n - r),
-        stabilizer_sampler=stabilizer_sampler,
+        stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, 0),
         boundary_candidates=(BoundaryCandidate(f"X_{r - 1}", f"lambda_{r}", (_standard_er(m, n, r - 1),)),),
+        **_quiver_parts((m, n), ((0, 1),), (r,)),
     )
     return realization, model
 
@@ -930,50 +885,8 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
     er = _standard_er(l, m, r)
     fs = _standard_fs(m, n, s)
 
-    def membership(point: Point) -> bool:
-        a, b = point
-        if _rank(a) > r or _rank(b) > s:
-            return False
-        ab = mat_mul([list(x) for x in a], [list(x) for x in b])
-        return all(e == 0 for row in ab for e in row)
-
-    def act(g: GroupElement, x: Point) -> Point:
-        g1, g2, g3 = g
-        return (_apply_pair(g1, x[0], _inv(g2)), _apply_pair(g2, x[1], _inv(g3)))
-
-    def group_sampler(rng: random.Random) -> GroupElement:
-        return (_rand_generic(rng, l), _rand_generic(rng, m), _rand_generic(rng, n))
-
-    def borel_sampler(rng: random.Random) -> GroupElement:
-        return (
-            _rand_triangular(rng, l, lower=True),
-            _rand_triangular(rng, m, lower=False),
-            _rand_triangular(rng, n, lower=True),
-        )
-
     def weight_value(chi: Character, g: GroupElement) -> Fraction:
         raise NotImplementedError("the complexes realization carries no semi-invariants")
-
-    def lie_rows(point: Point) -> list[list[Fraction]]:
-        a, b = point
-        rows = []
-        for i in range(l):
-            for j in range(l):
-                e = [[Fraction(ii == i and jj == j) for jj in range(l)] for ii in range(l)]
-                ta = mat_mul(e, [list(x) for x in a])
-                rows.append([Fraction(x) for row in ta for x in row] + [Fraction(0)] * (m * n))
-        for i in range(m):
-            for j in range(m):
-                e = [[Fraction(ii == i and jj == j) for jj in range(m)] for ii in range(m)]
-                ta = mat_mul([list(x) for x in a], e)
-                tb = mat_mul(e, [list(x) for x in b])
-                rows.append([-Fraction(x) for row in ta for x in row] + [Fraction(x) for row in tb for x in row])
-        for i in range(n):
-            for j in range(n):
-                e = [[Fraction(ii == i and jj == j) for jj in range(n)] for ii in range(n)]
-                tb = mat_mul([list(x) for x in b], e)
-                rows.append([Fraction(0)] * (l * m) + [-Fraction(x) for row in tb for x in row])
-        return rows
 
     def stabilizer_sampler(rng: random.Random) -> GroupElement:
         a11 = _rand_invertible(rng, r) if r else _zeros(0, 0)
@@ -1015,18 +928,11 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
     expected_dim = l * l + m * m + n * n - dim_h
 
     return MatrixRealization(
-        family="complexes",
-        params={"l": l, "m": m, "n": n, "r": r, "s": s},
-        ambient_shape=((l, m), (m, n)),
         base_point=(er, fs),
-        membership=membership,
-        act=act,
-        group_sampler=group_sampler,
-        borel_sampler=borel_sampler,
         weight_value=weight_value,
-        lie_algebra_rows=lie_rows,
         expected_orbit_dimension=expected_dim,
         stabilizer_sampler=stabilizer_sampler,
+        **_quiver_parts((l, m, n), ((0, 1), (1, 2)), (r, s), ((0, 1),)),
     )
 
 
@@ -1085,13 +991,6 @@ def circular_wonderful(m: int, n: int, r: int, s: int) -> WonderfulModel:
     if s > 0 and not (r > 0 and r + s == n):
         extra.append(("D_s2", cov({m + n - s - 1: 1, m + n - s: -1})))
     return WonderfulModel(lattice=lattice, paired_colors=tuple(paired), extra_colors=tuple(extra))
-
-
-def determinantal_wonderful(m: int, n: int, r: int) -> WonderfulModel:
-    if not 0 < r < min(m, n):
-        raise FamilyParameterError("determinantal requires 0 < r < min(m, n)")
-    wm = circular_wonderful(m, n, r, 0)
-    return wm
 
 
 # ---------------------------------------------------------------------------
@@ -1171,7 +1070,7 @@ def build_family(spec: str, trials: int = 8, seed: int = 0) -> FamilyBundle:
     if name == "determinantal":
         real, provisional = determinantal_realization(**params)
         model = finalize_determinantal_model(provisional, real, trials=trials, seed=seed)
-        return FamilyBundle(name, params, real, model=model, wonderful=determinantal_wonderful(**params))
+        return FamilyBundle(name, params, real, model=model, wonderful=circular_wonderful(**params, s=0))
     real = complexes_realization(**params)
     return FamilyBundle(name, params, real)
 

@@ -12,14 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-RationalVector = tuple[Fraction, ...]
-
-
-def rational_vector(values) -> RationalVector:
-    """Coerce an iterable of numbers to a tuple of reduced Fractions."""
-    return tuple(Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class IntegerMatrix:
     """Immutable integer matrix, entries stored row-major."""
@@ -310,16 +302,6 @@ def mat_mul(a, b):
         raise ValueError("dimension mismatch in matrix product")
     bc = len(b[0]) if b else 0
     return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(bc)] for i in range(len(a))]
-
-
-def mat_transpose(a):
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
-
-
-def mat_identity(n: int):
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
 
 
 def rational_rank(rows) -> int:

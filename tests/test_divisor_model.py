@@ -11,6 +11,7 @@ from sphemb.divisor_model import (
     WonderfulModel,
     canonical_divisor,
     class_group,
+    class_group_data,
     class_group_generators,
     class_of,
     is_gorenstein,
@@ -23,10 +24,13 @@ from sphemb.divisor_model import (
     wonderful_section_divisor,
 )
 from sphemb.families import (
+    admissible_circular_parameters,
+    build_family,
     circular_complexes_model,
     determinantal_realization,
     monoid_model,
 )
+from sphemb.lattice import solve_integer
 from sphemb.rootdata import TorusLattice
 
 
@@ -138,6 +142,83 @@ def test_is_principal_witness_is_exact():
     assert not ok and witness is None
     ok, witness = is_principal(model, Divisor.zero())
     assert ok and witness.is_zero
+
+
+def _divisors_to_probe(model, rng):
+    yield Divisor.zero()
+    yield canonical_divisor(model)
+    for lab in model.label_order:
+        yield model.divisor({lab: 1})
+    for _ in range(4):
+        yield principal_divisor(model, _random_character(model, rng))
+        yield model.divisor({lab: rng.randint(-3, 3) for lab in model.label_order})
+
+
+def _reference_is_principal(model, d):
+    rel = class_group_data(model).relation_matrix
+    return solve_integer(rel.transpose(), [d.coefficient(lab) for lab in model.label_order])
+
+
+def test_is_principal_matches_solve_integer_on_family_models():
+    # Every relation matrix here has full row rank, so the witness is unique.
+    rng = random.Random(61)
+    models = [monoid_model(m)[0] for m in range(1, 7)]
+    models += [circular_complexes_model(*p)[0] for p in admissible_circular_parameters(3, 4)]
+    models += [
+        build_family(f"determinantal:m={m},n={n},r={r}").model
+        for m in range(2, 5)
+        for n in range(2, 5)
+        for r in range(1, min(m, n))
+    ]
+    for model in models:
+        diag = class_group_data(model).snf.D.diagonal()
+        assert len(diag) == len(model.basis_characters) and all(diag)
+        for d in _divisors_to_probe(model, rng):
+            ok, witness = is_principal(model, d)
+            x = _reference_is_principal(model, d)
+            assert ok == (x is not None)
+            if ok:
+                assert witness.coords == tuple(
+                    sum(c * b.coords[k] for c, b in zip(x, model.basis_characters))
+                    for k in range(model.weight_lattice.rank)
+                )
+
+
+def _json_model(rank, colors, boundaries):
+    return model_from_json(
+        {
+            "lattice": {"rank": rank, "labels": [f"e{i}" for i in range(1, rank + 1)]},
+            "basis_characters": [[int(i == j) for j in range(rank)] for i in range(rank)],
+            "simple_roots": [],
+            "colors": [
+                {"id": lab, "functional": [str(x) for x in f], "canonical_coefficient": -1}
+                for lab, f in colors
+            ],
+            "boundaries": [{"id": lab, "valuation": [str(x) for x in v]} for lab, v in boundaries],
+        }
+    )
+
+
+def test_is_principal_on_rank_deficient_models():
+    rng = random.Random(67)
+    models = [
+        # e1 - e2 has the zero divisor; the relation matrix has rank 1.
+        _json_model(2, [("D", (1, 1))], [("X", (2, 2))]),
+        # rank 2 of 3, with torsion Z/2 in the class group
+        _json_model(3, [("D", (2, 0, 2)), ("E", (0, 1, 0))], [("X", (0, 2, 0))]),
+        # more basis characters than labels
+        _json_model(3, [], [("X", (2, 3, 0))]),
+    ]
+    for model in models:
+        for d in _divisors_to_probe(model, rng):
+            ok, witness = is_principal(model, d)
+            assert ok == (_reference_is_principal(model, d) is not None)
+            if ok:
+                assert principal_divisor(model, witness) == d
+            else:
+                assert witness is None
+    ok, witness = is_principal(models[2], models[2].divisor({"X": 1}))
+    assert ok and principal_divisor(models[2], witness).as_dict() == {"X": 1}
 
 
 def test_gorenstein_examples():

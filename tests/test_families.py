@@ -194,6 +194,55 @@ def test_complexes_realization_checks():
         complexes_realization(2, 3, 2, 3, 1)
 
 
+def _unit(rows, cols, *cells):
+    return tuple(
+        tuple(Fraction((i, j) in cells) for j in range(cols)) for i in range(rows)
+    )
+
+
+def test_quiver_families_membership_and_lie_rows():
+    # (realization, vertex dimensions, arrow sizes, points that fail exactly
+    # one condition: one rank bound exceeded or one zero composition broken)
+    cases = [
+        (
+            determinantal_realization(3, 3, 1)[0],
+            (3, 3),
+            (9,),
+            [(_unit(3, 3, (0, 0), (1, 1)),)],
+        ),
+        (
+            circular_complexes_model(2, 3, 1, 1)[1],
+            (2, 3),
+            (6, 6),
+            [
+                (_unit(2, 3, (0, 0), (1, 1)), _unit(3, 2)),  # rk A = 2 > r
+                (_unit(2, 3), _unit(3, 2, (0, 0), (1, 1))),  # rk B = 2 > s
+                (_unit(2, 3, (0, 0)), _unit(3, 2, (0, 1))),  # AB != 0, BA = 0
+                (_unit(2, 3, (0, 1)), _unit(3, 2, (0, 0))),  # BA != 0, AB = 0
+            ],
+        ),
+        (
+            complexes_realization(2, 3, 2, 1, 1),
+            (2, 3, 2),
+            (6, 6),
+            [
+                (_unit(2, 3, (0, 0), (1, 1)), _unit(3, 2)),  # rk A = 2 > r
+                (_unit(2, 3), _unit(3, 2, (0, 0), (1, 1))),  # rk B = 2 > s
+                (_unit(2, 3, (0, 0)), _unit(3, 2, (0, 0))),  # AB != 0
+            ],
+        ),
+    ]
+    for real, dims, sizes, bad_points in cases:
+        assert real.membership(real.base_point)
+        zero = tuple(_unit(len(x), len(x[0])) for x in real.base_point)
+        assert real.membership(zero)
+        for point in bad_points:
+            assert not real.membership(point), point
+        rows = real.lie_algebra_rows(real.base_point)
+        assert len(rows) == sum(d * d for d in dims)
+        assert all(len(row) == sum(sizes) for row in rows)
+
+
 def test_circular_stabilizer_samples():
     _, real = circular_complexes_model(2, 2, 1, 1)
     rng = random.Random(19)

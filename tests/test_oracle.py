@@ -103,9 +103,6 @@ def test_limit_negative_powers_rejected():
     base = (((Fraction(1),),),)  # one 1x1 matrix
     curve = (((LaurentPoly.t_power(-1),),),)
     real = MatrixRealization(
-        family="synthetic",
-        params={},
-        ambient_shape=((1, 1),),
         base_point=base,
         membership=lambda pt: True,
         act=lambda g, x: x,
