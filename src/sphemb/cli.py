@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import oracle
 from .divisor_model import (
@@ -43,7 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every ``run``."""
     parser = _Parser(prog="sphemb", add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 

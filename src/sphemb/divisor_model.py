@@ -264,6 +264,9 @@ class ClassGroupData:
     # inverse of the chosen generator matrix (both integral).
     _free_rows: tuple[tuple[int, ...], ...]
     _gen_inverse: tuple[tuple[int, ...], ...] | None
+    # V^T and U^T of the SNF, which every class_of / is_principal query applies.
+    _v_transpose: IntegerMatrix
+    _u_transpose: IntegerMatrix
 
 
 @dataclass(frozen=True)
@@ -361,6 +364,8 @@ def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
         generators=generators,
         _free_rows=free_rows,
         _gen_inverse=gen_inverse,
+        _v_transpose=snf.V.transpose(),
+        _u_transpose=snf.U.transpose(),
     )
 
 
@@ -386,7 +391,7 @@ def _coefficient_vector(model: SphericalDivisorModel, d: Divisor) -> list[int]:
 def _snf_coordinates(model: SphericalDivisorModel, d: Divisor) -> tuple[ClassGroupData, tuple[int, ...]]:
     """The class-group data and w = V^T v, where v is d's coefficient vector and U R V = D."""
     data = class_group_data(model)
-    return data, data.snf.V.transpose().apply(_coefficient_vector(model, d))
+    return data, data._v_transpose.apply(_coefficient_vector(model, d))
 
 
 def class_of(model: SphericalDivisorModel, d: Divisor) -> ClassCoordinates:
@@ -411,7 +416,7 @@ def is_principal(model: SphericalDivisorModel, d: Divisor) -> tuple[bool, Charac
         return False, None
     diag = data.snf.D.diagonal()
     y = [w[i] // diag[i] if i < len(diag) and diag[i] else 0 for i in range(data.snf.U.rows)]
-    x = data.snf.U.transpose().apply(y)
+    x = data._u_transpose.apply(y)
     chi = model.weight_lattice.zero_character()
     for coeff, b in zip(x, model.basis_characters):
         chi = chi + coeff * b

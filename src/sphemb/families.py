@@ -72,20 +72,106 @@ def _transpose(m: Matrix) -> Matrix:
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0]) if m else 0))
 
 
+def _unit_times(x: Matrix, i: int, j: int) -> list[Fraction]:
+    """The entries of E_ij X, row by row: X's row j as row i, zeros elsewhere."""
+    cols = len(x[0]) if x else 0
+    out = [Fraction(0)] * (len(x) * cols)
+    out[i * cols : (i + 1) * cols] = [Fraction(e) for e in x[j]]
+    return out
+
+
+def _times_unit(x: Matrix, i: int, j: int) -> list[Fraction]:
+    """The entries of X E_ij, row by row: X's column i as column j, zeros elsewhere."""
+    cols = len(x[0]) if x else 0
+    out = [Fraction(0)] * (len(x) * cols)
+    out[j::cols] = [Fraction(r[i]) for r in x]
+    return out
+
+
+def _negated(entries: list[Fraction]) -> list[Fraction]:
+    return [-e for e in entries]
+
+
+def _integer_matrix(m: Matrix) -> tuple[int, list[list[int]]]:
+    """(L, L M) for a rational matrix M, with L the lcm of its denominators."""
+    scale = lcm(*(e.denominator for r in m for e in r))
+    return scale, [[e.numerator * (scale // e.denominator) for e in r] for r in m]
+
+
+def _integer_polys(m) -> tuple[int, list[list[dict[int, int]]], bool]:
+    """(L, L M) for a matrix of rationals and Laurent polynomials.
+
+    Each entry of L M is an {exponent: nonzero int} dict (empty for zero),
+    with L the lcm of every coefficient's denominator.  The flag says whether
+    any entry was a ``LaurentPoly``.
+    """
+    laurent = False
+    polys = []
+    for r in m:
+        row = []
+        for e in r:
+            if isinstance(e, LaurentPoly):
+                laurent = True
+                row.append(dict(e.items()))
+            else:
+                row.append({0: e} if e else {})
+        polys.append(row)
+    scale = lcm(*(c.denominator for r in polys for p in r for c in p.values()))
+    return scale, [[{k: c.numerator * (scale // c.denominator) for k, c in p.items()} for p in r] for r in polys], laurent
+
+
+def _add_scaled(acc: dict[int, int], a: int, p: dict[int, int]) -> None:
+    """acc += a * p for an integer a and an {exponent: int} polynomial p."""
+    for e, c in p.items():
+        acc[e] = acc.get(e, 0) + a * c
+
+
+def _add_product(acc: dict[int, int], p: dict[int, int], q: dict[int, int]) -> None:
+    """acc += p * q for {exponent: int} polynomials."""
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _divide_polys(m: list[list[dict[int, int]]], scale: int, laurent: bool) -> Matrix:
+    """The matrix m / scale: ``LaurentPoly`` entries if ``laurent``, else ``Fraction``."""
+    if laurent:
+        return tuple(tuple(LaurentPoly({e: Fraction(c, scale) for e, c in p.items() if c}) for p in r) for r in m)
+    return tuple(tuple(Fraction(p.get(0, 0), scale) for p in r) for r in m)
+
+
 def _det_generic(rows):
+    """Determinant of a square matrix of rationals and Laurent polynomials.
+
+    The entries are cleared to integer polynomials over one denominator L,
+    and the determinant is expanded along the first row with the minors
+    memoised on their remaining columns (k 2^k products for a k x k matrix,
+    not k!).  It is divided once by L^k: a ``LaurentPoly`` when any entry is
+    one, a ``Fraction`` otherwise.
+    """
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if n == 1:
         return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det_generic(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    scale, polys, laurent = _integer_polys(rows)
+    memo: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+
+    def minor(cols: tuple[int, ...]) -> dict[int, int]:
+        # Determinant of the last len(cols) rows restricted to cols.
+        if cols in memo:
+            return memo[cols]
+        row = polys[n - len(cols)]
+        total: dict[int, int] = {}
+        for pos, j in enumerate(cols):
+            if row[j]:
+                sub = minor(cols[:pos] + cols[pos + 1 :])
+                _add_product(total, {e: -c for e, c in row[j].items()} if pos % 2 else row[j], sub)
+        memo[cols] = total = {e: c for e, c in total.items() if c}
+        return total
+
+    return _divide_polys([[minor(tuple(range(n)))]], scale**n, laurent)[0][0]
 
 
 def leading_minor(m: Matrix, k: int):
@@ -202,7 +288,30 @@ def _substitute_curve(point: Point, value: Fraction) -> Point:
 
 
 def _apply_pair(g_left: Matrix, x: Matrix, g_right_inv: Matrix) -> Matrix:
-    return _freeze(mat_mul(mat_mul([list(r) for r in g_left], [list(r) for r in x]), g_right_inv))
+    """g_left x g_right_inv, multiplied on integers and divided once.
+
+    The group matrices are scaled to integers and x to integer polynomials;
+    zero entries of x (most of a curve point) are skipped.  The entries are
+    ``LaurentPoly`` when x holds one, ``Fraction`` otherwise.
+    """
+    left_scale, left = _integer_matrix(g_left)
+    right_scale, right = _integer_matrix(g_right_inv)
+    x_scale, xp, laurent = _integer_polys(x)
+    middle = [[{} for _ in range(len(xp[0]) if xp else 0)] for _ in left]
+    for k, x_row in enumerate(xp):
+        for l, p in enumerate(x_row):
+            if p:
+                for i, left_row in enumerate(left):
+                    if left_row[k]:
+                        _add_scaled(middle[i][l], left_row[k], p)
+    out = [[{} for _ in range(len(right[0]) if right else 0)] for _ in left]
+    for i, middle_row in enumerate(middle):
+        for l, p in enumerate(middle_row):
+            if p:
+                for j, b in enumerate(right[l]):
+                    if b:
+                        _add_scaled(out[i][j], b, p)
+    return _divide_polys(out, left_scale * x_scale * right_scale, laurent)
 
 
 def _inv(m: Matrix) -> list[list[Fraction]]:
@@ -214,11 +323,8 @@ def _inv(m: Matrix) -> list[list[Fraction]]:
     ends as [d I | d (L M)^-1] with d = +-det(L M).
     """
     n = len(m)
-    scale = lcm(*(e.denominator for r in m for e in r))
-    rows = [
-        [e.numerator * (scale // e.denominator) for e in r] + [int(i == j) for j in range(n)]
-        for i, r in enumerate(m)
-    ]
+    scale, scaled = _integer_matrix(m)
+    rows = [r + [int(i == j) for j in range(n)] for i, r in enumerate(scaled)]
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if rows[i][k]), None)
@@ -406,28 +512,16 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         ranks.append((f"lambda_{r}", (r, m - r)))
 
     def lie_rows(point: Point) -> list[list[Fraction]]:
+        # Lie algebra of the unit group: pairs (a, delta*I - a^T).  The pair
+        # (E_ij, -E_ji) moves (X, Y) to (E_ij X, -E_ji Y) on the left and to
+        # (-X E_ij, Y E_ji) on the right; (0, I) moves it to (0, Y) and (0, -Y).
         x, y = point
-        rows = []
-
-        def tangent(a: Matrix, c: Matrix, side: str) -> list[Fraction]:
-            if side == "left":
-                ta = mat_mul([list(r) for r in a], [list(r) for r in x])
-                tb = mat_mul([list(r) for r in c], [list(r) for r in y])
-            else:
-                ta = mat_mul([list(r) for r in x], [list(r) for r in a])
-                tb = mat_mul([list(r) for r in y], [list(r) for r in c])
-                ta = [[-e for e in row] for row in ta]
-                tb = [[-e for e in row] for row in tb]
-            return [Fraction(e) for row in ta for e in row] + [Fraction(e) for row in tb for e in row]
-
-        # Lie algebra of the unit group: pairs (a, delta*I - a^T).
-        for side in ("left", "right"):
-            for i in range(m):
-                for j in range(m):
-                    a = [[Fraction(ii == i and jj == j) for jj in range(m)] for ii in range(m)]
-                    c = [[-Fraction(ii == j and jj == i) for jj in range(m)] for ii in range(m)]
-                    rows.append(tangent(_freeze(a), _freeze(c), side))
-            rows.append(tangent(_zeros(m, m), _identity(m), side))
+        zeros = [Fraction(0)] * (m * m)
+        y_flat = [Fraction(e) for row in y for e in row]
+        rows = [_unit_times(x, i, j) + _negated(_unit_times(y, j, i)) for i in range(m) for j in range(m)]
+        rows.append(zeros + y_flat)
+        rows += [_negated(_times_unit(x, i, j)) + _times_unit(y, j, i) for i in range(m) for j in range(m)]
+        rows.append(zeros + _negated(y_flat))
         return rows
 
     def stabilizer_sampler(rng: random.Random) -> GroupElement:
@@ -488,13 +582,12 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
         for v, d in enumerate(dims):
             for i in range(d):
                 for j in range(d):
-                    e = [[Fraction(ii == i and jj == j) for jj in range(d)] for ii in range(d)]
                     row = []
                     for (s, t), x in zip(arrows, point):
                         if v == s:
-                            row += [Fraction(q) for r in mat_mul(e, x) for q in r]
+                            row += _unit_times(x, i, j)
                         elif v == t:
-                            row += [-Fraction(q) for r in mat_mul(x, e) for q in r]
+                            row += _negated(_times_unit(x, i, j))
                         else:
                             row += [Fraction(0)] * (dims[s] * dims[t])
                     rows.append(row)

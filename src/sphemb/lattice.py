@@ -64,7 +64,7 @@ class IntegerMatrix:
         return IntegerMatrix(
             self.cols,
             self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
+            tuple(e for j in range(self.cols) for e in self.entries[j :: self.cols]),
         )
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
@@ -80,7 +80,7 @@ class IntegerMatrix:
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(a * b for a, b in zip(self.row(i), vec)) for i in range(self.rows))
 
     def is_diagonal(self) -> bool:
         return all(self.entry(i, j) == 0 for i in range(self.rows) for j in range(self.cols) if i != j)

@@ -163,6 +163,7 @@ PINNED_OUTPUT_DIGESTS = {
     ("gorenstein", "monoid:m=3", "0"): "61c7fbd7c694f685316603cd75724bceb2e0e2e9ab13487d8786ff7f32bc3c83",
     ("gorenstein", "circular:m=2,n=2,r=1,s=1", "0"): "ee4d2cfd3102b98c41c75eab8611a5d5fdaf54ae4908e14f220b008aaab29b0e",
     ("gorenstein", "determinantal:m=2,n=4,r=1", "0"): "4859de08e5663434d9a9d4301f5e80aa2b4eabc41adf94e0cc6a9ead182b4b99",
+    ("verify", "monoid:m=4", "0"): "83fff336370e48ca1521542d0b5956626e1f53ea358299b3798d568e3581b4b1",
 }
 
 
@@ -171,3 +172,41 @@ def test_pinned_output_digests():
         out = io.StringIO()
         assert run([command, "--family", family, "--seed", seed], stdout=out) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, (command, family, seed)
+
+
+def test_pinned_unstable_verify_output():
+    # One of the eight translates of a monoid m=3 curve is not generic at
+    # this seed, so an order comes out unstable and the CLI exits 4 with the
+    # whole report in its message.  A non-generic draw is where exact zeros
+    # reach the translate and minor kernels.
+    out = io.StringIO()
+    assert run(["verify", "--family", "monoid:m=3", "--seed", "931794"], stdout=out) == 4
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "6b079a5e65dd84bf79368a46c901ff9df141e6380885272925b553984229e327"
+
+
+def test_shared_parser_matches_fresh_parsers():
+    from sphemb.cli import _build_parser
+
+    calls = [
+        ["class-of", "--family", "monoid:m=2", "--divisor", "X_0"],
+        ["class-of", "--family", "monoid:m=2", "--divisor", "X_0:1"],
+        ["class-of", "--family", "monoid:m=2", "--divisor", "X_0"],
+        ["verify", "--family", "monoid:m=2", "--bogus"],
+        ["verify", "--family", "monoid:m=2", "--trials", "2"],
+        ["verify", "--family", "monoid:m=2", "--bogus"],
+    ]
+
+    def outputs(fresh):
+        docs = []
+        for argv in calls:
+            if fresh:
+                _build_parser.cache_clear()
+            out = io.StringIO()
+            docs.append((run(argv, stdout=out), out.getvalue()))
+        return docs
+
+    shared = outputs(fresh=False)
+    assert [code for code, _ in shared] == [2, 0, 2, 2, 0, 2]
+    assert shared[0] == shared[2] and shared[3] == shared[5]
+    assert shared == outputs(fresh=True)

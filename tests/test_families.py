@@ -362,3 +362,220 @@ def test_integer_inverse_rejects_singular_matrices():
     for rows in singular:
         with pytest.raises(ZeroDivisionError):
             _inv(rows)
+
+
+# Reference kernels: the oracle's translate, minor and Lie-row computations
+# as plain products over Fraction and LaurentPoly entries.  The integer
+# kernels in sphemb.families must agree with them exactly, entry types
+# included.
+
+
+def _reference_apply_pair(g_left, x, g_right_inv):
+    from sphemb.lattice import mat_mul
+
+    product = mat_mul(mat_mul([list(r) for r in g_left], [list(r) for r in x]), g_right_inv)
+    return tuple(tuple(r) for r in product)
+
+
+def _reference_det(rows):
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * _reference_det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def _units(d, i, j, sign=1):
+    return [[Fraction(sign * ((ii, jj) == (i, j))) for jj in range(d)] for ii in range(d)]
+
+
+def _reference_quiver_lie_rows(dims, arrows, point):
+    from sphemb.lattice import mat_mul
+
+    rows = []
+    for v, d in enumerate(dims):
+        for i in range(d):
+            for j in range(d):
+                e = _units(d, i, j)
+                row = []
+                for (s, t), x in zip(arrows, point):
+                    if v == s:
+                        row += [Fraction(q) for r in mat_mul(e, x) for q in r]
+                    elif v == t:
+                        row += [-Fraction(q) for r in mat_mul(x, e) for q in r]
+                    else:
+                        row += [Fraction(0)] * (dims[s] * dims[t])
+                rows.append(row)
+    return rows
+
+
+def _reference_monoid_lie_rows(m, point):
+    from sphemb.lattice import mat_mul
+
+    x, y = point
+    rows = []
+
+    def tangent(a, c, side):
+        if side == "left":
+            ta, tb = mat_mul(a, [list(r) for r in x]), mat_mul(c, [list(r) for r in y])
+        else:
+            ta = [[-e for e in row] for row in mat_mul([list(r) for r in x], a)]
+            tb = [[-e for e in row] for row in mat_mul([list(r) for r in y], c)]
+        return [Fraction(e) for row in ta for e in row] + [Fraction(e) for row in tb for e in row]
+
+    for side in ("left", "right"):
+        for i in range(m):
+            for j in range(m):
+                rows.append(tangent(_units(m, i, j), _units(m, j, i, -1), side))
+        identity = [[Fraction(i == j) for j in range(m)] for i in range(m)]
+        rows.append(tangent([[Fraction(0)] * m for _ in range(m)], identity, side))
+    return rows
+
+
+def _random_group_matrix(rng, n):
+    kind = rng.choice(("integer", "rational", "zero_row", "zero_col"))
+    if kind == "rational":
+        g = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)] for _ in range(n)]
+    else:
+        g = [[Fraction(rng.randint(-999, 999)) for _ in range(n)] for _ in range(n)]
+    k = rng.randrange(n)
+    if kind == "zero_row":
+        g[k] = [Fraction(0)] * n
+    elif kind == "zero_col":
+        for r in g:
+            r[k] = Fraction(0)
+    return tuple(tuple(r) for r in g)
+
+
+def _random_curve_entry(rng, laurent):
+    from sphemb.laurent import LaurentPoly
+
+    pick = rng.random()
+    if pick < 0.4:
+        return 0
+    if not laurent or pick < 0.55:
+        return rng.choice((1, -2, Fraction(3, 4), Fraction(-5, 6)))
+    if pick < 0.6:
+        return LaurentPoly()
+    terms = {rng.randint(-2, 3): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))}
+    return LaurentPoly(terms)
+
+
+def _random_curve_point(rng, rows, cols, laurent):
+    x = [[_random_curve_entry(rng, laurent) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.3:
+        x[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.3:
+        k = rng.randrange(cols)
+        for r in x:
+            r[k] = 0
+    return tuple(tuple(r) for r in x)
+
+
+def _same_entries(got, want):
+    assert got == want
+    assert [[type(e) for e in r] for r in got] == [[type(e) for e in r] for r in want]
+
+
+def test_apply_pair_matches_reference_products():
+    from sphemb.families import _apply_pair
+    from sphemb.laurent import LaurentPoly, T
+
+    rng = random.Random(11)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        x = _random_curve_point(rng, rows, cols, laurent=rng.random() < 0.7)
+        g_left, g_right = _random_group_matrix(rng, rows), _random_group_matrix(rng, cols)
+        _same_entries(_apply_pair(g_left, x, g_right), _reference_apply_pair(g_left, x, g_right))
+    # 1 x 1, an all-zero curve point, and a curve whose only Laurent entry is zero
+    half = ((Fraction(1, 2),),)
+    for x in (((T,),), ((LaurentPoly({-1: Fraction(2, 3)}),),), ((0,),), ((Fraction(7, 3),),)):
+        _same_entries(_apply_pair(half, x, half), _reference_apply_pair(half, x, half))
+    g = ((Fraction(2), Fraction(1, 3)), (Fraction(0), Fraction(-1)))
+    for x in (((0, 0), (0, 0)), ((0, LaurentPoly()), (1, 0))):
+        _same_entries(_apply_pair(g, x, g), _reference_apply_pair(g, x, g))
+
+
+def test_det_generic_matches_cofactor_expansion():
+    from sphemb.families import _det_generic
+    from sphemb.laurent import LaurentPoly, T
+
+    def check(rows):
+        got = _det_generic(rows)
+        assert got == _reference_det(rows)
+        n = len(rows)
+        if n == 0:
+            assert got == 1 and type(got) is Fraction
+        elif n == 1:
+            assert got is rows[0][0]
+        elif any(isinstance(e, LaurentPoly) for r in rows for e in r):
+            assert type(got) is LaurentPoly
+        else:
+            assert type(got) is Fraction
+        return got
+
+    rng = random.Random(3)
+    entries = (0, 0, 1, -1, Fraction(1, 2), 3, T, -T, T ** 2, LaurentPoly({-1: 1}), 1 + T, LaurentPoly({0: Fraction(-1, 3), 1: 2}))
+    for n in range(6):
+        for _ in range(60 if n < 5 else 15):
+            laurent = rng.random() < 0.7
+            pool = entries if laurent else entries[:6]
+            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            if n and rng.random() < 0.2:
+                rows[0] = [0] * n  # zero first row
+            if n > 1 and rng.random() < 0.2:
+                rows[-1] = list(rows[0])  # singular: two equal rows
+            check(rows)
+    # Laurent terms that cancel: t*1 - t*1, and a constant determinant
+    assert check([[T, T], [1, 1]]) == 0
+    assert check([[1 + T, T], [1, 1]]) == 1
+    assert check([[T, LaurentPoly({-1: 1})], [1, LaurentPoly({-2: 1})]]) == 0
+    assert check([[Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 0], [0, 0, 3]]) == 1
+
+
+def _orbit_points(real, rng):
+    yield real.base_point
+    yield real.act(real.group_sampler(rng), real.base_point)
+    yield tuple(
+        tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in r) for r in x) for x in real.base_point
+    )
+
+
+def test_quiver_lie_rows_match_unit_matrix_products():
+    arrows_of = {"determinantal": ((0, 1),), "circular": ((0, 1), (1, 0)), "complexes": ((0, 1), (1, 2))}
+    specs = [f"determinantal:m={m},n={n},r={r}" for m in (2, 3) for n in (2, 3) for r in range(1, min(m, n))]
+    specs += [f"circular:m={m},n={n},r={r},s={s}" for m, n, r, s in admissible_circular_parameters(3, 3)]
+    specs += [
+        f"complexes:l=1,m={m},n={n},r={r},s={s}"
+        for m in (1, 2) for n in (1, 2) for r in range(2) for s in range(n + 1) if r + s <= m
+    ]
+    rng = random.Random(8)
+    for spec in specs:
+        real = build_family(spec).realization
+        arrows = arrows_of[spec.partition(":")[0]]
+        for point in _orbit_points(real, rng):
+            dims = {}
+            for (s, t), x in zip(arrows, point):
+                dims[s], dims[t] = len(x), len(x[0])
+            dims = tuple(dims[v] for v in range(len(dims)))
+            got = real.lie_algebra_rows(point)
+            assert got == _reference_quiver_lie_rows(dims, arrows, point), spec
+            assert all(type(e) is Fraction for row in got for e in row)
+
+
+def test_monoid_lie_rows_match_unit_matrix_products():
+    rng = random.Random(9)
+    for m in (2, 3, 4):
+        _, real = monoid_model(m)
+        for point in _orbit_points(real, rng):
+            got = real.lie_algebra_rows(point)
+            assert got == _reference_monoid_lie_rows(m, point)
+            assert all(type(e) is Fraction for row in got for e in row)
