@@ -84,7 +84,8 @@ def _times_unit(x: Matrix, i: int, j: int) -> list[Fraction]:
     """The entries of X E_ij, row by row: X's column i as column j, zeros elsewhere."""
     cols = len(x[0]) if x else 0
     out = [Fraction(0)] * (len(x) * cols)
-    out[j::cols] = [Fraction(r[i]) for r in x]
+    if cols:
+        out[j::cols] = [Fraction(r[i]) for r in x]
     return out
 
 

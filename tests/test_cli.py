@@ -141,7 +141,8 @@ def test_trials_below_one_exit_2():
 # sha256 of the output line of each command.  Seeded output must stay
 # byte-identical through refactors of the oracle, the realizations and the
 # divisor layer: the table covers every family's `verify` (circular members
-# with and without boundaries, determinantal with m > n, complexes with l > 1),
+# with and without boundaries, determinantal with m > n, complexes with l > 1
+# and with l = 0 or m = 0),
 # a determinantal `class-group`, and `gorenstein` on members whose output
 # carries the `is_principal` verdict and witness.
 PINNED_OUTPUT_DIGESTS = {
@@ -164,6 +165,8 @@ PINNED_OUTPUT_DIGESTS = {
     ("gorenstein", "circular:m=2,n=2,r=1,s=1", "0"): "ee4d2cfd3102b98c41c75eab8611a5d5fdaf54ae4908e14f220b008aaab29b0e",
     ("gorenstein", "determinantal:m=2,n=4,r=1", "0"): "4859de08e5663434d9a9d4301f5e80aa2b4eabc41adf94e0cc6a9ead182b4b99",
     ("verify", "monoid:m=4", "0"): "83fff336370e48ca1521542d0b5956626e1f53ea358299b3798d568e3581b4b1",
+    ("verify", "complexes:l=0,m=1,n=1,r=0,s=1", "0"): "470df7769b3fa5aa7c4104b4b2eeb863aaa73381f6519703d1bd7bea2ef2ba20",
+    ("verify", "complexes:l=1,m=0,n=1,r=0,s=0", "0"): "d2cc9e0ee73ac8bb08bfe9740a59a20158bd2db6a1b7d0e28c6c5a0d2ccf3d10",
 }
 
 

@@ -502,6 +502,9 @@ def test_apply_pair_matches_reference_products():
     g = ((Fraction(2), Fraction(1, 3)), (Fraction(0), Fraction(-1)))
     for x in (((0, 0), (0, 0)), ((0, LaurentPoly()), (1, 0))):
         _same_entries(_apply_pair(g, x, g), _reference_apply_pair(g, x, g))
+    # 0 x 2 and 2 x 0 points, the arrows of a complexes member with l or m = 0
+    _same_entries(_apply_pair((), (), g), _reference_apply_pair((), (), g))
+    _same_entries(_apply_pair(g, ((), ()), ()), _reference_apply_pair(g, ((), ()), ()))
 
 
 def test_det_generic_matches_cofactor_expansion():
@@ -553,19 +556,19 @@ def test_quiver_lie_rows_match_unit_matrix_products():
     arrows_of = {"determinantal": ((0, 1),), "circular": ((0, 1), (1, 0)), "complexes": ((0, 1), (1, 2))}
     specs = [f"determinantal:m={m},n={n},r={r}" for m in (2, 3) for n in (2, 3) for r in range(1, min(m, n))]
     specs += [f"circular:m={m},n={n},r={r},s={s}" for m, n, r, s in admissible_circular_parameters(3, 3)]
+    # Complexes members with l, m or n = 0 put empty matrices on an arrow.
     specs += [
-        f"complexes:l=1,m={m},n={n},r={r},s={s}"
-        for m in (1, 2) for n in (1, 2) for r in range(2) for s in range(n + 1) if r + s <= m
+        f"complexes:l={l},m={m},n={n},r={r},s={s}"
+        for l in (0, 1) for m in (0, 1, 2) for n in (0, 1, 2)
+        for r in range(l + 1) for s in range(n + 1) if r + s <= m
     ]
     rng = random.Random(8)
     for spec in specs:
-        real = build_family(spec).realization
-        arrows = arrows_of[spec.partition(":")[0]]
+        bundle = build_family(spec)
+        real = bundle.realization
+        arrows = arrows_of[bundle.name]
+        dims = tuple(bundle.params[k] for k in "lmn" if k in bundle.params)
         for point in _orbit_points(real, rng):
-            dims = {}
-            for (s, t), x in zip(arrows, point):
-                dims[s], dims[t] = len(x), len(x[0])
-            dims = tuple(dims[v] for v in range(len(dims)))
             got = real.lie_algebra_rows(point)
             assert got == _reference_quiver_lie_rows(dims, arrows, point), spec
             assert all(type(e) is Fraction for row in got for e in row)
