@@ -14,14 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .lattice import (
     AbelianGroupPresentation,
     IntegerMatrix,
     SmithDecomposition,
-    cokernel,
     rational_inverse,
     smith_normal_form,
 )
@@ -309,8 +307,14 @@ def _is_primitive_rowset(rows: list[tuple[int, ...]], width: int) -> bool:
     return sum(1 for d in diag if d != 0) == len(rows) and all(d in (0, 1) for d in diag)
 
 
-@lru_cache(maxsize=None)
 def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
+    """Class group and SNF of a final model, computed once and kept on the model object.
+
+    A lookup is one attribute read; it never hashes the frozen model.
+    """
+    cached = model.__dict__.get("_class_group_data")
+    if cached is not None:
+        return cached
     _require_final(model)
     order = model.label_order
     rel = _relation_matrix(model)
@@ -320,7 +324,7 @@ def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
     diag = snf.D.diagonal()
     free_indices = tuple(i for i in range(n) if i >= k or diag[i] == 0)
     torsion = tuple((i, diag[i]) for i in range(k) if diag[i] > 1)
-    presentation = cokernel(rel)
+    presentation = AbelianGroupPresentation(len(free_indices), tuple(f for _, f in torsion))
 
     # Free-part coordinates of the label basis vectors: (V^T e_l)[free] = V[l][free].
     free_rows = tuple(
@@ -354,7 +358,7 @@ def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
         else:
             generators = None
 
-    return ClassGroupData(
+    data = ClassGroupData(
         presentation=presentation,
         label_order=order,
         relation_matrix=rel,
@@ -367,6 +371,8 @@ def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
         _v_transpose=snf.V.transpose(),
         _u_transpose=snf.U.transpose(),
     )
+    object.__setattr__(model, "_class_group_data", data)
+    return data
 
 
 def class_group(model: SphericalDivisorModel) -> AbelianGroupPresentation:

@@ -16,14 +16,17 @@ small quiver; ``_quiver_parts`` builds their action, samplers, membership
 test and Lie-algebra rows from the quiver data.
 
 Divisor functionals are transcribed tables; every constructor re-derives
-them from the ambient weight map and coroots and asserts agreement, so a
-transcription slip cannot survive construction.
+them from the ambient weight map and coroots and raises ``ValueError`` on
+disagreement, so a transcription slip cannot survive construction.  The
+circular coroots are one table (``_circular_coroots``), read by that check
+and by the wonderful data; the determinantal model and wonderful data are
+the circular ones at s = 0.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
@@ -415,15 +418,13 @@ def _crosscheck_monoid(model: SphericalDivisorModel, m: int):
         cor[m + i - 1] -= 1
         cor[m + i] += 1
         for b in model.basis_characters:
-            amb = ambient(b)
-            derived = sum(a * c for a, c in zip(amb, cor))
-            assert pair(b, spec.functional) == derived, "colour table disagrees with ambient coroot"
+            if pair(b, spec.functional) != sum(a * c for a, c in zip(ambient(b), cor)):
+                raise ValueError(f"colour table for {spec.label.id} disagrees with ambient coroot")
     for r, spec in enumerate(model.boundaries):
         expo = [0] * r + [1] * (m - r) + [1] * r + [0] * (m - r)
         for b in model.basis_characters:
-            amb = ambient(b)
-            derived = sum(a * e for a, e in zip(amb, expo))
-            assert pair(b, spec.valuation) == derived, "boundary table disagrees with curve exponents"
+            if pair(b, spec.valuation) != sum(a * e for a, e in zip(ambient(b), expo)):
+                raise ValueError(f"boundary table for {spec.label.id} disagrees with curve exponents")
 
 
 def _monoid_membership(point: Point) -> bool:
@@ -617,17 +618,37 @@ def _standard_fs(rows: int, cols: int, s: int) -> Matrix:
     )
 
 
-def circular_complexes_model(m: int, n: int, r: int, s: int) -> tuple[SphericalDivisorModel, MatrixRealization]:
-    """Divisor model and realization for pairs (A, B) with AB = BA = 0 and rank bounds."""
+def _circular_parameters(m: int, n: int, r: int, s: int) -> tuple[int, int, int, int]:
+    """The circular parameters with m <= n, or ``FamilyParameterError``.
+
+    Swapping the two sides (m, r) <-> (n, s) when m > n gives the same variety,
+    so every circular entry point normalises through here.  A member carries a
+    model when 0 <= r, s and r + s <= m, except the degenerate (r, s) in
+    {(0, 0), (m, 0), (0, m)}.
+    """
     if m > n:
-        return circular_complexes_model(n, m, s, r)
+        m, n, r, s = n, m, s, r
     if r < 0 or s < 0:
         raise FamilyParameterError("rank bounds must be nonnegative")
     if r + s > m:
         raise FamilyParameterError("need r + s <= min(m, n)")
     if (r, s) in {(0, 0), (m, 0), (0, m)}:
         raise FamilyParameterError(f"(r, s) = {(r, s)} is a degenerate case with no model")
+    return m, n, r, s
 
+
+def circular_complexes_model(m: int, n: int, r: int, s: int) -> tuple[SphericalDivisorModel, MatrixRealization]:
+    """Divisor model and realization for pairs (A, B) with AB = BA = 0 and rank bounds."""
+    m, n, r, s = _circular_parameters(m, n, r, s)
+    model = _circular_model(m, n, r, s)
+    return model, _circular_realization(m, n, r, s, model)
+
+
+def _circular_model(m: int, n: int, r: int, s: int) -> SphericalDivisorModel:
+    """The circular divisor model for parameters as given (no swap, no checks).
+
+    At s = 0 it is the model of the m x n matrices of rank <= r.
+    """
     labels = tuple(f"eps_{i}" for i in range(1, r + 1)) + tuple(f"delta_{j}" for j in range(1, s + 1))
     lattice = TorusLattice(rank=r + s, labels=labels)
     basis = tuple(lattice.basis_character(lab) for lab in labels)
@@ -641,51 +662,33 @@ def circular_complexes_model(m: int, n: int, r: int, s: int) -> tuple[SphericalD
     roots = []
     coroots = []
     colors = []
-    for i in range(1, r):
-        alpha = lattice.character(eps_vec({i - 1: 1, i: -1}))
-        alpha_v = lattice.covector(eps_vec({i - 1: 1, i: -1}))
-        roots.append((f"alpha_{i}", alpha))
-        coroots.append((f"alpha_{i}", alpha_v))
-        colors.append(ColorSpec(DivisorLabel(COLOR, f"D_{i}"), alpha_v, canonical_coefficient=-2))
-    for j in range(1, s):
-        beta = lattice.character(eps_vec({r + j - 1: -1, r + j: 1}))
-        beta_v = lattice.covector(eps_vec({r + j - 1: -1, r + j: 1}))
-        roots.append((f"beta_{j}", beta))
-        coroots.append((f"beta_{j}", beta_v))
-        colors.append(ColorSpec(DivisorLabel(COLOR, f"E_{j}"), beta_v, canonical_coefficient=-2))
+    simple = [(f"alpha_{i}", f"D_{i}", {i - 1: 1, i: -1}) for i in range(1, r)]
+    simple += [(f"beta_{j}", f"E_{j}", {r + j - 1: -1, r + j: 1}) for j in range(1, s)]
+    for root_label, color_label, coords in simple:
+        coroot = lattice.covector(eps_vec(coords))
+        roots.append((root_label, lattice.character(eps_vec(coords))))
+        coroots.append((root_label, coroot))
+        colors.append(ColorSpec(DivisorLabel(COLOR, color_label), coroot, canonical_coefficient=-2))
 
-    # Exterior colours, with the omission and merging rules.
-    coeff_1 = -(m - (r + s) + 1)
-    coeff_2 = -(n - (r + s) + 1)
-    phi_r = eps_vec({r - 1: 1}) if r > 0 else None
-    phi_s = eps_vec({r: 1}) if s > 0 else None
+    # Exterior colours D_r1, D_r2, D_s1, D_s2, in that order.  When r, s > 0
+    # and r + s equals m (side 1) or n (side 2), D_s<side> merges into
+    # D_r<side>: functionals and coefficients add, and D_s<side> is an alias.
+    coeffs = (-(m - (r + s) + 1), -(n - (r + s) + 1))
+    exterior: dict[str, tuple[list, int]] = {}
     aliases = []
-    merged_1 = r > 0 and s > 0 and r + s == m
-    merged_2 = r > 0 and s > 0 and r + s == n
-    exterior: list[tuple[str, list, int]] = []
     if r > 0:
-        f1 = list(phi_r)
-        c1 = coeff_1
-        if merged_1:
-            f1 = [a + b for a, b in zip(f1, phi_s)]
-            c1 += coeff_1
-            aliases.append(("D_s1", "D_r1"))
-        exterior.append(("D_r1", f1, c1))
-        f2 = list(phi_r)
-        c2 = coeff_2
-        if merged_2:
-            f2 = [a + b for a, b in zip(f2, phi_s)]
-            c2 += coeff_2
-            aliases.append(("D_s2", "D_r2"))
-        exterior.append(("D_r2", f2, c2))
-    if s > 0 and not merged_1:
-        exterior.append(("D_s1", list(phi_s), coeff_1))
-    if s > 0 and not merged_2:
-        exterior.append(("D_s2", list(phi_s), coeff_2))
-    # Keep the documented colour order D_r1, D_r2, D_s1, D_s2.
-    order = {"D_r1": 0, "D_r2": 1, "D_s1": 2, "D_s2": 3}
-    exterior.sort(key=lambda item: order[item[0]])
-    for lab, fun, coeff in exterior:
+        for side, coeff in enumerate(coeffs, start=1):
+            exterior[f"D_r{side}"] = (eps_vec({r - 1: 1}), coeff)
+    if s > 0:
+        phi_s = eps_vec({r: 1})
+        for side, (size, coeff) in enumerate(zip((m, n), coeffs), start=1):
+            if r > 0 and r + s == size:
+                fun, coeff_r = exterior[f"D_r{side}"]
+                exterior[f"D_r{side}"] = ([a + b for a, b in zip(fun, phi_s)], coeff_r + coeff)
+                aliases.append((f"D_s{side}", f"D_r{side}"))
+            else:
+                exterior[f"D_s{side}"] = (phi_s, coeff)
+    for lab, (fun, coeff) in exterior.items():
         colors.append(ColorSpec(DivisorLabel(COLOR, lab), lattice.covector(fun), canonical_coefficient=coeff))
 
     boundaries = []
@@ -706,11 +709,41 @@ def circular_complexes_model(m: int, n: int, r: int, s: int) -> tuple[SphericalD
         label_aliases=tuple(aliases),
     )
     _crosscheck_circular(model, m, n, r, s)
-    return model, _circular_realization(m, n, r, s, model)
+    return model
 
 
-def _circular_weight_map(m: int, n: int, r: int, s: int):
-    # Ambient coordinates: the m left-torus coordinates then the n right ones.
+def _circular_coroots(m: int, n: int, r: int, s: int) -> dict[str, tuple[dict[int, int], ...]]:
+    """Each circular colour's coroots, as sparse vectors on the ambient torus.
+
+    Ambient coordinates are the m left-torus coordinates, then the n right
+    ones.  The colours D_i and E_j pair a left with a right coroot; the
+    exterior colours have one each, and a merged D_s1 or D_s2 has none of
+    its own.  Keys come in the model's colour order.
+    """
+
+    def left(i: int) -> dict[int, int]:
+        # coroot of -eps_{i,1} + eps_{i+1,1}  (1-based i)
+        return {i - 1: -1, i: 1}
+
+    def right(i: int) -> dict[int, int]:
+        # coroot of eps_{i,2} - eps_{i+1,2}
+        return {m + i - 1: 1, m + i: -1}
+
+    table = {f"D_{i}": (left(i), right(i)) for i in range(1, r)}
+    table.update({f"E_{j}": (left(m - s + j), right(n - s + j)) for j in range(1, s)})
+    if r > 0:
+        table["D_r1"] = (left(r),)
+        table["D_r2"] = (right(r),)
+    if s > 0 and not (r > 0 and r + s == m):
+        table["D_s1"] = (left(m - s),)
+    if s > 0 and not (r > 0 and r + s == n):
+        table["D_s2"] = (right(n - s),)
+    return table
+
+
+def _crosscheck_circular(model: SphericalDivisorModel, m: int, n: int, r: int, s: int):
+    # Re-derive the functional tables on the ambient (m + n)-torus, where
+    # eps_i has weight -e_i + e_{m+i} and delta_j weight e_{m-s+j} - e_{m+n-s+j}.
     def ambient(chi: Character) -> list[int]:
         v = [0] * (m + n)
         for i in range(r):
@@ -721,54 +754,23 @@ def _circular_weight_map(m: int, n: int, r: int, s: int):
             v[m + n - s + j] -= chi.coords[r + j]
         return v
 
-    return ambient
-
-
-def _crosscheck_circular(model: SphericalDivisorModel, m: int, n: int, r: int, s: int):
-    ambient = _circular_weight_map(m, n, r, s)
-
-    def cor_left(i: int) -> dict[int, int]:
-        # coroot of -eps_{i,1} + eps_{i+1,1}  (1-based i)
-        return {i - 1: -1, i: 1}
-
-    def cor_right(i: int) -> dict[int, int]:
-        # coroot of eps_{i,2} - eps_{i+1,2}
-        return {m + i - 1: 1, m + i: -1}
-
-    def pairing(chi: Character, cor: dict[int, int]) -> int:
-        amb = ambient(chi)
-        return sum(amb[k] * c for k, c in cor.items())
-
-    table = {}
-    for i in range(1, r):
-        table[f"D_{i}"] = [cor_left(i), cor_right(i)]
-    for j in range(1, s):
-        table[f"E_{j}"] = [cor_left(m - s + j), cor_right(n - s + j)]
-    if r > 0:
-        table["D_r1"] = [cor_left(r)]
-        table["D_r2"] = [cor_right(r)]
-    if s > 0 and not (r > 0 and r + s == m):
-        table["D_s1"] = [cor_left(m - s)]
-    if s > 0 and not (r > 0 and r + s == n):
-        table["D_s2"] = [cor_right(n - s)]
-
+    basis = [(b, ambient(b)) for b in model.basis_characters]
+    table = _circular_coroots(m, n, r, s)
+    if tuple(table) != model.color_ids:
+        raise ValueError(f"colours {model.color_ids} disagree with the coroot table's {tuple(table)}")
     for spec in model.colors:
-        for cor in table[spec.label.id]:
-            for b in model.basis_characters:
-                assert pair(b, spec.functional) == pairing(b, cor), (
-                    f"colour table for {spec.label.id} disagrees with ambient coroot pairing"
-                )
+        for b, amb in basis:
+            value = pair(b, spec.functional)
+            for cor in table[spec.label.id]:
+                if value != sum(amb[k] * c for k, c in cor.items()):
+                    raise ValueError(f"colour table for {spec.label.id} disagrees with ambient coroot pairing")
 
-    # Boundary valuations against the negated limit-cocharacter exponents.
-    if model.boundaries:
-        lam = {r - 1: 1}  # left factor, position r scaled by t
-        mu = {m + r: 1}  # right factor, position r+1 scaled by t
-        for spec, expo in zip(model.boundaries, (lam, mu)):
-            for b in model.basis_characters:
-                derived = -sum(ambient(b)[k] * e for k, e in expo.items())
-                assert pair(b, spec.valuation) == derived, (
-                    f"boundary valuation {spec.label.id} disagrees with its limit cocharacter"
-                )
+    # Boundary valuations against the negated limit-cocharacter exponents:
+    # lambda scales left position r by t, mu right position r + 1.
+    for spec, expo in zip(model.boundaries, ({r - 1: 1}, {m + r: 1})):
+        for b, amb in basis:
+            if pair(b, spec.valuation) != -sum(amb[k] * e for k, e in expo.items()):
+                raise ValueError(f"boundary valuation {spec.label.id} disagrees with its limit cocharacter")
 
 
 def _circular_weight_value(r: int, s: int) -> Callable[[Character, GroupElement], Fraction]:
@@ -886,34 +888,8 @@ def determinantal_realization(m: int, n: int, r: int) -> tuple[MatrixRealization
     """
     if not 0 < r < min(m, n):
         raise FamilyParameterError("determinantal requires 0 < r < min(m, n)")
-
-    labels = tuple(f"eps_{i}" for i in range(1, r + 1))
-    lattice = TorusLattice(rank=r, labels=labels)
-    basis = tuple(lattice.basis_character(lab) for lab in labels)
-
-    roots = []
-    coroots = []
-    colors = []
-    for i in range(1, r):
-        vec = [0] * r
-        vec[i - 1] = 1
-        vec[i] = -1
-        roots.append((f"alpha_{i}", lattice.character(vec)))
-        coroots.append((f"alpha_{i}", lattice.covector(vec)))
-        colors.append(ColorSpec(DivisorLabel(COLOR, f"D_{i}"), lattice.covector(vec), canonical_coefficient=-2))
-    phi = [0] * r
-    phi[r - 1] = 1
-    colors.append(ColorSpec(DivisorLabel(COLOR, "D_r1"), lattice.covector(phi), canonical_coefficient=-(m - r + 1)))
-    colors.append(ColorSpec(DivisorLabel(COLOR, "D_r2"), lattice.covector(phi), canonical_coefficient=-(n - r + 1)))
-
-    model = SphericalDivisorModel(
-        weight_lattice=lattice,
-        simple_roots=SimpleRootSet(tuple(roots), tuple(coroots)),
-        colors=tuple(colors),
-        boundaries=(),
-        basis_characters=basis,
-        provisional=True,
-    )
+    model = replace(_circular_model(m, n, r, 0), provisional=True)
+    lattice = model.weight_lattice
 
     semi = []
     for i in range(1, r + 1):
@@ -1056,34 +1032,27 @@ def monoid_wonderful(m: int) -> WonderfulModel:
 
 
 def circular_wonderful(m: int, n: int, r: int, s: int) -> WonderfulModel:
-    if m > n:
-        return circular_wonderful(n, m, s, r)
-    if r < 0 or s < 0 or r + s > m or (r, s) in {(0, 0), (m, 0), (0, m)}:
-        raise FamilyParameterError("parameters outside the admissible circular range")
+    return _circular_wonderful(*_circular_parameters(m, n, r, s))
+
+
+def _circular_wonderful(m: int, n: int, r: int, s: int) -> WonderfulModel:
+    """Wonderful coroot data for circular parameters as given (no swap, no checks)."""
     labels = tuple(f"eps_{i}_1" for i in range(1, m + 1)) + tuple(f"eps_{j}_2" for j in range(1, n + 1))
     lattice = TorusLattice(rank=m + n, labels=labels)
 
-    def cov(mapping) -> Covector:
+    def cov(sparse: dict[int, int]) -> Covector:
         v = [0] * (m + n)
-        for k, c in mapping.items():
+        for k, c in sparse.items():
             v[k] = c
         return lattice.covector(v)
 
     paired = []
-    for i in range(1, r):
-        paired.append((f"D_{i}", cov({i - 1: -1, i: 1}), cov({m + i - 1: 1, m + i: -1})))
-    for j in range(1, s):
-        paired.append(
-            (f"E_{j}", cov({m - s + j - 1: -1, m - s + j: 1}), cov({m + n - s + j - 1: 1, m + n - s + j: -1}))
-        )
     extra = []
-    if r > 0:
-        extra.append(("D_r1", cov({r - 1: -1, r: 1})))
-        extra.append(("D_r2", cov({m + r - 1: 1, m + r: -1})))
-    if s > 0 and not (r > 0 and r + s == m):
-        extra.append(("D_s1", cov({m - s - 1: -1, m - s: 1})))
-    if s > 0 and not (r > 0 and r + s == n):
-        extra.append(("D_s2", cov({m + n - s - 1: 1, m + n - s: -1})))
+    for lab, cors in _circular_coroots(m, n, r, s).items():
+        if len(cors) == 2:
+            paired.append((lab, cov(cors[0]), cov(cors[1])))
+        else:
+            extra.append((lab, cov(cors[0])))
     return WonderfulModel(lattice=lattice, paired_colors=tuple(paired), extra_colors=tuple(extra))
 
 
@@ -1164,7 +1133,7 @@ def build_family(spec: str, trials: int = 8, seed: int = 0) -> FamilyBundle:
     if name == "determinantal":
         real, provisional = determinantal_realization(**params)
         model = finalize_determinantal_model(provisional, real, trials=trials, seed=seed)
-        return FamilyBundle(name, params, real, model=model, wonderful=circular_wonderful(**params, s=0))
+        return FamilyBundle(name, params, real, model=model, wonderful=_circular_wonderful(**params, s=0))
     real = complexes_realization(**params)
     return FamilyBundle(name, params, real)
 
@@ -1174,9 +1143,10 @@ def admissible_circular_parameters(max_m: int, max_n: int):
     out = []
     for m in range(1, max_m + 1):
         for n in range(m, max_n + 1):
-            for r in range(0, m + 1):
-                for s in range(0, m - r + 1):
-                    if (r, s) in {(0, 0), (m, 0), (0, m)}:
-                        continue
-                    out.append((m, n, r, s))
+            for r in range(m + 1):
+                for s in range(m + 1):
+                    try:
+                        out.append(_circular_parameters(m, n, r, s))
+                    except FamilyParameterError:
+                        pass
     return out

@@ -47,7 +47,7 @@ class TorusLattice:
         return Character(self, (0,) * self.rank)
 
     def covector(self, coords: Iterable) -> "Covector":
-        return Covector(self, tuple(Fraction(c) for c in coords))
+        return Covector(self, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def pair(chi: Character, f: Covector) -> Fraction:
     """Exact pairing <chi, f>; integral whenever f is integral on the lattice."""
     if chi.lattice != f.lattice:
         raise LatticeMismatchError("character and covector on different lattices")
-    return sum((Fraction(c) * x for c, x in zip(chi.coords, f.coords)), Fraction(0))
+    return sum((c * x for c, x in zip(chi.coords, f.coords) if c), Fraction(0))
 
 
 @dataclass(frozen=True)

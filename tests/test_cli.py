@@ -177,6 +177,35 @@ def test_pinned_output_digests():
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, (command, family, seed)
 
 
+# sha256 of the output of commands outside the (command, family, seed) form.
+# The `model --dump` digests were recorded before the determinantal model
+# became the circular model at s = 0 and must not move.  The section digest
+# pins the model's own labels: it used to read {"D_s1": -1}, a label the
+# m > n determinantal model does not have.
+PINNED_ARGV_DIGESTS = {
+    ("model", "--family", "determinantal:m=3,n=2,r=1", "--dump"):
+        "e29f74e44663bc543d2a5efb395fc57e7f374515ed6665082df5f9be2fe1bef8",
+    ("model", "--family", "determinantal:m=2,n=4,r=1", "--dump"):
+        "adb330ce592ed2951bdf1b232c39777dc8c0d88340a57181d8ae0be8cffec82d",
+    ("wonderful-section", "--family", "determinantal:m=3,n=2,r=1", "--chi", "eps_1_1:1"):
+        "d2711aa541aab40c21bf81a0b0d889d02be30e97257a57fbadf023aa067b2eb5",
+}
+
+
+def test_pinned_argv_digests():
+    for argv, digest in PINNED_ARGV_DIGESTS.items():
+        out = io.StringIO()
+        assert run(list(argv), stdout=out) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
+
+
+def test_determinantal_wonderful_section_uses_model_labels():
+    code, doc = _invoke(
+        ["wonderful-section", "--family", "determinantal:m=3,n=2,r=1", "--chi", "eps_1_1:1,eps_1_2:-1"]
+    )
+    assert code == 0 and doc["result"]["divisor"] == {"D_r1": -1, "D_r2": -1}
+
+
 def test_pinned_unstable_verify_output():
     # One of the eight translates of a monoid m=3 curve is not generic at
     # this seed, so an order comes out unstable and the CLI exits 4 with the

@@ -243,6 +243,32 @@ def test_provisional_model_gates_class_queries():
         is_gorenstein(provisional)
 
 
+def test_class_group_data_is_kept_on_the_model(monkeypatch):
+    from sphemb import divisor_model
+    from sphemb.divisor_model import SphericalDivisorModel
+
+    model, _ = monoid_model(4)
+    twin, _ = monoid_model(4)
+    snf_inputs = []
+    snf = divisor_model.smith_normal_form
+    monkeypatch.setattr(divisor_model, "smith_normal_form", lambda a: snf_inputs.append(a) or snf(a))
+    data = class_group_data(model)
+    # One SNF of the relation matrix per model: the presentation is read off it.
+    assert snf_inputs.count(data.relation_matrix) == 1
+    assert data.presentation.free_rank == 3 and data.presentation.invariant_factors == ()
+
+    def no_hash(self):
+        raise AssertionError("class-group lookups must not hash the model")
+
+    monkeypatch.setattr(SphericalDivisorModel, "__hash__", no_hash)
+    assert class_group_data(model) is data
+    assert is_gorenstein(model) == class_of(model, canonical_divisor(model)).is_zero
+    # An equal model built separately computes its own data, with equal results.
+    assert twin == model and class_group_data(twin) is not data
+    assert class_group_data(twin).presentation == data.presentation
+    assert snf_inputs.count(data.relation_matrix) == 2
+
+
 def test_validate_model_detects_corruption():
     model, _ = monoid_model(3)
     assert validate_model(model).ok

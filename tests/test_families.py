@@ -1,9 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from sphemb import families
 from sphemb.divisor_model import (
+    BoundarySpec,
+    ColorSpec,
     canonical_divisor,
     class_group,
     class_group_generators,
@@ -311,6 +315,81 @@ def test_functional_tables_match_ambient_pairings():
     d_r1 = next(c for c in model.colors if c.label.id == "D_r1")
     chi = model.weight_lattice.basis_character("delta_1")
     assert pair(chi, d_r1.functional) == Fraction(1)
+
+
+def test_admissible_circular_parameters_match_the_rule():
+    expected = [
+        (m, n, r, s)
+        for m in range(1, 6)
+        for n in range(m, 7)
+        for r in range(m + 1)
+        for s in range(m - r + 1)
+        if (r, s) not in {(0, 0), (m, 0), (0, m)}
+    ]
+    assert admissible_circular_parameters(5, 6) == expected
+    for m, n, r, s in [(2, 2, 0, 0), (2, 3, 2, 0), (3, 2, 0, 2), (2, 3, 2, 1), (3, 3, -1, 1)]:
+        with pytest.raises(FamilyParameterError):
+            circular_wonderful(m, n, r, s)
+
+
+def test_wonderful_colours_are_the_model_colours():
+    specs = [f"monoid:m={m}" for m in range(1, 7)]
+    for m, n, r, s in admissible_circular_parameters(5, 5):
+        specs += [f"circular:m={m},n={n},r={r},s={s}", f"circular:m={n},n={m},r={s},s={r}"]
+    specs += [
+        f"determinantal:m={m},n={n},r={r}" for m in range(1, 6) for n in range(1, 6) for r in range(1, min(m, n))
+    ]
+    for spec in specs:
+        bundle = build_family(spec)
+        assert bundle.wonderful.color_ids == bundle.model.color_ids, spec
+
+
+def test_corrupted_coroot_table_fails_construction(monkeypatch):
+    coroots = families._circular_coroots
+
+    def corrupted(*args):
+        # D_r2 pairs with one right-hand coroot; shift both of its entries.
+        table = coroots(*args)
+        (cor,) = table["D_r2"]
+        table["D_r2"] = ({k: c + 1 for k, c in cor.items()},)
+        return table
+
+    monkeypatch.setattr(families, "_circular_coroots", corrupted)
+    for build in (
+        lambda: circular_complexes_model(2, 3, 1, 1),
+        lambda: circular_complexes_model(3, 3, 1, 2),
+        lambda: determinantal_realization(3, 2, 1),
+    ):
+        with pytest.raises(ValueError, match="D_r2"):
+            build()
+
+
+def _corrupting(cls, label):
+    """A stand-in for ``cls`` that adds 1 to the first coordinate of the functional at ``label``."""
+
+    def make(lab, functional, *args, **kwargs):
+        if lab.id == label:
+            functional = functional + functional.lattice.covector([1] + [0] * (functional.lattice.rank - 1))
+        return cls(lab, functional, *args, **kwargs)
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "cls, label, build",
+    [
+        (ColorSpec, "D_1", lambda: monoid_model(3)),
+        (ColorSpec, "D_r1", lambda: circular_complexes_model(2, 3, 1, 1)),
+        (ColorSpec, "E_1", lambda: circular_complexes_model(4, 4, 2, 2)),
+        (ColorSpec, "D_r2", lambda: determinantal_realization(2, 4, 1)),
+        (BoundarySpec, "X_2", lambda: monoid_model(3)),
+        (BoundarySpec, "X_{1,0}", lambda: circular_complexes_model(2, 2, 1, 1)),
+    ],
+)
+def test_corrupted_functional_fails_construction(monkeypatch, cls, label, build):
+    monkeypatch.setattr(families, cls.__name__, _corrupting(cls, label))
+    with pytest.raises(ValueError, match=re.escape(label)):
+        build()
 
 
 def _random_matrix(rng, n, rational):
