@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Sequence
 
@@ -219,10 +220,6 @@ def _rand_triangular(rng: random.Random, n: int, lower: bool) -> Matrix:
     return _frac(m)
 
 
-def _rank(m: Matrix) -> int:
-    return rational_rank([list(r) for r in m])
-
-
 @dataclass(eq=False)
 class SemiInvariantSpec:
     """A polynomial function of the matrix entries with a claimed weight."""
@@ -264,8 +261,7 @@ class MatrixRealization:
         if not self.membership(self.base_point):
             raise ValueError("base point fails the membership predicate")
         for label, pt in self.cocharacter_curves:
-            at_one = _substitute_curve(pt, Fraction(1))
-            if at_one != self.base_point:
+            if not _passes_through(pt, self.base_point):
                 raise ValueError(f"curve {label} does not pass through the base point at t=1")
 
     def curve(self, label: str) -> Point:
@@ -275,20 +271,20 @@ class MatrixRealization:
         raise KeyError(f"unknown curve {label!r}")
 
 
-def _substitute_curve(point: Point, value: Fraction) -> Point:
-    out = []
-    for m in point:
-        rows = []
-        for r in m:
-            row = []
-            for e in r:
-                if isinstance(e, LaurentPoly):
-                    row.append(sum((c * value**k for k, c in e.items()), Fraction(0)))
-                else:
-                    row.append(Fraction(e))
-            rows.append(tuple(row))
-        out.append(tuple(rows))
-    return tuple(out)
+def _passes_through(curve: Point, point: Point) -> bool:
+    """Whether the curve's value at t = 1 is ``point``.
+
+    A ``LaurentPoly`` entry's value at t = 1 is the sum of its coefficients;
+    any other entry is its own value.
+    """
+    if [[len(r) for r in x] for x in curve] != [[len(r) for r in x] for x in point]:
+        return False
+    return all(
+        (sum(c for _, c in e.items()) if isinstance(e, LaurentPoly) else e) == b
+        for x, y in zip(curve, point)
+        for r, s in zip(x, y)
+        for e, b in zip(r, s)
+    )
 
 
 def _apply_pair(g_left: Matrix, x: Matrix, g_right_inv: Matrix) -> Matrix:
@@ -351,20 +347,33 @@ def _inv(m: Matrix) -> list[list[Fraction]]:
 
 def monoid_model(m: int) -> tuple[SphericalDivisorModel, MatrixRealization]:
     """Divisor model and matrix realization of the rank-m dilation monoid."""
+    model = _monoid_model(m)
+    return model, _monoid_realization(m, model)
+
+
+def _monoid_coroots(m: int) -> dict[str, dict[int, int]]:
+    """Each monoid colour's coroot alpha_i^vee, sparse on eps_1..eps_{m+1}.
+
+    alpha_i^vee pairs 1 with eps_i and -1 with eps_{i+1}; alpha_1^vee also
+    pairs -1 with eps_{m+1}.  Keys come in the model's colour order.
+    """
+    table = {}
+    for i in range(1, m):
+        coroot = {i - 1: 1, i: -1}
+        if i == 1:
+            coroot[m] = -1
+        table[f"D_{i}"] = coroot
+    return table
+
+
+def _monoid_model(m: int) -> SphericalDivisorModel:
     if m < 1:
         raise FamilyParameterError("monoid requires m >= 1")
 
     labels = tuple(f"eps_{k}" for k in range(1, m + 2))
     lattice = TorusLattice(rank=m + 1, labels=labels)
     basis = tuple(lattice.basis_character(lab) for lab in labels)
-
-    def coroot_coords(i: int) -> list[int]:
-        c = [0] * (m + 1)
-        c[i - 1] = 1
-        c[i] = -1
-        if i == 1:
-            c[m] = -1
-        return c
+    coroot_table = _monoid_coroots(m)
 
     roots = []
     coroots = []
@@ -374,7 +383,7 @@ def monoid_model(m: int) -> tuple[SphericalDivisorModel, MatrixRealization]:
         root[i - 1] = 1
         root[i] = -1
         alpha = lattice.character(root)
-        alpha_v = lattice.covector(coroot_coords(i))
+        alpha_v = lattice.covector([coroot_table[f"D_{i}"].get(k, 0) for k in range(m + 1)])
         roots.append((f"alpha_{i}", alpha))
         coroots.append((f"alpha_{i}", alpha_v))
         colors.append(ColorSpec(DivisorLabel(COLOR, f"D_{i}"), alpha_v, canonical_coefficient=-2))
@@ -398,7 +407,7 @@ def monoid_model(m: int) -> tuple[SphericalDivisorModel, MatrixRealization]:
         character_aliases=char_aliases,
     )
     _crosscheck_monoid(model, m)
-    return model, _monoid_realization(m, model)
+    return model
 
 
 def _crosscheck_monoid(model: SphericalDivisorModel, m: int):
@@ -428,10 +437,13 @@ def _crosscheck_monoid(model: SphericalDivisorModel, m: int):
 
 
 def _monoid_membership(point: Point) -> bool:
-    a, b = point
+    # A^T B = A B^T = d I, tested on L A and L' B with L, L' the lcms of the
+    # denominators: both products scale by L L', and d with them.
+    a = _integer_matrix(point[0])[1]
+    b = _integer_matrix(point[1])[1]
     m = len(a)
-    at_b = mat_mul([list(r) for r in _transpose(a)], [list(r) for r in b])
-    a_bt = mat_mul([list(r) for r in a], [list(r) for r in _transpose(b)])
+    at_b = mat_mul(_transpose(a), b)
+    a_bt = mat_mul(a, _transpose(b))
     d = at_b[0][0]
     for i in range(m):
         for j in range(m):
@@ -566,10 +578,12 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
         return tuple(_apply_pair(g[s], xk, inverses[t]) for (s, t), xk in zip(arrows, x))
 
     def membership(point: Point) -> bool:
-        if any(_rank(x) > k for x, k in zip(point, ranks)):
+        # Ranks and zero compositions are unchanged by scaling each arrow
+        # matrix to integers.
+        scaled = [_integer_matrix(x)[1] for x in point]
+        if any(rational_rank(x) > k for x, k in zip(scaled, ranks)):
             return False
-        products = [mat_mul(point[i], point[j]) for i, j in zero_paths]
-        return all(e == 0 for p in products for row in p for e in row)
+        return all(e == 0 for i, j in zero_paths for row in mat_mul(scaled[i], scaled[j]) for e in row)
 
     def group_sampler(rng: random.Random) -> GroupElement:
         return tuple(_rand_generic(rng, d) for d in dims)
@@ -886,11 +900,17 @@ def determinantal_realization(m: int, n: int, r: int) -> tuple[MatrixRealization
     model is provisional and must be finalized through the oracle before
     class-group queries are allowed (``finalize_determinantal_model``).
     """
+    model = _provisional_determinantal_model(m, n, r)
+    return _determinantal_realization(m, n, r, model.weight_lattice), model
+
+
+def _provisional_determinantal_model(m: int, n: int, r: int) -> SphericalDivisorModel:
     if not 0 < r < min(m, n):
         raise FamilyParameterError("determinantal requires 0 < r < min(m, n)")
-    model = replace(_circular_model(m, n, r, 0), provisional=True)
-    lattice = model.weight_lattice
+    return replace(_circular_model(m, n, r, 0), provisional=True)
 
+
+def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) -> MatrixRealization:
     semi = []
     for i in range(1, r + 1):
         chi = lattice.character([1 if k < i else 0 for k in range(r)])
@@ -901,7 +921,7 @@ def determinantal_realization(m: int, n: int, r: int) -> tuple[MatrixRealization
     a[r - 1][r - 1] = LaurentPoly.t_power(1)
     curves = ((f"lambda_{r}", (_freeze(a),)),)
 
-    realization = MatrixRealization(
+    return MatrixRealization(
         base_point=(er,),
         weight_value=_circular_weight_value(r, 0),
         semi_invariants=tuple(semi),
@@ -912,7 +932,6 @@ def determinantal_realization(m: int, n: int, r: int) -> tuple[MatrixRealization
         boundary_candidates=(BoundaryCandidate(f"X_{r - 1}", f"lambda_{r}", (_standard_er(m, n, r - 1),)),),
         **_quiver_parts((m, n), ((0, 1),), (r,)),
     )
-    return realization, model
 
 
 def finalize_determinantal_model(
@@ -947,11 +966,14 @@ def finalize_determinantal_model(
 # Varieties of complexes (realization only).
 
 
-def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixRealization:
-    """Pairs (A, B) in Mat(l,m) x Mat(m,n) with rk A <= r, rk B <= s, AB = 0."""
+def _check_complexes_parameters(l: int, m: int, n: int, r: int, s: int) -> None:
     if not (0 <= r <= l and 0 <= s <= n and r + s <= m):
         raise FamilyParameterError("complexes requires 0 <= r <= l, 0 <= s <= n, r + s <= m")
 
+
+def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixRealization:
+    """Pairs (A, B) in Mat(l,m) x Mat(m,n) with rk A <= r, rk B <= s, AB = 0."""
+    _check_complexes_parameters(l, m, n, r, s)
     er = _standard_er(l, m, r)
     fs = _standard_fs(m, n, s)
 
@@ -1015,19 +1037,15 @@ def monoid_wonderful(m: int) -> WonderfulModel:
         raise FamilyParameterError("monoid requires m >= 1")
     labels = tuple(f"eps_{k}_1" for k in range(1, m + 2)) + tuple(f"eps_{k}_2" for k in range(1, m + 2))
     lattice = TorusLattice(rank=2 * (m + 1), labels=labels)
+    # D_i pairs -alpha_i^vee on the first copy with alpha_i^vee on the second.
     paired = []
-    for i in range(1, m):
+    for lab, coroot in _monoid_coroots(m).items():
         left = [0] * (2 * (m + 1))
-        left[i - 1] = -1
-        left[i] = 1
-        if i == 1:
-            left[m] = 1
         right = [0] * (2 * (m + 1))
-        right[m + 1 + i - 1] = 1
-        right[m + 1 + i] = -1
-        if i == 1:
-            right[2 * m + 1] = -1
-        paired.append((f"D_{i}", lattice.covector(left), lattice.covector(right)))
+        for k, c in coroot.items():
+            left[k] = -c
+            right[m + 1 + k] = c
+        paired.append((lab, lattice.covector(left), lattice.covector(right)))
     return WonderfulModel(lattice=lattice, paired_colors=tuple(paired), extra_colors=())
 
 
@@ -1108,34 +1126,73 @@ def _parse_int(text: str) -> int:
         raise FamilyParameterError(f"parameter value {text.strip()!r} is not an integer") from None
 
 
-@dataclass(eq=False)
 class FamilyBundle:
-    name: str
-    params: dict[str, int]
-    realization: MatrixRealization
-    model: SphericalDivisorModel | None = None
-    wonderful: WonderfulModel | None = None
+    """A family member's divisor model, wonderful data and matrix realization.
+
+    ``realization`` is built, and validated, on first read, and so is a
+    determinantal member's ``model``, which the oracle finalizes from the
+    realization.  Each is built once per bundle.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        params: dict[str, int],
+        realize: Callable[[], MatrixRealization],
+        model: SphericalDivisorModel | None = None,
+        wonderful: WonderfulModel | None = None,
+        finalize: Callable[[MatrixRealization], SphericalDivisorModel] | None = None,
+    ):
+        self.name = name
+        self.params = params
+        self.wonderful = wonderful
+        self._realize = realize
+        self._model = model
+        self._finalize = finalize
+
+    @cached_property
+    def realization(self) -> MatrixRealization:
+        return self._realize()
+
+    @cached_property
+    def model(self) -> SphericalDivisorModel | None:
+        if self._finalize is not None:
+            return self._finalize(self.realization)
+        return self._model
 
 
 def build_family(spec: str, trials: int = 8, seed: int = 0) -> FamilyBundle:
     """Construct the model/realization bundle for a family specifier string.
 
-    Determinantal models are finalized through the oracle here, so the bundle
-    always carries a model ready for class-group queries when one exists.
+    Parameters are checked, and the monoid and circular models and every
+    wonderful model built, here.  The realization is built when
+    ``bundle.realization`` is first read; a determinantal model is finalized
+    through the oracle, with ``trials`` and ``seed``, when ``bundle.model``
+    is first read.
     """
     name, params = parse_family_spec(spec)
     if name == "monoid":
-        model, real = monoid_model(**params)
-        return FamilyBundle(name, params, real, model=model, wonderful=monoid_wonderful(**params))
+        m = params["m"]
+        model = _monoid_model(m)
+        return FamilyBundle(name, params, lambda: _monoid_realization(m, model), model, monoid_wonderful(m))
     if name == "circular":
-        model, real = circular_complexes_model(**params)
-        return FamilyBundle(name, params, real, model=model, wonderful=circular_wonderful(**params))
+        m, n, r, s = _circular_parameters(**params)
+        model = _circular_model(m, n, r, s)
+        return FamilyBundle(
+            name, params, lambda: _circular_realization(m, n, r, s, model), model, _circular_wonderful(m, n, r, s)
+        )
     if name == "determinantal":
-        real, provisional = determinantal_realization(**params)
-        model = finalize_determinantal_model(provisional, real, trials=trials, seed=seed)
-        return FamilyBundle(name, params, real, model=model, wonderful=_circular_wonderful(**params, s=0))
-    real = complexes_realization(**params)
-    return FamilyBundle(name, params, real)
+        m, n, r = params["m"], params["n"], params["r"]
+        provisional = _provisional_determinantal_model(m, n, r)
+        return FamilyBundle(
+            name,
+            params,
+            lambda: _determinantal_realization(m, n, r, provisional.weight_lattice),
+            wonderful=_circular_wonderful(m, n, r, 0),
+            finalize=lambda real: finalize_determinantal_model(provisional, real, trials=trials, seed=seed),
+        )
+    _check_complexes_parameters(**params)
+    return FamilyBundle(name, params, lambda: complexes_realization(**params))
 
 
 def admissible_circular_parameters(max_m: int, max_n: int):

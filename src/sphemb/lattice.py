@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 @dataclass(frozen=True)
@@ -305,28 +306,35 @@ def mat_mul(a, b):
 
 
 def rational_rank(rows) -> int:
-    """Rank of a matrix with Fraction/int entries, by Gaussian elimination."""
-    m = [[Fraction(e) for e in r] for r in rows]
+    """Rank of a matrix with Fraction/int entries.
+
+    Each row is scaled to integers by the lcm of its denominators, which keeps
+    the rank, and the integer matrix is brought to echelon form by
+    fraction-free (Bareiss) elimination: after a pivot step every entry below
+    the pivot row is a minor of the scaled matrix, so each division by the
+    previous pivot is exact.
+    """
+    m = []
+    for r in rows:
+        scale = lcm(*(e.denominator for e in r))
+        m.append([e.numerator * (scale // e.denominator) for e in r])
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
     rank = 0
-    col = 0
+    prev = 1
     for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [e * inv for e in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [e - f * p for e, p in zip(m[i], m[rank])]
+        pivot_row = m[rank]
+        p = pivot_row[col]
+        for i in range(rank + 1, nrows):
+            row = m[i]
+            a = row[col]
+            row[col:] = [(p * x - a * y) // prev for x, y in zip(row[col:], pivot_row[col:])]
+        prev = p
         rank += 1
         if rank == nrows:
             break

@@ -73,7 +73,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(rec.match for rec in self.records)
+        """Whether every check matched; a report that ran no check has not passed."""
+        return bool(self.records) and all(rec.match for rec in self.records)
 
     @property
     def stable(self) -> bool:

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 
+import pytest
+
 from sphemb.cli import run
 from sphemb.divisor_model import model_from_json
 
@@ -177,25 +179,36 @@ def test_pinned_output_digests():
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, (command, family, seed)
 
 
-# sha256 of the output of commands outside the (command, family, seed) form.
-# The `model --dump` digests were recorded before the determinantal model
-# became the circular model at s = 0 and must not move.  The section digest
-# pins the model's own labels: it used to read {"D_s1": -1}, a label the
-# m > n determinantal model does not have.
+# Exit code and sha256 of the output of commands outside the (command,
+# family, seed) form.  The `model --dump` digests were recorded before the
+# determinantal model became the circular model at s = 0 and must not move.
+# The first section digest pins the model's own labels: it used to read
+# {"D_s1": -1}, a label the m > n determinantal model does not have.  The
+# monoid m=20, circular canonical and determinantal section outputs were
+# recorded before the realizations and determinantal finalization became
+# lazy; the section there exits 3 (eps_1_1 pairs unequally against D_1).
 PINNED_ARGV_DIGESTS = {
     ("model", "--family", "determinantal:m=3,n=2,r=1", "--dump"):
-        "e29f74e44663bc543d2a5efb395fc57e7f374515ed6665082df5f9be2fe1bef8",
+        (0, "e29f74e44663bc543d2a5efb395fc57e7f374515ed6665082df5f9be2fe1bef8"),
     ("model", "--family", "determinantal:m=2,n=4,r=1", "--dump"):
-        "adb330ce592ed2951bdf1b232c39777dc8c0d88340a57181d8ae0be8cffec82d",
+        (0, "adb330ce592ed2951bdf1b232c39777dc8c0d88340a57181d8ae0be8cffec82d"),
     ("wonderful-section", "--family", "determinantal:m=3,n=2,r=1", "--chi", "eps_1_1:1"):
-        "d2711aa541aab40c21bf81a0b0d889d02be30e97257a57fbadf023aa067b2eb5",
+        (0, "d2711aa541aab40c21bf81a0b0d889d02be30e97257a57fbadf023aa067b2eb5"),
+    ("class-group", "--family", "monoid:m=20"):
+        (0, "fba2426261cb93c5c31395fc07dba1388c7fe1cc6098f767b901100e0eca8573"),
+    ("gorenstein", "--family", "monoid:m=20"):
+        (0, "17f3ae35d2e2ee8b2803d1594cd4012555f0684397659ab3ec1e257f3ee1d0a9"),
+    ("canonical", "--family", "circular:m=5,n=7,r=2,s=2"):
+        (0, "4672c0f4290b97576b551b3484b4640e464676d5ffbab0c3c88a3e7f8496355c"),
+    ("wonderful-section", "--family", "determinantal:m=5,n=5,r=3", "--chi", "eps_1_1:1"):
+        (3, "4254b25e299e3c6a3a345c4120349599cacab3cf08b6d2ec72265043d055ae7e"),
 }
 
 
 def test_pinned_argv_digests():
-    for argv, digest in PINNED_ARGV_DIGESTS.items():
+    for argv, (code, digest) in PINNED_ARGV_DIGESTS.items():
         out = io.StringIO()
-        assert run(list(argv), stdout=out) == 0
+        assert run(list(argv), stdout=out) == code, argv
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
 
 
@@ -242,3 +255,85 @@ def test_shared_parser_matches_fresh_parsers():
     assert [code for code, _ in shared] == [2, 0, 2, 2, 0, 2]
     assert shared[0] == shared[2] and shared[3] == shared[5]
     assert shared == outputs(fresh=True)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_divisor_commands_build_no_realization(monkeypatch):
+    from sphemb.families import MatrixRealization
+
+    built = _count_calls(monkeypatch, MatrixRealization, "__post_init__")
+    for family, divisor in (("monoid:m=5", "D_1:1,X_0:2"), ("circular:m=2,n=3,r=1,s=1", "D_r1:1,D_s2:-1")):
+        for command in (
+            ["class-group"],
+            ["canonical"],
+            ["gorenstein"],
+            ["class-of", "--divisor", divisor],
+            ["divisor", "--chi", "eps_1:2"],
+            ["model", "--dump"],
+            ["wonderful-section", "--chi", "eps_1_1:1,eps_1_2:-1"],
+        ):
+            code, _ = _invoke([command[0], "--family", family, *command[1:]])
+            assert code == 0 and not built, (family, command)
+        code, doc = _invoke(["verify", "--family", family, "--trials", "2"])
+        assert code == 0 and doc["result"]["passed"]
+        assert len(built) == 1, family
+        built.clear()
+
+
+def test_bundle_builds_its_realization_once(monkeypatch):
+    from sphemb.families import MatrixRealization, build_family
+
+    built = _count_calls(monkeypatch, MatrixRealization, "__post_init__")
+    for spec in ("monoid:m=3", "circular:m=2,n=2,r=1,s=1", "determinantal:m=3,n=3,r=2", "complexes:1,2,2,1,1"):
+        bundle = build_family(spec)
+        assert not built
+        assert bundle.realization is bundle.realization
+        assert bundle.model is bundle.model
+        assert len(built) == 1, spec
+        built.clear()
+
+
+def test_determinantal_section_runs_no_oracle(monkeypatch):
+    from sphemb import oracle
+
+    dims = _count_calls(monkeypatch, oracle, "orbit_dimension")
+    code, _ = _invoke(["wonderful-section", "--family", "determinantal:m=5,n=5,r=3", "--chi", "eps_1_1:1"])
+    assert code == 3 and not dims
+    code, _ = _invoke(
+        ["wonderful-section", "--family", "determinantal:m=5,n=5,r=3", "--chi", "eps_1_1:1,eps_1_2:-1"]
+    )
+    assert code == 0 and not dims
+    # A divisor command reads the model, which the oracle finalizes.
+    code, _ = _invoke(["class-group", "--family", "determinantal:m=5,n=5,r=3"])
+    assert code == 0 and dims
+
+
+def test_parameter_errors_stay_eager():
+    from sphemb.families import FamilyParameterError, build_family
+
+    for spec in ("monoid:m=0", "circular:m=2,n=2,r=0,s=0", "determinantal:m=3,n=3,r=3", "complexes:1,2,2,2,1"):
+        with pytest.raises(FamilyParameterError):
+            build_family(spec)
+
+
+def test_main_exits_with_the_run_code(monkeypatch, capsys):
+    from sphemb.cli import main
+
+    for argv, code in ((["class-group", "--family", "monoid:m=3"], 0), (["verify", "--trials", "0"], 2)):
+        monkeypatch.setattr("sys.argv", ["sphemb", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == ("ok" if code == 0 else "error")

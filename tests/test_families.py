@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -31,6 +32,7 @@ from sphemb.families import (
 )
 from sphemb.oracle import stabilizer_check
 from sphemb.rootdata import pair
+from test_lattice import _reference_rational_rank
 
 
 def test_monoid_parameter_validation():
@@ -661,3 +663,126 @@ def test_monoid_lie_rows_match_unit_matrix_products():
             got = real.lie_algebra_rows(point)
             assert got == _reference_monoid_lie_rows(m, point)
             assert all(type(e) is Fraction for row in got for e in row)
+
+
+def test_monoid_wonderful_pairs_are_the_model_coroots():
+    # D_i of the wonderful data pairs -f on the first copy of the lattice with
+    # f on the second, f the model's colour functional alpha_i^vee.
+    for m in range(1, 9):
+        model, _ = monoid_model(m)
+        wm = monoid_wonderful(m)
+        assert [lab for lab, _, _ in wm.paired_colors] == list(model.color_ids)
+        for (lab, left, right), spec in zip(wm.paired_colors, model.colors):
+            f = list(spec.functional.coords)
+            assert list(left.coords) == [-c for c in f] + [0] * (m + 1), (m, lab)
+            assert list(right.coords) == [0] * (m + 1) + f, (m, lab)
+
+
+def test_corrupted_monoid_coroot_table_fails_construction(monkeypatch):
+    coroots = families._monoid_coroots
+
+    def corrupted(m):
+        # alpha_2^vee pairs -1 with eps_{m+1} as alpha_1^vee does.
+        table = coroots(m)
+        table["D_2"][m] = -1
+        return table
+
+    monkeypatch.setattr(families, "_monoid_coroots", corrupted)
+    for m in (3, 4):
+        with pytest.raises(ValueError, match="D_2"):
+            monoid_model(m)
+
+
+def _reference_monoid_membership(point):
+    # A^T B = A B^T = d I over Fraction, the check before it ran on integers.
+    a, b = ([[Fraction(e) for e in r] for r in x] for x in point)
+    at_b = [[sum(x * y for x, y in zip(ca, cb)) for cb in zip(*b)] for ca in zip(*a)]
+    a_bt = [[sum(x * y for x, y in zip(ra, rb)) for rb in b] for ra in a]
+    d = at_b[0][0]
+    want = [[d if i == j else 0 for j in range(len(a))] for i in range(len(a))]
+    return at_b == want and a_bt == want
+
+
+def _reference_quiver_membership(point, ranks, zero_paths):
+    def product(x, y):
+        return [[sum((e * f for e, f in zip(row, col)), Fraction(0)) for col in zip(*y)] for row in x]
+
+    if any(_reference_rational_rank(x) > k for x, k in zip(point, ranks)):
+        return False
+    return all(e == 0 for i, j in zero_paths for row in product(point[i], point[j]) for e in row)
+
+
+def _membership_points(real, rng):
+    """Orbit points, the same with one entry off by 1/2 or 1, and scaled by rationals."""
+    for _ in range(6):
+        x = real.act(real.group_sampler(rng), real.base_point)
+        yield x
+        k = rng.randrange(len(x))
+        if x[k] and x[k][0]:
+            rows = [list(r) for r in x[k]]
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+            rows[i][j] += rng.choice((1, Fraction(1, 2)))
+            yield x[:k] + (tuple(map(tuple, rows)),) + x[k + 1 :]
+        c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        yield tuple(tuple(tuple(c * e for e in r) for r in m) for m in x)
+        # each arrow matrix scaled by its own rational
+        yield tuple(tuple(tuple(Fraction(k + 2, 3) * e for e in r) for r in m) for k, m in enumerate(x))
+
+
+def test_integer_memberships_match_fraction_memberships():
+    rng = random.Random(23)
+    verdicts = []
+    for m in (1, 2, 3, 4):
+        _, real = monoid_model(m)
+        d0 = [[Fraction(0)] * m for _ in range(m)]
+        e11, e21 = [list(r) for r in d0], [list(r) for r in d0]
+        e11[0][0] = Fraction(1)
+        if m > 1:
+            e21[1][0] = Fraction(1)
+        # (E11, E21): A^T B = 0 but A B^T != 0 when m > 1
+        points = [*_membership_points(real, rng), (_freeze(e11), _freeze(e21))]
+        for point in points:
+            got = real.membership(point)
+            assert got == _reference_monoid_membership(point), (m, point)
+            verdicts.append(got)
+    # (spec, rank bounds, zero compositions)
+    quivers = [
+        ("determinantal:m=3,n=4,r=2", (2,), ()),
+        ("circular:m=2,n=3,r=1,s=1", (1, 1), ((0, 1), (1, 0))),
+        ("circular:m=3,n=3,r=1,s=2", (1, 2), ((0, 1), (1, 0))),
+        ("complexes:l=2,m=3,n=2,r=1,s=1", (1, 1), ((0, 1),)),
+        ("complexes:l=2,m=3,n=2,r=2,s=1", (2, 1), ((0, 1),)),
+    ]
+    for spec, ranks, zero_paths in quivers:
+        real = build_family(spec).realization
+        for point in _membership_points(real, rng):
+            got = real.membership(point)
+            assert got == _reference_quiver_membership(point, ranks, zero_paths), (spec, point)
+            verdicts.append(got)
+    assert verdicts.count(True) > 40 and verdicts.count(False) > 20
+
+
+def _freeze(rows):
+    return tuple(tuple(r) for r in rows)
+
+
+def test_curve_off_at_one_fails_construction():
+    from sphemb.laurent import T
+
+    _, real = monoid_model(3)
+    (label, (a, b)) = real.cocharacter_curves[1]
+    assert dataclasses.replace(real).curve(label) == (a, b)
+    # a Laurent entry whose coefficients sum to 2, a constant entry off by one,
+    # and an off-diagonal zero made 1
+    for block, i, j, entry in ((0, 1, 1, 2 * T), (1, 1, 1, 2), (0, 0, 1, 1), (1, 2, 0, T)):
+        rows = [list(r) for r in (a, b)[block]]
+        rows[i][j] = entry
+        broken = (_freeze(rows), b) if block == 0 else (a, _freeze(rows))
+        curves = tuple((lab, broken if lab == label else pt) for lab, pt in real.cocharacter_curves)
+        with pytest.raises(ValueError, match=f"curve {label} does not pass"):
+            dataclasses.replace(real, cocharacter_curves=curves)
+    # t^2 agrees with t at t = 1
+    rows = [list(r) for r in a]
+    rows[2][2] = T ** 2
+    curves = tuple((lab, (_freeze(rows), b) if lab == label else pt) for lab, pt in real.cocharacter_curves)
+    dataclasses.replace(real, cocharacter_curves=curves)

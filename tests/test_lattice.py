@@ -219,3 +219,60 @@ def test_rational_helpers():
     assert inv == [[Fraction(1, 2), Fraction(0)], [Fraction(-1, 2), Fraction(1)]]
     with pytest.raises(ZeroDivisionError):
         rational_inverse([[1, 2], [2, 4]])
+
+
+def _reference_rational_rank(rows) -> int:
+    # Gauss-Jordan elimination over Fraction, the rank kernel before the
+    # fraction-free one.
+    m = [[Fraction(e) for e in r] for r in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [e * inv for e in m[rank]]
+        for i in range(nrows):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [e - f * p for e, p in zip(m[i], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def _random_rational_matrix(rng, rows, cols, rank):
+    """A rows x cols matrix of rank at most ``rank``, a product through ``rank`` columns, with denominators."""
+    if not rank:
+        return [[0] * cols for _ in range(rows)]
+    u = [[Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 7))) for _ in range(rank)] for _ in range(rows)]
+    v = [[Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 5))) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in u]
+
+
+def test_rational_rank_matches_fraction_elimination():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(600):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.randint(0, min(rows, cols) + 1)
+        m = _random_rational_matrix(rng, rows, cols, rank)
+        if rng.random() < 0.3:
+            # a sparse matrix of small entries, like the Lie-algebra rows
+            m = [[rng.choice((0, 0, 0, 1, -1, Fraction(1, 2))) for _ in range(cols)] for _ in range(rows)]
+        got = rational_rank(m)
+        assert got == _reference_rational_rank(m), m
+        seen.add((rows > cols, rows < cols, got < min(rows, cols)))
+    # tall, wide and square, each at full rank and rank-deficient
+    assert seen >= {(True, False, True), (True, False, False), (False, True, True), (False, True, False),
+                    (False, False, True), (False, False, False)}
+    for m in ([], [[]], [[], []], [[0, 0], [0, 0]], [[Fraction(1, 3)]], [[Fraction(2, 3), Fraction(1, 6)], [4, 1]],
+              [[0, Fraction(1, 2), 1], [0, 1, 2], [0, 0, Fraction(5, 7)]], [[1, 2, 3]], [[1], [2], [Fraction(-1, 2)]]):
+        assert rational_rank(m) == _reference_rational_rank(m), m
+    assert rational_rank([[Fraction(2, 3), Fraction(1, 6)], [4, 1]]) == 1
+    assert rational_rank([[0, Fraction(1, 2), 1], [0, 1, 2], [0, 0, Fraction(5, 7)]]) == 2

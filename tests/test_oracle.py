@@ -14,9 +14,11 @@ from sphemb.families import (
 )
 from sphemb.laurent import LaurentPoly, NegativeExponentError
 from sphemb.oracle import (
+    CheckRecord,
     IdenticallyZeroError,
     SemiInvarianceError,
     TOrderResult,
+    VerificationReport,
     infer_boundary_valuation,
     limit_signature,
     orbit_dimension,
@@ -401,3 +403,14 @@ def test_verification_report_draw_counts():
     assert report.passed and report.stable
     # plus three acts: the stabilizer check and two perturbed elements
     assert counts == {"group_sampler": (2 + 4) * trials, "borel_sampler": trials, "act": (4 + 4) * trials + 3}
+
+
+def test_report_without_checks_has_not_passed():
+    assert VerificationReport(()).passed is False
+    assert VerificationReport(()).to_json_dict()["passed"] is False
+
+    def record(match):
+        return CheckRecord("orbit_dimension", {}, 1, 1 if match else 2, match, 1, True)
+
+    assert VerificationReport((record(True),)).passed is True
+    assert VerificationReport((record(True), record(False))).passed is False
