@@ -12,9 +12,9 @@ divisors on a wonderful-compactification model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .lattice import (
     AbelianGroupPresentation,
@@ -252,15 +252,12 @@ def canonical_divisor(model: SphericalDivisorModel) -> Divisor:
 @dataclass(frozen=True)
 class ClassGroupData:
     presentation: AbelianGroupPresentation
-    label_order: tuple[str, ...]
     relation_matrix: IntegerMatrix
     snf: SmithDecomposition
     free_indices: tuple[int, ...]
     torsion: tuple[tuple[int, int], ...]
     generators: tuple[str, ...] | None
-    # Rows of V^T restricted to free coordinates, one row per label, plus the
-    # inverse of the chosen generator matrix (both integral).
-    _free_rows: tuple[tuple[int, ...], ...]
+    # The inverse of the chosen generator matrix (integral).
     _gen_inverse: tuple[tuple[int, ...], ...] | None
     # V^T and U^T of the SNF, which every class_of / is_principal query applies.
     _v_transpose: IntegerMatrix
@@ -360,13 +357,11 @@ def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
 
     data = ClassGroupData(
         presentation=presentation,
-        label_order=order,
         relation_matrix=rel,
         snf=snf,
         free_indices=free_indices,
         torsion=torsion,
         generators=generators,
-        _free_rows=free_rows,
         _gen_inverse=gen_inverse,
         _v_transpose=snf.V.transpose(),
         _u_transpose=snf.U.transpose(),
@@ -566,8 +561,3 @@ def model_from_json(doc) -> SphericalDivisorModel:
         character_aliases=char_aliases,
         provisional=doc.get("provisional", False),
     )
-
-
-def with_boundaries(model: SphericalDivisorModel, boundaries: Iterable[BoundarySpec], final: bool) -> SphericalDivisorModel:
-    """Copy of the model with replaced boundary list (used by oracle-gated constructors)."""
-    return replace(model, boundaries=tuple(boundaries), provisional=not final)

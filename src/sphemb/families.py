@@ -15,10 +15,12 @@ The last three are products of GL groups acting on the arrow spaces of a
 small quiver; ``_quiver_parts`` builds their action, samplers, membership
 test and Lie-algebra rows from the quiver data.
 
-Divisor functionals are transcribed tables; every constructor re-derives
-them from the ambient weight map and coroots and raises ``ValueError`` on
-disagreement, so a transcription slip cannot survive construction.  The
-circular coroots are one table (``_circular_coroots``), read by that check
+Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives
+them at construction from each family's ambient map, colour coroots and
+boundary exponents and raises ``ValueError`` on disagreement, so a
+transcription slip cannot survive construction.  ``_wonderful`` builds the
+wonderful data of both families from a table of colour coroots.  The
+circular coroots are one table (``_circular_coroots``), read by the check
 and by the wonderful data; the determinantal model and wonderful data are
 the circular ones at s = 0.
 """
@@ -40,9 +42,8 @@ from .divisor_model import (
     DivisorLabel,
     SphericalDivisorModel,
     WonderfulModel,
-    with_boundaries,
 )
-from .lattice import IntegerMatrix, determinant, mat_mul, rational_rank
+from .lattice import IntegerMatrix, determinant, mat_mul, rational_inverse, rational_rank, scaled_to_integers
 from .laurent import LaurentPoly
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, pair
 
@@ -95,12 +96,6 @@ def _times_unit(x: Matrix, i: int, j: int) -> list[Fraction]:
 
 def _negated(entries: list[Fraction]) -> list[Fraction]:
     return [-e for e in entries]
-
-
-def _integer_matrix(m: Matrix) -> tuple[int, list[list[int]]]:
-    """(L, L M) for a rational matrix M, with L the lcm of its denominators."""
-    scale = lcm(*(e.denominator for r in m for e in r))
-    return scale, [[e.numerator * (scale // e.denominator) for e in r] for r in m]
 
 
 def _integer_polys(m) -> tuple[int, list[list[dict[int, int]]], bool]:
@@ -294,8 +289,8 @@ def _apply_pair(g_left: Matrix, x: Matrix, g_right_inv: Matrix) -> Matrix:
     zero entries of x (most of a curve point) are skipped.  The entries are
     ``LaurentPoly`` when x holds one, ``Fraction`` otherwise.
     """
-    left_scale, left = _integer_matrix(g_left)
-    right_scale, right = _integer_matrix(g_right_inv)
+    left_scale, left = scaled_to_integers(g_left)
+    right_scale, right = scaled_to_integers(g_right_inv)
     x_scale, xp, laurent = _integer_polys(x)
     middle = [[{} for _ in range(len(xp[0]) if xp else 0)] for _ in left]
     for k, x_row in enumerate(xp):
@@ -312,33 +307,6 @@ def _apply_pair(g_left: Matrix, x: Matrix, g_right_inv: Matrix) -> Matrix:
                     if b:
                         _add_scaled(out[i][j], b, p)
     return _divide_polys(out, left_scale * x_scale * right_scale, laurent)
-
-
-def _inv(m: Matrix) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix; ``ZeroDivisionError`` if singular.
-
-    With L the least common multiple of the denominators, M^-1 = L (L M)^-1,
-    and the integer matrix L M is inverted by fraction-free Gauss-Jordan
-    elimination (Bareiss 1968): every division below is exact, and [L M | I]
-    ends as [d I | d (L M)^-1] with d = +-det(L M).
-    """
-    n = len(m)
-    scale, scaled = _integer_matrix(m)
-    rows = [r + [int(i == j) for j in range(n)] for i, r in enumerate(scaled)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        rows[k], rows[piv] = rows[piv], rows[k]
-        pivot_row = rows[k]
-        p = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                a = rows[i][k]
-                rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], pivot_row)]
-        prev = p
-    return [[Fraction(scale * x, prev) for x in r[n:]] for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -406,41 +374,54 @@ def _monoid_model(m: int) -> SphericalDivisorModel:
         basis_characters=basis,
         character_aliases=char_aliases,
     )
-    _crosscheck_monoid(model, m)
+    # The tables on the ambient 2m-torus, where sum(c_k eps_k) has coordinates
+    # (c_1..c_m, c_{m+1}, 0...): D_i pairs as alpha_i^vee on the first m
+    # coordinates and -alpha_i^vee on the last m, and X_r as the exponents of
+    # lambda_r, which scales A's diagonal past position r and B's up to r.
+    _crosscheck(
+        model,
+        lambda chi: list(chi.coords) + [0] * (m - 1),
+        {f"D_{i}": ({i - 1: 1, i: -1, m + i - 1: -1, m + i: 1},) for i in range(1, m)},
+        [{k: 1 for k in range(r, m + r)} for r in range(m + 1)],
+    )
     return model
 
 
-def _crosscheck_monoid(model: SphericalDivisorModel, m: int):
-    # Re-derive the functional tables from the ambient 2m-torus: a character
-    # sum(c_k eps_k) has ambient coordinate vector (c_1..c_m, c_{m+1}, 0...).
-    def ambient(chi: Character) -> list[int]:
-        v = [0] * (2 * m)
-        for k in range(m):
-            v[k] = chi.coords[k]
-        v[m] = chi.coords[m]
-        return v
+def _crosscheck(
+    model: SphericalDivisorModel,
+    ambient: Callable[[Character], list[int]],
+    coroots: dict[str, tuple[dict[int, int], ...]],
+    exponents: Sequence[dict[int, int]],
+) -> None:
+    """Re-derive a model's functional tables on an ambient torus.
 
-    for i, spec in enumerate(model.colors, start=1):
-        cor = [0] * (2 * m)
-        cor[i - 1] += 1
-        cor[i] -= 1
-        cor[m + i - 1] -= 1
-        cor[m + i] += 1
-        for b in model.basis_characters:
-            if pair(b, spec.functional) != sum(a * c for a, c in zip(ambient(b), cor)):
-                raise ValueError(f"colour table for {spec.label.id} disagrees with ambient coroot")
-    for r, spec in enumerate(model.boundaries):
-        expo = [0] * r + [1] * (m - r) + [1] * r + [0] * (m - r)
-        for b in model.basis_characters:
-            if pair(b, spec.valuation) != sum(a * e for a, e in zip(ambient(b), expo)):
-                raise ValueError(f"boundary table for {spec.label.id} disagrees with curve exponents")
+    ``ambient`` maps a character to its ambient coordinates, ``coroots`` gives
+    each colour's sparse ambient coroots in colour order, and ``exponents``
+    one sparse exponent vector per boundary.  Every basis character must pair
+    with a colour's functional as with each of its coroots, and with a
+    boundary's valuation as with its exponents; a disagreement raises
+    ``ValueError`` naming the label.
+    """
+    basis = [(b, ambient(b)) for b in model.basis_characters]
+    if tuple(coroots) != model.color_ids:
+        raise ValueError(f"colours {model.color_ids} disagree with the coroot table's {tuple(coroots)}")
+    for spec in model.colors:
+        for b, amb in basis:
+            value = pair(b, spec.functional)
+            for cor in coroots[spec.label.id]:
+                if value != sum(amb[k] * c for k, c in cor.items()):
+                    raise ValueError(f"colour table for {spec.label.id} disagrees with ambient coroot pairing")
+    for spec, expo in zip(model.boundaries, exponents, strict=True):
+        for b, amb in basis:
+            if pair(b, spec.valuation) != sum(amb[k] * e for k, e in expo.items()):
+                raise ValueError(f"boundary valuation {spec.label.id} disagrees with its curve exponents")
 
 
 def _monoid_membership(point: Point) -> bool:
     # A^T B = A B^T = d I, tested on L A and L' B with L, L' the lcms of the
     # denominators: both products scale by L L', and d with them.
-    a = _integer_matrix(point[0])[1]
-    b = _integer_matrix(point[1])[1]
+    a = scaled_to_integers(point[0])[1]
+    b = scaled_to_integers(point[1])[1]
     m = len(a)
     at_b = mat_mul(_transpose(a), b)
     a_bt = mat_mul(a, _transpose(b))
@@ -461,7 +442,7 @@ def _sample_monoid_element(rng: random.Random, m: int, triangular: str | None = 
     else:
         a = _rand_generic(rng, m)
     d = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-    a_inv_t = _transpose(_freeze(_inv(a)))
+    a_inv_t = _transpose(_freeze(rational_inverse(a)))
     b = tuple(tuple(d * e for e in row) for row in a_inv_t)
     return a, b
 
@@ -472,8 +453,8 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
     def act(g: GroupElement, x: Point) -> Point:
         a1, b1, a2, b2 = g
         return (
-            _apply_pair(a1, x[0], _inv(a2)),
-            _apply_pair(b1, x[1], _inv(b2)),
+            _apply_pair(a1, x[0], rational_inverse(a2)),
+            _apply_pair(b1, x[1], rational_inverse(b2)),
         )
 
     def group_sampler(rng: random.Random) -> GroupElement:
@@ -574,13 +555,13 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
     targets = {t for _, t in arrows}
 
     def act(g: GroupElement, x: Point) -> Point:
-        inverses = {v: _inv(g[v]) for v in targets}
+        inverses = {v: rational_inverse(g[v]) for v in targets}
         return tuple(_apply_pair(g[s], xk, inverses[t]) for (s, t), xk in zip(arrows, x))
 
     def membership(point: Point) -> bool:
         # Ranks and zero compositions are unchanged by scaling each arrow
         # matrix to integers.
-        scaled = [_integer_matrix(x)[1] for x in point]
+        scaled = [scaled_to_integers(x)[1] for x in point]
         if any(rational_rank(x) > k for x, k in zip(scaled, ranks)):
             return False
         return all(e == 0 for i, j in zero_paths for row in mat_mul(scaled[i], scaled[j]) for e in row)
@@ -722,7 +703,23 @@ def _circular_model(m: int, n: int, r: int, s: int) -> SphericalDivisorModel:
         basis_characters=basis,
         label_aliases=tuple(aliases),
     )
-    _crosscheck_circular(model, m, n, r, s)
+
+    def ambient(chi: Character) -> list[int]:
+        # On the (m + n)-torus eps_i has weight -e_i + e_{m+i} and delta_j
+        # weight e_{m-s+j} - e_{m+n-s+j}.
+        v = [0] * (m + n)
+        for i in range(r):
+            v[i] -= chi.coords[i]
+            v[m + i] += chi.coords[i]
+        for j in range(s):
+            v[m - s + j] += chi.coords[r + j]
+            v[m + n - s + j] -= chi.coords[r + j]
+        return v
+
+    # The boundaries' valuations are the negated limit-cocharacter exponents:
+    # lambda scales left position r by t, mu right position r + 1.
+    exponents = [{r - 1: -1}, {m + r: -1}] if m == n and r + s == m else []
+    _crosscheck(model, ambient, _circular_coroots(m, n, r, s), exponents)
     return model
 
 
@@ -753,38 +750,6 @@ def _circular_coroots(m: int, n: int, r: int, s: int) -> dict[str, tuple[dict[in
     if s > 0 and not (r > 0 and r + s == n):
         table["D_s2"] = (right(n - s),)
     return table
-
-
-def _crosscheck_circular(model: SphericalDivisorModel, m: int, n: int, r: int, s: int):
-    # Re-derive the functional tables on the ambient (m + n)-torus, where
-    # eps_i has weight -e_i + e_{m+i} and delta_j weight e_{m-s+j} - e_{m+n-s+j}.
-    def ambient(chi: Character) -> list[int]:
-        v = [0] * (m + n)
-        for i in range(r):
-            v[i] -= chi.coords[i]
-            v[m + i] += chi.coords[i]
-        for j in range(s):
-            v[m - s + j] += chi.coords[r + j]
-            v[m + n - s + j] -= chi.coords[r + j]
-        return v
-
-    basis = [(b, ambient(b)) for b in model.basis_characters]
-    table = _circular_coroots(m, n, r, s)
-    if tuple(table) != model.color_ids:
-        raise ValueError(f"colours {model.color_ids} disagree with the coroot table's {tuple(table)}")
-    for spec in model.colors:
-        for b, amb in basis:
-            value = pair(b, spec.functional)
-            for cor in table[spec.label.id]:
-                if value != sum(amb[k] * c for k, c in cor.items()):
-                    raise ValueError(f"colour table for {spec.label.id} disagrees with ambient coroot pairing")
-
-    # Boundary valuations against the negated limit-cocharacter exponents:
-    # lambda scales left position r by t, mu right position r + 1.
-    for spec, expo in zip(model.boundaries, ({r - 1: 1}, {m + r: 1})):
-        for b, amb in basis:
-            if pair(b, spec.valuation) != -sum(amb[k] * e for k, e in expo.items()):
-                raise ValueError(f"boundary valuation {spec.label.id} disagrees with its limit cocharacter")
 
 
 def _circular_weight_value(r: int, s: int) -> Callable[[Character, GroupElement], Fraction]:
@@ -959,7 +924,7 @@ def finalize_determinantal_model(
                 realization, cand.curve_label, verified, model.weight_lattice, trials=trials, seed=seed
             )
             confirmed.append(BoundarySpec(DivisorLabel(BOUNDARY, cand.label), valuation))
-    return with_boundaries(model, confirmed, final=True)
+    return replace(model, boundaries=tuple(confirmed), provisional=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1032,21 +997,41 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
 # Wonderful-compactification coroot data for the families.
 
 
+def _wonderful(labels: tuple[str, ...], table: dict[str, tuple[dict[int, int], ...]]) -> WonderfulModel:
+    """Wonderful data on the torus with ``labels`` from a table of sparse coroots.
+
+    A colour with two coroots is paired, one with a single coroot is extra.
+    """
+    lattice = TorusLattice(rank=len(labels), labels=labels)
+
+    def cov(sparse: dict[int, int]) -> Covector:
+        v = [0] * len(labels)
+        for k, c in sparse.items():
+            v[k] = c
+        return lattice.covector(v)
+
+    paired = []
+    extra = []
+    for lab, cors in table.items():
+        if len(cors) == 2:
+            paired.append((lab, cov(cors[0]), cov(cors[1])))
+        else:
+            extra.append((lab, cov(cors[0])))
+    return WonderfulModel(lattice=lattice, paired_colors=tuple(paired), extra_colors=tuple(extra))
+
+
 def monoid_wonderful(m: int) -> WonderfulModel:
     if m < 1:
         raise FamilyParameterError("monoid requires m >= 1")
     labels = tuple(f"eps_{k}_1" for k in range(1, m + 2)) + tuple(f"eps_{k}_2" for k in range(1, m + 2))
-    lattice = TorusLattice(rank=2 * (m + 1), labels=labels)
     # D_i pairs -alpha_i^vee on the first copy with alpha_i^vee on the second.
-    paired = []
-    for lab, coroot in _monoid_coroots(m).items():
-        left = [0] * (2 * (m + 1))
-        right = [0] * (2 * (m + 1))
-        for k, c in coroot.items():
-            left[k] = -c
-            right[m + 1 + k] = c
-        paired.append((lab, lattice.covector(left), lattice.covector(right)))
-    return WonderfulModel(lattice=lattice, paired_colors=tuple(paired), extra_colors=())
+    return _wonderful(
+        labels,
+        {
+            lab: ({k: -c for k, c in coroot.items()}, {m + 1 + k: c for k, c in coroot.items()})
+            for lab, coroot in _monoid_coroots(m).items()
+        },
+    )
 
 
 def circular_wonderful(m: int, n: int, r: int, s: int) -> WonderfulModel:
@@ -1054,24 +1039,9 @@ def circular_wonderful(m: int, n: int, r: int, s: int) -> WonderfulModel:
 
 
 def _circular_wonderful(m: int, n: int, r: int, s: int) -> WonderfulModel:
-    """Wonderful coroot data for circular parameters as given (no swap, no checks)."""
+    """Wonderful data for circular parameters as given (no swap, no checks)."""
     labels = tuple(f"eps_{i}_1" for i in range(1, m + 1)) + tuple(f"eps_{j}_2" for j in range(1, n + 1))
-    lattice = TorusLattice(rank=m + n, labels=labels)
-
-    def cov(sparse: dict[int, int]) -> Covector:
-        v = [0] * (m + n)
-        for k, c in sparse.items():
-            v[k] = c
-        return lattice.covector(v)
-
-    paired = []
-    extra = []
-    for lab, cors in _circular_coroots(m, n, r, s).items():
-        if len(cors) == 2:
-            paired.append((lab, cov(cors[0]), cov(cors[1])))
-        else:
-            extra.append((lab, cov(cors[0])))
-    return WonderfulModel(lattice=lattice, paired_colors=tuple(paired), extra_colors=tuple(extra))
+    return _wonderful(labels, _circular_coroots(m, n, r, s))
 
 
 # ---------------------------------------------------------------------------

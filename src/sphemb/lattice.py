@@ -2,8 +2,9 @@
 
 Integer matrices with arbitrary-precision entries, Smith normal form with
 unimodular transforms, cokernel presentations of finitely generated abelian
-groups, and integer linear-system solving.  Rational (``fractions.Fraction``)
-Gaussian elimination lives here too.  No floating point anywhere.
+groups, and integer linear-system solving.  One fraction-free (Bareiss)
+elimination, ``_bareiss``, gives the determinant, the rank of a rational
+matrix and, as Gauss-Jordan, its inverse.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -93,31 +94,59 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.to_rows()!r})"
 
 
+def _bareiss(m: list[list[int]], ncols: int, jordan: bool = False) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss 1968) elimination of the integer rows ``m``, in place.
+
+    Each of the first ``ncols`` columns takes as pivot its first nonzero entry
+    at or below the current row, swapped up.  Every row below it, and with
+    ``jordan`` every row above it too, becomes (p row - a pivot_row) / prev,
+    with p the pivot, a the row's entry in the pivot column and prev the
+    previous pivot.  Each entry is then a minor of the input, so every
+    division is exact.  Returns (rank, row swaps, last pivot).  A square
+    nonsingular input ends with last pivot (-1)^swaps det; with ``jordan``
+    its pivot columns end as that pivot times the identity.
+    """
+    nrows = len(m)
+    rank = swaps = 0
+    prev = 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = None
+        for i in range(rank, nrows):
+            if m[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            swaps += 1
+        pivot_row = m[rank]
+        p = pivot_row[col]
+        for i in range(0 if jordan else rank + 1, nrows):
+            if i != rank:
+                a = m[i][col]
+                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], pivot_row)]
+        prev = p
+        rank += 1
+    return rank, swaps, prev
+
+
+def scaled_to_integers(rows) -> tuple[int, list[list[int]]]:
+    """(L, L M) for a matrix M of ``Fraction``/int entries, L the lcm of its denominators."""
+    scale = lcm(*(e.denominator for r in rows for e in r))
+    return scale, [[e.numerator * (scale // e.denominator) for e in r] for r in rows]
+
+
 def determinant(a: IntegerMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rank, swaps, last = _bareiss(a.to_rows(), a.cols)
+    if rank < a.rows:
+        return 0
+    return -last if swaps % 2 else last
 
 
 @dataclass(frozen=True)
@@ -127,9 +156,6 @@ class SmithDecomposition:
     U: IntegerMatrix
     V: IntegerMatrix
     D: IntegerMatrix
-
-    def invariant_diagonal(self) -> tuple[int, ...]:
-        return self.D.diagonal()
 
 
 @dataclass(frozen=True)
@@ -306,61 +332,25 @@ def mat_mul(a, b):
 
 
 def rational_rank(rows) -> int:
-    """Rank of a matrix with Fraction/int entries.
-
-    Each row is scaled to integers by the lcm of its denominators, which keeps
-    the rank, and the integer matrix is brought to echelon form by
-    fraction-free (Bareiss) elimination: after a pivot step every entry below
-    the pivot row is a minor of the scaled matrix, so each division by the
-    previous pivot is exact.
-    """
-    m = []
-    for r in rows:
-        scale = lcm(*(e.denominator for e in r))
-        m.append([e.numerator * (scale // e.denominator) for e in r])
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot_row = m[rank]
-        p = pivot_row[col]
-        for i in range(rank + 1, nrows):
-            row = m[i]
-            a = row[col]
-            row[col:] = [(p * x - a * y) // prev for x, y in zip(row[col:], pivot_row[col:])]
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank of a matrix with Fraction/int entries, by Bareiss elimination of L M."""
+    m = scaled_to_integers(rows)[1]
+    return _bareiss(m, len(m[0]) if m else 0)[0]
 
 
 def rational_inverse(rows):
-    """Inverse of a square matrix with Fraction/int entries."""
+    """Inverse of a square matrix with Fraction/int entries; ``ZeroDivisionError`` if singular.
+
+    With L the lcm of the denominators, M^-1 = L (L M)^-1.  Fraction-free
+    Gauss-Jordan elimination takes [L M | I] to [d I | d (L M)^-1], d the
+    last pivot, and each entry is divided once.
+    """
     n = len(rows)
-    m = [[Fraction(e) for e in r] + [Fraction(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [e * inv for e in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [e - f * p for e, p in zip(m[i], m[col])]
-    return [r[n:] for r in m]
+    scale, scaled = scaled_to_integers(rows)
+    m = [r + [int(i == j) for j in range(n)] for i, r in enumerate(scaled)]
+    rank, _, d = _bareiss(m, n, jordan=True)
+    if rank < n:
+        raise ZeroDivisionError("matrix is singular")
+    return [[Fraction(scale * x, d) for x in r[n:]] for r in m]
 
 
 def rational_solve(rows, rhs):

@@ -106,11 +106,6 @@ class Covector:
     def __neg__(self) -> "Covector":
         return Covector(self.lattice, tuple(-a for a in self.coords))
 
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
-
 def pair(chi: Character, f: Covector) -> Fraction:
     """Exact pairing <chi, f>; integral whenever f is integral on the lattice."""
     if chi.lattice != f.lattice:

@@ -7,8 +7,10 @@ import pytest
 
 from sphemb import families
 from sphemb.divisor_model import (
+    BOUNDARY,
     BoundarySpec,
     ColorSpec,
+    DivisorLabel,
     canonical_divisor,
     class_group,
     class_group_generators,
@@ -32,7 +34,8 @@ from sphemb.families import (
 )
 from sphemb.oracle import stabilizer_check
 from sphemb.rootdata import pair
-from test_lattice import _reference_rational_rank
+from sphemb.lattice import rational_inverse
+from test_lattice import _reference_rational_inverse, _reference_rational_rank
 
 
 def test_monoid_parameter_validation():
@@ -366,6 +369,23 @@ def test_corrupted_coroot_table_fails_construction(monkeypatch):
             build()
 
 
+@pytest.mark.parametrize(
+    "label, corrupt",
+    [
+        # the right-hand coroot of a paired colour
+        ("E_1", lambda table: {**table, "E_1": (table["E_1"][0], {k: -c for k, c in table["E_1"][1].items()})}),
+        # the colours out of the model's order
+        ("D_1", lambda table: dict(reversed(table.items()))),
+    ],
+    ids=["second-coroot", "colour-order"],
+)
+def test_coroot_table_slip_fails_construction(monkeypatch, label, corrupt):
+    coroots = families._circular_coroots
+    monkeypatch.setattr(families, "_circular_coroots", lambda *args: corrupt(coroots(*args)))
+    with pytest.raises(ValueError, match=re.escape(label)):
+        circular_complexes_model(4, 4, 2, 2)
+
+
 def _corrupting(cls, label):
     """A stand-in for ``cls`` that adds 1 to the first coordinate of the functional at ``label``."""
 
@@ -381,10 +401,12 @@ def _corrupting(cls, label):
     "cls, label, build",
     [
         (ColorSpec, "D_1", lambda: monoid_model(3)),
+        (ColorSpec, "D_2", lambda: monoid_model(3)),
         (ColorSpec, "D_r1", lambda: circular_complexes_model(2, 3, 1, 1)),
         (ColorSpec, "E_1", lambda: circular_complexes_model(4, 4, 2, 2)),
         (ColorSpec, "D_r2", lambda: determinantal_realization(2, 4, 1)),
         (BoundarySpec, "X_2", lambda: monoid_model(3)),
+        (BoundarySpec, "X_3", lambda: monoid_model(3)),
         (BoundarySpec, "X_{1,0}", lambda: circular_complexes_model(2, 2, 1, 1)),
     ],
 )
@@ -394,6 +416,29 @@ def test_corrupted_functional_fails_construction(monkeypatch, cls, label, build)
         build()
 
 
+def test_boundary_without_exponents_fails_construction(monkeypatch):
+    # A model with one boundary more than its family's exponent table: the
+    # extra boundary copies the last one's valuation under a new label.
+    model_class = families.SphericalDivisorModel
+
+    def with_extra_boundary(**fields):
+        boundaries = fields["boundaries"]
+        if boundaries:
+            extra = dataclasses.replace(boundaries[-1], label=DivisorLabel(BOUNDARY, "X_extra"))
+            fields["boundaries"] = boundaries + (extra,)
+        return model_class(**fields)
+
+    for build in (lambda: monoid_model(3), lambda: circular_complexes_model(2, 2, 1, 1)):
+        # The enlarged model is valid on its own; only the cross-check rejects it.
+        model = build()[0]
+        enlarged = with_extra_boundary(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
+        assert len(enlarged.boundaries) == len(model.boundaries) + 1
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "SphericalDivisorModel", with_extra_boundary)
+            with pytest.raises(ValueError):
+                build()
+
+
 def _random_matrix(rng, n, rational):
     if rational:
         return [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
@@ -401,9 +446,6 @@ def _random_matrix(rng, n, rational):
 
 
 def test_integer_inverse_matches_rational_inverse():
-    from sphemb.families import _inv
-    from sphemb.lattice import rational_inverse
-
     rng = random.Random(5)
     checked = 0
     for n in range(1, 6):
@@ -411,28 +453,28 @@ def test_integer_inverse_matches_rational_inverse():
             for _ in range(40):
                 rows = _random_matrix(rng, n, rational)
                 try:
-                    want = rational_inverse(rows)
+                    want = _reference_rational_inverse(rows)
                 except ZeroDivisionError:
                     with pytest.raises(ZeroDivisionError):
-                        _inv(rows)
+                        rational_inverse(rows)
                     continue
-                got = _inv(tuple(tuple(r) for r in rows))
+                got = rational_inverse(tuple(tuple(r) for r in rows))
                 assert got == want
                 assert all(type(e) is Fraction for r in got for e in r)
                 checked += 1
     assert checked > 350
     # plain ints are accepted too, and a zero leading pivot forces a row swap
     swap = ((0, 2, 1), (3, 0, 0), (1, 1, 0))
-    assert _inv(swap) == rational_inverse([list(r) for r in swap])
-    assert _inv(((Fraction(0), Fraction(1, 2)), (Fraction(-3, 4), Fraction(5)))) == rational_inverse(
-        [[0, Fraction(1, 2)], [Fraction(-3, 4), 5]]
+    assert rational_inverse(swap) == _reference_rational_inverse([list(r) for r in swap])
+    assert rational_inverse(((Fraction(0), Fraction(1, 2)), (Fraction(-3, 4), Fraction(5)))) == (
+        _reference_rational_inverse([[0, Fraction(1, 2)], [Fraction(-3, 4), 5]])
     )
-    assert _inv(()) == []
+    cyclic = ((0, 1, 0), (0, 0, 1), (1, 0, 0))  # two swaps
+    assert rational_inverse(cyclic) == _reference_rational_inverse(cyclic)
+    assert rational_inverse(()) == []
 
 
 def test_integer_inverse_rejects_singular_matrices():
-    from sphemb.families import _inv
-
     singular = [
         ((0,),),
         ((1, 2), (2, 4)),
@@ -442,7 +484,7 @@ def test_integer_inverse_rejects_singular_matrices():
     ]
     for rows in singular:
         with pytest.raises(ZeroDivisionError):
-            _inv(rows)
+            rational_inverse(rows)
 
 
 # Reference kernels: the oracle's translate, minor and Lie-row computations

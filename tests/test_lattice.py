@@ -221,6 +221,25 @@ def test_rational_helpers():
         rational_inverse([[1, 2], [2, 4]])
 
 
+def _reference_rational_inverse(rows):
+    # Gauss-Jordan elimination over Fraction, the inverse kernel before the
+    # fraction-free one.
+    n = len(rows)
+    m = [[Fraction(e) for e in r] + [Fraction(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [e * inv for e in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [e - f * p for e, p in zip(m[i], m[col])]
+    return [r[n:] for r in m]
+
+
 def _reference_rational_rank(rows) -> int:
     # Gauss-Jordan elimination over Fraction, the rank kernel before the
     # fraction-free one.
@@ -276,3 +295,53 @@ def test_rational_rank_matches_fraction_elimination():
         assert rational_rank(m) == _reference_rational_rank(m), m
     assert rational_rank([[Fraction(2, 3), Fraction(1, 6)], [4, 1]]) == 1
     assert rational_rank([[0, Fraction(1, 2), 1], [0, 1, 2], [0, 0, Fraction(5, 7)]]) == 2
+
+
+def _cofactor_determinant(rows) -> int:
+    # Laplace expansion along the first row: no pivots, no swaps, no division.
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * e * _cofactor_determinant([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, e in enumerate(rows[0])
+        if e
+    )
+
+
+def test_determinant_matches_cofactor_expansion():
+    cases = [
+        [],
+        [[0]],
+        [[-7]],
+        [[0, 1], [1, 0]],  # zero leading pivot, one swap
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],  # two swaps
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # one swap, at the first column only
+        [[0, 2, 1], [3, 0, 0], [1, 1, 0]],
+        [[0, 0], [0, 1]],  # no pivot in the first column
+        [[0, 2], [0, 3]],
+        [[1, 2], [2, 4]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[0, 0, 1], [0, 0, 2], [1, 1, 1]],  # no pivot in the second column
+        [[2, 1, 1, 3], [4, 2, 5, 1], [6, 3, 1, 2], [8, 5, 2, 7]],  # zero pivot after the first step
+    ]
+    rng = random.Random(41)
+    for _ in range(300):
+        # sparse n x n matrices, and products through k <= n columns (singular when k < n)
+        n, k = rng.randint(1, 5), rng.randint(0, 5)
+        if k >= n:
+            cases.append([[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)])
+            continue
+        u = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        cases.append([[sum(u[i][t] * v[t][j] for t in range(k)) for j in range(n)] for i in range(n)])
+    values = set()
+    for rows in cases:
+        want = _cofactor_determinant(rows)
+        assert determinant(IntegerMatrix.from_rows(rows, cols=len(rows))) == want, rows
+        values.add((want > 0) - (want < 0))
+    assert values == {-1, 0, 1}
+    assert determinant(IntegerMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert determinant(IntegerMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
+    with pytest.raises(ValueError):
+        determinant(IntegerMatrix.zeros(2, 3))
+

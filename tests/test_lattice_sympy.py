@@ -1,0 +1,93 @@
+"""Differential tests of the exact linear algebra against sympy, on hypothesis-drawn matrices."""
+
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+
+from sphemb.lattice import (  # noqa: E402
+    IntegerMatrix,
+    determinant,
+    rational_inverse,
+    rational_rank,
+    smith_normal_form,
+)
+
+_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def integer_matrices(draw, square=False):
+    """Integer matrices up to 5 x 5: dense, sparse, rank-deficient or with torsion.
+
+    A rank-deficient matrix is a product through fewer columns than its size;
+    torsion comes from scaling rows by factors from 2 to 6.
+    """
+    rows = draw(st.integers(0, 5))
+    cols = rows if square else draw(st.integers(0, 5))
+    shape = draw(st.sampled_from(("dense", "sparse", "low-rank", "torsion")))
+    if shape == "low-rank":
+        k = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+        u = draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), min_size=rows, max_size=rows))
+        v = draw(st.lists(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), min_size=k, max_size=k))
+        return [[sum(u[i][t] * v[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
+    entry = st.integers(-9, 9) if shape != "sparse" else st.sampled_from((0, 0, 0, 1, -1, 2))
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if shape == "torsion":
+        factors = draw(st.lists(st.integers(2, 6), min_size=rows, max_size=rows))
+        m = [[f * e for e in r] for f, r in zip(factors, m)]
+    return m
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """An integer matrix from ``integer_matrices`` with every entry divided by a small denominator."""
+    m = draw(integer_matrices(square=square))
+    cols = len(m[0]) if m else 0
+    dens = draw(st.lists(st.lists(st.sampled_from((1, 1, 2, 3, 7)), min_size=cols, max_size=cols),
+                         min_size=len(m), max_size=len(m)))
+    return [[Fraction(e, d) for e, d in zip(r, dr)] for r, dr in zip(m, dens)]
+
+
+def _sympy_matrix(m):
+    cols = len(m[0]) if m else 0
+    return sympy.Matrix(len(m), cols, [sympy.Rational(e.numerator, e.denominator) for r in m for e in r])
+
+
+@_SETTINGS
+@given(integer_matrices())
+def test_invariant_factors_match_sympy(m):
+    a = IntegerMatrix.from_rows(m, cols=len(m[0]) if m else 0)
+    assert smith_normal_form(a).D.diagonal() == tuple(int(f) for f in invariant_factors(_sympy_matrix(m)))
+
+
+@_SETTINGS
+@given(integer_matrices(square=True))
+def test_determinant_matches_sympy(m):
+    assert determinant(IntegerMatrix.from_rows(m, cols=len(m))) == _sympy_matrix(m).det()
+
+
+@_SETTINGS
+@given(rational_matrices())
+def test_rational_rank_matches_sympy(m):
+    assert rational_rank(m) == _sympy_matrix(m).rank()
+
+
+@_SETTINGS
+@given(rational_matrices(square=True))
+def test_rational_inverse_matches_sympy(m):
+    n = len(m)
+    expected = _sympy_matrix(m)
+    if expected.det() == 0:
+        with pytest.raises(ZeroDivisionError):
+            rational_inverse(m)
+        return
+    want = expected.inv() if n else expected
+    got = rational_inverse(m)
+    assert got == [[Fraction(int(want[i, j].p), int(want[i, j].q)) for j in range(n)] for i in range(n)]
