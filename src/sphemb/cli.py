@@ -62,18 +62,18 @@ def _build_parser() -> _Parser:
     common(p)
     p = sub.add_parser("divisor")
     common(p)
-    p.add_argument("--chi", required=True, help="sparse character, label:coeff,label:coeff")
+    p.add_argument("--chi", required=True, help="sparse character, label:coeff,label:coeff; repeated labels add up")
     p = sub.add_parser("gorenstein")
     common(p)
     p = sub.add_parser("class-of")
     common(p)
-    p.add_argument("--divisor", required=True, help="sparse divisor, label:coeff,label:coeff")
+    p.add_argument("--divisor", required=True, help="sparse divisor, label:coeff,label:coeff; repeated labels add up")
     p = sub.add_parser("verify")
     common(p)
     p.add_argument("--oracle", action="store_true", default=True, help="run the oracle suite (always on)")
     p = sub.add_parser("wonderful-section")
     common(p)
-    p.add_argument("--chi", required=True)
+    p.add_argument("--chi", required=True, help="sparse character, label:coeff,label:coeff; repeated labels add up")
     p = sub.add_parser("model")
     common(p)
     p.add_argument("--dump", action="store_true", default=False)

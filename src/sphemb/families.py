@@ -43,7 +43,7 @@ from .divisor_model import (
     SphericalDivisorModel,
     WonderfulModel,
 )
-from .lattice import IntegerMatrix, determinant, mat_mul, rational_inverse, rational_rank, scaled_to_integers
+from .lattice import integer_inverse, mat_mul, rational_inverse, rational_rank, scaled_to_integers
 from .laurent import LaurentPoly
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, pair
 
@@ -102,8 +102,10 @@ def _integer_polys(m) -> tuple[int, list[list[dict[int, int]]], bool]:
     """(L, L M) for a matrix of rationals and Laurent polynomials.
 
     Each entry of L M is an {exponent: nonzero int} dict (empty for zero),
-    with L the lcm of every coefficient's denominator.  The flag says whether
-    any entry was a ``LaurentPoly``.
+    with L the lcm of the entries' denominators, read off each rational and
+    each ``LaurentPoly``'s integer numerator and denominator.  An entry whose
+    denominator is L shares its polynomial's numerator dict, so the dicts are
+    read only.  The flag says whether any entry was a ``LaurentPoly``.
     """
     laurent = False
     polys = []
@@ -112,12 +114,12 @@ def _integer_polys(m) -> tuple[int, list[list[dict[int, int]]], bool]:
         for e in r:
             if isinstance(e, LaurentPoly):
                 laurent = True
-                row.append(dict(e.items()))
+                row.append((e._den, e._num))
             else:
-                row.append({0: e} if e else {})
+                row.append((e.denominator, {0: e.numerator} if e else {}))
         polys.append(row)
-    scale = lcm(*(c.denominator for r in polys for p in r for c in p.values()))
-    return scale, [[{k: c.numerator * (scale // c.denominator) for k, c in p.items()} for p in r] for r in polys], laurent
+    scale = lcm(*(den for r in polys for den, _ in r))
+    return scale, [[p if den == scale else {k: c * (scale // den) for k, c in p.items()} for den, p in r] for r in polys], laurent
 
 
 def _add_scaled(acc: dict[int, int], a: int, p: dict[int, int]) -> None:
@@ -137,7 +139,7 @@ def _add_product(acc: dict[int, int], p: dict[int, int], q: dict[int, int]) -> N
 def _divide_polys(m: list[list[dict[int, int]]], scale: int, laurent: bool) -> Matrix:
     """The matrix m / scale: ``LaurentPoly`` entries if ``laurent``, else ``Fraction``."""
     if laurent:
-        return tuple(tuple(LaurentPoly({e: Fraction(c, scale) for e, c in p.items() if c}) for p in r) for r in m)
+        return tuple(tuple(LaurentPoly._from_integers({e: c for e, c in p.items() if c}, scale) for p in r) for r in m)
     return tuple(tuple(Fraction(p.get(0, 0), scale) for p in r) for r in m)
 
 
@@ -194,25 +196,67 @@ def _rand_int_matrix(rng: random.Random, rows: int, cols: int, lo: int = -4, hi:
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
-def _rand_invertible(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> Matrix:
+# A unit is (l, L, r, R): an invertible matrix L / l with inverse R / r, for
+# integer matrices L, R and integers l, r > 0.
+
+Unit = tuple[int, list[list[int]], int, list[list[int]]]
+
+
+def _rand_invertible(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> Unit:
+    """A random integer matrix, redrawn exactly while it is singular, with its inverse."""
     while True:
         m = _rand_int_matrix(rng, n, n, lo, hi)
-        if determinant(IntegerMatrix.from_rows(m, cols=n)) != 0:
-            return _frac(m)
+        inverse = integer_inverse(m)
+        if inverse is not None:
+            return (1, m, *inverse)
 
 
-def _rand_generic(rng: random.Random, n: int) -> Matrix:
+def _rand_generic(rng: random.Random, n: int) -> Unit:
     return _rand_invertible(rng, n, -_GENERIC_RANGE, _GENERIC_RANGE)
 
 
-def _rand_triangular(rng: random.Random, n: int, lower: bool) -> Matrix:
+def _rand_triangular(rng: random.Random, n: int, lower: bool) -> Unit:
     m = [[0] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = rng.choice([-3, -2, -1, 1, 2, 3])
         for j in range(n):
             if (j < i) if lower else (j > i):
                 m[i][j] = rng.randint(-3, 3)
-    return _frac(m)
+    return (1, m, *integer_inverse(m))
+
+
+def _rand_unit_block(rng: random.Random, n: int) -> Matrix:
+    """The matrix of ``_rand_invertible(rng, n)``, or the empty block when n = 0."""
+    return _frac(_rand_invertible(rng, n)[1]) if n else _zeros(0, 0)
+
+
+class GroupDraw(tuple):
+    """A sampled group element: a tuple of factor matrices with integer forms attached.
+
+    ``forms[k]`` is (l, L) with factor k equal to L / l, and ``inverses[k]``
+    is (r, R) with its inverse R / r, so ``act`` multiplies on integers and
+    inverts nothing.  Any other tuple of factors acts through the same kernel
+    with forms derived by ``_integer_forms``.
+    """
+
+    def __new__(cls, units: Sequence[Unit]):
+        g = super().__new__(cls, (tuple(tuple(Fraction(e, l) for e in row) for row in m) for l, m, _, _ in units))
+        g.forms = [(l, m) for l, m, _, _ in units]
+        g.inverses = [(r, inv) for _, _, r, inv in units]
+        return g
+
+
+def _integer_forms(g: GroupElement, right) -> tuple[list, list]:
+    """Every factor's form (l, L), and the inverse form (r, R) of each factor in ``right``.
+
+    A ``GroupDraw`` carries both.  Any other tuple, such as a perturbed
+    stabilizer element, need not be a group element, so its right-hand
+    factors are inverted as given (``ZeroDivisionError`` if one is singular).
+    """
+    if isinstance(g, GroupDraw):
+        return g.forms, g.inverses
+    inverses = [scaled_to_integers(rational_inverse(f)) if k in right else None for k, f in enumerate(g)]
+    return [scaled_to_integers(f) for f in g], inverses
 
 
 @dataclass(eq=False)
@@ -282,15 +326,15 @@ def _passes_through(curve: Point, point: Point) -> bool:
     )
 
 
-def _apply_pair(g_left: Matrix, x: Matrix, g_right_inv: Matrix) -> Matrix:
-    """g_left x g_right_inv, multiplied on integers and divided once.
+def _translate(left: tuple[int, list[list[int]]], x: Matrix, right: tuple[int, list[list[int]]]) -> Matrix:
+    """(L / l) x (R / r) for integer forms left = (l, L) and right = (r, R), l, r > 0.
 
-    The group matrices are scaled to integers and x to integer polynomials;
-    zero entries of x (most of a curve point) are skipped.  The entries are
-    ``LaurentPoly`` when x holds one, ``Fraction`` otherwise.
+    x is scaled to integer polynomials, the product is taken on integers and
+    divided once; zero entries of x (most of a curve point) are skipped.  The
+    entries are ``LaurentPoly`` when x holds one, ``Fraction`` otherwise.
     """
-    left_scale, left = scaled_to_integers(g_left)
-    right_scale, right = scaled_to_integers(g_right_inv)
+    left_scale, left = left
+    right_scale, right = right
     x_scale, xp, laurent = _integer_polys(x)
     middle = [[{} for _ in range(len(xp[0]) if xp else 0)] for _ in left]
     for k, x_row in enumerate(xp):
@@ -434,38 +478,36 @@ def _monoid_membership(point: Point) -> bool:
     return True
 
 
-def _sample_monoid_element(rng: random.Random, m: int, triangular: str | None = None) -> tuple[Matrix, Matrix]:
-    if triangular == "lower":
-        a = _rand_triangular(rng, m, lower=True)
-    elif triangular == "upper":
-        a = _rand_triangular(rng, m, lower=False)
+def _sample_monoid_element(rng: random.Random, m: int, triangular: str | None = None) -> list[Unit]:
+    """The units A and B = c A^-T of a random monoid element, from one elimination of A.
+
+    With A^-1 = X / d, B is c X^T / d and B^-1 is A^T / c.
+    """
+    if triangular is None:
+        _, a, d, x = _rand_generic(rng, m)
     else:
-        a = _rand_generic(rng, m)
-    d = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-    a_inv_t = _transpose(_freeze(rational_inverse(a)))
-    b = tuple(tuple(d * e for e in row) for row in a_inv_t)
-    return a, b
+        _, a, d, x = _rand_triangular(rng, m, lower=triangular == "lower")
+    c = rng.choice([-3, -2, -1, 1, 2, 3])
+    sign = 1 if c > 0 else -1
+    b = [[c * e for e in col] for col in zip(*x)]
+    return [(1, a, d, x), (d, b, abs(c), [[sign * e for e in col] for col in zip(*a)])]
 
 
 def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealization:
     base = (_identity(m), _identity(m))
 
     def act(g: GroupElement, x: Point) -> Point:
-        a1, b1, a2, b2 = g
-        return (
-            _apply_pair(a1, x[0], rational_inverse(a2)),
-            _apply_pair(b1, x[1], rational_inverse(b2)),
-        )
+        # (a1, b1, a2, b2) . (X, Y) = (a1 X a2^-1, b1 Y b2^-1)
+        forms, inverses = _integer_forms(g, (2, 3))
+        return (_translate(forms[0], x[0], inverses[2]), _translate(forms[1], x[1], inverses[3]))
 
     def group_sampler(rng: random.Random) -> GroupElement:
         g1 = _sample_monoid_element(rng, m)
-        g2 = _sample_monoid_element(rng, m)
-        return (*g1, *g2)
+        return GroupDraw(g1 + _sample_monoid_element(rng, m))
 
     def borel_sampler(rng: random.Random) -> GroupElement:
         g1 = _sample_monoid_element(rng, m, triangular="lower")
-        g2 = _sample_monoid_element(rng, m, triangular="upper")
-        return (*g1, *g2)
+        return GroupDraw(g1 + _sample_monoid_element(rng, m, triangular="upper"))
 
     def char_value(chi: Character, a: Matrix, b: Matrix) -> Fraction:
         v = Fraction(1)
@@ -479,12 +521,14 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         return char_value(chi, a1, b1) / char_value(chi, a2, b2)
 
     def dilation(point: Point):
-        a, b = point
-        total = 0
-        for i in range(m):
-            for j in range(m):
-                total = total + a[i][j] * b[i][j]
-        return total / m
+        # sum a_ij b_ij / m, on L_a A and L_b B and divided once by L_a L_b m.
+        a_scale, a, a_laurent = _integer_polys(point[0])
+        b_scale, b, b_laurent = _integer_polys(point[1])
+        total: dict[int, int] = {}
+        for a_row, b_row in zip(a, b):
+            for p, q in zip(a_row, b_row):
+                _add_product(total, p, q)
+        return _divide_polys([[total]], a_scale * b_scale * m, a_laurent or b_laurent)[0][0]
 
     lattice = model.weight_lattice
     semi = [
@@ -521,7 +565,7 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
 
     def stabilizer_sampler(rng: random.Random) -> GroupElement:
         g = _sample_monoid_element(rng, m)
-        return (*g, *g)
+        return GroupDraw(g + g)
 
     return MatrixRealization(
         base_point=base,
@@ -555,8 +599,8 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
     targets = {t for _, t in arrows}
 
     def act(g: GroupElement, x: Point) -> Point:
-        inverses = {v: rational_inverse(g[v]) for v in targets}
-        return tuple(_apply_pair(g[s], xk, inverses[t]) for (s, t), xk in zip(arrows, x))
+        forms, inverses = _integer_forms(g, targets)
+        return tuple(_translate(forms[s], xk, inverses[t]) for (s, t), xk in zip(arrows, x))
 
     def membership(point: Point) -> bool:
         # Ranks and zero compositions are unchanged by scaling each arrow
@@ -567,10 +611,10 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
         return all(e == 0 for i, j in zero_paths for row in mat_mul(scaled[i], scaled[j]) for e in row)
 
     def group_sampler(rng: random.Random) -> GroupElement:
-        return tuple(_rand_generic(rng, d) for d in dims)
+        return GroupDraw([_rand_generic(rng, d) for d in dims])
 
     def borel_sampler(rng: random.Random) -> GroupElement:
-        return tuple(_rand_triangular(rng, d, lower=v % 2 == 0) for v, d in enumerate(dims))
+        return GroupDraw([_rand_triangular(rng, d, lower=v % 2 == 0) for v, d in enumerate(dims)])
 
     def lie_algebra_rows(point: Point) -> list[list[Fraction]]:
         # One row per E_ij of each vertex, in vertex-major order: the tangent
@@ -829,10 +873,10 @@ def _rand_block(rng: random.Random, rows: int, cols: int) -> Matrix:
 
 def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: int) -> GroupElement:
     """A random element of the block-shaped stabilizer of the base idempotent."""
-    shared_11 = _rand_invertible(rng, r) if r else _zeros(0, 0)
-    shared_33 = _rand_invertible(rng, s) if s else _zeros(0, 0)
-    a22 = _rand_invertible(rng, m - r - s) if m - r - s else _zeros(0, 0)
-    b22 = _rand_invertible(rng, n - r - s) if n - r - s else _zeros(0, 0)
+    shared_11 = _rand_unit_block(rng, r)
+    shared_33 = _rand_unit_block(rng, s)
+    a22 = _rand_unit_block(rng, m - r - s)
+    b22 = _rand_unit_block(rng, n - r - s)
     a = _block_matrix(
         [
             [shared_11, _rand_block(rng, r, m - r - s), _rand_block(rng, r, s)],
@@ -946,24 +990,24 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
         raise NotImplementedError("the complexes realization carries no semi-invariants")
 
     def stabilizer_sampler(rng: random.Random) -> GroupElement:
-        a11 = _rand_invertible(rng, r) if r else _zeros(0, 0)
-        c22 = _rand_invertible(rng, s) if s else _zeros(0, 0)
+        a11 = _rand_unit_block(rng, r)
+        c22 = _rand_unit_block(rng, s)
         a_full = _block_matrix(
-            [[a11, _rand_block(rng, r, l - r)], [None, _rand_invertible(rng, l - r) if l - r else _zeros(0, 0)]],
+            [[a11, _rand_block(rng, r, l - r)], [None, _rand_unit_block(rng, l - r)]],
             (r, l - r),
             (r, l - r),
         )
         b_full = _block_matrix(
             [
                 [a11, None, None],
-                [_rand_block(rng, m - r - s, r), _rand_invertible(rng, m - r - s) if m - r - s else _zeros(0, 0), None],
+                [_rand_block(rng, m - r - s, r), _rand_unit_block(rng, m - r - s), None],
                 [_rand_block(rng, s, r), _rand_block(rng, s, m - r - s), c22],
             ],
             (r, m - r - s, s),
             (r, m - r - s, s),
         )
         c_full = _block_matrix(
-            [[_rand_invertible(rng, n - s) if n - s else _zeros(0, 0), _rand_block(rng, n - s, s)], [None, c22]],
+            [[_rand_unit_block(rng, n - s), _rand_block(rng, n - s, s)], [None, c22]],
             (n - s, s),
             (n - s, s),
         )

@@ -4,7 +4,8 @@ Integer matrices with arbitrary-precision entries, Smith normal form with
 unimodular transforms, cokernel presentations of finitely generated abelian
 groups, and integer linear-system solving.  One fraction-free (Bareiss)
 elimination, ``_bareiss``, gives the determinant, the rank of a rational
-matrix and, as Gauss-Jordan, its inverse.  No floating point anywhere.
+matrix and, as Gauss-Jordan, the scaled inverse of an integer matrix.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -337,20 +338,35 @@ def rational_rank(rows) -> int:
     return _bareiss(m, len(m[0]) if m else 0)[0]
 
 
+def integer_inverse(rows) -> tuple[int, list[list[int]]] | None:
+    """(d, X) with M^-1 = X / d and d > 0 for a square integer matrix M; None if singular.
+
+    One fraction-free Gauss-Jordan elimination takes [M | I] to
+    [p I | p M^-1], p the last pivot, so d = |p| = |det M| and X = d M^-1,
+    the adjugate up to sign.
+    """
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    rank, _, d = _bareiss(m, n, jordan=True)
+    if rank < n:
+        return None
+    if d < 0:
+        return -d, [[-x for x in r[n:]] for r in m]
+    return d, [r[n:] for r in m]
+
+
 def rational_inverse(rows):
     """Inverse of a square matrix with Fraction/int entries; ``ZeroDivisionError`` if singular.
 
-    With L the lcm of the denominators, M^-1 = L (L M)^-1.  Fraction-free
-    Gauss-Jordan elimination takes [L M | I] to [d I | d (L M)^-1], d the
-    last pivot, and each entry is divided once.
+    With L the lcm of the denominators, M^-1 = L (L M)^-1, and
+    ``integer_inverse`` gives (L M)^-1 = X / d; each entry is divided once.
     """
-    n = len(rows)
     scale, scaled = scaled_to_integers(rows)
-    m = [r + [int(i == j) for j in range(n)] for i, r in enumerate(scaled)]
-    rank, _, d = _bareiss(m, n, jordan=True)
-    if rank < n:
+    inverse = integer_inverse(scaled)
+    if inverse is None:
         raise ZeroDivisionError("matrix is singular")
-    return [[Fraction(scale * x, d) for x in r[n:]] for r in m]
+    d, x = inverse
+    return [[Fraction(scale * e, d) for e in r] for r in x]
 
 
 def rational_solve(rows, rhs):

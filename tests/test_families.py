@@ -609,10 +609,23 @@ def _same_entries(got, want):
 
 
 def test_apply_pair_matches_reference_products():
-    from sphemb.families import _apply_pair
+    # The translate kernel on integer forms (l, L) of g_left and (r, R) of
+    # g_right, L / l = g_left and R / r = g_right.  Forms are scaled up by a
+    # random factor, as a carried form need not be reduced.
+    from sphemb.families import _translate
     from sphemb.laurent import LaurentPoly, T
+    from sphemb.lattice import scaled_to_integers
 
     rng = random.Random(11)
+
+    def form(g):
+        scale, rows = scaled_to_integers(g)
+        k = rng.choice((1, 1, 2, 6))
+        return k * scale, [[k * e for e in r] for r in rows]
+
+    def _apply_pair(g_left, x, g_right):
+        return _translate(form(g_left), x, form(g_right))
+
     for _ in range(400):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         x = _random_curve_point(rng, rows, cols, laurent=rng.random() < 0.7)
@@ -828,3 +841,229 @@ def test_curve_off_at_one_fails_construction():
     rows[2][2] = T ** 2
     curves = tuple((lab, (_freeze(rows), b) if lab == label else pt) for lab, pt in real.cocharacter_curves)
     dataclasses.replace(real, cocharacter_curves=curves)
+
+
+# Sampled group elements carry integer forms and inverses; the seeded draws
+# must stay those of the Fraction-era samplers.
+
+_SAMPLER_SPECS = (
+    [f"monoid:m={m}" for m in (1, 2, 3, 4)]
+    + [f"determinantal:m={m},n={n},r={r}" for m in (2, 3) for n in (2, 3, 4) for r in range(1, min(m, n))]
+    + [f"circular:m={m},n={n},r={r},s={s}" for m, n, r, s in admissible_circular_parameters(3, 3)]
+    + ["circular:m=3,n=2,r=1,s=1"]
+    + [
+        f"complexes:l={l},m={m},n={n},r={r},s={s}"
+        for l in (0, 1, 2) for m in (0, 1, 2) for n in (0, 1, 2)
+        for r in range(min(l, 1) + 1) for s in range(min(n, 1) + 1) if r + s <= m
+    ]
+)
+
+_SAMPLERS = ("group_sampler", "borel_sampler", "stabilizer_sampler")
+
+
+def _fracs(rows):
+    return tuple(tuple(Fraction(e) for e in r) for r in rows)
+
+
+def _ref_invertible(rng, n, lo=-4, hi=4):
+    # Redraw while the determinant is zero.
+    from sphemb.lattice import IntegerMatrix, determinant
+
+    while True:
+        m = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+        if determinant(IntegerMatrix.from_rows(m, cols=n)) != 0:
+            return _fracs(m)
+
+
+def _ref_unit_block(rng, n):
+    return _ref_invertible(rng, n) if n else ()
+
+
+def _ref_triangular(rng, n, lower):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = rng.choice([-3, -2, -1, 1, 2, 3])
+        for j in range(n):
+            if (j < i) if lower else (j > i):
+                m[i][j] = rng.randint(-3, 3)
+    return _fracs(m)
+
+
+def _ref_monoid_element(rng, m, triangular=None):
+    # A, then c from rng.choice, then B = c A^-T.
+    a = _ref_invertible(rng, m, -999, 999) if triangular is None else _ref_triangular(rng, m, triangular == "lower")
+    c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    a_inv = _reference_rational_inverse(a)
+    return (a, tuple(tuple(c * a_inv[j][i] for j in range(m)) for i in range(m)))
+
+
+def _ref_block(rng, rows, cols):
+    return _fracs([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
+
+
+def _ref_circular_stabilizer(rng, m, n, r, s):
+    from sphemb.families import _block_matrix
+
+    s11, s33 = _ref_unit_block(rng, r), _ref_unit_block(rng, s)
+    a22, b22 = _ref_unit_block(rng, m - r - s), _ref_unit_block(rng, n - r - s)
+    a = _block_matrix(
+        [[s11, _ref_block(rng, r, m - r - s), _ref_block(rng, r, s)], [None, a22, _ref_block(rng, m - r - s, s)],
+         [None, None, s33]],
+        (r, m - r - s, s), (r, m - r - s, s),
+    )
+    b = _block_matrix(
+        [[s11, None, None], [_ref_block(rng, n - r - s, r), b22, None],
+         [_ref_block(rng, s, r), _ref_block(rng, s, n - r - s), s33]],
+        (r, n - r - s, s), (r, n - r - s, s),
+    )
+    return (a, b)
+
+
+def _ref_complexes_stabilizer(rng, l, m, n, r, s):
+    from sphemb.families import _block_matrix
+
+    a11, c22 = _ref_unit_block(rng, r), _ref_unit_block(rng, s)
+    a = _block_matrix([[a11, _ref_block(rng, r, l - r)], [None, _ref_unit_block(rng, l - r)]], (r, l - r), (r, l - r))
+    b = _block_matrix(
+        [[a11, None, None], [_ref_block(rng, m - r - s, r), _ref_unit_block(rng, m - r - s), None],
+         [_ref_block(rng, s, r), _ref_block(rng, s, m - r - s), c22]],
+        (r, m - r - s, s), (r, m - r - s, s),
+    )
+    c = _block_matrix([[_ref_unit_block(rng, n - s), _ref_block(rng, n - s, s)], [None, c22]], (n - s, s), (n - s, s))
+    return (a, b, c)
+
+
+def _reference_sampler(name, params, sampler):
+    """The draws a sampler made before group elements carried their inverses."""
+    if name == "monoid":
+        m = params["m"]
+        if sampler == "group_sampler":
+            return lambda rng: (*_ref_monoid_element(rng, m), *_ref_monoid_element(rng, m))
+        if sampler == "borel_sampler":
+            return lambda rng: (*_ref_monoid_element(rng, m, "lower"), *_ref_monoid_element(rng, m, "upper"))
+        return lambda rng: 2 * _ref_monoid_element(rng, m)
+    dims = tuple(params[k] for k in "lmn" if k in params)
+    if name == "circular":
+        dims = families._circular_parameters(**params)[:2]  # m <= n after the swap
+    if sampler == "group_sampler":
+        return lambda rng: tuple(_ref_invertible(rng, d, -999, 999) for d in dims)
+    if sampler == "borel_sampler":
+        return lambda rng: tuple(_ref_triangular(rng, d, v % 2 == 0) for v, d in enumerate(dims))
+    if name == "complexes":
+        return lambda rng: _ref_complexes_stabilizer(rng, *(params[k] for k in "lmnrs"))
+    m, n, r = params["m"], params["n"], params["r"]
+    if name == "circular":
+        m, n, r, s = families._circular_parameters(m, n, r, params["s"])
+        return lambda rng: _ref_circular_stabilizer(rng, m, n, r, s)
+    return lambda rng: _ref_circular_stabilizer(rng, m, n, r, 0)
+
+
+def test_samplers_consume_the_reference_stream():
+    checked = 0
+    for spec in _SAMPLER_SPECS:
+        bundle = build_family(spec)
+        real = bundle.realization
+        for sampler in _SAMPLERS:
+            reference = _reference_sampler(bundle.name, bundle.params, sampler)
+            for seed in range(12):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                g = getattr(real, sampler)(rng)
+                assert tuple(g) == reference(ref_rng), (spec, sampler, seed)
+                assert rng.getstate() == ref_rng.getstate(), (spec, sampler, seed)
+                checked += 1
+    assert checked == len(_SAMPLER_SPECS) * len(_SAMPLERS) * 12
+
+
+def test_rand_invertible_rejects_exactly_the_singular_draws():
+    # Small ranges make singular draws common, so the rejection rule shows.
+    rejected = 0
+    for seed in range(200):
+        n, lo, hi = 1 + seed % 3, -1 - seed % 2, 1
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        l, m, d, x = families._rand_invertible(rng, n, lo, hi)
+        assert (l, _fracs(m)) == (1, _ref_invertible(ref_rng, n, lo, hi))
+        assert rng.getstate() == ref_rng.getstate()
+        probe = random.Random(seed)
+        rejected += [[probe.randint(lo, hi) for _ in range(n)] for _ in range(n)] != m
+        assert [[Fraction(e, d) for e in r] for r in x] == _reference_rational_inverse(m)
+    assert rejected > 40
+
+
+def _identity_rows(n):
+    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
+
+
+def _points(real):
+    return [real.base_point] + [pt for _, pt in real.cocharacter_curves]
+
+
+def test_carried_forms_act_like_plain_tuples():
+    from sphemb.families import GroupDraw
+    from sphemb.lattice import mat_mul
+
+    for spec in _SAMPLER_SPECS:
+        real = build_family(spec).realization
+        for sampler in _SAMPLERS:
+            for seed in range(3):
+                g = getattr(real, sampler)(random.Random(seed))
+                for x in _points(real):
+                    got, plain = real.act(g, x), real.act(tuple(g), x)
+                    assert got == plain, (spec, sampler, seed)
+                    assert [[[type(e) for e in r] for r in b] for b in got] == [
+                        [[type(e) for e in r] for r in b] for b in plain
+                    ]
+                if not isinstance(g, GroupDraw):
+                    continue
+                for k, factor in enumerate(g):
+                    (l, form), (r, inverse) = g.forms[k], g.inverses[k]
+                    assert l > 0 and r > 0, (spec, sampler)
+                    assert _fracs(form) == tuple(tuple(e * l for e in row) for row in factor)
+                    product = mat_mul([list(row) for row in factor], [[Fraction(e, r) for e in row] for row in inverse])
+                    assert product == _identity_rows(len(factor)), (spec, sampler, k)
+
+
+def test_act_on_hand_built_elements_inverts_their_own_factors():
+    # A perturbed copy of a sampled element is a plain tuple and no group
+    # element: its right-hand factors are inverted as they are, never through
+    # identities that hold only for sampled elements (B^-1 = A^T / c).
+    for m in (1, 2, 3):
+        _, real = monoid_model(m)
+        x = real.curve(f"lambda_{m // 2}")
+        for seed in range(4):
+            g = real.group_sampler(random.Random(seed))
+            for k in range(4):
+                rows = [list(r) for r in g[k]]
+                rows[0][0] += 1
+                try:
+                    inverses = [_reference_rational_inverse(rows if k == j else g[j]) for j in (2, 3)]
+                except ZeroDivisionError:
+                    continue
+                bumped = tuple(_freeze(rows) if j == k else g[j] for j in range(4))
+                want = (
+                    _reference_apply_pair(bumped[0], x[0], inverses[0]),
+                    _reference_apply_pair(bumped[1], x[1], inverses[1]),
+                )
+                assert real.act(bumped, x) == want, (m, seed, k)
+            # the sampled element itself against the same reference product
+            want = tuple(
+                _reference_apply_pair(g[j], x[j], _reference_rational_inverse(g[j + 2])) for j in (0, 1)
+            )
+            assert real.act(g, x) == want
+    real = build_family("circular:m=2,n=2,r=1,s=1").realization
+    singular = (((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), ((Fraction(1), Fraction(1)),) * 2)
+    with pytest.raises(ZeroDivisionError):
+        real.act(singular, real.base_point)
+
+
+def test_dilation_matches_fraction_sum():
+    # d(A, B) = sum a_ij b_ij / m, summed on integer forms and divided once.
+    for m in (1, 2, 3, 4):
+        _, real = monoid_model(m)
+        (dilation,) = [f for f in real.semi_invariants if f.name == "d"]
+        rng = random.Random(m)
+        points = _points(real) + [real.act(real.group_sampler(rng), x) for x in _points(real)]
+        for point in points:
+            a, b = point
+            want = sum((a[i][j] * b[i][j] for i in range(m) for j in range(m)), Fraction(0)) / m
+            got = dilation.evaluate(point)
+            assert got == want and type(got) is type(want), (m, point)

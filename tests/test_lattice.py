@@ -11,6 +11,7 @@ from sphemb.lattice import (
     cokernel,
     determinant,
     integer_rank,
+    integer_inverse,
     rational_inverse,
     rational_rank,
     smith_normal_form,
@@ -238,6 +239,38 @@ def _reference_rational_inverse(rows):
                 f = m[i][col]
                 m[i] = [e - f * p for e, p in zip(m[i], m[col])]
     return [r[n:] for r in m]
+
+
+def test_integer_inverse_matches_fraction_elimination():
+    rng = random.Random(23)
+    cases = [[], [[0]], [[-7]], [[0, 1], [1, 0]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[1, 2], [2, 4]],
+             [[0, 0, 1], [0, 0, 2], [1, 1, 1]], [[2, 1], [1, 1]], [[-3, 0], [0, 5]]]
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        cases.append([[rng.choice((0, rng.randint(-9, 9), rng.randint(-999, 999))) for _ in range(n)] for _ in range(n)])
+    singular = 0
+    for rows in cases:
+        got = integer_inverse(rows)
+        try:
+            want = _reference_rational_inverse(rows)
+        except ZeroDivisionError:
+            assert got is None, rows
+            singular += 1
+            continue
+        d, x = got
+        assert type(d) is int and d > 0, rows
+        assert all(type(e) is int for r in x for e in r)
+        assert [[Fraction(e, d) for e in r] for r in x] == want, rows
+        # d is |det M|, so M X = d I with X the adjugate up to sign
+        n = len(rows)
+        assert d == abs(_cofactor_determinant(rows))
+        assert [[sum(rows[i][k] * x[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
+            [d * (i == j) for j in range(n)] for i in range(n)
+        ]
+    assert singular >= 3
+    assert integer_inverse([]) == (1, [])
+    assert integer_inverse([[0, 1], [1, 0]]) == (1, [[0, 1], [1, 0]])
+    assert integer_inverse([[-2]]) == (2, [[-1]])
 
 
 def _reference_rational_rank(rows) -> int:

@@ -14,6 +14,7 @@ from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sphemb.lattice import (  # noqa: E402
     IntegerMatrix,
     determinant,
+    integer_inverse,
     rational_inverse,
     rational_rank,
     smith_normal_form,
@@ -91,3 +92,20 @@ def test_rational_inverse_matches_sympy(m):
     want = expected.inv() if n else expected
     got = rational_inverse(m)
     assert got == [[Fraction(int(want[i, j].p), int(want[i, j].q)) for j in range(n)] for i in range(n)]
+
+
+@_SETTINGS
+@given(integer_matrices(square=True))
+def test_integer_inverse_matches_sympy(m):
+    n = len(m)
+    expected = _sympy_matrix(m)
+    got = integer_inverse(m)
+    if expected.det() == 0:
+        assert got is None
+        return
+    d, x = got
+    assert d == abs(expected.det())
+    want = expected.inv() if n else expected
+    assert [[Fraction(e, d) for e in r] for r in x] == [
+        [Fraction(int(want[i, j].p), int(want[i, j].q)) for j in range(n)] for i in range(n)
+    ]
