@@ -15,6 +15,12 @@ The last three are products of GL groups acting on the arrow spaces of a
 small quiver; ``_quiver_parts`` builds their action, samplers, membership
 test and Lie-algebra rows from the quiver data.
 
+A group element is a tuple of units, one per factor: a unit (l, L, r, R)
+is the matrix L / l with inverse R / r, for integer matrices L, R and
+integers l, r > 0.  Samplers draw them, ``act`` multiplies on their integer
+matrices and inverts nothing, and ``bumped_copies`` perturbs them for the
+oracle's negative control; no other module reads a unit's fields.
+
 Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives
 them at construction from each family's ambient map, colour coroots and
 boundary exponents and raises ``ValueError`` on disagreement, so a
@@ -43,7 +49,7 @@ from .divisor_model import (
     SphericalDivisorModel,
     WonderfulModel,
 )
-from .lattice import integer_inverse, mat_mul, rational_inverse, rational_rank, scaled_to_integers
+from .lattice import integer_inverse, mat_mul, rational_rank, scaled_to_integers
 from .laurent import LaurentPoly
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, pair
 
@@ -54,7 +60,8 @@ class FamilyParameterError(ValueError):
 
 Matrix = tuple[tuple, ...]
 Point = tuple[Matrix, ...]
-GroupElement = tuple[Matrix, ...]
+Unit = tuple[int, list[list[int]], int, list[list[int]]]
+GroupElement = tuple[Unit, ...]
 
 
 def _freeze(rows) -> Matrix:
@@ -67,10 +74,6 @@ def _frac(rows) -> Matrix:
 
 def _identity(n: int) -> Matrix:
     return _frac([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def _zeros(r: int, c: int) -> Matrix:
-    return _frac([[0] * c for _ in range(r)])
 
 
 def _transpose(m: Matrix) -> Matrix:
@@ -196,14 +199,13 @@ def _rand_int_matrix(rng: random.Random, rows: int, cols: int, lo: int = -4, hi:
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
-# A unit is (l, L, r, R): an invertible matrix L / l with inverse R / r, for
-# integer matrices L, R and integers l, r > 0.
-
-Unit = tuple[int, list[list[int]], int, list[list[int]]]
+def _unit(m: list[list[int]]) -> Unit:
+    """The unit of an invertible integer matrix M: (1, M, r, R) with M^-1 = R / r."""
+    return (1, m, *integer_inverse(m))
 
 
 def _rand_invertible(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> Unit:
-    """A random integer matrix, redrawn exactly while it is singular, with its inverse."""
+    """A random integer matrix as a unit, redrawn exactly while it is singular; n = 0 draws nothing."""
     while True:
         m = _rand_int_matrix(rng, n, n, lo, hi)
         inverse = integer_inverse(m)
@@ -222,41 +224,25 @@ def _rand_triangular(rng: random.Random, n: int, lower: bool) -> Unit:
         for j in range(n):
             if (j < i) if lower else (j > i):
                 m[i][j] = rng.randint(-3, 3)
-    return (1, m, *integer_inverse(m))
+    return _unit(m)
 
 
-def _rand_unit_block(rng: random.Random, n: int) -> Matrix:
-    """The matrix of ``_rand_invertible(rng, n)``, or the empty block when n = 0."""
-    return _frac(_rand_invertible(rng, n)[1]) if n else _zeros(0, 0)
+def bumped_copies(g: GroupElement):
+    """Copies of ``g`` with one entry of one factor raised by 1, each with its own inverse.
 
-
-class GroupDraw(tuple):
-    """A sampled group element: a tuple of factor matrices with integer forms attached.
-
-    ``forms[k]`` is (l, L) with factor k equal to L / l, and ``inverses[k]``
-    is (r, R) with its inverse R / r, so ``act`` multiplies on integers and
-    inverts nothing.  Any other tuple of factors acts through the same kernel
-    with forms derived by ``_integer_forms``.
+    Factor by factor, then row-major: factor L / l becomes (L + l E_ij) / l.
+    A bump that makes its factor singular is skipped.  A copy need not lie
+    in the group, so each bumped factor is inverted as it is.
     """
-
-    def __new__(cls, units: Sequence[Unit]):
-        g = super().__new__(cls, (tuple(tuple(Fraction(e, l) for e in row) for row in m) for l, m, _, _ in units))
-        g.forms = [(l, m) for l, m, _, _ in units]
-        g.inverses = [(r, inv) for _, _, r, inv in units]
-        return g
-
-
-def _integer_forms(g: GroupElement, right) -> tuple[list, list]:
-    """Every factor's form (l, L), and the inverse form (r, R) of each factor in ``right``.
-
-    A ``GroupDraw`` carries both.  Any other tuple, such as a perturbed
-    stabilizer element, need not be a group element, so its right-hand
-    factors are inverted as given (``ZeroDivisionError`` if one is singular).
-    """
-    if isinstance(g, GroupDraw):
-        return g.forms, g.inverses
-    inverses = [scaled_to_integers(rational_inverse(f)) if k in right else None for k, f in enumerate(g)]
-    return [scaled_to_integers(f) for f in g], inverses
+    for k, (l, m, _, _) in enumerate(g):
+        for i, row in enumerate(m):
+            for j in range(len(row)):
+                bumped = [list(r) for r in m]
+                bumped[i][j] += l
+                inverse = integer_inverse(bumped)
+                if inverse is not None:
+                    d, x = inverse
+                    yield g[:k] + ((l, bumped, d, [[l * e for e in r] for r in x]),) + g[k + 1 :]
 
 
 @dataclass(eq=False)
@@ -279,21 +265,26 @@ class BoundaryCandidate:
 
 @dataclass(eq=False)
 class MatrixRealization:
-    """Concrete matrix avatar of a family member, for oracle-level checks."""
+    """Concrete matrix avatar of a family member, for oracle-level checks.
+
+    ``torus[k]`` names the diagonal entries, as (factor, index) pairs, whose
+    ratio is basis character k's value on a Borel element; ``weight_value``
+    reads it.
+    """
 
     base_point: Point
     membership: Callable[[Point], bool]
     act: Callable[[GroupElement, Point], Point]
     group_sampler: Callable[[random.Random], GroupElement]
     borel_sampler: Callable[[random.Random], GroupElement]
-    weight_value: Callable[[Character, GroupElement], Fraction]
     lie_algebra_rows: Callable[[Point], list[list[Fraction]]]
+    expected_orbit_dimension: int
+    stabilizer_sampler: Callable[[random.Random], GroupElement]
+    torus: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
     semi_invariants: tuple[SemiInvariantSpec, ...] = ()
     cocharacter_curves: tuple[tuple[str, Point], ...] = ()
     boundary_curves: tuple[tuple[str, str], ...] = ()
     expected_limit_ranks: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    expected_orbit_dimension: int | None = None
-    stabilizer_sampler: Callable[[random.Random], GroupElement] | None = None
     boundary_candidates: tuple[BoundaryCandidate, ...] = ()
 
     def __post_init__(self):
@@ -308,6 +299,15 @@ class MatrixRealization:
             if lab == label:
                 return pt
         raise KeyError(f"unknown curve {label!r}")
+
+    def weight_value(self, chi: Character, g: GroupElement) -> Fraction:
+        """chi(g): each basis character's diagonal ratio, to the power of chi's coordinate."""
+        v = Fraction(1)
+        for c, ((f, i), (h, j)) in zip(chi.coords, self.torus):
+            if c:
+                num, den = g[f], g[h]
+                v *= Fraction(num[1][i][i] * den[0], num[0] * den[1][j][j]) ** c
+        return v
 
 
 def _passes_through(curve: Point, point: Point) -> bool:
@@ -478,7 +478,7 @@ def _monoid_membership(point: Point) -> bool:
     return True
 
 
-def _sample_monoid_element(rng: random.Random, m: int, triangular: str | None = None) -> list[Unit]:
+def _sample_monoid_element(rng: random.Random, m: int, triangular: str | None = None) -> tuple[Unit, Unit]:
     """The units A and B = c A^-T of a random monoid element, from one elimination of A.
 
     With A^-1 = X / d, B is c X^T / d and B^-1 is A^T / c.
@@ -490,7 +490,7 @@ def _sample_monoid_element(rng: random.Random, m: int, triangular: str | None = 
     c = rng.choice([-3, -2, -1, 1, 2, 3])
     sign = 1 if c > 0 else -1
     b = [[c * e for e in col] for col in zip(*x)]
-    return [(1, a, d, x), (d, b, abs(c), [[sign * e for e in col] for col in zip(*a)])]
+    return (1, a, d, x), (d, b, abs(c), [[sign * e for e in col] for col in zip(*a)])
 
 
 def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealization:
@@ -498,27 +498,15 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
 
     def act(g: GroupElement, x: Point) -> Point:
         # (a1, b1, a2, b2) . (X, Y) = (a1 X a2^-1, b1 Y b2^-1)
-        forms, inverses = _integer_forms(g, (2, 3))
-        return (_translate(forms[0], x[0], inverses[2]), _translate(forms[1], x[1], inverses[3]))
+        return (_translate(g[0][:2], x[0], g[2][2:]), _translate(g[1][:2], x[1], g[3][2:]))
 
     def group_sampler(rng: random.Random) -> GroupElement:
         g1 = _sample_monoid_element(rng, m)
-        return GroupDraw(g1 + _sample_monoid_element(rng, m))
+        return g1 + _sample_monoid_element(rng, m)
 
     def borel_sampler(rng: random.Random) -> GroupElement:
         g1 = _sample_monoid_element(rng, m, triangular="lower")
-        return GroupDraw(g1 + _sample_monoid_element(rng, m, triangular="upper"))
-
-    def char_value(chi: Character, a: Matrix, b: Matrix) -> Fraction:
-        v = Fraction(1)
-        for k in range(m):
-            v *= Fraction(a[k][k]) ** chi.coords[k]
-        v *= Fraction(b[0][0]) ** chi.coords[m]
-        return v
-
-    def weight_value(chi: Character, g: GroupElement) -> Fraction:
-        a1, b1, a2, b2 = g
-        return char_value(chi, a1, b1) / char_value(chi, a2, b2)
+        return g1 + _sample_monoid_element(rng, m, triangular="upper")
 
     def dilation(point: Point):
         # sum a_ij b_ij / m, on L_a A and L_b B and divided once by L_a L_b m.
@@ -565,7 +553,7 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
 
     def stabilizer_sampler(rng: random.Random) -> GroupElement:
         g = _sample_monoid_element(rng, m)
-        return GroupDraw(g + g)
+        return g + g
 
     return MatrixRealization(
         base_point=base,
@@ -573,8 +561,9 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         act=act,
         group_sampler=group_sampler,
         borel_sampler=borel_sampler,
-        weight_value=weight_value,
         lie_algebra_rows=lie_rows,
+        # eps_k is a1's k-th diagonal entry over a2's, eps_{m+1} b1's first over b2's.
+        torus=tuple(((0, k), (2, k)) for k in range(m)) + (((1, 0), (3, 0)),),
         semi_invariants=tuple(semi),
         cocharacter_curves=tuple(curves),
         boundary_curves=tuple((f"X_{r}", f"lambda_{r}") for r in range(m + 1)),
@@ -596,11 +585,9 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
     X_i X_j = 0 for every (i, j) in ``zero_paths``.  Borel elements are lower
     triangular at even vertices and upper triangular at odd ones.
     """
-    targets = {t for _, t in arrows}
 
     def act(g: GroupElement, x: Point) -> Point:
-        forms, inverses = _integer_forms(g, targets)
-        return tuple(_translate(forms[s], xk, inverses[t]) for (s, t), xk in zip(arrows, x))
+        return tuple(_translate(g[s][:2], xk, g[t][2:]) for (s, t), xk in zip(arrows, x))
 
     def membership(point: Point) -> bool:
         # Ranks and zero compositions are unchanged by scaling each arrow
@@ -611,10 +598,10 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
         return all(e == 0 for i, j in zero_paths for row in mat_mul(scaled[i], scaled[j]) for e in row)
 
     def group_sampler(rng: random.Random) -> GroupElement:
-        return GroupDraw([_rand_generic(rng, d) for d in dims])
+        return tuple(_rand_generic(rng, d) for d in dims)
 
     def borel_sampler(rng: random.Random) -> GroupElement:
-        return GroupDraw([_rand_triangular(rng, d, lower=v % 2 == 0) for v, d in enumerate(dims)])
+        return tuple(_rand_triangular(rng, d, lower=v % 2 == 0) for v, d in enumerate(dims))
 
     def lie_algebra_rows(point: Point) -> list[list[Fraction]]:
         # One row per E_ij of each vertex, in vertex-major order: the tangent
@@ -796,20 +783,10 @@ def _circular_coroots(m: int, n: int, r: int, s: int) -> dict[str, tuple[dict[in
     return table
 
 
-def _circular_weight_value(r: int, s: int) -> Callable[[Character, GroupElement], Fraction]:
-    """Torus weights on the circular lattice: eps_i at position i, delta_j in the trailing s block."""
-
-    def weight_value(chi: Character, g: GroupElement) -> Fraction:
-        g1, g2 = g
-        m, n = len(g1), len(g2)
-        v = Fraction(1)
-        for i in range(r):
-            v *= (Fraction(g1[i][i]) / Fraction(g2[i][i])) ** chi.coords[i]
-        for j in range(s):
-            v *= (Fraction(g2[n - s + j][n - s + j]) / Fraction(g1[m - s + j][m - s + j])) ** chi.coords[r + j]
-        return v
-
-    return weight_value
+def _circular_torus(m: int, n: int, r: int, s: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """The circular torus table: eps_i is g1's i-th diagonal entry over g2's, and
+    delta_j g2's entry n - s + j over g1's entry m - s + j."""
+    return tuple(((0, i), (1, i)) for i in range(r)) + tuple(((1, n - s + j), (0, m - s + j)) for j in range(s))
 
 
 def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDivisorModel) -> MatrixRealization:
@@ -842,7 +819,7 @@ def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDiviso
 
     return MatrixRealization(
         base_point=(er, fs),
-        weight_value=_circular_weight_value(r, s),
+        torus=_circular_torus(m, n, r, s),
         cocharacter_curves=tuple(curves),
         boundary_curves=boundary_curves,
         expected_limit_ranks=tuple(ranks),
@@ -852,31 +829,29 @@ def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDiviso
     )
 
 
-def _block_matrix(blocks: Sequence[Sequence[Matrix | None]], row_sizes: Sequence[int], col_sizes: Sequence[int]) -> Matrix:
+def _block_matrix(blocks, row_sizes: Sequence[int], col_sizes: Sequence[int]) -> list[list[int]]:
+    """The integer matrix of a grid of blocks, ``None`` for a zero block."""
     rows = []
     for bi, rsize in enumerate(row_sizes):
         for i in range(rsize):
             row = []
             for bj, csize in enumerate(col_sizes):
                 blk = blocks[bi][bj]
-                if blk is None:
-                    row.extend([Fraction(0)] * csize)
-                else:
-                    row.extend(blk[i])
-            rows.append(tuple(row))
-    return tuple(rows)
+                row.extend([0] * csize if blk is None else blk[i])
+            rows.append(row)
+    return rows
 
 
-def _rand_block(rng: random.Random, rows: int, cols: int) -> Matrix:
-    return _frac(_rand_int_matrix(rng, rows, cols, -2, 2))
+def _rand_block(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
+    return _rand_int_matrix(rng, rows, cols, -2, 2)
 
 
 def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: int) -> GroupElement:
     """A random element of the block-shaped stabilizer of the base idempotent."""
-    shared_11 = _rand_unit_block(rng, r)
-    shared_33 = _rand_unit_block(rng, s)
-    a22 = _rand_unit_block(rng, m - r - s)
-    b22 = _rand_unit_block(rng, n - r - s)
+    shared_11 = _rand_invertible(rng, r)[1]
+    shared_33 = _rand_invertible(rng, s)[1]
+    a22 = _rand_invertible(rng, m - r - s)[1]
+    b22 = _rand_invertible(rng, n - r - s)[1]
     a = _block_matrix(
         [
             [shared_11, _rand_block(rng, r, m - r - s), _rand_block(rng, r, s)],
@@ -895,7 +870,7 @@ def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: in
         (r, n - r - s, s),
         (r, n - r - s, s),
     )
-    return (a, b)
+    return (_unit(a), _unit(b))
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +907,7 @@ def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) ->
 
     return MatrixRealization(
         base_point=(er,),
-        weight_value=_circular_weight_value(r, 0),
+        torus=_circular_torus(m, n, r, 0),
         semi_invariants=tuple(semi),
         cocharacter_curves=curves,
         expected_limit_ranks=((f"lambda_{r}", (r - 1,)),),
@@ -986,32 +961,29 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
     er = _standard_er(l, m, r)
     fs = _standard_fs(m, n, s)
 
-    def weight_value(chi: Character, g: GroupElement) -> Fraction:
-        raise NotImplementedError("the complexes realization carries no semi-invariants")
-
     def stabilizer_sampler(rng: random.Random) -> GroupElement:
-        a11 = _rand_unit_block(rng, r)
-        c22 = _rand_unit_block(rng, s)
+        a11 = _rand_invertible(rng, r)[1]
+        c22 = _rand_invertible(rng, s)[1]
         a_full = _block_matrix(
-            [[a11, _rand_block(rng, r, l - r)], [None, _rand_unit_block(rng, l - r)]],
+            [[a11, _rand_block(rng, r, l - r)], [None, _rand_invertible(rng, l - r)[1]]],
             (r, l - r),
             (r, l - r),
         )
         b_full = _block_matrix(
             [
                 [a11, None, None],
-                [_rand_block(rng, m - r - s, r), _rand_unit_block(rng, m - r - s), None],
+                [_rand_block(rng, m - r - s, r), _rand_invertible(rng, m - r - s)[1], None],
                 [_rand_block(rng, s, r), _rand_block(rng, s, m - r - s), c22],
             ],
             (r, m - r - s, s),
             (r, m - r - s, s),
         )
         c_full = _block_matrix(
-            [[_rand_unit_block(rng, n - s), _rand_block(rng, n - s, s)], [None, c22]],
+            [[_rand_invertible(rng, n - s)[1], _rand_block(rng, n - s, s)], [None, c22]],
             (n - s, s),
             (n - s, s),
         )
-        return (a_full, b_full, c_full)
+        return (_unit(a_full), _unit(b_full), _unit(c_full))
 
     # dim of the block-shaped stabilizer, counting each shared block once.
     dim_h = (
@@ -1030,7 +1002,6 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
 
     return MatrixRealization(
         base_point=(er, fs),
-        weight_value=weight_value,
         expected_orbit_dimension=expected_dim,
         stabilizer_sampler=stabilizer_sampler,
         **_quiver_parts((l, m, n), ((0, 1), (1, 2)), (r, s), ((0, 1),)),

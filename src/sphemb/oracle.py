@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from .families import bumped_copies
 from .laurent import LaurentPoly
 from .lattice import rational_rank, rational_solve
 from .rootdata import Character, Covector, TorusLattice, pair
@@ -314,26 +315,8 @@ def infer_boundary_valuation(
 
 
 def stabilizer_check(real, element) -> bool:
-    """Whether the group element fixes the base point (exact)."""
+    """Whether the group element, a tuple of units, fixes the base point (exact)."""
     return real.act(element, real.base_point) == real.base_point
-
-
-def _perturbed_nonstabilizer(real, element):
-    # Deterministically bump one entry until the element stops fixing the base point.
-    for fi, factor in enumerate(element):
-        for i in range(len(factor)):
-            for j in range(len(factor[0])):
-                rows = [list(r) for r in factor]
-                rows[i][j] = rows[i][j] + 1
-                candidate = tuple(
-                    tuple(tuple(r) for r in rows) if k == fi else element[k] for k in range(len(element))
-                )
-                try:
-                    if not stabilizer_check(real, candidate):
-                        return candidate
-                except ZeroDivisionError:
-                    continue
-    return None
 
 
 def verification_report(model, real, trials: int = 8, seed: int = 0) -> VerificationReport:
@@ -375,47 +358,46 @@ def verification_report(model, real, trials: int = 8, seed: int = 0) -> Verifica
             )
         )
 
-    if real.expected_orbit_dimension is not None:
-        dim = orbit_dimension(real)
-        records.append(
-            CheckRecord(
-                check="orbit_dimension",
-                inputs={"point": "base"},
-                model_value=real.expected_orbit_dimension,
-                oracle_value=dim,
-                match=dim == real.expected_orbit_dimension,
-                trials=1,
-                stable=True,
-            )
+    dim = orbit_dimension(real)
+    records.append(
+        CheckRecord(
+            check="orbit_dimension",
+            inputs={"point": "base"},
+            model_value=real.expected_orbit_dimension,
+            oracle_value=dim,
+            match=dim == real.expected_orbit_dimension,
+            trials=1,
+            stable=True,
         )
+    )
 
-    if real.stabilizer_sampler is not None:
-        element = real.stabilizer_sampler(rng)
-        fixed = stabilizer_check(real, element)
+    element = real.stabilizer_sampler(rng)
+    fixed = stabilizer_check(real, element)
+    records.append(
+        CheckRecord(
+            check="stabilizer_fixes_base_point",
+            inputs={"element": "sampled stabilizer shape"},
+            model_value=True,
+            oracle_value=fixed,
+            match=fixed,
+            trials=1,
+            stable=True,
+        )
+    )
+    # Negative control: the first copy with one entry bumped that moves the base point.
+    broken = next((c for c in bumped_copies(element) if not stabilizer_check(real, c)), None)
+    if broken is not None:
+        moved = not stabilizer_check(real, broken)
         records.append(
             CheckRecord(
-                check="stabilizer_fixes_base_point",
-                inputs={"element": "sampled stabilizer shape"},
-                model_value=True,
-                oracle_value=fixed,
-                match=fixed,
+                check="stabilizer_negative_control",
+                inputs={"element": "perturbed stabilizer shape"},
+                model_value=False,
+                oracle_value=not moved,
+                match=moved,
                 trials=1,
                 stable=True,
             )
         )
-        broken = _perturbed_nonstabilizer(real, element)
-        if broken is not None:
-            moved = not stabilizer_check(real, broken)
-            records.append(
-                CheckRecord(
-                    check="stabilizer_negative_control",
-                    inputs={"element": "perturbed stabilizer shape"},
-                    model_value=False,
-                    oracle_value=not moved,
-                    match=moved,
-                    trials=1,
-                    stable=True,
-                )
-            )
 
     return VerificationReport(tuple(records))

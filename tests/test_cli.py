@@ -212,6 +212,12 @@ PINNED_ARGV_DIGESTS = {
         (0, "18a24bb23cc71cc4308a4f2538f6de7e96afed13a552fe68f0bb024919e066af"),
     ("verify", "--family", "complexes:l=1,m=2,n=2,r=1,s=1"):
         (0, "7f5d33598fd0e890b7df58e12a87e41df19b4352ffc961f76dc15aa7d3e4d50c"),
+    # A left-only factor larger than 1x1, and the m > n swap; both run the
+    # stabilizer check and its negative control.
+    ("verify", "--family", "complexes:l=2,m=3,n=2,r=1,s=1"):
+        (0, "1289aa2171b53e294e796f5f92146ff05af5b0860c5074598b317cbdbc6bd7d1"),
+    ("verify", "--family", "circular:m=3,n=2,r=1,s=1"):
+        (0, "4f847944a98d8a7cd0d147e9ec7b0a4545c5bcb8b0725dea843bb578c80edf05"),
 }
 
 

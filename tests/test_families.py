@@ -34,7 +34,7 @@ from sphemb.families import (
 )
 from sphemb.oracle import stabilizer_check
 from sphemb.rootdata import pair
-from sphemb.lattice import rational_inverse
+from sphemb.lattice import integer_inverse, rational_inverse
 from test_lattice import _reference_rational_inverse, _reference_rational_rank
 
 
@@ -195,9 +195,10 @@ def test_complexes_realization_checks():
     good = real.stabilizer_sampler(rng)
     assert stabilizer_check(real, good)
     # breaking the shared-block condition A11 = B11 moves the base point
-    a_rows = [list(r) for r in good[0]]
-    a_rows[0][0] += 1
-    bad = (tuple(tuple(r) for r in a_rows), good[1], good[2])
+    l, a, _, _ = good[0]
+    a_rows = [list(r) for r in a]
+    a_rows[0][0] += l
+    bad = ((l, a_rows, *_unit_inverse(l, a_rows)), good[1], good[2])
     assert not stabilizer_check(real, bad)
     with pytest.raises(FamilyParameterError):
         complexes_realization(2, 3, 2, 3, 1)
@@ -207,6 +208,15 @@ def _unit(rows, cols, *cells):
     return tuple(
         tuple(Fraction((i, j) in cells) for j in range(cols)) for i in range(rows)
     )
+
+
+def _unit_inverse(l, rows):
+    """(r, R) with R / r the inverse of rows / l, or None if rows is singular."""
+    inverse = integer_inverse(rows)
+    if inverse is None:
+        return None
+    d, x = inverse
+    return d, [[l * e for e in r] for r in x]
 
 
 def test_quiver_families_membership_and_lie_rows():
@@ -261,14 +271,14 @@ def test_circular_stabilizer_samples():
         # breaking A11 = B11 moves the base point; skip the one shift that
         # would make the perturbed matrix singular
         for delta in (1, 2, 3):
-            rows = [list(r) for r in g[0]]
-            rows[0][0] += delta
-            bad = (tuple(tuple(r) for r in rows), g[1])
-            try:
-                assert not stabilizer_check(real, bad)
-                break
-            except ZeroDivisionError:
+            l, a, _, _ = g[0]
+            rows = [list(r) for r in a]
+            rows[0][0] += delta * l
+            inverse = _unit_inverse(l, rows)
+            if inverse is None:
                 continue
+            assert not stabilizer_check(real, ((l, rows, *inverse), g[1]))
+            break
         else:
             raise AssertionError("no invertible perturbation found")
 
@@ -843,8 +853,9 @@ def test_curve_off_at_one_fails_construction():
     dataclasses.replace(real, cocharacter_curves=curves)
 
 
-# Sampled group elements carry integer forms and inverses; the seeded draws
-# must stay those of the Fraction-era samplers.
+# A sampled group element is a tuple of units (l, L, r, R), the factor L / l
+# with inverse R / r; the seeded draws must stay those of the Fraction-era
+# samplers.
 
 _SAMPLER_SPECS = (
     [f"monoid:m={m}" for m in (1, 2, 3, 4)]
@@ -901,17 +912,27 @@ def _ref_block(rng, rows, cols):
     return _fracs([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
 
 
-def _ref_circular_stabilizer(rng, m, n, r, s):
-    from sphemb.families import _block_matrix
+def _ref_block_matrix(blocks, row_sizes, col_sizes):
+    rows = []
+    for bi, rsize in enumerate(row_sizes):
+        for i in range(rsize):
+            row = []
+            for bj, csize in enumerate(col_sizes):
+                blk = blocks[bi][bj]
+                row.extend([Fraction(0)] * csize if blk is None else blk[i])
+            rows.append(tuple(row))
+    return tuple(rows)
 
+
+def _ref_circular_stabilizer(rng, m, n, r, s):
     s11, s33 = _ref_unit_block(rng, r), _ref_unit_block(rng, s)
     a22, b22 = _ref_unit_block(rng, m - r - s), _ref_unit_block(rng, n - r - s)
-    a = _block_matrix(
+    a = _ref_block_matrix(
         [[s11, _ref_block(rng, r, m - r - s), _ref_block(rng, r, s)], [None, a22, _ref_block(rng, m - r - s, s)],
          [None, None, s33]],
         (r, m - r - s, s), (r, m - r - s, s),
     )
-    b = _block_matrix(
+    b = _ref_block_matrix(
         [[s11, None, None], [_ref_block(rng, n - r - s, r), b22, None],
          [_ref_block(rng, s, r), _ref_block(rng, s, n - r - s), s33]],
         (r, n - r - s, s), (r, n - r - s, s),
@@ -920,16 +941,14 @@ def _ref_circular_stabilizer(rng, m, n, r, s):
 
 
 def _ref_complexes_stabilizer(rng, l, m, n, r, s):
-    from sphemb.families import _block_matrix
-
     a11, c22 = _ref_unit_block(rng, r), _ref_unit_block(rng, s)
-    a = _block_matrix([[a11, _ref_block(rng, r, l - r)], [None, _ref_unit_block(rng, l - r)]], (r, l - r), (r, l - r))
-    b = _block_matrix(
+    a = _ref_block_matrix([[a11, _ref_block(rng, r, l - r)], [None, _ref_unit_block(rng, l - r)]], (r, l - r), (r, l - r))
+    b = _ref_block_matrix(
         [[a11, None, None], [_ref_block(rng, m - r - s, r), _ref_unit_block(rng, m - r - s), None],
          [_ref_block(rng, s, r), _ref_block(rng, s, m - r - s), c22]],
         (r, m - r - s, s), (r, m - r - s, s),
     )
-    c = _block_matrix([[_ref_unit_block(rng, n - s), _ref_block(rng, n - s, s)], [None, c22]], (n - s, s), (n - s, s))
+    c = _ref_block_matrix([[_ref_unit_block(rng, n - s), _ref_block(rng, n - s, s)], [None, c22]], (n - s, s), (n - s, s))
     return (a, b, c)
 
 
@@ -968,7 +987,7 @@ def test_samplers_consume_the_reference_stream():
             for seed in range(12):
                 rng, ref_rng = random.Random(seed), random.Random(seed)
                 g = getattr(real, sampler)(rng)
-                assert tuple(g) == reference(ref_rng), (spec, sampler, seed)
+                assert _factors(g) == reference(ref_rng), (spec, sampler, seed)
                 assert rng.getstate() == ref_rng.getstate(), (spec, sampler, seed)
                 checked += 1
     assert checked == len(_SAMPLER_SPECS) * len(_SAMPLERS) * 12
@@ -989,6 +1008,16 @@ def test_rand_invertible_rejects_exactly_the_singular_draws():
     assert rejected > 40
 
 
+def _factors(g):
+    """The factors L / l of a tuple of units, as tuples of Fractions."""
+    return tuple(tuple(tuple(Fraction(e, l) for e in row) for row in m) for l, m, _, _ in g)
+
+
+def _inverses(g):
+    """The inverses R / r of a tuple of units, as lists of Fractions."""
+    return [[[Fraction(e, r) for e in row] for row in inv] for _, _, r, inv in g]
+
+
 def _identity_rows(n):
     return [[Fraction(i == j) for j in range(n)] for i in range(n)]
 
@@ -997,8 +1026,9 @@ def _points(real):
     return [real.base_point] + [pt for _, pt in real.cocharacter_curves]
 
 
-def test_carried_forms_act_like_plain_tuples():
-    from sphemb.families import GroupDraw
+def test_sampled_units_carry_their_inverses():
+    # R / r times L / l is the identity for every factor of every sampler's
+    # draws, stabilizer samplers included, on integer matrices with l, r > 0.
     from sphemb.lattice import mat_mul
 
     for spec in _SAMPLER_SPECS:
@@ -1006,53 +1036,141 @@ def test_carried_forms_act_like_plain_tuples():
         for sampler in _SAMPLERS:
             for seed in range(3):
                 g = getattr(real, sampler)(random.Random(seed))
-                for x in _points(real):
-                    got, plain = real.act(g, x), real.act(tuple(g), x)
-                    assert got == plain, (spec, sampler, seed)
-                    assert [[[type(e) for e in r] for r in b] for b in got] == [
-                        [[type(e) for e in r] for r in b] for b in plain
-                    ]
-                if not isinstance(g, GroupDraw):
-                    continue
-                for k, factor in enumerate(g):
-                    (l, form), (r, inverse) = g.forms[k], g.inverses[k]
+                assert type(g) is tuple, (spec, sampler)
+                for (l, form, r, inverse), factor, inv in zip(g, _factors(g), _inverses(g)):
                     assert l > 0 and r > 0, (spec, sampler)
-                    assert _fracs(form) == tuple(tuple(e * l for e in row) for row in factor)
-                    product = mat_mul([list(row) for row in factor], [[Fraction(e, r) for e in row] for row in inverse])
-                    assert product == _identity_rows(len(factor)), (spec, sampler, k)
+                    assert all(type(e) is int for m in (form, inverse) for row in m for e in row)
+                    assert mat_mul(inv, [list(row) for row in factor]) == _identity_rows(len(factor)), (spec, sampler)
 
 
 def test_act_on_hand_built_elements_inverts_their_own_factors():
-    # A perturbed copy of a sampled element is a plain tuple and no group
-    # element: its right-hand factors are inverted as they are, never through
-    # identities that hold only for sampled elements (B^-1 = A^T / c).
+    # A bumped copy of a sampled element is no group element: each bumped
+    # factor carries its own inverse, never one through identities that hold
+    # only for sampled elements (B^-1 = A^T / c).
+    from sphemb.families import bumped_copies
+
     for m in (1, 2, 3):
         _, real = monoid_model(m)
         x = real.curve(f"lambda_{m // 2}")
         for seed in range(4):
             g = real.group_sampler(random.Random(seed))
-            for k in range(4):
-                rows = [list(r) for r in g[k]]
-                rows[0][0] += 1
-                try:
-                    inverses = [_reference_rational_inverse(rows if k == j else g[j]) for j in (2, 3)]
-                except ZeroDivisionError:
-                    continue
-                bumped = tuple(_freeze(rows) if j == k else g[j] for j in range(4))
-                want = (
-                    _reference_apply_pair(bumped[0], x[0], inverses[0]),
-                    _reference_apply_pair(bumped[1], x[1], inverses[1]),
+            factors = _factors(g)
+            copies = 0
+            for bumped in bumped_copies(g):
+                (k,) = [j for j in range(4) if bumped[j] is not g[j]]
+                inverse = _inverses(bumped)[k]
+                assert inverse == _reference_rational_inverse(_factors(bumped)[k]), (m, seed, k)
+                if k in (1, 3):
+                    assert inverse != _inverses(g)[k]  # not A^T / c
+                f = _factors(bumped)
+                want = tuple(
+                    _reference_apply_pair(f[j], x[j], _reference_rational_inverse(f[j + 2])) for j in (0, 1)
                 )
                 assert real.act(bumped, x) == want, (m, seed, k)
+                copies += 1
+            assert copies > 0
             # the sampled element itself against the same reference product
             want = tuple(
-                _reference_apply_pair(g[j], x[j], _reference_rational_inverse(g[j + 2])) for j in (0, 1)
+                _reference_apply_pair(factors[j], x[j], _reference_rational_inverse(factors[j + 2])) for j in (0, 1)
             )
             assert real.act(g, x) == want
+    # a bump that makes a factor singular yields no copy: of the eight bumps
+    # of (I, [[1, 1], [0, 1]]) only B's (1, 0) entry gives [[1, 1], [1, 1]]
     real = build_family("circular:m=2,n=2,r=1,s=1").realization
-    singular = (((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), ((Fraction(1), Fraction(1)),) * 2)
-    with pytest.raises(ZeroDivisionError):
-        real.act(singular, real.base_point)
+    g = (families._unit([[1, 0], [0, 1]]), families._unit([[1, 1], [0, 1]]))
+    copies = list(bumped_copies(g))
+    assert len(copies) == 7
+    assert [[1, 1], [1, 1]] not in [c[1][1] for c in copies]
+    assert all(not stabilizer_check(real, c) for c in copies)
+
+
+def test_bumped_copies():
+    # Factor by factor, then row-major; each copy raises one entry of one
+    # factor by 1 (the integer matrix by l), keeps the other factors, and
+    # carries the bumped factor's own inverse.  [[-1]] + 1 and [[1, 2], [2, 4]]
+    # are singular, so those two bumps yield no copy.
+    from sphemb.families import _unit, bumped_copies
+
+    minus_one = (1, [[-1]], 1, [[-1]])
+    diag = (3, [[3, 0], [0, 6]], 2, [[2, 0], [0, 1]])  # diag(1, 2) and diag(1, 1/2)
+    g = (minus_one, diag, _unit([[1, 2], [2, 3]]))
+    before = _factors(g)
+    bumps = []
+    for copy in bumped_copies(g):
+        (k,) = [j for j in range(3) if copy[j] is not g[j]]
+        after = _factors(copy)[k]
+        (cell,) = [(i, j) for i, row in enumerate(after) for j, e in enumerate(row) if e != before[k][i][j]]
+        assert after[cell[0]][cell[1]] == before[k][cell[0]][cell[1]] + 1
+        assert copy[k][0] == g[k][0] and copy[k][2] > 0
+        assert _inverses(copy)[k] == _reference_rational_inverse(after), (k, cell)
+        bumps.append((k, cell))
+    assert bumps == [(1, (0, 0)), (1, (0, 1)), (1, (1, 0)), (1, (1, 1)), (2, (0, 0)), (2, (0, 1)), (2, (1, 0))]
+    assert _factors(g) == before  # the element itself is left as it was
+    assert list(bumped_copies(((1, [], 1, []), minus_one))) == []
+
+
+# The weight functions the torus tables replace, on Fraction factor matrices.
+
+
+def _ref_monoid_weight_value(m):
+    def char_value(chi, a, b):
+        v = Fraction(1)
+        for k in range(m):
+            v *= Fraction(a[k][k]) ** chi.coords[k]
+        v *= Fraction(b[0][0]) ** chi.coords[m]
+        return v
+
+    def weight_value(chi, g):
+        a1, b1, a2, b2 = g
+        return char_value(chi, a1, b1) / char_value(chi, a2, b2)
+
+    return weight_value
+
+
+def _ref_circular_weight_value(r, s):
+    def weight_value(chi, g):
+        g1, g2 = g
+        m, n = len(g1), len(g2)
+        v = Fraction(1)
+        for i in range(r):
+            v *= (Fraction(g1[i][i]) / Fraction(g2[i][i])) ** chi.coords[i]
+        for j in range(s):
+            v *= (Fraction(g2[n - s + j][n - s + j]) / Fraction(g1[m - s + j][m - s + j])) ** chi.coords[r + j]
+        return v
+
+    return weight_value
+
+
+def test_torus_tables_match_the_weight_functions():
+    rng = random.Random(29)
+    checked = 0
+    for spec in _SAMPLER_SPECS:
+        bundle = build_family(spec)
+        real, name, params = bundle.realization, bundle.name, bundle.params
+        if name == "complexes":
+            # The complexes weight function raised for every character: no
+            # semi-invariant, so nothing reads a weight.
+            assert real.torus == () and real.semi_invariants == ()
+            continue
+        if name == "monoid":
+            lattice, reference = bundle.model.weight_lattice, _ref_monoid_weight_value(params["m"])
+        elif name == "circular":
+            _, _, r, s = families._circular_parameters(**params)
+            lattice, reference = bundle.model.weight_lattice, _ref_circular_weight_value(r, s)
+        else:
+            m, n, r = params["m"], params["n"], params["r"]
+            lattice = families._provisional_determinantal_model(m, n, r).weight_lattice
+            reference = _ref_circular_weight_value(r, 0)
+        assert len(real.torus) == lattice.rank, spec
+        chars = [lattice.basis_character(lab) for lab in lattice.labels]
+        chars += [lattice.character([rng.randint(-3, 3) for _ in range(lattice.rank)]) for _ in range(4)]
+        for seed in range(4):
+            b = real.borel_sampler(random.Random(seed))
+            for chi in chars:
+                got = real.weight_value(chi, b)
+                assert got == reference(chi, _factors(b)) and type(got) is Fraction, (spec, seed, chi.coords)
+                checked += 1
+    assert checked > 500
 
 
 def test_dilation_matches_fraction_sum():

@@ -110,8 +110,9 @@ def test_limit_negative_powers_rejected():
         act=lambda g, x: x,
         group_sampler=lambda rng: (),
         borel_sampler=lambda rng: (),
-        weight_value=lambda chi, g: Fraction(1),
         lie_algebra_rows=lambda pt: [],
+        expected_orbit_dimension=0,
+        stabilizer_sampler=lambda rng: (),
         cocharacter_curves=(("pole", curve),),
     )
     with pytest.raises(NegativeExponentError):
@@ -213,11 +214,14 @@ def test_infer_boundary_valuation_matches_model():
 
 def test_stabilizer_check_examples():
     _, real = circular_complexes_model(2, 2, 1, 1)
-    identity = (
-        tuple(tuple(Fraction(i == j) for j in range(2)) for i in range(2)),
-        tuple(tuple(Fraction(i == j) for j in range(2)) for i in range(2)),
-    )
+    # the identity element: two units (1, I, 1, I)
+    identity_rows = [[int(i == j) for j in range(2)] for i in range(2)]
+    identity = ((1, identity_rows, 1, identity_rows),) * 2
     assert stabilizer_check(real, identity)
+    # I / 2 acting on both vertices fixes the base point, I / 2 on one does not
+    halves = (2, identity_rows, 1, [[2 * e for e in r] for r in identity_rows])
+    assert stabilizer_check(real, (halves, halves))
+    assert not stabilizer_check(real, (halves, identity[1]))
     rng = random.Random(2)
     g = real.stabilizer_sampler(rng)
     assert stabilizer_check(real, g)
