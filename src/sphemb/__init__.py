@@ -29,6 +29,7 @@ from .divisor_model import (
     wonderful_section_divisor,
 )
 from .families import (
+    Curve,
     MatrixRealization,
     SemiInvariantSpec,
     build_family,

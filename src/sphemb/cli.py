@@ -114,9 +114,9 @@ def _parse_sparse(text: str) -> dict[str, int]:
     return out
 
 
-def _divisor_dict(model_or_order, divisor) -> dict[str, int]:
-    order = model_or_order if isinstance(model_or_order, tuple) else model_or_order.label_order
-    return {lab: divisor.coefficient(lab) for lab in order if divisor.coefficient(lab) != 0}
+def _divisor_dict(order, divisor) -> dict[str, int]:
+    coefficients = divisor.as_dict()
+    return {lab: coefficients[lab] for lab in order if coefficients.get(lab)}
 
 
 def _character_dict(model, chi) -> dict[str, int]:
@@ -147,7 +147,7 @@ def _dispatch(ns) -> dict:
 
     if ns.command == "canonical":
         model = _require_model(bundle)
-        return {"divisor": _divisor_dict(model, canonical_divisor(model))}
+        return {"divisor": _divisor_dict(model.label_order, canonical_divisor(model))}
 
     if ns.command == "divisor":
         model = _require_model(bundle)
@@ -157,7 +157,7 @@ def _dispatch(ns) -> dict:
             raise DomainError(str(e)) from None
         return {
             "character": _character_dict(model, chi),
-            "divisor": _divisor_dict(model, principal_divisor(model, chi)),
+            "divisor": _divisor_dict(model.label_order, principal_divisor(model, chi)),
         }
 
     if ns.command == "gorenstein":

@@ -11,9 +11,10 @@ Four families are provided:
 * ``complexes``: pairs (A, B) with AB = 0 and rank bounds; matrix
   realization only.
 
-The last three are products of GL groups acting on the arrow spaces of a
-small quiver; ``_quiver_parts`` builds their action, samplers, membership
-test and Lie-algebra rows from the quiver data.
+Every realization is a product of GL factors moving one matrix per arrow
+(s, t) as g_s X g_t^-1; its arrows and Lie basis are data.  The last three
+act on the arrow spaces of a small quiver; ``_quiver_parts`` builds their
+arrows, samplers, membership test and Lie basis from the quiver data.
 
 A group element is a tuple of units, one per factor: a unit (l, L, r, R)
 is the matrix L / l with inverse R / r, for integer matrices L, R and
@@ -78,27 +79,6 @@ def _identity(n: int) -> Matrix:
 
 def _transpose(m: Matrix) -> Matrix:
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0]) if m else 0))
-
-
-def _unit_times(x: Matrix, i: int, j: int) -> list[Fraction]:
-    """The entries of E_ij X, row by row: X's row j as row i, zeros elsewhere."""
-    cols = len(x[0]) if x else 0
-    out = [Fraction(0)] * (len(x) * cols)
-    out[i * cols : (i + 1) * cols] = [Fraction(e) for e in x[j]]
-    return out
-
-
-def _times_unit(x: Matrix, i: int, j: int) -> list[Fraction]:
-    """The entries of X E_ij, row by row: X's column i as column j, zeros elsewhere."""
-    cols = len(x[0]) if x else 0
-    out = [Fraction(0)] * (len(x) * cols)
-    if cols:
-        out[j::cols] = [Fraction(r[i]) for r in x]
-    return out
-
-
-def _negated(entries: list[Fraction]) -> list[Fraction]:
-    return [-e for e in entries]
 
 
 def _integer_polys(m) -> tuple[int, list[list[dict[int, int]]], bool]:
@@ -254,51 +234,81 @@ class SemiInvariantSpec:
     claimed_weight: Character
 
 
-@dataclass(eq=False)
-class BoundaryCandidate:
-    """An orbit closure that may or may not be a boundary divisor."""
+@dataclass(frozen=True)
+class Curve:
+    """A cocharacter curve through the base point, the ranks of its limit at
+    t = 0 per arrow, and the boundary divisor it reaches, if any."""
 
     label: str
-    curve_label: str
-    idempotent: Point
+    point: Point
+    limit_ranks: tuple[int, ...]
+    boundary: str | None = None
 
 
 @dataclass(eq=False)
 class MatrixRealization:
     """Concrete matrix avatar of a family member, for oracle-level checks.
 
-    ``torus[k]`` names the diagonal entries, as (factor, index) pairs, whose
-    ratio is basis character k's value on a Borel element; ``weight_value``
-    reads it.
+    A point is one matrix per arrow (s, t) of ``arrows``, and a group element
+    one unit per vertex; ``act`` moves X to g_s X g_t^-1.  Each element of
+    ``lie_basis`` maps a vertex to a sparse matrix, as (i, j, c) triples for
+    c E_ij; ``lie_algebra_rows`` reads it.  ``torus[k]`` names the diagonal
+    entries, as (factor, index) pairs, whose ratio is basis character k's
+    value on a Borel element; ``weight_value`` reads it.
     """
 
     base_point: Point
     membership: Callable[[Point], bool]
-    act: Callable[[GroupElement, Point], Point]
+    arrows: tuple[tuple[int, int], ...]
     group_sampler: Callable[[random.Random], GroupElement]
     borel_sampler: Callable[[random.Random], GroupElement]
-    lie_algebra_rows: Callable[[Point], list[list[Fraction]]]
+    lie_basis: tuple[dict[int, tuple[tuple[int, int, int], ...]], ...]
     expected_orbit_dimension: int
     stabilizer_sampler: Callable[[random.Random], GroupElement]
     torus: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
     semi_invariants: tuple[SemiInvariantSpec, ...] = ()
-    cocharacter_curves: tuple[tuple[str, Point], ...] = ()
-    boundary_curves: tuple[tuple[str, str], ...] = ()
-    expected_limit_ranks: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    boundary_candidates: tuple[BoundaryCandidate, ...] = ()
+    curves: tuple[Curve, ...] = ()
 
     def __post_init__(self):
         if not self.membership(self.base_point):
             raise ValueError("base point fails the membership predicate")
-        for label, pt in self.cocharacter_curves:
-            if not _passes_through(pt, self.base_point):
-                raise ValueError(f"curve {label} does not pass through the base point at t=1")
+        for c in self.curves:
+            if not _passes_through(c.point, self.base_point):
+                raise ValueError(f"curve {c.label} does not pass through the base point at t=1")
 
     def curve(self, label: str) -> Point:
-        for lab, pt in self.cocharacter_curves:
-            if lab == label:
-                return pt
+        for c in self.curves:
+            if c.label == label:
+                return c.point
         raise KeyError(f"unknown curve {label!r}")
+
+    def act(self, g: GroupElement, point: Point) -> Point:
+        """g . X = g_s X g_t^-1 at each arrow (s, t)."""
+        return tuple(_translate(g[s][:2], x, g[t][2:]) for (s, t), x in zip(self.arrows, point))
+
+    def lie_algebra_rows(self, point: Point) -> list[list[Fraction]]:
+        """Per ``lie_basis`` element A, the tangent A_s X - X A_t at each arrow (s, t).
+
+        Only the point's nonzero entries are added: c E_ij moves X's row j to
+        row i on the left and X's column i to column j on the right.
+        """
+        rows = []
+        for element in self.lie_basis:
+            row = []
+            for (s, t), x in zip(self.arrows, point):
+                cols = len(x[0]) if x else 0
+                tangent = [Fraction(0)] * (len(x) * cols)
+                for i, j, c in element.get(s, ()):
+                    for k, e in enumerate(x[j]):
+                        if e:
+                            tangent[i * cols + k] += c * e
+                for i, j, c in element.get(t, ()):
+                    for k, x_row in enumerate(x):
+                        if x_row[i]:
+                            tangent[k * cols + j] -= c * x_row[i]
+                row += tangent
+            rows.append(row)
+        return rows
 
     def weight_value(self, chi: Character, g: GroupElement) -> Fraction:
         """chi(g): each basis character's diagonal ratio, to the power of chi's coordinate."""
@@ -496,10 +506,6 @@ def _sample_monoid_element(rng: random.Random, m: int, triangular: str | None = 
 def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealization:
     base = (_identity(m), _identity(m))
 
-    def act(g: GroupElement, x: Point) -> Point:
-        # (a1, b1, a2, b2) . (X, Y) = (a1 X a2^-1, b1 Y b2^-1)
-        return (_translate(g[0][:2], x[0], g[2][2:]), _translate(g[1][:2], x[1], g[3][2:]))
-
     def group_sampler(rng: random.Random) -> GroupElement:
         g1 = _sample_monoid_element(rng, m)
         return g1 + _sample_monoid_element(rng, m)
@@ -531,25 +537,17 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
 
     t = LaurentPoly.t_power(1)
     curves = []
-    ranks = []
     for r in range(m + 1):
         a = [[(1 if k <= r else t) if k == l else 0 for l in range(1, m + 1)] for k in range(1, m + 1)]
         b = [[(t if k <= r else 1) if k == l else 0 for l in range(1, m + 1)] for k in range(1, m + 1)]
-        curves.append((f"lambda_{r}", (_freeze(a), _freeze(b))))
-        ranks.append((f"lambda_{r}", (r, m - r)))
+        curves.append(Curve(f"lambda_{r}", (_freeze(a), _freeze(b)), (r, m - r), f"X_{r}"))
 
-    def lie_rows(point: Point) -> list[list[Fraction]]:
-        # Lie algebra of the unit group: pairs (a, delta*I - a^T).  The pair
-        # (E_ij, -E_ji) moves (X, Y) to (E_ij X, -E_ji Y) on the left and to
-        # (-X E_ij, Y E_ji) on the right; (0, I) moves it to (0, Y) and (0, -Y).
-        x, y = point
-        zeros = [Fraction(0)] * (m * m)
-        y_flat = [Fraction(e) for row in y for e in row]
-        rows = [_unit_times(x, i, j) + _negated(_unit_times(y, j, i)) for i in range(m) for j in range(m)]
-        rows.append(zeros + y_flat)
-        rows += [_negated(_times_unit(x, i, j)) + _times_unit(y, j, i) for i in range(m) for j in range(m)]
-        rows.append(zeros + _negated(y_flat))
-        return rows
+    # Lie algebra of the unit group: pairs (a, delta I - a^T) on each side,
+    # spanned by (E_ij, -E_ji) and (0, I).
+    lie_basis = []
+    for a, b in ((0, 1), (2, 3)):
+        lie_basis += [{a: ((i, j, 1),), b: ((j, i, -1),)} for i in range(m) for j in range(m)]
+        lie_basis.append({b: tuple((k, k, 1) for k in range(m))})
 
     def stabilizer_sampler(rng: random.Random) -> GroupElement:
         g = _sample_monoid_element(rng, m)
@@ -558,16 +556,15 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
     return MatrixRealization(
         base_point=base,
         membership=_monoid_membership,
-        act=act,
+        # (a1, b1, a2, b2) . (X, Y) = (a1 X a2^-1, b1 Y b2^-1)
+        arrows=((0, 2), (1, 3)),
         group_sampler=group_sampler,
         borel_sampler=borel_sampler,
-        lie_algebra_rows=lie_rows,
+        lie_basis=tuple(lie_basis),
         # eps_k is a1's k-th diagonal entry over a2's, eps_{m+1} b1's first over b2's.
         torus=tuple(((0, k), (2, k)) for k in range(m)) + (((1, 0), (3, 0)),),
         semi_invariants=tuple(semi),
-        cocharacter_curves=tuple(curves),
-        boundary_curves=tuple((f"X_{r}", f"lambda_{r}") for r in range(m + 1)),
-        expected_limit_ranks=tuple(ranks),
+        curves=tuple(curves),
         expected_orbit_dimension=m * m + 1,
         stabilizer_sampler=stabilizer_sampler,
     )
@@ -578,16 +575,14 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
 
 
 def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
-    """Action, samplers, membership and Lie-algebra rows of a quiver realization.
+    """Arrows, samplers, membership and Lie basis of a quiver realization.
 
     Arrow k = (s, t) carries a dims[s] x dims[t] matrix X_k, moved by
     g . X_k = g_s X_k g_t^-1.  A point is a member when rk X_k <= ranks[k] and
     X_i X_j = 0 for every (i, j) in ``zero_paths``.  Borel elements are lower
-    triangular at even vertices and upper triangular at odd ones.
+    triangular at even vertices and upper triangular at odd ones.  The Lie
+    basis is E_ij at each vertex, vertex-major.
     """
-
-    def act(g: GroupElement, x: Point) -> Point:
-        return tuple(_translate(g[s][:2], xk, g[t][2:]) for (s, t), xk in zip(arrows, x))
 
     def membership(point: Point) -> bool:
         # Ranks and zero compositions are unchanged by scaling each arrow
@@ -603,30 +598,12 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
     def borel_sampler(rng: random.Random) -> GroupElement:
         return tuple(_rand_triangular(rng, d, lower=v % 2 == 0) for v, d in enumerate(dims))
 
-    def lie_algebra_rows(point: Point) -> list[list[Fraction]]:
-        # One row per E_ij of each vertex, in vertex-major order: the tangent
-        # E X_k at arrows leaving the vertex, -X_k E at arrows entering it.
-        rows = []
-        for v, d in enumerate(dims):
-            for i in range(d):
-                for j in range(d):
-                    row = []
-                    for (s, t), x in zip(arrows, point):
-                        if v == s:
-                            row += _unit_times(x, i, j)
-                        elif v == t:
-                            row += _negated(_times_unit(x, i, j))
-                        else:
-                            row += [Fraction(0)] * (dims[s] * dims[t])
-                    rows.append(row)
-        return rows
-
     return {
-        "act": act,
+        "arrows": arrows,
         "membership": membership,
         "group_sampler": group_sampler,
         "borel_sampler": borel_sampler,
-        "lie_algebra_rows": lie_algebra_rows,
+        "lie_basis": tuple({v: ((i, j, 1),)} for v, d in enumerate(dims) for i in range(d) for j in range(d)),
     }
 
 
@@ -793,36 +770,25 @@ def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDiviso
     er = _standard_er(m, n, r)
     fs = _standard_fs(n, m, s)
 
+    # With two boundaries (m = n, r + s = m) lambda_r reaches the first and
+    # mu_r the second.
+    lambda_boundary, mu_boundary = model.boundary_ids or (None, None)
     t = LaurentPoly.t_power(1)
     curves = []
-    ranks = []
     if r >= 1:
         a = [list(row) for row in er]
         a[r - 1][r - 1] = t
-        curves.append((f"lambda_{r}", (_freeze(a), fs)))
-        ranks.append((f"lambda_{r}", (r - 1, s)))
+        curves.append(Curve(f"lambda_{r}", (_freeze(a), fs), (r - 1, s), lambda_boundary))
     if s >= 1:
         b = [list(row) for row in fs]
         if r + s == n:
             b[r][m - s] = t
-            ranks.append((f"mu_{r}", (r, s - 1)))
-        else:
-            ranks.append((f"mu_{r}", (r, s)))
-        curves.append((f"mu_{r}", (er, _freeze(b))))
-
-    boundary_curves = ()
-    if model.boundaries:
-        boundary_curves = (
-            (model.boundaries[0].label.id, f"lambda_{r}"),
-            (model.boundaries[1].label.id, f"mu_{r}"),
-        )
+        curves.append(Curve(f"mu_{r}", (er, _freeze(b)), (r, s - 1 if r + s == n else s), mu_boundary))
 
     return MatrixRealization(
         base_point=(er, fs),
         torus=_circular_torus(m, n, r, s),
-        cocharacter_curves=tuple(curves),
-        boundary_curves=boundary_curves,
-        expected_limit_ranks=tuple(ranks),
+        curves=tuple(curves),
         expected_orbit_dimension=(r + s) * (m + n - (r + s)),
         stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, s),
         **_quiver_parts((m, n), ((0, 1), (1, 0)), (r, s), ((0, 1), (1, 0))),
@@ -903,17 +869,15 @@ def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) ->
     er = _standard_er(m, n, r)
     a = [list(row) for row in er]
     a[r - 1][r - 1] = LaurentPoly.t_power(1)
-    curves = ((f"lambda_{r}", (_freeze(a),)),)
 
     return MatrixRealization(
         base_point=(er,),
         torus=_circular_torus(m, n, r, 0),
         semi_invariants=tuple(semi),
-        cocharacter_curves=curves,
-        expected_limit_ranks=((f"lambda_{r}", (r - 1,)),),
+        # The curve's limit is the candidate boundary orbit X_{r-1}.
+        curves=(Curve(f"lambda_{r}", (_freeze(a),), (r - 1,), f"X_{r - 1}"),),
         expected_orbit_dimension=r * (m + n - r),
         stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, 0),
-        boundary_candidates=(BoundaryCandidate(f"X_{r - 1}", f"lambda_{r}", (_standard_er(m, n, r - 1),)),),
         **_quiver_parts((m, n), ((0, 1),), (r,)),
     )
 
@@ -923,26 +887,28 @@ def finalize_determinantal_model(
 ) -> SphericalDivisorModel:
     """Confirm the boundary data of a provisional determinantal model.
 
-    Every candidate orbit closure is measured with the Jacobian-rank oracle;
-    only codimension-one candidates become boundary divisors, with their
-    valuation solved from t-adic orders of the verified semi-invariants.
+    The orbit of each boundary-labelled curve's limit at t = 0 is measured
+    with the Jacobian-rank oracle; only a codimension-one orbit closure
+    becomes a boundary divisor, with its valuation solved from t-adic orders
+    of the verified semi-invariants along the curve.
     """
     from . import oracle
 
     base_dim = oracle.orbit_dimension(realization)
     divisorial = [
-        cand
-        for cand in realization.boundary_candidates
-        if base_dim - oracle.orbit_dimension(realization, point=cand.idempotent) == 1
+        c
+        for c in realization.curves
+        if c.boundary is not None
+        and base_dim - oracle.orbit_dimension(realization, oracle.limit_signature(realization, c.label).limit_point) == 1
     ]
     confirmed = []
     if divisorial:
         verified = oracle.select_semi_invariants(realization, trials=trials, seed=seed)
-        for cand in divisorial:
+        for c in divisorial:
             valuation = oracle.infer_boundary_valuation(
-                realization, cand.curve_label, verified, model.weight_lattice, trials=trials, seed=seed
+                realization, c.label, verified, model.weight_lattice, trials=trials, seed=seed
             )
-            confirmed.append(BoundarySpec(DivisorLabel(BOUNDARY, cand.label), valuation))
+            confirmed.append(BoundarySpec(DivisorLabel(BOUNDARY, c.boundary), valuation))
     return replace(model, boundaries=tuple(confirmed), provisional=False)
 
 

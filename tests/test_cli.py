@@ -218,6 +218,14 @@ PINNED_ARGV_DIGESTS = {
         (0, "1289aa2171b53e294e796f5f92146ff05af5b0860c5074598b317cbdbc6bd7d1"),
     ("verify", "--family", "circular:m=3,n=2,r=1,s=1"):
         (0, "4f847944a98d8a7cd0d147e9ec7b0a4545c5bcb8b0725dea843bb578c80edf05"),
+    # Both circular curves carry a boundary label; the smallest monoid; a
+    # determinantal member with m > n, finalized through the oracle.
+    ("verify", "--family", "circular:m=3,n=3,r=1,s=2"):
+        (0, "07269af9ab8b5c1690222653ef2242aaf156787c400289c436afd1272cfdddeb"),
+    ("verify", "--family", "monoid:m=1"):
+        (0, "7909659b4b38141bc456641ddda7f902c05b1ee0c200e3b979e19c1c06e50b68"),
+    ("verify", "--family", "determinantal:m=4,n=3,r=2"):
+        (0, "42a63b37d93be365a7d36e717501b353b95247558a6eb3a754c2bf1774bbc220"),
 }
 
 

@@ -79,7 +79,7 @@ def test_monoid_realization_membership_and_curves():
     for _ in range(5):
         g = real.group_sampler(rng)
         assert real.membership(real.act(g, real.base_point))
-    assert dict(real.boundary_curves) == {f"X_{r}": f"lambda_{r}" for r in range(4)}
+    assert {c.boundary: c.label for c in real.curves} == {f"X_{r}": f"lambda_{r}" for r in range(4)}
 
 
 def test_circular_parameter_validation():
@@ -177,6 +177,37 @@ def test_determinantal_realization_and_finalized_model():
     assert pres.free_rank == 1 and not pres.invariant_factors
     coords = class_of(model, canonical_divisor(model))
     assert coords.free == (0,)  # m == n: Gorenstein quadric cone
+
+
+def test_each_model_boundary_has_one_curve():
+    cases = [(monoid_model(m), None) for m in range(1, 9)]
+    cases += [(circular_complexes_model(*p), p[2]) for p in admissible_circular_parameters(5, 5)]
+    for (model, real), r in cases:
+        named = [c.boundary for c in real.curves if c.boundary is not None]
+        assert sorted(named) == sorted(model.boundary_ids), model.boundary_ids
+        if r is not None and model.boundaries:
+            # lambda_r reaches the first circular boundary, mu_r the second
+            assert {c.label: c.boundary for c in real.curves} == dict(zip((f"lambda_{r}", f"mu_{r}"), model.boundary_ids))
+
+
+def _reference_standard_er(rows, cols, r):
+    return tuple(tuple(Fraction(int(i == j and i < r)) for j in range(cols)) for i in range(rows))
+
+
+def test_determinantal_candidate_is_the_curve_limit():
+    from sphemb.oracle import limit_signature, orbit_dimension
+
+    for m in range(2, 6):
+        for n in range(2, 6):
+            for r in range(1, min(m, n)):
+                real, provisional = determinantal_realization(m, n, r)
+                (curve,) = real.curves
+                assert curve.boundary == f"X_{r - 1}"
+                limit = limit_signature(real, curve.label).limit_point
+                assert limit == (_reference_standard_er(m, n, r - 1),), (m, n, r)
+                codim = orbit_dimension(real) - orbit_dimension(real, point=limit)
+                assert codim == m + n - 2 * r + 1 >= 2, (m, n, r)
+                assert finalize_determinantal_model(provisional, real).boundaries == ()
 
 
 def test_determinantal_rectangular_canonical_class():
@@ -722,7 +753,7 @@ def test_quiver_lie_rows_match_unit_matrix_products():
 
 def test_monoid_lie_rows_match_unit_matrix_products():
     rng = random.Random(9)
-    for m in (2, 3, 4):
+    for m in (1, 2, 3, 4):
         _, real = monoid_model(m)
         for point in _orbit_points(real, rng):
             got = real.lie_algebra_rows(point)
@@ -835,7 +866,8 @@ def test_curve_off_at_one_fails_construction():
     from sphemb.laurent import T
 
     _, real = monoid_model(3)
-    (label, (a, b)) = real.cocharacter_curves[1]
+    curve = real.curves[1]
+    label, (a, b) = curve.label, curve.point
     assert dataclasses.replace(real).curve(label) == (a, b)
     # a Laurent entry whose coefficients sum to 2, a constant entry off by one,
     # and an off-diagonal zero made 1
@@ -843,14 +875,14 @@ def test_curve_off_at_one_fails_construction():
         rows = [list(r) for r in (a, b)[block]]
         rows[i][j] = entry
         broken = (_freeze(rows), b) if block == 0 else (a, _freeze(rows))
-        curves = tuple((lab, broken if lab == label else pt) for lab, pt in real.cocharacter_curves)
+        curves = tuple(dataclasses.replace(c, point=broken) if c is curve else c for c in real.curves)
         with pytest.raises(ValueError, match=f"curve {label} does not pass"):
-            dataclasses.replace(real, cocharacter_curves=curves)
+            dataclasses.replace(real, curves=curves)
     # t^2 agrees with t at t = 1
     rows = [list(r) for r in a]
     rows[2][2] = T ** 2
-    curves = tuple((lab, (_freeze(rows), b) if lab == label else pt) for lab, pt in real.cocharacter_curves)
-    dataclasses.replace(real, cocharacter_curves=curves)
+    curves = tuple(dataclasses.replace(c, point=(_freeze(rows), b)) if c is curve else c for c in real.curves)
+    dataclasses.replace(real, curves=curves)
 
 
 # A sampled group element is a tuple of units (l, L, r, R), the factor L / l
@@ -1023,7 +1055,7 @@ def _identity_rows(n):
 
 
 def _points(real):
-    return [real.base_point] + [pt for _, pt in real.cocharacter_curves]
+    return [real.base_point] + [c.point for c in real.curves]
 
 
 def test_sampled_units_carry_their_inverses():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sphemb.families import (
+    Curve,
     MatrixRealization,
     SemiInvariantSpec,
     circular_complexes_model,
@@ -107,13 +108,13 @@ def test_limit_negative_powers_rejected():
     real = MatrixRealization(
         base_point=base,
         membership=lambda pt: True,
-        act=lambda g, x: x,
+        arrows=((0, 0),),
         group_sampler=lambda rng: (),
         borel_sampler=lambda rng: (),
-        lie_algebra_rows=lambda pt: [],
+        lie_basis=(),
         expected_orbit_dimension=0,
         stabilizer_sampler=lambda rng: (),
-        cocharacter_curves=(("pole", curve),),
+        curves=(Curve("pole", curve, (0,)),),
     )
     with pytest.raises(NegativeExponentError):
         limit_signature(real, "pole")
@@ -207,7 +208,7 @@ def test_infer_boundary_valuation_matches_model():
     model, real = monoid_model(3)
     verified = select_semi_invariants(real)
     for spec in model.boundaries:
-        curve = dict(real.boundary_curves)[spec.label.id]
+        (curve,) = [c.label for c in real.curves if c.boundary == spec.label.id]
         nu = infer_boundary_valuation(real, curve, verified, model.weight_lattice)
         assert nu == spec.valuation
 
@@ -321,7 +322,7 @@ def test_shared_draws_match_per_function_loops(seed):
         # The extra candidates with a wrong weight or a constant value add
         # nothing to orders; the zero function covers the vanishing case.
         functions = tuple(f for f in candidates if f.name not in ("wrong_weight", "one"))
-        for curve_label, _ in real.cocharacter_curves:
+        for curve_label in [c.label for c in real.curves]:
             orders = [_reference_orders(real, f, curve_label, 20, seed) for f in functions]
             for trials in (1, 8, 20):
                 want = tuple(_reference_t_order(o[:trials]) for o in orders)
@@ -405,8 +406,9 @@ def test_verification_report_draw_counts():
         counts[name] = 0
     report = verification_report(model, real, trials=trials, seed=0)
     assert report.passed and report.stable
-    # plus three acts: the stabilizer check and two perturbed elements
-    assert counts == {"group_sampler": (2 + 4) * trials, "borel_sampler": trials, "act": (4 + 4) * trials + 3}
+    # plus two acts: the stabilizer check and the first perturbed element,
+    # which already moves the base point
+    assert counts == {"group_sampler": (2 + 4) * trials, "borel_sampler": trials, "act": (4 + 4) * trials + 2}
 
 
 def test_report_without_checks_has_not_passed():
