@@ -13,7 +13,6 @@ from .divisor_model import (
     BoundarySpec,
     ColorSpec,
     Divisor,
-    DivisorLabel,
     SphericalDivisorModel,
     WonderfulModel,
     canonical_divisor,

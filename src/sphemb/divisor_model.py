@@ -20,14 +20,10 @@ from .lattice import (
     AbelianGroupPresentation,
     IntegerMatrix,
     SmithDecomposition,
-    rational_inverse,
+    integer_inverse,
     smith_normal_form,
 )
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, is_antidominant, pair
-
-BOUNDARY = "boundary"
-COLOR = "color"
-
 
 class ForeignLabelError(ValueError):
     """A divisor refers to a label that does not belong to the model."""
@@ -43,16 +39,6 @@ class ProvisionalModelError(ValueError):
 
 class PicardMembershipError(ValueError):
     """A character outside the Picard sublattice of a wonderful model."""
-
-
-@dataclass(frozen=True)
-class DivisorLabel:
-    kind: str
-    id: str
-
-    def __post_init__(self):
-        if self.kind not in (BOUNDARY, COLOR):
-            raise ValueError(f"unknown divisor kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -103,23 +89,15 @@ class Divisor:
 
 @dataclass(frozen=True)
 class ColorSpec:
-    label: DivisorLabel
+    id: str
     functional: Covector
     canonical_coefficient: int
-
-    def __post_init__(self):
-        if self.label.kind != COLOR:
-            raise ValueError("ColorSpec label must have kind 'color'")
 
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    label: DivisorLabel
+    id: str
     valuation: Covector
-
-    def __post_init__(self):
-        if self.label.kind != BOUNDARY:
-            raise ValueError("BoundarySpec label must have kind 'boundary'")
 
 
 @dataclass(frozen=True)
@@ -142,15 +120,15 @@ class SphericalDivisorModel:
 
     @property
     def label_order(self) -> tuple[str, ...]:
-        return tuple(b.label.id for b in self.boundaries) + tuple(c.label.id for c in self.colors)
+        return tuple(b.id for b in self.boundaries) + tuple(c.id for c in self.colors)
 
     @property
     def boundary_ids(self) -> tuple[str, ...]:
-        return tuple(b.label.id for b in self.boundaries)
+        return tuple(b.id for b in self.boundaries)
 
     @property
     def color_ids(self) -> tuple[str, ...]:
-        return tuple(c.label.id for c in self.colors)
+        return tuple(c.id for c in self.colors)
 
     def resolve_label(self, name: str) -> str:
         for alias, target in self.label_aliases:
@@ -213,15 +191,15 @@ def validate_model(model: SphericalDivisorModel) -> ValidationReport:
     for spec in model.colors:
         for b in model.basis_characters:
             if pair(b, spec.functional).denominator != 1:
-                failures.append(f"colour functional {spec.label.id} is not integral on the lattice")
+                failures.append(f"colour functional {spec.id} is not integral on the lattice")
                 break
     for spec in model.boundaries:
         for b in model.basis_characters:
             if pair(b, spec.valuation).denominator != 1:
-                failures.append(f"boundary valuation {spec.label.id} is not integral on the lattice")
+                failures.append(f"boundary valuation {spec.id} is not integral on the lattice")
                 break
         if not is_antidominant(spec.valuation, model.simple_roots):
-            failures.append(f"boundary valuation {spec.label.id} is not antidominant")
+            failures.append(f"boundary valuation {spec.id} is not antidominant")
 
     return ValidationReport(tuple(failures))
 
@@ -232,20 +210,20 @@ def principal_divisor(model: SphericalDivisorModel, chi: Character) -> Divisor:
     for spec in model.boundaries:
         v = pair(chi, spec.valuation)
         if v.denominator != 1:
-            raise NonIntegralPairingError(f"non-integral boundary pairing at {spec.label.id}")
-        coeffs[spec.label.id] = v.numerator
+            raise NonIntegralPairingError(f"non-integral boundary pairing at {spec.id}")
+        coeffs[spec.id] = v.numerator
     for spec in model.colors:
         v = pair(chi, spec.functional)
         if v.denominator != 1:
-            raise NonIntegralPairingError(f"non-integral colour pairing at {spec.label.id}")
-        coeffs[spec.label.id] = v.numerator
+            raise NonIntegralPairingError(f"non-integral colour pairing at {spec.id}")
+        coeffs[spec.id] = v.numerator
     return Divisor.from_mapping(coeffs)
 
 
 def canonical_divisor(model: SphericalDivisorModel) -> Divisor:
     """The fixed representative: -1 on every boundary, the stored coefficient on every colour."""
-    coeffs = {b.label.id: -1 for b in model.boundaries}
-    coeffs.update({c.label.id: c.canonical_coefficient for c in model.colors})
+    coeffs = {b.id: -1 for b in model.boundaries}
+    coeffs.update({c.id: c.canonical_coefficient for c in model.colors})
     return Divisor.from_mapping(coeffs)
 
 
@@ -349,9 +327,11 @@ def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
                 vectors.append(vec)
         if len(chosen) == f:
             generators = tuple(chosen)
-            cols = [[Fraction(vectors[j][i]) for j in range(f)] for i in range(f)]
-            inv = rational_inverse(cols)
-            gen_inverse = tuple(tuple(int(e) for e in row) for row in inv)
+            # The vectors are a basis of Z^f, so the inverse is integral (d = 1).
+            d, inv = integer_inverse([[vectors[j][i] for j in range(f)] for i in range(f)])
+            if d != 1:
+                raise ArithmeticError("class-group generators are not a basis of the free part")
+            gen_inverse = tuple(tuple(row) for row in inv)
         else:
             generators = None
 
@@ -443,35 +423,31 @@ def is_gorenstein(model: SphericalDivisorModel) -> bool:
 class WonderfulModel:
     """Coroot data of a wonderful compactification.
 
-    ``paired_colors`` carries one colour per pair of simple roots identified
-    on the Picard group (their two coroot functionals must agree on a section
-    weight); ``extra_colors`` carries the unpaired simple roots.
+    ``colors`` holds one ``(label, coroots)`` record per colour.  A colour
+    with two coroots stands for a pair of simple roots identified on the
+    Picard group, whose coroot functionals must agree on a section weight;
+    a colour with one coroot stands for an unpaired simple root.  Paired
+    colours come first.
     """
 
     lattice: TorusLattice
-    paired_colors: tuple[tuple[str, Covector, Covector], ...]
-    extra_colors: tuple[tuple[str, Covector], ...]
+    colors: tuple[tuple[str, tuple[Covector, ...]], ...]
 
     @property
     def color_ids(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _, _ in self.paired_colors) + tuple(lab for lab, _ in self.extra_colors)
+        return tuple(lab for lab, _ in self.colors)
 
 
 def wonderful_section_divisor(model: WonderfulModel, chi: Character) -> Divisor:
     """Divisor of the canonical section attached to a Picard-lattice character."""
     coeffs: dict[str, int] = {}
-    for lab, f1, f2 in model.paired_colors:
-        a = pair(chi, f1)
-        b = pair(chi, f2)
-        if a != b:
-            raise PicardMembershipError(
-                f"character pairs unequally ({a} vs {b}) against the coroot pair at {lab}"
-            )
-        if a.denominator != 1:
-            raise NonIntegralPairingError(f"non-integral pairing at {lab}")
-        coeffs[lab] = a.numerator
-    for lab, f in model.extra_colors:
-        a = pair(chi, f)
+    for lab, coroots in model.colors:
+        a, *others = (pair(chi, f) for f in coroots)
+        for b in others:
+            if a != b:
+                raise PicardMembershipError(
+                    f"character pairs unequally ({a} vs {b}) against the coroot pair at {lab}"
+                )
         if a.denominator != 1:
             raise NonIntegralPairingError(f"non-integral pairing at {lab}")
         coeffs[lab] = a.numerator
@@ -493,18 +469,18 @@ def model_to_json_dict(model: SphericalDivisorModel) -> dict:
         "basis_characters": [list(b.coords) for b in model.basis_characters],
         "simple_roots": [
             {"label": rlab, "root": list(root.coords), "coroot": [_frac_str(c) for c in coroot.coords]}
-            for (rlab, root), (_, coroot) in zip(model.simple_roots.roots, model.simple_roots.coroots)
+            for rlab, root, coroot in model.simple_roots.roots
         ],
         "colors": [
             {
-                "id": c.label.id,
+                "id": c.id,
                 "functional": [_frac_str(x) for x in c.functional.coords],
                 "canonical_coefficient": c.canonical_coefficient,
             }
             for c in model.colors
         ],
         "boundaries": [
-            {"id": b.label.id, "valuation": [_frac_str(x) for x in b.valuation.coords]}
+            {"id": b.id, "valuation": [_frac_str(x) for x in b.valuation.coords]}
             for b in model.boundaries
         ],
     }
@@ -524,33 +500,28 @@ def model_to_json(model: SphericalDivisorModel) -> str:
 def model_from_json(doc) -> SphericalDivisorModel:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    lattice = TorusLattice(rank=doc["lattice"]["rank"], labels=tuple(doc["lattice"]["labels"]))
+    labels = tuple(doc["lattice"]["labels"])
+    if len(labels) != doc["lattice"]["rank"]:
+        raise ValueError("label count does not match rank")
+    lattice = TorusLattice(labels)
     basis = tuple(lattice.character(c) for c in doc["basis_characters"])
-    roots = []
-    coroots = []
-    for item in doc["simple_roots"]:
-        roots.append((item["label"], lattice.character(item["root"])))
-        coroots.append((item["label"], lattice.covector([Fraction(s) for s in item["coroot"]])))
-    simple_roots = SimpleRootSet(roots=tuple(roots), coroots=tuple(coroots))
-    colors = tuple(
-        ColorSpec(
-            label=DivisorLabel(COLOR, item["id"]),
-            functional=lattice.covector([Fraction(s) for s in item["functional"]]),
-            canonical_coefficient=item["canonical_coefficient"],
+
+    def covector(strings) -> Covector:
+        return lattice.covector([Fraction(s) for s in strings])
+
+    simple_roots = SimpleRootSet(
+        tuple(
+            (item["label"], lattice.character(item["root"]), covector(item["coroot"]))
+            for item in doc["simple_roots"]
         )
+    )
+    colors = tuple(
+        ColorSpec(item["id"], covector(item["functional"]), item["canonical_coefficient"])
         for item in doc["colors"]
     )
-    boundaries = tuple(
-        BoundarySpec(
-            label=DivisorLabel(BOUNDARY, item["id"]),
-            valuation=lattice.covector([Fraction(s) for s in item["valuation"]]),
-        )
-        for item in doc["boundaries"]
-    )
-    aliases = tuple(sorted((a, t) for a, t in doc.get("aliases", {}).items()))
-    char_aliases = tuple(
-        sorted((a, lattice.character(c)) for a, c in doc.get("character_aliases", {}).items())
-    )
+    boundaries = tuple(BoundarySpec(item["id"], covector(item["valuation"])) for item in doc["boundaries"])
+    aliases = tuple(doc.get("aliases", {}).items())
+    char_aliases = tuple((a, lattice.character(c)) for a, c in doc.get("character_aliases", {}).items())
     return SphericalDivisorModel(
         weight_lattice=lattice,
         simple_roots=simple_roots,

@@ -41,15 +41,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Sequence
 
-from .divisor_model import (
-    BOUNDARY,
-    COLOR,
-    BoundarySpec,
-    ColorSpec,
-    DivisorLabel,
-    SphericalDivisorModel,
-    WonderfulModel,
-)
+from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel
 from .lattice import integer_inverse, mat_mul, rational_rank, scaled_to_integers
 from .laurent import LaurentPoly
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, pair
@@ -393,12 +385,11 @@ def _monoid_model(m: int) -> SphericalDivisorModel:
         raise FamilyParameterError("monoid requires m >= 1")
 
     labels = tuple(f"eps_{k}" for k in range(1, m + 2))
-    lattice = TorusLattice(rank=m + 1, labels=labels)
+    lattice = TorusLattice(labels)
     basis = tuple(lattice.basis_character(lab) for lab in labels)
     coroot_table = _monoid_coroots(m)
 
     roots = []
-    coroots = []
     colors = []
     for i in range(1, m):
         root = [0] * (m + 1)
@@ -406,15 +397,14 @@ def _monoid_model(m: int) -> SphericalDivisorModel:
         root[i] = -1
         alpha = lattice.character(root)
         alpha_v = lattice.covector([coroot_table[f"D_{i}"].get(k, 0) for k in range(m + 1)])
-        roots.append((f"alpha_{i}", alpha))
-        coroots.append((f"alpha_{i}", alpha_v))
-        colors.append(ColorSpec(DivisorLabel(COLOR, f"D_{i}"), alpha_v, canonical_coefficient=-2))
+        roots.append((f"alpha_{i}", alpha, alpha_v))
+        colors.append(ColorSpec(f"D_{i}", alpha_v, canonical_coefficient=-2))
 
     boundaries = []
     for r in range(m + 1):
         coords = [0 if k <= r else 1 for k in range(1, m + 1)]
         coords.append(1 if r >= 1 else 0)
-        boundaries.append(BoundarySpec(DivisorLabel(BOUNDARY, f"X_{r}"), lattice.covector(coords)))
+        boundaries.append(BoundarySpec(f"X_{r}", lattice.covector(coords)))
 
     char_aliases = tuple(
         (f"eps_{m + k}", basis[0] + basis[m] - basis[k - 1]) for k in range(2, m + 1)
@@ -422,7 +412,7 @@ def _monoid_model(m: int) -> SphericalDivisorModel:
 
     model = SphericalDivisorModel(
         weight_lattice=lattice,
-        simple_roots=SimpleRootSet(tuple(roots), tuple(coroots)),
+        simple_roots=SimpleRootSet(tuple(roots)),
         colors=tuple(colors),
         boundaries=tuple(boundaries),
         basis_characters=basis,
@@ -462,13 +452,13 @@ def _crosscheck(
     for spec in model.colors:
         for b, amb in basis:
             value = pair(b, spec.functional)
-            for cor in coroots[spec.label.id]:
+            for cor in coroots[spec.id]:
                 if value != sum(amb[k] * c for k, c in cor.items()):
-                    raise ValueError(f"colour table for {spec.label.id} disagrees with ambient coroot pairing")
+                    raise ValueError(f"colour table for {spec.id} disagrees with ambient coroot pairing")
     for spec, expo in zip(model.boundaries, exponents, strict=True):
         for b, amb in basis:
             if pair(b, spec.valuation) != sum(amb[k] * e for k, e in expo.items()):
-                raise ValueError(f"boundary valuation {spec.label.id} disagrees with its curve exponents")
+                raise ValueError(f"boundary valuation {spec.id} disagrees with its curve exponents")
 
 
 def _monoid_membership(point: Point) -> bool:
@@ -653,7 +643,7 @@ def _circular_model(m: int, n: int, r: int, s: int) -> SphericalDivisorModel:
     At s = 0 it is the model of the m x n matrices of rank <= r.
     """
     labels = tuple(f"eps_{i}" for i in range(1, r + 1)) + tuple(f"delta_{j}" for j in range(1, s + 1))
-    lattice = TorusLattice(rank=r + s, labels=labels)
+    lattice = TorusLattice(labels)
     basis = tuple(lattice.basis_character(lab) for lab in labels)
 
     def eps_vec(mapping) -> list:
@@ -663,15 +653,13 @@ def _circular_model(m: int, n: int, r: int, s: int) -> SphericalDivisorModel:
         return v
 
     roots = []
-    coroots = []
     colors = []
     simple = [(f"alpha_{i}", f"D_{i}", {i - 1: 1, i: -1}) for i in range(1, r)]
     simple += [(f"beta_{j}", f"E_{j}", {r + j - 1: -1, r + j: 1}) for j in range(1, s)]
     for root_label, color_label, coords in simple:
         coroot = lattice.covector(eps_vec(coords))
-        roots.append((root_label, lattice.character(eps_vec(coords))))
-        coroots.append((root_label, coroot))
-        colors.append(ColorSpec(DivisorLabel(COLOR, color_label), coroot, canonical_coefficient=-2))
+        roots.append((root_label, lattice.character(eps_vec(coords)), coroot))
+        colors.append(ColorSpec(color_label, coroot, canonical_coefficient=-2))
 
     # Exterior colours D_r1, D_r2, D_s1, D_s2, in that order.  When r, s > 0
     # and r + s equals m (side 1) or n (side 2), D_s<side> merges into
@@ -692,20 +680,16 @@ def _circular_model(m: int, n: int, r: int, s: int) -> SphericalDivisorModel:
             else:
                 exterior[f"D_s{side}"] = (phi_s, coeff)
     for lab, (fun, coeff) in exterior.items():
-        colors.append(ColorSpec(DivisorLabel(COLOR, lab), lattice.covector(fun), canonical_coefficient=coeff))
+        colors.append(ColorSpec(lab, lattice.covector(fun), canonical_coefficient=coeff))
 
     boundaries = []
     if m == n and r + s == m:
-        boundaries.append(
-            BoundarySpec(DivisorLabel(BOUNDARY, f"X_{{{r - 1},{m - r}}}"), lattice.covector(eps_vec({r - 1: 1})))
-        )
-        boundaries.append(
-            BoundarySpec(DivisorLabel(BOUNDARY, f"X_{{{r},{m - r - 1}}}"), lattice.covector(eps_vec({r: 1})))
-        )
+        boundaries.append(BoundarySpec(f"X_{{{r - 1},{m - r}}}", lattice.covector(eps_vec({r - 1: 1}))))
+        boundaries.append(BoundarySpec(f"X_{{{r},{m - r - 1}}}", lattice.covector(eps_vec({r: 1}))))
 
     model = SphericalDivisorModel(
         weight_lattice=lattice,
-        simple_roots=SimpleRootSet(tuple(roots), tuple(coroots)),
+        simple_roots=SimpleRootSet(tuple(roots)),
         colors=tuple(colors),
         boundaries=tuple(boundaries),
         basis_characters=basis,
@@ -908,7 +892,7 @@ def finalize_determinantal_model(
             valuation = oracle.infer_boundary_valuation(
                 realization, c.label, verified, model.weight_lattice, trials=trials, seed=seed
             )
-            confirmed.append(BoundarySpec(DivisorLabel(BOUNDARY, c.boundary), valuation))
+            confirmed.append(BoundarySpec(c.boundary, valuation))
     return replace(model, boundaries=tuple(confirmed), provisional=False)
 
 
@@ -951,24 +935,10 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
         )
         return (_unit(a_full), _unit(b_full), _unit(c_full))
 
-    # dim of the block-shaped stabilizer, counting each shared block once.
-    dim_h = (
-        r * r
-        + r * (l - r)
-        + (l - r) ** 2
-        + (m - r - s) * r
-        + (m - r - s) ** 2
-        + s * r
-        + s * (m - r - s)
-        + s * s
-        + (n - s) ** 2
-        + (n - s) * s
-    )
-    expected_dim = l * l + m * m + n * n - dim_h
-
     return MatrixRealization(
         base_point=(er, fs),
-        expected_orbit_dimension=expected_dim,
+        # The orbit of complexes of ranks (r, s) (De Concini-Strickland 1981).
+        expected_orbit_dimension=r * (l + m - r) + s * (m + n - s) - r * s,
         stabilizer_sampler=stabilizer_sampler,
         **_quiver_parts((l, m, n), ((0, 1), (1, 2)), (r, s), ((0, 1),)),
     )
@@ -981,9 +951,9 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
 def _wonderful(labels: tuple[str, ...], table: dict[str, tuple[dict[int, int], ...]]) -> WonderfulModel:
     """Wonderful data on the torus with ``labels`` from a table of sparse coroots.
 
-    A colour with two coroots is paired, one with a single coroot is extra.
+    Each colour keeps its one or two coroots, in the table's order.
     """
-    lattice = TorusLattice(rank=len(labels), labels=labels)
+    lattice = TorusLattice(labels)
 
     def cov(sparse: dict[int, int]) -> Covector:
         v = [0] * len(labels)
@@ -991,14 +961,7 @@ def _wonderful(labels: tuple[str, ...], table: dict[str, tuple[dict[int, int], .
             v[k] = c
         return lattice.covector(v)
 
-    paired = []
-    extra = []
-    for lab, cors in table.items():
-        if len(cors) == 2:
-            paired.append((lab, cov(cors[0]), cov(cors[1])))
-        else:
-            extra.append((lab, cov(cors[0])))
-    return WonderfulModel(lattice=lattice, paired_colors=tuple(paired), extra_colors=tuple(extra))
+    return WonderfulModel(lattice, tuple((lab, tuple(cov(c) for c in cors)) for lab, cors in table.items()))
 
 
 def monoid_wonderful(m: int) -> WonderfulModel:

@@ -257,7 +257,7 @@ def verify_boundary_valuations(
     curve_of = {c.boundary: c.label for c in real.curves}
     records = []
     for spec in model.boundaries:
-        curve_label = curve_of[spec.label.id]
+        curve_label = curve_of[spec.id]
         results = t_order(real, semi_invariants, curve_label, trials=trials, seed=seed) if semi_invariants else ()
         for f, result in zip(semi_invariants, results):
             expected = pair(f.claimed_weight, spec.valuation)
@@ -266,7 +266,7 @@ def verify_boundary_valuations(
             records.append(
                 CheckRecord(
                     check="boundary_valuation",
-                    inputs={"boundary": spec.label.id, "semi_invariant": f.name, "curve": curve_label},
+                    inputs={"boundary": spec.id, "semi_invariant": f.name, "curve": curve_label},
                     model_value=model_value,
                     oracle_value=oracle_value,
                     match=oracle_value == model_value,

@@ -19,16 +19,20 @@ class LatticeMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class TorusLattice:
-    """A free abelian group of finite rank with labelled basis elements."""
+    """A free abelian group with one distinct label per basis element.
 
-    rank: int
+    The rank is the number of labels.
+    """
+
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.labels) != self.rank:
-            raise ValueError("label count does not match rank")
-        if len(set(self.labels)) != self.rank:
+        if len(set(self.labels)) != len(self.labels):
             raise ValueError("basis labels must be distinct")
+
+    @property
+    def rank(self) -> int:
+        return len(self.labels)
 
     def index(self, label: str) -> int:
         try:
@@ -115,15 +119,12 @@ def pair(chi: Character, f: Covector) -> Fraction:
 
 @dataclass(frozen=True)
 class SimpleRootSet:
-    """Simple roots with index-aligned coroot functionals, <alpha_i, alpha_i^v> = 2."""
+    """Simple roots, one ``(label, root, coroot)`` record each, <alpha, alpha^v> = 2."""
 
-    roots: tuple[tuple[str, Character], ...]
-    coroots: tuple[tuple[str, Covector], ...]
+    roots: tuple[tuple[str, Character, Covector], ...]
 
     def __post_init__(self):
-        if len(self.roots) != len(self.coroots):
-            raise ValueError("roots and coroots must be index-aligned")
-        for (_, alpha), (_, alpha_v) in zip(self.roots, self.coroots):
+        for _, alpha, alpha_v in self.roots:
             if pair(alpha, alpha_v) != 2:
                 raise ValueError("coroot normalization <alpha, alpha^v> = 2 violated")
 
@@ -133,4 +134,4 @@ class SimpleRootSet:
 
 def is_antidominant(v: Covector, roots: SimpleRootSet) -> bool:
     """True iff <alpha, v> <= 0 for every simple root alpha."""
-    return all(pair(alpha, v) <= 0 for _, alpha in roots.roots)
+    return all(pair(alpha, v) <= 0 for _, alpha, _ in roots.roots)

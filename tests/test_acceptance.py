@@ -239,7 +239,7 @@ def test_c12_property_suites():
         assert principal_divisor(model, chi1 + chi2) == principal_divisor(model, chi1) + principal_divisor(model, chi2)
 
     # wonderful_section_divisor is a homomorphism on 200 random Picard pairs.
-    lattice = TorusLattice(6, tuple(f"e{i}" for i in range(1, 7)))
+    lattice = TorusLattice(tuple(f"e{i}" for i in range(1, 7)))
 
     def cov(*pairs):
         v = [0] * 6
@@ -248,9 +248,12 @@ def test_c12_property_suites():
         return lattice.covector(v)
 
     wonderful = WonderfulModel(
-        lattice=lattice,
-        paired_colors=(("D_1", cov((0, 1), (1, -1)), cov((3, 1), (4, -1))),),
-        extra_colors=(("D_a", cov((1, 1), (2, -1))), ("D_b", cov((4, 1), (5, -1)))),
+        lattice,
+        (
+            ("D_1", (cov((0, 1), (1, -1)), cov((3, 1), (4, -1)))),
+            ("D_a", (cov((1, 1), (2, -1)),)),
+            ("D_b", (cov((4, 1), (5, -1)),)),
+        ),
     )
     pic_gens = [
         lattice.character([1, 0, 0, 1, 0, 0]),
@@ -277,7 +280,7 @@ def test_c12_property_suites():
 
 
 def test_c13_wonderful_section_divisors():
-    lattice = TorusLattice(6, tuple(f"e{i}" for i in range(1, 7)))
+    lattice = TorusLattice(tuple(f"e{i}" for i in range(1, 7)))
 
     def cov(*pairs):
         v = [0] * 6
@@ -286,9 +289,12 @@ def test_c13_wonderful_section_divisors():
         return lattice.covector(v)
 
     model = WonderfulModel(
-        lattice=lattice,
-        paired_colors=(("D_1", cov((0, 1), (1, -1)), cov((3, 1), (4, -1))),),
-        extra_colors=(("D_a", cov((1, 1), (2, -1))), ("D_b", cov((4, 1), (5, -1)))),
+        lattice,
+        (
+            ("D_1", (cov((0, 1), (1, -1)), cov((3, 1), (4, -1)))),
+            ("D_a", (cov((1, 1), (2, -1)),)),
+            ("D_b", (cov((4, 1), (5, -1)),)),
+        ),
     )
     w11 = lattice.character([1, 0, 0, 0, 0, 0])
     w12 = lattice.character([0, 0, 0, 1, 0, 0])

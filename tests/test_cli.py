@@ -226,6 +226,22 @@ PINNED_ARGV_DIGESTS = {
         (0, "7909659b4b38141bc456641ddda7f902c05b1ee0c200e3b979e19c1c06e50b68"),
     ("verify", "--family", "determinantal:m=4,n=3,r=2"):
         (0, "42a63b37d93be365a7d36e717501b353b95247558a6eb3a754c2bf1774bbc220"),
+    # Dumps with character aliases (eps_7..eps_12 on the monoid) and label
+    # aliases (circular), recorded before the divisor records lost their
+    # kind tags and the wonderful colours became one list.
+    ("model", "--family", "monoid:m=6", "--dump"):
+        (0, "9c23992e0f0dc230f5e19f8239b62aee6eb4e8880a0f05c179da134242fa4a4a"),
+    ("model", "--family", "circular:m=3,n=3,r=1,s=2", "--dump"):
+        (0, "f89e62aa20365e700ad0f31e7736917f6de8b191059870620f655c4aabebd21b"),
+    # One paired colour and one unpaired: {"D_1": 1, "D_r1": 1}; then the
+    # same member with a character pairing unequally at D_1 (exit 3).
+    ("wonderful-section", "--family", "circular:m=3,n=4,r=2,s=1", "--chi", "eps_1_1:-1,eps_1_2:1,eps_3_1:1"):
+        (0, "eb058f34ca6dd2867939b86466624e98d15c019683faafe0a41aa71e9cfa811d"),
+    ("wonderful-section", "--family", "circular:m=3,n=4,r=2,s=1", "--chi", "eps_2_1:1,eps_3_1:1"):
+        (3, "29e381e594a2bc005b705b4e0d7b592b1b1b6030a6a10f61ac0c6065b8b93e15"),
+    # A complexes member whose orbit dimension is 11.
+    ("verify", "--family", "complexes:l=3,m=3,n=3,r=1,s=2"):
+        (0, "079deadaf36e1ded25c1eee337a424b5b06c4889eb61dbdc53533dd85827d34c"),
 }
 
 

@@ -306,16 +306,34 @@ def test_divisor_algebra():
     assert d1.coefficient("zzz") == 0
 
 
+def _family_models():
+    yield from (monoid_model(m)[0] for m in range(1, 13))
+    yield from (circular_complexes_model(*p)[0] for p in admissible_circular_parameters(5, 6))
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for r in range(1, min(m, n)):
+                yield build_family(f"determinantal:m={m},n={n},r={r}").model
+
+
 def test_serialization_round_trip():
-    for model in (
-        monoid_model(3)[0],
-        circular_complexes_model(2, 2, 1, 1)[0],
-        circular_complexes_model(3, 4, 2, 1)[0],
-    ):
+    # Every family model, the character aliases eps_7.. of monoid m = 5..7
+    # among them, comes back equal and dumps to the same text: alias order is
+    # the document's, not sorted.
+    count = 0
+    for model in _family_models():
         text = model_to_json(model)
         again = model_from_json(text)
-        assert again == model
+        assert again == model, text
         assert model_to_json(again) == text
+        count += 1
+    assert count == 157
+
+
+def test_json_rank_must_match_labels():
+    doc = model_to_json_dict(monoid_model(2)[0])
+    doc["lattice"]["rank"] = 4
+    with pytest.raises(ValueError, match="label count does not match rank"):
+        model_from_json(doc)
 
 
 def test_serialization_schema_fields():
@@ -331,7 +349,7 @@ def test_serialization_schema_fields():
 
 
 def _synthetic_wonderful():
-    lattice = TorusLattice(6, tuple(f"e{i}" for i in range(1, 7)))
+    lattice = TorusLattice(tuple(f"e{i}" for i in range(1, 7)))
 
     def cov(*pairs):
         v = [0] * 6
@@ -340,9 +358,12 @@ def _synthetic_wonderful():
         return lattice.covector(v)
 
     model = WonderfulModel(
-        lattice=lattice,
-        paired_colors=(("D_1", cov((0, 1), (1, -1)), cov((3, 1), (4, -1))),),
-        extra_colors=(("D_a", cov((1, 1), (2, -1))), ("D_b", cov((4, 1), (5, -1)))),
+        lattice,
+        (
+            ("D_1", (cov((0, 1), (1, -1)), cov((3, 1), (4, -1)))),
+            ("D_a", (cov((1, 1), (2, -1)),)),
+            ("D_b", (cov((4, 1), (5, -1)),)),
+        ),
     )
     weights = {
         "w_11": lattice.character([1, 0, 0, 0, 0, 0]),

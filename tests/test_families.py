@@ -7,10 +7,8 @@ import pytest
 
 from sphemb import families
 from sphemb.divisor_model import (
-    BOUNDARY,
     BoundarySpec,
     ColorSpec,
-    DivisorLabel,
     canonical_divisor,
     class_group,
     class_group_generators,
@@ -324,7 +322,7 @@ def test_wonderful_family_models():
     assert wonderful_section_divisor(wm, chi).as_dict() == {"D_1": 1}
 
     wc = circular_wonderful(2, 2, 1, 1)
-    assert [lab for lab, _ in wc.extra_colors] == ["D_r1", "D_r2"]
+    assert [lab for lab, coroots in wc.colors if len(coroots) == 1] == ["D_r1", "D_r2"]
     chi = wc.lattice.character([0, 1, 0, 0])
     assert wonderful_section_divisor(wc, chi).as_dict() == {"D_r1": 1}
 
@@ -358,7 +356,7 @@ def test_functional_tables_match_ambient_pairings():
     # The constructors assert this internally; spot-check one value here so a
     # regression in the cross-check itself would be caught.
     model, _ = circular_complexes_model(2, 3, 1, 1)
-    d_r1 = next(c for c in model.colors if c.label.id == "D_r1")
+    d_r1 = next(c for c in model.colors if c.id == "D_r1")
     chi = model.weight_lattice.basis_character("delta_1")
     assert pair(chi, d_r1.functional) == Fraction(1)
 
@@ -431,7 +429,7 @@ def _corrupting(cls, label):
     """A stand-in for ``cls`` that adds 1 to the first coordinate of the functional at ``label``."""
 
     def make(lab, functional, *args, **kwargs):
-        if lab.id == label:
+        if lab == label:
             functional = functional + functional.lattice.covector([1] + [0] * (functional.lattice.rank - 1))
         return cls(lab, functional, *args, **kwargs)
 
@@ -465,7 +463,7 @@ def test_boundary_without_exponents_fails_construction(monkeypatch):
     def with_extra_boundary(**fields):
         boundaries = fields["boundaries"]
         if boundaries:
-            extra = dataclasses.replace(boundaries[-1], label=DivisorLabel(BOUNDARY, "X_extra"))
+            extra = dataclasses.replace(boundaries[-1], id="X_extra")
             fields["boundaries"] = boundaries + (extra,)
         return model_class(**fields)
 
@@ -767,8 +765,8 @@ def test_monoid_wonderful_pairs_are_the_model_coroots():
     for m in range(1, 9):
         model, _ = monoid_model(m)
         wm = monoid_wonderful(m)
-        assert [lab for lab, _, _ in wm.paired_colors] == list(model.color_ids)
-        for (lab, left, right), spec in zip(wm.paired_colors, model.colors):
+        assert list(wm.color_ids) == list(model.color_ids)
+        for (lab, (left, right)), spec in zip(wm.colors, model.colors):
             f = list(spec.functional.coords)
             assert list(left.coords) == [-c for c in f] + [0] * (m + 1), (m, lab)
             assert list(right.coords) == [0] * (m + 1) + f, (m, lab)

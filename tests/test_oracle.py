@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -127,6 +128,17 @@ def test_orbit_dimensions():
     assert orbit_dimension(monoid_model(2)[1]) == 5
     real = complexes_realization(2, 3, 2, 1, 1)
     assert orbit_dimension(real) == real.expected_orbit_dimension == 7
+    # The Jacobian rank at the base point is the closed formula
+    # r(l + m - r) + s(m + n - s) - rs on every complexes member with
+    # l, m, n <= 3, zero dimensions included.
+    count = 0
+    for l, m, n in itertools.product(range(4), repeat=3):
+        for r, s in itertools.product(range(l + 1), range(n + 1)):
+            if r + s <= m:
+                real = complexes_realization(l, m, n, r, s)
+                assert orbit_dimension(real) == real.expected_orbit_dimension, (l, m, n, r, s)
+                count += 1
+    assert count == 206
 
 
 def test_semiinvariance_weights():
@@ -208,7 +220,7 @@ def test_infer_boundary_valuation_matches_model():
     model, real = monoid_model(3)
     verified = select_semi_invariants(real)
     for spec in model.boundaries:
-        (curve,) = [c.label for c in real.curves if c.boundary == spec.label.id]
+        (curve,) = [c.label for c in real.curves if c.boundary == spec.id]
         nu = infer_boundary_valuation(real, curve, verified, model.weight_lattice)
         assert nu == spec.valuation
 

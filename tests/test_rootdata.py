@@ -17,22 +17,19 @@ from sphemb.rootdata import (
 
 def _gl3_data():
     # eps_1, eps_2, eps_3 with alpha_i = eps_i - eps_{i+1} and coroot e_i - e_{i+1}.
-    lattice = TorusLattice(3, ("eps_1", "eps_2", "eps_3"))
+    lattice = TorusLattice(("eps_1", "eps_2", "eps_3"))
     roots = []
-    coroots = []
     for i in (1, 2):
         vec = [0, 0, 0]
         vec[i - 1] = 1
         vec[i] = -1
-        roots.append((f"alpha_{i}", lattice.character(vec)))
-        coroots.append((f"alpha_{i}", lattice.covector(vec)))
-    return lattice, SimpleRootSet(tuple(roots), tuple(coroots))
+        roots.append((f"alpha_{i}", lattice.character(vec), lattice.covector(vec)))
+    return lattice, SimpleRootSet(tuple(roots))
 
 
 def test_pair_examples():
     lattice, roots = _gl3_data()
-    alpha_1 = roots.roots[0][1]
-    alpha_1_v = roots.coroots[0][1]
+    _, alpha_1, alpha_1_v = roots.roots[0]
     assert pair(alpha_1, alpha_1_v) == 2
     assert pair(lattice.basis_character("eps_1"), alpha_1_v) == 1
     assert pair(lattice.basis_character("eps_3"), alpha_1_v) == 0
@@ -40,9 +37,9 @@ def test_pair_examples():
 
 def test_pair_lattice_mismatch():
     lattice, roots = _gl3_data()
-    other = TorusLattice(2, ("a", "b"))
+    other = TorusLattice(("a", "b"))
     with pytest.raises(LatticeMismatchError):
-        pair(other.character([1, 0]), roots.coroots[0][1])
+        pair(other.character([1, 0]), roots.roots[0][2])
 
 
 def test_pair_bilinear():
@@ -58,11 +55,11 @@ def test_pair_bilinear():
 
 
 def test_coroot_normalization_enforced():
-    lattice = TorusLattice(2, ("x", "y"))
+    lattice = TorusLattice(("x", "y"))
     root = lattice.character([1, -1])
     bad = lattice.covector([1, 0])
     with pytest.raises(ValueError):
-        SimpleRootSet(((("alpha"), root),), ((("alpha"), bad),))
+        SimpleRootSet((("alpha", root, bad),))
 
 
 def test_antidominant_examples():
@@ -70,7 +67,7 @@ def test_antidominant_examples():
     assert is_antidominant(lattice.covector([0, 0, 0]), roots)
     assert not is_antidominant(lattice.covector([1, 0, 0]), roots)
     v = lattice.covector([0, 1, 1])
-    assert [pair(alpha, v) for _, alpha in roots.roots] == [-1, 0]
+    assert [pair(alpha, v) for _, alpha, _ in roots.roots] == [-1, 0]
     assert is_antidominant(v, roots)
 
 
@@ -79,7 +76,7 @@ def test_monoid_lambda1_image_is_antidominant():
     # lambda_1 image: 0,1,1 on eps_1..eps_3 and 1 on eps_4.
     v = model.weight_lattice.covector([0, 1, 1, 1])
     assert is_antidominant(v, model.simple_roots)
-    alphas = [alpha for _, alpha in model.simple_roots.roots]
+    alphas = [alpha for _, alpha, _ in model.simple_roots.roots]
     assert pair(alphas[0], v) == -1
     assert pair(alphas[1], v) == 0
 
@@ -93,12 +90,12 @@ def test_antidominance_both_signs_forces_orthogonality():
         neg = lattice.covector([-c for c in v.coords])
         if is_antidominant(v, roots) and is_antidominant(neg, roots):
             hits += 1
-            assert all(pair(alpha, v) == 0 for _, alpha in roots.roots)
+            assert all(pair(alpha, v) == 0 for _, alpha, _ in roots.roots)
     assert hits > 0
 
 
 def test_character_arithmetic_and_validation():
-    lattice = TorusLattice(2, ("x", "y"))
+    lattice = TorusLattice(("x", "y"))
     a = lattice.character([1, 2])
     b = lattice.character([3, -1])
     assert (a + b).coords == (4, 1)
@@ -110,4 +107,4 @@ def test_character_arithmetic_and_validation():
     with pytest.raises(ValueError):
         Covector(lattice, (Fraction(1),))
     with pytest.raises(ValueError):
-        TorusLattice(2, ("x", "x"))
+        TorusLattice(("x", "x"))
