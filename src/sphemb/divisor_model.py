@@ -154,10 +154,9 @@ class SphericalDivisorModel:
         raise KeyError(f"unknown character label {name!r}")
 
     def character_from_mapping(self, mapping: Mapping[str, int]) -> Character:
-        chi = self.weight_lattice.zero_character()
-        for name, coeff in mapping.items():
-            chi = chi + int(coeff) * self.character(name)
-        return chi
+        return self.weight_lattice.combination(
+            (int(coeff), self.character(name)) for name, coeff in mapping.items()
+        )
 
 
 @dataclass(frozen=True)
@@ -237,9 +236,6 @@ class ClassGroupData:
     generators: tuple[str, ...] | None
     # The inverse of the chosen generator matrix (integral).
     _gen_inverse: tuple[tuple[int, ...], ...] | None
-    # V^T and U^T of the SNF, which every class_of / is_principal query applies.
-    _v_transpose: IntegerMatrix
-    _u_transpose: IntegerMatrix
 
 
 @dataclass(frozen=True)
@@ -268,12 +264,8 @@ def _require_final(model: SphericalDivisorModel):
 
 
 def _relation_matrix(model: SphericalDivisorModel) -> IntegerMatrix:
-    order = model.label_order
-    rows = []
-    for b in model.basis_characters:
-        d = principal_divisor(model, b)
-        rows.append([d.coefficient(lab) for lab in order])
-    return IntegerMatrix.from_rows(rows, cols=len(order))
+    rows = [_coefficient_vector(model, principal_divisor(model, b)) for b in model.basis_characters]
+    return IntegerMatrix.from_rows(rows, cols=len(model.label_order))
 
 
 def _is_primitive_rowset(rows: list[tuple[int, ...]], width: int) -> bool:
@@ -343,8 +335,6 @@ def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
         torsion=torsion,
         generators=generators,
         _gen_inverse=gen_inverse,
-        _v_transpose=snf.V.transpose(),
-        _u_transpose=snf.U.transpose(),
     )
     object.__setattr__(model, "_class_group_data", data)
     return data
@@ -366,13 +356,17 @@ def _coefficient_vector(model: SphericalDivisorModel, d: Divisor) -> list[int]:
     for lab, _ in d.coefficients:
         if lab not in known:
             raise ForeignLabelError(f"label {lab!r} does not belong to this model")
-    return [d.coefficient(lab) for lab in order]
+    coeffs = d.as_dict()
+    return [coeffs.get(lab, 0) for lab in order]
 
 
 def _snf_coordinates(model: SphericalDivisorModel, d: Divisor) -> tuple[ClassGroupData, tuple[int, ...]]:
-    """The class-group data and w = V^T v, where v is d's coefficient vector and U R V = D."""
+    """The class-group data and w = V^T v, where v is d's coefficient vector and U R V = D.
+
+    V is read only at the labels where d is nonzero.
+    """
     data = class_group_data(model)
-    return data, data._v_transpose.apply(_coefficient_vector(model, d))
+    return data, data.snf.V.apply_transpose(_coefficient_vector(model, d))
 
 
 def class_of(model: SphericalDivisorModel, d: Divisor) -> ClassCoordinates:
@@ -397,11 +391,8 @@ def is_principal(model: SphericalDivisorModel, d: Divisor) -> tuple[bool, Charac
         return False, None
     diag = data.snf.D.diagonal()
     y = [w[i] // diag[i] if i < len(diag) and diag[i] else 0 for i in range(data.snf.U.rows)]
-    x = data._u_transpose.apply(y)
-    chi = model.weight_lattice.zero_character()
-    for coeff, b in zip(x, model.basis_characters):
-        chi = chi + coeff * b
-    return True, chi
+    x = data.snf.U.apply_transpose(y)
+    return True, model.weight_lattice.combination(zip(x, model.basis_characters))
 
 
 def is_gorenstein(model: SphericalDivisorModel) -> bool:

@@ -85,6 +85,16 @@ class IntegerMatrix:
             raise ValueError("dimension mismatch in matrix-vector product")
         return tuple(sum(a * b for a, b in zip(self.row(i), vec)) for i in range(self.rows))
 
+    def apply_transpose(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """M^T vec, reading only the rows of M where ``vec`` is nonzero."""
+        if len(vec) != self.rows:
+            raise ValueError("dimension mismatch in transposed matrix-vector product")
+        out = [0] * self.cols
+        for i, x in enumerate(vec):
+            if x:
+                out = [a + x * b for a, b in zip(out, self.row(i))]
+        return tuple(out)
+
     def is_diagonal(self) -> bool:
         return all(self.entry(i, j) == 0 for i in range(self.rows) for j in range(self.cols) if i != j)
 

@@ -1,16 +1,19 @@
 """Character and cocharacter lattices, simple roots, and coroot pairings.
 
 Characters are integer vectors against a labelled lattice basis; covectors
-act on them by exact rational dot product.  Family constructors store the
-fully composed pairing functionals, so no sign juggling happens at
-computation time.
+act on them by exact rational dot product, computed as one integer dot
+product against the covector's numerators over their common denominator.
+Family constructors store the fully composed pairing functionals, so no sign
+juggling happens at computation time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
+
+from .lattice import scaled_to_integers
 
 
 class LatticeMismatchError(ValueError):
@@ -53,6 +56,16 @@ class TorusLattice:
     def covector(self, coords: Iterable) -> "Covector":
         return Covector(self, tuple(coords))
 
+    def combination(self, terms: Iterable[tuple[int, "Character"]]) -> "Character":
+        """The character sum of k * chi over the ``(k, chi)`` terms, in one integer pass."""
+        coords = [0] * self.rank
+        for k, chi in terms:
+            if chi.lattice != self:
+                raise LatticeMismatchError("characters on different lattices")
+            if k:
+                coords = [a + k * c for a, c in zip(coords, chi.coords)]
+        return Character(self, tuple(coords))
+
 
 @dataclass(frozen=True)
 class Character:
@@ -92,15 +105,26 @@ class Character:
 
 @dataclass(frozen=True)
 class Covector:
-    """Rational linear functional on a TorusLattice (acts by dot product)."""
+    """Rational linear functional on a TorusLattice (acts by dot product).
+
+    Its integer form is ``scale``, the lcm of the denominators of
+    ``coords``, and ``numerators``, the integers ``scale * coords``.  Both
+    are derived from ``coords`` and take no part in equality, hash or repr.
+    """
 
     lattice: TorusLattice
     coords: tuple[Fraction, ...]
+    scale: int = field(init=False, compare=False, repr=False)
+    numerators: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.coords) != self.lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        coords = tuple(Fraction(c) for c in self.coords)
+        scale, (numerators,) = scaled_to_integers((coords,))
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "numerators", tuple(numerators))
 
     def __add__(self, other: "Covector") -> "Covector":
         if self.lattice != other.lattice:
@@ -114,7 +138,7 @@ def pair(chi: Character, f: Covector) -> Fraction:
     """Exact pairing <chi, f>; integral whenever f is integral on the lattice."""
     if chi.lattice != f.lattice:
         raise LatticeMismatchError("character and covector on different lattices")
-    return sum((c * x for c, x in zip(chi.coords, f.coords) if c), Fraction(0))
+    return Fraction(sum(c * x for c, x in zip(chi.coords, f.numerators) if c), f.scale)
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,18 @@ PINNED_ARGV_DIGESTS = {
     # A complexes member whose orbit dimension is 11.
     ("verify", "--family", "complexes:l=3,m=3,n=3,r=1,s=2"):
         (0, "079deadaf36e1ded25c1eee337a424b5b06c4889eb61dbdc53533dd85827d34c"),
+    # Integer divisor queries on large models, recorded before the pairings
+    # and the SNF transforms ran on integers: a principal divisor, a class,
+    # a Gorenstein witness ({"eps_1":-4,"eps_2":-2,"delta_1":-2,"delta_2":-4})
+    # and a non-Gorenstein verdict.
+    ("divisor", "--family", "monoid:m=36", "--chi", "eps_1:2,eps_7:-1,eps_20:3,eps_37:1"):
+        (0, "f2a5c8a610d1422516594642b61e26f9a80f0acd55b1ae589f2eba8c74411cb9"),
+    ("class-of", "--family", "monoid:m=36", "--divisor", "D_5:2,X_3:-1,X_30:1"):
+        (0, "e90f40a88726396ac4c7d525dec6eb52f248e6f3a51e343cb3c5f1a4f1c0e077"),
+    ("gorenstein", "--family", "circular:m=5,n=5,r=2,s=2"):
+        (0, "5fc89dec03c32ded29a76a41e804e5df5182f486eb3f6ec26c54dfc02e3ff7e6"),
+    ("gorenstein", "--family", "monoid:m=30"):
+        (0, "cb1089fcdf53fb86527423aa098a10168526bc5b857a8ad2dae6386a50766d8c"),
 }
 
 

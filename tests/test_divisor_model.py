@@ -6,6 +6,7 @@ import pytest
 from sphemb.divisor_model import (
     Divisor,
     ForeignLabelError,
+    NonIntegralPairingError,
     PicardMembershipError,
     ProvisionalModelError,
     WonderfulModel,
@@ -225,6 +226,48 @@ def test_gorenstein_examples():
     assert is_gorenstein(monoid_model(1)[0])
     assert not is_gorenstein(monoid_model(3)[0])
     assert is_gorenstein(circular_complexes_model(2, 2, 1, 1)[0])
+
+
+def test_principal_divisor_rejects_non_integral_pairing():
+    # One colour functional and one boundary valuation with 1/2 at eps_1:
+    # an odd eps_1 coordinate pairs to a half-integer, an even one does not.
+    model, _ = monoid_model(3)
+    half = model.weight_lattice.covector(["1/2", 0, 0, 0])
+    bad_colour = dataclasses.replace(
+        model, colors=(dataclasses.replace(model.colors[0], functional=half),) + model.colors[1:]
+    )
+    bad_boundary = dataclasses.replace(
+        model, boundaries=(dataclasses.replace(model.boundaries[0], valuation=half),) + model.boundaries[1:]
+    )
+    odd = model.weight_lattice.character([3, 1, 0, 0])
+    with pytest.raises(NonIntegralPairingError, match=f"colour pairing at {model.colors[0].id}"):
+        principal_divisor(bad_colour, odd)
+    with pytest.raises(NonIntegralPairingError, match=f"boundary pairing at {model.boundaries[0].id}"):
+        principal_divisor(bad_boundary, odd)
+    even = model.weight_lattice.character([2, 1, 0, 0])
+    assert principal_divisor(bad_colour, even).coefficient(model.colors[0].id) == 1
+    assert principal_divisor(bad_boundary, even).coefficient(model.boundaries[0].id) == 1
+
+
+def test_wonderful_section_rejects_non_integral_pairing():
+    lattice = TorusLattice(("x", "y"))
+    half = lattice.covector(["1/2", 0])
+    model = WonderfulModel(lattice, (("D_p", (half, half)), ("D_h", (half,))))
+    with pytest.raises(NonIntegralPairingError, match="non-integral pairing at D_p"):
+        wonderful_section_divisor(model, lattice.character([3, 5]))
+    single = WonderfulModel(lattice, (("D_h", (half,)),))
+    with pytest.raises(NonIntegralPairingError, match="non-integral pairing at D_h"):
+        wonderful_section_divisor(single, lattice.character([1, 0]))
+    assert wonderful_section_divisor(model, lattice.character([2, 7])).as_dict() == {"D_p": 1, "D_h": 1}
+
+
+def test_character_from_mapping():
+    model, _ = monoid_model(3)
+    chi = model.character_from_mapping({"eps_1": 2, "eps_4": -1, "eps_2": 0})
+    assert chi == 2 * model.character("eps_1") - model.character("eps_4")
+    assert model.character_from_mapping({}) == model.weight_lattice.zero_character()
+    with pytest.raises(KeyError, match="unknown character label 'eps_99'"):
+        model.character_from_mapping({"eps_1": 1, "eps_99": 1})
 
 
 def test_foreign_label_rejected():

@@ -68,6 +68,22 @@ def test_snf_empty_dimensions():
         assert cokernel(a).free_rank == cols
 
 
+def test_apply_transpose_matches_transpose_apply():
+    rng = random.Random(29)
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 5), (6, 2)]:
+        for _ in range(10):
+            a = IntegerMatrix.from_rows(
+                [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols=cols
+            )
+            vectors = [[0] * rows, [rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(rows)]]
+            for v in vectors:
+                assert a.apply_transpose(v) == a.transpose().apply(v)
+    assert IntegerMatrix.zeros(0, 3).apply_transpose([]) == (0, 0, 0)
+    assert IntegerMatrix.zeros(3, 0).apply_transpose([1, 2, 3]) == ()
+    with pytest.raises(ValueError):
+        IntegerMatrix.zeros(2, 3).apply_transpose([1, 2, 3])
+
+
 def test_cokernel_trivial_and_torsion():
     assert cokernel(IntegerMatrix.identity(2)).is_trivial
     assert cokernel(IntegerMatrix.from_rows([[2]])) == AbelianGroupPresentation(0, (2,))

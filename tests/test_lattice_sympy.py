@@ -1,4 +1,5 @@
-"""Differential tests of the exact linear algebra against sympy, on hypothesis-drawn matrices."""
+"""Differential tests of the exact linear algebra against sympy and plain reference sums,
+on hypothesis-drawn matrices."""
 
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from sphemb.lattice import (  # noqa: E402
     rational_rank,
     smith_normal_form,
 )
+from sphemb.rootdata import TorusLattice, pair  # noqa: E402
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -109,3 +111,25 @@ def test_integer_inverse_matches_sympy(m):
     assert [[Fraction(e, d) for e in r] for r in x] == [
         [Fraction(int(want[i, j].p), int(want[i, j].q)) for j in range(n)] for i in range(n)
     ]
+
+
+@_SETTINGS
+@given(integer_matrices(), st.data())
+def test_apply_transpose_matches_transpose_apply(m, data):
+    a = IntegerMatrix.from_rows(m, cols=len(m[0]) if m else 0)
+    v = data.draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 3, -7)), min_size=a.rows, max_size=a.rows))
+    assert a.apply_transpose(v) == a.transpose().apply(v)
+
+
+@_SETTINGS
+@given(rational_matrices(), st.data())
+def test_pair_matches_fraction_sum(m, data):
+    # Each row of a drawn rational matrix is a covector: mixed denominators,
+    # zero coordinates, and rank 0 when the matrix has no columns.
+    rank = len(m[0]) if m else 0
+    lattice = TorusLattice(tuple(f"x_{i}" for i in range(rank)))
+    for row in m:
+        coords = data.draw(st.lists(st.integers(-9, 9) | st.just(0), min_size=rank, max_size=rank))
+        got = pair(lattice.character(coords), lattice.covector(row))
+        assert type(got) is Fraction
+        assert got == sum((c * x for c, x in zip(coords, row)), Fraction(0))

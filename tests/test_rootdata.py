@@ -54,6 +54,46 @@ def test_pair_bilinear():
         assert pair(chi1, f1 + f2) == pair(chi1, f1) + pair(chi1, f2)
 
 
+def test_pair_matches_fraction_sum():
+    # Mixed denominators, zero coordinates on both sides, and rank 0.
+    rng = random.Random(17)
+    for rank in range(6):
+        lattice = TorusLattice(tuple(f"x_{i}" for i in range(rank)))
+        for _ in range(40):
+            coords = [Fraction(rng.choice((0, 0, rng.randint(-9, 9))), rng.choice((1, 2, 3, 4, 6, 7)))
+                      for _ in range(rank)]
+            chi = lattice.character([rng.choice((0, rng.randint(-9, 9))) for _ in range(rank)])
+            got = pair(chi, lattice.covector(coords))
+            assert type(got) is Fraction
+            assert got == sum((c * x for c, x in zip(chi.coords, coords)), Fraction(0))
+    empty = TorusLattice(())
+    assert pair(empty.zero_character(), empty.covector([])) == 0
+    with pytest.raises(LatticeMismatchError):
+        pair(TorusLattice(("y_0", "y_1")).character([1, 1]), TorusLattice(("x_0", "x_1")).covector([1, 1]))
+
+
+def test_covector_integer_form_keeps_equality_hash_repr():
+    lattice = TorusLattice(("x", "y"))
+    a = lattice.covector([1, 2])
+    b = lattice.covector([Fraction(2, 2), Fraction(4, 2)])
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "scale" not in repr(a) and "numerators" not in repr(a)
+    f = lattice.covector(["1/2", "-2/3"])
+    assert (f.scale, f.numerators) == (6, (3, -4))
+    assert f.coords == (Fraction(1, 2), Fraction(-2, 3))
+    assert f != lattice.covector([Fraction(1, 2), Fraction(2, 3)])
+    assert (TorusLattice(()).covector([]).scale, TorusLattice(()).covector([]).numerators) == (1, ())
+
+
+def test_combination_is_the_character_sum():
+    lattice = TorusLattice(("x", "y", "z"))
+    a, b = lattice.character([1, -2, 0]), lattice.character([0, 3, 5])
+    assert lattice.combination([(2, a), (0, b), (-1, b)]) == 2 * a - b
+    assert lattice.combination([]) == lattice.zero_character()
+    with pytest.raises(LatticeMismatchError):
+        lattice.combination([(1, TorusLattice(("u", "v", "w")).character([1, 0, 0]))])
+
+
 def test_coroot_normalization_enforced():
     lattice = TorusLattice(("x", "y"))
     root = lattice.character([1, -1])
