@@ -35,7 +35,7 @@ the circular ones at s = 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -80,8 +80,12 @@ def _integer_polys(m) -> tuple[int, list[list[dict[int, int]]], bool]:
     with L the lcm of the entries' denominators, read off each rational and
     each ``LaurentPoly``'s integer numerator and denominator.  An entry whose
     denominator is L shares its polynomial's numerator dict, so the dicts are
-    read only.  The flag says whether any entry was a ``LaurentPoly``.
+    read only.  The flag says whether any entry was a ``LaurentPoly``.  A
+    ``ScaledMatrix`` returns its stored form, whose L need not be the lcm and
+    whose dicts may keep a zero coefficient where terms cancelled.
     """
+    if isinstance(m, ScaledMatrix):
+        return m.scale, m.polys, m.laurent
     laurent = False
     polys = []
     for r in m:
@@ -118,46 +122,112 @@ def _divide_polys(m: list[list[dict[int, int]]], scale: int, laurent: bool) -> M
     return tuple(tuple(Fraction(p.get(0, 0), scale) for p in r) for r in m)
 
 
+class ScaledMatrix:
+    """A matrix of rationals or Laurent polynomials held as integer polynomials over one scale.
+
+    ``polys[i][j]`` is scale times entry (i, j), an {exponent: int} dict,
+    for an integer ``scale`` > 0; ``laurent`` says whether the entries are
+    ``LaurentPoly`` or ``Fraction``.  A coefficient may be zero where terms
+    cancelled: every reader sums or divides, and dividing drops zeros.  The divided rows are built when a
+    row is first read, and the matrix compares and hashes like the tuple of
+    those rows.  Its minors share one memoised expansion (``minor``).
+    """
+
+    __slots__ = ("scale", "polys", "laurent", "_rows", "_minors", "_rotated")
+
+    def __init__(self, scale: int, polys: list[list[dict[int, int]]], laurent: bool):
+        self.scale = scale
+        self.polys = polys
+        self.laurent = laurent
+        self._rows: Matrix | None = None
+        self._minors: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+        self._rotated: ScaledMatrix | None = None
+
+    @classmethod
+    def of(cls, m) -> "ScaledMatrix":
+        return m if isinstance(m, ScaledMatrix) else cls(*_integer_polys(m))
+
+    @property
+    def rows(self) -> Matrix:
+        if self._rows is None:
+            self._rows = _divide_polys(self.polys, self.scale, self.laurent)
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.polys)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other):
+        return self.rows == (other.rows if isinstance(other, ScaledMatrix) else other)
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"ScaledMatrix({self.rows!r})"
+
+    @property
+    def rotated(self) -> "ScaledMatrix":
+        """The matrix turned by 180 degrees, on the same scale.
+
+        Its trailing k x k block is the leading one turned, which reverses
+        both the rows and the columns, so the two determinants are equal.
+        """
+        if self._rotated is None:
+            self._rotated = ScaledMatrix(self.scale, [r[::-1] for r in reversed(self.polys)], self.laurent)
+        return self._rotated
+
+    def minor(self, cols: tuple[int, ...]) -> dict[int, int]:
+        """scale^k times the minor on the last k = len(cols) rows and the columns ``cols``.
+
+        Expanded along its first row, with every sub-minor memoised on its
+        columns (k 2^k products for a k x k block, not k!); the minors of one
+        matrix share the memo.
+        """
+        total = self._minors.get(cols)
+        if total is None:
+            row = self.polys[len(self.polys) - len(cols)]
+            total = {}
+            for pos, j in enumerate(cols):
+                if row[j]:
+                    sub = self.minor(cols[:pos] + cols[pos + 1 :])
+                    _add_product(total, {e: -c for e, c in row[j].items()} if pos % 2 else row[j], sub)
+            self._minors[cols] = total = {e: c for e, c in total.items() if c}
+        return total
+
+    def trailing_minor(self, k: int):
+        """The determinant of the bottom-right k x k block, divided once by scale^k."""
+        width = len(self.polys[0]) if self.polys else 0
+        return _divide_polys([[self.minor(tuple(range(width - k, width)))]], self.scale**k, self.laurent)[0][0]
+
+
 def _det_generic(rows):
     """Determinant of a square matrix of rationals and Laurent polynomials.
 
-    The entries are cleared to integer polynomials over one denominator L,
-    and the determinant is expanded along the first row with the minors
-    memoised on their remaining columns (k 2^k products for a k x k matrix,
-    not k!).  It is divided once by L^k: a ``LaurentPoly`` when any entry is
-    one, a ``Fraction`` otherwise.
+    The entries are cleared to integer polynomials over one scale L, or read
+    off a ``ScaledMatrix``'s stored form, and the determinant is its one
+    memoised expansion (``ScaledMatrix.minor``), divided once by L^k: a
+    ``LaurentPoly`` when any entry is one, a ``Fraction`` otherwise.  A 1 x 1
+    matrix returns its entry.
     """
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
+    if len(rows) == 1:
         return rows[0][0]
-    scale, polys, laurent = _integer_polys(rows)
-    memo: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-
-    def minor(cols: tuple[int, ...]) -> dict[int, int]:
-        # Determinant of the last len(cols) rows restricted to cols.
-        if cols in memo:
-            return memo[cols]
-        row = polys[n - len(cols)]
-        total: dict[int, int] = {}
-        for pos, j in enumerate(cols):
-            if row[j]:
-                sub = minor(cols[:pos] + cols[pos + 1 :])
-                _add_product(total, {e: -c for e, c in row[j].items()} if pos % 2 else row[j], sub)
-        memo[cols] = total = {e: c for e, c in total.items() if c}
-        return total
-
-    return _divide_polys([[minor(tuple(range(n)))]], scale**n, laurent)[0][0]
+    return ScaledMatrix.of(rows).trailing_minor(len(rows))
 
 
-def leading_minor(m: Matrix, k: int):
-    return _det_generic([list(m[i][:k]) for i in range(k)])
+def leading_minor(m, k: int):
+    """The determinant of the top-left k x k block, read on the matrix turned by 180 degrees."""
+    return ScaledMatrix.of(m).rotated.trailing_minor(k)
 
 
-def trailing_minor(m: Matrix, k: int):
-    n = len(m)
-    return _det_generic([list(m[i][n - k :]) for i in range(n - k, n)])
+def trailing_minor(m, k: int):
+    """The determinant of the bottom-right k x k block."""
+    return ScaledMatrix.of(m).trailing_minor(k)
 
 
 # Group samplers draw from a wide integer range: translated-curve orders are
@@ -246,7 +316,8 @@ class MatrixRealization:
     ``lie_basis`` maps a vertex to a sparse matrix, as (i, j, c) triples for
     c E_ij; ``lie_algebra_rows`` reads it.  ``torus[k]`` names the diagonal
     entries, as (factor, index) pairs, whose ratio is basis character k's
-    value on a Borel element; ``weight_value`` reads it.
+    value on a Borel element; ``weight_value`` reads it.  ``memo`` keeps
+    results that depend only on the realization, such as ``group_draws``.
     """
 
     base_point: Point
@@ -260,6 +331,7 @@ class MatrixRealization:
     torus: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
     semi_invariants: tuple[SemiInvariantSpec, ...] = ()
     curves: tuple[Curve, ...] = ()
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not self.membership(self.base_point):
@@ -273,6 +345,21 @@ class MatrixRealization:
             if c.label == label:
                 return c.point
         raise KeyError(f"unknown curve {label!r}")
+
+    def memo(self, key, compute: Callable[[], object]):
+        """compute(), run once per realization and key."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def group_draws(self, trials: int, seed: int) -> tuple[GroupElement, ...]:
+        """The first ``trials`` elements ``group_sampler`` draws from ``Random(seed)``, drawn once."""
+
+        def draw():
+            rng = random.Random(seed)
+            return tuple(self.group_sampler(rng) for _ in range(trials))
+
+        return self.memo(("group_draws", trials, seed), draw)
 
     def act(self, g: GroupElement, point: Point) -> Point:
         """g . X = g_s X g_t^-1 at each arrow (s, t)."""
@@ -328,12 +415,14 @@ def _passes_through(curve: Point, point: Point) -> bool:
     )
 
 
-def _translate(left: tuple[int, list[list[int]]], x: Matrix, right: tuple[int, list[list[int]]]) -> Matrix:
+def _translate(left: tuple[int, list[list[int]]], x, right: tuple[int, list[list[int]]]) -> ScaledMatrix:
     """(L / l) x (R / r) for integer forms left = (l, L) and right = (r, R), l, r > 0.
 
-    x is scaled to integer polynomials, the product is taken on integers and
-    divided once; zero entries of x (most of a curve point) are skipped.  The
-    entries are ``LaurentPoly`` when x holds one, ``Fraction`` otherwise.
+    x is scaled to integer polynomials (a ``ScaledMatrix`` is read as
+    stored), the product is taken on integers, and zero entries of x (most of
+    a curve point) are skipped.  The product keeps its integer form over the
+    scale l L_x r; its entries read as ``LaurentPoly`` when x holds one,
+    ``Fraction`` otherwise.
     """
     left_scale, left = left
     right_scale, right = right
@@ -352,7 +441,7 @@ def _translate(left: tuple[int, list[list[int]]], x: Matrix, right: tuple[int, l
                 for j, b in enumerate(right[l]):
                     if b:
                         _add_scaled(out[i][j], b, p)
-    return _divide_polys(out, left_scale * x_scale * right_scale, laurent)
+    return ScaledMatrix(left_scale * x_scale * right_scale, out, laurent)
 
 
 # ---------------------------------------------------------------------------
@@ -878,12 +967,12 @@ def finalize_determinantal_model(
     """
     from . import oracle
 
-    base_dim = oracle.orbit_dimension(realization)
+    base_dim = oracle.base_orbit_dimension(realization)
     divisorial = [
         c
         for c in realization.curves
         if c.boundary is not None
-        and base_dim - oracle.orbit_dimension(realization, oracle.limit_signature(realization, c.label).limit_point) == 1
+        and base_dim - oracle.orbit_dimension(realization, oracle.curve_signature(realization, c.label).limit_point) == 1
     ]
     confirmed = []
     if divisorial:

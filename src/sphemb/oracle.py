@@ -119,7 +119,9 @@ def t_order(
     The curve is translated by ``trials`` seeded random group elements
     (``trials`` must be at least 1) and ``f`` is evaluated as an exact
     polynomial in t; the generic order is the minimum over trials, with
-    ``stable`` recording all-trials agreement.
+    ``stable`` recording all-trials agreement.  The elements are the first
+    ``trials`` draws of ``Random(seed)``, drawn once per realization
+    (``group_draws``), so every curve sees the same ones.
 
     ``f`` may also be a tuple of semi-invariants: every function is then
     evaluated on the same seeded translates, each drawn once per trial, and
@@ -132,9 +134,8 @@ def t_order(
     curve = real.curve(curve_label)
     orders: list[list[int | None]] = [[] for _ in functions]
     if functions:
-        rng = random.Random(seed)
-        for _ in range(trials):
-            translate = real.act(real.group_sampler(rng), curve)
+        for g in real.group_draws(trials, seed):
+            translate = real.act(g, curve)
             for fn, fn_orders in zip(functions, orders):
                 fn_orders.append(_as_poly(fn.evaluate(translate)).order())
     results = tuple(_order_result(fn_orders) for fn_orders in orders)
@@ -166,6 +167,16 @@ def orbit_dimension(real, point=None) -> int:
     """
     at = real.base_point if point is None else point
     return rational_rank(real.lie_algebra_rows(at))
+
+
+def curve_signature(real, curve_label: str) -> LimitSignature:
+    """``limit_signature`` of the labelled curve, taken once per realization."""
+    return real.memo(("limit_signature", curve_label), lambda: limit_signature(real, curve_label))
+
+
+def base_orbit_dimension(real) -> int:
+    """``orbit_dimension`` at the base point, taken once per realization."""
+    return real.memo("base_orbit_dimension", lambda: orbit_dimension(real))
 
 
 def _sample_orbit_point(real, rng: random.Random):
@@ -345,7 +356,7 @@ def verification_report(model, real, trials: int = 8, seed: int = 0) -> Verifica
         )
 
     for c in real.curves:
-        sig = limit_signature(real, c.label)
+        sig = curve_signature(real, c.label)
         records.append(
             CheckRecord(
                 check="limit_rank_profile",
@@ -358,7 +369,7 @@ def verification_report(model, real, trials: int = 8, seed: int = 0) -> Verifica
             )
         )
 
-    dim = orbit_dimension(real)
+    dim = base_orbit_dimension(real)
     records.append(
         CheckRecord(
             check="orbit_dimension",

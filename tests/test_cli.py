@@ -254,6 +254,16 @@ PINNED_ARGV_DIGESTS = {
         (0, "5fc89dec03c32ded29a76a41e804e5df5182f486eb3f6ec26c54dfc02e3ff7e6"),
     ("gorenstein", "--family", "monoid:m=30"):
         (0, "cb1089fcdf53fb86527423aa098a10168526bc5b857a8ad2dae6386a50766d8c"),
+    # Recorded before translates kept their integer form and the minors
+    # shared one expansion: 5 x 5 leading and trailing minors, group draws
+    # at a (trials, seed) other than the default, and a determinantal member
+    # whose matrix is wider than it is tall.
+    ("verify", "--family", "monoid:m=5"):
+        (0, "c8d1b13359b7770cd5860be008019f76a958fd7a5caa3e530b7ee854ccb3bc9d"),
+    ("verify", "--family", "monoid:m=3", "--trials", "3", "--seed", "11"):
+        (0, "4b769ffb2e5328262eb5011f3c3926784fd0a64a26b428157926a4b9d281f116"),
+    ("verify", "--family", "determinantal:m=2,n=4,r=1"):
+        (0, "45eeabb22fc9681630219aa7c4f5697fe5ab2925eb82bb058a632393a048cb33"),
 }
 
 
@@ -369,6 +379,19 @@ def test_determinantal_section_runs_no_oracle(monkeypatch):
     # A divisor command reads the model, which the oracle finalizes.
     code, _ = _invoke(["class-group", "--family", "determinantal:m=5,n=5,r=3"])
     assert code == 0 and dims
+
+
+def test_determinantal_verify_takes_each_orbit_dimension_and_limit_once(monkeypatch):
+    # The finalization measures the base orbit, the curve's limit and its
+    # orbit; the report reads the base orbit dimension and the limit back.
+    from sphemb import oracle
+
+    dims = _count_calls(monkeypatch, oracle, "orbit_dimension")
+    limits = _count_calls(monkeypatch, oracle, "limit_signature")
+    code, doc = _invoke(["verify", "--family", "determinantal:m=3,n=3,r=2"])
+    assert code == 0 and doc["result"]["passed"]
+    assert len(dims) == 2 and len(limits) == 1
+    assert len(dims[0]) == 1 and len(dims[1]) == 2  # the base point, then the limit point
 
 
 def test_parameter_errors_stay_eager():

@@ -719,6 +719,121 @@ def test_det_generic_matches_cofactor_expansion():
     assert check([[Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 0], [0, 0, 3]]) == 1
 
 
+def _random_minor_matrix(rng, rows, cols):
+    """A rows x cols matrix of integers, Fractions with mixed denominators or
+    Laurent polynomials (picked per matrix), sometimes with all-zero rows."""
+    from sphemb.laurent import LaurentPoly
+
+    kind = rng.choice(("integer", "fraction", "laurent"))
+    if kind == "integer":
+        entry = lambda: rng.choice((0, rng.randint(-9, 9)))  # noqa: E731
+    elif kind == "fraction":
+        entry = lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))  # noqa: E731
+    else:
+        entry = lambda: _random_curve_entry(rng, laurent=True)  # noqa: E731
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        m[rng.randrange(rows)] = [LaurentPoly() if kind == "laurent" else 0] * cols
+    return m
+
+
+def test_minors_match_reference_determinants_of_sliced_blocks():
+    # One shared expansion: Delta_k is read on the matrix turned by 180
+    # degrees, the trailing minors on the matrix itself, and every k of one
+    # matrix shares the memo, read here in a random order.
+    from sphemb.families import ScaledMatrix, _det_generic, leading_minor, trailing_minor
+
+    rng = random.Random(29)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = _random_minor_matrix(rng, rows, cols)
+        scaled = ScaledMatrix.of(m)
+        ks = list(range(1, min(rows, cols) + 1))
+        rng.shuffle(ks)
+        for k in ks:
+            lead = _reference_det([r[:k] for r in m[:k]])
+            trail = _reference_det([r[cols - k :] for r in m[rows - k :]])
+            assert leading_minor(scaled, k) == lead == leading_minor(m, k), (m, k)
+            assert trailing_minor(scaled, k) == trail == trailing_minor(m, k), (m, k)
+        assert scaled._rows is None  # the minors read the stored integers only
+        if rows == cols:
+            assert _det_generic(scaled) == _reference_det(m) == _det_generic(m), m
+
+
+def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
+    from sphemb.families import ScaledMatrix, _divide_polys, _integer_polys, _translate, leading_minor, trailing_minor
+    from sphemb.lattice import scaled_to_integers
+
+    rng = random.Random(5)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        x = _random_curve_point(rng, rows, cols, laurent=rng.random() < 0.7)
+        g_left, g_right = _random_group_matrix(rng, rows), _random_group_matrix(rng, cols)
+        moved = _translate(scaled_to_integers(g_left), x, scaled_to_integers(g_right))
+        scale, polys, laurent = _integer_polys(moved)
+        assert polys is moved.polys and scale == moved.scale and moved._rows is None
+        eager = _divide_polys(polys, scale, laurent)
+        assert eager == _reference_apply_pair(g_left, x, g_right)
+        # == both ways, != and hash as the eagerly divided tuple, also on
+        # the same matrix stored over another scale and inside a point
+        doubled = ScaledMatrix(2 * scale, [[{e: 2 * c for e, c in p.items()} for p in r] for r in polys], laurent)
+        for other in (eager, doubled):
+            assert moved == other and other == moved and not moved != other and not other != moved
+            assert hash(moved) == hash(other)
+        assert (moved,) == (eager,) and (eager,) == (moved,)
+        assert len(moved) == rows and list(moved) == list(eager) and moved[-1] == eager[-1]
+        changed = [list(r) for r in eager]
+        changed[0][0] += 1
+        changed = tuple(tuple(r) for r in changed)
+        assert moved != changed and changed != moved and not moved == changed
+        # A second translate and the minors read the stored form as they are.
+        identity = [[int(i == j) for j in range(rows)] for i in range(rows)], [[int(i == j) for j in range(cols)] for i in range(cols)]
+        assert _translate((3, [[3 * e for e in r] for r in identity[0]]), moved, (1, identity[1])) == eager
+        for k in range(1, min(rows, cols) + 1):
+            assert leading_minor(moved, k) == leading_minor(eager, k)
+            assert trailing_minor(moved, k) == trailing_minor(eager, k)
+
+
+def test_minor_memos_belong_to_one_matrix():
+    # Two translates with equal shapes share no memo: the second one's
+    # minors are its own, whichever is expanded first.
+    from sphemb.families import ScaledMatrix, leading_minor
+
+    a = ScaledMatrix.of([[1, 2, 0], [3, 4, 5], [0, 6, 7]])
+    b = ScaledMatrix.of([[7, 0, 1], [0, 2, 0], [5, 0, 3]])
+    assert [leading_minor(a, k) for k in (1, 2, 3)] == [1, -2, -44]
+    assert [leading_minor(b, k) for k in (1, 2, 3)] == [7, 14, 32]
+    assert [leading_minor(a, k) for k in (3, 2, 1)] == [-44, -2, 1]
+
+
+def test_stored_zero_coefficients_read_as_zero():
+    # A translate keeps a coefficient where its terms cancelled.
+    from sphemb.families import ScaledMatrix, _translate, leading_minor, trailing_minor
+    from sphemb.laurent import LaurentPoly, T
+
+    stored = ScaledMatrix(2, [[{0: 0, 1: 2}, {0: 0}], [{0: 4}, {1: 0, 2: 6}]], True)
+    rows = ((T, LaurentPoly()), (LaurentPoly.constant(2), 3 * T**2))
+    assert stored == rows and hash(stored) == hash(rows)
+    assert leading_minor(stored, 1) == T and leading_minor(stored, 2) == 3 * T**3
+    assert trailing_minor(stored, 1) == 3 * T**2
+    assert leading_minor(_translate((1, [[1, 0], [0, 1]]), stored, (1, [[1, 0], [0, 1]])), 2) == 3 * T**3
+    # g x g^-1 with g = [[1, 1], [0, 1]] fixes the identity through cancelling terms.
+    fixed = _translate((1, [[1, 1], [0, 1]]), ((1, 0), (0, 1)), (1, [[1, -1], [0, 1]]))
+    assert fixed == ((1, 0), (0, 1)) and trailing_minor(fixed, 1) == 1 and leading_minor(fixed, 2) == 1
+
+
+def test_group_draws_are_the_seeded_stream_drawn_once():
+    _, real = monoid_model(2)
+    for trials, seed in ((3, 0), (3, 11), (5, 0)):
+        draws = real.group_draws(trials, seed)
+        rng = random.Random(seed)
+        assert draws == tuple(real.group_sampler(rng) for _ in range(trials))
+        assert real.group_draws(trials, seed) is draws
+    assert real.group_draws(3, 0) != real.group_draws(3, 11)
+    # A copy draws afresh: its sampler may differ.
+    assert dataclasses.replace(real).group_draws(3, 0) is not real.group_draws(3, 0)
+
+
 def _orbit_points(real, rng):
     yield real.base_point
     yield real.act(real.group_sampler(rng), real.base_point)

@@ -1,5 +1,5 @@
-"""Differential tests of the exact linear algebra against sympy and plain reference sums,
-on hypothesis-drawn matrices."""
+"""Differential tests of the exact linear algebra and the oracle's minors against sympy
+and plain reference sums, on hypothesis-drawn matrices."""
 
 from fractions import Fraction
 
@@ -12,6 +12,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
+from sphemb.families import ScaledMatrix, _det_generic, leading_minor, trailing_minor  # noqa: E402
+from sphemb.laurent import LaurentPoly  # noqa: E402
 from sphemb.lattice import (  # noqa: E402
     IntegerMatrix,
     determinant,
@@ -133,3 +135,62 @@ def test_pair_matches_fraction_sum(m, data):
         got = pair(lattice.character(coords), lattice.covector(row))
         assert type(got) is Fraction
         assert got == sum((c * x for c, x in zip(coords, row)), Fraction(0))
+
+
+_T = sympy.Symbol("t")
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 7)))
+
+
+@st.composite
+def minor_matrices(draw):
+    """Square, taller and wider matrices up to 5 x 5 with all-zero rows.
+
+    The entries of one matrix are integers, Fractions with mixed
+    denominators, or Laurent polynomials in t with such coefficients.
+    """
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("integer", "fraction", "laurent")))
+    if kind == "integer":
+        entry = st.integers(-9, 9) | st.just(0)
+    elif kind == "fraction":
+        entry = _FRACTIONS | st.just(0)
+    else:
+        entry = st.dictionaries(st.integers(-2, 3), _FRACTIONS, max_size=3).map(LaurentPoly)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    zero = LaurentPoly() if kind == "laurent" else 0
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        m[i] = [zero] * cols
+    return m
+
+
+def _sympy_entry(e):
+    if isinstance(e, LaurentPoly):
+        return sum((sympy.Rational(c.numerator, c.denominator) * _T**k for k, c in e.items()), sympy.Integer(0))
+    return sympy.Rational(e.numerator, e.denominator)
+
+
+def _sympy_det(block):
+    return sympy.Matrix([[_sympy_entry(e) for e in r] for r in block]).det(method="berkowitz")
+
+
+def _same(got, want) -> bool:
+    return sympy.expand(_sympy_entry(got) - want) == 0
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(minor_matrices(), st.randoms(use_true_random=False))
+def test_minors_match_sympy_determinants(m, rnd):
+    # Every leading and trailing minor of one stored matrix, in a drawn
+    # order so that the shared memo is filled in different orders.
+    rows, cols = len(m), len(m[0])
+    scaled = ScaledMatrix.of(m)
+    reads = [(kind, k) for kind in ("leading", "trailing") for k in range(1, min(rows, cols) + 1)]
+    rnd.shuffle(reads)
+    for kind, k in reads:
+        if kind == "leading":
+            got, block = leading_minor(scaled, k), [r[:k] for r in m[:k]]
+        else:
+            got, block = trailing_minor(scaled, k), [r[cols - k :] for r in m[rows - k :]]
+        assert _same(got, _sympy_det(block)), (kind, k)
+    if rows == cols:
+        assert _same(_det_generic(m), _sympy_det(m))

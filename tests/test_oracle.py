@@ -411,16 +411,22 @@ def test_verification_report_draw_counts():
     for name in counts:
         counts[name] = 0
     verify_boundary_valuations(model, real, verified, trials=trials, seed=0)
-    # four boundary curves, one translate per trial each
-    assert counts == {"group_sampler": 4 * trials, "borel_sampler": 0, "act": 4 * trials}
+    # four boundary curves, one translate per trial each, all four from the
+    # same trials group draws
+    assert counts == {"group_sampler": trials, "borel_sampler": 0, "act": 4 * trials}
 
     for name in counts:
         counts[name] = 0
     report = verification_report(model, real, trials=trials, seed=0)
     assert report.passed and report.stable
-    # plus two acts: the stabilizer check and the first perturbed element,
-    # which already moves the base point
-    assert counts == {"group_sampler": (2 + 4) * trials, "borel_sampler": trials, "act": (4 + 4) * trials + 2}
+    # the boundary translates reuse the draws above; plus two acts: the
+    # stabilizer check and the first perturbed element, which already moves
+    # the base point
+    assert counts == {"group_sampler": 2 * trials, "borel_sampler": trials, "act": (4 + 4) * trials + 2}
+    # another seed draws its own elements once
+    verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
+    verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
+    assert counts["group_sampler"] == 3 * trials
 
 
 def test_report_without_checks_has_not_passed():
