@@ -154,7 +154,7 @@ def _dispatch(ns) -> dict:
         try:
             chi = model.character_from_mapping(_parse_sparse(ns.chi))
         except KeyError as e:
-            raise DomainError(str(e)) from None
+            raise DomainError(e.args[0]) from None
         return {
             "character": _character_dict(model, chi),
             "divisor": _divisor_dict(model.label_order, principal_divisor(model, chi)),
@@ -198,7 +198,7 @@ def _dispatch(ns) -> dict:
             try:
                 chi = chi + coeff * wm.lattice.basis_character(lab)
             except KeyError as e:
-                raise DomainError(str(e)) from None
+                raise DomainError(e.args[0]) from None
         divisor = wonderful_section_divisor(wm, chi)
         return {"divisor": _divisor_dict(wm.color_ids, divisor)}
 

@@ -14,16 +14,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from math import gcd
+from typing import Mapping, Sequence
 
 from .lattice import (
     AbelianGroupPresentation,
     IntegerMatrix,
     SmithDecomposition,
-    integer_inverse,
     smith_normal_form,
 )
-from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, is_antidominant, pair
+from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, is_antidominant, pair, scaled_pairings
 
 class ForeignLabelError(ValueError):
     """A divisor refers to a label that does not belong to the model."""
@@ -203,20 +203,26 @@ def validate_model(model: SphericalDivisorModel) -> ValidationReport:
     return ValidationReport(tuple(failures))
 
 
+def _pairing_row(model: SphericalDivisorModel, chi: Character) -> list[int]:
+    """<chi, f> for the functional f of every label, in ``label_order``, as integers.
+
+    Each pairing is an integer dot product against the covector's
+    ``numerators``, divided exactly by its ``scale``.
+    """
+    functionals = [b.valuation for b in model.boundaries] + [c.functional for c in model.colors]
+    row = []
+    for i, (label, f, value) in enumerate(zip(model.label_order, functionals, scaled_pairings(chi, functionals))):
+        q, r = divmod(value, f.scale)
+        if r:
+            kind = "boundary" if i < len(model.boundaries) else "colour"
+            raise NonIntegralPairingError(f"non-integral {kind} pairing at {label}")
+        row.append(q)
+    return row
+
+
 def principal_divisor(model: SphericalDivisorModel, chi: Character) -> Divisor:
     """Divisor of the semi-invariant extending ``chi``: one pairing per label."""
-    coeffs: dict[str, int] = {}
-    for spec in model.boundaries:
-        v = pair(chi, spec.valuation)
-        if v.denominator != 1:
-            raise NonIntegralPairingError(f"non-integral boundary pairing at {spec.id}")
-        coeffs[spec.id] = v.numerator
-    for spec in model.colors:
-        v = pair(chi, spec.functional)
-        if v.denominator != 1:
-            raise NonIntegralPairingError(f"non-integral colour pairing at {spec.id}")
-        coeffs[spec.id] = v.numerator
-    return Divisor.from_mapping(coeffs)
+    return Divisor.from_mapping(dict(zip(model.label_order, _pairing_row(model, chi))))
 
 
 def canonical_divisor(model: SphericalDivisorModel) -> Divisor:
@@ -264,20 +270,57 @@ def _require_final(model: SphericalDivisorModel):
 
 
 def _relation_matrix(model: SphericalDivisorModel) -> IntegerMatrix:
-    rows = [_coefficient_vector(model, principal_divisor(model, b)) for b in model.basis_characters]
+    rows = [_pairing_row(model, b) for b in model.basis_characters]
     return IntegerMatrix.from_rows(rows, cols=len(model.label_order))
 
 
-def _is_primitive_rowset(rows: list[tuple[int, ...]], width: int) -> bool:
-    m = IntegerMatrix.from_rows([list(r) for r in rows], cols=width)
-    diag = smith_normal_form(m).D.diagonal()
-    return sum(1 for d in diag if d != 0) == len(rows) and all(d in (0, 1) for d in diag)
+def _choose_basis(vectors: Sequence[Sequence[int]], f: int) -> tuple[list[int], list[list[int]]]:
+    """Greedily pick, in order, the vectors that extend the picked ones to part of a basis of Z^f.
+
+    One column reduction: the columns T of a unimodular f x f matrix keep
+    picked · T = [I | 0].  A vector v extends the k picked ones iff
+    gcd((v · T)[k:]) = 1; it is then taken, and column operations on T bring
+    v · T to e_k, the columns k.. by Euclid's algorithm and the columns
+    before k by subtracting multiples of column k, which the picked rows
+    read as 0.  Returns the picked indices and the columns of T: once f
+    vectors are picked, T is the inverse of the matrix with them as rows.
+    """
+    cols = [[int(i == j) for i in range(f)] for j in range(f)]
+    picked: list[int] = []
+    for index, v in enumerate(vectors):
+        k = len(picked)
+        if k == f:
+            break
+        w = {j: sum(a * b for a, b in zip(v, cols[j]) if a) for j in range(k, f)}
+        if gcd(*w.values()) != 1:
+            continue
+        live = [j for j in w if w[j]]
+        while len(live) > 1:
+            p = min(live, key=lambda j: abs(w[j]))
+            for j in live:
+                if j != p:
+                    q = w[j] // w[p]
+                    w[j] -= q * w[p]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
+            live = [j for j in live if w[j]]
+        (p,) = live
+        if w[p] < 0:
+            cols[p] = [-a for a in cols[p]]
+        cols[k], cols[p] = cols[p], cols[k]
+        for j in range(k):
+            c = sum(a * b for a, b in zip(v, cols[j]) if a)
+            if c:
+                cols[j] = [a - c * b for a, b in zip(cols[j], cols[k])]
+        picked.append(index)
+    return picked, cols
 
 
 def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
     """Class group and SNF of a final model, computed once and kept on the model object.
 
-    A lookup is one attribute read; it never hashes the frozen model.
+    A lookup is one attribute read; it never hashes the frozen model.  The
+    relation matrix's SNF is the only one computed; the named generators come
+    from one column reduction (``_choose_basis``).
     """
     cached = model.__dict__.get("_class_group_data")
     if cached is not None:
@@ -307,23 +350,12 @@ def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
         generators = ()
         gen_inverse = ()
     else:
-        preference = list(model.color_ids) + list(model.boundary_ids)
-        chosen: list[str] = []
-        vectors: list[tuple[int, ...]] = []
-        for lab in preference:
-            if len(chosen) == f:
-                break
-            vec = free_rows[order.index(lab)]
-            if _is_primitive_rowset(vectors + [vec], f):
-                chosen.append(lab)
-                vectors.append(vec)
-        if len(chosen) == f:
-            generators = tuple(chosen)
-            # The vectors are a basis of Z^f, so the inverse is integral (d = 1).
-            d, inv = integer_inverse([[vectors[j][i] for j in range(f)] for i in range(f)])
-            if d != 1:
-                raise ArithmeticError("class-group generators are not a basis of the free part")
-            gen_inverse = tuple(tuple(row) for row in inv)
+        preference = model.color_ids + model.boundary_ids
+        picked, cols = _choose_basis([free_rows[order.index(lab)] for lab in preference], f)
+        if len(picked) == f:
+            generators = tuple(preference[i] for i in picked)
+            # Row i of the inverse of the generators' column matrix is column i of T.
+            gen_inverse = tuple(tuple(col) for col in cols)
         else:
             generators = None
 

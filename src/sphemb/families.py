@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel
 from .lattice import integer_inverse, mat_mul, rational_rank, scaled_to_integers
 from .laurent import LaurentPoly
-from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, pair
+from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, scaled_pairings
 
 
 class FamilyParameterError(ValueError):
@@ -533,20 +533,27 @@ def _crosscheck(
     one sparse exponent vector per boundary.  Every basis character must pair
     with a colour's functional as with each of its coroots, and with a
     boundary's valuation as with its exponents; a disagreement raises
-    ``ValueError`` naming the label.
+    ``ValueError`` naming the label.  Both sides are compared as integers
+    over the functional's ``scale``.
     """
-    basis = [(b, ambient(b)) for b in model.basis_characters]
     if tuple(coroots) != model.color_ids:
         raise ValueError(f"colours {model.color_ids} disagree with the coroot table's {tuple(coroots)}")
-    for spec in model.colors:
-        for b, amb in basis:
-            value = pair(b, spec.functional)
+    functionals = [spec.functional for spec in model.colors] + [spec.valuation for spec in model.boundaries]
+    # Each basis character's nonzero ambient coordinates, and its scaled pairings.
+    basis = [
+        ([(k, a) for k, a in enumerate(ambient(b)) if a], scaled_pairings(b, functionals))
+        for b in model.basis_characters
+    ]
+    for i, spec in enumerate(model.colors):
+        scale = spec.functional.scale
+        for amb, values in basis:
             for cor in coroots[spec.id]:
-                if value != sum(amb[k] * c for k, c in cor.items()):
+                if values[i] != scale * sum(a * cor.get(k, 0) for k, a in amb):
                     raise ValueError(f"colour table for {spec.id} disagrees with ambient coroot pairing")
-    for spec, expo in zip(model.boundaries, exponents, strict=True):
-        for b, amb in basis:
-            if pair(b, spec.valuation) != sum(amb[k] * e for k, e in expo.items()):
+    for i, (spec, expo) in enumerate(zip(model.boundaries, exponents, strict=True), start=len(model.colors)):
+        scale = spec.valuation.scale
+        for amb, values in basis:
+            if values[i] != scale * sum(a * expo.get(k, 0) for k, a in amb):
                 raise ValueError(f"boundary valuation {spec.id} disagrees with its curve exponents")
 
 

@@ -343,8 +343,11 @@ def mat_mul(a, b):
 
 
 def rational_rank(rows) -> int:
-    """Rank of a matrix with Fraction/int entries, by Bareiss elimination of L M."""
-    m = scaled_to_integers(rows)[1]
+    """Rank of a matrix with Fraction/int entries, by Bareiss elimination of L M.
+
+    All-zero rows never pivot, so they are dropped before scaling.
+    """
+    m = scaled_to_integers([r for r in rows if any(r)])[1]
     return _bareiss(m, len(m[0]) if m else 0)[0]
 
 

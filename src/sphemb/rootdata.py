@@ -134,11 +134,27 @@ class Covector:
     def __neg__(self) -> "Covector":
         return Covector(self.lattice, tuple(-a for a in self.coords))
 
+
+def scaled_pairings(chi: Character, covectors: Iterable[Covector]) -> list[int]:
+    """The integers ``f.scale * <chi, f>``, one per covector f.
+
+    One pass over the nonzero coordinates of ``chi`` against each covector's
+    ``numerators``; no ``Fraction`` is built.
+    """
+    lattice = chi.lattice
+    support = [(i, c) for i, c in enumerate(chi.coords) if c]
+    out = []
+    for f in covectors:
+        if f.lattice is not lattice and f.lattice != lattice:
+            raise LatticeMismatchError("character and covector on different lattices")
+        numerators = f.numerators
+        out.append(sum(c * numerators[i] for i, c in support))
+    return out
+
+
 def pair(chi: Character, f: Covector) -> Fraction:
     """Exact pairing <chi, f>; integral whenever f is integral on the lattice."""
-    if chi.lattice != f.lattice:
-        raise LatticeMismatchError("character and covector on different lattices")
-    return Fraction(sum(c * x for c, x in zip(chi.coords, f.numerators) if c), f.scale)
+    return Fraction(scaled_pairings(chi, (f,))[0], f.scale)
 
 
 @dataclass(frozen=True)

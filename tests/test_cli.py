@@ -57,6 +57,14 @@ def test_domain_errors_exit_3():
     assert code == 3
 
 
+def test_unknown_label_messages_are_unquoted():
+    # The message is the lookup's own text, not the repr of a KeyError.
+    code, doc = _invoke(["divisor", "--family", "monoid:m=4", "--chi", "eps_9:1"])
+    assert (code, doc["message"]) == (3, "unknown character label 'eps_9'")
+    code, doc = _invoke(["wonderful-section", "--family", "monoid:m=4", "--chi", "zz:1"])
+    assert (code, doc["message"]) == (3, "unknown basis label 'zz'")
+
+
 def test_divisor_and_class_of():
     code, doc = _invoke(["divisor", "--family", "monoid:m=3", "--chi", "eps_1:1,eps_4:1"])
     assert code == 0

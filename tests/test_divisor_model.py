@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,8 @@ from sphemb.divisor_model import (
     PicardMembershipError,
     ProvisionalModelError,
     WonderfulModel,
+    _choose_basis,
+    _relation_matrix,
     canonical_divisor,
     class_group,
     class_group_data,
@@ -31,7 +34,7 @@ from sphemb.families import (
     determinantal_realization,
     monoid_model,
 )
-from sphemb.lattice import solve_integer
+from sphemb.lattice import IntegerMatrix, smith_normal_form, solve_integer
 from sphemb.rootdata import TorusLattice
 
 
@@ -222,6 +225,35 @@ def test_is_principal_on_rank_deficient_models():
     assert ok and principal_divisor(models[2], witness).as_dict() == {"X": 1}
 
 
+def test_generators_pinned_where_the_greedy_rejects_a_colour():
+    # No family model makes the generator choice skip a colour; these two do.
+    # Recorded before the choice ran by column reduction: on the first model
+    # D1 + D2 = -2X, so D2 is rejected beside D1 and X is taken; on the second
+    # D2 is rejected beside D1, D3 is taken, and then X1 ahead of X2.
+    cases = [
+        (
+            _json_model(1, [("D1", (1,)), ("D2", (1,))], [("X", (2,))]),
+            2,
+            ("D1", "X"),
+            {"X": (0, 1), "D1": (1, 0), "D2": (-1, -2)},
+        ),
+        (
+            _json_model(2, [("D1", (1, 0)), ("D2", (1, 3)), ("D3", (0, 1))], [("X1", (2, 0)), ("X2", (0, 1))]),
+            3,
+            ("D1", "D3", "X1"),
+            {"X1": (0, 0, 1), "X2": (3, -1, 6), "D1": (1, 0, 0), "D2": (-1, 0, -2), "D3": (0, 1, 0)},
+        ),
+    ]
+    for model, free_rank, generators, classes in cases:
+        assert validate_model(model).ok
+        group = class_group(model)
+        assert (group.free_rank, group.invariant_factors) == (free_rank, ())
+        assert class_group_generators(model) == generators
+        for label, free in classes.items():
+            coords = class_of(model, model.divisor({label: 1}))
+            assert (coords.free, coords.torsion, coords.generators) == (free, (), generators)
+
+
 def test_gorenstein_examples():
     assert is_gorenstein(monoid_model(1)[0])
     assert not is_gorenstein(monoid_model(3)[0])
@@ -296,8 +328,10 @@ def test_class_group_data_is_kept_on_the_model(monkeypatch):
     snf = divisor_model.smith_normal_form
     monkeypatch.setattr(divisor_model, "smith_normal_form", lambda a: snf_inputs.append(a) or snf(a))
     data = class_group_data(model)
-    # One SNF of the relation matrix per model: the presentation is read off it.
-    assert snf_inputs.count(data.relation_matrix) == 1
+    # One SNF per model, of the relation matrix: the presentation is read off
+    # it, and the generators come from a column reduction, not more SNFs.
+    assert snf_inputs == [data.relation_matrix]
+    assert data.generators == ("D_1", "D_2", "D_3")
     assert data.presentation.free_rank == 3 and data.presentation.invariant_factors == ()
 
     def no_hash(self):
@@ -309,7 +343,7 @@ def test_class_group_data_is_kept_on_the_model(monkeypatch):
     # An equal model built separately computes its own data, with equal results.
     assert twin == model and class_group_data(twin) is not data
     assert class_group_data(twin).presentation == data.presentation
-    assert snf_inputs.count(data.relation_matrix) == 2
+    assert snf_inputs == [data.relation_matrix] * 2
 
 
 def test_validate_model_detects_corruption():
@@ -440,3 +474,163 @@ def test_wonderful_section_homomorphism():
         lhs = wonderful_section_divisor(model, chi1 + chi2)
         rhs = wonderful_section_divisor(model, chi1) + wonderful_section_divisor(model, chi2)
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# Integer pairing rows against plain Fraction sums.
+
+
+def _reference_pairing_row(model, chi):
+    """<chi, f> for every label, summed over ``Fraction`` coordinates (the old pairing path)."""
+    functionals = [b.valuation for b in model.boundaries] + [c.functional for c in model.colors]
+    return [sum((c * x for c, x in zip(chi.coords, f.coords)), Fraction(0)) for f in functionals]
+
+
+def _torsion_models(rng):
+    """JSON models whose relation rows are random rows scaled by 1 to 4: torsion is common."""
+    for _ in range(40):
+        rank, width = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, 2, 3)) * k for _ in range(width)] for k in (rng.randint(1, 4) for _ in range(rank))]
+        n_boundary = rng.randint(0, width)
+        columns = [tuple(rows[i][j] for i in range(rank)) for j in range(width)]
+        yield _json_model(
+            rank,
+            [(f"D{j}", columns[j]) for j in range(n_boundary, width)],
+            [(f"X{j}", columns[j]) for j in range(n_boundary)],
+        )
+
+
+def _sublattice_model():
+    # Basis characters 2a and 3b span a sublattice, so the functionals with
+    # denominators 2 and 3 still pair integrally with them.
+    return model_from_json(
+        {
+            "lattice": {"rank": 2, "labels": ["a", "b"]},
+            "basis_characters": [[2, 0], [0, 3]],
+            "simple_roots": [],
+            "colors": [{"id": "C", "functional": ["1/2", "1/3"], "canonical_coefficient": -1}],
+            "boundaries": [{"id": "X", "valuation": ["0", "-1/3"]}],
+        }
+    )
+
+
+def test_relation_matrix_matches_fraction_pairings():
+    rng = random.Random(83)
+    models = list(_family_models())
+    assert len(models) == 157
+    torsion = list(_torsion_models(rng))
+    assert sum(1 for m in torsion if class_group(m).invariant_factors) >= 10
+    for model in models + torsion + [_sublattice_model()]:
+        reference = [_reference_pairing_row(model, b) for b in model.basis_characters]
+        assert all(v.denominator == 1 for row in reference for v in row)
+        assert _relation_matrix(model).to_rows() == [[v.numerator for v in row] for row in reference]
+        for _ in range(3):
+            chi = model.weight_lattice.combination((rng.randint(-5, 5), b) for b in model.basis_characters)
+            expected = dict(zip(model.label_order, (v.numerator for v in _reference_pairing_row(model, chi))))
+            assert principal_divisor(model, chi) == Divisor.from_mapping(expected)
+    assert _relation_matrix(_sublattice_model()).to_rows() == [[0, 1], [-1, 1]]
+
+
+@pytest.mark.parametrize(
+    "colors, boundaries, message",
+    [
+        ([("D", ("1/2", "0")), ("E", ("0", "1"))], [("X", ("1", "1"))], "non-integral colour pairing at D"),
+        ([("D", ("1", "0"))], [("X", ("0", "1")), ("Y", ("2/3", "1"))], "non-integral boundary pairing at Y"),
+    ],
+    ids=["colour", "boundary"],
+)
+def test_non_integral_json_model_raises_the_same_message_everywhere(colors, boundaries, message):
+    model = _json_model(2, colors, boundaries)
+    assert not validate_model(model).ok
+    with pytest.raises(NonIntegralPairingError) as from_divisor:
+        principal_divisor(model, model.weight_lattice.character([1, 1]))
+    with pytest.raises(NonIntegralPairingError) as from_group:
+        class_group(model)
+    assert str(from_divisor.value) == str(from_group.value) == message
+
+
+def test_sublattice_model_pairs_through_scaled_numerators():
+    model = _sublattice_model()
+    assert principal_divisor(model, model.weight_lattice.character([2, 3])).as_dict() == {"C": 2, "X": -1}
+    with pytest.raises(NonIntegralPairingError, match="non-integral boundary pairing at X"):
+        principal_divisor(model, model.weight_lattice.character([2, 1]))
+    with pytest.raises(NonIntegralPairingError, match="non-integral colour pairing at C"):
+        principal_divisor(model, model.weight_lattice.character([1, 0]))
+
+
+# ---------------------------------------------------------------------------
+# The generator choice against a greedy that runs one SNF per candidate.
+
+
+def _reference_choice(vectors, f):
+    picked = []
+    for index, v in enumerate(vectors):
+        if len(picked) == f:
+            break
+        rows = [vectors[i] for i in picked] + [v]
+        diag = smith_normal_form(IntegerMatrix.from_rows(rows, cols=f)).D.diagonal()
+        if sum(1 for d in diag if d) == len(rows) and all(d in (0, 1) for d in diag):
+            picked.append(index)
+    return picked
+
+
+def _check_choice(vectors, f):
+    picked, cols = _choose_basis(vectors, f)
+    assert picked == _reference_choice(vectors, f)
+    # The picked rows times the columns of T read as the first rows of I.
+    for i, index in enumerate(picked):
+        assert [sum(a * b for a, b in zip(vectors[index], col)) for col in cols] == [int(i == j) for j in range(f)]
+
+
+def test_generator_choice_matches_the_snf_greedy_on_family_models():
+    for model in _family_models():
+        data = class_group_data(model)
+        if data.torsion:
+            continue
+        order = model.label_order
+        f = len(data.free_indices)
+        free_rows = [tuple(data.snf.V.entry(order.index(lab), i) for i in data.free_indices) for lab in order]
+        preference = model.color_ids + model.boundary_ids
+        _check_choice([free_rows[order.index(lab)] for lab in preference], f)
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is a test-only dependency
+    given = None
+
+if given is not None:
+
+    @st.composite
+    def _candidate_rows(draw):
+        """Row lists in Z^f: random, sparse, scaled (non-primitive) and dependent rows.
+
+        A drawn prefix of scaled unit rows gives torsion-like starts, such
+        as 2 e_1 ahead of e_1 + e_2.
+        """
+        f = draw(st.integers(1, 5))
+        rows = [
+            [k if j == i else 0 for j in range(f)]
+            for i, k in enumerate(draw(st.lists(st.integers(1, 3), max_size=f)))
+        ]
+        entry = st.integers(-4, 4)
+        for _ in range(draw(st.integers(0, 8))):
+            kind = draw(st.sampled_from(("random", "sparse", "scaled", "dependent")))
+            if kind == "random":
+                rows.append(draw(st.lists(entry, min_size=f, max_size=f)))
+            elif kind == "sparse":
+                rows.append(draw(st.lists(st.sampled_from((0, 0, 0, 1, -1)), min_size=f, max_size=f)))
+            elif kind == "scaled":
+                k = draw(st.integers(2, 4))
+                rows.append([k * e for e in draw(st.lists(entry, min_size=f, max_size=f))])
+            elif rows:
+                coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+                rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(f)])
+        return draw(st.permutations(rows)) if draw(st.booleans()) else rows, f
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_candidate_rows())
+    def test_generator_choice_matches_the_snf_greedy(case):
+        vectors, f = case
+        _check_choice(vectors, f)

@@ -13,6 +13,7 @@ from sphemb.divisor_model import (
     class_group,
     class_group_generators,
     class_of,
+    model_from_json,
     principal_divisor,
     validate_model,
 )
@@ -476,6 +477,58 @@ def test_boundary_without_exponents_fails_construction(monkeypatch):
             patch.setattr(families, "SphericalDivisorModel", with_extra_boundary)
             with pytest.raises(ValueError):
                 build()
+
+
+def _scaled_crosscheck_model():
+    # Basis characters 2a and 3b, and functionals with denominators 2 and 3:
+    # every pairing is an integer, but no functional has scale 1.
+    return model_from_json(
+        {
+            "lattice": {"rank": 2, "labels": ["a", "b"]},
+            "basis_characters": [[2, 0], [0, 3]],
+            "simple_roots": [],
+            "colors": [{"id": "C", "functional": ["1/2", "1/3"], "canonical_coefficient": -1}],
+            "boundaries": [{"id": "X", "valuation": ["0", "1/3"]}],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "coroots, exponents, label",
+    [
+        ({"C": ({0: 1, 1: 1},)}, [{1: 1}], None),
+        ({"C": ({0: 1, 1: 2},)}, [{1: 1}], "C"),
+        ({"C": ({0: 1, 1: 1}, {0: 0, 1: 1})}, [{1: 1}], "C"),
+        ({"C": ({0: 1, 1: 1},)}, [{1: 2}], "X"),
+        ({"C": ({0: 1, 1: 1},)}, [{0: 1, 1: 1}], "X"),
+    ],
+    ids=["agree", "coroot-off-by-one", "second-coroot-off-by-one", "exponent-off-by-one", "extra-exponent"],
+)
+def test_crosscheck_compares_over_each_scale(coroots, exponents, label):
+    # On the ambient torus the basis characters 2a and 3b are the unit vectors.
+    model = _scaled_crosscheck_model()
+    ambient = lambda chi: [chi.coords[0] // 2, chi.coords[1] // 3]  # noqa: E731
+    if label is None:
+        families._crosscheck(model, ambient, coroots, exponents)
+        return
+    with pytest.raises(ValueError, match=f"(colour table for|boundary valuation) {label} disagrees"):
+        families._crosscheck(model, ambient, coroots, exponents)
+
+
+def test_monoid_exponent_table_off_by_one_fails_construction(monkeypatch):
+    # The monoid's boundary exponents are written into its model builder; one
+    # exponent off by one at X_2 must fail the cross-check, naming X_2.
+    crosscheck = families._crosscheck
+
+    def off_by_one(model, ambient, coroots, exponents):
+        exponents = [dict(e) for e in exponents]
+        k = next(iter(exponents[2]))
+        exponents[2][k] += 1
+        crosscheck(model, ambient, coroots, exponents)
+
+    monkeypatch.setattr(families, "_crosscheck", off_by_one)
+    with pytest.raises(ValueError, match=re.escape("boundary valuation X_2 disagrees")):
+        monoid_model(3)
 
 
 def _random_matrix(rng, n, rational):

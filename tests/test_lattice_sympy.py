@@ -78,8 +78,25 @@ def test_determinant_matches_sympy(m):
     assert determinant(IntegerMatrix.from_rows(m, cols=len(m))) == _sympy_matrix(m).det()
 
 
+@st.composite
+def rank_inputs(draw):
+    """A matrix from ``rational_matrices`` with all-zero rows put in, or all of it zeroed.
+
+    Rows mix ``Fraction`` and int entries, and a zero row is either kind.
+    """
+    m = draw(rational_matrices())
+    cols = len(m[0]) if m else draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        m = [[Fraction(0)] * cols for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 3))):
+        zero = [draw(st.sampled_from((0, Fraction(0)))) for _ in range(cols)]
+        m.insert(draw(st.integers(0, len(m))), zero)
+    ints = draw(st.lists(st.booleans(), min_size=len(m), max_size=len(m)))
+    return [[int(e) if i and e.denominator == 1 else e for e in r] for i, r in zip(ints, m)]
+
+
 @_SETTINGS
-@given(rational_matrices())
+@given(rank_inputs())
 def test_rational_rank_matches_sympy(m):
     assert rational_rank(m) == _sympy_matrix(m).rank()
 
