@@ -54,7 +54,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--family", required=True, help="family specifier, e.g. monoid:m=3")
         p.add_argument("--trials", type=int, default=8)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", default=True, help="JSON output (always on)")
 
     p = sub.add_parser("class-group")
     common(p)
@@ -70,7 +69,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--divisor", required=True, help="sparse divisor, label:coeff,label:coeff; repeated labels add up")
     p = sub.add_parser("verify")
     common(p)
-    p.add_argument("--oracle", action="store_true", default=True, help="run the oracle suite (always on)")
     p = sub.add_parser("wonderful-section")
     common(p)
     p.add_argument("--chi", required=True, help="sparse character, label:coeff,label:coeff; repeated labels add up")

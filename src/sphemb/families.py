@@ -22,6 +22,12 @@ integers l, r > 0.  Samplers draw them, ``act`` multiplies on their integer
 matrices and inverts nothing, and ``bumped_copies`` perturbs them for the
 oracle's negative control; no other module reads a unit's fields.
 
+A point is one ``ScaledMatrix`` per arrow: integer polynomials in t over one
+scale.  The constructors build each base and curve point once in this form,
+translates keep it, and membership tests, the curve check, ``dilation`` and
+the minors read it; ``Fraction`` or ``LaurentPoly`` rows are divided out only
+when read.  ``ScaledMatrix.of`` converts a matrix given as rows.
+
 Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives
 them at construction from each family's ambient map, colour coroots and
 boundary exponents and raises ``ValueError`` on disagreement, so a
@@ -37,13 +43,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from typing import Callable, Sequence
 
 from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel
-from .lattice import integer_inverse, mat_mul, rational_rank, scaled_to_integers
-from .laurent import LaurentPoly
+from .lattice import integer_inverse, mat_mul, rational_rank
+from .laurent import LaurentPoly, NegativeExponentError
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, scaled_pairings
 
 
@@ -55,50 +61,6 @@ Matrix = tuple[tuple, ...]
 Point = tuple[Matrix, ...]
 Unit = tuple[int, list[list[int]], int, list[list[int]]]
 GroupElement = tuple[Unit, ...]
-
-
-def _freeze(rows) -> Matrix:
-    return tuple(tuple(e for e in r) for r in rows)
-
-
-def _frac(rows) -> Matrix:
-    return tuple(tuple(Fraction(e) for e in r) for r in rows)
-
-
-def _identity(n: int) -> Matrix:
-    return _frac([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def _transpose(m: Matrix) -> Matrix:
-    return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0]) if m else 0))
-
-
-def _integer_polys(m) -> tuple[int, list[list[dict[int, int]]], bool]:
-    """(L, L M) for a matrix of rationals and Laurent polynomials.
-
-    Each entry of L M is an {exponent: nonzero int} dict (empty for zero),
-    with L the lcm of the entries' denominators, read off each rational and
-    each ``LaurentPoly``'s integer numerator and denominator.  An entry whose
-    denominator is L shares its polynomial's numerator dict, so the dicts are
-    read only.  The flag says whether any entry was a ``LaurentPoly``.  A
-    ``ScaledMatrix`` returns its stored form, whose L need not be the lcm and
-    whose dicts may keep a zero coefficient where terms cancelled.
-    """
-    if isinstance(m, ScaledMatrix):
-        return m.scale, m.polys, m.laurent
-    laurent = False
-    polys = []
-    for r in m:
-        row = []
-        for e in r:
-            if isinstance(e, LaurentPoly):
-                laurent = True
-                row.append((e._den, e._num))
-            else:
-                row.append((e.denominator, {0: e.numerator} if e else {}))
-        polys.append(row)
-    scale = lcm(*(den for r in polys for den, _ in r))
-    return scale, [[p if den == scale else {k: c * (scale // den) for k, c in p.items()} for den, p in r] for r in polys], laurent
 
 
 def _add_scaled(acc: dict[int, int], a: int, p: dict[int, int]) -> None:
@@ -125,12 +87,13 @@ def _divide_polys(m: list[list[dict[int, int]]], scale: int, laurent: bool) -> M
 class ScaledMatrix:
     """A matrix of rationals or Laurent polynomials held as integer polynomials over one scale.
 
-    ``polys[i][j]`` is scale times entry (i, j), an {exponent: int} dict,
-    for an integer ``scale`` > 0; ``laurent`` says whether the entries are
+    The matrix format of every base point, curve point and translate.
+    ``polys[i][j]`` is scale times entry (i, j), an {exponent: int} dict, for
+    an integer ``scale`` > 0; ``laurent`` says whether the entries are
     ``LaurentPoly`` or ``Fraction``.  A coefficient may be zero where terms
-    cancelled: every reader sums or divides, and dividing drops zeros.  The divided rows are built when a
-    row is first read, and the matrix compares and hashes like the tuple of
-    those rows.  Its minors share one memoised expansion (``minor``).
+    cancelled: every reader sums, divides or skips zeros.  The divided rows are
+    built when a row is first read, and the matrix compares and hashes like the
+    tuple of those rows.  Its minors share one memoised expansion (``minor``).
     """
 
     __slots__ = ("scale", "polys", "laurent", "_rows", "_minors", "_rotated")
@@ -145,7 +108,18 @@ class ScaledMatrix:
 
     @classmethod
     def of(cls, m) -> "ScaledMatrix":
-        return m if isinstance(m, ScaledMatrix) else cls(*_integer_polys(m))
+        """m itself, or its rows of rationals and ``LaurentPoly`` over the lcm of their denominators.
+
+        Each entry is read as a ``LaurentPoly``; one whose denominator is the lcm shares its numerator dict.
+        """
+        if isinstance(m, ScaledMatrix):
+            return m
+        forms = [[LaurentPoly._coerce(e) for e in r] for r in m]
+        scale = lcm(*(e._den for r in forms for e in r))
+        polys = [
+            [e._num if e._den == scale else {k: c * (scale // e._den) for k, c in e._num.items()} for e in r] for r in forms
+        ]
+        return cls(scale, polys, any(isinstance(e, LaurentPoly) for r in m for e in r))
 
     @property
     def rows(self) -> Matrix:
@@ -200,33 +174,46 @@ class ScaledMatrix:
             self._minors[cols] = total = {e: c for e, c in total.items() if c}
         return total
 
+    def constant_terms(self) -> list[list[int]]:
+        """scale times each entry's t^0 coefficient: the scaled matrix itself when its entries are rational."""
+        return [[p.get(0, 0) for p in r] for r in self.polys]
+
+    def limit(self) -> "ScaledMatrix":
+        """The matrix at t = 0, on the same scale; ``NegativeExponentError`` if a negative power of t remains."""
+        if any(c and e < 0 for r in self.polys for p in r for e, c in p.items()):
+            raise NegativeExponentError("no limit at t=0: negative powers of t present")
+        return ScaledMatrix(self.scale, [[{0: c} if c else {} for c in r] for r in self.constant_terms()], False)
+
     def trailing_minor(self, k: int):
-        """The determinant of the bottom-right k x k block, divided once by scale^k."""
+        """The determinant of the bottom-right k x k block, divided once by scale^k; 0 <= k <= min(rows, columns)."""
         width = len(self.polys[0]) if self.polys else 0
+        if not 0 <= k <= min(len(self.polys), width):
+            raise ValueError(f"no {k} x {k} minor in a {len(self.polys)} x {width} matrix")
         return _divide_polys([[self.minor(tuple(range(width - k, width)))]], self.scale**k, self.laurent)[0][0]
 
 
 def _det_generic(rows):
-    """Determinant of a square matrix of rationals and Laurent polynomials.
+    """Determinant of a square matrix of rationals and Laurent polynomials; ``ValueError`` if not square.
 
-    The entries are cleared to integer polynomials over one scale L, or read
-    off a ``ScaledMatrix``'s stored form, and the determinant is its one
-    memoised expansion (``ScaledMatrix.minor``), divided once by L^k: a
-    ``LaurentPoly`` when any entry is one, a ``Fraction`` otherwise.  A 1 x 1
-    matrix returns its entry.
+    It is the ``ScaledMatrix``'s one memoised expansion (``minor``), divided
+    once by scale^k: a ``LaurentPoly`` when the entries are, a ``Fraction``
+    otherwise.  A 1 x 1 matrix returns its entry.
     """
-    if len(rows) == 1:
+    m = ScaledMatrix.of(rows)
+    if any(len(r) != len(m) for r in m.polys):
+        raise ValueError("determinant of a non-square matrix")
+    if len(m) == 1:
         return rows[0][0]
-    return ScaledMatrix.of(rows).trailing_minor(len(rows))
+    return m.trailing_minor(len(m))
 
 
 def leading_minor(m, k: int):
-    """The determinant of the top-left k x k block, read on the matrix turned by 180 degrees."""
+    """The top-left k x k minor, 0 <= k <= min(rows, columns), read on the matrix turned by 180 degrees."""
     return ScaledMatrix.of(m).rotated.trailing_minor(k)
 
 
 def trailing_minor(m, k: int):
-    """The determinant of the bottom-right k x k block."""
+    """The bottom-right k x k minor, 0 <= k <= min(rows, columns); ``ValueError`` otherwise."""
     return ScaledMatrix.of(m).trailing_minor(k)
 
 
@@ -400,35 +387,24 @@ class MatrixRealization:
 
 
 def _passes_through(curve: Point, point: Point) -> bool:
-    """Whether the curve's value at t = 1 is ``point``.
-
-    A ``LaurentPoly`` entry's value at t = 1 is the sum of its coefficients;
-    any other entry is its own value.
-    """
-    if [[len(r) for r in x] for x in curve] != [[len(r) for r in x] for x in point]:
-        return False
-    return all(
-        (sum(c for _, c in e.items()) if isinstance(e, LaurentPoly) else e) == b
-        for x, y in zip(curve, point)
-        for r, s in zip(x, y)
-        for e, b in zip(r, s)
-    )
+    """Whether the curve's value at t = 1, each entry's coefficient sum, is ``point``."""
+    curve = [ScaledMatrix.of(x) for x in curve]
+    at_one = tuple(ScaledMatrix(x.scale, [[{0: sum(p.values())} for p in r] for r in x.polys], False) for x in curve)
+    return at_one == tuple(map(ScaledMatrix.of, point))
 
 
 def _translate(left: tuple[int, list[list[int]]], x, right: tuple[int, list[list[int]]]) -> ScaledMatrix:
     """(L / l) x (R / r) for integer forms left = (l, L) and right = (r, R), l, r > 0.
 
-    x is scaled to integer polynomials (a ``ScaledMatrix`` is read as
-    stored), the product is taken on integers, and zero entries of x (most of
-    a curve point) are skipped.  The product keeps its integer form over the
-    scale l L_x r; its entries read as ``LaurentPoly`` when x holds one,
-    ``Fraction`` otherwise.
+    The product is taken on x's stored integer form (``ScaledMatrix.of``),
+    skipping its zero entries (most of a curve point), and keeps its integer
+    form over the scale l L_x r; its entries read as x's do.
     """
     left_scale, left = left
     right_scale, right = right
-    x_scale, xp, laurent = _integer_polys(x)
-    middle = [[{} for _ in range(len(xp[0]) if xp else 0)] for _ in left]
-    for k, x_row in enumerate(xp):
+    x = ScaledMatrix.of(x)
+    middle = [[{} for _ in range(len(x.polys[0]) if x.polys else 0)] for _ in left]
+    for k, x_row in enumerate(x.polys):
         for l, p in enumerate(x_row):
             if p:
                 for i, left_row in enumerate(left):
@@ -441,7 +417,18 @@ def _translate(left: tuple[int, list[list[int]]], x, right: tuple[int, list[list
                 for j, b in enumerate(right[l]):
                     if b:
                         _add_scaled(out[i][j], b, p)
-    return ScaledMatrix(left_scale * x_scale * right_scale, out, laurent)
+    return ScaledMatrix(left_scale * x.scale * right_scale, out, x.laurent)
+
+
+def _monomial_matrix(rows: int, cols: int, powers: dict[tuple[int, int], int]) -> ScaledMatrix:
+    """The rows x cols matrix with t^e at each (i, j): e of ``powers``, zero elsewhere, on scale 1.
+
+    Its entries are ``LaurentPoly`` when some e is nonzero, ``Fraction`` otherwise.
+    """
+    polys = [[{} for _ in range(cols)] for _ in range(rows)]
+    for (i, j), e in powers.items():
+        polys[i][j] = {e: 1}
+    return ScaledMatrix(1, polys, any(powers.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +545,13 @@ def _crosscheck(
 
 
 def _monoid_membership(point: Point) -> bool:
-    # A^T B = A B^T = d I, tested on L A and L' B with L, L' the lcms of the
-    # denominators: both products scale by L L', and d with them.
-    a = scaled_to_integers(point[0])[1]
-    b = scaled_to_integers(point[1])[1]
+    # A^T B = A B^T = d I, tested on the stored L A and L' B: both products
+    # scale by L L', and d with them.
+    a = ScaledMatrix.of(point[0]).constant_terms()
+    b = ScaledMatrix.of(point[1]).constant_terms()
     m = len(a)
-    at_b = mat_mul(_transpose(a), b)
-    a_bt = mat_mul(a, _transpose(b))
+    at_b = mat_mul(list(zip(*a)), b)
+    a_bt = mat_mul(a, list(zip(*b)))
     d = at_b[0][0]
     for i in range(m):
         for j in range(m):
@@ -590,7 +577,8 @@ def _sample_monoid_element(rng: random.Random, m: int, triangular: str | None = 
 
 
 def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealization:
-    base = (_identity(m), _identity(m))
+    identity = _monomial_matrix(m, m, {(k, k): 0 for k in range(m)})
+    base = (identity, identity)
 
     def group_sampler(rng: random.Random) -> GroupElement:
         g1 = _sample_monoid_element(rng, m)
@@ -601,14 +589,13 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         return g1 + _sample_monoid_element(rng, m, triangular="upper")
 
     def dilation(point: Point):
-        # sum a_ij b_ij / m, on L_a A and L_b B and divided once by L_a L_b m.
-        a_scale, a, a_laurent = _integer_polys(point[0])
-        b_scale, b, b_laurent = _integer_polys(point[1])
+        # sum a_ij b_ij / m, on the stored L_a A and L_b B and divided once by L_a L_b m.
+        a, b = ScaledMatrix.of(point[0]), ScaledMatrix.of(point[1])
         total: dict[int, int] = {}
-        for a_row, b_row in zip(a, b):
+        for a_row, b_row in zip(a.polys, b.polys):
             for p, q in zip(a_row, b_row):
                 _add_product(total, p, q)
-        return _divide_polys([[total]], a_scale * b_scale * m, a_laurent or b_laurent)[0][0]
+        return _divide_polys([[total]], a.scale * b.scale * m, a.laurent or b.laurent)[0][0]
 
     lattice = model.weight_lattice
     semi = [
@@ -621,12 +608,12 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         chi = lattice.character([1 if k >= m - i else 0 for k in range(m)] + [0])
         semi.append(SemiInvariantSpec(f"Delta_trail_{i}", (lambda pt, i=i: trailing_minor(pt[0], i)), chi))
 
-    t = LaurentPoly.t_power(1)
+    # lambda_r scales A's diagonal past position r by t, and B's up to r.
     curves = []
     for r in range(m + 1):
-        a = [[(1 if k <= r else t) if k == l else 0 for l in range(1, m + 1)] for k in range(1, m + 1)]
-        b = [[(t if k <= r else 1) if k == l else 0 for l in range(1, m + 1)] for k in range(1, m + 1)]
-        curves.append(Curve(f"lambda_{r}", (_freeze(a), _freeze(b)), (r, m - r), f"X_{r}"))
+        a = _monomial_matrix(m, m, {(k, k): int(k >= r) for k in range(m)})
+        b = _monomial_matrix(m, m, {(k, k): int(k < r) for k in range(m)})
+        curves.append(Curve(f"lambda_{r}", (a, b), (r, m - r), f"X_{r}"))
 
     # Lie algebra of the unit group: pairs (a, delta I - a^T) on each side,
     # spanned by (E_ij, -E_ji) and (0, I).
@@ -672,8 +659,8 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
 
     def membership(point: Point) -> bool:
         # Ranks and zero compositions are unchanged by scaling each arrow
-        # matrix to integers.
-        scaled = [scaled_to_integers(x)[1] for x in point]
+        # matrix, so they are read on the stored integers.
+        scaled = [ScaledMatrix.of(x).constant_terms() for x in point]
         if any(rational_rank(x) > k for x, k in zip(scaled, ranks)):
             return False
         return all(e == 0 for i, j in zero_paths for row in mat_mul(scaled[i], scaled[j]) for e in row)
@@ -697,14 +684,14 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
 # Circular complexes.
 
 
-def _standard_er(rows: int, cols: int, r: int) -> Matrix:
-    return _frac([[1 if i == j and i < r else 0 for j in range(cols)] for i in range(rows)])
+def _standard_er(r: int) -> dict[tuple[int, int], int]:
+    """E_r, ones on the first r diagonal entries, as ``_monomial_matrix`` powers."""
+    return {(i, i): 0 for i in range(r)}
 
 
-def _standard_fs(rows: int, cols: int, s: int) -> Matrix:
-    return _frac(
-        [[1 if (i >= rows - s and j >= cols - s and i - (rows - s) == j - (cols - s)) else 0 for j in range(cols)] for i in range(rows)]
-    )
+def _standard_fs(rows: int, cols: int, s: int) -> dict[tuple[int, int], int]:
+    """F_s, ones on the last s entries of the bottom-right diagonal, as ``_monomial_matrix`` powers."""
+    return {(rows - s + k, cols - s + k): 0 for k in range(s)}
 
 
 def _circular_parameters(m: int, n: int, r: int, s: int) -> tuple[int, int, int, int]:
@@ -847,23 +834,20 @@ def _circular_torus(m: int, n: int, r: int, s: int) -> tuple[tuple[tuple[int, in
 
 
 def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDivisorModel) -> MatrixRealization:
-    er = _standard_er(m, n, r)
-    fs = _standard_fs(n, m, s)
+    er_ones, fs_ones = _standard_er(r), _standard_fs(n, m, s)
+    er, fs = _monomial_matrix(m, n, er_ones), _monomial_matrix(n, m, fs_ones)
 
     # With two boundaries (m = n, r + s = m) lambda_r reaches the first and
-    # mu_r the second.
+    # mu_r the second.  lambda_r scales E_r's last one by t, and mu_r F_s's
+    # first one when r + s = n.
     lambda_boundary, mu_boundary = model.boundary_ids or (None, None)
-    t = LaurentPoly.t_power(1)
     curves = []
     if r >= 1:
-        a = [list(row) for row in er]
-        a[r - 1][r - 1] = t
-        curves.append(Curve(f"lambda_{r}", (_freeze(a), fs), (r - 1, s), lambda_boundary))
+        a = _monomial_matrix(m, n, {**er_ones, (r - 1, r - 1): 1})
+        curves.append(Curve(f"lambda_{r}", (a, fs), (r - 1, s), lambda_boundary))
     if s >= 1:
-        b = [list(row) for row in fs]
-        if r + s == n:
-            b[r][m - s] = t
-        curves.append(Curve(f"mu_{r}", (er, _freeze(b)), (r, s - 1 if r + s == n else s), mu_boundary))
+        b = _monomial_matrix(n, m, {**fs_ones, (r, m - s): 1}) if r + s == n else fs
+        curves.append(Curve(f"mu_{r}", (er, b), (r, s - 1 if r + s == n else s), mu_boundary))
 
     return MatrixRealization(
         base_point=(er, fs),
@@ -946,16 +930,15 @@ def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) ->
         chi = lattice.character([1 if k < i else 0 for k in range(r)])
         semi.append(SemiInvariantSpec(f"Delta_{i}", (lambda pt, i=i: leading_minor(pt[0], i)), chi))
 
-    er = _standard_er(m, n, r)
-    a = [list(row) for row in er]
-    a[r - 1][r - 1] = LaurentPoly.t_power(1)
+    er_ones = _standard_er(r)
+    a = _monomial_matrix(m, n, {**er_ones, (r - 1, r - 1): 1})
 
     return MatrixRealization(
-        base_point=(er,),
+        base_point=(_monomial_matrix(m, n, er_ones),),
         torus=_circular_torus(m, n, r, 0),
         semi_invariants=tuple(semi),
         # The curve's limit is the candidate boundary orbit X_{r-1}.
-        curves=(Curve(f"lambda_{r}", (_freeze(a),), (r - 1,), f"X_{r - 1}"),),
+        curves=(Curve(f"lambda_{r}", (a,), (r - 1,), f"X_{r - 1}"),),
         expected_orbit_dimension=r * (m + n - r),
         stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, 0),
         **_quiver_parts((m, n), ((0, 1),), (r,)),
@@ -1004,8 +987,6 @@ def _check_complexes_parameters(l: int, m: int, n: int, r: int, s: int) -> None:
 def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixRealization:
     """Pairs (A, B) in Mat(l,m) x Mat(m,n) with rk A <= r, rk B <= s, AB = 0."""
     _check_complexes_parameters(l, m, n, r, s)
-    er = _standard_er(l, m, r)
-    fs = _standard_fs(m, n, s)
 
     def stabilizer_sampler(rng: random.Random) -> GroupElement:
         a11 = _rand_invertible(rng, r)[1]
@@ -1032,7 +1013,7 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
         return (_unit(a_full), _unit(b_full), _unit(c_full))
 
     return MatrixRealization(
-        base_point=(er, fs),
+        base_point=(_monomial_matrix(l, m, _standard_er(r)), _monomial_matrix(m, n, _standard_fs(m, n, s))),
         # The orbit of complexes of ranks (r, s) (De Concini-Strickland 1981).
         expected_orbit_dimension=r * (l + m - r) + s * (m + n - s) - r * s,
         stabilizer_sampler=stabilizer_sampler,
@@ -1139,9 +1120,9 @@ def _parse_int(text: str) -> int:
 class FamilyBundle:
     """A family member's divisor model, wonderful data and matrix realization.
 
-    ``realization`` is built, and validated, on first read, and so is a
-    determinantal member's ``model``, which the oracle finalizes from the
-    realization.  Each is built once per bundle.
+    Each is built on first read, once per bundle, by its thunk; a part with no
+    thunk reads as ``None``.  The realization is validated as it is built, and
+    a determinantal member's model is finalized by the oracle from it.
     """
 
     def __init__(
@@ -1149,57 +1130,62 @@ class FamilyBundle:
         name: str,
         params: dict[str, int],
         realize: Callable[[], MatrixRealization],
-        model: SphericalDivisorModel | None = None,
-        wonderful: WonderfulModel | None = None,
-        finalize: Callable[[MatrixRealization], SphericalDivisorModel] | None = None,
+        model: Callable[[], SphericalDivisorModel] | None = None,
+        wonder: Callable[[], WonderfulModel] | None = None,
     ):
         self.name = name
         self.params = params
-        self.wonderful = wonderful
         self._realize = realize
         self._model = model
-        self._finalize = finalize
+        self._wonder = wonder
 
     @cached_property
     def realization(self) -> MatrixRealization:
         return self._realize()
 
     @cached_property
+    def wonderful(self) -> WonderfulModel | None:
+        return None if self._wonder is None else self._wonder()
+
+    @cached_property
     def model(self) -> SphericalDivisorModel | None:
-        if self._finalize is not None:
-            return self._finalize(self.realization)
-        return self._model
+        return None if self._model is None else self._model()
 
 
 def build_family(spec: str, trials: int = 8, seed: int = 0) -> FamilyBundle:
     """Construct the model/realization bundle for a family specifier string.
 
-    Parameters are checked, and the monoid and circular models and every
-    wonderful model built, here.  The realization is built when
-    ``bundle.realization`` is first read; a determinantal model is finalized
-    through the oracle, with ``trials`` and ``seed``, when ``bundle.model``
-    is first read.
+    Parameters are checked, and the monoid and circular models built, here.
+    The realization and the wonderful data are built when
+    ``bundle.realization`` and ``bundle.wonderful`` are first read; a
+    determinantal model is finalized through the oracle, with ``trials`` and
+    ``seed``, when ``bundle.model`` is first read.
     """
     name, params = parse_family_spec(spec)
     if name == "monoid":
         m = params["m"]
         model = _monoid_model(m)
-        return FamilyBundle(name, params, lambda: _monoid_realization(m, model), model, monoid_wonderful(m))
+        return FamilyBundle(name, params, lambda: _monoid_realization(m, model), lambda: model, lambda: monoid_wonderful(m))
     if name == "circular":
         m, n, r, s = _circular_parameters(**params)
         model = _circular_model(m, n, r, s)
         return FamilyBundle(
-            name, params, lambda: _circular_realization(m, n, r, s, model), model, _circular_wonderful(m, n, r, s)
+            name,
+            params,
+            lambda: _circular_realization(m, n, r, s, model),
+            lambda: model,
+            lambda: _circular_wonderful(m, n, r, s),
         )
     if name == "determinantal":
         m, n, r = params["m"], params["n"], params["r"]
         provisional = _provisional_determinantal_model(m, n, r)
+        realize = cache(lambda: _determinantal_realization(m, n, r, provisional.weight_lattice))
         return FamilyBundle(
             name,
             params,
-            lambda: _determinantal_realization(m, n, r, provisional.weight_lattice),
-            wonderful=_circular_wonderful(m, n, r, 0),
-            finalize=lambda real: finalize_determinantal_model(provisional, real, trials=trials, seed=seed),
+            realize,
+            lambda: finalize_determinantal_model(provisional, realize(), trials=trials, seed=seed),
+            lambda: _circular_wonderful(m, n, r, 0),
         )
     _check_complexes_parameters(**params)
     return FamilyBundle(name, params, lambda: complexes_realization(**params))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from .families import bumped_copies
+from .families import ScaledMatrix, bumped_copies
 from .laurent import LaurentPoly
 from .lattice import rational_rank, rational_solve
 from .rootdata import Character, Covector, TorusLattice, pair
@@ -89,12 +89,6 @@ class VerificationReport:
         }
 
 
-def _as_poly(value) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    return LaurentPoly.constant(value)
-
-
 def _check_trials(trials: int) -> None:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -137,7 +131,7 @@ def t_order(
         for g in real.group_draws(trials, seed):
             translate = real.act(g, curve)
             for fn, fn_orders in zip(functions, orders):
-                fn_orders.append(_as_poly(fn.evaluate(translate)).order())
+                fn_orders.append(LaurentPoly._coerce(fn.evaluate(translate)).order())
     results = tuple(_order_result(fn_orders) for fn_orders in orders)
     if isinstance(f, tuple):
         return results
@@ -147,17 +141,9 @@ def t_order(
 
 
 def limit_signature(real, curve_label: str) -> LimitSignature:
-    """Limit of the curve at t=0 with per-block ranks; negative powers are an error."""
-    curve = real.curve(curve_label)
-    blocks = []
-    ranks = []
-    for m in curve:
-        rows = []
-        for r in m:
-            rows.append(tuple(_as_poly(e).value_at_zero() for e in r))
-        blocks.append(tuple(rows))
-        ranks.append(rational_rank([list(r) for r in rows]))
-    return LimitSignature(limit_point=tuple(blocks), rank_profile=tuple(ranks))
+    """Limit of the curve at t=0 (``ScaledMatrix.limit``) with per-block ranks, taken on integers."""
+    limits = tuple(ScaledMatrix.of(x).limit() for x in real.curve(curve_label))
+    return LimitSignature(limit_point=limits, rank_profile=tuple(rational_rank(x.constant_terms()) for x in limits))
 
 
 def orbit_dimension(real, point=None) -> int:

@@ -410,6 +410,35 @@ def test_parameter_errors_stay_eager():
             build_family(spec)
 
 
+def test_bundle_builds_wonderful_data_on_first_read(monkeypatch):
+    from sphemb import families
+    from sphemb.divisor_model import class_group_data
+
+    built = _count_calls(monkeypatch, families, "_wonderful")
+    bundle = families.build_family("monoid:m=20")
+    class_group_data(bundle.model)
+    for family in ("monoid:m=20", "circular:m=2,n=3,r=1,s=1", "determinantal:m=3,n=3,r=2"):
+        code, _ = _invoke(["class-group", "--family", family])
+        assert code == 0
+    assert "wonderful" not in bundle.__dict__ and not built
+    assert bundle.wonderful is bundle.wonderful and len(built) == 1
+    assert families.build_family("complexes:1,2,2,1,1").wonderful is None and len(built) == 1
+
+
+def test_removed_no_op_flags_are_usage_errors():
+    # --json and --oracle were always on; passing either is now an
+    # unrecognized argument.
+    for argv in (
+        ["class-group", "--family", "monoid:m=2", "--json"],
+        ["model", "--family", "monoid:m=2", "--dump", "--json"],
+        ["verify", "--family", "monoid:m=2", "--json"],
+        ["verify", "--family", "monoid:m=2", "--oracle"],
+    ):
+        code, doc = _invoke(argv)
+        assert code == 2 and doc["status"] == "error", argv
+        assert "unrecognized arguments" in doc["message"], argv
+
+
 def test_main_exits_with_the_run_code(monkeypatch, capsys):
     from sphemb.cli import main
 

@@ -814,17 +814,21 @@ def test_minors_match_reference_determinants_of_sliced_blocks():
 
 
 def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
-    from sphemb.families import ScaledMatrix, _divide_polys, _integer_polys, _translate, leading_minor, trailing_minor
+    from sphemb.families import ScaledMatrix, _divide_polys, _translate, leading_minor, trailing_minor
     from sphemb.lattice import scaled_to_integers
+    from sphemb.laurent import LaurentPoly
 
     rng = random.Random(5)
     for _ in range(200):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         x = _random_curve_point(rng, rows, cols, laurent=rng.random() < 0.7)
         g_left, g_right = _random_group_matrix(rng, rows), _random_group_matrix(rng, cols)
-        moved = _translate(scaled_to_integers(g_left), x, scaled_to_integers(g_right))
-        scale, polys, laurent = _integer_polys(moved)
-        assert polys is moved.polys and scale == moved.scale and moved._rows is None
+        left, right = scaled_to_integers(g_left), scaled_to_integers(g_right)
+        moved = _translate(left, x, right)
+        assert ScaledMatrix.of(moved) is moved and moved._rows is None
+        scale, polys, laurent = moved.scale, moved.polys, moved.laurent
+        assert scale == left[0] * ScaledMatrix.of(x).scale * right[0]
+        assert laurent == any(isinstance(e, LaurentPoly) for r in x for e in r)
         eager = _divide_polys(polys, scale, laurent)
         assert eager == _reference_apply_pair(g_left, x, g_right)
         # == both ways, != and hash as the eagerly divided tuple, also on
@@ -873,6 +877,79 @@ def test_stored_zero_coefficients_read_as_zero():
     # g x g^-1 with g = [[1, 1], [0, 1]] fixes the identity through cancelling terms.
     fixed = _translate((1, [[1, 1], [0, 1]]), ((1, 0), (0, 1)), (1, [[1, -1], [0, 1]]))
     assert fixed == ((1, 0), (0, 1)) and trailing_minor(fixed, 1) == 1 and leading_minor(fixed, 2) == 1
+
+
+def test_minor_sizes_are_checked():
+    # A k x k minor needs 0 <= k <= min(rows, columns), and a determinant a
+    # square matrix; the 2 x 3 matrix has no 3 x 3 block and no determinant.
+    from sphemb.families import ScaledMatrix, _det_generic, leading_minor, trailing_minor
+
+    m = [[1, 2, 3], [4, 5, 6]]
+    for matrix in (m, ScaledMatrix.of(m), list(zip(*m))):
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="minor"):
+                leading_minor(matrix, k)
+            with pytest.raises(ValueError, match="minor"):
+                trailing_minor(matrix, k)
+        with pytest.raises(ValueError, match="non-square"):
+            _det_generic(matrix)
+        assert leading_minor(matrix, 0) == trailing_minor(matrix, 0) == 1
+    assert leading_minor(m, 2) == trailing_minor(m, 2) == -3
+    with pytest.raises(ValueError, match="non-square"):
+        _det_generic([[1, 2], [3]])
+
+
+_GRID_SPECS = (
+    [f"monoid:m={m}" for m in (1, 2, 3, 4)]
+    + ["circular:m={},n={},r={},s={}".format(*p) for p in admissible_circular_parameters(3, 3)]
+    + [f"determinantal:m={m},n={n},r={r}" for m in (2, 3) for n in (2, 3) for r in range(1, min(m, n))]
+    + ["complexes:1,2,2,1,1", "complexes:2,3,2,1,1", "complexes:0,2,2,0,1", "complexes:2,3,2,2,1"]
+)
+
+
+def test_points_are_scaled_matrices_from_construction():
+    from sphemb.families import ScaledMatrix
+
+    for spec in _GRID_SPECS:
+        real = build_family(spec).realization
+        for point in [real.base_point] + [c.point for c in real.curves]:
+            for x in point:
+                assert isinstance(x, ScaledMatrix) and ScaledMatrix.of(x) is x, spec
+
+
+def test_points_given_as_rows_validate_act_and_limit_alike():
+    # The same realization with every point given as tuples of rows, and the
+    # monoid's curves as the mixed int and t tuples they were once built as.
+    from sphemb.laurent import T
+    from sphemb.oracle import limit_signature, t_order
+
+    def as_rows(point):
+        return tuple(tuple(tuple(r) for r in x) for x in point)
+
+    rng = random.Random(13)
+    for spec in _GRID_SPECS:
+        real = build_family(spec).realization
+        curves = tuple(dataclasses.replace(c, point=as_rows(c.point)) for c in real.curves)
+        if spec.startswith("monoid"):
+            m = len(real.base_point[0])
+            mixed = [
+                (
+                    tuple(tuple((1 if k < r else T) if k == l else 0 for l in range(m)) for k in range(m)),
+                    tuple(tuple((T if k < r else 1) if k == l else 0 for l in range(m)) for k in range(m)),
+                )
+                for r in range(m + 1)
+            ]
+            assert [c.point for c in curves] == mixed
+            curves = tuple(dataclasses.replace(c, point=point) for c, point in zip(curves, mixed))
+        hand = dataclasses.replace(real, base_point=as_rows(real.base_point), curves=curves)
+        assert hand.membership(hand.base_point)
+        g = real.group_sampler(rng)
+        assert hand.act(g, hand.base_point) == real.act(g, real.base_point), spec
+        for c in real.curves:
+            assert hand.act(g, hand.curve(c.label)) == real.act(g, c.point), (spec, c.label)
+            assert limit_signature(hand, c.label) == limit_signature(real, c.label), (spec, c.label)
+            for f in real.semi_invariants:
+                assert t_order(hand, f, c.label, trials=2) == t_order(real, f, c.label, trials=2), (spec, f.name)
 
 
 def test_group_draws_are_the_seeded_stream_drawn_once():

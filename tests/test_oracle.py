@@ -121,6 +121,30 @@ def test_limit_negative_powers_rejected():
         limit_signature(real, "pole")
 
 
+def test_limit_reads_stored_coefficients():
+    # A stored polynomial may keep a cancelled coefficient: {-1: 0, 0: 3} is
+    # the constant 3, while a nonzero t^-1 coefficient still has no limit.
+    from sphemb.families import ScaledMatrix
+
+    def realization(curve):
+        return MatrixRealization(
+            base_point=(((Fraction(3),),),),
+            membership=lambda pt: True,
+            arrows=((0, 0),),
+            group_sampler=lambda rng: (),
+            borel_sampler=lambda rng: (),
+            lie_basis=(),
+            expected_orbit_dimension=0,
+            stabilizer_sampler=lambda rng: (),
+            curves=(Curve("c", (curve,), (1,)),),
+        )
+
+    sig = limit_signature(realization(ScaledMatrix(2, [[{-1: 0, 0: 6}]], True)), "c")
+    assert sig.limit_point == (((3,),),) and sig.rank_profile == (1,)
+    with pytest.raises(NegativeExponentError):
+        limit_signature(realization(ScaledMatrix(2, [[{-1: 2, 0: 4}]], True)), "c")
+
+
 def test_orbit_dimensions():
     assert orbit_dimension(circular_complexes_model(2, 2, 1, 1)[1]) == 4
     assert orbit_dimension(circular_complexes_model(3, 3, 1, 1)[1]) == 8
