@@ -13,6 +13,7 @@ from .divisor_model import (
     BoundarySpec,
     ColorSpec,
     Divisor,
+    ModelDocumentError,
     SphericalDivisorModel,
     WonderfulModel,
     canonical_divisor,

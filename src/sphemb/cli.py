@@ -191,12 +191,12 @@ def _dispatch(ns) -> dict:
         if bundle.wonderful is None:
             raise DomainError(f"family {bundle.name!r} has no wonderful-compactification data")
         wm = bundle.wonderful
-        chi = wm.lattice.zero_character()
-        for lab, coeff in _parse_sparse(ns.chi).items():
-            try:
-                chi = chi + coeff * wm.lattice.basis_character(lab)
-            except KeyError as e:
-                raise DomainError(e.args[0]) from None
+        try:
+            chi = wm.lattice.combination(
+                (coeff, wm.lattice.basis_character(lab)) for lab, coeff in _parse_sparse(ns.chi).items()
+            )
+        except KeyError as e:
+            raise DomainError(e.args[0]) from None
         divisor = wonderful_section_divisor(wm, chi)
         return {"divisor": _divisor_dict(wm.color_ids, divisor)}
 

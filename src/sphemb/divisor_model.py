@@ -41,6 +41,11 @@ class PicardMembershipError(ValueError):
     """A character outside the Picard sublattice of a wonderful model."""
 
 
+class ModelDocumentError(ValueError):
+    """A model JSON document that ``model_from_json`` cannot read: a missing or
+    mistyped field, or a value the model rejects."""
+
+
 @dataclass(frozen=True)
 class Divisor:
     """Formal integer combination of labelled prime divisors (zeros dropped)."""
@@ -520,38 +525,82 @@ def model_to_json(model: SphericalDivisorModel) -> str:
     return json.dumps(model_to_json_dict(model), separators=(",", ":"))
 
 
-def model_from_json(doc) -> SphericalDivisorModel:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    labels = tuple(doc["lattice"]["labels"])
-    if len(labels) != doc["lattice"]["rank"]:
-        raise ValueError("label count does not match rank")
-    lattice = TorusLattice(labels)
-    basis = tuple(lattice.character(c) for c in doc["basis_characters"])
+def _typed(value, kind, what: str):
+    """``value`` if it is a ``kind`` (a bool is no int), else ``ModelDocumentError``."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ModelDocumentError(f"{what} has the wrong type: {value!r}")
+    return value
 
-    def covector(strings) -> Covector:
-        return lattice.covector([Fraction(s) for s in strings])
+
+def model_from_json(doc) -> SphericalDivisorModel:
+    """The model of a document in ``model_to_json``'s format, given as text or parsed.
+
+    A malformed document raises ``ModelDocumentError``: a missing field, a
+    field of the wrong type (labels and ids are strings, character
+    coordinates and canonical coefficients integers, functional coordinates
+    "p/q" strings or integers, ``provisional`` a boolean), or a value the
+    model rejects, such as a zero denominator or a coordinate count that is
+    not the rank.
+    """
+    try:
+        return _read_model(json.loads(doc) if isinstance(doc, str) else doc)
+    except ModelDocumentError:
+        raise
+    except KeyError as e:
+        raise ModelDocumentError(f"missing field {e.args[0]!r}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise ModelDocumentError(str(e)) from e
+
+
+def _read_model(doc) -> SphericalDivisorModel:
+    doc = _typed(doc, dict, "the model document")
+    lattice_doc = _typed(doc["lattice"], dict, "lattice")
+    labels = tuple(_typed(lab, str, "a lattice label") for lab in _typed(lattice_doc["labels"], list, "lattice labels"))
+    if len(labels) != _typed(lattice_doc["rank"], int, "the lattice rank"):
+        raise ModelDocumentError("label count does not match rank")
+    lattice = TorusLattice(labels)
+
+    def character(coords) -> Character:
+        return lattice.character([_typed(c, int, "a character coordinate") for c in _typed(coords, list, "a character")])
+
+    def covector(coords) -> Covector:
+        # A "p/q" string is read by Fraction inside Covector; an int stays one.
+        return lattice.covector(
+            [_typed(c, (str, int), "a functional coordinate") for c in _typed(coords, list, "a functional")]
+        )
+
+    def entries(key: str) -> list[dict]:
+        return [_typed(item, dict, f"an entry of {key}") for item in _typed(doc[key], list, key)]
+
+    def mapping(key: str) -> dict:
+        table = _typed(doc.get(key, {}), dict, key)
+        return {_typed(k, str, f"a key of {key}"): v for k, v in table.items()}
 
     simple_roots = SimpleRootSet(
         tuple(
-            (item["label"], lattice.character(item["root"]), covector(item["coroot"]))
-            for item in doc["simple_roots"]
+            (_typed(item["label"], str, "a root label"), character(item["root"]), covector(item["coroot"]))
+            for item in entries("simple_roots")
         )
     )
     colors = tuple(
-        ColorSpec(item["id"], covector(item["functional"]), item["canonical_coefficient"])
-        for item in doc["colors"]
+        ColorSpec(
+            _typed(item["id"], str, "a colour id"),
+            covector(item["functional"]),
+            _typed(item["canonical_coefficient"], int, "a canonical coefficient"),
+        )
+        for item in entries("colors")
     )
-    boundaries = tuple(BoundarySpec(item["id"], covector(item["valuation"])) for item in doc["boundaries"])
-    aliases = tuple(doc.get("aliases", {}).items())
-    char_aliases = tuple((a, lattice.character(c)) for a, c in doc.get("character_aliases", {}).items())
+    boundaries = tuple(
+        BoundarySpec(_typed(item["id"], str, "a boundary id"), covector(item["valuation"]))
+        for item in entries("boundaries")
+    )
     return SphericalDivisorModel(
         weight_lattice=lattice,
         simple_roots=simple_roots,
         colors=colors,
         boundaries=boundaries,
-        basis_characters=basis,
-        label_aliases=aliases,
-        character_aliases=char_aliases,
-        provisional=doc.get("provisional", False),
+        basis_characters=tuple(character(c) for c in _typed(doc["basis_characters"], list, "basis characters")),
+        label_aliases=tuple((a, _typed(t, str, "an alias target")) for a, t in mapping("aliases").items()),
+        character_aliases=tuple((a, character(c)) for a, c in mapping("character_aliases").items()),
+        provisional=_typed(doc.get("provisional", False), bool, "provisional"),
     )

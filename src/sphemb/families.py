@@ -35,7 +35,8 @@ transcription slip cannot survive construction.  ``_wonderful`` builds the
 wonderful data of both families from a table of colour coroots.  The
 circular coroots are one table (``_circular_coroots``), read by the check
 and by the wonderful data; the determinantal model and wonderful data are
-the circular ones at s = 0.
+the circular ones at s = 0.  Each family's boundary cocharacters are one
+table too, read by its curves (``_curve_point``) and by the check.
 """
 
 from __future__ import annotations
@@ -192,21 +193,6 @@ class ScaledMatrix:
         return _divide_polys([[self.minor(tuple(range(width - k, width)))]], self.scale**k, self.laurent)[0][0]
 
 
-def _det_generic(rows):
-    """Determinant of a square matrix of rationals and Laurent polynomials; ``ValueError`` if not square.
-
-    It is the ``ScaledMatrix``'s one memoised expansion (``minor``), divided
-    once by scale^k: a ``LaurentPoly`` when the entries are, a ``Fraction``
-    otherwise.  A 1 x 1 matrix returns its entry.
-    """
-    m = ScaledMatrix.of(rows)
-    if any(len(r) != len(m) for r in m.polys):
-        raise ValueError("determinant of a non-square matrix")
-    if len(m) == 1:
-        return rows[0][0]
-    return m.trailing_minor(len(m))
-
-
 def leading_minor(m, k: int):
     """The top-left k x k minor, 0 <= k <= min(rows, columns), read on the matrix turned by 180 degrees."""
     return ScaledMatrix.of(m).rotated.trailing_minor(k)
@@ -352,18 +338,19 @@ class MatrixRealization:
         """g . X = g_s X g_t^-1 at each arrow (s, t)."""
         return tuple(_translate(g[s][:2], x, g[t][2:]) for (s, t), x in zip(self.arrows, point))
 
-    def lie_algebra_rows(self, point: Point) -> list[list[Fraction]]:
-        """Per ``lie_basis`` element A, the tangent A_s X - X A_t at each arrow (s, t).
+    def lie_algebra_rows(self, point: Point) -> list[list[int]]:
+        """Per ``lie_basis`` element A, the tangent A_s X - X A_t at each arrow (s, t), times X's scale.
 
         Only the point's nonzero entries are added: c E_ij moves X's row j to
         row i on the left and X's column i to column j on the right.
         """
+        scaled = [ScaledMatrix.of(x).constant_terms() for x in point]
         rows = []
         for element in self.lie_basis:
             row = []
-            for (s, t), x in zip(self.arrows, point):
+            for (s, t), x in zip(self.arrows, scaled):
                 cols = len(x[0]) if x else 0
-                tangent = [Fraction(0)] * (len(x) * cols)
+                tangent = [0] * (len(x) * cols)
                 for i, j, c in element.get(s, ()):
                     for k, e in enumerate(x[j]):
                         if e:
@@ -431,6 +418,19 @@ def _monomial_matrix(rows: int, cols: int, powers: dict[tuple[int, int], int]) -
     return ScaledMatrix(1, polys, any(powers.values()))
 
 
+def _curve_point(arrows, base: Point, cocharacter: dict[tuple[int, int], int]) -> Point:
+    """lambda(t) . x0 for x0 of 0/1 matrices and lambda a {(factor, diagonal index): exponent} map.
+
+    The one at (i, j) of arrow (s, t) becomes t^(lambda_(s,i) - lambda_(t,j)).
+    """
+    point = []
+    for (s, t), x in zip(arrows, base):
+        ones = [(i, j) for i, row in enumerate(x.polys) for j, p in enumerate(row) if p]
+        powers = {(i, j): cocharacter.get((s, i), 0) - cocharacter.get((t, j), 0) for i, j in ones}
+        point.append(_monomial_matrix(len(x), len(x.polys[0]), powers))
+    return tuple(point)
+
+
 # ---------------------------------------------------------------------------
 # The dilation monoid.
 
@@ -454,6 +454,11 @@ def _monoid_coroots(m: int) -> dict[str, dict[int, int]]:
             coroot[m] = -1
         table[f"D_{i}"] = coroot
     return table
+
+
+def _monoid_cocharacters(m: int) -> dict[str, dict[tuple[int, int], int]]:
+    """Each boundary curve's cocharacter, in boundary order: lambda_r scales a1's diagonal past r and b1's up to r."""
+    return {f"lambda_{r}": {**{(0, k): 1 for k in range(r, m)}, **{(1, k): 1 for k in range(r)}} for r in range(m + 1)}
 
 
 def _monoid_model(m: int) -> SphericalDivisorModel:
@@ -494,15 +499,14 @@ def _monoid_model(m: int) -> SphericalDivisorModel:
         basis_characters=basis,
         character_aliases=char_aliases,
     )
-    # The tables on the ambient 2m-torus, where sum(c_k eps_k) has coordinates
-    # (c_1..c_m, c_{m+1}, 0...): D_i pairs as alpha_i^vee on the first m
-    # coordinates and -alpha_i^vee on the last m, and X_r as the exponents of
-    # lambda_r, which scales A's diagonal past position r and B's up to r.
+    # The tables on the ambient 2m-torus (a1's diagonal, then b1's), where sum(c_k eps_k) has
+    # coordinates (c_1..c_m, c_{m+1}, 0...): D_i pairs as alpha_i^vee on the first m coordinates
+    # and -alpha_i^vee on the last m, and X_r as the exponents of lambda_r.
     _crosscheck(
         model,
         lambda chi: list(chi.coords) + [0] * (m - 1),
         {f"D_{i}": ({i - 1: 1, i: -1, m + i - 1: -1, m + i: 1},) for i in range(1, m)},
-        [{k: 1 for k in range(r, m + r)} for r in range(m + 1)],
+        [{f * m + k: e for (f, k), e in lam.items()} for lam in _monoid_cocharacters(m).values()],
     )
     return model
 
@@ -608,12 +612,9 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         chi = lattice.character([1 if k >= m - i else 0 for k in range(m)] + [0])
         semi.append(SemiInvariantSpec(f"Delta_trail_{i}", (lambda pt, i=i: trailing_minor(pt[0], i)), chi))
 
-    # lambda_r scales A's diagonal past position r by t, and B's up to r.
-    curves = []
-    for r in range(m + 1):
-        a = _monomial_matrix(m, m, {(k, k): int(k >= r) for k in range(m)})
-        b = _monomial_matrix(m, m, {(k, k): int(k < r) for k in range(m)})
-        curves.append(Curve(f"lambda_{r}", (a, b), (r, m - r), f"X_{r}"))
+    arrows = ((0, 2), (1, 3))  # (a1, b1, a2, b2) . (X, Y) = (a1 X a2^-1, b1 Y b2^-1)
+    cochars = _monoid_cocharacters(m).items()
+    curves = [Curve(label, _curve_point(arrows, base, lam), (r, m - r), f"X_{r}") for r, (label, lam) in enumerate(cochars)]
 
     # Lie algebra of the unit group: pairs (a, delta I - a^T) on each side,
     # spanned by (E_ij, -E_ji) and (0, I).
@@ -629,8 +630,7 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
     return MatrixRealization(
         base_point=base,
         membership=_monoid_membership,
-        # (a1, b1, a2, b2) . (X, Y) = (a1 X a2^-1, b1 Y b2^-1)
-        arrows=((0, 2), (1, 3)),
+        arrows=arrows,
         group_sampler=group_sampler,
         borel_sampler=borel_sampler,
         lie_basis=tuple(lie_basis),
@@ -791,11 +791,22 @@ def _circular_model(m: int, n: int, r: int, s: int) -> SphericalDivisorModel:
             v[m + n - s + j] -= chi.coords[r + j]
         return v
 
-    # The boundaries' valuations are the negated limit-cocharacter exponents:
-    # lambda scales left position r by t, mu right position r + 1.
-    exponents = [{r - 1: -1}, {m + r: -1}] if m == n and r + s == m else []
-    _crosscheck(model, ambient, _circular_coroots(m, n, r, s), exponents)
+    # The boundaries' valuations are the negated exponents of their curves'
+    # cocharacters, the left torus at 0..m-1 and the right at m..m+n-1.
+    exponents = [{f * m + k: -e for (f, k), e in lam.items()} for lam in _circular_cocharacters(r, s).values()]
+    _crosscheck(model, ambient, _circular_coroots(m, n, r, s), exponents if boundaries else [])
     return model
+
+
+def _circular_cocharacters(r: int, s: int) -> dict[str, dict[tuple[int, int], int]]:
+    """lambda_r (r >= 1) scales g1's diagonal entry r, 1-based, by t, moving E_r's last one; mu_r
+    (s >= 1) scales g2's entry r + 1, moving F_s's first one when r + s = n and nothing otherwise."""
+    table = {}
+    if r:
+        table[f"lambda_{r}"] = {(0, r - 1): 1}
+    if s:
+        table[f"mu_{r}"] = {(1, r): 1}
+    return table
 
 
 def _circular_coroots(m: int, n: int, r: int, s: int) -> dict[str, tuple[dict[int, int], ...]]:
@@ -834,28 +845,22 @@ def _circular_torus(m: int, n: int, r: int, s: int) -> tuple[tuple[tuple[int, in
 
 
 def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDivisorModel) -> MatrixRealization:
-    er_ones, fs_ones = _standard_er(r), _standard_fs(n, m, s)
-    er, fs = _monomial_matrix(m, n, er_ones), _monomial_matrix(n, m, fs_ones)
-
-    # With two boundaries (m = n, r + s = m) lambda_r reaches the first and
-    # mu_r the second.  lambda_r scales E_r's last one by t, and mu_r F_s's
-    # first one when r + s = n.
-    lambda_boundary, mu_boundary = model.boundary_ids or (None, None)
-    curves = []
-    if r >= 1:
-        a = _monomial_matrix(m, n, {**er_ones, (r - 1, r - 1): 1})
-        curves.append(Curve(f"lambda_{r}", (a, fs), (r - 1, s), lambda_boundary))
-    if s >= 1:
-        b = _monomial_matrix(n, m, {**fs_ones, (r, m - s): 1}) if r + s == n else fs
-        curves.append(Curve(f"mu_{r}", (er, b), (r, s - 1 if r + s == n else s), mu_boundary))
+    base = (_monomial_matrix(m, n, _standard_er(r)), _monomial_matrix(n, m, _standard_fs(n, m, s)))
+    arrows = ((0, 1), (1, 0))
+    limit_ranks = {f"lambda_{r}": (r - 1, s), f"mu_{r}": (r, s - 1 if r + s == n else s)}
+    # A member with boundaries has both curves, in the model's boundary order.
+    curves = [
+        Curve(label, _curve_point(arrows, base, lam), limit_ranks[label], boundary)
+        for (label, lam), boundary in zip(_circular_cocharacters(r, s).items(), model.boundary_ids or (None, None))
+    ]
 
     return MatrixRealization(
-        base_point=(er, fs),
+        base_point=base,
         torus=_circular_torus(m, n, r, s),
         curves=tuple(curves),
         expected_orbit_dimension=(r + s) * (m + n - (r + s)),
         stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, s),
-        **_quiver_parts((m, n), ((0, 1), (1, 0)), (r, s), ((0, 1), (1, 0))),
+        **_quiver_parts((m, n), arrows, (r, s), ((0, 1), (1, 0))),
     )
 
 
@@ -930,18 +935,18 @@ def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) ->
         chi = lattice.character([1 if k < i else 0 for k in range(r)])
         semi.append(SemiInvariantSpec(f"Delta_{i}", (lambda pt, i=i: leading_minor(pt[0], i)), chi))
 
-    er_ones = _standard_er(r)
-    a = _monomial_matrix(m, n, {**er_ones, (r - 1, r - 1): 1})
+    base, arrows = (_monomial_matrix(m, n, _standard_er(r)),), ((0, 1),)
+    # The circular lambda_r at s = 0; its limit is the candidate boundary orbit X_{r-1}.
+    lam = _circular_cocharacters(r, 0)[f"lambda_{r}"]
 
     return MatrixRealization(
-        base_point=(_monomial_matrix(m, n, er_ones),),
+        base_point=base,
         torus=_circular_torus(m, n, r, 0),
         semi_invariants=tuple(semi),
-        # The curve's limit is the candidate boundary orbit X_{r-1}.
-        curves=(Curve(f"lambda_{r}", (a,), (r - 1,), f"X_{r - 1}"),),
+        curves=(Curve(f"lambda_{r}", _curve_point(arrows, base, lam), (r - 1,), f"X_{r - 1}"),),
         expected_orbit_dimension=r * (m + n - r),
         stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, 0),
-        **_quiver_parts((m, n), ((0, 1),), (r,)),
+        **_quiver_parts((m, n), arrows, (r,)),
     )
 
 

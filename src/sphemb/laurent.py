@@ -77,15 +77,6 @@ class LaurentPoly:
             return None
         return min(self._num)
 
-    @property
-    def has_negative_exponents(self) -> bool:
-        return any(e < 0 for e in self._num)
-
-    def value_at_zero(self) -> Fraction:
-        if self.has_negative_exponents:
-            raise NegativeExponentError("no limit at t=0: negative powers of t present")
-        return Fraction(self._num.get(0, 0), self._den)
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+
 from .families import ScaledMatrix, bumped_copies
 from .laurent import LaurentPoly
 from .lattice import rational_rank, rational_solve
@@ -290,9 +290,9 @@ def infer_boundary_valuation(
     """
     _check_trials(trials)
     chosen = []
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for f in semi_invariants:
-        candidate = rows + [[Fraction(c) for c in f.claimed_weight.coords]]
+        candidate = rows + [list(f.claimed_weight.coords)]
         if rational_rank(candidate) == len(candidate):
             chosen.append(f)
             rows = candidate

@@ -9,8 +9,9 @@ juggling happens at computation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .lattice import scaled_to_integers
@@ -103,36 +104,38 @@ class Character:
         return all(c == 0 for c in self.coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Covector:
     """Rational linear functional on a TorusLattice (acts by dot product).
 
-    Its integer form is ``scale``, the lcm of the denominators of
-    ``coords``, and ``numerators``, the integers ``scale * coords``.  Both
-    are derived from ``coords`` and take no part in equality, hash or repr.
+    It is stored in its integer form, which decides equality and hash:
+    ``scale``, the lcm of the denominators of ``coords``, and ``numerators``,
+    the integers ``scale * coords``.  No ``Fraction`` is built for an int
+    coordinate; ``coords`` is built, as ``Fraction``s, when first read.
     """
 
     lattice: TorusLattice
-    coords: tuple[Fraction, ...]
-    scale: int = field(init=False, compare=False, repr=False)
-    numerators: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    scale: int
+    numerators: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coords) != self.lattice.rank:
+    def __init__(self, lattice: TorusLattice, coords: Iterable):
+        coords = tuple(coords)
+        if len(coords) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        coords = tuple(Fraction(c) for c in self.coords)
-        scale, (numerators,) = scaled_to_integers((coords,))
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "numerators", tuple(numerators))
+        scale, (numerators,) = scaled_to_integers(([c if isinstance(c, int) else Fraction(c) for c in coords],))
+        self.__dict__.update(lattice=lattice, scale=scale, numerators=tuple(numerators))
+
+    @cached_property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.scale) for c in self.numerators)
+
+    def __repr__(self):
+        return f"Covector(lattice={self.lattice!r}, coords={self.coords!r})"
 
     def __add__(self, other: "Covector") -> "Covector":
         if self.lattice != other.lattice:
             raise LatticeMismatchError("covectors on different lattices")
         return Covector(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Covector":
-        return Covector(self.lattice, tuple(-a for a in self.coords))
 
 
 def scaled_pairings(chi: Character, covectors: Iterable[Covector]) -> list[int]:

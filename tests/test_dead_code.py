@@ -1,0 +1,78 @@
+"""A stdlib (``ast``) guard against dead code in the package.
+
+It fails on an import that a module of ``sphemb`` (``__init__.py`` aside,
+whose imports are the public names) never reads, and on a private function
+or class (``_name``, not a dunder) that nothing in the package refers to by
+name or attribute.
+"""
+
+import ast
+from pathlib import Path
+
+import sphemb
+
+PACKAGE = Path(sphemb.__file__).resolve().parent
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def unused_imports(modules: dict[str, ast.Module]) -> list[str]:
+    out = []
+    for name, tree in modules.items():
+        if name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        out += [f"{name}:{line}: {imported}" for line, imported in _imported_names(tree) if imported not in read]
+    return out
+
+
+def unreferenced_private_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    referenced = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    out = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                private = node.name.startswith("_") and not node.name.endswith("__")
+                if private and node.name not in referenced:
+                    out.append(f"{name}:{node.lineno}: {node.name}")
+    return out
+
+
+def test_no_unused_imports():
+    assert unused_imports(_modules()) == []
+
+
+def test_no_unreferenced_private_definitions():
+    assert unreferenced_private_definitions(_modules()) == []
+
+
+def test_guard_flags_planted_dead_code():
+    # The guard itself: an unread import and an unreferenced private helper
+    # are caught, and reading them (by name or attribute) clears both.
+    dead = {
+        "m.py": ast.parse("import os\nfrom math import gcd\n\ndef _helper():\n    return gcd(2, 4)\n"),
+        "__init__.py": ast.parse("from .m import gcd\n"),
+    }
+    assert unused_imports(dead) == ["m.py:1: os"]
+    assert unreferenced_private_definitions(dead) == ["m.py:4: _helper"]
+    live = dict(dead, **{"n.py": ast.parse("import os\nimport m\n\nos.sep\nm._helper()\n")})
+    live["m.py"] = ast.parse("import os\n\ndef _helper():\n    return os.sep\n")
+    assert unused_imports(live) == [] and unreferenced_private_definitions(live) == []

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from sphemb.divisor_model import (
     Divisor,
     ForeignLabelError,
+    ModelDocumentError,
     NonIntegralPairingError,
     PicardMembershipError,
     ProvisionalModelError,
@@ -409,8 +412,68 @@ def test_serialization_round_trip():
 def test_json_rank_must_match_labels():
     doc = model_to_json_dict(monoid_model(2)[0])
     doc["lattice"]["rank"] = 4
-    with pytest.raises(ValueError, match="label count does not match rank"):
+    with pytest.raises(ModelDocumentError, match="^label count does not match rank$"):
         model_from_json(doc)
+
+
+def _edited(doc, path, value=None):
+    """A deep copy of ``doc`` with the field at ``path`` set to ``value``, or deleted when ``value`` is ``_DELETE``."""
+    doc = copy.deepcopy(doc)
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    if value is _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    return doc
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("colors",), _DELETE, "missing field 'colors'"),
+        (("boundaries", 0, "valuation"), _DELETE, "missing field 'valuation'"),
+        (("boundaries", 0, "valuation", 1), "1/0", "Fraction(1, 0)"),
+        (("colors", 0, "functional", 0), "x", "Invalid literal for Fraction: 'x'"),
+        (("lattice",), 5, "lattice has the wrong type: 5"),
+        (("lattice", "rank"), "3", "the lattice rank has the wrong type: '3'"),
+        (("lattice", "labels", 0), 1, "a lattice label has the wrong type: 1"),
+        (("boundaries", 0, "id"), None, "a boundary id has the wrong type: None"),
+        (("colors", 0, "id"), 7, "a colour id has the wrong type: 7"),
+        (("colors", 0, "canonical_coefficient"), "-2", "a canonical coefficient has the wrong type: '-2'"),
+        (("colors", 0, "canonical_coefficient"), True, "a canonical coefficient has the wrong type: True"),
+        (("colors", 0, "functional", 0), 0.5, "a functional coordinate has the wrong type: 0.5"),
+        (("basis_characters", 0, 0), "1", "a character coordinate has the wrong type: '1'"),
+        (("basis_characters", 0, 0), 1.0, "a character coordinate has the wrong type: 1.0"),
+        (("basis_characters", 0), [1, 0], "coordinate length does not match lattice rank"),
+        (("simple_roots", 0, "label"), None, "a root label has the wrong type: None"),
+        (("provisional",), "yes", "provisional has the wrong type: 'yes'"),
+        (("aliases",), [["D_s1", "D_r1"]], "aliases has the wrong type"),
+        (("character_aliases",), {"eps_9": ["1", 0, 0]}, "a character coordinate has the wrong type: '1'"),
+        (("lattice", "labels", 1), "eps_1", "basis labels must be distinct"),
+    ],
+)
+def test_malformed_json_documents_raise_model_document_error(path, value, message):
+    doc = model_to_json_dict(monoid_model(2)[0])
+    bad = _edited(doc, path, value)
+    for given_as in (bad, json.dumps(bad)):
+        with pytest.raises(ModelDocumentError) as caught:
+            model_from_json(given_as)
+        assert str(caught.value).startswith(message), str(caught.value)
+    assert model_from_json(doc) == monoid_model(2)[0]
+
+
+def test_json_text_that_is_not_a_model_document():
+    for text in ("{", "[]", "5", "null", '"monoid"'):
+        with pytest.raises(ModelDocumentError):
+            model_from_json(text)
+    with pytest.raises(ModelDocumentError, match="the model document has the wrong type"):
+        model_from_json([model_to_json_dict(monoid_model(2)[0])])
 
 
 def test_serialization_schema_fields():
@@ -634,3 +697,41 @@ if given is not None:
     def test_generator_choice_matches_the_snf_greedy(case):
         vectors, f = case
         _check_choice(vectors, f)
+
+    def _json_paths(node, path=()):
+        yield path
+        if isinstance(node, dict):
+            for k, v in node.items():
+                yield from _json_paths(v, path + (k,))
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                yield from _json_paths(v, path + (i,))
+
+    _JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=5,
+    )
+    _JSON_DOCS = [
+        model_to_json_dict(m)
+        for m in (
+            monoid_model(2)[0],
+            monoid_model(5)[0],
+            circular_complexes_model(3, 4, 2, 1)[0],
+            determinantal_realization(3, 3, 2)[1],
+        )
+    ]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_mutated_json_documents_load_or_raise_model_document_error(data):
+        # One field of a family document deleted or replaced by any JSON
+        # value: the document loads or raises ModelDocumentError, nothing else.
+        doc = data.draw(st.sampled_from(_JSON_DOCS))
+        path = data.draw(st.sampled_from([p for p in _json_paths(doc) if p]))
+        value = data.draw(st.just(_DELETE) | _JSON_VALUES)
+        for given_as in (_edited(doc, path, value), json.dumps(_edited(doc, path, value))):
+            try:
+                model_from_json(given_as)
+            except ModelDocumentError:
+                pass

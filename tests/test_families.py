@@ -19,6 +19,7 @@ from sphemb.divisor_model import (
 )
 from sphemb.families import (
     FamilyParameterError,
+    ScaledMatrix,
     admissible_circular_parameters,
     build_family,
     circular_complexes_model,
@@ -531,6 +532,81 @@ def test_monoid_exponent_table_off_by_one_fails_construction(monkeypatch):
         monoid_model(3)
 
 
+@pytest.mark.parametrize(
+    "table, build, curve, key, label",
+    [
+        ("_monoid_cocharacters", lambda: families._monoid_model(3), "lambda_1", (0, 1), "X_1"),
+        ("_monoid_cocharacters", lambda: families._monoid_model(3), "lambda_3", (1, 0), "X_3"),
+        ("_circular_cocharacters", lambda: families._circular_model(3, 3, 2, 1), "lambda_2", (0, 1), "X_{1,1}"),
+        ("_circular_cocharacters", lambda: families._circular_model(3, 3, 2, 1), "mu_2", (1, 2), "X_{2,0}"),
+    ],
+)
+def test_shifted_cocharacter_exponent_fails_construction(monkeypatch, table, build, curve, key, label):
+    # The curves and the cross-check read one cocharacter table: one exponent
+    # shifted there must fail the model's construction, naming the boundary.
+    original = getattr(families, table)
+
+    def shifted(*args):
+        out = original(*args)
+        lam = out[curve]
+        out[curve] = {**lam, key: lam.get(key, 0) + 1}
+        return out
+
+    build()
+    monkeypatch.setattr(families, table, shifted)
+    with pytest.raises(ValueError, match=re.escape(f"boundary valuation {label} disagrees with its curve exponents")):
+        build()
+
+
+def _monomial_rows(rows, cols, powers):
+    """The rows x cols matrix with t^e at each (i, j): e of ``powers``, zero elsewhere.
+
+    Its entries are ``LaurentPoly`` when some e is nonzero, ``Fraction`` otherwise.
+    """
+    from sphemb.laurent import LaurentPoly
+
+    if not any(powers.values()):
+        return tuple(tuple(Fraction(int((i, j) in powers)) for j in range(cols)) for i in range(rows))
+    return tuple(
+        tuple(LaurentPoly.t_power(powers[i, j]) if (i, j) in powers else LaurentPoly() for j in range(cols))
+        for i in range(rows)
+    )
+
+
+def _same_point(got, want):
+    from sphemb.laurent import LaurentPoly
+
+    assert got == want
+    assert [x.laurent for x in got] == [any(isinstance(e, LaurentPoly) for r in x for e in r) for x in want]
+
+
+def test_curve_points_are_the_cocharacters_applied_to_the_base_point():
+    # Every boundary curve against its matrices written out by hand.
+    for m in range(1, 6):
+        _, real = monoid_model(m)
+        for r in range(m + 1):
+            a = _monomial_rows(m, m, {(k, k): int(k >= r) for k in range(m)})
+            b = _monomial_rows(m, m, {(k, k): int(k < r) for k in range(m)})
+            _same_point(real.curve(f"lambda_{r}"), (a, b))
+    for m, n, r, s in admissible_circular_parameters(4, 5):
+        _, real = circular_complexes_model(m, n, r, s)
+        er = {(i, i): 0 for i in range(r)}
+        fs = {(n - s + k, m - s + k): 0 for k in range(s)}
+        want = {}
+        if r >= 1:
+            want[f"lambda_{r}"] = (_monomial_rows(m, n, {**er, (r - 1, r - 1): 1}), _monomial_rows(n, m, fs))
+        if s >= 1:
+            want[f"mu_{r}"] = (_monomial_rows(m, n, er), _monomial_rows(n, m, {**fs, (r, m - s): 1} if r + s == n else fs))
+        assert [c.label for c in real.curves] == list(want), (m, n, r, s)
+        for c in real.curves:
+            _same_point(c.point, want[c.label])
+    for m, n, r in ((2, 2, 1), (3, 4, 2), (5, 3, 2)):
+        real, _ = determinantal_realization(m, n, r)
+        (curve,) = real.curves
+        assert curve.label == f"lambda_{r}"
+        _same_point(curve.point, (_monomial_rows(m, n, {**{(i, i): 0 for i in range(r)}, (r - 1, r - 1): 1}),))
+
+
 def _random_matrix(rng, n, rational):
     if rational:
         return [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
@@ -735,18 +811,18 @@ def test_apply_pair_matches_reference_products():
     _same_entries(_apply_pair(g, ((), ()), ()), _reference_apply_pair(g, ((), ()), ()))
 
 
-def test_det_generic_matches_cofactor_expansion():
-    from sphemb.families import _det_generic
+def test_full_minor_matches_cofactor_expansion():
+    # The determinant of a square matrix is its full trailing (and leading)
+    # minor: a LaurentPoly when some entry is one, a Fraction otherwise.
+    from sphemb.families import leading_minor, trailing_minor
     from sphemb.laurent import LaurentPoly, T
 
     def check(rows):
-        got = _det_generic(rows)
-        assert got == _reference_det(rows)
         n = len(rows)
+        got = trailing_minor(rows, n)
+        assert got == _reference_det(rows) == leading_minor(rows, n)
         if n == 0:
             assert got == 1 and type(got) is Fraction
-        elif n == 1:
-            assert got is rows[0][0]
         elif any(isinstance(e, LaurentPoly) for r in rows for e in r):
             assert type(got) is LaurentPoly
         else:
@@ -794,7 +870,7 @@ def test_minors_match_reference_determinants_of_sliced_blocks():
     # One shared expansion: Delta_k is read on the matrix turned by 180
     # degrees, the trailing minors on the matrix itself, and every k of one
     # matrix shares the memo, read here in a random order.
-    from sphemb.families import ScaledMatrix, _det_generic, leading_minor, trailing_minor
+    from sphemb.families import ScaledMatrix, leading_minor, trailing_minor
 
     rng = random.Random(29)
     for _ in range(300):
@@ -809,8 +885,6 @@ def test_minors_match_reference_determinants_of_sliced_blocks():
             assert leading_minor(scaled, k) == lead == leading_minor(m, k), (m, k)
             assert trailing_minor(scaled, k) == trail == trailing_minor(m, k), (m, k)
         assert scaled._rows is None  # the minors read the stored integers only
-        if rows == cols:
-            assert _det_generic(scaled) == _reference_det(m) == _det_generic(m), m
 
 
 def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
@@ -880,9 +954,8 @@ def test_stored_zero_coefficients_read_as_zero():
 
 
 def test_minor_sizes_are_checked():
-    # A k x k minor needs 0 <= k <= min(rows, columns), and a determinant a
-    # square matrix; the 2 x 3 matrix has no 3 x 3 block and no determinant.
-    from sphemb.families import ScaledMatrix, _det_generic, leading_minor, trailing_minor
+    # A k x k minor needs 0 <= k <= min(rows, columns); the 2 x 3 matrix has no 3 x 3 block.
+    from sphemb.families import ScaledMatrix, leading_minor, trailing_minor
 
     m = [[1, 2, 3], [4, 5, 6]]
     for matrix in (m, ScaledMatrix.of(m), list(zip(*m))):
@@ -891,12 +964,8 @@ def test_minor_sizes_are_checked():
                 leading_minor(matrix, k)
             with pytest.raises(ValueError, match="minor"):
                 trailing_minor(matrix, k)
-        with pytest.raises(ValueError, match="non-square"):
-            _det_generic(matrix)
         assert leading_minor(matrix, 0) == trailing_minor(matrix, 0) == 1
     assert leading_minor(m, 2) == trailing_minor(m, 2) == -3
-    with pytest.raises(ValueError, match="non-square"):
-        _det_generic([[1, 2], [3]])
 
 
 _GRID_SPECS = (
@@ -972,6 +1041,14 @@ def _orbit_points(real, rng):
     )
 
 
+def _scaled_by_arrow(rows, point):
+    """Each arrow's block of the ``Fraction`` reference rows times that arrow's scale."""
+    scales = []
+    for x in point:
+        scales += [ScaledMatrix.of(x).scale] * (len(x) * (len(x[0]) if x else 0))
+    return [[e * scale for e, scale in zip(row, scales, strict=True)] for row in rows]
+
+
 def test_quiver_lie_rows_match_unit_matrix_products():
     arrows_of = {"determinantal": ((0, 1),), "circular": ((0, 1), (1, 0)), "complexes": ((0, 1), (1, 2))}
     specs = [f"determinantal:m={m},n={n},r={r}" for m in (2, 3) for n in (2, 3) for r in range(1, min(m, n))]
@@ -990,8 +1067,8 @@ def test_quiver_lie_rows_match_unit_matrix_products():
         dims = tuple(bundle.params[k] for k in "lmn" if k in bundle.params)
         for point in _orbit_points(real, rng):
             got = real.lie_algebra_rows(point)
-            assert got == _reference_quiver_lie_rows(dims, arrows, point), spec
-            assert all(type(e) is Fraction for row in got for e in row)
+            assert got == _scaled_by_arrow(_reference_quiver_lie_rows(dims, arrows, point), point), spec
+            assert all(type(e) is int for row in got for e in row)
 
 
 def test_monoid_lie_rows_match_unit_matrix_products():
@@ -1000,8 +1077,8 @@ def test_monoid_lie_rows_match_unit_matrix_products():
         _, real = monoid_model(m)
         for point in _orbit_points(real, rng):
             got = real.lie_algebra_rows(point)
-            assert got == _reference_monoid_lie_rows(m, point)
-            assert all(type(e) is Fraction for row in got for e in row)
+            assert got == _scaled_by_arrow(_reference_monoid_lie_rows(m, point), point)
+            assert all(type(e) is int for row in got for e in row)
 
 
 def test_monoid_wonderful_pairs_are_the_model_coroots():

@@ -12,6 +12,7 @@ from sphemb.rootdata import (
     TorusLattice,
     is_antidominant,
     pair,
+    scaled_pairings,
 )
 
 
@@ -83,6 +84,30 @@ def test_covector_integer_form_keeps_equality_hash_repr():
     assert f.coords == (Fraction(1, 2), Fraction(-2, 3))
     assert f != lattice.covector([Fraction(1, 2), Fraction(2, 3)])
     assert (TorusLattice(()).covector([]).scale, TorusLattice(()).covector([]).numerators) == (1, ())
+
+
+def test_integer_covector_builds_no_fraction_until_coords_is_read(monkeypatch):
+    import sphemb.rootdata as rootdata
+
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(rootdata, "Fraction", CountingFraction)
+    lattice = TorusLattice(("x", "y", "z"))
+    f = lattice.covector([1, -2, 0])
+    g = Covector(lattice, (1, -2, 0))
+    # Construction, equality, hash and the integer pairings build no Fraction.
+    assert (f.scale, f.numerators) == (1, (1, -2, 0)) and "coords" not in vars(f)
+    assert f == g and hash(f) == hash(g) and f != lattice.covector([1, -2, 1])
+    assert scaled_pairings(lattice.character([3, 1, 5]), (f, g)) == [1, 1]
+    assert built == []
+    # The first read of coords builds them, once.
+    assert f.coords == (Fraction(1), Fraction(-2), Fraction(0)) and len(built) == 3
+    assert f.coords is f.coords and len(built) == 3
 
 
 def test_combination_is_the_character_sum():
