@@ -2,7 +2,8 @@
 
 Every invocation prints exactly one JSON document to standard output, also on
 errors.  Exit codes: 0 success, 2 usage or parameter errors, 3 domain errors,
-4 oracle instability.
+4 oracle instability, 5 a stable ``verify`` report that did not pass.  With
+exit 4 or 5 from ``verify``, the report is the document's ``result`` object.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ class UsageError(ValueError):
 
 class DomainError(ValueError):
     pass
+
+
+class ReportError(Exception):
+    """A ``verify`` report that is unstable (exit 4) or stable but not passed (exit 5)."""
+
+    def __init__(self, message: str, exit_code: int, report: dict):
+        super().__init__(message)
+        self.exit_code = exit_code
+        self.report = report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,8 +193,14 @@ def _dispatch(ns) -> dict:
         if bundle.model is not None:
             report_v = validate_model(bundle.model)
             doc["model_validation"] = {"ok": report_v.ok, "failures": list(report_v.failures)}
+        total = len(report.records)
         if not report.stable:
-            raise oracle.OracleInstabilityError(json.dumps(doc, separators=(",", ":")))
+            unstable = sum(1 for rec in report.records if not rec.stable)
+            raise ReportError(f"oracle report is unstable: trials disagree on {unstable} of {total} checks", 4, doc)
+        if not report.passed:
+            failed = sum(1 for rec in report.records if not rec.match)
+            detail = f"{failed} of {total} checks do not match" if total else "no check ran"
+            raise ReportError(f"verification failed: {detail}", 5, doc)
         return doc
 
     if ns.command == "wonderful-section":
@@ -248,6 +264,9 @@ def run(argv, stdout=None) -> int:
     except oracle.OracleInstabilityError as e:
         _emit(stdout, {"command": ns.command, "inputs": inputs, "status": "error", "message": str(e)})
         return 4
+    except ReportError as e:
+        _emit(stdout, {"command": ns.command, "inputs": inputs, "result": e.report, "status": "error", "message": str(e)})
+        return e.exit_code
 
     _emit(stdout, {"command": ns.command, "inputs": inputs, "result": result, "status": "ok"})
     return 0

@@ -22,6 +22,7 @@ from .lattice import (
     IntegerMatrix,
     SmithDecomposition,
     smith_normal_form,
+    sparse_addmul,
 )
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, is_antidominant, pair, scaled_pairings
 
@@ -289,14 +290,23 @@ def _choose_basis(vectors: Sequence[Sequence[int]], f: int) -> tuple[list[int], 
     before k by subtracting multiples of column k, which the picked rows
     read as 0.  Returns the picked indices and the columns of T: once f
     vectors are picked, T is the inverse of the matrix with them as rows.
+
+    The columns of T are held as sparse ``{row: value}`` dicts and each
+    vector as its nonzero ``(index, value)`` pairs, so a product v · T[:, j]
+    reads only the entries where both are nonzero.
     """
-    cols = [[int(i == j) for i in range(f)] for j in range(f)]
+    cols = [{j: 1} for j in range(f)]
     picked: list[int] = []
     for index, v in enumerate(vectors):
         k = len(picked)
         if k == f:
             break
-        w = {j: sum(a * b for a, b in zip(v, cols[j]) if a) for j in range(k, f)}
+        pairs = [(i, a) for i, a in enumerate(v) if a]
+
+        def dot(col):
+            return sum(a * col[i] for i, a in pairs if i in col)
+
+        w = {j: dot(cols[j]) for j in range(k, f)}
         if gcd(*w.values()) != 1:
             continue
         live = [j for j in w if w[j]]
@@ -306,18 +316,18 @@ def _choose_basis(vectors: Sequence[Sequence[int]], f: int) -> tuple[list[int], 
                 if j != p:
                     q = w[j] // w[p]
                     w[j] -= q * w[p]
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
+                    sparse_addmul(cols[j], cols[p], -q)
             live = [j for j in live if w[j]]
         (p,) = live
         if w[p] < 0:
-            cols[p] = [-a for a in cols[p]]
+            cols[p] = {i: -a for i, a in cols[p].items()}
         cols[k], cols[p] = cols[p], cols[k]
         for j in range(k):
-            c = sum(a * b for a, b in zip(v, cols[j]) if a)
+            c = dot(cols[j])
             if c:
-                cols[j] = [a - c * b for a, b in zip(cols[j], cols[k])]
+                sparse_addmul(cols[j], cols[k], -c)
         picked.append(index)
-    return picked, cols
+    return picked, [[col.get(i, 0) for i in range(f)] for col in cols]
 
 
 def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
@@ -342,9 +352,7 @@ def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
     presentation = AbelianGroupPresentation(len(free_indices), tuple(f for _, f in torsion))
 
     # Free-part coordinates of the label basis vectors: (V^T e_l)[free] = V[l][free].
-    free_rows = tuple(
-        tuple(snf.V.entry(l, i) for i in free_indices) for l in range(n)
-    )
+    free_rows = [[row[i] for i in free_indices] for row in map(snf.V.row, range(n))]
 
     generators: tuple[str, ...] | None
     gen_inverse = None

@@ -195,97 +195,117 @@ class AbelianGroupPresentation:
         return " + ".join(parts) if parts else "0"
 
 
+def sparse_addmul(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst += q * src for sparse vectors ``{index: value}`` and q != 0; zeros are dropped."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
 def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form with transforms, U @ A @ V == D.
 
     Pivoting always picks the nonzero entry of smallest absolute value in the
     remaining submatrix (first such in row-major order), which bounds entry
-    growth and makes the output deterministic.  Diagonal entries come out
-    nonnegative with d_i | d_{i+1}.
+    growth and makes the output deterministic.  The pivot's column is cleared
+    by row operations, then its row by column operations, each in ascending
+    order; a pivot that does not divide the rest of the block takes in the
+    first row that it fails on.  Diagonal entries come out nonnegative with
+    d_i | d_{i+1}.
+
+    D and U are held as sparse rows ``{column: value}`` and V as sparse
+    columns ``{row: value}``, so every operation and every scan reads only
+    nonzero entries.  Once step t is done, row t and column t of D are zero
+    off the diagonal, so rows t.. hold nothing left of column t.
     """
     m, n = a.rows, a.cols
-    d = a.to_rows()
-    u = IntegerMatrix.identity(m).to_rows()
-    v = IntegerMatrix.identity(n).to_rows()
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def row_addmul(i, j, q):
-        # row_i += q * row_j
-        di, dj = d[i], d[j]
-        for k in range(n):
-            di[k] += q * dj[k]
-        ui, uj = u[i], u[j]
-        for k in range(m):
-            ui[k] += q * uj[k]
-
-    def col_addmul(i, j, q):
-        # col_i += q * col_j
-        for r in d:
-            r[i] += q * r[j]
-        for r in v:
-            r[i] += q * r[j]
+    entries = a.entries
+    d = [{j: e for j, e in enumerate(entries[i * n : (i + 1) * n]) if e} for i in range(m)]
+    u = [{i: 1} for i in range(m)]
+    v = [{j: 1} for j in range(n)]
 
     for t in range(min(m, n)):
         while True:
             best = None
-            best_abs = None
+            best_abs = 0
             for i in range(t, m):
                 row = d[i]
-                for j in range(t, n):
-                    e = row[j]
-                    if e != 0 and (best is None or abs(e) < best_abs):
-                        best = (i, j)
-                        best_abs = abs(e)
+                if row:
+                    low = min(map(abs, row.values()))
+                    if best is None or low < best_abs:
+                        best, best_abs = i, low
+                        if low == 1:
+                            break
             if best is None:
                 break
-            i0, j0 = best
-            if i0 != t:
-                row_swap(t, i0)
+            row = d[best]
+            j0 = min(j for j, e in row.items() if abs(e) == best_abs)
+            if best != t:
+                d[t], d[best] = row, d[t]
+                u[t], u[best] = u[best], u[t]
             if j0 != t:
-                col_swap(t, j0)
-            p = d[t][t]
-            dirty = False
+                for i in range(t, m):
+                    row = d[i]
+                    x, y = row.pop(t, 0), row.pop(j0, 0)
+                    if y:
+                        row[t] = y
+                    if x:
+                        row[j0] = x
+                v[t], v[j0] = v[j0], v[t]
+            pivot_row = d[t]
+            p = pivot_row[t]
+            # Rows that still hold column t once it is reduced, the pivot's first.
+            column = [t]
             for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    row_addmul(i, t, -(d[i][t] // p))
-                    if d[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    col_addmul(j, t, -(d[t][j] // p))
-                    if d[t][j] != 0:
-                        dirty = True
-            if dirty:
+                row = d[i]
+                e = row.get(t)
+                if e:
+                    q = -(e // p)
+                    sparse_addmul(row, pivot_row, q)
+                    sparse_addmul(u[i], u[t], q)
+                    if t in row:
+                        column.append(i)
+            for j in sorted(j for j in pivot_row if j > t):
+                q = -(pivot_row[j] // p)
+                for i in column:
+                    row = d[i]
+                    y = row.get(j, 0) + q * row[t]
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                sparse_addmul(v[j], v[t], q)
+            if len(column) > 1 or len(pivot_row) > 1:
+                # A remainder is left in column t or row t: pick a smaller pivot.
                 continue
-            offender = None
-            for i in range(t + 1, m):
-                if any(d[i][j] % p != 0 for j in range(t + 1, n)):
-                    offender = i
-                    break
+            if p in (1, -1):
+                # A unit divides every entry: no offender to look for.
+                break
+            offender = next((i for i in range(t + 1, m) if any(e % p for e in d[i].values())), None)
             if offender is None:
                 break
             # Fold the offending row into row t; the next pass shrinks the pivot.
-            row_addmul(t, offender, 1)
+            sparse_addmul(pivot_row, d[offender], 1)
+            sparse_addmul(u[t], u[offender], 1)
     for t in range(min(m, n)):
-        if d[t][t] < 0:
-            for k in range(n):
-                d[t][k] = -d[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
-    return SmithDecomposition(
-        U=IntegerMatrix.from_rows(u, cols=m),
-        V=IntegerMatrix.from_rows(v, cols=n),
-        D=IntegerMatrix.from_rows(d, cols=n),
-    )
+        if d[t].get(t, 0) < 0:
+            d[t][t] = -d[t][t]
+            u[t] = {k: -x for k, x in u[t].items()}
+    return SmithDecomposition(U=_dense(u, m), V=_dense(v, n, columns=True), D=_dense(d, n))
+
+
+def _dense(vectors: list[dict[int, int]], size: int, columns: bool = False) -> IntegerMatrix:
+    """The integer matrix with the given sparse rows, or with ``columns`` sparse columns, of ``size`` entries."""
+    count = len(vectors)
+    rows, cols = (size, count) if columns else (count, size)
+    flat = [0] * (rows * cols)
+    for i, vector in enumerate(vectors):
+        for k, x in vector.items():
+            flat[k * cols + i if columns else i * cols + k] = x
+    return IntegerMatrix(rows, cols, tuple(flat))
 
 
 def integer_rank(a: IntegerMatrix) -> int:

@@ -51,9 +51,6 @@ class TorusLattice:
         i = self.index(label)
         return Character(self, tuple(1 if k == i else 0 for k in range(self.rank)))
 
-    def zero_character(self) -> "Character":
-        return Character(self, (0,) * self.rank)
-
     def covector(self, coords: Iterable) -> "Covector":
         return Covector(self, tuple(coords))
 

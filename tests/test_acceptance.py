@@ -261,8 +261,8 @@ def test_c12_property_suites():
         lattice.character([0, 0, 0, 1, 1, 0]),
     ]
     for _ in range(200):
-        chi1 = lattice.zero_character()
-        chi2 = lattice.zero_character()
+        chi1 = lattice.combination([])
+        chi2 = lattice.combination([])
         for g in pic_gens:
             chi1 = chi1 + rng.randint(-5, 5) * g
             chi2 = chi2 + rng.randint(-5, 5) * g

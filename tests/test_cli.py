@@ -292,12 +292,38 @@ def test_determinantal_wonderful_section_uses_model_labels():
 def test_pinned_unstable_verify_output():
     # One of the eight translates of a monoid m=3 curve is not generic at
     # this seed, so an order comes out unstable and the CLI exits 4 with the
-    # whole report in its message.  A non-generic draw is where exact zeros
-    # reach the translate and minor kernels.
+    # whole report as its result object.  A non-generic draw is where exact
+    # zeros reach the translate and minor kernels.
     out = io.StringIO()
-    assert run(["verify", "--family", "monoid:m=3", "--seed", "931794"], stdout=out) == 4
+    assert run(["verify", "--family", "monoid:m=3", "--trials", "8", "--seed", "931794"], stdout=out) == 4
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert digest == "6b079a5e65dd84bf79368a46c901ff9df141e6380885272925b553984229e327"
+    assert digest == "a2691afa377316a3e41606e71b9e894b4cd246664dadac9f6fbd16b7c7885875"
+    doc = json.loads(out.getvalue())
+    assert doc["status"] == "error" and doc["result"]["stable"] is False
+    assert doc["message"] == "oracle report is unstable: trials disagree on 1 of 27 checks"
+
+
+def test_stable_failed_verify_exits_5(monkeypatch):
+    # A monoid m=3 model with one boundary valuation doubled: the oracle's
+    # stable orders disagree with it, so verify exits 5 with the report.
+    import dataclasses
+
+    from sphemb import cli
+    from sphemb.families import build_family
+
+    bundle = build_family("monoid:m=3")
+    model = bundle.model
+    first, *rest = model.boundaries
+    doubled = model.weight_lattice.covector([2 * c for c in first.valuation.coords])
+    slipped = dataclasses.replace(model, boundaries=(dataclasses.replace(first, valuation=doubled), *rest))
+    bundle.__dict__["model"] = slipped
+    monkeypatch.setattr(cli, "build_family", lambda spec, trials, seed: bundle)
+    code, doc = _invoke(["verify", "--family", "monoid:m=3"])
+    assert code == 5 and doc["status"] == "error"
+    assert doc["result"]["stable"] is True and doc["result"]["passed"] is False
+    failed = [rec for rec in doc["result"]["checks"] if not rec["match"]]
+    assert failed and all(rec["inputs"].get("boundary") == first.id for rec in failed)
+    assert doc["message"] == f"verification failed: {len(failed)} of {len(doc['result']['checks'])} checks do not match"
 
 
 def test_shared_parser_matches_fresh_parsers():

@@ -43,13 +43,13 @@ def test_t_order_examples():
     res = t_order(real, d, "lambda_1")
     assert res.order == 1 and res.stable
 
-    const = SemiInvariantSpec("one", lambda pt: Fraction(1), model.weight_lattice.zero_character())
+    const = SemiInvariantSpec("one", lambda pt: Fraction(1), model.weight_lattice.combination([]))
     assert t_order(real, const, "lambda_2").order == 0
 
     delta2 = _find(real.semi_invariants, "Delta_2")
     assert t_order(real, delta2, "lambda_0").order == 2
 
-    zero = SemiInvariantSpec("zero", lambda pt: Fraction(0), model.weight_lattice.zero_character())
+    zero = SemiInvariantSpec("zero", lambda pt: Fraction(0), model.weight_lattice.combination([]))
     with pytest.raises(IdenticallyZeroError):
         t_order(real, zero, "lambda_0")
 
@@ -177,8 +177,8 @@ def test_semiinvariance_weights():
     delta1 = _find(real.semi_invariants, "Delta_1")
     assert semiinvariance_check(real, delta1, trials=20) == model.character("eps_1")
 
-    const = SemiInvariantSpec("one", lambda pt: Fraction(1), model.weight_lattice.zero_character())
-    assert semiinvariance_check(real, const) == model.weight_lattice.zero_character()
+    const = SemiInvariantSpec("one", lambda pt: Fraction(1), model.weight_lattice.combination([]))
+    assert semiinvariance_check(real, const) == model.weight_lattice.combination([])
 
 
 def test_semiinvariance_rejects_wrong_claims():
@@ -336,8 +336,8 @@ def _equivalence_realizations():
         d = _find(real.semi_invariants, "Delta_1")
         extra = (
             SemiInvariantSpec("wrong_weight", d.evaluate, d.claimed_weight + d.claimed_weight),
-            SemiInvariantSpec("zero", lambda pt: Fraction(0), lattice.zero_character()),
-            SemiInvariantSpec("one", lambda pt: Fraction(1), lattice.zero_character()),
+            SemiInvariantSpec("zero", lambda pt: Fraction(0), lattice.combination([])),
+            SemiInvariantSpec("one", lambda pt: Fraction(1), lattice.combination([])),
         )
         yield name, dataclasses.replace(real, semi_invariants=real.semi_invariants + extra)
 
