@@ -193,42 +193,56 @@ def validate_model(model: SphericalDivisorModel) -> ValidationReport:
     if sum(1 for d in diag if d != 0) != rank or any(d not in (0, 1) for d in diag):
         failures.append("basis characters do not generate the full weight lattice")
 
-    for spec in model.colors:
-        for b in model.basis_characters:
-            if pair(b, spec.functional).denominator != 1:
-                failures.append(f"colour functional {spec.id} is not integral on the lattice")
-                break
-    for spec in model.boundaries:
-        for b in model.basis_characters:
-            if pair(b, spec.valuation).denominator != 1:
-                failures.append(f"boundary valuation {spec.id} is not integral on the lattice")
-                break
+    table = pairing_table(model)
+    for i, spec in enumerate(model.colors, start=len(model.boundaries)):
+        if any(row[i] % spec.functional.scale for row in table):
+            failures.append(f"colour functional {spec.id} is not integral on the lattice")
+    for i, spec in enumerate(model.boundaries):
+        if any(row[i] % spec.valuation.scale for row in table):
+            failures.append(f"boundary valuation {spec.id} is not integral on the lattice")
         if not is_antidominant(spec.valuation, model.simple_roots):
             failures.append(f"boundary valuation {spec.id} is not antidominant")
 
     return ValidationReport(tuple(failures))
 
 
-def _pairing_row(model: SphericalDivisorModel, chi: Character) -> list[int]:
-    """<chi, f> for the functional f of every label, in ``label_order``, as integers.
+def _functionals(model: SphericalDivisorModel) -> list[Covector]:
+    """The functional of every label, in ``label_order``."""
+    return [b.valuation for b in model.boundaries] + [c.functional for c in model.colors]
 
-    Each pairing is an integer dot product against the covector's
-    ``numerators``, divided exactly by its ``scale``.
+
+def pairing_table(model: SphericalDivisorModel) -> tuple[tuple[int, ...], ...]:
+    """``scaled_pairings`` of each basis character against the functionals in ``label_order``.
+
+    Built on first read and kept on the model object, as ``class_group_data``
+    is, so a ``dataclasses.replace`` copy builds its own.
     """
-    functionals = [b.valuation for b in model.boundaries] + [c.functional for c in model.colors]
-    row = []
-    for i, (label, f, value) in enumerate(zip(model.label_order, functionals, scaled_pairings(chi, functionals))):
-        q, r = divmod(value, f.scale)
-        if r:
-            kind = "boundary" if i < len(model.boundaries) else "colour"
-            raise NonIntegralPairingError(f"non-integral {kind} pairing at {label}")
-        row.append(q)
-    return row
+    table = model.__dict__.get("_pairing_table")
+    if table is None:
+        functionals = _functionals(model)
+        table = tuple(tuple(scaled_pairings(b, functionals)) for b in model.basis_characters)
+        object.__setattr__(model, "_pairing_table", table)
+    return table
+
+
+def _integral_rows(model: SphericalDivisorModel, table: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Rows of scaled pairings in ``label_order``, each divided exactly by its functional's ``scale``.
+
+    The first remainder, row by row, raises ``NonIntegralPairingError`` naming its label.
+    """
+    scales = [f.scale for f in _functionals(model)]
+    for values in table:
+        for i, (value, scale) in enumerate(zip(values, scales)):
+            if value % scale:
+                kind = "boundary" if i < len(model.boundaries) else "colour"
+                raise NonIntegralPairingError(f"non-integral {kind} pairing at {model.label_order[i]}")
+    return [[value // scale for value, scale in zip(values, scales)] for values in table]
 
 
 def principal_divisor(model: SphericalDivisorModel, chi: Character) -> Divisor:
     """Divisor of the semi-invariant extending ``chi``: one pairing per label."""
-    return Divisor.from_mapping(dict(zip(model.label_order, _pairing_row(model, chi))))
+    (row,) = _integral_rows(model, [scaled_pairings(chi, _functionals(model))])
+    return Divisor.from_mapping(dict(zip(model.label_order, row)))
 
 
 def canonical_divisor(model: SphericalDivisorModel) -> Divisor:
@@ -276,8 +290,7 @@ def _require_final(model: SphericalDivisorModel):
 
 
 def _relation_matrix(model: SphericalDivisorModel) -> IntegerMatrix:
-    rows = [_pairing_row(model, b) for b in model.basis_characters]
-    return IntegerMatrix.from_rows(rows, cols=len(model.label_order))
+    return IntegerMatrix.from_rows(_integral_rows(model, pairing_table(model)), cols=len(model.label_order))
 
 
 def _choose_basis(vectors: Sequence[Sequence[int]], f: int) -> tuple[list[int], list[list[int]]]:
@@ -491,7 +504,7 @@ def wonderful_section_divisor(model: WonderfulModel, chi: Character) -> Divisor:
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  Rationals are written as "p/q" strings ("p" when q == 1).
+# Serialization.  Rationals are written as "p/q" strings, "1/1" included.
 
 
 def _frac_str(x: Fraction) -> str:

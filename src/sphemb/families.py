@@ -28,14 +28,15 @@ translates keep it, and membership tests, the curve check, ``dilation`` and
 the minors read it; ``Fraction`` or ``LaurentPoly`` rows are divided out only
 when read.  ``ScaledMatrix.of`` converts a matrix given as rows.
 
-Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives
-them at construction from each family's ambient map, colour coroots and
-boundary exponents and raises ``ValueError`` on disagreement, so a
-transcription slip cannot survive construction.  ``_wonderful`` builds the
-wonderful data of both families from a table of colour coroots.  The
-circular coroots are one table (``_circular_coroots``), read by the check
-and by the wonderful data; the determinantal model and wonderful data are
-the circular ones at s = 0.  Each family's boundary cocharacters are one
+Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives them
+at construction from each family's ambient map, colour coroots and boundary
+exponents and raises ``ValueError`` on disagreement, so a transcription slip
+cannot survive construction.  It reads the model's one integer pairing table
+(``pairing_table``), which the relation matrix reuses.  ``_wonderful``
+builds the wonderful data of both families from a table of colour coroots.
+The circular coroots are one table (``_circular_coroots``), read by the
+check and by the wonderful data; the determinantal model and wonderful data
+are the circular ones at s = 0.  Each family's boundary cocharacters are one
 table too, read by its curves (``_curve_point``) and by the check.
 """
 
@@ -48,10 +49,10 @@ from functools import cache, cached_property
 from math import lcm
 from typing import Callable, Sequence
 
-from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel
+from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel, pairing_table
 from .lattice import integer_inverse, mat_mul, rational_rank
 from .laurent import LaurentPoly, NegativeExponentError
-from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, scaled_pairings
+from .rootdata import Character, Covector, SimpleRootSet, TorusLattice
 
 
 class FamilyParameterError(ValueError):
@@ -525,23 +526,23 @@ def _crosscheck(
     with a colour's functional as with each of its coroots, and with a
     boundary's valuation as with its exponents; a disagreement raises
     ``ValueError`` naming the label.  Both sides are compared as integers
-    over the functional's ``scale``.
+    over the functional's ``scale``, the model's side read from its
+    ``pairing_table``.
     """
     if tuple(coroots) != model.color_ids:
         raise ValueError(f"colours {model.color_ids} disagree with the coroot table's {tuple(coroots)}")
-    functionals = [spec.functional for spec in model.colors] + [spec.valuation for spec in model.boundaries]
-    # Each basis character's nonzero ambient coordinates, and its scaled pairings.
+    # Each basis character's nonzero ambient coordinates, and its scaled pairings in label order.
     basis = [
-        ([(k, a) for k, a in enumerate(ambient(b)) if a], scaled_pairings(b, functionals))
-        for b in model.basis_characters
+        ([(k, a) for k, a in enumerate(ambient(b)) if a], values)
+        for b, values in zip(model.basis_characters, pairing_table(model))
     ]
-    for i, spec in enumerate(model.colors):
+    for i, spec in enumerate(model.colors, start=len(model.boundaries)):
         scale = spec.functional.scale
         for amb, values in basis:
             for cor in coroots[spec.id]:
                 if values[i] != scale * sum(a * cor.get(k, 0) for k, a in amb):
                     raise ValueError(f"colour table for {spec.id} disagrees with ambient coroot pairing")
-    for i, (spec, expo) in enumerate(zip(model.boundaries, exponents, strict=True), start=len(model.colors)):
+    for i, (spec, expo) in enumerate(zip(model.boundaries, exponents, strict=True)):
         scale = spec.valuation.scale
         for amb, values in basis:
             if values[i] != scale * sum(a * expo.get(k, 0) for k, a in amb):

@@ -3,16 +3,17 @@
 Integer matrices with arbitrary-precision entries, Smith normal form with
 unimodular transforms, cokernel presentations of finitely generated abelian
 groups, and integer linear-system solving.  One fraction-free (Bareiss)
-elimination, ``_bareiss``, gives the determinant, the rank of a rational
-matrix and, as Gauss-Jordan, the scaled inverse of an integer matrix.  No
-floating point anywhere.
+elimination, ``_bareiss``, gives the determinant and, as Gauss-Jordan, the
+scaled inverse of an integer matrix.  Ranks, rational and integer, come from
+one sparse fraction-free echelon (``rational_rank``) that touches only
+nonzero entries.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 @dataclass(frozen=True)
@@ -309,7 +310,8 @@ def _dense(vectors: list[dict[int, int]], size: int, columns: bool = False) -> I
 
 
 def integer_rank(a: IntegerMatrix) -> int:
-    return sum(1 for e in smith_normal_form(a).D.diagonal() if e != 0)
+    """Rank of an integer matrix: over Z it is the rank over Q."""
+    return rational_rank(a.to_rows())
 
 
 def cokernel(a: IntegerMatrix) -> AbelianGroupPresentation:
@@ -363,12 +365,33 @@ def mat_mul(a, b):
 
 
 def rational_rank(rows) -> int:
-    """Rank of a matrix with Fraction/int entries, by Bareiss elimination of L M.
+    """Rank of the matrix M with rows ``rows``, a sequence of Fraction/int rows, by one sparse echelon of L M.
 
-    All-zero rows never pivot, so they are dropped before scaling.
+    L is the lcm of the denominators and each row a ``{column: int}`` dict.
+    Fraction-free, a row is reduced against the pivot of its leading column,
+    row = p row - a pivot (p, a the two leading entries over their gcd), then
+    divided by its content gcd, until it vanishes or pivots a new column.
     """
-    m = scaled_to_integers([r for r in rows if any(r)])[1]
-    return _bareiss(m, len(m[0]) if m else 0)[0]
+    scale = lcm(*(e.denominator for r in rows for e in r if e))
+    pivots: dict[int, dict[int, int]] = {}
+    for r in rows:
+        row = {j: e.numerator * (scale // e.denominator) for j, e in enumerate(r) if e}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            p, a = pivot[lead], row[lead]
+            g = gcd(p, a)
+            if p != g:
+                p //= g
+                row = {j: p * x for j, x in row.items()}
+            sparse_addmul(row, pivot, -(a // g))
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
+    return len(pivots)
 
 
 def integer_inverse(rows) -> tuple[int, list[list[int]]] | None:

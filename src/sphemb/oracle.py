@@ -316,6 +316,11 @@ def stabilizer_check(real, element) -> bool:
     return real.act(element, real.base_point) == real.base_point
 
 
+def _exact_record(check: str, inputs: dict, model_value, oracle_value) -> CheckRecord:
+    """A deterministic one-trial check, matched when the model and oracle values are equal."""
+    return CheckRecord(check, inputs, model_value, oracle_value, model_value == oracle_value, 1, True)
+
+
 def verification_report(model, real, trials: int = 8, seed: int = 0) -> VerificationReport:
     """Full oracle suite for one family member, as flat check records."""
     _check_trials(trials)
@@ -343,56 +348,14 @@ def verification_report(model, real, trials: int = 8, seed: int = 0) -> Verifica
 
     for c in real.curves:
         sig = curve_signature(real, c.label)
-        records.append(
-            CheckRecord(
-                check="limit_rank_profile",
-                inputs={"curve": c.label},
-                model_value=list(c.limit_ranks),
-                oracle_value=list(sig.rank_profile),
-                match=c.limit_ranks == sig.rank_profile,
-                trials=1,
-                stable=True,
-            )
-        )
-
+        records.append(_exact_record("limit_rank_profile", {"curve": c.label}, list(c.limit_ranks), list(sig.rank_profile)))
     dim = base_orbit_dimension(real)
-    records.append(
-        CheckRecord(
-            check="orbit_dimension",
-            inputs={"point": "base"},
-            model_value=real.expected_orbit_dimension,
-            oracle_value=dim,
-            match=dim == real.expected_orbit_dimension,
-            trials=1,
-            stable=True,
-        )
-    )
-
+    records.append(_exact_record("orbit_dimension", {"point": "base"}, real.expected_orbit_dimension, dim))
     element = real.stabilizer_sampler(rng)
     fixed = stabilizer_check(real, element)
-    records.append(
-        CheckRecord(
-            check="stabilizer_fixes_base_point",
-            inputs={"element": "sampled stabilizer shape"},
-            model_value=True,
-            oracle_value=fixed,
-            match=fixed,
-            trials=1,
-            stable=True,
-        )
-    )
+    records.append(_exact_record("stabilizer_fixes_base_point", {"element": "sampled stabilizer shape"}, True, fixed))
     # Negative control: a copy with one entry bumped that moves the base point.
     if any(not stabilizer_check(real, c) for c in bumped_copies(element)):
-        records.append(
-            CheckRecord(
-                check="stabilizer_negative_control",
-                inputs={"element": "perturbed stabilizer shape"},
-                model_value=False,
-                oracle_value=False,
-                match=True,
-                trials=1,
-                stable=True,
-            )
-        )
+        records.append(_exact_record("stabilizer_negative_control", {"element": "perturbed stabilizer shape"}, False, False))
 
     return VerificationReport(tuple(records))

@@ -165,7 +165,7 @@ class SimpleRootSet:
 
     def __post_init__(self):
         for _, alpha, alpha_v in self.roots:
-            if pair(alpha, alpha_v) != 2:
+            if scaled_pairings(alpha, (alpha_v,))[0] != 2 * alpha_v.scale:
                 raise ValueError("coroot normalization <alpha, alpha^v> = 2 violated")
 
     def __len__(self):
@@ -173,5 +173,5 @@ class SimpleRootSet:
 
 
 def is_antidominant(v: Covector, roots: SimpleRootSet) -> bool:
-    """True iff <alpha, v> <= 0 for every simple root alpha."""
-    return all(pair(alpha, v) <= 0 for _, alpha, _ in roots.roots)
+    """True iff <alpha, v> <= 0 for every simple root alpha, read off the sign of the scaled pairing (v.scale > 0)."""
+    return all(scaled_pairings(alpha, (v,))[0] <= 0 for _, alpha, _ in roots.roots)

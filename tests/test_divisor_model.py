@@ -350,6 +350,69 @@ def test_class_group_data_is_kept_on_the_model(monkeypatch):
     assert snf_inputs == [data.relation_matrix] * 2
 
 
+def test_one_pairing_table_per_model_object(monkeypatch):
+    from sphemb import divisor_model, families
+
+    paired = []
+    scaled_pairings = divisor_model.scaled_pairings
+    monkeypatch.setattr(divisor_model, "scaled_pairings", lambda chi, fs: paired.append(chi) or scaled_pairings(chi, fs))
+    # The families' cross-checks pair only through the model's table.
+    assert not hasattr(families, "scaled_pairings")
+
+    model = build_family("monoid:m=6").model
+    basis = list(model.basis_characters)
+    assert paired == basis
+    data = class_group_data(model)
+    assert validate_model(model).ok and data.generators == ("D_1", "D_2", "D_3", "D_4", "D_5")
+    assert paired == basis
+
+    # A replaced model builds its own table: the determinantal finalization
+    # replaces the provisional model, which replaced the circular one.
+    paired.clear()
+    bundle = build_family("determinantal:m=3,n=3,r=2")
+    assert len(paired) == 2
+    final = bundle.model
+    class_group_data(final)
+    assert validate_model(final).ok
+    assert paired == list(final.basis_characters) * 2
+
+    # A planted slip: D_3's functional halved, D_5's divided by 3, X_1's
+    # valuation negated, X_3's halved, X_5 replaced by -eps_7/2, and D_1 listed
+    # twice.  The failures and the first non-integral label are unchanged.
+    paired.clear()
+    lat = model.weight_lattice
+    colors, bounds = list(model.colors), list(model.boundaries)
+    colors[2] = dataclasses.replace(colors[2], functional=lat.covector([c / 2 for c in colors[2].functional.coords]))
+    colors[4] = dataclasses.replace(colors[4], functional=lat.covector([c / 3 for c in colors[4].functional.coords]))
+    bounds[1] = dataclasses.replace(bounds[1], valuation=lat.covector([-c for c in bounds[1].valuation.coords]))
+    bounds[3] = dataclasses.replace(bounds[3], valuation=lat.covector([c / 2 for c in bounds[3].valuation.coords]))
+    bounds[5] = dataclasses.replace(bounds[5], valuation=lat.covector([0, 0, 0, 0, 0, 0, "-1/2"]))
+    slipped = dataclasses.replace(model, colors=tuple(colors) + (colors[0],), boundaries=tuple(bounds))
+    assert validate_model(slipped).failures == (
+        "divisor labels are not unique",
+        "colour functional D_3 is not integral on the lattice",
+        "colour functional D_5 is not integral on the lattice",
+        "boundary valuation X_1 is not antidominant",
+        "boundary valuation X_3 is not integral on the lattice",
+        "boundary valuation X_5 is not integral on the lattice",
+    )
+    with pytest.raises(NonIntegralPairingError, match="^non-integral colour pairing at D_3$"):
+        class_group_data(slipped)
+    assert paired == basis
+    # Rows are searched in basis order: eps_1 meets D_1 before any basis
+    # character meets X_5, although X_5 comes first in label order.
+    slipped = dataclasses.replace(
+        model,
+        colors=(dataclasses.replace(colors[0], functional=lat.covector([c / 3 for c in colors[0].functional.coords])),)
+        + model.colors[1:],
+        boundaries=model.boundaries[:5] + (bounds[5],) + model.boundaries[6:],
+    )
+    with pytest.raises(NonIntegralPairingError, match="^non-integral colour pairing at D_1$"):
+        class_group_data(slipped)
+    with pytest.raises(NonIntegralPairingError, match="^non-integral boundary pairing at X_5$"):
+        principal_divisor(slipped, model.character("eps_7"))
+
+
 def test_validate_model_detects_corruption():
     model, _ = monoid_model(3)
     assert validate_model(model).ok

@@ -346,6 +346,38 @@ def test_rational_rank_matches_fraction_elimination():
     assert rational_rank([[0, Fraction(1, 2), 1], [0, 1, 2], [0, 0, Fraction(5, 7)]]) == 2
 
 
+def _oracle_lie_rows():
+    """(spec, point, rows): the Lie rows the oracle ranks, at each grid member's base point and curve limits."""
+    from sphemb.families import admissible_circular_parameters, build_family
+    from sphemb.oracle import limit_signature
+
+    specs = [f"monoid:m={m}" for m in range(1, 5)]
+    specs += [f"circular:m={m},n={n},r={r},s={s}" for m, n, r, s in admissible_circular_parameters(5, 7)]
+    specs += [f"determinantal:m={m},n={n},r={r}" for m in range(2, 6) for n in range(2, 6) for r in range(1, min(m, n))]
+    specs += [
+        f"complexes:l=1,m={m},n={n},r={r},s={s}"
+        for m in range(3) for n in range(3) for r in range(2) for s in range(n + 1) if r + s <= m
+    ]
+    for spec in specs:
+        real = build_family(spec).realization
+        yield spec, "base", real.lie_algebra_rows(real.base_point)
+        for c in real.curves:
+            yield spec, c.label, real.lie_algebra_rows(limit_signature(real, c.label).limit_point)
+
+
+def test_rational_rank_on_the_oracle_lie_rows():
+    # The shapes orbit_dimension sends: mostly zero integer rows, up to 74 x 70
+    # at circular:5,7,2,2, where the random cases above stop at 7 x 7.
+    shapes = set()
+    members = set()
+    for spec, point, rows in _oracle_lie_rows():
+        assert rational_rank(rows) == _reference_rational_rank(rows), (spec, point)
+        shapes.add((len(rows), len(rows[0])))
+        members.add(spec.partition(":")[0])
+    assert members == {"monoid", "circular", "determinantal", "complexes"}
+    assert (74, 70) in shapes
+
+
 def _cofactor_determinant(rows) -> int:
     # Laplace expansion along the first row: no pivots, no swaps, no division.
     if not rows:
