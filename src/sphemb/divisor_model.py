@@ -24,7 +24,7 @@ from .lattice import (
     smith_normal_form,
     sparse_addmul,
 )
-from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, is_antidominant, pair, scaled_pairings
+from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, antidominant_flags, pair, scaled_pairings
 
 class ForeignLabelError(ValueError):
     """A divisor refers to a label that does not belong to the model."""
@@ -197,10 +197,11 @@ def validate_model(model: SphericalDivisorModel) -> ValidationReport:
     for i, spec in enumerate(model.colors, start=len(model.boundaries)):
         if any(row[i] % spec.functional.scale for row in table):
             failures.append(f"colour functional {spec.id} is not integral on the lattice")
+    antidominant = antidominant_flags([spec.valuation for spec in model.boundaries], model.simple_roots)
     for i, spec in enumerate(model.boundaries):
         if any(row[i] % spec.valuation.scale for row in table):
             failures.append(f"boundary valuation {spec.id} is not integral on the lattice")
-        if not is_antidominant(spec.valuation, model.simple_roots):
+        if not antidominant[i]:
             failures.append(f"boundary valuation {spec.id} is not antidominant")
 
     return ValidationReport(tuple(failures))

@@ -26,7 +26,10 @@ A point is one ``ScaledMatrix`` per arrow: integer polynomials in t over one
 scale.  The constructors build each base and curve point once in this form,
 translates keep it, and membership tests, the curve check, ``dilation`` and
 the minors read it; ``Fraction`` or ``LaurentPoly`` rows are divided out only
-when read.  ``ScaledMatrix.of`` converts a matrix given as rows.
+when read.  ``ScaledMatrix.of`` converts a matrix given as rows.  A
+translate is one integer product per power of t (``_translate``), the
+minors of a rational point are the pivots of one fraction-free elimination,
+and two points compare on their integers.
 
 Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives them
 at construction from each family's ambient map, colour coroots and boundary
@@ -47,10 +50,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel, pairing_table
-from .lattice import integer_inverse, mat_mul, rational_rank
+from .lattice import integer_inverse, leading_principal_minors, mat_mul, rational_rank
 from .laurent import LaurentPoly, NegativeExponentError
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice
 
@@ -63,12 +67,6 @@ Matrix = tuple[tuple, ...]
 Point = tuple[Matrix, ...]
 Unit = tuple[int, list[list[int]], int, list[list[int]]]
 GroupElement = tuple[Unit, ...]
-
-
-def _add_scaled(acc: dict[int, int], a: int, p: dict[int, int]) -> None:
-    """acc += a * p for an integer a and an {exponent: int} polynomial p."""
-    for e, c in p.items():
-        acc[e] = acc.get(e, 0) + a * c
 
 
 def _add_product(acc: dict[int, int], p: dict[int, int], q: dict[int, int]) -> None:
@@ -92,13 +90,18 @@ class ScaledMatrix:
     The matrix format of every base point, curve point and translate.
     ``polys[i][j]`` is scale times entry (i, j), an {exponent: int} dict, for
     an integer ``scale`` > 0; ``laurent`` says whether the entries are
-    ``LaurentPoly`` or ``Fraction``.  A coefficient may be zero where terms
-    cancelled: every reader sums, divides or skips zeros.  The divided rows are
-    built when a row is first read, and the matrix compares and hashes like the
-    tuple of those rows.  Its minors share one memoised expansion (``minor``).
+    ``LaurentPoly`` or ``Fraction`` (a rational matrix stores exponent 0
+    only).  A stored coefficient may be zero: every reader sums, divides or
+    skips zeros.  The divided rows are built when a row is first read, and the
+    matrix hashes like the tuple of those rows and compares like it; two
+    ``ScaledMatrix`` compare on their integers.  The trailing minors of a
+    rational matrix are the pivots of one fraction-free elimination
+    (``leading_principal_minors`` of the matrix turned by 180 degrees), kept
+    on the matrix; a Laurent matrix's minors, and those past a vanishing
+    pivot, share one memoised expansion (``minor``).
     """
 
-    __slots__ = ("scale", "polys", "laurent", "_rows", "_minors", "_rotated")
+    __slots__ = ("scale", "polys", "laurent", "_rows", "_minors", "_rotated", "_pivots")
 
     def __init__(self, scale: int, polys: list[list[dict[int, int]]], laurent: bool):
         self.scale = scale
@@ -107,6 +110,7 @@ class ScaledMatrix:
         self._rows: Matrix | None = None
         self._minors: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
         self._rotated: ScaledMatrix | None = None
+        self._pivots: list[int] | None = None
 
     @classmethod
     def of(cls, m) -> "ScaledMatrix":
@@ -139,7 +143,21 @@ class ScaledMatrix:
         return iter(self.rows)
 
     def __eq__(self, other):
-        return self.rows == (other.rows if isinstance(other, ScaledMatrix) else other)
+        """Equality of the divided rows; against a ``ScaledMatrix``, decided on p * other.scale == q * self.scale."""
+        if not isinstance(other, ScaledMatrix):
+            return self.rows == other
+        if len(self.polys) != len(other.polys) or any(len(a) != len(b) for a, b in zip(self.polys, other.polys)):
+            return False
+        s, t = other.scale, self.scale
+        for a, b in zip(self.polys, other.polys):
+            for p, q in zip(a, b):
+                for e, c in p.items():
+                    if c * s != q.get(e, 0) * t:
+                        return False
+                for e, c in q.items():
+                    if c and e not in p:
+                        return False
+        return True
 
     def __hash__(self):
         return hash(self.rows)
@@ -187,10 +205,20 @@ class ScaledMatrix:
         return ScaledMatrix(self.scale, [[{0: c} if c else {} for c in r] for r in self.constant_terms()], False)
 
     def trailing_minor(self, k: int):
-        """The determinant of the bottom-right k x k block, divided once by scale^k; 0 <= k <= min(rows, columns)."""
+        """The determinant of the bottom-right k x k block, divided once by scale^k; 0 <= k <= min(rows, columns).
+
+        On a rational matrix it is the k-th pivot of the elimination, read
+        while no earlier pivot vanished; otherwise the expansion gives it.
+        """
         width = len(self.polys[0]) if self.polys else 0
         if not 0 <= k <= min(len(self.polys), width):
             raise ValueError(f"no {k} x {k} minor in a {len(self.polys)} x {width} matrix")
+        if not self.laurent:
+            if self._pivots is None:
+                turned = [[p.get(0, 0) for p in reversed(r)] for r in reversed(self.polys)]
+                self._pivots = [1, *leading_principal_minors(turned)]
+            if k < len(self._pivots):
+                return Fraction(self._pivots[k], self.scale**k)
         return _divide_polys([[self.minor(tuple(range(width - k, width)))]], self.scale**k, self.laurent)[0][0]
 
 
@@ -384,27 +412,37 @@ def _passes_through(curve: Point, point: Point) -> bool:
 def _translate(left: tuple[int, list[list[int]]], x, right: tuple[int, list[list[int]]]) -> ScaledMatrix:
     """(L / l) x (R / r) for integer forms left = (l, L) and right = (r, R), l, r > 0.
 
-    The product is taken on x's stored integer form (``ScaledMatrix.of``),
-    skipping its zero entries (most of a curve point), and keeps its integer
-    form over the scale l L_x r; its entries read as x's do.
+    x's stored integer form (``ScaledMatrix.of``) is split by power of t into
+    integer matrices X_e, each kept as its nonzero rows K.  Row k of X_e R is
+    the sum of R's rows l weighted by X_e's nonzero entries (k, l), and
+    L[:, K] (X_e[K] R) is taken in integer row-column products.  The result
+    keeps its integer form over the scale l L_x r, with its nonzero
+    coefficients only; its entries read as x's do.
     """
     left_scale, left = left
     right_scale, right = right
     x = ScaledMatrix.of(x)
-    middle = [[{} for _ in range(len(x.polys[0]) if x.polys else 0)] for _ in left]
+    layers: dict[int, dict[int, list[tuple[int, list[int]]]]] = {}
     for k, x_row in enumerate(x.polys):
         for l, p in enumerate(x_row):
-            if p:
-                for i, left_row in enumerate(left):
-                    if left_row[k]:
-                        _add_scaled(middle[i][l], left_row[k], p)
-    out = [[{} for _ in range(len(right[0]) if right else 0)] for _ in left]
-    for i, middle_row in enumerate(middle):
-        for l, p in enumerate(middle_row):
-            if p:
-                for j, b in enumerate(right[l]):
-                    if b:
-                        _add_scaled(out[i][j], b, p)
+            for e, c in p.items():
+                if c:
+                    layers.setdefault(e, {}).setdefault(k, []).append((c, right[l]))
+    out = [[{} for _ in (right[0] if right else ())] for _ in left]
+    for e, layer in layers.items():
+        middle = []
+        for (c, row), *terms in layer.values():
+            row = row if c == 1 else [c * y for y in row]
+            for c, other in terms:
+                row = [a + c * y for a, y in zip(row, other)]
+            middle.append(row)
+        columns = list(zip(*middle))
+        for left_row, out_row in zip(left, out):
+            picked = [left_row[k] for k in layer]
+            for j, col in enumerate(columns):
+                v = sum(map(mul, picked, col))
+                if v:
+                    out_row[j][e] = v
     return ScaledMatrix(left_scale * x.scale * right_scale, out, x.laurent)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .lattice import scaled_to_integers
 
@@ -172,6 +172,12 @@ class SimpleRootSet:
         return len(self.roots)
 
 
+def antidominant_flags(covectors: Sequence[Covector], roots: SimpleRootSet) -> list[bool]:
+    """``is_antidominant`` of each covector, from one ``scaled_pairings`` pass per simple root."""
+    rows = [scaled_pairings(alpha, covectors) for _, alpha, _ in roots.roots]
+    return [all(row[i] <= 0 for row in rows) for i in range(len(covectors))]
+
+
 def is_antidominant(v: Covector, roots: SimpleRootSet) -> bool:
     """True iff <alpha, v> <= 0 for every simple root alpha, read off the sign of the scaled pairing (v.scale > 0)."""
-    return all(scaled_pairings(alpha, (v,))[0] <= 0 for _, alpha, _ in roots.roots)
+    return antidominant_flags((v,), roots)[0]

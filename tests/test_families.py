@@ -867,9 +867,10 @@ def _random_minor_matrix(rng, rows, cols):
 
 
 def test_minors_match_reference_determinants_of_sliced_blocks():
-    # One shared expansion: Delta_k is read on the matrix turned by 180
-    # degrees, the trailing minors on the matrix itself, and every k of one
-    # matrix shares the memo, read here in a random order.
+    # Delta_k is read on the matrix turned by 180 degrees, the trailing
+    # minors on the matrix itself, and every k of one matrix shares its
+    # elimination pivots (rational) or expansion memo (Laurent), read here
+    # in a random order.
     from sphemb.families import ScaledMatrix, leading_minor, trailing_minor
 
     rng = random.Random(29)
@@ -938,7 +939,7 @@ def test_minor_memos_belong_to_one_matrix():
 
 
 def test_stored_zero_coefficients_read_as_zero():
-    # A translate keeps a coefficient where its terms cancelled.
+    # A stored coefficient may be zero, as where terms cancelled.
     from sphemb.families import ScaledMatrix, _translate, leading_minor, trailing_minor
     from sphemb.laurent import LaurentPoly, T
 
