@@ -22,14 +22,14 @@ integers l, r > 0.  Samplers draw them, ``act`` multiplies on their integer
 matrices and inverts nothing, and ``bumped_copies`` perturbs them for the
 oracle's negative control; no other module reads a unit's fields.
 
-A point is one ``ScaledMatrix`` per arrow: integer polynomials in t over one
-scale.  The constructors build each base and curve point once in this form,
-translates keep it, and membership tests, the curve check, ``dilation`` and
-the minors read it; ``Fraction`` or ``LaurentPoly`` rows are divided out only
-when read.  ``ScaledMatrix.of`` converts a matrix given as rows.  A
-translate is one integer product per power of t (``_translate``), the
-minors of a rational point are the pivots of one fraction-free elimination,
-and two points compare on their integers.
+A point is one ``ScaledMatrix`` per arrow: one integer matrix per power of t
+(a layer) over one scale, a rational point being layer 0 alone.  The
+constructors build each base and curve point once in this form.  A translate
+is one integer product per layer (``_translate``), ``dilation`` one dot
+product per pair of layers, and the membership tests and the rational minors
+(one fraction-free elimination) read layer 0 as stored; two points compare on
+their integers, and ``Fraction`` or ``LaurentPoly`` rows are divided out only
+when read.  ``ScaledMatrix.of`` converts a matrix given as rows.
 
 Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives them
 at construction from each family's ambient map, colour coroots and boundary
@@ -69,72 +69,69 @@ Unit = tuple[int, list[list[int]], int, list[list[int]]]
 GroupElement = tuple[Unit, ...]
 
 
-def _add_product(acc: dict[int, int], p: dict[int, int], q: dict[int, int]) -> None:
-    """acc += p * q for {exponent: int} polynomials."""
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            acc[e] = acc.get(e, 0) + c1 * c2
+def _zeros(rows: int, cols: int) -> list[list[int]]:
+    return [[0] * cols for _ in range(rows)]
 
 
-def _divide_polys(m: list[list[dict[int, int]]], scale: int, laurent: bool) -> Matrix:
-    """The matrix m / scale: ``LaurentPoly`` entries if ``laurent``, else ``Fraction``."""
+def _divide(p: dict[int, int], scale: int, laurent: bool):
+    """p / scale for an {exponent: int} polynomial: a ``LaurentPoly`` if ``laurent``, else its constant ``Fraction``."""
     if laurent:
-        return tuple(tuple(LaurentPoly._from_integers({e: c for e, c in p.items() if c}, scale) for p in r) for r in m)
-    return tuple(tuple(Fraction(p.get(0, 0), scale) for p in r) for r in m)
+        return LaurentPoly._from_integers({e: c for e, c in p.items() if c}, scale)
+    return Fraction(p.get(0, 0), scale)
 
 
 class ScaledMatrix:
-    """A matrix of rationals or Laurent polynomials held as integer polynomials over one scale.
+    """A matrix of rationals or Laurent polynomials held as integer matrices over one scale.
 
-    The matrix format of every base point, curve point and translate.
-    ``polys[i][j]`` is scale times entry (i, j), an {exponent: int} dict, for
-    an integer ``scale`` > 0; ``laurent`` says whether the entries are
-    ``LaurentPoly`` or ``Fraction`` (a rational matrix stores exponent 0
-    only).  A stored coefficient may be zero: every reader sums, divides or
-    skips zeros.  The divided rows are built when a row is first read, and the
-    matrix hashes like the tuple of those rows and compares like it; two
-    ``ScaledMatrix`` compare on their integers.  The trailing minors of a
-    rational matrix are the pivots of one fraction-free elimination
-    (``leading_principal_minors`` of the matrix turned by 180 degrees), kept
-    on the matrix; a Laurent matrix's minors, and those past a vanishing
-    pivot, share one memoised expansion (``minor``).
+    The format of every point: ``shape`` (rows, columns) and ``layers``, one
+    integer matrix per stored power of t, ``layers[e]`` being scale times the
+    t^e coefficients for an integer ``scale`` > 0.  ``laurent`` says whether
+    the entries are ``LaurentPoly`` or ``Fraction``; a rational matrix is layer
+    0 alone (``constant_terms``).  A layer may hold zeros or be all zero.  The
+    divided rows are built when first read, and the matrix hashes and compares
+    like them; two ``ScaledMatrix`` compare on their integers.  A rational
+    matrix's trailing minors are the pivots of one fraction-free elimination
+    of it turned by 180 degrees; a Laurent matrix's minors, and those past a
+    vanishing pivot, share one memoised expansion (``minor``) on a per-entry
+    {exponent: int} view (``entries``).
     """
 
-    __slots__ = ("scale", "polys", "laurent", "_rows", "_minors", "_rotated", "_pivots")
+    __slots__ = ("scale", "shape", "layers", "laurent", "_rows", "_entries", "_minors", "_rotated", "_pivots")
 
-    def __init__(self, scale: int, polys: list[list[dict[int, int]]], laurent: bool):
+    def __init__(self, scale: int, shape: tuple[int, int], layers: dict[int, list[list[int]]], laurent: bool):
         self.scale = scale
-        self.polys = polys
+        self.shape = shape
+        self.layers = layers
         self.laurent = laurent
         self._rows: Matrix | None = None
+        self._entries: list[list[dict[int, int]]] | None = None
         self._minors: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
         self._rotated: ScaledMatrix | None = None
         self._pivots: list[int] | None = None
 
     @classmethod
     def of(cls, m) -> "ScaledMatrix":
-        """m itself, or its rows of rationals and ``LaurentPoly`` over the lcm of their denominators.
-
-        Each entry is read as a ``LaurentPoly``; one whose denominator is the lcm shares its numerator dict.
-        """
+        """m itself, or its rows of rationals and ``LaurentPoly`` over the lcm of their denominators."""
         if isinstance(m, ScaledMatrix):
             return m
         forms = [[LaurentPoly._coerce(e) for e in r] for r in m]
         scale = lcm(*(e._den for r in forms for e in r))
-        polys = [
-            [e._num if e._den == scale else {k: c * (scale // e._den) for k, c in e._num.items()} for e in r] for r in forms
-        ]
-        return cls(scale, polys, any(isinstance(e, LaurentPoly) for r in m for e in r))
+        shape = (len(forms), len(forms[0]) if forms else 0)
+        layers = {0: _zeros(*shape)}
+        for i, r in enumerate(forms):
+            for j, e in enumerate(r):
+                for k, c in e._num.items():
+                    layers.setdefault(k, _zeros(*shape))[i][j] = c * (scale // e._den)
+        return cls(scale, shape, layers, any(isinstance(e, LaurentPoly) for r in m for e in r))
 
     @property
     def rows(self) -> Matrix:
         if self._rows is None:
-            self._rows = _divide_polys(self.polys, self.scale, self.laurent)
+            self._rows = tuple(tuple(_divide(p, self.scale, self.laurent) for p in r) for r in self.entries())
         return self._rows
 
     def __len__(self) -> int:
-        return len(self.polys)
+        return self.shape[0]
 
     def __getitem__(self, i):
         return self.rows[i]
@@ -143,20 +140,19 @@ class ScaledMatrix:
         return iter(self.rows)
 
     def __eq__(self, other):
-        """Equality of the divided rows; against a ``ScaledMatrix``, decided on p * other.scale == q * self.scale."""
+        """Equality of the divided rows, read on the layers against a ``ScaledMatrix``; no rows equal no rows at any width."""
         if not isinstance(other, ScaledMatrix):
             return self.rows == other
-        if len(self.polys) != len(other.polys) or any(len(a) != len(b) for a, b in zip(self.polys, other.polys)):
+        if self.shape[0] != other.shape[0] or self.shape[0] and self.shape[1] != other.shape[1]:
             return False
         s, t = other.scale, self.scale
-        for a, b in zip(self.polys, other.polys):
-            for p, q in zip(a, b):
-                for e, c in p.items():
-                    if c * s != q.get(e, 0) * t:
-                        return False
-                for e, c in q.items():
-                    if c and e not in p:
-                        return False
+        for e in self.layers.keys() | other.layers.keys():
+            a, b = self.layers.get(e), other.layers.get(e)
+            if a is None or b is None:
+                if any(map(any, b if a is None else a)):
+                    return False
+            elif any([c * s for c in p] != [c * t for c in q] for p, q in zip(a, b)):
+                return False
         return True
 
     def __hash__(self):
@@ -173,36 +169,49 @@ class ScaledMatrix:
         both the rows and the columns, so the two determinants are equal.
         """
         if self._rotated is None:
-            self._rotated = ScaledMatrix(self.scale, [r[::-1] for r in reversed(self.polys)], self.laurent)
+            layers = {e: [r[::-1] for r in reversed(layer)] for e, layer in self.layers.items()}
+            self._rotated = ScaledMatrix(self.scale, self.shape, layers, self.laurent)
         return self._rotated
+
+    def entries(self) -> list[list[dict[int, int]]]:
+        """Each entry's nonzero stored coefficients as an {exponent: int} dict, built once; the expansion and ``rows`` read it."""
+        if self._entries is None:
+            rows, cols = self.shape
+            self._entries = [[{e: c for e, m in self.layers.items() if (c := m[i][j])} for j in range(cols)] for i in range(rows)]
+        return self._entries
 
     def minor(self, cols: tuple[int, ...]) -> dict[int, int]:
         """scale^k times the minor on the last k = len(cols) rows and the columns ``cols``.
 
         Expanded along its first row, with every sub-minor memoised on its
         columns (k 2^k products for a k x k block, not k!); the minors of one
-        matrix share the memo.
+        matrix share the memo; each term is added times its sign.
         """
         total = self._minors.get(cols)
         if total is None:
-            row = self.polys[len(self.polys) - len(cols)]
+            row = self.entries()[self.shape[0] - len(cols)]
             total = {}
             for pos, j in enumerate(cols):
                 if row[j]:
-                    sub = self.minor(cols[:pos] + cols[pos + 1 :])
-                    _add_product(total, {e: -c for e, c in row[j].items()} if pos % 2 else row[j], sub)
+                    sign = -1 if pos % 2 else 1
+                    sub = self.minor(cols[:pos] + cols[pos + 1 :]).items()
+                    for e1, c1 in row[j].items():
+                        c1 *= sign
+                        for e2, c2 in sub:
+                            total[e1 + e2] = total.get(e1 + e2, 0) + c1 * c2
             self._minors[cols] = total = {e: c for e, c in total.items() if c}
         return total
 
     def constant_terms(self) -> list[list[int]]:
-        """scale times each entry's t^0 coefficient: the scaled matrix itself when its entries are rational."""
-        return [[p.get(0, 0) for p in r] for r in self.polys]
+        """scale times each entry's t^0 coefficient, layer 0 as stored: the scaled matrix itself when its entries are rational."""
+        layer = self.layers.get(0)
+        return _zeros(*self.shape) if layer is None else layer
 
     def limit(self) -> "ScaledMatrix":
         """The matrix at t = 0, on the same scale; ``NegativeExponentError`` if a negative power of t remains."""
-        if any(c and e < 0 for r in self.polys for p in r for e, c in p.items()):
+        if any(any(map(any, layer)) for e, layer in self.layers.items() if e < 0):
             raise NegativeExponentError("no limit at t=0: negative powers of t present")
-        return ScaledMatrix(self.scale, [[{0: c} if c else {} for c in r] for r in self.constant_terms()], False)
+        return ScaledMatrix(self.scale, self.shape, {0: self.constant_terms()}, False)
 
     def trailing_minor(self, k: int):
         """The determinant of the bottom-right k x k block, divided once by scale^k; 0 <= k <= min(rows, columns).
@@ -210,16 +219,16 @@ class ScaledMatrix:
         On a rational matrix it is the k-th pivot of the elimination, read
         while no earlier pivot vanished; otherwise the expansion gives it.
         """
-        width = len(self.polys[0]) if self.polys else 0
-        if not 0 <= k <= min(len(self.polys), width):
-            raise ValueError(f"no {k} x {k} minor in a {len(self.polys)} x {width} matrix")
+        rows, width = self.shape
+        if not 0 <= k <= min(rows, width):
+            raise ValueError(f"no {k} x {k} minor in a {rows} x {width} matrix")
         if not self.laurent:
             if self._pivots is None:
-                turned = [[p.get(0, 0) for p in reversed(r)] for r in reversed(self.polys)]
+                turned = [r[::-1] for r in reversed(self.constant_terms())]
                 self._pivots = [1, *leading_principal_minors(turned)]
             if k < len(self._pivots):
                 return Fraction(self._pivots[k], self.scale**k)
-        return _divide_polys([[self.minor(tuple(range(width - k, width)))]], self.scale**k, self.laurent)[0][0]
+        return _divide(self.minor(tuple(range(width - k, width))), self.scale**k, self.laurent)
 
 
 def leading_minor(m, k: int):
@@ -393,57 +402,53 @@ class MatrixRealization:
         return rows
 
     def weight_value(self, chi: Character, g: GroupElement) -> Fraction:
-        """chi(g): each basis character's diagonal ratio, to the power of chi's coordinate."""
-        v = Fraction(1)
+        """chi(g): each basis character's diagonal ratio p / q to the power c of chi's coordinate, divided once."""
+        num = den = 1
         for c, ((f, i), (h, j)) in zip(chi.coords, self.torus):
             if c:
-                num, den = g[f], g[h]
-                v *= Fraction(num[1][i][i] * den[0], num[0] * den[1][j][j]) ** c
-        return v
+                p, q = g[f][1][i][i] * g[h][0], g[f][0] * g[h][1][j][j]
+                num, den = (num * p**c, den * q**c) if c > 0 else (num * q**-c, den * p**-c)
+        return Fraction(num, den)
 
 
 def _passes_through(curve: Point, point: Point) -> bool:
     """Whether the curve's value at t = 1, each entry's coefficient sum, is ``point``."""
-    curve = [ScaledMatrix.of(x) for x in curve]
-    at_one = tuple(ScaledMatrix(x.scale, [[{0: sum(p.values())} for p in r] for r in x.polys], False) for x in curve)
-    return at_one == tuple(map(ScaledMatrix.of, point))
+    at_one = []
+    for x in map(ScaledMatrix.of, curve):
+        total = [[sum(m[i][j] for m in x.layers.values()) for j in range(x.shape[1])] for i in range(x.shape[0])]
+        at_one.append(ScaledMatrix(x.scale, x.shape, {0: total}, False))
+    return tuple(at_one) == tuple(map(ScaledMatrix.of, point))
 
 
 def _translate(left: tuple[int, list[list[int]]], x, right: tuple[int, list[list[int]]]) -> ScaledMatrix:
     """(L / l) x (R / r) for integer forms left = (l, L) and right = (r, R), l, r > 0.
 
-    x's stored integer form (``ScaledMatrix.of``) is split by power of t into
-    integer matrices X_e, each kept as its nonzero rows K.  Row k of X_e R is
-    the sum of R's rows l weighted by X_e's nonzero entries (k, l), and
-    L[:, K] (X_e[K] R) is taken in integer row-column products.  The result
-    keeps its integer form over the scale l L_x r, with its nonzero
-    coefficients only; its entries read as x's do.
+    Each layer X_e of x (``ScaledMatrix.of``) is kept as its nonzero rows K.
+    Row k of X_e R is c times R's row l if (k, l) holds the row's one nonzero
+    entry c, as in base and curve points, else the row against R's columns.
+    Layer e of the result, L[:, K] (X_e[K] R), over the scale l L_x r, is
+    taken in integer row-column products; a zero layer's columns are empty.
     """
-    left_scale, left = left
-    right_scale, right = right
+    (left_scale, left), (right_scale, right) = left, right
     x = ScaledMatrix.of(x)
-    layers: dict[int, dict[int, list[tuple[int, list[int]]]]] = {}
-    for k, x_row in enumerate(x.polys):
-        for l, p in enumerate(x_row):
-            for e, c in p.items():
-                if c:
-                    layers.setdefault(e, {}).setdefault(k, []).append((c, right[l]))
-    out = [[{} for _ in (right[0] if right else ())] for _ in left]
-    for e, layer in layers.items():
-        middle = []
-        for (c, row), *terms in layer.values():
-            row = row if c == 1 else [c * y for y in row]
-            for c, other in terms:
-                row = [a + c * y for a, y in zip(row, other)]
-            middle.append(row)
-        columns = list(zip(*middle))
-        for left_row, out_row in zip(left, out):
-            picked = [left_row[k] for k in layer]
-            for j, col in enumerate(columns):
-                v = sum(map(mul, picked, col))
-                if v:
-                    out_row[j][e] = v
-    return ScaledMatrix(left_scale * x.scale * right_scale, out, x.laurent)
+    shape, right_columns = (len(left), len(right[0]) if right else 0), list(zip(*right))
+    layers = {}
+    for e, layer in x.layers.items():
+        picked, middle = [], []
+        for k, x_row in enumerate(layer):
+            nonzero = [l for l, c in enumerate(x_row) if c]
+            if len(nonzero) == 1:
+                c, row = x_row[nonzero[0]], right[nonzero[0]]
+                middle.append(row if c == 1 else [c * y for y in row])
+            elif nonzero:
+                middle.append([sum(map(mul, x_row, col)) for col in right_columns])
+            else:
+                continue
+            picked.append(k)
+        columns = list(zip(*middle)) or [()] * shape[1]
+        rows = left if len(picked) == len(layer) else ([r[k] for k in picked] for r in left)
+        layers[e] = [[sum(map(mul, r, col)) for col in columns] for r in rows]
+    return ScaledMatrix(left_scale * x.scale * right_scale, shape, layers, x.laurent)
 
 
 def _monomial_matrix(rows: int, cols: int, powers: dict[tuple[int, int], int]) -> ScaledMatrix:
@@ -451,10 +456,11 @@ def _monomial_matrix(rows: int, cols: int, powers: dict[tuple[int, int], int]) -
 
     Its entries are ``LaurentPoly`` when some e is nonzero, ``Fraction`` otherwise.
     """
-    polys = [[{} for _ in range(cols)] for _ in range(rows)]
+    laurent = any(powers.values())
+    layers = {} if laurent else {0: _zeros(rows, cols)}
     for (i, j), e in powers.items():
-        polys[i][j] = {e: 1}
-    return ScaledMatrix(1, polys, any(powers.values()))
+        layers.setdefault(e, _zeros(rows, cols))[i][j] = 1
+    return ScaledMatrix(1, (rows, cols), layers, laurent)
 
 
 def _curve_point(arrows, base: Point, cocharacter: dict[tuple[int, int], int]) -> Point:
@@ -464,9 +470,9 @@ def _curve_point(arrows, base: Point, cocharacter: dict[tuple[int, int], int]) -
     """
     point = []
     for (s, t), x in zip(arrows, base):
-        ones = [(i, j) for i, row in enumerate(x.polys) for j, p in enumerate(row) if p]
+        ones = [(i, j) for i, row in enumerate(x.constant_terms()) for j, c in enumerate(row) if c]
         powers = {(i, j): cocharacter.get((s, i), 0) - cocharacter.get((t, j), 0) for i, j in ones}
-        point.append(_monomial_matrix(len(x), len(x.polys[0]), powers))
+        point.append(_monomial_matrix(*x.shape, powers))
     return tuple(point)
 
 
@@ -592,16 +598,9 @@ def _monoid_membership(point: Point) -> bool:
     # scale by L L', and d with them.
     a = ScaledMatrix.of(point[0]).constant_terms()
     b = ScaledMatrix.of(point[1]).constant_terms()
-    m = len(a)
     at_b = mat_mul(list(zip(*a)), b)
-    a_bt = mat_mul(a, list(zip(*b)))
     d = at_b[0][0]
-    for i in range(m):
-        for j in range(m):
-            want = d if i == j else 0
-            if at_b[i][j] != want or a_bt[i][j] != want:
-                return False
-    return True
+    return at_b == mat_mul(a, list(zip(*b))) == [[d * (i == j) for j in range(len(a))] for i in range(len(a))]
 
 
 def _sample_monoid_element(rng: random.Random, m: int, triangular: str | None = None) -> tuple[Unit, Unit]:
@@ -632,13 +631,13 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         return g1 + _sample_monoid_element(rng, m, triangular="upper")
 
     def dilation(point: Point):
-        # sum a_ij b_ij / m, on the stored L_a A and L_b B and divided once by L_a L_b m.
+        # sum a_ij b_ij / m: per pair of layers of L_a A and L_b B one dot product, divided once by L_a L_b m.
         a, b = ScaledMatrix.of(point[0]), ScaledMatrix.of(point[1])
         total: dict[int, int] = {}
-        for a_row, b_row in zip(a.polys, b.polys):
-            for p, q in zip(a_row, b_row):
-                _add_product(total, p, q)
-        return _divide_polys([[total]], a.scale * b.scale * m, a.laurent or b.laurent)[0][0]
+        for e, a_layer in a.layers.items():
+            for f, b_layer in b.layers.items():
+                total[e + f] = total.get(e + f, 0) + sum(sum(map(mul, p, q)) for p, q in zip(a_layer, b_layer))
+        return _divide(total, a.scale * b.scale * m, a.laurent or b.laurent)
 
     lattice = model.weight_lattice
     semi = [

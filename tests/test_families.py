@@ -888,8 +888,19 @@ def test_minors_match_reference_determinants_of_sliced_blocks():
         assert scaled._rows is None  # the minors read the stored integers only
 
 
+def _divided_layers(scale, shape, layers, laurent):
+    """The rows of sum_e t^e layers[e] / scale, by ``LaurentPoly`` arithmetic, or its ``Fraction`` constants."""
+    from sphemb.laurent import LaurentPoly
+
+    rows, cols = shape
+    if not laurent:
+        return tuple(tuple(Fraction(layers[0][i][j] if 0 in layers else 0, scale) for j in range(cols)) for i in range(rows))
+    entry = lambda i, j: sum((LaurentPoly.t_power(e) * Fraction(m[i][j], scale) for e, m in layers.items()), LaurentPoly())  # noqa: E731
+    return tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows))
+
+
 def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
-    from sphemb.families import ScaledMatrix, _divide_polys, _translate, leading_minor, trailing_minor
+    from sphemb.families import ScaledMatrix, _translate, leading_minor, trailing_minor
     from sphemb.lattice import scaled_to_integers
     from sphemb.laurent import LaurentPoly
 
@@ -901,14 +912,15 @@ def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
         left, right = scaled_to_integers(g_left), scaled_to_integers(g_right)
         moved = _translate(left, x, right)
         assert ScaledMatrix.of(moved) is moved and moved._rows is None
-        scale, polys, laurent = moved.scale, moved.polys, moved.laurent
+        scale, layers, laurent = moved.scale, moved.layers, moved.laurent
         assert scale == left[0] * ScaledMatrix.of(x).scale * right[0]
         assert laurent == any(isinstance(e, LaurentPoly) for r in x for e in r)
-        eager = _divide_polys(polys, scale, laurent)
+        assert moved.shape == (rows, cols) and all(len(m) == rows and all(len(r) == cols for r in m) for m in layers.values())
+        eager = _divided_layers(scale, moved.shape, layers, laurent)
         assert eager == _reference_apply_pair(g_left, x, g_right)
         # == both ways, != and hash as the eagerly divided tuple, also on
         # the same matrix stored over another scale and inside a point
-        doubled = ScaledMatrix(2 * scale, [[{e: 2 * c for e, c in p.items()} for p in r] for r in polys], laurent)
+        doubled = ScaledMatrix(2 * scale, moved.shape, {e: [[2 * c for c in r] for r in m] for e, m in layers.items()}, laurent)
         for other in (eager, doubled):
             assert moved == other and other == moved and not moved != other and not other != moved
             assert hash(moved) == hash(other)
@@ -939,15 +951,23 @@ def test_minor_memos_belong_to_one_matrix():
 
 
 def test_stored_zero_coefficients_read_as_zero():
-    # A stored coefficient may be zero, as where terms cancelled.
+    # A stored coefficient may be zero, as where terms cancelled, and a
+    # layer may be all zero, here the t^-1 and t^3 layers.
     from sphemb.families import ScaledMatrix, _translate, leading_minor, trailing_minor
     from sphemb.laurent import LaurentPoly, T
 
-    stored = ScaledMatrix(2, [[{0: 0, 1: 2}, {0: 0}], [{0: 4}, {1: 0, 2: 6}]], True)
+    layers = {0: [[0, 0], [4, 0]], 1: [[2, 0], [0, 0]], -1: [[0, 0], [0, 0]], 2: [[0, 0], [0, 6]], 3: [[0, 0], [0, 0]]}
+    stored = ScaledMatrix(2, (2, 2), layers, True)
     rows = ((T, LaurentPoly()), (LaurentPoly.constant(2), 3 * T**2))
     assert stored == rows and hash(stored) == hash(rows)
+    assert stored == ScaledMatrix(1, (2, 2), {1: [[1, 0], [0, 0]], 0: [[0, 0], [2, 0]], 2: [[0, 0], [0, 3]]}, True)
     assert leading_minor(stored, 1) == T and leading_minor(stored, 2) == 3 * T**3
     assert trailing_minor(stored, 1) == 3 * T**2
+    assert stored.limit() == ((0, 0), (2, 0))
+    # A rational matrix with an all-zero layer 0, and one with no layer at all.
+    for zero in (ScaledMatrix(5, (2, 2), {0: [[0, 0], [0, 0]]}, False), ScaledMatrix(5, (2, 2), {}, False)):
+        assert zero == ((0, 0), (0, 0)) and zero.constant_terms() == [[0, 0], [0, 0]]
+        assert leading_minor(zero, 1) == trailing_minor(zero, 2) == 0
     assert leading_minor(_translate((1, [[1, 0], [0, 1]]), stored, (1, [[1, 0], [0, 1]])), 2) == 3 * T**3
     # g x g^-1 with g = [[1, 1], [0, 1]] fixes the identity through cancelling terms.
     fixed = _translate((1, [[1, 1], [0, 1]]), ((1, 0), (0, 1)), (1, [[1, -1], [0, 1]]))

@@ -122,8 +122,8 @@ def test_limit_negative_powers_rejected():
 
 
 def test_limit_reads_stored_coefficients():
-    # A stored polynomial may keep a cancelled coefficient: {-1: 0, 0: 3} is
-    # the constant 3, while a nonzero t^-1 coefficient still has no limit.
+    # A stored layer may be all zero: a t^-1 layer of zeros over the constant
+    # 3 has the limit 3, while a nonzero t^-1 coefficient still has none.
     from sphemb.families import ScaledMatrix
 
     def realization(curve):
@@ -139,10 +139,13 @@ def test_limit_reads_stored_coefficients():
             curves=(Curve("c", (curve,), (1,)),),
         )
 
-    sig = limit_signature(realization(ScaledMatrix(2, [[{-1: 0, 0: 6}]], True)), "c")
+    sig = limit_signature(realization(ScaledMatrix(2, (1, 1), {-1: [[0]], 0: [[6]]}, True)), "c")
     assert sig.limit_point == (((3,),),) and sig.rank_profile == (1,)
+    # With no t^0 layer the limit is zero.
+    sig = limit_signature(realization(ScaledMatrix(2, (1, 1), {1: [[6]]}, True)), "c")
+    assert sig.limit_point == (((0,),),) and sig.rank_profile == (0,)
     with pytest.raises(NegativeExponentError):
-        limit_signature(realization(ScaledMatrix(2, [[{-1: 2, 0: 4}]], True)), "c")
+        limit_signature(realization(ScaledMatrix(2, (1, 1), {-1: [[2]], 0: [[4]]}, True)), "c")
 
 
 def test_orbit_dimensions():

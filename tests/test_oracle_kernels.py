@@ -1,9 +1,10 @@
 """Differential tests of the oracle's integer matrix kernels on hypothesis-drawn inputs.
 
-The translate is checked against plain products of ``LaurentPoly`` and
-``Fraction`` rows, the minors and ``leading_principal_minors`` against sympy
-determinants, and ``ScaledMatrix`` equality against equality of its divided
-rows.
+The translate and the monoid's dilation are checked against plain products
+of ``LaurentPoly`` and ``Fraction`` rows, the minors and
+``leading_principal_minors`` against sympy determinants, ``ScaledMatrix``
+equality against equality of its divided rows, and ``weight_value`` against
+a product of ``Fraction`` powers.
 """
 
 import random
@@ -17,26 +18,47 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sphemb.families import ScaledMatrix, _translate, complexes_realization, leading_minor, trailing_minor  # noqa: E402
+from sphemb.families import (  # noqa: E402
+    ScaledMatrix,
+    _translate,
+    admissible_circular_parameters,
+    build_family,
+    complexes_realization,
+    leading_minor,
+    monoid_model,
+    trailing_minor,
+)
 from sphemb.lattice import leading_principal_minors, mat_mul  # noqa: E402
+from sphemb.laurent import LaurentPoly  # noqa: E402
+from sphemb.rootdata import TorusLattice  # noqa: E402
+from test_families import _divided_layers  # noqa: E402
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
+def _layer(rows, cols, zeros=False):
+    entry = st.just(0) if zeros else st.integers(-9, 9) | st.just(0)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
 @st.composite
 def scaled_matrices(draw, rows=None, cols=None, laurent=None):
-    """A ``ScaledMatrix`` up to 4 x 4 built on its stored form.
+    """A ``ScaledMatrix`` up to 4 x 4 built on its stored layers.
 
-    Coefficients may be stored zeros.  A Laurent matrix has exponents from
-    -2 to 3; a rational one stores exponent 0 only.
+    Layers may hold zeros or be all zero.  A Laurent matrix has up to three
+    layers at powers from -2 to 3; a rational one has layer 0 or none.
     """
     rows = draw(st.integers(0, 4)) if rows is None else rows
     cols = draw(st.integers(0, 4)) if cols is None else cols
     laurent = draw(st.booleans()) if laurent is None else laurent
-    exponents = st.integers(-2, 3) if laurent else st.just(0)
-    entry = st.just({}) | st.dictionaries(exponents, st.integers(-9, 9), max_size=3)
-    polys = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-    return ScaledMatrix(draw(st.sampled_from((1, 1, 2, 3, 6, 7))), polys, laurent)
+    powers = draw(st.lists(st.integers(-2, 3), unique=True, max_size=3) if laurent else st.sampled_from(([0], [0], [])))
+    layers = {e: draw(_layer(rows, cols, zeros=draw(st.integers(0, 4)) == 0)) for e in powers}
+    return ScaledMatrix(draw(st.sampled_from((1, 1, 2, 3, 6, 7))), (rows, cols), layers, laurent)
+
+
+def _divided(x):
+    """x's rows from its layers by ``LaurentPoly`` arithmetic, or its layer 0 as ``Fraction``s."""
+    return _divided_layers(x.scale, x.shape, x.layers, x.laurent)
 
 
 def _integer_square(size):
@@ -67,14 +89,15 @@ def test_translate_matches_reference_product(rows, cols, data):
     x = data.draw(scaled_matrices(rows, cols))
     left = (data.draw(st.sampled_from((1, 2, 5))), data.draw(_integer_square(rows)))
     right = (data.draw(st.sampled_from((1, 3, 4))), data.draw(_integer_square(cols)))
+    assert x.rows == _divided(x) and _types(x.rows) == _types(_divided(x))
     moved = _translate(left, x, right)
-    want = _reference_translate(left, x.rows, right)
-    assert moved.rows == want and _types(moved.rows) == _types(want)
+    want = _reference_translate(left, _divided(x), right)
+    assert moved.rows == want and _types(moved.rows) == _types(want) and _divided(moved) == want
     assert moved.scale == left[0] * x.scale * right[0] and moved.laurent == x.laurent
-    assert len(moved.polys) == rows and all(len(r) == cols for r in moved.polys)
-    # Only nonzero coefficients are stored, and a rational translate keeps exponent 0 only.
-    assert all(c for r in moved.polys for p in r for c in p.values())
-    assert x.laurent or all(p.keys() <= {0} for r in moved.polys for p in r)
+    assert moved.shape == (rows, cols)
+    assert all(len(m) == rows and all(len(r) == cols for r in m) for m in moved.layers.values())
+    # The translate has x's layers, so a rational translate keeps layer 0 only.
+    assert moved.layers.keys() == x.layers.keys()
 
 
 @pytest.mark.parametrize("params", [(2, 0, 3, 0, 0), (1, 2, 0, 1, 0), (0, 2, 2, 0, 1)])
@@ -85,7 +108,7 @@ def test_translate_on_empty_arrows_of_complexes(params):
     moved = real.act(g, real.base_point)
     for (s, t), x, y in zip(real.arrows, real.base_point, moved):
         want = _reference_translate(g[s][:2], x.rows, g[t][2:])
-        assert y.rows == want and len(y.polys) == len(x.polys)
+        assert y.rows == want and y.shape == x.shape
 
 
 @st.composite
@@ -160,32 +183,29 @@ def test_minors_past_a_vanishing_pivot():
 
 @st.composite
 def matrix_pairs(draw):
-    """Two ``ScaledMatrix``: a copy over another scale with stored zeros moved, a
-    changed copy, constants under the other entry type, or an independent draw."""
+    """Two ``ScaledMatrix``: a copy over another scale with all-zero layers
+    dropped or added, a changed copy, constants under the other entry type,
+    an independent draw, or a draw of another width."""
     a = draw(scaled_matrices())
-    how = draw(st.sampled_from(("rescaled", "changed", "retyped", "independent")))
+    rows, cols = a.shape
+    how = draw(st.sampled_from(("rescaled", "changed", "retyped", "independent", "reshaped")))
     if how == "independent":
         return a, draw(scaled_matrices())
+    if how == "reshaped":
+        return a, draw(scaled_matrices(rows=rows, cols=draw(st.integers(0, 4).filter(lambda c: c != cols))))
     if how == "retyped":
-        constants = [[{0: p.get(0, 0)} for p in r] for r in a.polys]
+        constants = {0: a.constant_terms()}
         laurent = draw(st.booleans())
-        return ScaledMatrix(a.scale, constants, laurent), ScaledMatrix(a.scale, constants, not laurent)
+        return ScaledMatrix(a.scale, a.shape, constants, laurent), ScaledMatrix(a.scale, a.shape, constants, not laurent)
     k = draw(st.integers(1, 5))
-    exponents = st.integers(-2, 3) if a.laurent else st.just(0)
-    polys = []
-    for r in a.polys:
-        row = []
-        for p in r:
-            q = {e: k * c for e, c in p.items() if c or draw(st.booleans())}
-            if draw(st.integers(0, 3)) == 0:
-                q.setdefault(draw(exponents), 0)
-            row.append(q)
-        polys.append(row)
-    if how == "changed" and polys and polys[0]:
-        i, j = draw(st.integers(0, len(polys) - 1)), draw(st.integers(0, len(polys[0]) - 1))
-        e = draw(exponents)
-        polys[i][j][e] = polys[i][j].get(e, 0) + draw(st.sampled_from((1, -1, k)))
-    return a, ScaledMatrix(k * a.scale, polys, a.laurent)
+    powers = st.integers(-2, 3) if a.laurent else st.just(0)
+    layers = {e: [[k * c for c in r] for r in m] for e, m in a.layers.items() if any(map(any, m)) or draw(st.booleans())}
+    if draw(st.integers(0, 3)) == 0:
+        layers.setdefault(draw(powers), [[0] * cols for _ in range(rows)])
+    if how == "changed" and rows and cols:
+        i, j, e = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), draw(powers)
+        layers.setdefault(e, [[0] * cols for _ in range(rows)])[i][j] += draw(st.sampled_from((1, -1, k)))
+    return a, ScaledMatrix(k * a.scale, a.shape, layers, a.laurent)
 
 
 @_SETTINGS
@@ -202,10 +222,87 @@ def test_equality_agrees_with_rows(pair):
 
 
 def test_equality_checks_shapes():
-    # zip alone would pair a prefix; unequal shapes never compare equal.
-    one = {0: 1}
-    wide = ScaledMatrix(1, [[one, one]], False)
-    assert wide != ScaledMatrix(1, [[one]], False) and ScaledMatrix(1, [[one]], False) != wide
-    assert ScaledMatrix(1, [[], []], False) != ScaledMatrix(1, [[]], False)
-    assert ScaledMatrix(1, [[one], [{}]], True) != ScaledMatrix(1, [[one]], True)
-    assert ScaledMatrix(1, [], False) == ScaledMatrix(3, [], True) == ()
+    # zip alone would pair a prefix; unequal shapes never compare equal,
+    # except that matrices with no rows are () whatever their widths.
+    wide = ScaledMatrix(1, (1, 2), {0: [[1, 1]]}, False)
+    narrow = ScaledMatrix(1, (1, 1), {0: [[1]]}, False)
+    assert wide != narrow and narrow != wide
+    assert ScaledMatrix(1, (1, 2), {0: [[0, 0]]}, False) != ScaledMatrix(1, (1, 1), {}, False)
+    assert ScaledMatrix(1, (2, 0), {0: [[], []]}, False) != ScaledMatrix(1, (1, 0), {0: [[]]}, False)
+    assert ScaledMatrix(1, (2, 1), {0: [[1], [0]]}, True) != ScaledMatrix(1, (1, 1), {0: [[1]]}, True)
+    empty = (ScaledMatrix(1, (0, 2), {0: []}, False), ScaledMatrix(3, (0, 5), {}, True), ScaledMatrix(2, (0, 0), {1: []}, True))
+    assert all(a == b and hash(a) == hash(b) for a in empty for b in (*empty, ()))
+
+
+_MONOIDS = {m: monoid_model(m)[1] for m in range(1, 5)}
+
+
+def _reference_dilation(point, m):
+    """sum a_ij b_ij / m on the ``Fraction`` or ``LaurentPoly`` rows of the two arrows."""
+    a, b = map(_divided, point)
+    return sum((x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb)), Fraction(0)) / m
+
+
+def _dilation(m):
+    (d,) = [f for f in _MONOIDS[m].semi_invariants if f.name == "d"]
+    return d.evaluate
+
+
+@pytest.mark.parametrize("m", sorted(_MONOIDS))
+def test_dilation_on_orbit_points_and_translates(m):
+    # Rational orbit points, and every boundary curve moved by group draws:
+    # a Laurent arrow A beside a rational B at lambda_0 and lambda_m.
+    real, rng = _MONOIDS[m], random.Random(m)
+    points = [real.act(real.group_sampler(rng), real.base_point) for _ in range(6)]
+    points += [real.act(g, c.point) for g in real.group_draws(3, m) for c in real.curves]
+    for point in points:
+        got, want = _dilation(m)(point), _reference_dilation(point, m)
+        assert got == want and type(got) is type(want), point
+
+
+def test_dilation_drops_cancelled_powers():
+    # A_1 . B_1 = 0 within one pair of layers, and A_0 . B_1 + A_1 . B_0 = 0
+    # across two: d is the constant 1, with no t or t^2 term stored.
+    a = ScaledMatrix(1, (2, 2), {0: [[1, 0], [0, 1]], 1: [[1, 1], [0, 0]]}, True)
+    b = ScaledMatrix(1, (2, 2), {0: [[1, 0], [0, 1]], 1: [[-1, 1], [0, 0]]}, True)
+    got = _dilation(2)((a, b))
+    assert got == LaurentPoly.constant(1) == _reference_dilation((a, b), 2) and got.order() == 0
+    assert type(got) is LaurentPoly and dict(got.items()) == {0: 1}
+
+
+@_SETTINGS
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), scaled_matrices(m, m), scaled_matrices(m, m))))
+def test_dilation_matches_reference_sum(drawn):
+    # Stored zeros, all-zero layers, and Laurent beside rational arrows.
+    m, a, b = drawn
+    got, want = _dilation(m)((a, b)), _reference_dilation((a, b), m)
+    assert got == want and type(got) is type(want)
+
+
+def _reference_weight(real, chi, g):
+    """chi(g) as the product of each diagonal ratio, a ``Fraction``, to the power of chi's coordinate."""
+    v = Fraction(1)
+    for c, ((f, i), (h, j)) in zip(chi.coords, real.torus):
+        if c:
+            v *= Fraction(g[f][1][i][i] * g[h][0], g[f][0] * g[h][1][j][j]) ** c
+    return v
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"monoid:m={m}" for m in range(1, 5)]
+    + ["circular:m={},n={},r={},s={}".format(*p) for p in admissible_circular_parameters(3, 4)]
+    + [f"determinantal:m={m},n={n},r={r}" for m in (2, 3, 4) for n in (2, 3, 4) for r in range(1, min(m, n))],
+)
+def test_weight_value_matches_fraction_powers(spec):
+    # Seeded Borel draws against characters with a negative coordinate.
+    real = build_family(spec).realization
+    lattice = TorusLattice(tuple(f"e_{k}" for k in range(len(real.torus))))
+    rng = random.Random(spec)
+    for _ in range(12):
+        b = real.borel_sampler(rng)
+        coords = [rng.randint(-3, 3) for _ in real.torus]
+        coords[rng.randrange(len(coords))] = rng.randint(-3, -1)
+        chi = lattice.character(coords)
+        got = real.weight_value(chi, b)
+        assert type(got) is Fraction and got == _reference_weight(real, chi, b)
