@@ -31,6 +31,8 @@ from .divisor_model import (
 from .families import (
     Curve,
     MatrixRealization,
+    Minor,
+    Pairing,
     SemiInvariantSpec,
     build_family,
     circular_complexes_model,

@@ -25,11 +25,17 @@ oracle's negative control; no other module reads a unit's fields.
 A point is one ``ScaledMatrix`` per arrow: one integer matrix per power of t
 (a layer) over one scale, a rational point being layer 0 alone.  The
 constructors build each base and curve point once in this form.  A translate
-is one integer product per layer (``_translate``), ``dilation`` one dot
-product per pair of layers, and the membership tests and the rational minors
-(one fraction-free elimination) read layer 0 as stored; two points compare on
-their integers, and ``Fraction`` or ``LaurentPoly`` rows are divided out only
-when read.  ``ScaledMatrix.of`` converts a matrix given as rows.
+is one integer product per layer (``_translate``), a ``Pairing`` (the
+monoid's dilation) one dot product per pair of layers, and the membership
+tests and the rational minors (one fraction-free elimination) read layer 0
+as stored; two points compare on their integers, and ``Fraction`` or
+``LaurentPoly`` rows are divided out only when read.  ``ScaledMatrix.of``
+converts a matrix given as rows.
+
+The realizations' semi-invariants are data: a ``Minor`` or a ``Pairing`` of
+arrows.  Their t-orders along a curve are read by Cauchy-Binet from the
+curve's monomial matrices and the seeded draws' integer units
+(``MatrixRealization.form_orders``), without building the translate.
 
 Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives them
 at construction from each family's ambient map, colour coroots and boundary
@@ -49,7 +55,8 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
+from itertools import combinations
+from math import lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -298,13 +305,62 @@ def bumped_copies(g: GroupElement):
                     yield g[:k] + ((l, bumped, d, [[l * e for e in r] for r in x]),) + g[k + 1 :]
 
 
+@dataclass(frozen=True)
+class Minor:
+    """The k x k minor of arrow ``arrow``'s matrix on its first k rows and columns, or its last k if ``trailing``."""
+
+    arrow: int
+    k: int
+    trailing: bool = False
+
+    @property
+    def arrows(self) -> tuple[int, ...]:
+        return (self.arrow,)
+
+    def __call__(self, point: Point):
+        return (trailing_minor if self.trailing else leading_minor)(point[self.arrow], self.k)
+
+
+@dataclass(frozen=True)
+class Pairing:
+    """sum_ij a_ij b_ij / divisor, for the matrix a of arrow ``arrow_a`` and b of arrow ``arrow_b``."""
+
+    arrow_a: int
+    arrow_b: int
+    divisor: int
+
+    @property
+    def arrows(self) -> tuple[int, ...]:
+        return (self.arrow_a, self.arrow_b)
+
+    def __call__(self, point: Point):
+        # Per pair of layers of L_a A and L_b B one dot product, divided once by L_a L_b divisor.
+        a, b = ScaledMatrix.of(point[self.arrow_a]), ScaledMatrix.of(point[self.arrow_b])
+        total: dict[int, int] = {}
+        for e, a_layer in a.layers.items():
+            for f, b_layer in b.layers.items():
+                total[e + f] = total.get(e + f, 0) + sum(sum(map(mul, p, q)) for p, q in zip(a_layer, b_layer))
+        return _divide(total, a.scale * b.scale * self.divisor, a.laurent or b.laurent)
+
+
 @dataclass(eq=False)
 class SemiInvariantSpec:
-    """A polynomial function of the matrix entries with a claimed weight."""
+    """A polynomial function of the matrix entries with a claimed weight.
+
+    ``form``, when given, is the function as data, a ``Minor`` or a
+    ``Pairing``, and ``evaluate`` is that form; the oracle reads the t-orders
+    of such a spec by Cauchy-Binet (``MatrixRealization.form_orders``).  A
+    spec with a plain ``evaluate`` and no form is evaluated on translates.
+    """
 
     name: str
-    evaluate: Callable[[Point], object]
+    evaluate: Callable[[Point], object] | None
     claimed_weight: Character
+    form: Minor | Pairing | None = None
+
+    def __post_init__(self):
+        if self.form is not None:
+            self.evaluate = self.form
 
 
 @dataclass(frozen=True)
@@ -350,6 +406,9 @@ class MatrixRealization:
         for c in self.curves:
             if not _passes_through(c.point, self.base_point):
                 raise ValueError(f"curve {c.label} does not pass through the base point at t=1")
+        for a in {a for f in self.semi_invariants if f.form is not None for a in f.form.arrows}:
+            for c in self.curves:
+                self.monomial_entries(c.label, a)
 
     def curve(self, label: str) -> Point:
         for c in self.curves:
@@ -371,6 +430,75 @@ class MatrixRealization:
             return tuple(self.group_sampler(rng) for _ in range(trials))
 
         return self.memo(("group_draws", trials, seed), draw)
+
+    def monomial_entries(self, curve_label: str, arrow: int) -> tuple[tuple[int, int, int, int], ...]:
+        """(i, j, c, e) per nonzero stored coefficient c t^e of the curve's matrix at ``arrow``, by row, taken once.
+
+        ``ValueError`` unless the matrix is monomial: at most one nonzero
+        coefficient in each row and each column.
+        """
+
+        def entries():
+            x = ScaledMatrix.of(self.curve(curve_label)[arrow])
+            layers = x.layers.items()
+            found = sorted((i, j, c, e) for e, layer in layers for i, r in enumerate(layer) for j, c in enumerate(r) if c)
+            if len({i for i, *_ in found}) < len(found) or len({j for _, j, *_ in found}) < len(found):
+                raise ValueError(f"curve {curve_label} is not monomial on arrow {arrow}")
+            return tuple(found)
+
+        return self.memo(("monomial_entries", curve_label, arrow), entries)
+
+    def form_orders(self, forms, curve_label: str, trials: int, seed: int) -> list[list[int | None]]:
+        """Per form (``Minor`` or ``Pairing``), its t-order on each seeded translate g . curve, ``None`` where it vanishes.
+
+        The translates of ``group_draws(trials, seed)`` are not built.  At an
+        arrow (s, t) a translate is L X R over a positive scale, for the
+        units L of g_s and R of g_t^-1 and the curve's monomial X
+        (``monomial_entries``), so by Cauchy-Binet its k-th leading minor is
+        sum_I det L[K, I] det X[I, J] det R[J, K] over the k-subsets I of X's
+        nonzero rows, J being their columns.  A trailing minor reads L's rows
+        and R's columns from the last one back, which turns both by one sign;
+        a ``Pairing`` of arrows a, b is sum x_ab y_cd P[a][c] Q[b][d] with
+        P = L_a^T L_b and Q = R_a R_b^T.  Either is sum left[i] c right[j] over
+        the curve's terms (i, j, c), grouped by power of t once per realization
+        (``_minor_terms``, ``_pairing_terms``), and the tables left and right,
+        taken once per draw and shared by every curve with the same supports
+        and every k up to the largest asked for (``_draw_table``).  The order
+        is the least power whose integer coefficient is nonzero.
+        """
+        if not forms:
+            return []
+        depth: dict[tuple[int, bool], int] = {}
+        for form in forms:
+            if isinstance(form, Minor):
+                key = (form.arrow, form.trailing)
+                depth[key] = max(depth.get(key, 0), min(form.k, len(self.monomial_entries(curve_label, form.arrow))))
+        # Per form, the keys of its two draw tables and its terms by power of t.
+        plans = []
+        for form in forms:
+            if isinstance(form, Minor):
+                x = self.monomial_entries(curve_label, form.arrow)
+                rows, cols = tuple(e[0] for e in x), tuple(sorted(e[1] for e in x))
+                (s, t), k = self.arrows[form.arrow], depth[form.arrow, form.trailing]
+                turn = -1 if form.trailing else 1
+                terms = self.memo(("minor_terms", curve_label, form.arrow, form.k), lambda: _minor_terms(x, form.k))
+                plans.append((("rows", s, turn, rows, k), ("columns", t, turn, cols, k), terms))
+            else:
+                x, y = (self.monomial_entries(curve_label, a) for a in form.arrows)
+                (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
+                terms = self.memo(("pairing_terms", curve_label, *form.arrows), lambda: _pairing_terms(x, y))
+                plans.append((("gram_columns", sa, sb), ("gram_rows", ta, tb), terms))
+        tables = self.memo(("draw_tables", trials, seed), lambda: [{} for _ in range(trials)])
+        orders: list[list[int | None]] = [[] for _ in forms]
+        for g, cache in zip(self.group_draws(trials, seed), tables):
+            for (left_key, right_key, groups), form_orders in zip(plans, orders):
+                for key in (left_key, right_key):
+                    if key not in cache:
+                        cache[key] = _draw_table(g, key)
+                left, right = cache[left_key], cache[right_key]
+                nonzero = (e for e, terms in groups if sum(left[i] * c * right[j] for i, j, c in terms))
+                form_orders.append(next(nonzero, None))
+        return orders
 
     def act(self, g: GroupElement, point: Point) -> Point:
         """g . X = g_s X g_t^-1 at each arrow (s, t)."""
@@ -418,6 +546,73 @@ def _passes_through(curve: Point, point: Point) -> bool:
         total = [[sum(m[i][j] for m in x.layers.values()) for j in range(x.shape[1])] for i in range(x.shape[0])]
         at_one.append(ScaledMatrix(x.scale, x.shape, {0: total}, False))
     return tuple(at_one) == tuple(map(ScaledMatrix.of, point))
+
+
+def _minor_terms(entries, k: int) -> list[tuple[int, list[tuple[tuple[int, ...], tuple[int, ...], int]]]]:
+    """Per power e of t, ascending, the (I, J, c) with det X[I, J] = c t^e over the k-subsets I of X's nonzero rows.
+
+    X is monomial, given by its (i, j, c, e) ``entries`` in row order; J is
+    the sorted columns of I's entries, and c carries the sign of the
+    permutation that sorts them.
+    """
+    groups: dict[int, list] = {}
+    for chosen in combinations(entries, k):
+        rows, cols, coefficients, powers = zip(*chosen) if chosen else ((),) * 4
+        inversions = sum(a > b for n, a in enumerate(cols) for b in cols[n + 1 :])
+        coefficient = -prod(coefficients) if inversions % 2 else prod(coefficients)
+        groups.setdefault(sum(powers), []).append((rows, tuple(sorted(cols)), coefficient))
+    return sorted(groups.items())
+
+
+def _pairing_terms(x_entries, y_entries) -> list[tuple[int, list[tuple[tuple[int, int], tuple[int, int], int]]]]:
+    """Per power e of t, ascending, the ((a, c), (b, d), x y) over the entries x t^f at (a, b) of X and y t^g
+    at (c, d) of Y with f + g = e, for monomial X and Y given by their (i, j, c, e) entries."""
+    groups: dict[int, list] = {}
+    for a, b, x, f in x_entries:
+        for c, d, y, g in y_entries:
+            groups.setdefault(f + g, []).append(((a, c), (b, d), x * y))
+    return sorted(groups.items())
+
+
+def _draw_table(g: GroupElement, key: tuple) -> dict:
+    """One table of ``MatrixRealization.form_orders`` for the group element g, named by ``key``.
+
+    ("rows", f, turn, support, depth) and ("columns", ...) hold the minors of
+    the first rows of L, or of the first columns of R, for the unit (l, L, r,
+    R) of factor f (``_first_row_minors``), read from the last one back when
+    ``turn`` is -1.  ("gram_columns", f, h) holds column a of f's L times
+    column c of h's L, and ("gram_rows", f, h) row b of f's R times row d of
+    h's R, keyed by (a, c) or (b, d): the products L_f^T L_h and R_f R_h^T.
+    """
+    kind, *args = key
+    if kind == "rows":
+        f, turn, support, depth = args
+        return _first_row_minors(g[f][1][::turn], support, depth)
+    if kind == "columns":
+        f, turn, support, depth = args
+        return _first_row_minors(list(zip(*g[f][3]))[::turn], support, depth)
+    f, h = args
+    a, b = (zip(*g[f][1]), list(zip(*g[h][1]))) if kind == "gram_columns" else (g[f][3], g[h][3])
+    return {(i, j): sum(map(mul, p, q)) for i, p in enumerate(a) for j, q in enumerate(b)}
+
+
+def _first_row_minors(rows, support: tuple[int, ...], depth: int) -> dict[tuple[int, ...], int]:
+    """det of ``rows``' first k rows on the columns I, for every subset I of ``support`` with k = len(I) <= depth.
+
+    Keyed by I, in ``support``'s order; each is expanded along its last row
+    from the minors one size smaller.
+    """
+    minors = {(): 1}
+    for k in range(depth):
+        row = rows[k]
+        for cols in combinations(support, k + 1):
+            total = 0
+            for pos, j in enumerate(cols):
+                if row[j]:
+                    term = row[j] * minors[cols[:pos] + cols[pos + 1 :]]
+                    total += -term if (k + pos) % 2 else term
+            minors[cols] = total
+    return minors
 
 
 def _translate(left: tuple[int, list[list[int]]], x, right: tuple[int, list[list[int]]]) -> ScaledMatrix:
@@ -630,25 +825,16 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         g1 = _sample_monoid_element(rng, m, triangular="lower")
         return g1 + _sample_monoid_element(rng, m, triangular="upper")
 
-    def dilation(point: Point):
-        # sum a_ij b_ij / m: per pair of layers of L_a A and L_b B one dot product, divided once by L_a L_b m.
-        a, b = ScaledMatrix.of(point[0]), ScaledMatrix.of(point[1])
-        total: dict[int, int] = {}
-        for e, a_layer in a.layers.items():
-            for f, b_layer in b.layers.items():
-                total[e + f] = total.get(e + f, 0) + sum(sum(map(mul, p, q)) for p, q in zip(a_layer, b_layer))
-        return _divide(total, a.scale * b.scale * m, a.laurent or b.laurent)
-
     lattice = model.weight_lattice
-    semi = [
-        SemiInvariantSpec("d", dilation, lattice.basis_character("eps_1") + lattice.basis_character(f"eps_{m + 1}")),
-    ]
+    # The dilation d = sum a_ij b_ij / m, then the leading and trailing minors of A.
+    d_weight = lattice.basis_character("eps_1") + lattice.basis_character(f"eps_{m + 1}")
+    semi = [SemiInvariantSpec("d", None, d_weight, Pairing(0, 1, m))]
     for i in range(1, m + 1):
         chi = lattice.character([1 if k < i else 0 for k in range(m)] + [0])
-        semi.append(SemiInvariantSpec(f"Delta_{i}", (lambda pt, i=i: leading_minor(pt[0], i)), chi))
+        semi.append(SemiInvariantSpec(f"Delta_{i}", None, chi, Minor(0, i)))
     for i in range(1, m):
         chi = lattice.character([1 if k >= m - i else 0 for k in range(m)] + [0])
-        semi.append(SemiInvariantSpec(f"Delta_trail_{i}", (lambda pt, i=i: trailing_minor(pt[0], i)), chi))
+        semi.append(SemiInvariantSpec(f"Delta_trail_{i}", None, chi, Minor(0, i, trailing=True)))
 
     arrows = ((0, 2), (1, 3))  # (a1, b1, a2, b2) . (X, Y) = (a1 X a2^-1, b1 Y b2^-1)
     cochars = _monoid_cocharacters(m).items()
@@ -971,7 +1157,7 @@ def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) ->
     semi = []
     for i in range(1, r + 1):
         chi = lattice.character([1 if k < i else 0 for k in range(r)])
-        semi.append(SemiInvariantSpec(f"Delta_{i}", (lambda pt, i=i: leading_minor(pt[0], i)), chi))
+        semi.append(SemiInvariantSpec(f"Delta_{i}", None, chi, Minor(0, i)))
 
     base, arrows = (_monomial_matrix(m, n, _standard_er(r)),), ((0, 1),)
     # The circular lambda_r at s = 0; its limit is the candidate boundary orbit X_{r-1}.

@@ -1,7 +1,8 @@
 """Randomized exact verification at the matrix level.
 
 Every check here works over the rationals with exact arithmetic: t-adic
-orders of semi-invariants along generically translated boundary curves,
+orders of semi-invariants along generically translated boundary curves
+(read by Cauchy-Binet for the realizations' own semi-invariants),
 cocharacter limits, Jacobian-rank orbit dimensions, Borel semi-invariance of
 claimed weights, and stabilizer membership.  Randomness is only used to pick
 Zariski-generic group elements; identical seeds give identical reports, and
@@ -111,28 +112,35 @@ def t_order(
     """Generic t-adic order of ``f`` along the labelled curve.
 
     The curve is translated by ``trials`` seeded random group elements
-    (``trials`` must be at least 1) and ``f`` is evaluated as an exact
+    (``trials`` must be at least 1) and ``f`` is taken as an exact
     polynomial in t; the generic order is the minimum over trials, with
     ``stable`` recording all-trials agreement.  The elements are the first
     ``trials`` draws of ``Random(seed)``, drawn once per realization
-    (``group_draws``), so every curve sees the same ones.
+    (``group_draws``), so every curve sees the same ones.  A function with a
+    ``form`` is read by Cauchy-Binet on those draws without building the
+    translate (``MatrixRealization.form_orders``); any other is evaluated on
+    the translate.
 
     ``f`` may also be a tuple of semi-invariants: every function is then
-    evaluated on the same seeded translates, each drawn once per trial, and
-    the result is a tuple with one ``TOrderResult`` per function, or ``None``
-    for a function that vanished on every trial.  A single function that
-    vanished on every trial raises ``IdenticallyZeroError``.
+    read on the same seeded translates, each built at most once per trial,
+    and the result is a tuple with one ``TOrderResult`` per function, or
+    ``None`` for a function that vanished on every trial.  A single function
+    that vanished on every trial raises ``IdenticallyZeroError``.
     """
     _check_trials(trials)
     functions = f if isinstance(f, tuple) else (f,)
     curve = real.curve(curve_label)
-    orders: list[list[int | None]] = [[] for _ in functions]
-    if functions:
+    structured = [k for k, fn in enumerate(functions) if fn.form is not None]
+    plain = [k for k, fn in enumerate(functions) if fn.form is None]
+    forms = tuple(functions[k].form for k in structured)
+    orders = dict(zip(structured, real.form_orders(forms, curve_label, trials, seed)))
+    if plain:
+        orders.update((k, []) for k in plain)
         for g in real.group_draws(trials, seed):
             translate = real.act(g, curve)
-            for fn, fn_orders in zip(functions, orders):
-                fn_orders.append(LaurentPoly._coerce(fn.evaluate(translate)).order())
-    results = tuple(_order_result(fn_orders) for fn_orders in orders)
+            for k in plain:
+                orders[k].append(LaurentPoly._coerce(functions[k].evaluate(translate)).order())
+    results = tuple(_order_result(orders[k]) for k in range(len(functions)))
     if isinstance(f, tuple):
         return results
     if results[0] is None:
@@ -243,9 +251,11 @@ def verify_boundary_valuations(
 ) -> VerificationReport:
     """Cross-check every model boundary pairing against oracle t-adic orders.
 
-    For each boundary divisor with a curve and each verified semi-invariant,
-    the model value <chi, nu> is compared with the generic order of the
-    function along the translated curve.
+    For each boundary divisor and each verified semi-invariant, the model
+    value <chi, nu> is compared with the generic order of the function along
+    the boundary's translated curve.  A boundary with no curve fails closed:
+    each of its records has no curve and no oracle value, ran no trial, and
+    does not match.
     """
     _check_trials(trials)
     if semi_invariants is None:
@@ -254,8 +264,11 @@ def verify_boundary_valuations(
     curve_of = {c.boundary: c.label for c in real.curves}
     records = []
     for spec in model.boundaries:
-        curve_label = curve_of[spec.id]
-        results = t_order(real, semi_invariants, curve_label, trials=trials, seed=seed) if semi_invariants else ()
+        curve_label = curve_of.get(spec.id)
+        if curve_label is None:
+            results, ran = (None,) * len(semi_invariants), 0
+        else:
+            results, ran = t_order(real, semi_invariants, curve_label, trials=trials, seed=seed), trials
         for f, result in zip(semi_invariants, results):
             expected = pair(f.claimed_weight, spec.valuation)
             model_value = expected.numerator if expected.denominator == 1 else str(expected)
@@ -267,8 +280,9 @@ def verify_boundary_valuations(
                     model_value=model_value,
                     oracle_value=oracle_value,
                     match=oracle_value == model_value,
-                    trials=trials,
-                    stable=result is not None and result.stable,
+                    trials=ran,
+                    # No trial ran on a missing curve, so none disagreed.
+                    stable=result.stable if result is not None else not ran,
                 )
             )
     return VerificationReport(tuple(records))

@@ -177,6 +177,9 @@ PINNED_OUTPUT_DIGESTS = {
     ("verify", "monoid:m=4", "0"): "83fff336370e48ca1521542d0b5956626e1f53ea358299b3798d568e3581b4b1",
     ("verify", "complexes:l=0,m=1,n=1,r=0,s=1", "0"): "470df7769b3fa5aa7c4104b4b2eeb863aaa73381f6519703d1bd7bea2ef2ba20",
     ("verify", "complexes:l=1,m=0,n=1,r=0,s=0", "0"): "d2cc9e0ee73ac8bb08bfe9740a59a20158bd2db6a1b7d0e28c6c5a0d2ccf3d10",
+    # Recorded while every boundary order was still read on built translates.
+    ("verify", "monoid:m=8", "0"): "548dc8afba06e9ded7b4e0715b6b0231e48ef382e59f7a9d26b8cebecf645460",
+    ("verify", "monoid:m=10", "0"): "43e0d16aa1b5a3ccda36a8c8d1c7c3a4ab68360ccb5ac03d7f543161f54c242d",
 }
 
 

@@ -8,13 +8,19 @@ import pytest
 from sphemb.families import (
     Curve,
     MatrixRealization,
+    Minor,
+    Pairing,
+    ScaledMatrix,
     SemiInvariantSpec,
+    _rand_invertible,
+    build_family,
     circular_complexes_model,
     complexes_realization,
     determinantal_realization,
     monoid_model,
 )
 from sphemb.laurent import LaurentPoly, NegativeExponentError
+from sphemb.rootdata import TorusLattice
 from sphemb.oracle import (
     CheckRecord,
     IdenticallyZeroError,
@@ -384,6 +390,119 @@ def test_shared_draws_match_per_function_loops(seed):
                 assert t_order(real, f, curve_label, trials=20, seed=seed) == result
 
 
+# Every structured semi-invariant of these members, on every curve, is read
+# by Cauchy-Binet; the per-function reference loop builds each translate and
+# evaluates the form on it.
+_FORM_MEMBERS = [f"monoid:m={m}" for m in range(1, 8)] + [
+    f"determinantal:m={m},n={n},r={r}" for m in range(2, 6) for n in range(2, 6) for r in range(1, min(m, n))
+]
+
+
+@pytest.mark.parametrize("spec", _FORM_MEMBERS)
+def test_form_orders_match_translated_evaluation(spec):
+    real = build_family(spec).realization
+    functions = real.semi_invariants
+    assert functions and all(f.form is not None and f.evaluate is f.form for f in functions)
+    for seed in (0, 1, 7, 931794):
+        for curve_label in [c.label for c in real.curves]:
+            orders = [_reference_orders(real, f, curve_label, 8, seed) for f in functions]
+            for trials in (1, 3, 8):
+                want = tuple(_reference_t_order(o[:trials]) for o in orders)
+                assert t_order(real, functions, curve_label, trials=trials, seed=seed) == want, (seed, curve_label, trials)
+    # The seed-931794 draw that makes Delta_2 unstable along lambda_2 of
+    # monoid m=3 is read alike: a degenerate draw is not a generic one.
+    if spec == "monoid:m=3":
+        delta_2 = functions[2]
+        assert t_order(real, delta_2, "lambda_2", trials=8, seed=931794) == TOrderResult(0, 8, False)
+
+
+def _monomial(entries: dict, scale: int = 1) -> ScaledMatrix:
+    """The 3 x 3 matrix with c t^e / scale at each (i, j) of {(i, j): (c, e)}."""
+    layers = {}
+    for (i, j), (c, e) in entries.items():
+        layers.setdefault(e, [[0] * 3 for _ in range(3)])[i][j] = c
+    return ScaledMatrix(scale, (3, 3), layers, any(e for _, e in entries.values()))
+
+
+def _permuted_realization(curves, extra=()):
+    """Two 3 x 3 arrows on four GL(3) factors whose curves permute rows, with draws of entries in {-1, 0, 1}.
+
+    ``curves`` maps a label to each arrow's {(i, j): (c, e)}; every curve has
+    the same coefficients, over scale 2 on the first arrow.  Such small draws
+    often cancel a translate's lowest coefficient, so the orders test the
+    whole polynomial, its signs included, and not only the powers of t it can
+    hold.
+    """
+    first = next(iter(curves.values()))
+    base = tuple(_monomial({k: (c, 0) for k, (c, _) in x.items()}, s) for x, s in zip(first, (2, 1)))
+    character = TorusLattice(("eps_1",)).combination([])
+    forms = [Minor(a, k, trailing) for a in (0, 1) for trailing in (False, True) for k in range(4)] + [Pairing(0, 1, 3)]
+    return MatrixRealization(
+        base_point=base,
+        membership=lambda pt: True,
+        arrows=((0, 1), (2, 3)),
+        group_sampler=lambda rng: tuple(_rand_invertible(rng, 3, -1, 1) for _ in range(4)),
+        borel_sampler=lambda rng: (),
+        lie_basis=(),
+        expected_orbit_dimension=0,
+        stabilizer_sampler=lambda rng: (),
+        semi_invariants=tuple(SemiInvariantSpec(repr(form), None, character, form) for form in forms) + extra,
+        curves=tuple(
+            Curve(label, tuple(_monomial(x, s) for x, s in zip(point, (2, 1))), (3, 3)) for label, point in curves.items()
+        ),
+    )
+
+
+# A transposition and a 3-cycle, with coefficients of both signs; on "flat"
+# every power of t is 0, so each minor is one coefficient sum.
+_PERMUTED_CURVES = {
+    "flat": ({(0, 1): (2, 0), (1, 0): (-4, 0), (2, 2): (6, 0)}, {(0, 2): (1, 0), (1, 0): (-1, 0), (2, 1): (2, 0)}),
+    "tied": ({(0, 1): (2, 0), (1, 0): (-4, 1), (2, 2): (6, 1)}, {(0, 2): (1, 1), (1, 0): (-1, 0), (2, 1): (2, 1)}),
+    "spread": ({(0, 1): (2, 2), (1, 0): (-4, 0), (2, 2): (6, 1)}, {(0, 2): (1, 0), (1, 0): (-1, 2), (2, 1): (2, 0)}),
+}
+
+
+def test_form_orders_match_translated_evaluation_on_permuted_curves():
+    character = TorusLattice(("eps_1",)).combination([])
+    # A mixed tuple: plain callables, one of them the same minor as a form.
+    plain = (
+        SemiInvariantSpec("zero", lambda pt: Fraction(0), character),
+        SemiInvariantSpec("one", lambda pt: Fraction(1), character),
+        SemiInvariantSpec("plain Delta_2", Minor(0, 2), character),
+    )
+    real = _permuted_realization(_PERMUTED_CURVES, plain)
+    functions = real.semi_invariants
+    assert [f.form is None for f in functions].count(True) == 3
+    unstable = 0
+    for seed in range(12):
+        for curve_label in _PERMUTED_CURVES:
+            orders = [_reference_orders(real, f, curve_label, 8, seed) for f in functions]
+            for trials in (1, 3, 8):
+                want = tuple(_reference_t_order(o[:trials]) for o in orders)
+                assert t_order(real, functions, curve_label, trials=trials, seed=seed) == want, (seed, curve_label, trials)
+            unstable += sum(1 for o in orders if len(set(o)) > 1)
+    # The small draws do hit degenerate translates.
+    assert unstable > 0
+
+
+def test_non_monomial_curve_fails_construction():
+    # Cauchy-Binet reads a structured semi-invariant's arrows on each curve
+    # as monomial matrices; any other curve is refused, naming the arrow.
+    flat, second = _PERMUTED_CURVES["flat"]
+    for label, x in (
+        ("column", {(0, 0): (2, 0), (1, 0): (-4, 1), (2, 2): (6, 0)}),
+        ("row", {(0, 1): (2, 0), (0, 2): (-4, 1), (1, 0): (6, 0)}),
+    ):
+        with pytest.raises(ValueError, match=f"curve {label} is not monomial on arrow 0"):
+            _permuted_realization({label: (x, second)})
+    # 2 - t at (0, 2) of the second arrow, the base point's 1 at t = 1.
+    real = _permuted_realization({"flat": (flat, second)})
+    layers = {0: [[0, 0, 2], [-1, 0, 0], [0, 2, 0]], 1: [[0, 0, -1], [0, 0, 0], [0, 0, 0]]}
+    point = (real.base_point[0], ScaledMatrix(1, (3, 3), layers, True))
+    with pytest.raises(ValueError, match="curve entry is not monomial on arrow 1"):
+        dataclasses.replace(real, curves=real.curves + (Curve("entry", point, (3, 3)),))
+
+
 def test_t_order_on_no_functions_draws_nothing():
     _, real = monoid_model(2)
     real.group_sampler = real.borel_sampler = None  # any draw would fail
@@ -412,8 +531,10 @@ def test_trials_below_one_are_rejected():
 
 
 def test_verification_report_draw_counts():
-    # Each translate is drawn once per (curve, trial) and each Borel element
-    # and orbit point once per trial, whatever the number of semi-invariants.
+    # Each group element is drawn once per trial and each Borel element and
+    # orbit point once per trial, whatever the number of semi-invariants.  The
+    # realization's semi-invariants are forms, read by Cauchy-Binet, so no
+    # boundary translate is built.
     model, real = monoid_model(3)
     counts = {"group_sampler": 0, "borel_sampler": 0, "act": 0}
 
@@ -438,22 +559,40 @@ def test_verification_report_draw_counts():
     for name in counts:
         counts[name] = 0
     verify_boundary_valuations(model, real, verified, trials=trials, seed=0)
-    # four boundary curves, one translate per trial each, all four from the
-    # same trials group draws
-    assert counts == {"group_sampler": trials, "borel_sampler": 0, "act": 4 * trials}
+    # four boundary curves, all read on the same trials group draws
+    assert counts == {"group_sampler": trials, "borel_sampler": 0, "act": 0}
 
     for name in counts:
         counts[name] = 0
     report = verification_report(model, real, trials=trials, seed=0)
     assert report.passed and report.stable
-    # the boundary translates reuse the draws above; plus two acts: the
+    # the boundary orders reuse the draws above; plus two acts: the
     # stabilizer check and the first perturbed element, which already moves
     # the base point
-    assert counts == {"group_sampler": 2 * trials, "borel_sampler": trials, "act": (4 + 4) * trials + 2}
+    assert counts == {"group_sampler": 2 * trials, "borel_sampler": trials, "act": 4 * trials + 2}
     # another seed draws its own elements once
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
     assert counts["group_sampler"] == 3 * trials
+
+
+def test_boundary_without_curve_fails_closed():
+    model, real = monoid_model(2)
+    cut = dataclasses.replace(real, curves=real.curves[:-1])
+    verified = select_semi_invariants(cut)
+    report = verify_boundary_valuations(model, cut, verified)
+    missing = [rec for rec in report.records if rec.inputs["boundary"] == "X_2"]
+    assert [rec.inputs["semi_invariant"] for rec in missing] == [f.name for f in verified]
+    for rec in missing:
+        assert rec.inputs["curve"] is None and rec.oracle_value is None
+        assert not rec.match and rec.trials == 0 and rec.stable
+    assert all(rec.match for rec in report.records if rec not in missing)
+    assert not report.passed and report.stable
+    full = verification_report(model, cut)
+    assert not full.passed and full.stable
+    assert [rec.to_json_dict() for rec in full.records if rec.inputs.get("boundary") == "X_2"] == [
+        rec.to_json_dict() for rec in missing
+    ]
 
 
 def test_report_without_checks_has_not_passed():
