@@ -19,8 +19,8 @@ arrows, samplers, membership test and Lie basis from the quiver data.
 A group element is a tuple of units, one per factor: a unit (l, L, r, R)
 is the matrix L / l with inverse R / r, for integer matrices L, R and
 integers l, r > 0.  Samplers draw them, ``act`` multiplies on their integer
-matrices and inverts nothing, and ``bumped_copies`` perturbs them for the
-oracle's negative control; no other module reads a unit's fields.
+matrices and inverts nothing, ``inverse_element`` swaps each unit's halves and
+``bumped_copies`` perturbs them; no other module reads a unit's fields.
 
 A point is one ``ScaledMatrix`` per arrow: one integer matrix per power of t
 (a layer) over one scale, a rational point being layer 0 alone.  The
@@ -80,11 +80,11 @@ def _zeros(rows: int, cols: int) -> list[list[int]]:
     return [[0] * cols for _ in range(rows)]
 
 
-def _divide(p: dict[int, int], scale: int, laurent: bool):
-    """p / scale for an {exponent: int} polynomial: a ``LaurentPoly`` if ``laurent``, else its constant ``Fraction``."""
-    if laurent:
-        return LaurentPoly._from_integers({e: c for e, c in p.items() if c}, scale)
-    return Fraction(p.get(0, 0), scale)
+def _divide(n, scale: int):
+    """n / scale: a ``Fraction`` for an integer n, a ``LaurentPoly`` for an {exponent: int} polynomial n."""
+    if isinstance(n, int):
+        return Fraction(n, scale)
+    return LaurentPoly._from_integers({e: c for e, c in n.items() if c}, scale)
 
 
 class ScaledMatrix:
@@ -134,7 +134,7 @@ class ScaledMatrix:
     @property
     def rows(self) -> Matrix:
         if self._rows is None:
-            self._rows = tuple(tuple(_divide(p, self.scale, self.laurent) for p in r) for r in self.entries())
+            self._rows = tuple(tuple(_divide(p if self.laurent else p.get(0, 0), self.scale) for p in r) for r in self.entries())
         return self._rows
 
     def __len__(self) -> int:
@@ -220,11 +220,11 @@ class ScaledMatrix:
             raise NegativeExponentError("no limit at t=0: negative powers of t present")
         return ScaledMatrix(self.scale, self.shape, {0: self.constant_terms()}, False)
 
-    def trailing_minor(self, k: int):
-        """The determinant of the bottom-right k x k block, divided once by scale^k; 0 <= k <= min(rows, columns).
+    def trailing_ratio(self, k: int) -> tuple:
+        """(n, scale^k) for the bottom-right k x k minor n / scale^k, undivided; 0 <= k <= min(rows, columns).
 
-        On a rational matrix it is the k-th pivot of the elimination, read
-        while no earlier pivot vanished; otherwise the expansion gives it.
+        On a rational matrix n is an integer, the k-th pivot of the elimination while no
+        earlier pivot vanished; else the expansion gives it, {exponent: int} on a Laurent one.
         """
         rows, width = self.shape
         if not 0 <= k <= min(rows, width):
@@ -234,8 +234,13 @@ class ScaledMatrix:
                 turned = [r[::-1] for r in reversed(self.constant_terms())]
                 self._pivots = [1, *leading_principal_minors(turned)]
             if k < len(self._pivots):
-                return Fraction(self._pivots[k], self.scale**k)
-        return _divide(self.minor(tuple(range(width - k, width))), self.scale**k, self.laurent)
+                return self._pivots[k], self.scale**k
+        n = self.minor(tuple(range(width - k, width)))
+        return (n if self.laurent else n.get(0, 0)), self.scale**k
+
+    def trailing_minor(self, k: int):
+        """The bottom-right k x k minor, ``trailing_ratio`` divided once."""
+        return _divide(*self.trailing_ratio(k))
 
 
 def leading_minor(m, k: int):
@@ -287,6 +292,11 @@ def _rand_triangular(rng: random.Random, n: int, lower: bool) -> Unit:
     return _unit(m)
 
 
+def inverse_element(g: GroupElement) -> GroupElement:
+    """g^-1, read off the units: the factor L / l with inverse R / r becomes R / r with inverse L / l."""
+    return tuple((r, big_r, l, big_l) for l, big_l, r, big_r in g)
+
+
 def bumped_copies(g: GroupElement):
     """Copies of ``g`` with one entry of one factor raised by 1, each with its own inverse.
 
@@ -320,6 +330,11 @@ class Minor:
     def __call__(self, point: Point):
         return (trailing_minor if self.trailing else leading_minor)(point[self.arrow], self.k)
 
+    def ratio(self, point: Point) -> tuple:
+        """The value as its undivided pair (n, q), q > 0: ``trailing_ratio`` of the arrow's matrix or of it turned."""
+        m = ScaledMatrix.of(point[self.arrow])
+        return (m if self.trailing else m.rotated).trailing_ratio(self.k)
+
 
 @dataclass(frozen=True)
 class Pairing:
@@ -334,13 +349,17 @@ class Pairing:
         return (self.arrow_a, self.arrow_b)
 
     def __call__(self, point: Point):
-        # Per pair of layers of L_a A and L_b B one dot product, divided once by L_a L_b divisor.
+        return _divide(*self.ratio(point))
+
+    def ratio(self, point: Point) -> tuple:
+        """The value as its undivided pair (n, q), q > 0: an integer n on a rational point, else {exponent: int}."""
+        # Per pair of layers of L_a A and L_b B one dot product, over L_a L_b divisor.
         a, b = ScaledMatrix.of(point[self.arrow_a]), ScaledMatrix.of(point[self.arrow_b])
         total: dict[int, int] = {}
         for e, a_layer in a.layers.items():
             for f, b_layer in b.layers.items():
                 total[e + f] = total.get(e + f, 0) + sum(sum(map(mul, p, q)) for p, q in zip(a_layer, b_layer))
-        return _divide(total, a.scale * b.scale * self.divisor, a.laurent or b.laurent)
+        return (total if a.laurent or b.laurent else total.get(0, 0)), a.scale * b.scale * self.divisor
 
 
 @dataclass(eq=False)

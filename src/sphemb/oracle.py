@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .families import ScaledMatrix, bumped_copies
+from .families import ScaledMatrix, bumped_copies, inverse_element
 from .laurent import LaurentPoly
 from .lattice import rational_rank, rational_solve
 from .rootdata import Character, Covector, TorusLattice, pair
@@ -173,47 +174,46 @@ def base_orbit_dimension(real) -> int:
     return real.memo("base_orbit_dimension", lambda: orbit_dimension(real))
 
 
-def _sample_orbit_point(real, rng: random.Random):
-    return real.act(real.group_sampler(rng), real.base_point)
+def _ratio(f, x) -> tuple[int, int]:
+    """f(x) at a rational point as an undivided pair (n, q), q > 0: its form's own, else its ``Fraction``'s."""
+    return f.form.ratio(x) if f.form is not None else Fraction(f.evaluate(x)).as_integer_ratio()
 
 
 def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[str | None]:
     """Per candidate, ``None`` if it passes the Borel rescaling check, else why not.
 
-    Each trial draws one Borel element b and two orbit points x, each once and
-    only while some candidate is still undecided, and every undecided
-    candidate f is tested against the same draws: f(b . x) must equal
-    weight_value(chi, b) * f(x) wherever f(x) != 0.  The seeded stream is
-    consumed exactly as a separate run per candidate would consume it.
+    Trial i tests every undecided candidate f against the i-th Borel element b
+    of ``Random(seed)`` and the orbit points x = g . x0 and g^-1 . x0 of the
+    i-th boundary draw g (``group_draws``): f(b . x) must equal weight_value(chi,
+    b) * f(x) wherever f(x) != 0, as integer cross-products of undivided values.
+    Each b, x and b . x is taken once, only while some candidate is undecided,
+    and with no candidate nothing is drawn.
     """
     _check_trials(trials)
     failures: list[str | None] = [None] * len(candidates)
     saw_nonzero = [False] * len(candidates)
     rng = random.Random(seed)
-    for _ in range(trials):
+    for g in real.group_draws(trials, seed) if candidates else ():
         if all(failures):
             break
         b = real.borel_sampler(rng)
-        factors = {
-            k: real.weight_value(f.claimed_weight, b)
-            for k, f in enumerate(candidates)
-            if failures[k] is None
-        }
-        for _ in range(2):
+        factors = {k: real.weight_value(f.claimed_weight, b) for k, f in enumerate(candidates) if failures[k] is None}
+        for h in (g, inverse_element(g)):
             live = [k for k in factors if failures[k] is None]
             if not live:
                 break
-            x = _sample_orbit_point(real, rng)
+            x = real.act(h, real.base_point)
             moved = None
             for k in live:
                 f = candidates[k]
-                fx = f.evaluate(x)
-                if fx == 0:
+                n_x, q_x = _ratio(f, x)
+                if n_x == 0:
                     continue
                 saw_nonzero[k] = True
                 if moved is None:
                     moved = real.act(b, x)
-                if f.evaluate(moved) != factors[k] * fx:
+                n_bx, q_bx = _ratio(f, moved)
+                if n_bx * q_x * factors[k].denominator != factors[k].numerator * n_x * q_bx:
                     failures[k] = f"{f.name} does not rescale by its claimed weight under the Borel action"
     for k, f in enumerate(candidates):
         if failures[k] is None and not saw_nonzero[k]:
@@ -225,7 +225,8 @@ def semiinvariance_check(real, f, trials: int = 8, seed: int = 0) -> Character:
     """Confirm that ``f`` rescales by its claimed weight under Borel translation.
 
     For each of ``trials`` trials (at least 1) a seeded Borel element b and
-    two orbit points x are sampled and f(b . x) == weight_value(chi, b) * f(x)
+    the orbit points g . x0 and g^-1 . x0 of that trial's boundary draw g
+    (``group_draws``) are taken, and f(b . x) == weight_value(chi, b) * f(x)
     is required exactly; the claimed weight is returned once every trial
     agrees.  The draws are the ones ``select_semi_invariants`` tests every
     candidate against, so both give the same verdict for ``f``.

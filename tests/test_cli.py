@@ -275,6 +275,16 @@ PINNED_ARGV_DIGESTS = {
         (0, "4b769ffb2e5328262eb5011f3c3926784fd0a64a26b428157926a4b9d281f116"),
     ("verify", "--family", "determinantal:m=2,n=4,r=1"):
         (0, "45eeabb22fc9681630219aa7c4f5697fe5ab2925eb82bb058a632393a048cb33"),
+    # Recorded before the Borel check took its orbit points from the boundary
+    # draws: with one trial both come from one draw g, as g . x0 and g^-1 . x0.
+    ("verify", "--family", "determinantal:m=4,n=5,r=3", "--trials", "1", "--seed", "7"):
+        (0, "64ae0d637b621436104c898ae3d66582267502d846a0c33d30b6f5de10f0313a"),
+    ("verify", "--family", "determinantal:m=4,n=5,r=3", "--trials", "1", "--seed", "931794"):
+        (0, "60632c2358d810ed0ec460f48cf408b277437b7e28864206b61797a18aa8cc6f"),
+    ("verify", "--family", "monoid:m=5", "--trials", "1", "--seed", "7"):
+        (0, "2dac884b815e21b8e283f21f41fc0f3f013304970fcde6d1a357c24c4e60c22f"),
+    ("verify", "--family", "monoid:m=5", "--trials", "1", "--seed", "931794"):
+        (0, "2ded6536a6f4188fdf0dd50b8fa6b9db53107505f19441ebcdbd59b08991879c"),
 }
 
 

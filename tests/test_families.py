@@ -1482,6 +1482,43 @@ def test_bumped_copies():
     assert list(bumped_copies(((1, [], 1, []), minus_one))) == []
 
 
+# Every member of a small grid of each family, for the inverse-element test.
+_INVERSE_MEMBERS = (
+    [f"monoid:m={m}" for m in range(1, 5)]
+    + [f"determinantal:m={m},n={n},r={r}" for m in (2, 3) for n in (2, 3, 4) for r in range(1, min(m, n))]
+    + [f"circular:m={m},n={n},r={r},s={s}" for m, n, r, s in admissible_circular_parameters(3, 3)]
+    + [
+        f"complexes:l={l},m={m},n={n},r={r},s={s}"
+        for l in range(3)
+        for m in range(3)
+        for n in range(3)
+        for r in range(l + 1)
+        for s in range(n + 1)
+        if r + s <= m
+    ]
+)
+
+
+@pytest.mark.parametrize("spec", _INVERSE_MEMBERS)
+def test_inverse_element_undoes_act(spec):
+    # The Borel check's second orbit point is g^-1 . x0, read off g's units
+    # with no elimination; it must undo g on any point, stay in the variety
+    # and invert back to g itself.
+    from sphemb.families import inverse_element
+
+    real = build_family(spec).realization
+    for seed in range(8):
+        rng = random.Random(seed)
+        g, h = real.group_sampler(rng), real.group_sampler(rng)
+        inverse = inverse_element(g)
+        orbit_point = real.act(h, real.base_point)
+        for x in (real.base_point, orbit_point):
+            assert real.act(inverse, real.act(g, x)) == x, (spec, seed)
+            assert real.act(g, real.act(inverse, x)) == x, (spec, seed)
+        assert real.membership(real.act(inverse, real.base_point)), (spec, seed)
+        assert inverse_element(inverse) == g
+
+
 # The weight functions the torus tables replace, on Fraction factor matrices.
 
 

@@ -390,6 +390,43 @@ def test_shared_draws_match_per_function_loops(seed):
                 assert t_order(real, f, curve_label, trials=20, seed=seed) == result
 
 
+# Planted weight slips: each candidate's weight doubled, or one coordinate
+# moved by one, on the candidate's own form.  A slip is missed only when
+# every trial's Borel element takes the same value on the slipped and the
+# true weight, so the sweep runs against 1 and 8 trials.
+_SLIP_MEMBERS = [f"monoid:m={m}" for m in range(1, 5)] + [
+    f"determinantal:m={m},n={n},r={r}" for m in (2, 3) for n in (2, 3) for r in range(1, min(m, n))
+]
+
+
+def _slips(real):
+    out = []
+    for f in real.semi_invariants:
+        chi = f.claimed_weight
+        moved = [(f"2{f.name}", chi + chi)]
+        for j, label in enumerate(chi.lattice.labels):
+            for step in (1, -1):
+                unit = chi.lattice.character([step * (k == j) for k in range(chi.lattice.rank)])
+                moved.append((f"{f.name}{'+' if step > 0 else '-'}{label}", chi + unit))
+        out += [SemiInvariantSpec(name, None, weight, f.form) for name, weight in moved]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec", _SLIP_MEMBERS)
+def test_planted_weight_slips_are_rejected(spec):
+    real = build_family(spec).realization
+    originals, slips = real.semi_invariants, _slips(real)
+    slipped = dataclasses.replace(real, semi_invariants=originals + slips)
+    for seed in range(20):
+        # One trial: the one Borel element is the first of Random(seed), as in
+        # the per-function loop, so every verdict is the loop's.
+        expected = tuple(f for f in slipped.semi_invariants if _reference_semiinvariance_failure(slipped, f, 1, seed) is None)
+        assert select_semi_invariants(slipped, trials=1, seed=seed) == expected, seed
+        # Eight trials reject every slip and keep what the loop keeps.
+        kept = tuple(f for f in originals if _reference_semiinvariance_failure(real, f, 8, seed) is None)
+        assert kept and select_semi_invariants(slipped, trials=8, seed=seed) == kept, seed
+
+
 # Every structured semi-invariant of these members, on every curve, is read
 # by Cauchy-Binet; the per-function reference loop builds each translate and
 # evaluates the form on it.
@@ -531,49 +568,52 @@ def test_trials_below_one_are_rejected():
 
 
 def test_verification_report_draw_counts():
-    # Each group element is drawn once per trial and each Borel element and
-    # orbit point once per trial, whatever the number of semi-invariants.  The
-    # realization's semi-invariants are forms, read by Cauchy-Binet, so no
-    # boundary translate is built.
-    model, real = monoid_model(3)
-    counts = {"group_sampler": 0, "borel_sampler": 0, "act": 0}
+    # Each group element is drawn once per trial, whatever the number of
+    # semi-invariants and curves: the Borel check takes its orbit points g . x0
+    # and g^-1 . x0 from the same draws the boundary orders read, so only the
+    # Borel elements are drawn beside them.  The realization's semi-invariants
+    # are forms, read by Cauchy-Binet, so no boundary translate is built.
+    def counting():
+        model, real = monoid_model(3)
+        counts = {"group_sampler": 0, "borel_sampler": 0, "act": 0}
 
-    def counted(name):
-        fn = getattr(real, name)
+        def counted(name):
+            fn = getattr(real, name)
 
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
 
-        return wrapper
+            return wrapper
 
-    for name in counts:
-        setattr(real, name, counted(name))
+        for name in counts:
+            setattr(real, name, counted(name))
+        return model, real, counts
+
     trials = 8
-
+    model, real, counts = counting()
     verified = select_semi_invariants(real, trials=trials, seed=0)
     assert len(verified) == 4 and len(real.semi_invariants) == 6
-    # one Borel element and two orbit points per trial
-    assert counts == {"group_sampler": 2 * trials, "borel_sampler": trials, "act": 4 * trials}
+    # one Borel element per trial, two orbit points and their two Borel moves
+    assert counts == {"group_sampler": trials, "borel_sampler": trials, "act": 4 * trials}
 
     for name in counts:
         counts[name] = 0
     verify_boundary_valuations(model, real, verified, trials=trials, seed=0)
-    # four boundary curves, all read on the same trials group draws
-    assert counts == {"group_sampler": trials, "borel_sampler": 0, "act": 0}
+    # four boundary curves, all read on the trials draws the check took
+    assert counts == {"group_sampler": 0, "borel_sampler": 0, "act": 0}
 
-    for name in counts:
-        counts[name] = 0
+    # A fresh realization: the boundary orders reuse the check's draws; plus
+    # two acts: the stabilizer check and the first perturbed element, which
+    # already moves the base point.
+    model, real, counts = counting()
     report = verification_report(model, real, trials=trials, seed=0)
     assert report.passed and report.stable
-    # the boundary orders reuse the draws above; plus two acts: the
-    # stabilizer check and the first perturbed element, which already moves
-    # the base point
-    assert counts == {"group_sampler": 2 * trials, "borel_sampler": trials, "act": 4 * trials + 2}
+    assert counts == {"group_sampler": trials, "borel_sampler": trials, "act": 4 * trials + 2}
     # another seed draws its own elements once
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
-    assert counts["group_sampler"] == 3 * trials
+    assert counts["group_sampler"] == 2 * trials
 
 
 def test_boundary_without_curve_fails_closed():
