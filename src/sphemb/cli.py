@@ -28,7 +28,7 @@ from .divisor_model import (
     validate_model,
     wonderful_section_divisor,
 )
-from .families import FamilyBundle, FamilyParameterError, build_family
+from .families import FamilyParameterError, build_family
 from .rootdata import LatticeMismatchError
 
 
@@ -55,8 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    """The argument parser, built on first use and shared by every ``run``."""
+def _build_parser() -> tuple[_Parser, argparse.Action]:
+    """The argument parser and its subcommands action, built on first use and shared by every ``run``."""
     parser = _Parser(prog="sphemb", add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -85,7 +85,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("model")
     common(p)
     p.add_argument("--dump", action="store_true", default=False)
-    return parser
+    return parser, sub
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -133,19 +133,16 @@ def _character_dict(model, chi) -> dict[str, int]:
     }
 
 
-def _require_model(bundle: FamilyBundle):
-    if bundle.model is None:
-        raise DomainError(f"family {bundle.name!r} provides a matrix realization only")
-    return bundle.model
-
-
 def _dispatch(ns) -> dict:
     if ns.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {ns.trials}")
     bundle = build_family(ns.family, trials=ns.trials, seed=ns.seed)
+    if ns.command not in ("verify", "wonderful-section"):
+        model = bundle.model
+        if model is None:
+            raise DomainError(f"family {bundle.name!r} provides a matrix realization only")
 
     if ns.command == "class-group":
-        model = _require_model(bundle)
         data = class_group_data(model)
         return {
             "free_rank": data.presentation.free_rank,
@@ -154,11 +151,9 @@ def _dispatch(ns) -> dict:
         }
 
     if ns.command == "canonical":
-        model = _require_model(bundle)
         return {"divisor": _divisor_dict(model.label_order, canonical_divisor(model))}
 
     if ns.command == "divisor":
-        model = _require_model(bundle)
         try:
             chi = model.character_from_mapping(_parse_sparse(ns.chi))
         except KeyError as e:
@@ -169,7 +164,6 @@ def _dispatch(ns) -> dict:
         }
 
     if ns.command == "gorenstein":
-        model = _require_model(bundle)
         principal, witness = is_principal(model, canonical_divisor(model))
         return {
             "gorenstein": principal,
@@ -177,7 +171,6 @@ def _dispatch(ns) -> dict:
         }
 
     if ns.command == "class-of":
-        model = _require_model(bundle)
         divisor = model.divisor(_parse_sparse(ns.divisor))
         coords = class_of(model, divisor)
         return {
@@ -217,7 +210,6 @@ def _dispatch(ns) -> dict:
         return {"divisor": _divisor_dict(wm.color_ids, divisor)}
 
     if ns.command == "model":
-        model = _require_model(bundle)
         if not ns.dump:
             raise UsageError("the model subcommand requires --dump")
         return model_to_json_dict(model)
@@ -233,8 +225,11 @@ def run(argv, stdout=None) -> int:
     """Dispatch one invocation; returns the process exit code."""
     stdout = stdout or sys.stdout
     command = argv[0] if argv else None
+    parser, sub = _build_parser()
+    # A known command's own parser reads the rest of argv, as under the top-level parser.
+    known = sub.choices.get(command)
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = parser.parse_args(argv) if known is None else known.parse_args(argv[1:], argparse.Namespace(command=command))
     except UsageError as e:
         _emit(stdout, {"command": command, "inputs": {}, "status": "error", "message": str(e)})
         return 2

@@ -586,7 +586,6 @@ def _read_model(doc) -> SphericalDivisorModel:
         return lattice.character([_typed(c, int, "a character coordinate") for c in _typed(coords, list, "a character")])
 
     def covector(coords) -> Covector:
-        # A "p/q" string is read by Fraction inside Covector; an int stays one.
         return lattice.covector(
             [_typed(c, (str, int), "a functional coordinate") for c in _typed(coords, list, "a functional")]
         )

@@ -400,7 +400,7 @@ class MatrixRealization:
     A point is one matrix per arrow (s, t) of ``arrows``, and a group element
     one unit per vertex; ``act`` moves X to g_s X g_t^-1.  Each element of
     ``lie_basis`` maps a vertex to a sparse matrix, as (i, j, c) triples for
-    c E_ij; ``lie_algebra_rows`` reads it.  ``torus[k]`` names the diagonal
+    c E_ij; ``tangent_rows`` reads it.  ``torus[k]`` names the diagonal
     entries, as (factor, index) pairs, whose ratio is basis character k's
     value on a Borel element; ``weight_value`` reads it.  ``memo`` keeps
     results that depend only on the realization, such as ``group_draws``.
@@ -523,30 +523,39 @@ class MatrixRealization:
         """g . X = g_s X g_t^-1 at each arrow (s, t)."""
         return tuple(_translate(g[s][:2], x, g[t][2:]) for (s, t), x in zip(self.arrows, point))
 
-    def lie_algebra_rows(self, point: Point) -> list[list[int]]:
+    def tangent_rows(self, point: Point) -> list[dict[int, int]]:
         """Per ``lie_basis`` element A, the tangent A_s X - X A_t at each arrow (s, t), times X's scale.
 
-        Only the point's nonzero entries are added: c E_ij moves X's row j to
-        row i on the left and X's column i to column j on the right.
+        A ``{column: int}`` dict that stores no zero, the arrows' entries numbered row-major, arrow by arrow.
+        Only X's nonzero entries are read: c E_ij moves X's row j to row i (left) and column i to column j (right).
         """
-        scaled = [ScaledMatrix.of(x).constant_terms() for x in point]
+        blocks, offset = [], 0
+        for (s, t), x in zip(self.arrows, map(ScaledMatrix.of, point)):
+            (height, cols), by_row, by_col = x.shape, {}, {}
+            for k, r in enumerate(x.constant_terms()):
+                for h, e in enumerate(r):
+                    if e:
+                        by_row.setdefault(k, []).append((offset + h, e))
+                        by_col.setdefault(h, []).append((offset + k * cols, e))
+            blocks.append((s, t, cols, by_row, by_col))
+            offset += height * cols
         rows = []
         for element in self.lie_basis:
-            row = []
-            for (s, t), x in zip(self.arrows, scaled):
-                cols = len(x[0]) if x else 0
-                tangent = [0] * (len(x) * cols)
+            row: dict[int, int] = {}
+            for s, t, cols, by_row, by_col in blocks:
                 for i, j, c in element.get(s, ()):
-                    for k, e in enumerate(x[j]):
-                        if e:
-                            tangent[i * cols + k] += c * e
+                    for col, e in by_row.get(j, ()):
+                        row[col + i * cols] = row.get(col + i * cols, 0) + c * e
                 for i, j, c in element.get(t, ()):
-                    for k, x_row in enumerate(x):
-                        if x_row[i]:
-                            tangent[k * cols + j] -= c * x_row[i]
-                row += tangent
-            rows.append(row)
+                    for col, e in by_col.get(i, ()):
+                        row[col + j] = row.get(col + j, 0) - c * e
+            rows.append({col: e for col, e in row.items() if e})
         return rows
+
+    def lie_algebra_rows(self, point: Point) -> list[list[int]]:
+        """``tangent_rows`` as dense integer rows."""
+        width = sum(prod(ScaledMatrix.of(x).shape) for x in point)
+        return [[row.get(col, 0) for col in range(width)] for row in self.tangent_rows(point)]
 
     def weight_value(self, chi: Character, g: GroupElement) -> Fraction:
         """chi(g): each basis character's diagonal ratio p / q to the power c of chi's coordinate, divided once."""

@@ -7,7 +7,7 @@ elimination, ``_bareiss``, gives the determinant and, as Gauss-Jordan, the
 scaled inverse of an integer matrix; the same elimination without row
 exchanges (``leading_principal_minors``) gives the leading principal minors
 as its pivots.  Ranks, rational and integer, come from one sparse
-fraction-free echelon (``rational_rank``) that touches only nonzero
+fraction-free echelon (``sparse_rank``) that touches only nonzero
 entries.  No floating point anywhere.
 """
 
@@ -20,7 +20,7 @@ from typing import Sequence
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix, row-major; each entry type is checked once, and ``TypeError`` names the first non-int."""
 
     rows: int
     cols: int
@@ -31,9 +31,8 @@ class IntegerMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match rows*cols")
-        for e in self.entries:
-            if not isinstance(e, int):
-                raise TypeError(f"non-integer entry {e!r}")
+        if not all(issubclass(t, int) for t in set(map(type, self.entries))):
+            raise TypeError(f"non-integer entry {next(e for e in self.entries if not isinstance(e, int))!r}")
 
     @classmethod
     def from_rows(cls, row_data: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -392,17 +391,20 @@ def mat_mul(a, b):
 
 
 def rational_rank(rows) -> int:
-    """Rank of the matrix M with rows ``rows``, a sequence of Fraction/int rows, by one sparse echelon of L M.
-
-    L is the lcm of the denominators and each row a ``{column: int}`` dict.
-    Fraction-free, a row is reduced against the pivot of its leading column,
-    row = p row - a pivot (p, a the two leading entries over their gcd), then
-    divided by its content gcd, until it vanishes or pivots a new column.
-    """
+    """Rank of the matrix M with Fraction/int rows ``rows``: ``sparse_rank`` of L M, L the lcm of the denominators."""
     scale = lcm(*(e.denominator for r in rows for e in r if e))
+    return sparse_rank({j: e.numerator * (scale // e.denominator) for j, e in enumerate(r) if e} for r in rows)
+
+
+def sparse_rank(rows) -> int:
+    """Rank of the integer rows ``rows``, ``{column: int}`` dicts with no zero stored, by one sparse echelon.
+
+    Fraction-free, a row is reduced against the pivot of its leading column, row = p row - a pivot (p, a the two
+    leading entries over their gcd), then divided by its content gcd, until it vanishes or pivots a new column.
+    The given dicts may be changed.
+    """
     pivots: dict[int, dict[int, int]] = {}
-    for r in rows:
-        row = {j: e.numerator * (scale // e.denominator) for j, e in enumerate(r) if e}
+    for row in rows:
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

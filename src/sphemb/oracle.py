@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .families import ScaledMatrix, bumped_copies, inverse_element
 from .laurent import LaurentPoly
-from .lattice import rational_rank, rational_solve
+from .lattice import rational_rank, rational_solve, sparse_rank
 from .rootdata import Character, Covector, TorusLattice, pair
 
 
@@ -158,10 +158,9 @@ def limit_signature(real, curve_label: str) -> LimitSignature:
 def orbit_dimension(real, point=None) -> int:
     """Rank of the infinitesimal group action at a point (default: base point).
 
-    Exact over the rationals and deterministic.
+    Exact over the rationals and deterministic: ``sparse_rank`` of the sparse ``tangent_rows``.
     """
-    at = real.base_point if point is None else point
-    return rational_rank(real.lie_algebra_rows(at))
+    return sparse_rank(real.tangent_rows(real.base_point if point is None else point))
 
 
 def curve_signature(real, curve_label: str) -> LimitSignature:

@@ -9,6 +9,7 @@ juggling happens at computation time.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -101,14 +102,27 @@ class Character:
         return all(c == 0 for c in self.coords)
 
 
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(c):
+    """``c`` as an int or a ``Fraction``: ``int`` reads a string that is exactly ASCII "n" or "p/q"."""
+    match = _RATIONAL_TEXT.fullmatch(c) if type(c) is str else None
+    if match is None:
+        return c if type(c) is int else Fraction(c)
+    p, q = int(match[1]), int(match[2] or 1)
+    return p if q == 1 else Fraction(p, q)
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class Covector:
     """Rational linear functional on a TorusLattice (acts by dot product).
 
     It is stored in its integer form, which decides equality and hash:
     ``scale``, the lcm of the denominators of ``coords``, and ``numerators``,
-    the integers ``scale * coords``.  No ``Fraction`` is built for an int
-    coordinate; ``coords`` is built, as ``Fraction``s, when first read.
+    the integers ``scale * coords``.  All-int coordinates, and strings that
+    are exactly ASCII "n" or "n/1", are the numerators over scale 1, with no
+    ``Fraction`` and no lcm; ``coords`` is built, as ``Fraction``s, when read.
     """
 
     lattice: TorusLattice
@@ -119,7 +133,9 @@ class Covector:
         coords = tuple(coords)
         if len(coords) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        scale, (numerators,) = scaled_to_integers(([c if isinstance(c, int) else Fraction(c) for c in coords],))
+        if not all(type(c) is int for c in coords):
+            coords = tuple(map(_rational, coords))
+        scale, (numerators,) = (1, (coords,)) if all(type(c) is int for c in coords) else scaled_to_integers((coords,))
         self.__dict__.update(lattice=lattice, scale=scale, numerators=tuple(numerators))
 
     @cached_property

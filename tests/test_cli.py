@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -488,3 +489,77 @@ def test_main_exits_with_the_run_code(monkeypatch, capsys):
         assert exit_info.value.code == code
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == ("ok" if code == 0 else "error")
+
+
+# Per subcommand, options that make a valid call; the first pair is --family.
+_VALID_OPTIONS = {
+    "class-group": ["--family", "monoid:m=3"],
+    "canonical": ["--family", "circular:m=2,n=2,r=1,s=1"],
+    "divisor": ["--family", "monoid:m=3", "--chi", "eps_1:1,eps_2:-1"],
+    "gorenstein": ["--family", "circular:m=2,n=2,r=1,s=1"],
+    "class-of": ["--family", "monoid:m=2", "--divisor", "X_0:1"],
+    "verify": ["--family", "monoid:m=2", "--trials", "1"],
+    "wonderful-section": ["--family", "circular:m=2,n=2,r=1,s=1", "--chi", "eps_2_1:1"],
+    "model": ["--family", "monoid:m=2", "--dump"],
+}
+
+
+def _parse_cases():
+    for command, valid in _VALID_OPTIONS.items():
+        family, rest = valid[1], valid[2:]
+        yield [command, *valid]
+        yield [command, *rest]  # --family missing
+        yield [command, *valid, "--bogus"]
+        yield [command, *valid, "extra"]
+        yield [command, "--fam", family, *rest]
+        yield [command, f"--family={family}", *rest]
+        yield [command, *valid, "--seed", "x"]
+        yield [command, *valid, "--seed", "1", "--seed", "2"]
+        yield [command, "--family", "monoid:m=99999", *valid]
+        yield [command, *valid, "--", "extra"]
+        yield [command, "--", *valid]
+        yield [command, "--help"]
+        yield [command, "--h"]
+    yield []
+    yield ["nosuch", "--family", "monoid:m=3"]
+    yield ["Class-group", "--family", "monoid:m=3"]
+    yield ["class", "--family", "monoid:m=3"]
+    yield ["--family", "monoid:m=3", "class-group"]
+    yield ["--seed", "1", "class-group", "--family", "monoid:m=3"]
+    yield ["-h"]
+    yield ["--help", "class-group"]
+
+
+def _outcomes(capsys):
+    """(argv, exit code or SystemExit code, document written to run's stdout, help text on sys.stdout) per case."""
+    outcomes = []
+    for argv in _parse_cases():
+        out = io.StringIO()
+        try:
+            code = run(argv, stdout=out)
+        except SystemExit as e:
+            code = ("exit", e.code)
+        outcomes.append((argv, code, out.getvalue(), capsys.readouterr().out))
+    return outcomes
+
+
+def test_known_commands_parse_like_the_full_parser(monkeypatch, capsys):
+    # The reference sends every argv through the top-level parser, by giving
+    # run a subcommands action with no known command.
+    from sphemb import cli
+
+    fast = _outcomes(capsys)
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, argparse.Namespace(choices={})))
+    reference = _outcomes(capsys)
+    assert len(fast) == len(reference) == 13 * len(_VALID_OPTIONS) + 8
+    for got, want in zip(fast, reference):
+        assert got == want, got[0]
+    codes = {argv[0] if argv else None: set() for argv, *_ in fast}
+    for argv, code, *_ in fast:
+        codes[argv[0] if argv else None].add(code)
+    # Every subcommand sees success, usage errors and its help.
+    for command in _VALID_OPTIONS:
+        assert {0, 2, ("exit", 0)} <= codes[command], command
+    assert all(doc == "" for _, code, doc, _ in fast if code == ("exit", 0))
+    assert all(help_text.startswith("usage: sphemb") for _, code, _, help_text in fast if code == ("exit", 0))

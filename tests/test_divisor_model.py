@@ -532,6 +532,57 @@ def test_malformed_json_documents_raise_model_document_error(path, value, messag
     assert model_from_json(doc) == monoid_model(2)[0]
 
 
+# Messages and values of the document's reading of one functional coordinate,
+# pinned: integer text ("n", "p/q") is read with int, any other text by
+# Fraction, and both readings must agree with Fraction's on every string.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("--3", "Invalid literal for Fraction: '--3'"),
+        ("+-1", "Invalid literal for Fraction: '+-1'"),
+        ("1/0", "Fraction(1, 0)"),
+        ("-0/0", "Fraction(0, 0)"),
+        ("", "Invalid literal for Fraction: ''"),
+        (" ", "Invalid literal for Fraction: ' '"),
+        ("-3/-4", "Invalid literal for Fraction: '-3/-4'"),
+        ("--3/4", "Invalid literal for Fraction: '--3/4'"),
+        ("1/2/3", "Invalid literal for Fraction: '1/2/3'"),
+        ("-", "Invalid literal for Fraction: '-'"),
+    ],
+)
+def test_functional_coordinate_text_errors_are_pinned(text, message):
+    doc = _edited(model_to_json_dict(monoid_model(3)[0]), ("colors", 0, "functional", 0), text)
+    for given_as in (doc, json.dumps(doc)):
+        with pytest.raises(ModelDocumentError) as caught:
+            model_from_json(given_as)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, scale, numerators",
+    [
+        ("3.5", 2, (7, -2, 0, -2)),
+        ("1e3", 1, (1000, -1, 0, -1)),
+        (" 3", 1, (3, -1, 0, -1)),
+        ("3\n", 1, (3, -1, 0, -1)),
+        ("-0", 1, (0, -1, 0, -1)),
+        ("3/1", 1, (3, -1, 0, -1)),
+        ("007/01", 1, (7, -1, 0, -1)),
+        ("2/4", 2, (1, -2, 0, -2)),
+        ("-6/4", 2, (-3, -2, 0, -2)),
+        ("+3", 1, (3, -1, 0, -1)),
+        ("1_0", 1, (10, -1, 0, -1)),
+        ("\u0663", 1, (3, -1, 0, -1)),
+    ],
+)
+def test_functional_coordinate_text_values_are_pinned(text, scale, numerators):
+    doc = _edited(model_to_json_dict(monoid_model(3)[0]), ("colors", 0, "functional", 0), text)
+    for given_as in (doc, json.dumps(doc)):
+        functional = model_from_json(given_as).colors[0].functional
+        assert (functional.scale, functional.numerators) == (scale, numerators)
+        assert all(type(c) is int for c in functional.numerators)
+
+
 def test_json_text_that_is_not_a_model_document():
     for text in ("{", "[]", "5", "null", '"monoid"'):
         with pytest.raises(ModelDocumentError):

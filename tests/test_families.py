@@ -1102,6 +1102,55 @@ def test_monoid_lie_rows_match_unit_matrix_products():
             assert all(type(e) is int for row in got for e in row)
 
 
+def test_tangent_rows_are_the_sparse_lie_rows_and_rank_like_the_reference():
+    # At each member's base point and curve limits: the sparse tangents match
+    # the unit-matrix products, store no zero, read densely as
+    # lie_algebra_rows, and rank (sparse_rank, orbit_dimension) like Fraction
+    # elimination of the dense rows.
+    from sphemb.lattice import sparse_rank
+    from sphemb.oracle import limit_signature, orbit_dimension
+
+    arrows_of = {"determinantal": ((0, 1),), "circular": ((0, 1), (1, 0)), "complexes": ((0, 1), (1, 2))}
+    specs = [f"monoid:m={m}" for m in range(1, 5)]
+    specs += [f"determinantal:m={m},n={n},r={r}" for m in (2, 3) for n in (2, 3, 4) for r in range(1, min(m, n))]
+    specs += [f"circular:m={m},n={n},r={r},s={s}" for m, n, r, s in admissible_circular_parameters(3, 3)]
+    specs += [
+        f"complexes:l={l},m={m},n={n},r={r},s={s}"
+        for l in (0, 1, 2) for m in (0, 1, 2) for n in (0, 1, 2)
+        for r in range(l + 1) for s in range(n + 1) if r + s <= m
+    ]
+    checked = 0
+    for spec in specs:
+        bundle = build_family(spec)
+        real = bundle.realization
+        points = [real.base_point] + [limit_signature(real, c.label).limit_point for c in real.curves]
+        for point in points:
+            if bundle.name == "monoid":
+                reference = _reference_monoid_lie_rows(bundle.params["m"], point)
+            else:
+                dims = tuple(bundle.params[k] for k in "lmn" if k in bundle.params)
+                reference = _reference_quiver_lie_rows(dims, arrows_of[bundle.name], point)
+            reference = _scaled_by_arrow(reference, point)
+            tangents = real.tangent_rows(point)
+            assert all(0 not in row.values() for row in tangents), spec
+            assert [{j: e for j, e in enumerate(row) if e} for row in reference] == tangents, spec
+            dense = real.lie_algebra_rows(point)
+            assert dense == [[row.get(j, 0) for j in range(len(r))] for row, r in zip(tangents, reference)], spec
+            rank = _reference_rational_rank(dense)
+            assert sparse_rank(real.tangent_rows(point)) == rank == orbit_dimension(real, point), spec
+            checked += 1
+    assert checked > 100
+    # A Lie element acting on both ends of an arrow cancels where it commutes
+    # with X = E_00: the cancelled entry is dropped, not stored as a zero.
+    real = dataclasses.replace(
+        build_family("determinantal:m=2,n=2,r=1").realization,
+        lie_basis=({0: ((0, 0, 1),), 1: ((0, 0, 1),)}, {0: ((0, 1, 1),), 1: ((0, 1, 1),)}, {0: ((0, 0, 2),)}),
+    )
+    assert real.tangent_rows(real.base_point) == [{}, {1: -1}, {0: 2}]
+    assert real.lie_algebra_rows(real.base_point) == [[0, 0, 0, 0], [0, -1, 0, 0], [2, 0, 0, 0]]
+    assert sparse_rank(real.tangent_rows(real.base_point)) == 2 == orbit_dimension(real)
+
+
 def test_monoid_wonderful_pairs_are_the_model_coroots():
     # D_i of the wonderful data pairs -f on the first copy of the lattice with
     # f on the second, f the model's colour functional alpha_i^vee.

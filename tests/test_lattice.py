@@ -289,6 +289,33 @@ def test_integer_inverse_matches_fraction_elimination():
     assert integer_inverse([[-2]]) == (2, [[-1]])
 
 
+@pytest.mark.parametrize("bad", [Fraction(1), 1.0, "1", None])
+@pytest.mark.parametrize("position", [0, 4, 8])
+def test_integer_matrix_names_the_first_non_integer_entry(bad, position):
+    entries = list(range(1, 10))
+    entries[position] = bad
+    with pytest.raises(TypeError) as caught:
+        IntegerMatrix(3, 3, tuple(entries))
+    assert str(caught.value) == f"non-integer entry {bad!r}"
+    # A later offender, of another type or of the same type, is not the one named.
+    for later in (None, 2.5, "2"):
+        if position < 8:
+            entries[8] = later
+            with pytest.raises(TypeError) as caught:
+                IntegerMatrix(3, 3, tuple(entries))
+            assert str(caught.value) == f"non-integer entry {bad!r}"
+
+
+def test_integer_matrix_accepts_bool_and_int_subclass_entries():
+    class Small(int):
+        pass
+
+    m = IntegerMatrix(2, 2, (True, False, Small(3), 4))
+    assert m.entries == (1, 0, 3, 4) and m.row(0) == (True, False)
+    assert IntegerMatrix.from_rows([[True, 2]]).entries == (1, 2)
+    assert IntegerMatrix(0, 3, ()).entries == ()
+
+
 def _reference_rational_rank(rows) -> int:
     # Gauss-Jordan elimination over Fraction, the rank kernel before the
     # fraction-free one.

@@ -110,6 +110,49 @@ def test_integer_covector_builds_no_fraction_until_coords_is_read(monkeypatch):
     assert f.coords is f.coords and len(built) == 3
 
 
+def test_integer_coordinates_match_fraction_and_string_coordinates(monkeypatch):
+    rng = random.Random(23)
+    for rank in range(6):
+        lattice = TorusLattice(tuple(f"e_{i}" for i in range(rank)))
+        for _ in range(30):
+            ints = [rng.randint(-12, 12) for _ in range(rank)]
+            f = Covector(lattice, ints)
+            assert f.scale == 1 and f.numerators == tuple(ints)
+            assert all(type(c) is int for c in f.numerators)
+            for same in (
+                [Fraction(c) for c in ints],
+                [Fraction(2 * c, 2) for c in ints],
+                [str(c) for c in ints],
+                [f"{c}/1" for c in ints],
+                [f"{3 * c}/3" for c in ints],
+                [c == 1 if c in (0, 1) else c for c in ints],
+            ):
+                g = Covector(lattice, same)
+                assert (g.scale, g.numerators) == (f.scale, f.numerators), same
+                assert g == f and hash(g) == hash(f) and repr(g) == repr(f), same
+            if rank:
+                # One non-integer coordinate takes the lcm path, as an all-Fraction covector does.
+                mixed = ints[:-1] + [Fraction(ints[-1], 7)]
+                g = Covector(lattice, mixed)
+                assert g == Covector(lattice, [Fraction(c) for c in mixed]) == Covector(lattice, [str(c) for c in mixed])
+                assert g.scale in (1, 7)
+
+    import sphemb.rootdata as rootdata
+
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(rootdata, "Fraction", CountingFraction)
+    lattice = TorusLattice(("x", "y", "z"))
+    # Integer text, "n" or "n/1", is read with int: no Fraction is built.
+    assert lattice.covector(["1/1", "-2", "0/1"]) == lattice.covector([1, -2, 0]) and built == []
+    assert lattice.covector(["1/2", "-2", "0/1"]).scale == 2 and built == [(1, 2)]
+
+
 def test_combination_is_the_character_sum():
     lattice = TorusLattice(("x", "y", "z"))
     a, b = lattice.character([1, -2, 0]), lattice.character([0, 3, 5])
