@@ -18,19 +18,20 @@ arrows, samplers, membership test and Lie basis from the quiver data.
 
 A group element is a tuple of units, one per factor: a unit (l, L, r, R)
 is the matrix L / l with inverse R / r, for integer matrices L, R and
-integers l, r > 0.  Samplers draw them, ``act`` multiplies on their integer
-matrices and inverts nothing, ``inverse_element`` swaps each unit's halves and
-``bumped_copies`` perturbs them; no other module reads a unit's fields.
+integers l, r > 0.  Samplers draw them (a triangular unit inverted by
+substitution, any other by ``integer_inverse``), ``act`` multiplies on their
+integer matrices and inverts nothing, ``inverse_element`` swaps each unit's
+halves and ``bumped_copies`` perturbs them; no other module reads a unit's fields.
 
 A point is one ``ScaledMatrix`` per arrow: one integer matrix per power of t
 (a layer) over one scale, a rational point being layer 0 alone.  The
 constructors build each base and curve point once in this form.  A translate
 is one integer product per layer (``_translate``), a ``Pairing`` (the
-monoid's dilation) one dot product per pair of layers, and the membership
-tests and the rational minors (one fraction-free elimination) read layer 0
-as stored; two points compare on their integers, and ``Fraction`` or
-``LaurentPoly`` rows are divided out only when read.  ``ScaledMatrix.of``
-converts a matrix given as rows.
+monoid's dilation) one dot product per pair of layers (of layer 0 alone on
+rational points), and the membership tests and the rational minors (one
+fraction-free elimination each way) read layer 0 as stored; two points
+compare on their integers, and ``Fraction`` or ``LaurentPoly`` rows are
+divided out only when read.  ``ScaledMatrix.of`` converts a matrix given as rows.
 
 The realizations' semi-invariants are data: a ``Minor`` or a ``Pairing`` of
 arrows.  Their t-orders along a curve are read by Cauchy-Binet from the
@@ -55,7 +56,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm, prod
 from operator import mul
 from typing import Callable, Sequence
@@ -97,13 +98,14 @@ class ScaledMatrix:
     0 alone (``constant_terms``).  A layer may hold zeros or be all zero.  The
     divided rows are built when first read, and the matrix hashes and compares
     like them; two ``ScaledMatrix`` compare on their integers.  A rational
-    matrix's trailing minors are the pivots of one fraction-free elimination
-    of it turned by 180 degrees; a Laurent matrix's minors, and those past a
-    vanishing pivot, share one memoised expansion (``minor``) on a per-entry
-    {exponent: int} view (``entries``).
+    matrix's leading minors are the pivots of one fraction-free elimination
+    of it as stored, and its trailing minors those of it turned by 180
+    degrees; a Laurent matrix's minors, and those past a vanishing pivot,
+    share one memoised expansion (``minor``) on a per-entry {exponent: int}
+    view (``entries``), a leading minor's on the turned copy (``rotated``).
     """
 
-    __slots__ = ("scale", "shape", "layers", "laurent", "_rows", "_entries", "_minors", "_rotated", "_pivots")
+    __slots__ = ("scale", "shape", "layers", "laurent", "_rows", "_entries", "_minors", "_rotated", "_pivots", "_leading")
 
     def __init__(self, scale: int, shape: tuple[int, int], layers: dict[int, list[list[int]]], laurent: bool):
         self.scale = scale
@@ -115,6 +117,7 @@ class ScaledMatrix:
         self._minors: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
         self._rotated: ScaledMatrix | None = None
         self._pivots: list[int] | None = None
+        self._leading: list[int] | None = None
 
     @classmethod
     def of(cls, m) -> "ScaledMatrix":
@@ -231,26 +234,30 @@ class ScaledMatrix:
             raise ValueError(f"no {k} x {k} minor in a {rows} x {width} matrix")
         if not self.laurent:
             if self._pivots is None:
-                turned = [r[::-1] for r in reversed(self.constant_terms())]
-                self._pivots = [1, *leading_principal_minors(turned)]
+                self._pivots = [1, *leading_principal_minors([r[::-1] for r in reversed(self.constant_terms())])]
             if k < len(self._pivots):
                 return self._pivots[k], self.scale**k
         n = self.minor(tuple(range(width - k, width)))
         return (n if self.laurent else n.get(0, 0)), self.scale**k
 
-    def trailing_minor(self, k: int):
-        """The bottom-right k x k minor, ``trailing_ratio`` divided once."""
-        return _divide(*self.trailing_ratio(k))
+    def leading_ratio(self, k: int) -> tuple:
+        """(n, scale^k) for the top-left k x k minor: a rational matrix's k-th pivot as stored (``trailing_ratio``'s, unturned)."""
+        if not self.laurent and 0 <= k <= min(self.shape):
+            if self._leading is None:
+                self._leading = [1, *leading_principal_minors(self.constant_terms())]
+            if k < len(self._leading):
+                return self._leading[k], self.scale**k
+        return self.rotated.trailing_ratio(k)
 
 
 def leading_minor(m, k: int):
-    """The top-left k x k minor, 0 <= k <= min(rows, columns), read on the matrix turned by 180 degrees."""
-    return ScaledMatrix.of(m).rotated.trailing_minor(k)
+    """The top-left k x k minor, 0 <= k <= min(rows, columns), ``leading_ratio`` divided once."""
+    return _divide(*ScaledMatrix.of(m).leading_ratio(k))
 
 
 def trailing_minor(m, k: int):
-    """The bottom-right k x k minor, 0 <= k <= min(rows, columns); ``ValueError`` otherwise."""
-    return ScaledMatrix.of(m).trailing_minor(k)
+    """The bottom-right k x k minor, 0 <= k <= min(rows, columns), ``trailing_ratio`` divided once; ``ValueError`` otherwise."""
+    return _divide(*ScaledMatrix.of(m).trailing_ratio(k))
 
 
 # Group samplers draw from a wide integer range: translated-curve orders are
@@ -260,8 +267,10 @@ def trailing_minor(m, k: int):
 _GENERIC_RANGE = 999
 
 
-def _rand_int_matrix(rng: random.Random, rows: int, cols: int, lo: int = -4, hi: int = 4):
-    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+def _rand_int_matrix(rng: random.Random, rows: int, cols: int, lo: int = -2, hi: int = 2):
+    """Entries ``rng.randint(lo, hi)`` row-major, drawn as ``randrange(lo, hi + 1)``: the same stream."""
+    draw, hi = rng.randrange, hi + 1
+    return [[draw(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
 def _unit(m: list[list[int]]) -> Unit:
@@ -283,13 +292,20 @@ def _rand_generic(rng: random.Random, n: int) -> Unit:
 
 
 def _rand_triangular(rng: random.Random, n: int, lower: bool) -> Unit:
-    m = [[0] * n for _ in range(n)]
+    """A triangular unit (1, M, d, X), drawn row by row; d = |det M| and X = d M^-1, whose rows solve
+    M X = d I by substitution from M's corner row, each divided exactly by its diagonal entry."""
+    draw, m = rng.randrange, _zeros(n, n)
     for i in range(n):
         m[i][i] = rng.choice([-3, -2, -1, 1, 2, 3])
-        for j in range(n):
-            if (j < i) if lower else (j > i):
-                m[i][j] = rng.randint(-3, 3)
-    return _unit(m)
+        for j in range(i) if lower else range(i + 1, n):
+            m[i][j] = draw(-3, 4)
+    d, x = abs(prod(m[i][i] for i in range(n))), _zeros(n, n)
+    for i in range(n) if lower else reversed(range(n)):
+        row = [d * (i == j) for j in range(n)]
+        for k in range(i) if lower else range(i + 1, n):
+            row = [a - m[i][k] * b for a, b in zip(row, x[k])]
+        x[i] = [a // m[i][i] for a in row]
+    return (1, m, d, x)
 
 
 def inverse_element(g: GroupElement) -> GroupElement:
@@ -331,9 +347,9 @@ class Minor:
         return (trailing_minor if self.trailing else leading_minor)(point[self.arrow], self.k)
 
     def ratio(self, point: Point) -> tuple:
-        """The value as its undivided pair (n, q), q > 0: ``trailing_ratio`` of the arrow's matrix or of it turned."""
+        """The value as its undivided pair (n, q), q > 0: the arrow's matrix's ``trailing_ratio`` or ``leading_ratio``."""
         m = ScaledMatrix.of(point[self.arrow])
-        return (m if self.trailing else m.rotated).trailing_ratio(self.k)
+        return m.trailing_ratio(self.k) if self.trailing else m.leading_ratio(self.k)
 
 
 @dataclass(frozen=True)
@@ -353,13 +369,15 @@ class Pairing:
 
     def ratio(self, point: Point) -> tuple:
         """The value as its undivided pair (n, q), q > 0: an integer n on a rational point, else {exponent: int}."""
-        # Per pair of layers of L_a A and L_b B one dot product, over L_a L_b divisor.
+        # Per pair of layers of L_a A and L_b B one dot product, over L_a L_b divisor; one pair on rational points.
         a, b = ScaledMatrix.of(point[self.arrow_a]), ScaledMatrix.of(point[self.arrow_b])
+        if not (a.laurent or b.laurent):
+            return sum(map(mul, chain(*a.constant_terms()), chain(*b.constant_terms()))), a.scale * b.scale * self.divisor
         total: dict[int, int] = {}
         for e, a_layer in a.layers.items():
             for f, b_layer in b.layers.items():
                 total[e + f] = total.get(e + f, 0) + sum(sum(map(mul, p, q)) for p, q in zip(a_layer, b_layer))
-        return (total if a.laurent or b.laurent else total.get(0, 0)), a.scale * b.scale * self.divisor
+        return total, a.scale * b.scale * self.divisor
 
 
 @dataclass(eq=False)
@@ -515,7 +533,7 @@ class MatrixRealization:
                     if key not in cache:
                         cache[key] = _draw_table(g, key)
                 left, right = cache[left_key], cache[right_key]
-                nonzero = (e for e, terms in groups if sum(left[i] * c * right[j] for i, j, c in terms))
+                nonzero = (e for e, terms in groups if sum([left[i] * c * right[j] for i, j, c in terms]))
                 form_orders.append(next(nonzero, None))
         return orders
 
@@ -557,14 +575,18 @@ class MatrixRealization:
         width = sum(prod(ScaledMatrix.of(x).shape) for x in point)
         return [[row.get(col, 0) for col in range(width)] for row in self.tangent_rows(point)]
 
-    def weight_value(self, chi: Character, g: GroupElement) -> Fraction:
-        """chi(g): each basis character's diagonal ratio p / q to the power c of chi's coordinate, divided once."""
+    def weight_ratio(self, chi: Character, g: GroupElement) -> tuple[int, int]:
+        """chi(g) undivided as (num, den), den != 0: each basis character's diagonal ratio p / q to the power c of chi's coordinate."""
         num = den = 1
         for c, ((f, i), (h, j)) in zip(chi.coords, self.torus):
             if c:
                 p, q = g[f][1][i][i] * g[h][0], g[f][0] * g[h][1][j][j]
                 num, den = (num * p**c, den * q**c) if c > 0 else (num * q**-c, den * p**-c)
-        return Fraction(num, den)
+        return num, den
+
+    def weight_value(self, chi: Character, g: GroupElement) -> Fraction:
+        """chi(g), ``weight_ratio`` divided once."""
+        return Fraction(*self.weight_ratio(chi, g))
 
 
 def _passes_through(curve: Point, point: Point) -> bool:
@@ -1129,10 +1151,6 @@ def _block_matrix(blocks, row_sizes: Sequence[int], col_sizes: Sequence[int]) ->
     return rows
 
 
-def _rand_block(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
-    return _rand_int_matrix(rng, rows, cols, -2, 2)
-
-
 def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: int) -> GroupElement:
     """A random element of the block-shaped stabilizer of the base idempotent."""
     shared_11 = _rand_invertible(rng, r)[1]
@@ -1141,8 +1159,8 @@ def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: in
     b22 = _rand_invertible(rng, n - r - s)[1]
     a = _block_matrix(
         [
-            [shared_11, _rand_block(rng, r, m - r - s), _rand_block(rng, r, s)],
-            [None, a22, _rand_block(rng, m - r - s, s)],
+            [shared_11, _rand_int_matrix(rng, r, m - r - s), _rand_int_matrix(rng, r, s)],
+            [None, a22, _rand_int_matrix(rng, m - r - s, s)],
             [None, None, shared_33],
         ],
         (r, m - r - s, s),
@@ -1151,8 +1169,8 @@ def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: in
     b = _block_matrix(
         [
             [shared_11, None, None],
-            [_rand_block(rng, n - r - s, r), b22, None],
-            [_rand_block(rng, s, r), _rand_block(rng, s, n - r - s), shared_33],
+            [_rand_int_matrix(rng, n - r - s, r), b22, None],
+            [_rand_int_matrix(rng, s, r), _rand_int_matrix(rng, s, n - r - s), shared_33],
         ],
         (r, n - r - s, s),
         (r, n - r - s, s),
@@ -1249,21 +1267,21 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
         a11 = _rand_invertible(rng, r)[1]
         c22 = _rand_invertible(rng, s)[1]
         a_full = _block_matrix(
-            [[a11, _rand_block(rng, r, l - r)], [None, _rand_invertible(rng, l - r)[1]]],
+            [[a11, _rand_int_matrix(rng, r, l - r)], [None, _rand_invertible(rng, l - r)[1]]],
             (r, l - r),
             (r, l - r),
         )
         b_full = _block_matrix(
             [
                 [a11, None, None],
-                [_rand_block(rng, m - r - s, r), _rand_invertible(rng, m - r - s)[1], None],
-                [_rand_block(rng, s, r), _rand_block(rng, s, m - r - s), c22],
+                [_rand_int_matrix(rng, m - r - s, r), _rand_invertible(rng, m - r - s)[1], None],
+                [_rand_int_matrix(rng, s, r), _rand_int_matrix(rng, s, m - r - s), c22],
             ],
             (r, m - r - s, s),
             (r, m - r - s, s),
         )
         c_full = _block_matrix(
-            [[_rand_invertible(rng, n - s)[1], _rand_block(rng, n - s, s)], [None, c22]],
+            [[_rand_invertible(rng, n - s)[1], _rand_int_matrix(rng, n - s, s)], [None, c22]],
             (n - s, s),
             (n - s, s),
         )

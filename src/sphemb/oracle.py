@@ -183,8 +183,8 @@ def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[s
 
     Trial i tests every undecided candidate f against the i-th Borel element b
     of ``Random(seed)`` and the orbit points x = g . x0 and g^-1 . x0 of the
-    i-th boundary draw g (``group_draws``): f(b . x) must equal weight_value(chi,
-    b) * f(x) wherever f(x) != 0, as integer cross-products of undivided values.
+    i-th boundary draw g (``group_draws``): f(b . x) must equal chi(b) f(x) wherever
+    f(x) != 0, as integer cross-products of undivided pairs (``weight_ratio``, ``_ratio``).
     Each b, x and b . x is taken once, only while some candidate is undecided,
     and with no candidate nothing is drawn.
     """
@@ -196,7 +196,7 @@ def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[s
         if all(failures):
             break
         b = real.borel_sampler(rng)
-        factors = {k: real.weight_value(f.claimed_weight, b) for k, f in enumerate(candidates) if failures[k] is None}
+        factors = {k: real.weight_ratio(f.claimed_weight, b) for k, f in enumerate(candidates) if failures[k] is None}
         for h in (g, inverse_element(g)):
             live = [k for k in factors if failures[k] is None]
             if not live:
@@ -204,7 +204,7 @@ def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[s
             x = real.act(h, real.base_point)
             moved = None
             for k in live:
-                f = candidates[k]
+                f, (num, den) = candidates[k], factors[k]
                 n_x, q_x = _ratio(f, x)
                 if n_x == 0:
                     continue
@@ -212,7 +212,7 @@ def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[s
                 if moved is None:
                     moved = real.act(b, x)
                 n_bx, q_bx = _ratio(f, moved)
-                if n_bx * q_x * factors[k].denominator != factors[k].numerator * n_x * q_bx:
+                if n_bx * q_x * den != num * n_x * q_bx:
                     failures[k] = f"{f.name} does not rescale by its claimed weight under the Borel action"
     for k, f in enumerate(candidates):
         if failures[k] is None and not saw_nonzero[k]:

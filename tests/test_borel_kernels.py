@@ -1,0 +1,114 @@
+"""Pins and differential tests for the Borel check's integer kernels.
+
+The pins hash the per-trial values that the seeded `verify` reports reduce
+away: every order list ``form_orders`` gives, and every f(x), f(b . x) and
+chi(b) that the Borel rescaling check can read.  A kernel that is wrong only
+on some draws changes them even where a report's verdict does not move.
+The samplers' triangular units and bounded draws are checked against
+``integer_inverse`` and ``randint``'s stream.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from fractions import Fraction
+from math import prod
+
+from sphemb import families, oracle
+from sphemb.families import build_family, inverse_element
+from sphemb.lattice import integer_inverse
+
+# The monoid and determinantal members of the oracle-verify benchmark.
+_PIN_MEMBERS = (
+    "monoid:m=3",
+    "monoid:m=4",
+    "determinantal:m=2,n=2,r=1",
+    "determinantal:m=2,n=3,r=1",
+    "determinantal:m=3,n=2,r=1",
+    "determinantal:m=3,n=3,r=1",
+    "determinantal:m=3,n=3,r=2",
+)
+_PIN_RUNS = [(seed, trials) for seed in (0, 1, 931794) for trials in (1, 3, 8)]
+
+
+def _pinned_values(spec, seed, trials):
+    """(orders, borel) for one member: per curve and verified form its order list,
+    and per trial, orbit point and candidate (f(x), f(b . x), chi(b)) as reduced fractions."""
+    real = build_family(spec).realization
+    verified = oracle.select_semi_invariants(real, trials=trials, seed=seed)
+    forms = tuple(f.form for f in verified)
+    orders = [(c.label, real.form_orders(forms, c.label, trials, seed)) for c in real.curves]
+    borel = []
+    rng = random.Random(seed)
+    for g in real.group_draws(trials, seed):
+        b = real.borel_sampler(rng)
+        for h in (g, inverse_element(g)):
+            x = real.act(h, real.base_point)
+            moved = real.act(b, x)
+            for f in real.semi_invariants:
+                values = (Fraction(*f.form.ratio(x)), Fraction(*f.form.ratio(moved)))
+                assert values == (f.evaluate(x), f.evaluate(moved)), (spec, f.name)
+                borel.append((f.name, *values, real.weight_value(f.claimed_weight, b)))
+    return orders, borel
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_per_trial_orders_and_borel_values_are_pinned():
+    orders, borel = [], []
+    for spec in _PIN_MEMBERS:
+        for seed, trials in _PIN_RUNS:
+            o, b = _pinned_values(spec, seed, trials)
+            orders.append((spec, seed, trials, o))
+            borel.append((spec, seed, trials, b))
+    assert _digest(orders) == "e57b2be0c8858756f1743493ca5d29244f0f931ff22f30a9e8de7684609fc80c"
+    assert _digest(borel) == "98b800239e453c9ca5882e8b5b41bc3793b1e05bbf294ad80f9ec29ba130ca6e"
+
+
+def _reference_triangular(rng, n, lower):
+    """The triangular draw as the samplers made it with ``randint``: per row its diagonal entry, then the rest."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = rng.choice([-3, -2, -1, 1, 2, 3])
+        for j in range(n):
+            if (j < i) if lower else (j > i):
+                m[i][j] = rng.randint(-3, 3)
+    return m
+
+
+def test_triangular_unit_is_the_integer_inverse_unit():
+    # n = 0..6, both orientations: some draws have det M < 0, and some of
+    # size 3 or more a diagonal of negative entries only.
+    signs, all_negative = set(), set()
+    for n in range(7):
+        for lower in (True, False):
+            for seed in range(12):
+                rng, ref = random.Random(seed), random.Random(seed)
+                unit = families._rand_triangular(rng, n, lower)
+                m = unit[1]
+                assert m == _reference_triangular(ref, n, lower) and rng.getstate() == ref.getstate()
+                assert unit == (1, m, *integer_inverse(m)), (n, lower, seed)
+                diagonal = [m[i][i] for i in range(n)]
+                signs.add(prod(diagonal) > 0)
+                if n >= 3 and max(diagonal) < 0:
+                    all_negative.add(lower)
+    assert signs == {True, False} and all_negative == {True, False}
+
+
+# Every (lo, hi) a sampler draws from: generic units, the stabilizers' units
+# and blocks (the default), a test realization's small units.
+_DRAW_RANGES = [(-999, 999), (-4, 4), None, (-1, 1), (-2, 1), (0, 0)]
+
+
+def test_bounded_draws_follow_the_randint_stream():
+    for bounds in _DRAW_RANGES:
+        lo, hi = bounds or (-2, 2)
+        for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 4)):
+            for seed in range(6):
+                rng, ref = random.Random(seed), random.Random(seed)
+                got = families._rand_int_matrix(rng, rows, cols, *(bounds or ()))
+                assert got == [[ref.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], (bounds, rows, cols)
+                assert rng.getstate() == ref.getstate()

@@ -414,6 +414,32 @@ def test_bundle_builds_its_realization_once(monkeypatch):
         built.clear()
 
 
+def test_no_state_outlives_a_verify_call(monkeypatch):
+    # Two calls in one process do the work of two sphemb processes: each
+    # builds its realization and draws its own group and Borel elements.
+    from sphemb.families import MatrixRealization
+
+    built, counts = [], {"group_sampler": 0, "borel_sampler": 0}
+    original = MatrixRealization.__post_init__
+
+    def post_init(real):
+        original(real)
+        built.append(real)
+        for name in counts:
+
+            def counted(rng, draw=getattr(real, name), name=name):
+                counts[name] += 1
+                return draw(rng)
+
+            setattr(real, name, counted)
+
+    monkeypatch.setattr(MatrixRealization, "__post_init__", post_init)
+    first, second = (_invoke(["verify", "--family", "monoid:m=3"]) for _ in range(2))
+    assert first == second and first[0] == 0 and first[1]["result"]["passed"]
+    assert len(built) == 2 and built[0] is not built[1]
+    assert counts == {"group_sampler": 2 * 8, "borel_sampler": 2 * 8}
+
+
 def test_determinantal_section_runs_no_oracle(monkeypatch):
     from sphemb import oracle
 

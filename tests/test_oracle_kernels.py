@@ -4,7 +4,10 @@ The translate and the monoid's dilation are checked against plain products
 of ``LaurentPoly`` and ``Fraction`` rows, the minors and
 ``leading_principal_minors`` against sympy determinants, ``ScaledMatrix``
 equality against equality of its divided rows, and ``weight_value`` against
-a product of ``Fraction`` powers.
+a product of ``Fraction`` powers.  The Borel check's shortcuts are checked
+against the general paths they skip: leading minors read on the matrix as
+stored against the expansion of it turned, the rational dilation against the
+sum over layers, and ``weight_ratio`` against ``weight_value``.
 """
 
 import random
@@ -19,6 +22,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sphemb.families import (  # noqa: E402
+    Pairing,
     ScaledMatrix,
     _translate,
     admissible_circular_parameters,
@@ -181,6 +185,44 @@ def test_minors_past_a_vanishing_pivot():
     assert [type(leading_minor(m, k)) for k in (1, 2, 3)] == [Fraction] * 3
 
 
+_T = sympy.Symbol("t")
+
+
+def _sympy_block(x, k):
+    """The top-left k x k block of a ``ScaledMatrix`` as sympy entries in t, divided by its scale."""
+    return sympy.Matrix(k, k, lambda i, j: sum(sympy.Rational(m[i][j], x.scale) * _T**e for e, m in x.layers.items()))
+
+
+@_SETTINGS
+@given(st.one_of(planted_minor_matrices().map(ScaledMatrix.of), scaled_matrices()))
+def test_stored_leading_pivots_match_the_turned_expansion_and_sympy(x):
+    # Wide, tall and Laurent matrices, and planted vanishing leading pivots.
+    rows, cols = x.shape
+    n = min(rows, cols)
+    ratios = [x.leading_ratio(k) for k in range(n + 1)]
+    pivots = leading_principal_minors(x.constant_terms())
+    if not x.laurent and 0 not in pivots[: n - 1]:
+        # Every pivot read off the stored matrix: no turned copy is built.
+        assert x._rotated is None and [r for r, _ in ratios] == [1, *pivots]
+    for k, (got, scale) in enumerate(ratios):
+        expanded = x.rotated.minor(tuple(range(cols - k, cols)))
+        assert scale == x.scale**k and got == (expanded if x.laurent else expanded.get(0, 0)), k
+        assert type(got) is (dict if x.laurent else int)
+        value = sum(sympy.Rational(c, scale) * _T**e for e, c in (got.items() if x.laurent else [(0, got)]))
+        assert sympy.expand(_sympy_block(x, k).det(method="berkowitz") - value) == 0, k
+
+
+@_SETTINGS
+@given(st.integers(0, 4).flatmap(lambda m: st.tuples(scaled_matrices(m, m, False), scaled_matrices(m, m, False))),
+       st.sampled_from((1, 2, 3, 6)))
+def test_rational_dilation_is_the_sum_over_layers(pair, divisor):
+    # The rational shortcut against the same arrows read as Laurent matrices.
+    got = Pairing(0, 1, divisor).ratio(pair)
+    layered = Pairing(0, 1, divisor).ratio(tuple(ScaledMatrix(x.scale, x.shape, x.layers, True) for x in pair))
+    assert type(got[0]) is int and got[1] == layered[1] == pair[0].scale * pair[1].scale * divisor
+    assert Fraction(*got) == Fraction(layered[0].get(0, 0), layered[1]) == _reference_dilation(pair, divisor)
+
+
 @st.composite
 def matrix_pairs(draw):
     """Two ``ScaledMatrix``: a copy over another scale with all-zero layers
@@ -306,3 +348,20 @@ def test_weight_value_matches_fraction_powers(spec):
         chi = lattice.character(coords)
         got = real.weight_value(chi, b)
         assert type(got) is Fraction and got == _reference_weight(real, chi, b)
+
+
+@pytest.mark.parametrize("spec", ["monoid:m=3", "monoid:m=4", "circular:m=2,n=3,r=1,s=1", "determinantal:m=3,n=3,r=2"])
+def test_weight_ratio_is_the_undivided_weight_value(spec):
+    # The pair the Borel check cross-multiplies: equal to the value as a
+    # fraction, its denominator nonzero and of either sign.
+    real = build_family(spec).realization
+    lattice = TorusLattice(tuple(f"e_{k}" for k in range(len(real.torus))))
+    rng, signs = random.Random(spec), set()
+    for _ in range(40):
+        b = real.borel_sampler(rng)
+        chi = lattice.character([rng.randint(-3, 3) for _ in real.torus])
+        num, den = real.weight_ratio(chi, b)
+        assert type(num) is int and type(den) is int and den
+        assert Fraction(num, den) == real.weight_value(chi, b) == _reference_weight(real, chi, b)
+        signs.add(den > 0)
+    assert signs == {True, False}
