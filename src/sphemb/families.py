@@ -241,7 +241,7 @@ class ScaledMatrix:
         return (n if self.laurent else n.get(0, 0)), self.scale**k
 
     def leading_ratio(self, k: int) -> tuple:
-        """(n, scale^k) for the top-left k x k minor: a rational matrix's k-th pivot as stored (``trailing_ratio``'s, unturned)."""
+        """(n, scale^k), top-left k x k: a rational matrix's k-th pivot as stored until one vanishes, else ``rotated``'s."""
         if not self.laurent and 0 <= k <= min(self.shape):
             if self._leading is None:
                 self._leading = [1, *leading_principal_minors(self.constant_terms())]
