@@ -26,17 +26,18 @@ halves and ``bumped_copies`` perturbs them; no other module reads a unit's field
 A point is one ``ScaledMatrix`` per arrow: one integer matrix per power of t
 (a layer) over one scale, a rational point being layer 0 alone.  The
 constructors build each base and curve point once in this form.  A translate
-is one integer product per layer (``_translate``), a ``Pairing`` (the
-monoid's dilation) one dot product per pair of layers (of layer 0 alone on
-rational points), and the membership tests and the rational minors (one
-fraction-free elimination each way) read layer 0 as stored; two points
-compare on their integers, and ``Fraction`` or ``LaurentPoly`` rows are
-divided out only when read.  ``ScaledMatrix.of`` converts a matrix given as rows.
+is one integer product per layer (``_translate``); the membership tests and a
+form's value at a rational point (``Minor.ratio``, one fraction-free
+elimination each way, and ``Pairing.ratio``, one dot product) read layer 0 as
+stored; two points compare on their integers, and ``Fraction`` or
+``LaurentPoly`` rows are divided out only when read.  ``ScaledMatrix.of``
+converts a matrix given as rows.
 
-The realizations' semi-invariants are data: a ``Minor`` or a ``Pairing`` of
-arrows.  Their t-orders along a curve are read by Cauchy-Binet from the
-curve's monomial matrices and the seeded draws' integer units
-(``MatrixRealization.form_orders``), without building the translate.
+Every semi-invariant is data: a ``Minor`` or a ``Pairing`` of arrows, checked
+against the arrows when its realization is built.  Its t-orders along a curve
+are read by Cauchy-Binet from the curve's monomial matrices and the seeded
+draws' integer units (``MatrixRealization.form_orders``), without building the
+translate; no form is read on a Laurent matrix.
 
 Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives them
 at construction from each family's ambient map, colour coroots and boundary
@@ -62,7 +63,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel, pairing_table
-from .lattice import integer_inverse, leading_principal_minors, mat_mul, rational_rank
+from .lattice import IntegerMatrix, determinant, integer_inverse, leading_principal_minors, mat_mul, rational_rank
 from .laurent import LaurentPoly, NegativeExponentError
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice
 
@@ -81,13 +82,6 @@ def _zeros(rows: int, cols: int) -> list[list[int]]:
     return [[0] * cols for _ in range(rows)]
 
 
-def _divide(n, scale: int):
-    """n / scale: a ``Fraction`` for an integer n, a ``LaurentPoly`` for an {exponent: int} polynomial n."""
-    if isinstance(n, int):
-        return Fraction(n, scale)
-    return LaurentPoly._from_integers({e: c for e, c in n.items() if c}, scale)
-
-
 class ScaledMatrix:
     """A matrix of rationals or Laurent polynomials held as integer matrices over one scale.
 
@@ -96,16 +90,16 @@ class ScaledMatrix:
     t^e coefficients for an integer ``scale`` > 0.  ``laurent`` says whether
     the entries are ``LaurentPoly`` or ``Fraction``; a rational matrix is layer
     0 alone (``constant_terms``).  A layer may hold zeros or be all zero.  The
-    divided rows are built when first read, and the matrix hashes and compares
-    like them; two ``ScaledMatrix`` compare on their integers.  A rational
-    matrix's leading minors are the pivots of one fraction-free elimination
-    of it as stored, and its trailing minors those of it turned by 180
-    degrees; a Laurent matrix's minors, and those past a vanishing pivot,
-    share one memoised expansion (``minor``) on a per-entry {exponent: int}
-    view (``entries``), a leading minor's on the turned copy (``rotated``).
+    divided rows are built from the layers when first read, and the matrix
+    hashes and compares like them; two ``ScaledMatrix`` compare on their
+    integers.  A rational matrix's leading minors are the pivots of one
+    fraction-free elimination of it as stored, its trailing minors those of it
+    turned by 180 degrees, and a minor past a vanishing pivot the determinant
+    of its block (``minor_ratio``).  A Laurent matrix's minors are not read
+    here: the oracle reads its forms' t-orders by Cauchy-Binet.
     """
 
-    __slots__ = ("scale", "shape", "layers", "laurent", "_rows", "_entries", "_minors", "_rotated", "_pivots", "_leading")
+    __slots__ = ("scale", "shape", "layers", "laurent", "_rows", "_pivots")
 
     def __init__(self, scale: int, shape: tuple[int, int], layers: dict[int, list[list[int]]], laurent: bool):
         self.scale = scale
@@ -113,11 +107,7 @@ class ScaledMatrix:
         self.layers = layers
         self.laurent = laurent
         self._rows: Matrix | None = None
-        self._entries: list[list[dict[int, int]]] | None = None
-        self._minors: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-        self._rotated: ScaledMatrix | None = None
-        self._pivots: list[int] | None = None
-        self._leading: list[int] | None = None
+        self._pivots: dict[bool, list[int]] = {}
 
     @classmethod
     def of(cls, m) -> "ScaledMatrix":
@@ -136,8 +126,16 @@ class ScaledMatrix:
 
     @property
     def rows(self) -> Matrix:
+        """Each entry divided by the scale once: a ``Fraction`` of layer 0, or a ``LaurentPoly`` of every layer."""
         if self._rows is None:
-            self._rows = tuple(tuple(_divide(p if self.laurent else p.get(0, 0), self.scale) for p in r) for r in self.entries())
+            if self.laurent:
+                (rows, cols), items = self.shape, self.layers.items()
+                self._rows = tuple(
+                    tuple(LaurentPoly._from_integers({e: c for e, m in items if (c := m[i][j])}, self.scale) for j in range(cols))
+                    for i in range(rows)
+                )
+            else:
+                self._rows = tuple(tuple(Fraction(c, self.scale) for c in r) for r in self.constant_terms())
         return self._rows
 
     def __len__(self) -> int:
@@ -171,47 +169,6 @@ class ScaledMatrix:
     def __repr__(self):
         return f"ScaledMatrix({self.rows!r})"
 
-    @property
-    def rotated(self) -> "ScaledMatrix":
-        """The matrix turned by 180 degrees, on the same scale.
-
-        Its trailing k x k block is the leading one turned, which reverses
-        both the rows and the columns, so the two determinants are equal.
-        """
-        if self._rotated is None:
-            layers = {e: [r[::-1] for r in reversed(layer)] for e, layer in self.layers.items()}
-            self._rotated = ScaledMatrix(self.scale, self.shape, layers, self.laurent)
-        return self._rotated
-
-    def entries(self) -> list[list[dict[int, int]]]:
-        """Each entry's nonzero stored coefficients as an {exponent: int} dict, built once; the expansion and ``rows`` read it."""
-        if self._entries is None:
-            rows, cols = self.shape
-            self._entries = [[{e: c for e, m in self.layers.items() if (c := m[i][j])} for j in range(cols)] for i in range(rows)]
-        return self._entries
-
-    def minor(self, cols: tuple[int, ...]) -> dict[int, int]:
-        """scale^k times the minor on the last k = len(cols) rows and the columns ``cols``.
-
-        Expanded along its first row, with every sub-minor memoised on its
-        columns (k 2^k products for a k x k block, not k!); the minors of one
-        matrix share the memo; each term is added times its sign.
-        """
-        total = self._minors.get(cols)
-        if total is None:
-            row = self.entries()[self.shape[0] - len(cols)]
-            total = {}
-            for pos, j in enumerate(cols):
-                if row[j]:
-                    sign = -1 if pos % 2 else 1
-                    sub = self.minor(cols[:pos] + cols[pos + 1 :]).items()
-                    for e1, c1 in row[j].items():
-                        c1 *= sign
-                        for e2, c2 in sub:
-                            total[e1 + e2] = total.get(e1 + e2, 0) + c1 * c2
-            self._minors[cols] = total = {e: c for e, c in total.items() if c}
-        return total
-
     def constant_terms(self) -> list[list[int]]:
         """scale times each entry's t^0 coefficient, layer 0 as stored: the scaled matrix itself when its entries are rational."""
         layer = self.layers.get(0)
@@ -223,41 +180,30 @@ class ScaledMatrix:
             raise NegativeExponentError("no limit at t=0: negative powers of t present")
         return ScaledMatrix(self.scale, self.shape, {0: self.constant_terms()}, False)
 
-    def trailing_ratio(self, k: int) -> tuple:
-        """(n, scale^k) for the bottom-right k x k minor n / scale^k, undivided; 0 <= k <= min(rows, columns).
+    def minor_ratio(self, k: int, trailing: bool = False) -> tuple[int, int]:
+        """(n, scale^k) for the top-left k x k minor n / scale^k of a rational matrix, the bottom-right one if ``trailing``.
 
-        On a rational matrix n is an integer, the k-th pivot of the elimination while no
-        earlier pivot vanished; else the expansion gives it, {exponent: int} on a Laurent one.
+        n is the k-th pivot of one fraction-free elimination of layer 0 as
+        stored, or turned by 180 degrees for a trailing minor (the turned
+        block reverses both its rows and its columns, so its determinant is
+        the same), while no earlier pivot vanished; past a vanishing pivot it
+        is ``determinant`` of the k x k block.  ``ValueError`` on a Laurent
+        matrix or unless 0 <= k <= min(rows, columns).
         """
-        rows, width = self.shape
-        if not 0 <= k <= min(rows, width):
-            raise ValueError(f"no {k} x {k} minor in a {rows} x {width} matrix")
-        if not self.laurent:
-            if self._pivots is None:
-                self._pivots = [1, *leading_principal_minors([r[::-1] for r in reversed(self.constant_terms())])]
-            if k < len(self._pivots):
-                return self._pivots[k], self.scale**k
-        n = self.minor(tuple(range(width - k, width)))
-        return (n if self.laurent else n.get(0, 0)), self.scale**k
-
-    def leading_ratio(self, k: int) -> tuple:
-        """(n, scale^k), top-left k x k: a rational matrix's k-th pivot as stored until one vanishes, else ``rotated``'s."""
-        if not self.laurent and 0 <= k <= min(self.shape):
-            if self._leading is None:
-                self._leading = [1, *leading_principal_minors(self.constant_terms())]
-            if k < len(self._leading):
-                return self._leading[k], self.scale**k
-        return self.rotated.trailing_ratio(k)
-
-
-def leading_minor(m, k: int):
-    """The top-left k x k minor, 0 <= k <= min(rows, columns), ``leading_ratio`` divided once."""
-    return _divide(*ScaledMatrix.of(m).leading_ratio(k))
-
-
-def trailing_minor(m, k: int):
-    """The bottom-right k x k minor, 0 <= k <= min(rows, columns), ``trailing_ratio`` divided once; ``ValueError`` otherwise."""
-    return _divide(*ScaledMatrix.of(m).trailing_ratio(k))
+        rows, cols = self.shape
+        if self.laurent:
+            raise ValueError("minors are read on rational matrices only")
+        if not 0 <= k <= min(rows, cols):
+            raise ValueError(f"no {k} x {k} minor in a {rows} x {cols} matrix")
+        layer = self.constant_terms()
+        pivots = self._pivots.get(trailing)
+        if pivots is None:
+            turned = [r[::-1] for r in reversed(layer)] if trailing else layer
+            pivots = self._pivots[trailing] = [1, *leading_principal_minors(turned)]
+        if k < len(pivots):
+            return pivots[k], self.scale**k
+        block = [r[cols - k :] for r in layer[rows - k :]] if trailing else [r[:k] for r in layer[:k]]
+        return determinant(IntegerMatrix.from_rows(block)), self.scale**k
 
 
 # Group samplers draw from a wide integer range: translated-curve orders are
@@ -343,13 +289,21 @@ class Minor:
     def arrows(self) -> tuple[int, ...]:
         return (self.arrow,)
 
-    def __call__(self, point: Point):
-        return (trailing_minor if self.trailing else leading_minor)(point[self.arrow], self.k)
+    def fault(self, shapes: Sequence[tuple[int, int]]) -> str | None:
+        """Why the form cannot be read on points whose arrows have these ``shapes``, or ``None``."""
+        if not 0 <= self.arrow < len(shapes):
+            return f"no arrow {self.arrow}"
+        rows, cols = shapes[self.arrow]
+        if not 0 <= self.k <= min(rows, cols):
+            return f"no {self.k} x {self.k} minor of arrow {self.arrow}'s {rows} x {cols} matrix"
+        return None
 
-    def ratio(self, point: Point) -> tuple:
-        """The value as its undivided pair (n, q), q > 0: the arrow's matrix's ``trailing_ratio`` or ``leading_ratio``."""
-        m = ScaledMatrix.of(point[self.arrow])
-        return m.trailing_ratio(self.k) if self.trailing else m.leading_ratio(self.k)
+    def __call__(self, point: Point) -> Fraction:
+        return Fraction(*self.ratio(point))
+
+    def ratio(self, point: Point) -> tuple[int, int]:
+        """The value at a rational point as its undivided pair (n, q), q > 0: the arrow's matrix's ``minor_ratio``."""
+        return ScaledMatrix.of(point[self.arrow]).minor_ratio(self.k, self.trailing)
 
 
 @dataclass(frozen=True)
@@ -364,40 +318,48 @@ class Pairing:
     def arrows(self) -> tuple[int, ...]:
         return (self.arrow_a, self.arrow_b)
 
-    def __call__(self, point: Point):
-        return _divide(*self.ratio(point))
+    def fault(self, shapes: Sequence[tuple[int, int]]) -> str | None:
+        """Why the form cannot be read on points whose arrows have these ``shapes``, or ``None``."""
+        for a in self.arrows:
+            if not 0 <= a < len(shapes):
+                return f"no arrow {a}"
+        if self.divisor < 1:
+            return f"divisor {self.divisor} is below 1"
+        if shapes[self.arrow_a] != shapes[self.arrow_b]:
+            return f"arrows {self.arrow_a} and {self.arrow_b} have shapes {shapes[self.arrow_a]} and {shapes[self.arrow_b]}"
+        return None
 
-    def ratio(self, point: Point) -> tuple:
-        """The value as its undivided pair (n, q), q > 0: an integer n on a rational point, else {exponent: int}."""
-        # Per pair of layers of L_a A and L_b B one dot product, over L_a L_b divisor; one pair on rational points.
+    def __call__(self, point: Point) -> Fraction:
+        return Fraction(*self.ratio(point))
+
+    def ratio(self, point: Point) -> tuple[int, int]:
+        """The value at a rational point as its undivided pair (n, q), q > 0: for the stored L_a A and L_b B,
+        one integer dot product over L_a L_b divisor.  ``ValueError`` on a Laurent point."""
         a, b = ScaledMatrix.of(point[self.arrow_a]), ScaledMatrix.of(point[self.arrow_b])
-        if not (a.laurent or b.laurent):
-            return sum(map(mul, chain(*a.constant_terms()), chain(*b.constant_terms()))), a.scale * b.scale * self.divisor
-        total: dict[int, int] = {}
-        for e, a_layer in a.layers.items():
-            for f, b_layer in b.layers.items():
-                total[e + f] = total.get(e + f, 0) + sum(sum(map(mul, p, q)) for p, q in zip(a_layer, b_layer))
-        return total, a.scale * b.scale * self.divisor
+        if a.laurent or b.laurent:
+            raise ValueError("a pairing is read on rational points only")
+        return sum(map(mul, chain(*a.constant_terms()), chain(*b.constant_terms()))), a.scale * b.scale * self.divisor
 
 
 @dataclass(eq=False)
 class SemiInvariantSpec:
     """A polynomial function of the matrix entries with a claimed weight.
 
-    ``form``, when given, is the function as data, a ``Minor`` or a
-    ``Pairing``, and ``evaluate`` is that form; the oracle reads the t-orders
-    of such a spec by Cauchy-Binet (``MatrixRealization.form_orders``).  A
-    spec with a plain ``evaluate`` and no form is evaluated on translates.
+    ``form`` is the function as data, a ``Minor`` or a ``Pairing``; anything
+    else raises ``ValueError``.  The oracle reads its t-orders by Cauchy-Binet
+    (``MatrixRealization.form_orders``) and its values at rational points from
+    ``form.ratio``.  ``evaluate`` is the form itself, set at construction.
     """
 
     name: str
-    evaluate: Callable[[Point], object] | None
     claimed_weight: Character
-    form: Minor | Pairing | None = None
+    form: Minor | Pairing
+    evaluate: Callable[[Point], Fraction] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.form is not None:
-            self.evaluate = self.form
+        if not isinstance(self.form, (Minor, Pairing)):
+            raise ValueError(f"semi-invariant {self.name} has no Minor or Pairing form")
+        self.evaluate = self.form
 
 
 @dataclass(frozen=True)
@@ -443,7 +405,12 @@ class MatrixRealization:
         for c in self.curves:
             if not _passes_through(c.point, self.base_point):
                 raise ValueError(f"curve {c.label} does not pass through the base point at t=1")
-        for a in {a for f in self.semi_invariants if f.form is not None for a in f.form.arrows}:
+        shapes = [ScaledMatrix.of(x).shape for x in self.base_point]
+        for f in self.semi_invariants:
+            fault = f.form.fault(shapes)
+            if fault is not None:
+                raise ValueError(f"semi-invariant {f.name}: {fault}")
+        for a in {a for f in self.semi_invariants for a in f.form.arrows}:
             for c in self.curves:
                 self.monomial_entries(c.label, a)
 
@@ -878,13 +845,13 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
     lattice = model.weight_lattice
     # The dilation d = sum a_ij b_ij / m, then the leading and trailing minors of A.
     d_weight = lattice.basis_character("eps_1") + lattice.basis_character(f"eps_{m + 1}")
-    semi = [SemiInvariantSpec("d", None, d_weight, Pairing(0, 1, m))]
+    semi = [SemiInvariantSpec("d", d_weight, Pairing(0, 1, m))]
     for i in range(1, m + 1):
         chi = lattice.character([1 if k < i else 0 for k in range(m)] + [0])
-        semi.append(SemiInvariantSpec(f"Delta_{i}", None, chi, Minor(0, i)))
+        semi.append(SemiInvariantSpec(f"Delta_{i}", chi, Minor(0, i)))
     for i in range(1, m):
         chi = lattice.character([1 if k >= m - i else 0 for k in range(m)] + [0])
-        semi.append(SemiInvariantSpec(f"Delta_trail_{i}", None, chi, Minor(0, i, trailing=True)))
+        semi.append(SemiInvariantSpec(f"Delta_trail_{i}", chi, Minor(0, i, trailing=True)))
 
     arrows = ((0, 2), (1, 3))  # (a1, b1, a2, b2) . (X, Y) = (a1 X a2^-1, b1 Y b2^-1)
     cochars = _monoid_cocharacters(m).items()
@@ -1203,7 +1170,7 @@ def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) ->
     semi = []
     for i in range(1, r + 1):
         chi = lattice.character([1 if k < i else 0 for k in range(r)])
-        semi.append(SemiInvariantSpec(f"Delta_{i}", None, chi, Minor(0, i)))
+        semi.append(SemiInvariantSpec(f"Delta_{i}", chi, Minor(0, i)))
 
     base, arrows = (_monomial_matrix(m, n, _standard_er(r)),), ((0, 1),)
     # The circular lambda_r at s = 0; its limit is the candidate boundary orbit X_{r-1}.

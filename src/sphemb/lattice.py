@@ -335,11 +335,6 @@ def _dense(vectors: list[dict[int, int]], size: int, columns: bool = False) -> I
     return IntegerMatrix(rows, cols, tuple(flat))
 
 
-def integer_rank(a: IntegerMatrix) -> int:
-    """Rank of an integer matrix: over Z it is the rank over Q."""
-    return rational_rank(a.to_rows())
-
-
 def cokernel(a: IntegerMatrix) -> AbelianGroupPresentation:
     """Presentation of Z^cols modulo the row span of ``a``.
 

@@ -2,7 +2,7 @@
 
 Every check here works over the rationals with exact arithmetic: t-adic
 orders of semi-invariants along generically translated boundary curves
-(read by Cauchy-Binet for the realizations' own semi-invariants),
+(read by Cauchy-Binet from each semi-invariant's form),
 cocharacter limits, Jacobian-rank orbit dimensions, Borel semi-invariance of
 claimed weights, and stabilizer membership.  Randomness is only used to pick
 Zariski-generic group elements; identical seeds give identical reports, and
@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .families import ScaledMatrix, bumped_copies, inverse_element
-from .laurent import LaurentPoly
 from .lattice import rational_rank, rational_solve, sparse_rank
 from .rootdata import Character, Covector, TorusLattice, pair
 
@@ -117,31 +115,21 @@ def t_order(
     polynomial in t; the generic order is the minimum over trials, with
     ``stable`` recording all-trials agreement.  The elements are the first
     ``trials`` draws of ``Random(seed)``, drawn once per realization
-    (``group_draws``), so every curve sees the same ones.  A function with a
-    ``form`` is read by Cauchy-Binet on those draws without building the
-    translate (``MatrixRealization.form_orders``); any other is evaluated on
-    the translate.
+    (``group_draws``), so every curve sees the same ones.  Each function's
+    form is read by Cauchy-Binet on those draws, without building the
+    translate (``MatrixRealization.form_orders``).
 
     ``f`` may also be a tuple of semi-invariants: every function is then
-    read on the same seeded translates, each built at most once per trial,
-    and the result is a tuple with one ``TOrderResult`` per function, or
-    ``None`` for a function that vanished on every trial.  A single function
-    that vanished on every trial raises ``IdenticallyZeroError``.
+    read on the same seeded draws, and the result is a tuple with one
+    ``TOrderResult`` per function, or ``None`` for a function that vanished
+    on every trial.  A single function that vanished on every trial raises
+    ``IdenticallyZeroError``.
     """
     _check_trials(trials)
+    real.curve(curve_label)  # KeyError for an unknown label, also with no function to read
     functions = f if isinstance(f, tuple) else (f,)
-    curve = real.curve(curve_label)
-    structured = [k for k, fn in enumerate(functions) if fn.form is not None]
-    plain = [k for k, fn in enumerate(functions) if fn.form is None]
-    forms = tuple(functions[k].form for k in structured)
-    orders = dict(zip(structured, real.form_orders(forms, curve_label, trials, seed)))
-    if plain:
-        orders.update((k, []) for k in plain)
-        for g in real.group_draws(trials, seed):
-            translate = real.act(g, curve)
-            for k in plain:
-                orders[k].append(LaurentPoly._coerce(functions[k].evaluate(translate)).order())
-    results = tuple(_order_result(orders[k]) for k in range(len(functions)))
+    orders = real.form_orders(tuple(fn.form for fn in functions), curve_label, trials, seed)
+    results = tuple(map(_order_result, orders))
     if isinstance(f, tuple):
         return results
     if results[0] is None:
@@ -173,18 +161,13 @@ def base_orbit_dimension(real) -> int:
     return real.memo("base_orbit_dimension", lambda: orbit_dimension(real))
 
 
-def _ratio(f, x) -> tuple[int, int]:
-    """f(x) at a rational point as an undivided pair (n, q), q > 0: its form's own, else its ``Fraction``'s."""
-    return f.form.ratio(x) if f.form is not None else Fraction(f.evaluate(x)).as_integer_ratio()
-
-
 def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[str | None]:
     """Per candidate, ``None`` if it passes the Borel rescaling check, else why not.
 
     Trial i tests every undecided candidate f against the i-th Borel element b
     of ``Random(seed)`` and the orbit points x = g . x0 and g^-1 . x0 of the
     i-th boundary draw g (``group_draws``): f(b . x) must equal chi(b) f(x) wherever
-    f(x) != 0, as integer cross-products of undivided pairs (``weight_ratio``, ``_ratio``).
+    f(x) != 0, as integer cross-products of undivided pairs (``weight_ratio``, ``form.ratio``).
     Each b, x and b . x is taken once, only while some candidate is undecided,
     and with no candidate nothing is drawn.
     """
@@ -205,13 +188,13 @@ def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[s
             moved = None
             for k in live:
                 f, (num, den) = candidates[k], factors[k]
-                n_x, q_x = _ratio(f, x)
+                n_x, q_x = f.form.ratio(x)
                 if n_x == 0:
                     continue
                 saw_nonzero[k] = True
                 if moved is None:
                     moved = real.act(b, x)
-                n_bx, q_bx = _ratio(f, moved)
+                n_bx, q_bx = f.form.ratio(moved)
                 if n_bx * q_x * den != num * n_x * q_bx:
                     failures[k] = f"{f.name} does not rescale by its claimed weight under the Borel action"
     for k, f in enumerate(candidates):

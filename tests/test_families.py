@@ -19,7 +19,10 @@ from sphemb.divisor_model import (
 )
 from sphemb.families import (
     FamilyParameterError,
+    Minor,
+    Pairing,
     ScaledMatrix,
+    SemiInvariantSpec,
     admissible_circular_parameters,
     build_family,
     circular_complexes_model,
@@ -80,6 +83,37 @@ def test_monoid_realization_membership_and_curves():
         g = real.group_sampler(rng)
         assert real.membership(real.act(g, real.base_point))
     assert {c.boundary: c.label for c in real.curves} == {f"X_{r}": f"lambda_{r}" for r in range(4)}
+
+
+@pytest.mark.parametrize(
+    "spec, form, message",
+    [
+        # With divisor 0 both sides of the Borel cross-product are 0, so any claimed weight would pass.
+        ("monoid:m=3", Pairing(0, 1, 0), "divisor 0 is below 1"),
+        ("monoid:m=2", Minor(0, 3), "no 3 x 3 minor of arrow 0's 2 x 2 matrix"),
+        ("monoid:m=2", Minor(0, -1), "no -1 x -1 minor"),
+        ("monoid:m=2", Minor(5, 1), "no arrow 5"),
+        ("monoid:m=2", Pairing(0, 2, 1), "no arrow 2"),
+        ("circular:m=2,n=3,r=1,s=1", Pairing(0, 1, 1), r"arrows 0 and 1 have shapes \(2, 3\) and \(3, 2\)"),
+    ],
+)
+def test_malformed_forms_fail_construction(spec, form, message):
+    # Each form is checked against the realization's arrows when it is built, naming the semi-invariant.
+    bundle = build_family(spec)
+    real, weight = bundle.realization, bundle.model.weight_lattice.combination([])
+    with pytest.raises(ValueError, match=f"semi-invariant bad: {message}"):
+        dataclasses.replace(real, semi_invariants=real.semi_invariants + (SemiInvariantSpec("bad", weight, form),))
+
+
+def test_semi_invariants_are_forms():
+    # A plain callable, or no form at all, is refused; evaluate is the form itself.
+    _, real = monoid_model(2)
+    weight = real.semi_invariants[0].claimed_weight
+    for form in (None, lambda point: Fraction(1), Fraction(1)):
+        with pytest.raises(ValueError, match="semi-invariant plain has no Minor or Pairing form"):
+            SemiInvariantSpec("plain", weight, form)
+    spec = SemiInvariantSpec("one", weight, Minor(0, 0))
+    assert spec.evaluate is spec.form and spec.evaluate(real.base_point) == 1
 
 
 def test_circular_parameter_validation():
@@ -811,22 +845,27 @@ def test_apply_pair_matches_reference_products():
     _same_entries(_apply_pair(g, ((), ()), ()), _reference_apply_pair(g, ((), ()), ()))
 
 
+def _minor(m, k, trailing=False) -> Fraction:
+    """The top-left, or bottom-right, k x k minor of m: ``ScaledMatrix.minor_ratio`` divided once."""
+    from sphemb.families import ScaledMatrix
+
+    return Fraction(*ScaledMatrix.of(m).minor_ratio(k, trailing))
+
+
 def test_full_minor_matches_cofactor_expansion():
-    # The determinant of a square matrix is its full trailing (and leading)
-    # minor: a LaurentPoly when some entry is one, a Fraction otherwise.
-    from sphemb.families import leading_minor, trailing_minor
+    # The determinant of a rational square matrix is its full trailing (and
+    # leading) minor; a matrix with a LaurentPoly entry has no minor read here.
     from sphemb.laurent import LaurentPoly, T
 
     def check(rows):
         n = len(rows)
-        got = trailing_minor(rows, n)
-        assert got == _reference_det(rows) == leading_minor(rows, n)
-        if n == 0:
-            assert got == 1 and type(got) is Fraction
-        elif any(isinstance(e, LaurentPoly) for r in rows for e in r):
-            assert type(got) is LaurentPoly
-        else:
-            assert type(got) is Fraction
+        if any(isinstance(e, LaurentPoly) for r in rows for e in r):
+            for trailing in (False, True):
+                with pytest.raises(ValueError, match="rational matrices only"):
+                    _minor(rows, n, trailing)
+            return None
+        got = _minor(rows, n, True)
+        assert got == _reference_det(rows) == _minor(rows, n)
         return got
 
     rng = random.Random(3)
@@ -841,11 +880,11 @@ def test_full_minor_matches_cofactor_expansion():
             if n > 1 and rng.random() < 0.2:
                 rows[-1] = list(rows[0])  # singular: two equal rows
             check(rows)
-    # Laurent terms that cancel: t*1 - t*1, and a constant determinant
-    assert check([[T, T], [1, 1]]) == 0
-    assert check([[1 + T, T], [1, 1]]) == 1
-    assert check([[T, LaurentPoly({-1: 1})], [1, LaurentPoly({-2: 1})]]) == 0
+    # Laurent terms that would cancel, t*1 - t*1, are still refused, and a constant determinant
+    assert check([[T, T], [1, 1]]) is check([[1 + T, T], [1, 1]]) is None
+    assert check([[T, LaurentPoly({-1: 1})], [1, LaurentPoly({-2: 1})]]) is None
     assert check([[Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 0], [0, 0, 3]]) == 1
+    assert check([]) == 1
 
 
 def _random_minor_matrix(rng, rows, cols):
@@ -867,11 +906,10 @@ def _random_minor_matrix(rng, rows, cols):
 
 
 def test_minors_match_reference_determinants_of_sliced_blocks():
-    # Delta_k is read on the matrix turned by 180 degrees, the trailing
-    # minors on the matrix itself, and every k of one matrix shares its
-    # elimination pivots (rational) or expansion memo (Laurent), read here
-    # in a random order.
-    from sphemb.families import ScaledMatrix, leading_minor, trailing_minor
+    # Delta_k is read on the matrix as stored, the trailing minors on it
+    # turned by 180 degrees, and every k of one matrix shares its elimination
+    # pivots, read here in a random order; a Laurent matrix is refused.
+    from sphemb.families import ScaledMatrix
 
     rng = random.Random(29)
     for _ in range(300):
@@ -881,10 +919,14 @@ def test_minors_match_reference_determinants_of_sliced_blocks():
         ks = list(range(1, min(rows, cols) + 1))
         rng.shuffle(ks)
         for k in ks:
+            if scaled.laurent:
+                with pytest.raises(ValueError, match="rational matrices only"):
+                    scaled.minor_ratio(k, rng.random() < 0.5)
+                continue
             lead = _reference_det([r[:k] for r in m[:k]])
             trail = _reference_det([r[cols - k :] for r in m[rows - k :]])
-            assert leading_minor(scaled, k) == lead == leading_minor(m, k), (m, k)
-            assert trailing_minor(scaled, k) == trail == trailing_minor(m, k), (m, k)
+            assert _minor(scaled, k) == lead == _minor(m, k), (m, k)
+            assert _minor(scaled, k, True) == trail == _minor(m, k, True), (m, k)
         assert scaled._rows is None  # the minors read the stored integers only
 
 
@@ -900,7 +942,7 @@ def _divided_layers(scale, shape, layers, laurent):
 
 
 def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
-    from sphemb.families import ScaledMatrix, _translate, leading_minor, trailing_minor
+    from sphemb.families import ScaledMatrix, _translate
     from sphemb.lattice import scaled_to_integers
     from sphemb.laurent import LaurentPoly
 
@@ -930,63 +972,67 @@ def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
         changed[0][0] += 1
         changed = tuple(tuple(r) for r in changed)
         assert moved != changed and changed != moved and not moved == changed
-        # A second translate and the minors read the stored form as they are.
+        # A second translate and the rational minors read the stored form as they are.
         identity = [[int(i == j) for j in range(rows)] for i in range(rows)], [[int(i == j) for j in range(cols)] for i in range(cols)]
         assert _translate((3, [[3 * e for e in r] for r in identity[0]]), moved, (1, identity[1])) == eager
         for k in range(1, min(rows, cols) + 1):
-            assert leading_minor(moved, k) == leading_minor(eager, k)
-            assert trailing_minor(moved, k) == trailing_minor(eager, k)
+            if laurent:
+                with pytest.raises(ValueError, match="rational matrices only"):
+                    moved.minor_ratio(k)
+            else:
+                assert _minor(moved, k) == _minor(eager, k) == _reference_det([r[:k] for r in eager[:k]])
+                assert _minor(moved, k, True) == _minor(eager, k, True)
 
 
 def test_minor_memos_belong_to_one_matrix():
-    # Two translates with equal shapes share no memo: the second one's
-    # minors are its own, whichever is expanded first.
-    from sphemb.families import ScaledMatrix, leading_minor
+    # Two matrices with equal shapes share no pivots: the second one's
+    # minors are its own, whichever is eliminated first.
+    from sphemb.families import ScaledMatrix
 
     a = ScaledMatrix.of([[1, 2, 0], [3, 4, 5], [0, 6, 7]])
     b = ScaledMatrix.of([[7, 0, 1], [0, 2, 0], [5, 0, 3]])
-    assert [leading_minor(a, k) for k in (1, 2, 3)] == [1, -2, -44]
-    assert [leading_minor(b, k) for k in (1, 2, 3)] == [7, 14, 32]
-    assert [leading_minor(a, k) for k in (3, 2, 1)] == [-44, -2, 1]
+    assert [_minor(a, k) for k in (1, 2, 3)] == [1, -2, -44]
+    assert [_minor(b, k) for k in (1, 2, 3)] == [7, 14, 32]
+    assert [_minor(a, k) for k in (3, 2, 1)] == [-44, -2, 1]
+    assert [_minor(b, k, True) for k in (1, 2, 3)] == [3, 6, 32]
 
 
 def test_stored_zero_coefficients_read_as_zero():
     # A stored coefficient may be zero, as where terms cancelled, and a
     # layer may be all zero, here the t^-1 and t^3 layers.
-    from sphemb.families import ScaledMatrix, _translate, leading_minor, trailing_minor
+    from sphemb.families import ScaledMatrix, _translate
     from sphemb.laurent import LaurentPoly, T
 
     layers = {0: [[0, 0], [4, 0]], 1: [[2, 0], [0, 0]], -1: [[0, 0], [0, 0]], 2: [[0, 0], [0, 6]], 3: [[0, 0], [0, 0]]}
     stored = ScaledMatrix(2, (2, 2), layers, True)
     rows = ((T, LaurentPoly()), (LaurentPoly.constant(2), 3 * T**2))
     assert stored == rows and hash(stored) == hash(rows)
+    assert [[p.order() for p in r] for r in stored.rows] == [[1, None], [0, 2]]
     assert stored == ScaledMatrix(1, (2, 2), {1: [[1, 0], [0, 0]], 0: [[0, 0], [2, 0]], 2: [[0, 0], [0, 3]]}, True)
-    assert leading_minor(stored, 1) == T and leading_minor(stored, 2) == 3 * T**3
-    assert trailing_minor(stored, 1) == 3 * T**2
     assert stored.limit() == ((0, 0), (2, 0))
     # A rational matrix with an all-zero layer 0, and one with no layer at all.
     for zero in (ScaledMatrix(5, (2, 2), {0: [[0, 0], [0, 0]]}, False), ScaledMatrix(5, (2, 2), {}, False)):
         assert zero == ((0, 0), (0, 0)) and zero.constant_terms() == [[0, 0], [0, 0]]
-        assert leading_minor(zero, 1) == trailing_minor(zero, 2) == 0
-    assert leading_minor(_translate((1, [[1, 0], [0, 1]]), stored, (1, [[1, 0], [0, 1]])), 2) == 3 * T**3
+        assert _minor(zero, 1) == _minor(zero, 2, True) == 0
+    assert _translate((1, [[1, 0], [0, 1]]), stored, (1, [[1, 0], [0, 1]])) == rows
     # g x g^-1 with g = [[1, 1], [0, 1]] fixes the identity through cancelling terms.
     fixed = _translate((1, [[1, 1], [0, 1]]), ((1, 0), (0, 1)), (1, [[1, -1], [0, 1]]))
-    assert fixed == ((1, 0), (0, 1)) and trailing_minor(fixed, 1) == 1 and leading_minor(fixed, 2) == 1
+    assert fixed == ((1, 0), (0, 1)) and _minor(fixed, 1, True) == 1 and _minor(fixed, 2) == 1
 
 
 def test_minor_sizes_are_checked():
     # A k x k minor needs 0 <= k <= min(rows, columns); the 2 x 3 matrix has no 3 x 3 block.
-    from sphemb.families import ScaledMatrix, leading_minor, trailing_minor
+    from sphemb.families import ScaledMatrix
 
     m = [[1, 2, 3], [4, 5, 6]]
     for matrix in (m, ScaledMatrix.of(m), list(zip(*m))):
         for k in (-1, 3):
             with pytest.raises(ValueError, match="minor"):
-                leading_minor(matrix, k)
+                _minor(matrix, k)
             with pytest.raises(ValueError, match="minor"):
-                trailing_minor(matrix, k)
-        assert leading_minor(matrix, 0) == trailing_minor(matrix, 0) == 1
-    assert leading_minor(m, 2) == trailing_minor(m, 2) == -3
+                _minor(matrix, k, True)
+        assert _minor(matrix, 0) == _minor(matrix, 0, True) == 1
+    assert _minor(m, 2) == _minor(m, 2, True) == -3
 
 
 _GRID_SPECS = (
@@ -1633,13 +1679,18 @@ def test_torus_tables_match_the_weight_functions():
 
 
 def test_dilation_matches_fraction_sum():
-    # d(A, B) = sum a_ij b_ij / m, summed on integer forms and divided once.
+    # d(A, B) = sum a_ij b_ij / m, summed on integer forms and divided once,
+    # at rational points; a curve point, or its translate, is refused.
     for m in (1, 2, 3, 4):
         _, real = monoid_model(m)
         (dilation,) = [f for f in real.semi_invariants if f.name == "d"]
         rng = random.Random(m)
         points = _points(real) + [real.act(real.group_sampler(rng), x) for x in _points(real)]
         for point in points:
+            if any(x.laurent for x in point):
+                with pytest.raises(ValueError, match="rational points only"):
+                    dilation.evaluate(point)
+                continue
             a, b = point
             want = sum((a[i][j] * b[i][j] for i in range(m) for j in range(m)), Fraction(0)) / m
             got = dilation.evaluate(point)

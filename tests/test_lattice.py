@@ -10,12 +10,12 @@ from sphemb.lattice import (
     IntegerMatrix,
     cokernel,
     determinant,
-    integer_rank,
     integer_inverse,
     rational_inverse,
     rational_rank,
     smith_normal_form,
     solve_integer,
+    sparse_rank,
 )
 
 
@@ -57,7 +57,7 @@ def test_snf_zero_matrix():
     a = IntegerMatrix.zeros(3, 3)
     snf = _check_decomposition(a)
     assert snf.D == a
-    assert integer_rank(a) == 0
+    assert sparse_rank({j: x for j, x in enumerate(r) if x} for r in a.to_rows()) == 0
 
 
 def test_snf_empty_dimensions():

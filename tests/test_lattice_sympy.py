@@ -12,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
-from sphemb.families import ScaledMatrix, leading_minor, trailing_minor  # noqa: E402
+from sphemb.families import ScaledMatrix  # noqa: E402
 from sphemb.laurent import LaurentPoly  # noqa: E402
 from sphemb.lattice import (  # noqa: E402
     IntegerMatrix,
@@ -154,7 +154,6 @@ def test_pair_matches_fraction_sum(m, data):
         assert got == sum((c * x for c, x in zip(coords, row)), Fraction(0))
 
 
-_T = sympy.Symbol("t")
 _FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 7)))
 
 
@@ -181,8 +180,6 @@ def minor_matrices(draw):
 
 
 def _sympy_entry(e):
-    if isinstance(e, LaurentPoly):
-        return sum((sympy.Rational(c.numerator, c.denominator) * _T**k for k, c in e.items()), sympy.Integer(0))
     return sympy.Rational(e.numerator, e.denominator)
 
 
@@ -198,16 +195,19 @@ def _same(got, want) -> bool:
 @given(minor_matrices(), st.randoms(use_true_random=False))
 def test_minors_match_sympy_determinants(m, rnd):
     # Every leading and trailing minor of one stored matrix, in a drawn
-    # order so that the shared memo is filled in different orders.
+    # order so that the shared pivots are taken in different orders; a
+    # matrix with Laurent entries has no minor read here.
     rows, cols = len(m), len(m[0])
     scaled = ScaledMatrix.of(m)
-    reads = [(kind, k) for kind in ("leading", "trailing") for k in range(1, min(rows, cols) + 1)]
+    reads = [(trailing, k) for trailing in (False, True) for k in range(1, min(rows, cols) + 1)]
     rnd.shuffle(reads)
-    for kind, k in reads:
-        if kind == "leading":
-            got, block = leading_minor(scaled, k), [r[:k] for r in m[:k]]
-        else:
-            got, block = trailing_minor(scaled, k), [r[cols - k :] for r in m[rows - k :]]
-        assert _same(got, _sympy_det(block)), (kind, k)
-    if rows == cols:
-        assert _same(trailing_minor(m, rows), _sympy_det(m)) and _same(leading_minor(m, rows), _sympy_det(m))
+    for trailing, k in reads:
+        if scaled.laurent:
+            with pytest.raises(ValueError, match="rational matrices only"):
+                scaled.minor_ratio(k, trailing)
+            continue
+        block = [r[cols - k :] for r in m[rows - k :]] if trailing else [r[:k] for r in m[:k]]
+        assert _same(Fraction(*scaled.minor_ratio(k, trailing)), _sympy_det(block)), (trailing, k)
+    if rows == cols and not scaled.laurent:
+        full = [Fraction(*ScaledMatrix.of(m).minor_ratio(rows, trailing)) for trailing in (False, True)]
+        assert all(_same(got, _sympy_det(m)) for got in full)

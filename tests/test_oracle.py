@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from form_reference import form_at, form_orders
 
 from sphemb.families import (
     Curve,
@@ -49,32 +50,18 @@ def test_t_order_examples():
     res = t_order(real, d, "lambda_1")
     assert res.order == 1 and res.stable
 
-    const = SemiInvariantSpec("one", lambda pt: Fraction(1), model.weight_lattice.combination([]))
+    # The 0 x 0 minor is the constant 1.
+    const = SemiInvariantSpec("one", model.weight_lattice.combination([]), Minor(0, 0))
     assert t_order(real, const, "lambda_2").order == 0
 
     delta2 = _find(real.semi_invariants, "Delta_2")
     assert t_order(real, delta2, "lambda_0").order == 2
 
-    zero = SemiInvariantSpec("zero", lambda pt: Fraction(0), model.weight_lattice.combination([]))
+    # A 3 x 3 minor vanishes on every matrix of rank at most 2.
+    det_real, det_model = determinantal_realization(3, 3, 2)
+    zero = SemiInvariantSpec("zero", det_model.weight_lattice.combination([]), Minor(0, 3))
     with pytest.raises(IdenticallyZeroError):
-        t_order(real, zero, "lambda_0")
-
-
-def test_t_order_is_a_valuation():
-    # Multiplicative on products, invariant under nonzero scaling.
-    _, real = monoid_model(3)
-    d = _find(real.semi_invariants, "d")
-    delta1 = _find(real.semi_invariants, "Delta_1")
-    product = SemiInvariantSpec(
-        "d*Delta_1", lambda pt: d.evaluate(pt) * delta1.evaluate(pt), d.claimed_weight + delta1.claimed_weight
-    )
-    scaled = SemiInvariantSpec("7d", lambda pt: 7 * d.evaluate(pt), d.claimed_weight)
-    for r in range(4):
-        lab = f"lambda_{r}"
-        od = t_order(real, d, lab).order
-        o1 = t_order(real, delta1, lab).order
-        assert t_order(real, product, lab).order == od + o1
-        assert t_order(real, scaled, lab).order == od
+        t_order(det_real, zero, "lambda_2")
 
 
 def test_monoid_limit_signatures():
@@ -186,7 +173,7 @@ def test_semiinvariance_weights():
     delta1 = _find(real.semi_invariants, "Delta_1")
     assert semiinvariance_check(real, delta1, trials=20) == model.character("eps_1")
 
-    const = SemiInvariantSpec("one", lambda pt: Fraction(1), model.weight_lattice.combination([]))
+    const = SemiInvariantSpec("one", model.weight_lattice.combination([]), Minor(0, 0))
     assert semiinvariance_check(real, const) == model.weight_lattice.combination([])
 
 
@@ -198,7 +185,7 @@ def test_semiinvariance_rejects_wrong_claims():
         semiinvariance_check(real, trailing)
     # right function, wrong weight
     d = _find(real.semi_invariants, "d")
-    wrong = SemiInvariantSpec("d", d.evaluate, model.character("eps_1"))
+    wrong = SemiInvariantSpec("d", model.character("eps_1"), d.form)
     with pytest.raises(SemiInvarianceError):
         semiinvariance_check(real, wrong)
 
@@ -292,19 +279,16 @@ def test_verification_report_families():
 
 
 # Reference copies of the per-function loops that t_order and
-# semiinvariance_check ran before every semi-invariant shared one set of draws.
-def _reference_orders(real, f, curve_label, trials, seed):
-    # The loop's per-trial orders; a run with fewer trials sees a prefix.
+# semiinvariance_check ran before every semi-invariant shared one set of draws,
+# each form read off the translate's layers (``form_reference``).
+def _reference_orders(real, functions, curve_label, trials, seed):
+    # Per function, the loop's per-trial orders; a run with fewer trials sees a
+    # prefix.  Each function's loop draws the same elements, so each translate
+    # is built once here and every form read off it.
     curve = real.curve(curve_label)
     rng = random.Random(seed)
-    orders = []
-    for _ in range(trials):
-        g = real.group_sampler(rng)
-        value = f.evaluate(real.act(g, curve))
-        if not isinstance(value, LaurentPoly):
-            value = LaurentPoly.constant(value)
-        orders.append(value.order())
-    return orders
+    per_trial = [form_orders([f.form for f in functions], real.act(real.group_sampler(rng), curve)) for _ in range(trials)]
+    return [list(orders) for orders in zip(*per_trial)]
 
 
 def _reference_t_order(orders):
@@ -324,11 +308,11 @@ def _reference_semiinvariance_failure(real, f, trials, seed):
         factor = real.weight_value(chi, b)
         for _ in range(2):
             x = real.act(real.group_sampler(rng), real.base_point)
-            fx = f.evaluate(x)
+            fx = form_at(f.form, x)
             if fx == 0:
                 continue
             saw_nonzero = True
-            if f.evaluate(real.act(b, x)) != factor * fx:
+            if form_at(f.form, real.act(b, x)) != factor * fx:
                 return f"{f.name} does not rescale by its claimed weight under the Borel action"
     if not saw_nonzero:
         return f"{f.name} vanished at every sampled point"
@@ -344,10 +328,12 @@ def _equivalence_realizations():
         lattice = model.weight_lattice
         d = _find(real.semi_invariants, "Delta_1")
         extra = (
-            SemiInvariantSpec("wrong_weight", d.evaluate, d.claimed_weight + d.claimed_weight),
-            SemiInvariantSpec("zero", lambda pt: Fraction(0), lattice.combination([])),
-            SemiInvariantSpec("one", lambda pt: Fraction(1), lattice.combination([])),
+            SemiInvariantSpec("wrong_weight", d.claimed_weight + d.claimed_weight, d.form),
+            SemiInvariantSpec("one", lattice.combination([]), Minor(0, 0)),
         )
+        # On the rank-2 member the 3 x 3 minor vanishes identically; no form vanishes on the monoid's.
+        if name.startswith("determinantal"):
+            extra += (SemiInvariantSpec("zero", lattice.combination([]), Minor(0, 3)),)
         yield name, dataclasses.replace(real, semi_invariants=real.semi_invariants + extra)
 
 
@@ -368,10 +354,10 @@ def test_shared_draws_match_per_function_loops(seed):
         # nothing to orders; the zero function covers the vanishing case.
         functions = tuple(f for f in candidates if f.name not in ("wrong_weight", "one"))
         for curve_label in [c.label for c in real.curves]:
-            orders = [_reference_orders(real, f, curve_label, 20, seed) for f in functions]
+            orders = _reference_orders(real, functions, curve_label, 20, seed)
             for trials in (1, 8, 20):
                 want = tuple(_reference_t_order(o[:trials]) for o in orders)
-                assert None in want, (name, curve_label)
+                assert (None in want) == (functions[-1].name == "zero"), (name, curve_label)
                 assert t_order(real, functions, curve_label, trials=trials, seed=seed) == want
 
         # A single function keeps its own contract, on the same draws.
@@ -408,7 +394,7 @@ def _slips(real):
             for step in (1, -1):
                 unit = chi.lattice.character([step * (k == j) for k in range(chi.lattice.rank)])
                 moved.append((f"{f.name}{'+' if step > 0 else '-'}{label}", chi + unit))
-        out += [SemiInvariantSpec(name, None, weight, f.form) for name, weight in moved]
+        out += [SemiInvariantSpec(name, weight, f.form) for name, weight in moved]
     return tuple(out)
 
 
@@ -427,9 +413,9 @@ def test_planted_weight_slips_are_rejected(spec):
         assert kept and select_semi_invariants(slipped, trials=8, seed=seed) == kept, seed
 
 
-# Every structured semi-invariant of these members, on every curve, is read
-# by Cauchy-Binet; the per-function reference loop builds each translate and
-# evaluates the form on it.
+# Every semi-invariant of these members, on every curve, is read by
+# Cauchy-Binet; the per-function reference loop builds each translate and
+# reads the form off its layers.
 _FORM_MEMBERS = [f"monoid:m={m}" for m in range(1, 8)] + [
     f"determinantal:m={m},n={n},r={r}" for m in range(2, 6) for n in range(2, 6) for r in range(1, min(m, n))
 ]
@@ -439,10 +425,10 @@ _FORM_MEMBERS = [f"monoid:m={m}" for m in range(1, 8)] + [
 def test_form_orders_match_translated_evaluation(spec):
     real = build_family(spec).realization
     functions = real.semi_invariants
-    assert functions and all(f.form is not None and f.evaluate is f.form for f in functions)
+    assert functions and all(f.evaluate is f.form for f in functions)
     for seed in (0, 1, 7, 931794):
         for curve_label in [c.label for c in real.curves]:
-            orders = [_reference_orders(real, f, curve_label, 8, seed) for f in functions]
+            orders = _reference_orders(real, functions, curve_label, 8, seed)
             for trials in (1, 3, 8):
                 want = tuple(_reference_t_order(o[:trials]) for o in orders)
                 assert t_order(real, functions, curve_label, trials=trials, seed=seed) == want, (seed, curve_label, trials)
@@ -453,6 +439,36 @@ def test_form_orders_match_translated_evaluation(spec):
         assert t_order(real, delta_2, "lambda_2", trials=8, seed=931794) == TOrderResult(0, 8, False)
 
 
+@pytest.mark.parametrize("spec", ["monoid:m=2", "determinantal:m=2,n=2,r=1", "determinantal:m=3,n=3,r=2"])
+def test_minor_orders_are_the_symbolic_generic_orders(spec):
+    # Each curve X(t) moved to g X(t) h, with g and h independent factors
+    # whose entries are sympy symbols: a Minor form's t-order on g X(t) h,
+    # the least power of t whose coefficient is a nonzero polynomial in the
+    # symbols, is its generic order, and t_order must read it at seed 0 with
+    # 8 trials.
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    real = build_family(spec).realization
+    checked = 0
+    for c in real.curves:
+        for f in real.semi_invariants:
+            if not isinstance(f.form, Minor):
+                continue
+            x, k = c.point[f.form.arrow], f.form.k
+            (rows, cols), low = x.shape, min(x.layers)
+            g = sympy.Matrix(rows, rows, lambda i, j: sympy.Symbol(f"g_{i}{j}"))
+            h = sympy.Matrix(cols, cols, lambda i, j: sympy.Symbol(f"h_{i}{j}"))
+            curve = sympy.Matrix(rows, cols, lambda i, j: sum(sympy.Rational(m[i][j], x.scale) * t**e for e, m in x.layers.items()))
+            moved = g * curve * h
+            block = moved[rows - k :, cols - k :] if f.form.trailing else moved[:k, :k]
+            # Times t^(-k low), the determinant is a polynomial in t.
+            minor = sympy.Poly(sympy.expand(block.det(method="berkowitz") * t ** (-k * low)), t)
+            order = min(e for (e,) in minor.monoms()) + k * low
+            assert t_order(real, f, c.label, trials=8, seed=0).order == order, (c.label, f.name)
+            checked += 1
+    assert checked == len(real.curves) * sum(isinstance(f.form, Minor) for f in real.semi_invariants) > 0
+
+
 def _monomial(entries: dict, scale: int = 1) -> ScaledMatrix:
     """The 3 x 3 matrix with c t^e / scale at each (i, j) of {(i, j): (c, e)}."""
     layers = {}
@@ -461,7 +477,7 @@ def _monomial(entries: dict, scale: int = 1) -> ScaledMatrix:
     return ScaledMatrix(scale, (3, 3), layers, any(e for _, e in entries.values()))
 
 
-def _permuted_realization(curves, extra=()):
+def _permuted_realization(curves):
     """Two 3 x 3 arrows on four GL(3) factors whose curves permute rows, with draws of entries in {-1, 0, 1}.
 
     ``curves`` maps a label to each arrow's {(i, j): (c, e)}; every curve has
@@ -483,7 +499,7 @@ def _permuted_realization(curves, extra=()):
         lie_basis=(),
         expected_orbit_dimension=0,
         stabilizer_sampler=lambda rng: (),
-        semi_invariants=tuple(SemiInvariantSpec(repr(form), None, character, form) for form in forms) + extra,
+        semi_invariants=tuple(SemiInvariantSpec(repr(form), character, form) for form in forms),
         curves=tuple(
             Curve(label, tuple(_monomial(x, s) for x, s in zip(point, (2, 1))), (3, 3)) for label, point in curves.items()
         ),
@@ -500,20 +516,12 @@ _PERMUTED_CURVES = {
 
 
 def test_form_orders_match_translated_evaluation_on_permuted_curves():
-    character = TorusLattice(("eps_1",)).combination([])
-    # A mixed tuple: plain callables, one of them the same minor as a form.
-    plain = (
-        SemiInvariantSpec("zero", lambda pt: Fraction(0), character),
-        SemiInvariantSpec("one", lambda pt: Fraction(1), character),
-        SemiInvariantSpec("plain Delta_2", Minor(0, 2), character),
-    )
-    real = _permuted_realization(_PERMUTED_CURVES, plain)
+    real = _permuted_realization(_PERMUTED_CURVES)
     functions = real.semi_invariants
-    assert [f.form is None for f in functions].count(True) == 3
     unstable = 0
     for seed in range(12):
         for curve_label in _PERMUTED_CURVES:
-            orders = [_reference_orders(real, f, curve_label, 8, seed) for f in functions]
+            orders = _reference_orders(real, functions, curve_label, 8, seed)
             for trials in (1, 3, 8):
                 want = tuple(_reference_t_order(o[:trials]) for o in orders)
                 assert t_order(real, functions, curve_label, trials=trials, seed=seed) == want, (seed, curve_label, trials)
@@ -544,6 +552,8 @@ def test_t_order_on_no_functions_draws_nothing():
     _, real = monoid_model(2)
     real.group_sampler = real.borel_sampler = None  # any draw would fail
     assert t_order(real, (), "lambda_0") == ()
+    with pytest.raises(KeyError, match="unknown curve 'nope'"):
+        t_order(real, (), "nope")
     assert select_semi_invariants(dataclasses.replace(real, semi_invariants=())) == ()
 
 

@@ -1,15 +1,18 @@
 """Differential tests of the oracle's integer matrix kernels on hypothesis-drawn inputs.
 
-The translate and the monoid's dilation are checked against plain products
-of ``LaurentPoly`` and ``Fraction`` rows, the minors and
+The translate is checked against plain products of ``LaurentPoly`` and
+``Fraction`` rows, the monoid's dilation against the ``Fraction`` sum and
+the sum over layers (``form_reference``), the minors and
 ``leading_principal_minors`` against sympy determinants, ``ScaledMatrix``
 equality against equality of its divided rows, and ``weight_value`` against
 a product of ``Fraction`` powers.  The Borel check's shortcuts are checked
-against the general paths they skip: leading minors read on the matrix as
-stored against the expansion of it turned, the rational dilation against the
-sum over layers, and ``weight_ratio`` against ``weight_value``.
+against the paths they skip: the pivots of the matrix as stored, and of it
+turned, against sympy, and ``weight_ratio`` against ``weight_value``.  A
+form is read at rational points only: on a Laurent matrix it raises
+``ValueError``, and its t-orders on translates come from Cauchy-Binet.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -22,20 +25,19 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sphemb.families import (  # noqa: E402
+    Curve,
     Pairing,
     ScaledMatrix,
     _translate,
     admissible_circular_parameters,
     build_family,
     complexes_realization,
-    leading_minor,
     monoid_model,
-    trailing_minor,
 )
 from sphemb.lattice import leading_principal_minors, mat_mul  # noqa: E402
-from sphemb.laurent import LaurentPoly  # noqa: E402
 from sphemb.rootdata import TorusLattice  # noqa: E402
-from test_families import _divided_layers  # noqa: E402
+from test_families import _divided_layers, _minor  # noqa: E402
+from form_reference import form_at, form_orders, form_values  # noqa: E402
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -167,60 +169,63 @@ def test_rational_minors_match_sympy(m, rnd):
     rnd.shuffle(reads)
     for kind, k in reads:
         if kind == "leading":
-            got, block = leading_minor(scaled, k), [r[:k] for r in m[:k]]
+            got, block = _minor(scaled, k), [r[:k] for r in m[:k]]
         else:
-            got, block = trailing_minor(scaled, k), [r[cols - k :] for r in m[rows - k :]]
-        assert type(got) is Fraction and got == _sympy_det(block), (kind, k)
+            got, block = _minor(scaled, k, True), [r[cols - k :] for r in m[rows - k :]]
+        assert got == _sympy_det(block), (kind, k)
     assert scaled._rows is None
 
 
 def test_minors_past_a_vanishing_pivot():
-    # Delta_1 = 0 ends the elimination; Delta_2 comes from the expansion.
+    # Delta_1 = 0 ends the elimination; Delta_2 is the determinant of its block.
     swap = [[0, 1], [1, 0]]
     assert leading_principal_minors(swap) == [0]
-    assert [leading_minor(swap, k) for k in (0, 1, 2)] == [1, 0, -1]
-    assert [trailing_minor(swap, k) for k in (0, 1, 2)] == [1, 0, -1]
+    assert [_minor(swap, k) for k in (0, 1, 2)] == [1, 0, -1]
+    assert [_minor(swap, k, True) for k in (0, 1, 2)] == [1, 0, -1]
     m = ScaledMatrix.of([[0, 1, 2], [1, 0, 3], [4, 5, Fraction(1, 2)]])
-    assert [leading_minor(m, k) for k in (3, 2, 1)] == [Fraction(43, 2), -1, 0]
-    assert [type(leading_minor(m, k)) for k in (1, 2, 3)] == [Fraction] * 3
+    assert [_minor(m, k) for k in (3, 2, 1)] == [Fraction(43, 2), -1, 0]
+    assert [m.minor_ratio(k) for k in (1, 2, 3)] == [(0, 2), (-4, 4), (172, 8)]
 
 
-_T = sympy.Symbol("t")
-
-
-def _sympy_block(x, k):
-    """The top-left k x k block of a ``ScaledMatrix`` as sympy entries in t, divided by its scale."""
-    return sympy.Matrix(k, k, lambda i, j: sum(sympy.Rational(m[i][j], x.scale) * _T**e for e, m in x.layers.items()))
+def _sympy_block_det(x, k, trailing):
+    """The top-left, or bottom-right, k x k minor of a rational ``ScaledMatrix`` by sympy, as a ``Fraction``."""
+    rows, cols = x.shape
+    block = [r[cols - k :] for r in x.rows[rows - k :]] if trailing else [r[:k] for r in x.rows[:k]]
+    return _sympy_det(block)
 
 
 @_SETTINGS
 @given(st.one_of(planted_minor_matrices().map(ScaledMatrix.of), scaled_matrices()))
-def test_stored_leading_pivots_match_the_turned_expansion_and_sympy(x):
+def test_stored_pivots_match_sympy_and_laurent_minors_are_refused(x):
     # Wide, tall and Laurent matrices, and planted vanishing leading pivots.
-    rows, cols = x.shape
-    n = min(rows, cols)
-    ratios = [x.leading_ratio(k) for k in range(n + 1)]
-    pivots = leading_principal_minors(x.constant_terms())
-    if not x.laurent and 0 not in pivots[: n - 1]:
-        # Every pivot read off the stored matrix: no turned copy is built.
-        assert x._rotated is None and [r for r, _ in ratios] == [1, *pivots]
-    for k, (got, scale) in enumerate(ratios):
-        expanded = x.rotated.minor(tuple(range(cols - k, cols)))
-        assert scale == x.scale**k and got == (expanded if x.laurent else expanded.get(0, 0)), k
-        assert type(got) is (dict if x.laurent else int)
-        value = sum(sympy.Rational(c, scale) * _T**e for e, c in (got.items() if x.laurent else [(0, got)]))
-        assert sympy.expand(_sympy_block(x, k).det(method="berkowitz") - value) == 0, k
+    n = min(x.shape)
+    if x.laurent:
+        for k in range(n + 1):
+            with pytest.raises(ValueError, match="rational matrices only"):
+                x.minor_ratio(k)
+        return
+    for trailing in (False, True):
+        ratios = [x.minor_ratio(k, trailing) for k in range(n + 1)]
+        layer = x.constant_terms()
+        pivots = leading_principal_minors([r[::-1] for r in reversed(layer)] if trailing else layer)
+        # Up to the first vanishing pivot, the minors are the pivots of the matrix as stored, or turned.
+        assert [r for r, _ in ratios[1 : len(pivots) + 1]] == pivots
+        for k, (got, scale) in enumerate(ratios):
+            assert type(got) is int and scale == x.scale**k
+            assert Fraction(got, scale) == _sympy_block_det(x, k, trailing), (trailing, k)
 
 
 @_SETTINGS
 @given(st.integers(0, 4).flatmap(lambda m: st.tuples(scaled_matrices(m, m, False), scaled_matrices(m, m, False))),
        st.sampled_from((1, 2, 3, 6)))
 def test_rational_dilation_is_the_sum_over_layers(pair, divisor):
-    # The rational shortcut against the same arrows read as Laurent matrices.
-    got = Pairing(0, 1, divisor).ratio(pair)
-    layered = Pairing(0, 1, divisor).ratio(tuple(ScaledMatrix(x.scale, x.shape, x.layers, True) for x in pair))
-    assert type(got[0]) is int and got[1] == layered[1] == pair[0].scale * pair[1].scale * divisor
-    assert Fraction(*got) == Fraction(layered[0].get(0, 0), layered[1]) == _reference_dilation(pair, divisor)
+    # The rational dot product against the sum over layers; the same arrows read as Laurent matrices are refused.
+    form = Pairing(0, 1, divisor)
+    got = form.ratio(pair)
+    assert type(got[0]) is int and got[1] == pair[0].scale * pair[1].scale * divisor
+    assert Fraction(*got) == form_at(form, pair) == _reference_dilation(pair, divisor)
+    with pytest.raises(ValueError, match="rational points only"):
+        form.ratio(tuple(ScaledMatrix(x.scale, x.shape, x.layers, True) for x in pair))
 
 
 @st.composite
@@ -280,7 +285,7 @@ _MONOIDS = {m: monoid_model(m)[1] for m in range(1, 5)}
 
 
 def _reference_dilation(point, m):
-    """sum a_ij b_ij / m on the ``Fraction`` or ``LaurentPoly`` rows of the two arrows."""
+    """sum a_ij b_ij / m on the ``Fraction`` rows of the two arrows of a rational point."""
     a, b = map(_divided, point)
     return sum((x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb)), Fraction(0)) / m
 
@@ -292,31 +297,44 @@ def _dilation(m):
 
 @pytest.mark.parametrize("m", sorted(_MONOIDS))
 def test_dilation_on_orbit_points_and_translates(m):
-    # Rational orbit points, and every boundary curve moved by group draws:
-    # a Laurent arrow A beside a rational B at lambda_0 and lambda_m.
+    # Rational orbit points by value; every boundary curve moved by group
+    # draws, a Laurent arrow A beside a rational B at lambda_0 and lambda_m,
+    # by the t-orders that Cauchy-Binet reads, against the sum over the
+    # translate's layers.
     real, rng = _MONOIDS[m], random.Random(m)
-    points = [real.act(real.group_sampler(rng), real.base_point) for _ in range(6)]
-    points += [real.act(g, c.point) for g in real.group_draws(3, m) for c in real.curves]
-    for point in points:
+    for _ in range(6):
+        point = real.act(real.group_sampler(rng), real.base_point)
         got, want = _dilation(m)(point), _reference_dilation(point, m)
         assert got == want and type(got) is type(want), point
+    for c in real.curves:
+        want = [form_orders([_dilation(m)], real.act(g, c.point))[0] for g in real.group_draws(3, m)]
+        assert real.form_orders((_dilation(m),), c.label, 3, m) == [want], c.label
 
 
 def test_dilation_drops_cancelled_powers():
-    # A_1 . B_1 = 0 within one pair of layers, and A_0 . B_1 + A_1 . B_0 = 0
-    # across two: d is the constant 1, with no t or t^2 term stored.
-    a = ScaledMatrix(1, (2, 2), {0: [[1, 0], [0, 1]], 1: [[1, 1], [0, 0]]}, True)
-    b = ScaledMatrix(1, (2, 2), {0: [[1, 0], [0, 1]], 1: [[-1, 1], [0, 0]]}, True)
-    got = _dilation(2)((a, b))
-    assert got == LaurentPoly.constant(1) == _reference_dilation((a, b), 2) and got.order() == 0
-    assert type(got) is LaurentPoly and dict(got.items()) == {0: 1}
+    # On the curve (diag(1, 1, t), diag(1, -1, 1)) the terms at t^0 cancel,
+    # 1 - 1, on every group draw: P = L_a^T L_b and Q = R_a R_b^T are scalar
+    # matrices on the monoid.  So d is t times a constant, of order 1 on every
+    # draw: a group of terms whose sum vanishes is passed over.
+    x, y = ScaledMatrix.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), ScaledMatrix.of([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    a = ScaledMatrix(1, (3, 3), {0: [[1, 0, 0], [0, 1, 0], [0, 0, 0]], 1: [[0, 0, 0], [0, 0, 0], [0, 0, 1]]}, True)
+    cancel = Curve("cancel", (a, y), (3, 3))
+    real = dataclasses.replace(_MONOIDS[3], base_point=(x, y), membership=lambda pt: True, curves=(cancel,))
+    for g in real.group_draws(8, 0):
+        (value,) = form_values([_dilation(3)], real.act(g, cancel.point))
+        assert list(value) == [1], value
+    assert real.form_orders((_dilation(3),), "cancel", 8, 0) == [[1] * 8]
 
 
 @_SETTINGS
 @given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), scaled_matrices(m, m), scaled_matrices(m, m))))
 def test_dilation_matches_reference_sum(drawn):
-    # Stored zeros, all-zero layers, and Laurent beside rational arrows.
+    # Stored zeros and all-zero layers; a Laurent arrow beside a rational one is refused.
     m, a, b = drawn
+    if a.laurent or b.laurent:
+        with pytest.raises(ValueError, match="rational points only"):
+            _dilation(m)((a, b))
+        return
     got, want = _dilation(m)((a, b)), _reference_dilation((a, b), m)
     assert got == want and type(got) is type(want)
 
