@@ -23,21 +23,26 @@ substitution, any other by ``integer_inverse``), ``act`` multiplies on their
 integer matrices and inverts nothing, ``inverse_element`` swaps each unit's
 halves and ``bumped_copies`` perturbs them; no other module reads a unit's fields.
 
-A point is one ``ScaledMatrix`` per arrow: one integer matrix per power of t
-(a layer) over one scale, a rational point being layer 0 alone.  The
-constructors build each base and curve point once in this form.  A translate
-is one integer product per layer (``_translate``); the membership tests and a
-form's value at a rational point (``Minor.ratio``, one fraction-free
-elimination each way, and ``Pairing.ratio``, one dot product) read layer 0 as
-stored; two points compare on their integers, and ``Fraction`` or
-``LaurentPoly`` rows are divided out only when read.  ``ScaledMatrix.of``
-converts a matrix given as rows.
+A point is rational: one ``ScaledMatrix`` per arrow, an integer matrix over
+one scale.  The constructors build each base point once in this form.  A
+translate is one integer product (``_translate``); the membership tests and a
+form's value at a point (``Minor.ratio``, one fraction-free elimination each
+way, and ``Pairing.ratio``, one dot product) read the integers as stored; two
+points compare on their integers, and ``Fraction`` rows are divided out only
+when read.  ``ScaledMatrix.of`` converts a matrix given as rows.
+
+A curve is a cocharacter: ``Curve`` holds the exponents of a one-parameter
+subgroup lambda of the diagonal torus, and the curve is lambda(t) . x0 for
+the base point x0, which is monomial wherever a form reads it.  Its entries
+are the base point's, c at (i, j) of arrow (s, t) becoming c t^(lambda_s(i) -
+lambda_t(j)) (``MatrixRealization.monomial_entries``); the curve's limit at
+t = 0 and every t-order are read off them, and no point in t is built.
 
 Every semi-invariant is data: a ``Minor`` or a ``Pairing`` of arrows, checked
 against the arrows when its realization is built.  Its t-orders along a curve
-are read by Cauchy-Binet from the curve's monomial matrices and the seeded
+are read by Cauchy-Binet from the curve's monomial entries and the seeded
 draws' integer units (``MatrixRealization.form_orders``), without building the
-translate; no form is read on a Laurent matrix.
+translate.
 
 Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives them
 at construction from each family's ambient map, colour coroots and boundary
@@ -48,7 +53,7 @@ builds the wonderful data of both families from a table of colour coroots.
 The circular coroots are one table (``_circular_coroots``), read by the
 check and by the wonderful data; the determinantal model and wonderful data
 are the circular ones at s = 0.  Each family's boundary cocharacters are one
-table too, read by its curves (``_curve_point``) and by the check.
+table too, read by its curves and by the check.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ from typing import Callable, Sequence
 
 from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel, pairing_table
 from .lattice import IntegerMatrix, determinant, integer_inverse, leading_principal_minors, mat_mul, rational_rank
-from .laurent import LaurentPoly, NegativeExponentError
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice
 
 
@@ -83,59 +87,41 @@ def _zeros(rows: int, cols: int) -> list[list[int]]:
 
 
 class ScaledMatrix:
-    """A matrix of rationals or Laurent polynomials held as integer matrices over one scale.
+    """A rational matrix held as one integer matrix over one scale.
 
-    The format of every point: ``shape`` (rows, columns) and ``layers``, one
-    integer matrix per stored power of t, ``layers[e]`` being scale times the
-    t^e coefficients for an integer ``scale`` > 0.  ``laurent`` says whether
-    the entries are ``LaurentPoly`` or ``Fraction``; a rational matrix is layer
-    0 alone (``constant_terms``).  A layer may hold zeros or be all zero.  The
-    divided rows are built from the layers when first read, and the matrix
-    hashes and compares like them; two ``ScaledMatrix`` compare on their
-    integers.  A rational matrix's leading minors are the pivots of one
-    fraction-free elimination of it as stored, its trailing minors those of it
-    turned by 180 degrees, and a minor past a vanishing pivot the determinant
-    of its block (``minor_ratio``).  A Laurent matrix's minors are not read
-    here: the oracle reads its forms' t-orders by Cauchy-Binet.
+    The format of every point: ``shape`` (rows, columns) and ``integers``,
+    scale times the matrix for an integer ``scale`` > 0.  The divided rows of
+    ``Fraction`` are built when first read, and the matrix hashes and compares
+    like them; two ``ScaledMatrix`` compare on their integers.  Its leading
+    minors are the pivots of one fraction-free elimination of it as stored,
+    its trailing minors those of it turned by 180 degrees, and a minor past a
+    vanishing pivot the determinant of its block (``minor_ratio``).
     """
 
-    __slots__ = ("scale", "shape", "layers", "laurent", "_rows", "_pivots")
+    __slots__ = ("scale", "shape", "integers", "_rows", "_pivots")
 
-    def __init__(self, scale: int, shape: tuple[int, int], layers: dict[int, list[list[int]]], laurent: bool):
+    def __init__(self, scale: int, shape: tuple[int, int], integers: list[list[int]]):
         self.scale = scale
         self.shape = shape
-        self.layers = layers
-        self.laurent = laurent
+        self.integers = integers
         self._rows: Matrix | None = None
         self._pivots: dict[bool, list[int]] = {}
 
     @classmethod
     def of(cls, m) -> "ScaledMatrix":
-        """m itself, or its rows of rationals and ``LaurentPoly`` over the lcm of their denominators."""
+        """m itself, or its rows of rationals over the lcm of their denominators."""
         if isinstance(m, ScaledMatrix):
             return m
-        forms = [[LaurentPoly._coerce(e) for e in r] for r in m]
-        scale = lcm(*(e._den for r in forms for e in r))
-        shape = (len(forms), len(forms[0]) if forms else 0)
-        layers = {0: _zeros(*shape)}
-        for i, r in enumerate(forms):
-            for j, e in enumerate(r):
-                for k, c in e._num.items():
-                    layers.setdefault(k, _zeros(*shape))[i][j] = c * (scale // e._den)
-        return cls(scale, shape, layers, any(isinstance(e, LaurentPoly) for r in m for e in r))
+        rows = [[Fraction(e) for e in r] for r in m]
+        scale = lcm(*(e.denominator for r in rows for e in r))
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        return cls(scale, shape, [[e.numerator * (scale // e.denominator) for e in r] for r in rows])
 
     @property
     def rows(self) -> Matrix:
-        """Each entry divided by the scale once: a ``Fraction`` of layer 0, or a ``LaurentPoly`` of every layer."""
+        """Each entry divided by the scale once, as a ``Fraction``."""
         if self._rows is None:
-            if self.laurent:
-                (rows, cols), items = self.shape, self.layers.items()
-                self._rows = tuple(
-                    tuple(LaurentPoly._from_integers({e: c for e, m in items if (c := m[i][j])}, self.scale) for j in range(cols))
-                    for i in range(rows)
-                )
-            else:
-                self._rows = tuple(tuple(Fraction(c, self.scale) for c in r) for r in self.constant_terms())
+            self._rows = tuple(tuple(Fraction(c, self.scale) for c in r) for r in self.integers)
         return self._rows
 
     def __len__(self) -> int:
@@ -148,20 +134,13 @@ class ScaledMatrix:
         return iter(self.rows)
 
     def __eq__(self, other):
-        """Equality of the divided rows, read on the layers against a ``ScaledMatrix``; no rows equal no rows at any width."""
+        """Equality of the divided rows, read on the integers against a ``ScaledMatrix``; no rows equal no rows at any width."""
         if not isinstance(other, ScaledMatrix):
             return self.rows == other
         if self.shape[0] != other.shape[0] or self.shape[0] and self.shape[1] != other.shape[1]:
             return False
         s, t = other.scale, self.scale
-        for e in self.layers.keys() | other.layers.keys():
-            a, b = self.layers.get(e), other.layers.get(e)
-            if a is None or b is None:
-                if any(map(any, b if a is None else a)):
-                    return False
-            elif any([c * s for c in p] != [c * t for c in q] for p, q in zip(a, b)):
-                return False
-        return True
+        return all([c * s for c in p] == [c * t for c in q] for p, q in zip(self.integers, other.integers))
 
     def __hash__(self):
         return hash(self.rows)
@@ -169,40 +148,27 @@ class ScaledMatrix:
     def __repr__(self):
         return f"ScaledMatrix({self.rows!r})"
 
-    def constant_terms(self) -> list[list[int]]:
-        """scale times each entry's t^0 coefficient, layer 0 as stored: the scaled matrix itself when its entries are rational."""
-        layer = self.layers.get(0)
-        return _zeros(*self.shape) if layer is None else layer
-
-    def limit(self) -> "ScaledMatrix":
-        """The matrix at t = 0, on the same scale; ``NegativeExponentError`` if a negative power of t remains."""
-        if any(any(map(any, layer)) for e, layer in self.layers.items() if e < 0):
-            raise NegativeExponentError("no limit at t=0: negative powers of t present")
-        return ScaledMatrix(self.scale, self.shape, {0: self.constant_terms()}, False)
-
     def minor_ratio(self, k: int, trailing: bool = False) -> tuple[int, int]:
-        """(n, scale^k) for the top-left k x k minor n / scale^k of a rational matrix, the bottom-right one if ``trailing``.
+        """(n, scale^k) for the top-left k x k minor n / scale^k, the bottom-right one if ``trailing``.
 
-        n is the k-th pivot of one fraction-free elimination of layer 0 as
+        n is the k-th pivot of one fraction-free elimination of the integers as
         stored, or turned by 180 degrees for a trailing minor (the turned
         block reverses both its rows and its columns, so its determinant is
         the same), while no earlier pivot vanished; past a vanishing pivot it
-        is ``determinant`` of the k x k block.  ``ValueError`` on a Laurent
-        matrix or unless 0 <= k <= min(rows, columns).
+        is ``determinant`` of the k x k block.  ``ValueError`` unless
+        0 <= k <= min(rows, columns).
         """
         rows, cols = self.shape
-        if self.laurent:
-            raise ValueError("minors are read on rational matrices only")
         if not 0 <= k <= min(rows, cols):
             raise ValueError(f"no {k} x {k} minor in a {rows} x {cols} matrix")
-        layer = self.constant_terms()
+        stored = self.integers
         pivots = self._pivots.get(trailing)
         if pivots is None:
-            turned = [r[::-1] for r in reversed(layer)] if trailing else layer
+            turned = [r[::-1] for r in reversed(stored)] if trailing else stored
             pivots = self._pivots[trailing] = [1, *leading_principal_minors(turned)]
         if k < len(pivots):
             return pivots[k], self.scale**k
-        block = [r[cols - k :] for r in layer[rows - k :]] if trailing else [r[:k] for r in layer[:k]]
+        block = [r[cols - k :] for r in stored[rows - k :]] if trailing else [r[:k] for r in stored[:k]]
         return determinant(IntegerMatrix.from_rows(block)), self.scale**k
 
 
@@ -302,7 +268,7 @@ class Minor:
         return Fraction(*self.ratio(point))
 
     def ratio(self, point: Point) -> tuple[int, int]:
-        """The value at a rational point as its undivided pair (n, q), q > 0: the arrow's matrix's ``minor_ratio``."""
+        """The value at a point as its undivided pair (n, q), q > 0: the arrow's matrix's ``minor_ratio``."""
         return ScaledMatrix.of(point[self.arrow]).minor_ratio(self.k, self.trailing)
 
 
@@ -333,12 +299,10 @@ class Pairing:
         return Fraction(*self.ratio(point))
 
     def ratio(self, point: Point) -> tuple[int, int]:
-        """The value at a rational point as its undivided pair (n, q), q > 0: for the stored L_a A and L_b B,
-        one integer dot product over L_a L_b divisor.  ``ValueError`` on a Laurent point."""
+        """The value at a point as its undivided pair (n, q), q > 0: for the stored L_a A and L_b B,
+        one integer dot product over L_a L_b divisor."""
         a, b = ScaledMatrix.of(point[self.arrow_a]), ScaledMatrix.of(point[self.arrow_b])
-        if a.laurent or b.laurent:
-            raise ValueError("a pairing is read on rational points only")
-        return sum(map(mul, chain(*a.constant_terms()), chain(*b.constant_terms()))), a.scale * b.scale * self.divisor
+        return sum(map(mul, chain(*a.integers), chain(*b.integers))), a.scale * b.scale * self.divisor
 
 
 @dataclass(eq=False)
@@ -364,13 +328,22 @@ class SemiInvariantSpec:
 
 @dataclass(frozen=True)
 class Curve:
-    """A cocharacter curve through the base point, the ranks of its limit at
-    t = 0 per arrow, and the boundary divisor it reaches, if any."""
+    """The curve lambda(t) . x0 of a cocharacter lambda through the base point x0,
+    the ranks of its limit at t = 0 per arrow, and the boundary divisor it reaches, if any.
+
+    ``cocharacter`` is lambda's {(factor, diagonal index): exponent} table,
+    given as a dict or as pairs and held as its sorted ((factor, index),
+    exponent) pairs: lambda(t) is diagonal in every factor, with t^e at each
+    listed entry and 1 elsewhere.
+    """
 
     label: str
-    point: Point
+    cocharacter: tuple[tuple[tuple[int, int], int], ...]
     limit_ranks: tuple[int, ...]
     boundary: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "cocharacter", tuple(sorted(dict(self.cocharacter).items())))
 
 
 @dataclass(eq=False)
@@ -378,12 +351,14 @@ class MatrixRealization:
     """Concrete matrix avatar of a family member, for oracle-level checks.
 
     A point is one matrix per arrow (s, t) of ``arrows``, and a group element
-    one unit per vertex; ``act`` moves X to g_s X g_t^-1.  Each element of
-    ``lie_basis`` maps a vertex to a sparse matrix, as (i, j, c) triples for
-    c E_ij; ``tangent_rows`` reads it.  ``torus[k]`` names the diagonal
-    entries, as (factor, index) pairs, whose ratio is basis character k's
-    value on a Borel element; ``weight_value`` reads it.  ``memo`` keeps
-    results that depend only on the realization, such as ``group_draws``.
+    one unit per vertex; ``act`` moves X to g_s X g_t^-1.  ``shapes`` holds
+    the base point's (rows, columns) per arrow, on which every form is checked
+    (``check_forms``).  Each element of ``lie_basis`` maps a vertex to a
+    sparse matrix, as (i, j, c) triples for c E_ij; ``tangent_rows`` reads it.
+    ``torus[k]`` names the diagonal entries, as (factor, index) pairs, whose
+    ratio is basis character k's value on a Borel element; ``weight_ratio``
+    reads it.  ``memo`` keeps results that depend only on the realization,
+    such as ``group_draws``.
     """
 
     base_point: Point
@@ -397,27 +372,31 @@ class MatrixRealization:
     torus: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
     semi_invariants: tuple[SemiInvariantSpec, ...] = ()
     curves: tuple[Curve, ...] = ()
+    shapes: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not self.membership(self.base_point):
             raise ValueError("base point fails the membership predicate")
-        for c in self.curves:
-            if not _passes_through(c.point, self.base_point):
-                raise ValueError(f"curve {c.label} does not pass through the base point at t=1")
-        shapes = [ScaledMatrix.of(x).shape for x in self.base_point]
-        for f in self.semi_invariants:
-            fault = f.form.fault(shapes)
+        self.shapes = tuple(ScaledMatrix.of(x).shape for x in self.base_point)
+        self.check_forms(self.semi_invariants)
+        # Cauchy-Binet reads a form's arrows on each curve as monomial matrices: at most one nonzero entry per row and column.
+        for a in {a for f in self.semi_invariants for a in f.form.arrows} if self.curves else ():
+            x = ScaledMatrix.of(self.base_point[a]).integers
+            if any(sum(map(bool, line)) > 1 for line in (*x, *zip(*x))):
+                raise ValueError(f"base point is not monomial on arrow {a}")
+
+    def check_forms(self, functions) -> None:
+        """``ValueError`` naming the first semi-invariant whose form cannot be read on points of ``shapes``."""
+        for f in functions:
+            fault = f.form.fault(self.shapes)
             if fault is not None:
                 raise ValueError(f"semi-invariant {f.name}: {fault}")
-        for a in {a for f in self.semi_invariants for a in f.form.arrows}:
-            for c in self.curves:
-                self.monomial_entries(c.label, a)
 
-    def curve(self, label: str) -> Point:
+    def curve(self, label: str) -> Curve:
         for c in self.curves:
             if c.label == label:
-                return c.point
+                return c
         raise KeyError(f"unknown curve {label!r}")
 
     def memo(self, key, compute: Callable[[], object]):
@@ -436,19 +415,18 @@ class MatrixRealization:
         return self.memo(("group_draws", trials, seed), draw)
 
     def monomial_entries(self, curve_label: str, arrow: int) -> tuple[tuple[int, int, int, int], ...]:
-        """(i, j, c, e) per nonzero stored coefficient c t^e of the curve's matrix at ``arrow``, by row, taken once.
+        """(i, j, c, e) per entry c t^e of the curve lambda(t) . x0 at ``arrow`` (s, t), by row, taken once.
 
-        ``ValueError`` unless the matrix is monomial: at most one nonzero
-        coefficient in each row and each column.
+        c is the base point's nonzero entry at (i, j), as stored, and e is
+        lambda_s(i) - lambda_t(j).
         """
 
         def entries():
-            x = ScaledMatrix.of(self.curve(curve_label)[arrow])
-            layers = x.layers.items()
-            found = sorted((i, j, c, e) for e, layer in layers for i, r in enumerate(layer) for j, c in enumerate(r) if c)
-            if len({i for i, *_ in found}) < len(found) or len({j for _, j, *_ in found}) < len(found):
-                raise ValueError(f"curve {curve_label} is not monomial on arrow {arrow}")
-            return tuple(found)
+            lam, (s, t) = dict(self.curve(curve_label).cocharacter), self.arrows[arrow]
+            x = ScaledMatrix.of(self.base_point[arrow]).integers
+            return tuple(
+                (i, j, c, lam.get((s, i), 0) - lam.get((t, j), 0)) for i, r in enumerate(x) for j, c in enumerate(r) if c
+            )
 
         return self.memo(("monomial_entries", curve_label, arrow), entries)
 
@@ -517,7 +495,7 @@ class MatrixRealization:
         blocks, offset = [], 0
         for (s, t), x in zip(self.arrows, map(ScaledMatrix.of, point)):
             (height, cols), by_row, by_col = x.shape, {}, {}
-            for k, r in enumerate(x.constant_terms()):
+            for k, r in enumerate(x.integers):
                 for h, e in enumerate(r):
                     if e:
                         by_row.setdefault(k, []).append((offset + h, e))
@@ -550,19 +528,6 @@ class MatrixRealization:
                 p, q = g[f][1][i][i] * g[h][0], g[f][0] * g[h][1][j][j]
                 num, den = (num * p**c, den * q**c) if c > 0 else (num * q**-c, den * p**-c)
         return num, den
-
-    def weight_value(self, chi: Character, g: GroupElement) -> Fraction:
-        """chi(g), ``weight_ratio`` divided once."""
-        return Fraction(*self.weight_ratio(chi, g))
-
-
-def _passes_through(curve: Point, point: Point) -> bool:
-    """Whether the curve's value at t = 1, each entry's coefficient sum, is ``point``."""
-    at_one = []
-    for x in map(ScaledMatrix.of, curve):
-        total = [[sum(m[i][j] for m in x.layers.values()) for j in range(x.shape[1])] for i in range(x.shape[0])]
-        at_one.append(ScaledMatrix(x.scale, x.shape, {0: total}, False))
-    return tuple(at_one) == tuple(map(ScaledMatrix.of, point))
 
 
 def _minor_terms(entries, k: int) -> list[tuple[int, list[tuple[tuple[int, ...], tuple[int, ...], int]]]]:
@@ -635,57 +600,37 @@ def _first_row_minors(rows, support: tuple[int, ...], depth: int) -> dict[tuple[
 def _translate(left: tuple[int, list[list[int]]], x, right: tuple[int, list[list[int]]]) -> ScaledMatrix:
     """(L / l) x (R / r) for integer forms left = (l, L) and right = (r, R), l, r > 0.
 
-    Each layer X_e of x (``ScaledMatrix.of``) is kept as its nonzero rows K.
-    Row k of X_e R is c times R's row l if (k, l) holds the row's one nonzero
-    entry c, as in base and curve points, else the row against R's columns.
-    Layer e of the result, L[:, K] (X_e[K] R), over the scale l L_x r, is
-    taken in integer row-column products; a zero layer's columns are empty.
+    x (``ScaledMatrix.of``) is kept as its nonzero rows K.  Row k of X R is
+    c times R's row l if (k, l) holds the row's one nonzero entry c, as in
+    base points, else the row against R's columns.  The result, L[:, K]
+    (X[K] R), over the scale l L_x r, is taken in integer row-column
+    products; a zero x's columns are empty.
     """
     (left_scale, left), (right_scale, right) = left, right
     x = ScaledMatrix.of(x)
     shape, right_columns = (len(left), len(right[0]) if right else 0), list(zip(*right))
-    layers = {}
-    for e, layer in x.layers.items():
-        picked, middle = [], []
-        for k, x_row in enumerate(layer):
-            nonzero = [l for l, c in enumerate(x_row) if c]
-            if len(nonzero) == 1:
-                c, row = x_row[nonzero[0]], right[nonzero[0]]
-                middle.append(row if c == 1 else [c * y for y in row])
-            elif nonzero:
-                middle.append([sum(map(mul, x_row, col)) for col in right_columns])
-            else:
-                continue
-            picked.append(k)
-        columns = list(zip(*middle)) or [()] * shape[1]
-        rows = left if len(picked) == len(layer) else ([r[k] for k in picked] for r in left)
-        layers[e] = [[sum(map(mul, r, col)) for col in columns] for r in rows]
-    return ScaledMatrix(left_scale * x.scale * right_scale, shape, layers, x.laurent)
+    picked, middle = [], []
+    for k, x_row in enumerate(x.integers):
+        nonzero = [l for l, c in enumerate(x_row) if c]
+        if len(nonzero) == 1:
+            c, row = x_row[nonzero[0]], right[nonzero[0]]
+            middle.append(row if c == 1 else [c * y for y in row])
+        elif nonzero:
+            middle.append([sum(map(mul, x_row, col)) for col in right_columns])
+        else:
+            continue
+        picked.append(k)
+    columns = list(zip(*middle)) or [()] * shape[1]
+    rows = left if len(picked) == len(x.integers) else ([r[k] for k in picked] for r in left)
+    return ScaledMatrix(left_scale * x.scale * right_scale, shape, [[sum(map(mul, r, col)) for col in columns] for r in rows])
 
 
-def _monomial_matrix(rows: int, cols: int, powers: dict[tuple[int, int], int]) -> ScaledMatrix:
-    """The rows x cols matrix with t^e at each (i, j): e of ``powers``, zero elsewhere, on scale 1.
-
-    Its entries are ``LaurentPoly`` when some e is nonzero, ``Fraction`` otherwise.
-    """
-    laurent = any(powers.values())
-    layers = {} if laurent else {0: _zeros(rows, cols)}
-    for (i, j), e in powers.items():
-        layers.setdefault(e, _zeros(rows, cols))[i][j] = 1
-    return ScaledMatrix(1, (rows, cols), layers, laurent)
-
-
-def _curve_point(arrows, base: Point, cocharacter: dict[tuple[int, int], int]) -> Point:
-    """lambda(t) . x0 for x0 of 0/1 matrices and lambda a {(factor, diagonal index): exponent} map.
-
-    The one at (i, j) of arrow (s, t) becomes t^(lambda_(s,i) - lambda_(t,j)).
-    """
-    point = []
-    for (s, t), x in zip(arrows, base):
-        ones = [(i, j) for i, row in enumerate(x.constant_terms()) for j, c in enumerate(row) if c]
-        powers = {(i, j): cocharacter.get((s, i), 0) - cocharacter.get((t, j), 0) for i, j in ones}
-        point.append(_monomial_matrix(*x.shape, powers))
-    return tuple(point)
+def _monomial_matrix(rows: int, cols: int, ones) -> ScaledMatrix:
+    """The rows x cols matrix with a 1 at each (i, j) of ``ones`` and zeros elsewhere, on scale 1."""
+    matrix = _zeros(rows, cols)
+    for i, j in ones:
+        matrix[i][j] = 1
+    return ScaledMatrix(1, (rows, cols), matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -808,8 +753,8 @@ def _crosscheck(
 def _monoid_membership(point: Point) -> bool:
     # A^T B = A B^T = d I, tested on the stored L A and L' B: both products
     # scale by L L', and d with them.
-    a = ScaledMatrix.of(point[0]).constant_terms()
-    b = ScaledMatrix.of(point[1]).constant_terms()
+    a = ScaledMatrix.of(point[0]).integers
+    b = ScaledMatrix.of(point[1]).integers
     at_b = mat_mul(list(zip(*a)), b)
     d = at_b[0][0]
     return at_b == mat_mul(a, list(zip(*b))) == [[d * (i == j) for j in range(len(a))] for i in range(len(a))]
@@ -831,7 +776,7 @@ def _sample_monoid_element(rng: random.Random, m: int, triangular: str | None = 
 
 
 def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealization:
-    identity = _monomial_matrix(m, m, {(k, k): 0 for k in range(m)})
+    identity = _monomial_matrix(m, m, [(k, k) for k in range(m)])
     base = (identity, identity)
 
     def group_sampler(rng: random.Random) -> GroupElement:
@@ -855,7 +800,7 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
 
     arrows = ((0, 2), (1, 3))  # (a1, b1, a2, b2) . (X, Y) = (a1 X a2^-1, b1 Y b2^-1)
     cochars = _monoid_cocharacters(m).items()
-    curves = [Curve(label, _curve_point(arrows, base, lam), (r, m - r), f"X_{r}") for r, (label, lam) in enumerate(cochars)]
+    curves = [Curve(label, lam, (r, m - r), f"X_{r}") for r, (label, lam) in enumerate(cochars)]
 
     # Lie algebra of the unit group: pairs (a, delta I - a^T) on each side,
     # spanned by (E_ij, -E_ji) and (0, I).
@@ -901,7 +846,7 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
     def membership(point: Point) -> bool:
         # Ranks and zero compositions are unchanged by scaling each arrow
         # matrix, so they are read on the stored integers.
-        scaled = [ScaledMatrix.of(x).constant_terms() for x in point]
+        scaled = [ScaledMatrix.of(x).integers for x in point]
         if any(rational_rank(x) > k for x, k in zip(scaled, ranks)):
             return False
         return all(e == 0 for i, j in zero_paths for row in mat_mul(scaled[i], scaled[j]) for e in row)
@@ -925,14 +870,14 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
 # Circular complexes.
 
 
-def _standard_er(r: int) -> dict[tuple[int, int], int]:
-    """E_r, ones on the first r diagonal entries, as ``_monomial_matrix`` powers."""
-    return {(i, i): 0 for i in range(r)}
+def _standard_er(r: int) -> list[tuple[int, int]]:
+    """E_r, ones on the first r diagonal entries, as ``_monomial_matrix`` positions."""
+    return [(i, i) for i in range(r)]
 
 
-def _standard_fs(rows: int, cols: int, s: int) -> dict[tuple[int, int], int]:
-    """F_s, ones on the last s entries of the bottom-right diagonal, as ``_monomial_matrix`` powers."""
-    return {(rows - s + k, cols - s + k): 0 for k in range(s)}
+def _standard_fs(rows: int, cols: int, s: int) -> list[tuple[int, int]]:
+    """F_s, ones on the last s entries of the bottom-right diagonal, as ``_monomial_matrix`` positions."""
+    return [(rows - s + k, cols - s + k) for k in range(s)]
 
 
 def _circular_parameters(m: int, n: int, r: int, s: int) -> tuple[int, int, int, int]:
@@ -1091,7 +1036,7 @@ def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDiviso
     limit_ranks = {f"lambda_{r}": (r - 1, s), f"mu_{r}": (r, s - 1 if r + s == n else s)}
     # A member with boundaries has both curves, in the model's boundary order.
     curves = [
-        Curve(label, _curve_point(arrows, base, lam), limit_ranks[label], boundary)
+        Curve(label, lam, limit_ranks[label], boundary)
         for (label, lam), boundary in zip(_circular_cocharacters(r, s).items(), model.boundary_ids or (None, None))
     ]
 
@@ -1172,18 +1117,17 @@ def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) ->
         chi = lattice.character([1 if k < i else 0 for k in range(r)])
         semi.append(SemiInvariantSpec(f"Delta_{i}", chi, Minor(0, i)))
 
-    base, arrows = (_monomial_matrix(m, n, _standard_er(r)),), ((0, 1),)
     # The circular lambda_r at s = 0; its limit is the candidate boundary orbit X_{r-1}.
     lam = _circular_cocharacters(r, 0)[f"lambda_{r}"]
 
     return MatrixRealization(
-        base_point=base,
+        base_point=(_monomial_matrix(m, n, _standard_er(r)),),
         torus=_circular_torus(m, n, r, 0),
         semi_invariants=tuple(semi),
-        curves=(Curve(f"lambda_{r}", _curve_point(arrows, base, lam), (r - 1,), f"X_{r - 1}"),),
+        curves=(Curve(f"lambda_{r}", lam, (r - 1,), f"X_{r - 1}"),),
         expected_orbit_dimension=r * (m + n - r),
         stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, 0),
-        **_quiver_parts((m, n), arrows, (r,)),
+        **_quiver_parts((m, n), ((0, 1),), (r,)),
     )
 
 

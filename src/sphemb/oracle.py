@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .families import ScaledMatrix, bumped_copies, inverse_element
 from .lattice import rational_rank, rational_solve, sparse_rank
+from .laurent import NegativeExponentError
 from .rootdata import Character, Covector, TorusLattice, pair
 
 
@@ -123,11 +124,13 @@ def t_order(
     read on the same seeded draws, and the result is a tuple with one
     ``TOrderResult`` per function, or ``None`` for a function that vanished
     on every trial.  A single function that vanished on every trial raises
-    ``IdenticallyZeroError``.
+    ``IdenticallyZeroError``.  A form that cannot be read on the
+    realization's arrows raises ``ValueError`` (``check_forms``).
     """
     _check_trials(trials)
     real.curve(curve_label)  # KeyError for an unknown label, also with no function to read
     functions = f if isinstance(f, tuple) else (f,)
+    real.check_forms(functions)
     orders = real.form_orders(tuple(fn.form for fn in functions), curve_label, trials, seed)
     results = tuple(map(_order_result, orders))
     if isinstance(f, tuple):
@@ -138,9 +141,20 @@ def t_order(
 
 
 def limit_signature(real, curve_label: str) -> LimitSignature:
-    """Limit of the curve at t=0 (``ScaledMatrix.limit``) with per-block ranks, taken on integers."""
-    limits = tuple(ScaledMatrix.of(x).limit() for x in real.curve(curve_label))
-    return LimitSignature(limit_point=limits, rank_profile=tuple(rational_rank(x.constant_terms()) for x in limits))
+    """Limit of the curve at t=0 with per-block ranks, taken on integers.
+
+    Of the curve's entries c t^e (``monomial_entries``) those with e = 0 stay
+    and those with e > 0 drop; an entry with e < 0 has no limit and raises
+    ``NegativeExponentError``.
+    """
+    limits = []
+    for arrow, x in enumerate(map(ScaledMatrix.of, real.base_point)):
+        entries = real.monomial_entries(curve_label, arrow)
+        if any(e < 0 for *_, e in entries):
+            raise NegativeExponentError("no limit at t=0: negative powers of t present")
+        kept, (rows, cols) = {(i, j): c for i, j, c, e in entries if e == 0}, x.shape
+        limits.append(ScaledMatrix(x.scale, x.shape, [[kept.get((i, j), 0) for j in range(cols)] for i in range(rows)]))
+    return LimitSignature(limit_point=tuple(limits), rank_profile=tuple(rational_rank(x.integers) for x in limits))
 
 
 def orbit_dimension(real, point=None) -> int:
@@ -169,9 +183,11 @@ def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[s
     i-th boundary draw g (``group_draws``): f(b . x) must equal chi(b) f(x) wherever
     f(x) != 0, as integer cross-products of undivided pairs (``weight_ratio``, ``form.ratio``).
     Each b, x and b . x is taken once, only while some candidate is undecided,
-    and with no candidate nothing is drawn.
+    and with no candidate nothing is drawn.  A form that cannot be read on
+    the realization's arrows raises ``ValueError`` (``check_forms``).
     """
     _check_trials(trials)
+    real.check_forms(candidates)
     failures: list[str | None] = [None] * len(candidates)
     saw_nonzero = [False] * len(candidates)
     rng = random.Random(seed)
@@ -208,7 +224,7 @@ def semiinvariance_check(real, f, trials: int = 8, seed: int = 0) -> Character:
 
     For each of ``trials`` trials (at least 1) a seeded Borel element b and
     the orbit points g . x0 and g^-1 . x0 of that trial's boundary draw g
-    (``group_draws``) are taken, and f(b . x) == weight_value(chi, b) * f(x)
+    (``group_draws``) are taken, and f(b . x) == chi(b) f(x) (``weight_ratio``)
     is required exactly; the claimed weight is returned once every trial
     agrees.  The draws are the ones ``select_semi_invariants`` tests every
     candidate against, so both give the same verdict for ``f``.

@@ -1,11 +1,17 @@
-"""Independent references for the semi-invariant forms, read off a point's layers.
+"""Independent references for the semi-invariant forms, read in sympy.
 
-A ``Minor``'s value is a sympy determinant over Z[t] of its block of the
-point's matrix, and a ``Pairing``'s the sum of its two arrows' products layer
-by layer.  Neither reads the package's minor kernels
-(``ScaledMatrix.minor_ratio``, ``MatrixRealization.form_orders``) or its
-``LaurentPoly`` arithmetic.  sympy is imported on first use, so a test that
-reads a minor here is skipped where sympy is missing.
+A point is read here one arrow at a time as (X, low, scale), for the matrix
+t^low X / scale with X over Z[t], or over Z for a rational point, whose
+stored integers and scale are read as they are (``ScaledMatrix.of``).  A curve lambda(t) . x0 is built from the base point
+x0 and the curve's cocharacter as diag(t^lambda_s) x0 diag(t^-lambda_t) at
+each arrow (s, t), both diagonals shifted to nonnegative powers, and is
+moved by a group element's units (``act``).  A ``Minor``'s value is a sympy determinant over
+Z[t] of its block, and a ``Pairing``'s the sum of its two arrows' entrywise
+products.  Nothing here reads the package's minor kernels
+(``ScaledMatrix.minor_ratio``, ``MatrixRealization.form_orders``), its
+translate (``act``) or its curve entries (``monomial_entries``).  sympy is
+imported on first use, so a test that reads a form here is skipped where
+sympy is missing.
 """
 
 from fractions import Fraction
@@ -15,51 +21,90 @@ import pytest
 from sphemb.families import Pairing, ScaledMatrix
 
 
-def _polynomial_matrix(x: ScaledMatrix):
-    """(Z[t], x's entries times scale t^-low as elements of it, low) for the least stored power low; (Z, x's
-    stored integers, 0) when x has no layer but layer 0."""
+def _ring():
     pytest.importorskip("sympy")
     from sympy import ZZ, Symbol
 
-    if x.layers.keys() <= {0}:
-        return ZZ, [list(map(ZZ, r)) for r in x.constant_terms()], 0
-    ring = ZZ[Symbol("t")]
-    (t,) = ring.gens
-    (rows, cols), low, items = x.shape, min(x.layers), x.layers.items()
-    entries = [[sum((m[i][j] * t ** (e - low) for e, m in items if m[i][j]), ring.zero) for j in range(cols)] for i in range(rows)]
-    return ring, entries, low
+    return ZZ[Symbol("t")]
 
 
-def _minor(form, x: ScaledMatrix, polynomial) -> dict[int, int]:
-    """scale^k times the minor ``form`` of x, as {power of t: int}, by one sympy determinant over Z[t]."""
+def _terms(value, domain) -> list:
+    """((e,), c) per term c t^e of an element of Z[t], or of Z as its t^0 term."""
+    return value.terms() if domain.is_PolynomialRing else [((0,), value)]
+
+
+def _integer_matrix(x, ring):
+    """The stored integers of the rational matrix x (``ScaledMatrix.of``) in ``ring``, and its scale."""
     from sympy.polys.matrices import DomainMatrix
 
-    (ring, entries, low), (rows, cols), k = polynomial, x.shape, form.k
+    x = ScaledMatrix.of(x)
+    return DomainMatrix([[ring(c) for c in r] for r in x.integers], x.shape, ring), x.scale
+
+
+def rational_point(point) -> tuple:
+    """A rational point, one matrix per arrow, as (X, 0, scale) per arrow with X over Z."""
+    pytest.importorskip("sympy")
+    from sympy import ZZ
+
+    return tuple((x, 0, q) for x, q in (_integer_matrix(y, ZZ) for y in point))
+
+
+def curve_point(real, curve_label) -> tuple:
+    """The labelled curve lambda(t) . x0 of ``real`` as (X, low, scale) per arrow."""
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = _ring()
+    (t,) = ring.gens
+    lam = dict(real.curve(curve_label).cocharacter)
+    point = []
+    for (s, u), x0 in zip(real.arrows, real.base_point):
+        x, scale = _integer_matrix(x0, ring)
+        rows, cols = x.shape
+        left, right = [lam.get((s, i), 0) for i in range(rows)], [-lam.get((u, j), 0) for j in range(cols)]
+        # t^-low diag(t^lambda_s) and diag(t^-lambda_t) t^-high have no negative power, for their least powers low and high.
+        low, high = min(left, default=0), min(right, default=0)
+        left = DomainMatrix.diag([t ** (e - low) for e in left], ring, (rows, rows))
+        right = DomainMatrix.diag([t ** (e - high) for e in right], ring, (cols, cols))
+        point.append((left * x * right, low + high, scale))
+    return tuple(point)
+
+
+def act(real, g, point) -> tuple:
+    """g . point for a tuple of units g and a point given as (X, low, scale) per arrow: (L / l) X (R / r) at each
+    arrow (s, t), for L / l the factor g_s and R / r the inverse of g_t."""
+    from sympy.polys.matrices import DomainMatrix
+
+    moved = []
+    for (s, u), (x, low, scale) in zip(real.arrows, point):
+        (l, big_l, _, _), (_, _, r, big_r) = g[s], g[u]
+        (rows, cols), ring = x.shape, x.domain
+        big_l = DomainMatrix([[ring(e) for e in row] for row in big_l], (rows, rows), ring).to_sparse()
+        big_r = DomainMatrix([[ring(e) for e in row] for row in big_r], (cols, cols), ring).to_sparse()
+        moved.append((big_l * x.to_sparse() * big_r, low, l * scale * r))
+    return tuple(moved)
+
+
+def _minor(form, arrow) -> dict[int, int]:
+    """scale^k times the minor ``form`` of the arrow (X, low, scale), as {power of t: int}, by one determinant of X's block."""
+    x, low, _ = arrow
+    (rows, cols), k = x.shape, form.k
     picked_rows, picked_cols = (range(rows - k, rows), range(cols - k, cols)) if form.trailing else (range(k), range(k))
-    block = [[entries[i][j] for j in picked_cols] for i in picked_rows]
-    # Every entry carries t^-low, so the determinant carries t^(-k low).
-    det = DomainMatrix(block, (k, k), ring).det()
-    return {e + k * low: int(c) for (e,), c in (det.terms() if ring.is_PolynomialRing else [((0,), det)])}
+    # Every entry carries t^low, so the determinant carries t^(k low).
+    det = x.extract(list(picked_rows), list(picked_cols)).to_dense().det()
+    return {e + k * low: int(c) for (e,), c in _terms(det, x.domain)}
 
 
 def form_values(forms, point) -> list[dict[int, Fraction]]:
-    """Each form's value at ``point`` as {power of t: nonzero coefficient}, {} for zero; each arrow goes into Z[t] once."""
-    polynomials = {}
+    """Each form's value at ``point``, given as (X, low, scale) per arrow, as {power of t: nonzero coefficient}, {} for zero."""
     values = []
     for form in forms:
         if isinstance(form, Pairing):
-            a, b = (ScaledMatrix.of(point[k]) for k in form.arrows)
-            total: dict[int, int] = {}
-            for e, p in a.layers.items():
-                for f, q in b.layers.items():
-                    total[e + f] = total.get(e + f, 0) + sum(x * y for r, s in zip(p, q) for x, y in zip(r, s))
-            scale = a.scale * b.scale * form.divisor
+            (a, low_a, scale_a), (b, low_b, scale_b) = (point[k] for k in form.arrows)
+            total = sum((p * q for r, s in zip(a.to_list(), b.to_list()) for p, q in zip(r, s)), a.domain.zero)
+            terms, scale = {e + low_a + low_b: int(c) for (e,), c in _terms(total, a.domain)}, scale_a * scale_b * form.divisor
         else:
-            x = ScaledMatrix.of(point[form.arrow])
-            if form.arrow not in polynomials:
-                polynomials[form.arrow] = _polynomial_matrix(x)
-            total, scale = _minor(form, x, polynomials[form.arrow]), x.scale**form.k
-        values.append({e: Fraction(c, scale) for e, c in total.items() if c})
+            terms, scale = _minor(form, point[form.arrow]), point[form.arrow][2] ** form.k
+        values.append({e: Fraction(c, scale) for e, c in terms.items() if c})
     return values
 
 
@@ -70,6 +115,6 @@ def form_orders(forms, point) -> list[int | None]:
 
 def form_at(form, point) -> Fraction:
     """The form's value at a rational point."""
-    (value,) = form_values((form,), point)
+    (value,) = form_values((form,), rational_point(point))
     assert value.keys() <= {0}, value
     return value.get(0, Fraction(0))

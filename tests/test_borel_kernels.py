@@ -49,7 +49,7 @@ def _pinned_values(spec, seed, trials):
             for f in real.semi_invariants:
                 values = (Fraction(*f.form.ratio(x)), Fraction(*f.form.ratio(moved)))
                 assert values == (f.evaluate(x), f.evaluate(moved)), (spec, f.name)
-                borel.append((f.name, *values, real.weight_value(f.claimed_weight, b)))
+                borel.append((f.name, *values, Fraction(*real.weight_ratio(f.claimed_weight, b))))
     return orders, borel
 
 

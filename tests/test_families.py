@@ -592,53 +592,35 @@ def test_shifted_cocharacter_exponent_fails_construction(monkeypatch, table, bui
         build()
 
 
-def _monomial_rows(rows, cols, powers):
-    """The rows x cols matrix with t^e at each (i, j): e of ``powers``, zero elsewhere.
-
-    Its entries are ``LaurentPoly`` when some e is nonzero, ``Fraction`` otherwise.
-    """
-    from sphemb.laurent import LaurentPoly
-
-    if not any(powers.values()):
-        return tuple(tuple(Fraction(int((i, j) in powers)) for j in range(cols)) for i in range(rows))
-    return tuple(
-        tuple(LaurentPoly.t_power(powers[i, j]) if (i, j) in powers else LaurentPoly() for j in range(cols))
-        for i in range(rows)
-    )
-
-
-def _same_point(got, want):
-    from sphemb.laurent import LaurentPoly
-
-    assert got == want
-    assert [x.laurent for x in got] == [any(isinstance(e, LaurentPoly) for r in x for e in r) for x in want]
+def _curve_entries(real, label, powers):
+    """Assert that the curve's entries are a 1 times t^e at each (i, j) of each arrow's {(i, j): e} in ``powers``."""
+    want = tuple(tuple(sorted((i, j, 1, e) for (i, j), e in arrow.items())) for arrow in powers)
+    assert tuple(real.monomial_entries(label, a) for a in range(len(real.arrows))) == want, label
 
 
 def test_curve_points_are_the_cocharacters_applied_to_the_base_point():
-    # Every boundary curve against its matrices written out by hand.
+    # Every boundary curve's entries against its matrices written out by hand.
     for m in range(1, 6):
         _, real = monoid_model(m)
         for r in range(m + 1):
-            a = _monomial_rows(m, m, {(k, k): int(k >= r) for k in range(m)})
-            b = _monomial_rows(m, m, {(k, k): int(k < r) for k in range(m)})
-            _same_point(real.curve(f"lambda_{r}"), (a, b))
+            _curve_entries(real, f"lambda_{r}", ({(k, k): int(k >= r) for k in range(m)}, {(k, k): int(k < r) for k in range(m)}))
     for m, n, r, s in admissible_circular_parameters(4, 5):
         _, real = circular_complexes_model(m, n, r, s)
         er = {(i, i): 0 for i in range(r)}
         fs = {(n - s + k, m - s + k): 0 for k in range(s)}
         want = {}
         if r >= 1:
-            want[f"lambda_{r}"] = (_monomial_rows(m, n, {**er, (r - 1, r - 1): 1}), _monomial_rows(n, m, fs))
+            want[f"lambda_{r}"] = ({**er, (r - 1, r - 1): 1}, fs)
         if s >= 1:
-            want[f"mu_{r}"] = (_monomial_rows(m, n, er), _monomial_rows(n, m, {**fs, (r, m - s): 1} if r + s == n else fs))
+            want[f"mu_{r}"] = (er, {**fs, (r, m - s): 1} if r + s == n else fs)
         assert [c.label for c in real.curves] == list(want), (m, n, r, s)
         for c in real.curves:
-            _same_point(c.point, want[c.label])
+            _curve_entries(real, c.label, want[c.label])
     for m, n, r in ((2, 2, 1), (3, 4, 2), (5, 3, 2)):
         real, _ = determinantal_realization(m, n, r)
         (curve,) = real.curves
-        assert curve.label == f"lambda_{r}"
-        _same_point(curve.point, (_monomial_rows(m, n, {**{(i, i): 0 for i in range(r)}, (r - 1, r - 1): 1}),))
+        assert curve.label == f"lambda_{r}" and curve.cocharacter == (((0, r - 1), 1),)
+        _curve_entries(real, curve.label, ({**{(i, i): 0 for i in range(r)}, (r - 1, r - 1): 1},))
 
 
 def _random_matrix(rng, n, rational):
@@ -690,7 +672,7 @@ def test_integer_inverse_rejects_singular_matrices():
 
 
 # Reference kernels: the oracle's translate, minor and Lie-row computations
-# as plain products over Fraction and LaurentPoly entries.  The integer
+# as plain products over Fraction entries.  The integer
 # kernels in sphemb.families must agree with them exactly, entry types
 # included.
 
@@ -780,22 +762,15 @@ def _random_group_matrix(rng, n):
     return tuple(tuple(r) for r in g)
 
 
-def _random_curve_entry(rng, laurent):
-    from sphemb.laurent import LaurentPoly
-
+def _random_entry(rng):
     pick = rng.random()
     if pick < 0.4:
         return 0
-    if not laurent or pick < 0.55:
-        return rng.choice((1, -2, Fraction(3, 4), Fraction(-5, 6)))
-    if pick < 0.6:
-        return LaurentPoly()
-    terms = {rng.randint(-2, 3): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))}
-    return LaurentPoly(terms)
+    return rng.choice((1, -2, Fraction(3, 4), Fraction(-5, 6)))
 
 
-def _random_curve_point(rng, rows, cols, laurent):
-    x = [[_random_curve_entry(rng, laurent) for _ in range(cols)] for _ in range(rows)]
+def _random_point(rng, rows, cols):
+    x = [[_random_entry(rng) for _ in range(cols)] for _ in range(rows)]
     if rng.random() < 0.3:
         x[rng.randrange(rows)] = [0] * cols
     if rng.random() < 0.3:
@@ -815,7 +790,6 @@ def test_apply_pair_matches_reference_products():
     # g_right, L / l = g_left and R / r = g_right.  Forms are scaled up by a
     # random factor, as a carried form need not be reduced.
     from sphemb.families import _translate
-    from sphemb.laurent import LaurentPoly, T
     from sphemb.lattice import scaled_to_integers
 
     rng = random.Random(11)
@@ -830,15 +804,15 @@ def test_apply_pair_matches_reference_products():
 
     for _ in range(400):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        x = _random_curve_point(rng, rows, cols, laurent=rng.random() < 0.7)
+        x = _random_point(rng, rows, cols)
         g_left, g_right = _random_group_matrix(rng, rows), _random_group_matrix(rng, cols)
         _same_entries(_apply_pair(g_left, x, g_right), _reference_apply_pair(g_left, x, g_right))
-    # 1 x 1, an all-zero curve point, and a curve whose only Laurent entry is zero
+    # 1 x 1, and an all-zero point
     half = ((Fraction(1, 2),),)
-    for x in (((T,),), ((LaurentPoly({-1: Fraction(2, 3)}),),), ((0,),), ((Fraction(7, 3),),)):
+    for x in (((0,),), ((Fraction(7, 3),),)):
         _same_entries(_apply_pair(half, x, half), _reference_apply_pair(half, x, half))
     g = ((Fraction(2), Fraction(1, 3)), (Fraction(0), Fraction(-1)))
-    for x in (((0, 0), (0, 0)), ((0, LaurentPoly()), (1, 0))):
+    for x in (((0, 0), (0, 0)), ((0, 0), (1, 0))):
         _same_entries(_apply_pair(g, x, g), _reference_apply_pair(g, x, g))
     # 0 x 2 and 2 x 0 points, the arrows of a complexes member with l or m = 0
     _same_entries(_apply_pair((), (), g), _reference_apply_pair((), (), g))
@@ -854,61 +828,44 @@ def _minor(m, k, trailing=False) -> Fraction:
 
 def test_full_minor_matches_cofactor_expansion():
     # The determinant of a rational square matrix is its full trailing (and
-    # leading) minor; a matrix with a LaurentPoly entry has no minor read here.
-    from sphemb.laurent import LaurentPoly, T
-
+    # leading) minor.
     def check(rows):
         n = len(rows)
-        if any(isinstance(e, LaurentPoly) for r in rows for e in r):
-            for trailing in (False, True):
-                with pytest.raises(ValueError, match="rational matrices only"):
-                    _minor(rows, n, trailing)
-            return None
         got = _minor(rows, n, True)
         assert got == _reference_det(rows) == _minor(rows, n)
         return got
 
     rng = random.Random(3)
-    entries = (0, 0, 1, -1, Fraction(1, 2), 3, T, -T, T ** 2, LaurentPoly({-1: 1}), 1 + T, LaurentPoly({0: Fraction(-1, 3), 1: 2}))
+    entries = (0, 0, 1, -1, Fraction(1, 2), 3)
     for n in range(6):
         for _ in range(60 if n < 5 else 15):
-            laurent = rng.random() < 0.7
-            pool = entries if laurent else entries[:6]
-            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
             if n and rng.random() < 0.2:
                 rows[0] = [0] * n  # zero first row
             if n > 1 and rng.random() < 0.2:
                 rows[-1] = list(rows[0])  # singular: two equal rows
             check(rows)
-    # Laurent terms that would cancel, t*1 - t*1, are still refused, and a constant determinant
-    assert check([[T, T], [1, 1]]) is check([[1 + T, T], [1, 1]]) is None
-    assert check([[T, LaurentPoly({-1: 1})], [1, LaurentPoly({-2: 1})]]) is None
     assert check([[Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 0], [0, 0, 3]]) == 1
     assert check([]) == 1
 
 
 def _random_minor_matrix(rng, rows, cols):
-    """A rows x cols matrix of integers, Fractions with mixed denominators or
-    Laurent polynomials (picked per matrix), sometimes with all-zero rows."""
-    from sphemb.laurent import LaurentPoly
-
-    kind = rng.choice(("integer", "fraction", "laurent"))
-    if kind == "integer":
+    """A rows x cols matrix of integers or of Fractions with mixed
+    denominators (picked per matrix), sometimes with all-zero rows."""
+    if rng.random() < 0.5:
         entry = lambda: rng.choice((0, rng.randint(-9, 9)))  # noqa: E731
-    elif kind == "fraction":
-        entry = lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))  # noqa: E731
     else:
-        entry = lambda: _random_curve_entry(rng, laurent=True)  # noqa: E731
+        entry = lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))  # noqa: E731
     m = [[entry() for _ in range(cols)] for _ in range(rows)]
     for _ in range(rng.choice((0, 0, 1, 2))):
-        m[rng.randrange(rows)] = [LaurentPoly() if kind == "laurent" else 0] * cols
+        m[rng.randrange(rows)] = [0] * cols
     return m
 
 
 def test_minors_match_reference_determinants_of_sliced_blocks():
     # Delta_k is read on the matrix as stored, the trailing minors on it
     # turned by 180 degrees, and every k of one matrix shares its elimination
-    # pivots, read here in a random order; a Laurent matrix is refused.
+    # pivots, read here in a random order.
     from sphemb.families import ScaledMatrix
 
     rng = random.Random(29)
@@ -919,10 +876,6 @@ def test_minors_match_reference_determinants_of_sliced_blocks():
         ks = list(range(1, min(rows, cols) + 1))
         rng.shuffle(ks)
         for k in ks:
-            if scaled.laurent:
-                with pytest.raises(ValueError, match="rational matrices only"):
-                    scaled.minor_ratio(k, rng.random() < 0.5)
-                continue
             lead = _reference_det([r[:k] for r in m[:k]])
             trail = _reference_det([r[cols - k :] for r in m[rows - k :]])
             assert _minor(scaled, k) == lead == _minor(m, k), (m, k)
@@ -930,39 +883,26 @@ def test_minors_match_reference_determinants_of_sliced_blocks():
         assert scaled._rows is None  # the minors read the stored integers only
 
 
-def _divided_layers(scale, shape, layers, laurent):
-    """The rows of sum_e t^e layers[e] / scale, by ``LaurentPoly`` arithmetic, or its ``Fraction`` constants."""
-    from sphemb.laurent import LaurentPoly
-
-    rows, cols = shape
-    if not laurent:
-        return tuple(tuple(Fraction(layers[0][i][j] if 0 in layers else 0, scale) for j in range(cols)) for i in range(rows))
-    entry = lambda i, j: sum((LaurentPoly.t_power(e) * Fraction(m[i][j], scale) for e, m in layers.items()), LaurentPoly())  # noqa: E731
-    return tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows))
-
-
 def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
     from sphemb.families import ScaledMatrix, _translate
     from sphemb.lattice import scaled_to_integers
-    from sphemb.laurent import LaurentPoly
 
     rng = random.Random(5)
     for _ in range(200):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        x = _random_curve_point(rng, rows, cols, laurent=rng.random() < 0.7)
+        x = _random_point(rng, rows, cols)
         g_left, g_right = _random_group_matrix(rng, rows), _random_group_matrix(rng, cols)
         left, right = scaled_to_integers(g_left), scaled_to_integers(g_right)
         moved = _translate(left, x, right)
         assert ScaledMatrix.of(moved) is moved and moved._rows is None
-        scale, layers, laurent = moved.scale, moved.layers, moved.laurent
+        scale, integers = moved.scale, moved.integers
         assert scale == left[0] * ScaledMatrix.of(x).scale * right[0]
-        assert laurent == any(isinstance(e, LaurentPoly) for r in x for e in r)
-        assert moved.shape == (rows, cols) and all(len(m) == rows and all(len(r) == cols for r in m) for m in layers.values())
-        eager = _divided_layers(scale, moved.shape, layers, laurent)
+        assert moved.shape == (rows, cols) and len(integers) == rows and all(len(r) == cols for r in integers)
+        eager = tuple(tuple(Fraction(c, scale) for c in r) for r in integers)
         assert eager == _reference_apply_pair(g_left, x, g_right)
         # == both ways, != and hash as the eagerly divided tuple, also on
         # the same matrix stored over another scale and inside a point
-        doubled = ScaledMatrix(2 * scale, moved.shape, {e: [[2 * c for c in r] for r in m] for e, m in layers.items()}, laurent)
+        doubled = ScaledMatrix(2 * scale, moved.shape, [[2 * c for c in r] for r in integers])
         for other in (eager, doubled):
             assert moved == other and other == moved and not moved != other and not other != moved
             assert hash(moved) == hash(other)
@@ -976,12 +916,8 @@ def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
         identity = [[int(i == j) for j in range(rows)] for i in range(rows)], [[int(i == j) for j in range(cols)] for i in range(cols)]
         assert _translate((3, [[3 * e for e in r] for r in identity[0]]), moved, (1, identity[1])) == eager
         for k in range(1, min(rows, cols) + 1):
-            if laurent:
-                with pytest.raises(ValueError, match="rational matrices only"):
-                    moved.minor_ratio(k)
-            else:
-                assert _minor(moved, k) == _minor(eager, k) == _reference_det([r[:k] for r in eager[:k]])
-                assert _minor(moved, k, True) == _minor(eager, k, True)
+            assert _minor(moved, k) == _minor(eager, k) == _reference_det([r[:k] for r in eager[:k]])
+            assert _minor(moved, k, True) == _minor(eager, k, True)
 
 
 def test_minor_memos_belong_to_one_matrix():
@@ -998,22 +934,15 @@ def test_minor_memos_belong_to_one_matrix():
 
 
 def test_stored_zero_coefficients_read_as_zero():
-    # A stored coefficient may be zero, as where terms cancelled, and a
-    # layer may be all zero, here the t^-1 and t^3 layers.
+    # A stored entry may be zero, as where terms cancelled, and a matrix may be all zero.
     from sphemb.families import ScaledMatrix, _translate
-    from sphemb.laurent import LaurentPoly, T
 
-    layers = {0: [[0, 0], [4, 0]], 1: [[2, 0], [0, 0]], -1: [[0, 0], [0, 0]], 2: [[0, 0], [0, 6]], 3: [[0, 0], [0, 0]]}
-    stored = ScaledMatrix(2, (2, 2), layers, True)
-    rows = ((T, LaurentPoly()), (LaurentPoly.constant(2), 3 * T**2))
+    stored = ScaledMatrix(2, (2, 2), [[0, 0], [4, 6]])
+    rows = ((0, 0), (2, 3))
     assert stored == rows and hash(stored) == hash(rows)
-    assert [[p.order() for p in r] for r in stored.rows] == [[1, None], [0, 2]]
-    assert stored == ScaledMatrix(1, (2, 2), {1: [[1, 0], [0, 0]], 0: [[0, 0], [2, 0]], 2: [[0, 0], [0, 3]]}, True)
-    assert stored.limit() == ((0, 0), (2, 0))
-    # A rational matrix with an all-zero layer 0, and one with no layer at all.
-    for zero in (ScaledMatrix(5, (2, 2), {0: [[0, 0], [0, 0]]}, False), ScaledMatrix(5, (2, 2), {}, False)):
-        assert zero == ((0, 0), (0, 0)) and zero.constant_terms() == [[0, 0], [0, 0]]
-        assert _minor(zero, 1) == _minor(zero, 2, True) == 0
+    assert stored == ScaledMatrix(1, (2, 2), [[0, 0], [2, 3]])
+    zero = ScaledMatrix(5, (2, 2), [[0, 0], [0, 0]])
+    assert zero == ((0, 0), (0, 0)) and _minor(zero, 1) == _minor(zero, 2, True) == 0
     assert _translate((1, [[1, 0], [0, 1]]), stored, (1, [[1, 0], [0, 1]])) == rows
     # g x g^-1 with g = [[1, 1], [0, 1]] fixes the identity through cancelling terms.
     fixed = _translate((1, [[1, 1], [0, 1]]), ((1, 0), (0, 1)), (1, [[1, -1], [0, 1]]))
@@ -1045,18 +974,17 @@ _GRID_SPECS = (
 
 def test_points_are_scaled_matrices_from_construction():
     from sphemb.families import ScaledMatrix
+    from sphemb.oracle import limit_signature
 
     for spec in _GRID_SPECS:
         real = build_family(spec).realization
-        for point in [real.base_point] + [c.point for c in real.curves]:
+        for point in [real.base_point] + [limit_signature(real, c.label).limit_point for c in real.curves]:
             for x in point:
                 assert isinstance(x, ScaledMatrix) and ScaledMatrix.of(x) is x, spec
 
 
 def test_points_given_as_rows_validate_act_and_limit_alike():
-    # The same realization with every point given as tuples of rows, and the
-    # monoid's curves as the mixed int and t tuples they were once built as.
-    from sphemb.laurent import T
+    # The same realization with its base point given as tuples of rows.
     from sphemb.oracle import limit_signature, t_order
 
     def as_rows(point):
@@ -1065,24 +993,11 @@ def test_points_given_as_rows_validate_act_and_limit_alike():
     rng = random.Random(13)
     for spec in _GRID_SPECS:
         real = build_family(spec).realization
-        curves = tuple(dataclasses.replace(c, point=as_rows(c.point)) for c in real.curves)
-        if spec.startswith("monoid"):
-            m = len(real.base_point[0])
-            mixed = [
-                (
-                    tuple(tuple((1 if k < r else T) if k == l else 0 for l in range(m)) for k in range(m)),
-                    tuple(tuple((T if k < r else 1) if k == l else 0 for l in range(m)) for k in range(m)),
-                )
-                for r in range(m + 1)
-            ]
-            assert [c.point for c in curves] == mixed
-            curves = tuple(dataclasses.replace(c, point=point) for c, point in zip(curves, mixed))
-        hand = dataclasses.replace(real, base_point=as_rows(real.base_point), curves=curves)
+        hand = dataclasses.replace(real, base_point=as_rows(real.base_point))
         assert hand.membership(hand.base_point)
         g = real.group_sampler(rng)
         assert hand.act(g, hand.base_point) == real.act(g, real.base_point), spec
         for c in real.curves:
-            assert hand.act(g, hand.curve(c.label)) == real.act(g, c.point), (spec, c.label)
             assert limit_signature(hand, c.label) == limit_signature(real, c.label), (spec, c.label)
             for f in real.semi_invariants:
                 assert t_order(hand, f, c.label, trials=2) == t_order(real, f, c.label, trials=2), (spec, f.name)
@@ -1298,29 +1213,6 @@ def _freeze(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def test_curve_off_at_one_fails_construction():
-    from sphemb.laurent import T
-
-    _, real = monoid_model(3)
-    curve = real.curves[1]
-    label, (a, b) = curve.label, curve.point
-    assert dataclasses.replace(real).curve(label) == (a, b)
-    # a Laurent entry whose coefficients sum to 2, a constant entry off by one,
-    # and an off-diagonal zero made 1
-    for block, i, j, entry in ((0, 1, 1, 2 * T), (1, 1, 1, 2), (0, 0, 1, 1), (1, 2, 0, T)):
-        rows = [list(r) for r in (a, b)[block]]
-        rows[i][j] = entry
-        broken = (_freeze(rows), b) if block == 0 else (a, _freeze(rows))
-        curves = tuple(dataclasses.replace(c, point=broken) if c is curve else c for c in real.curves)
-        with pytest.raises(ValueError, match=f"curve {label} does not pass"):
-            dataclasses.replace(real, curves=curves)
-    # t^2 agrees with t at t = 1
-    rows = [list(r) for r in a]
-    rows[2][2] = T ** 2
-    curves = tuple(dataclasses.replace(c, point=(_freeze(rows), b)) if c is curve else c for c in real.curves)
-    dataclasses.replace(real, curves=curves)
-
-
 # A sampled group element is a tuple of units (l, L, r, R), the factor L / l
 # with inverse R / r; the seeded draws must stay those of the Fraction-era
 # samplers.
@@ -1491,7 +1383,10 @@ def _identity_rows(n):
 
 
 def _points(real):
-    return [real.base_point] + [c.point for c in real.curves]
+    """The base point and its curves' limits."""
+    from sphemb.oracle import limit_signature
+
+    return [real.base_point] + [limit_signature(real, c.label).limit_point for c in real.curves]
 
 
 def test_sampled_units_carry_their_inverses():
@@ -1519,7 +1414,7 @@ def test_act_on_hand_built_elements_inverts_their_own_factors():
 
     for m in (1, 2, 3):
         _, real = monoid_model(m)
-        x = real.curve(f"lambda_{m // 2}")
+        x = _points(real)[1 + m // 2]
         for seed in range(4):
             g = real.group_sampler(random.Random(seed))
             factors = _factors(g)
@@ -1672,7 +1567,7 @@ def test_torus_tables_match_the_weight_functions():
         for seed in range(4):
             b = real.borel_sampler(random.Random(seed))
             for chi in chars:
-                got = real.weight_value(chi, b)
+                got = Fraction(*real.weight_ratio(chi, b))
                 assert got == reference(chi, _factors(b)) and type(got) is Fraction, (spec, seed, chi.coords)
                 checked += 1
     assert checked > 500
@@ -1680,17 +1575,13 @@ def test_torus_tables_match_the_weight_functions():
 
 def test_dilation_matches_fraction_sum():
     # d(A, B) = sum a_ij b_ij / m, summed on integer forms and divided once,
-    # at rational points; a curve point, or its translate, is refused.
+    # at the base point, the curves' limits and their translates.
     for m in (1, 2, 3, 4):
         _, real = monoid_model(m)
         (dilation,) = [f for f in real.semi_invariants if f.name == "d"]
         rng = random.Random(m)
         points = _points(real) + [real.act(real.group_sampler(rng), x) for x in _points(real)]
         for point in points:
-            if any(x.laurent for x in point):
-                with pytest.raises(ValueError, match="rational points only"):
-                    dilation.evaluate(point)
-                continue
             a, b = point
             want = sum((a[i][j] * b[i][j] for i in range(m) for j in range(m)), Fraction(0)) / m
             got = dilation.evaluate(point)

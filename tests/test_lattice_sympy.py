@@ -13,7 +13,6 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
 from sphemb.families import ScaledMatrix  # noqa: E402
-from sphemb.laurent import LaurentPoly  # noqa: E402
 from sphemb.lattice import (  # noqa: E402
     IntegerMatrix,
     determinant,
@@ -161,21 +160,14 @@ _FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3
 def minor_matrices(draw):
     """Square, taller and wider matrices up to 5 x 5 with all-zero rows.
 
-    The entries of one matrix are integers, Fractions with mixed
-    denominators, or Laurent polynomials in t with such coefficients.
+    The entries of one matrix are integers or Fractions with mixed
+    denominators.
     """
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(("integer", "fraction", "laurent")))
-    if kind == "integer":
-        entry = st.integers(-9, 9) | st.just(0)
-    elif kind == "fraction":
-        entry = _FRACTIONS | st.just(0)
-    else:
-        entry = st.dictionaries(st.integers(-2, 3), _FRACTIONS, max_size=3).map(LaurentPoly)
+    entry = draw(st.sampled_from((st.integers(-9, 9) | st.just(0), _FRACTIONS | st.just(0))))
     m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-    zero = LaurentPoly() if kind == "laurent" else 0
     for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
-        m[i] = [zero] * cols
+        m[i] = [0] * cols
     return m
 
 
@@ -195,19 +187,14 @@ def _same(got, want) -> bool:
 @given(minor_matrices(), st.randoms(use_true_random=False))
 def test_minors_match_sympy_determinants(m, rnd):
     # Every leading and trailing minor of one stored matrix, in a drawn
-    # order so that the shared pivots are taken in different orders; a
-    # matrix with Laurent entries has no minor read here.
+    # order so that the shared pivots are taken in different orders.
     rows, cols = len(m), len(m[0])
     scaled = ScaledMatrix.of(m)
     reads = [(trailing, k) for trailing in (False, True) for k in range(1, min(rows, cols) + 1)]
     rnd.shuffle(reads)
     for trailing, k in reads:
-        if scaled.laurent:
-            with pytest.raises(ValueError, match="rational matrices only"):
-                scaled.minor_ratio(k, trailing)
-            continue
         block = [r[cols - k :] for r in m[rows - k :]] if trailing else [r[:k] for r in m[:k]]
         assert _same(Fraction(*scaled.minor_ratio(k, trailing)), _sympy_det(block)), (trailing, k)
-    if rows == cols and not scaled.laurent:
+    if rows == cols:
         full = [Fraction(*ScaledMatrix.of(m).minor_ratio(rows, trailing)) for trailing in (False, True)]
         assert all(_same(got, _sympy_det(m)) for got in full)

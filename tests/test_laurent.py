@@ -3,7 +3,6 @@ from numbers import Rational
 
 import pytest
 
-from sphemb.families import ScaledMatrix
 from sphemb.laurent import LaurentPoly, NegativeExponentError, T
 
 
@@ -19,8 +18,11 @@ def test_arithmetic_and_order():
 
 
 def _value_at_zero(p):
-    """p at t = 0, read through the one limit path, ``ScaledMatrix.limit``."""
-    return ScaledMatrix.of([[p]]).limit()[0][0]
+    """p at t = 0, its coefficient of t^0, read off its terms; ``NegativeExponentError`` if a negative power remains."""
+    terms = dict(p.items())
+    if any(e < 0 for e in terms):
+        raise NegativeExponentError("no limit at t=0: negative powers of t present")
+    return terms.get(0, Fraction(0))
 
 
 def test_laurent_exponents_and_limits():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from form_reference import form_at, form_orders
+from form_reference import act, curve_point, form_at, form_orders
 
 from sphemb.families import (
     Curve,
@@ -20,7 +20,7 @@ from sphemb.families import (
     determinantal_realization,
     monoid_model,
 )
-from sphemb.laurent import LaurentPoly, NegativeExponentError
+from sphemb.laurent import NegativeExponentError
 from sphemb.rootdata import TorusLattice
 from sphemb.oracle import (
     CheckRecord,
@@ -96,49 +96,51 @@ def test_circular_limit_signature():
     assert sig.rank_profile == (1, 1)
 
 
-def test_limit_negative_powers_rejected():
-    base = (((Fraction(1),),),)  # one 1x1 matrix
-    curve = (((LaurentPoly.t_power(-1),),),)
-    real = MatrixRealization(
-        base_point=base,
+def _one_arrow(base, *curves):
+    """A realization of one arrow between two factors, on a base point given as rows, with the given curves."""
+    return MatrixRealization(
+        base_point=(base,),
         membership=lambda pt: True,
-        arrows=((0, 0),),
+        arrows=((0, 1),),
         group_sampler=lambda rng: (),
         borel_sampler=lambda rng: (),
         lie_basis=(),
         expected_orbit_dimension=0,
         stabilizer_sampler=lambda rng: (),
-        curves=(Curve("pole", curve, (0,)),),
+        curves=curves,
     )
+
+
+def test_limit_negative_powers_rejected():
+    # lambda_1(t) = t on the second factor sends x to x t^-1: no limit at t = 0.
+    real = _one_arrow(((Fraction(1),),), Curve("pole", {(1, 0): 1}, (0,)))
     with pytest.raises(NegativeExponentError):
         limit_signature(real, "pole")
 
 
 def test_limit_reads_stored_coefficients():
-    # A stored layer may be all zero: a t^-1 layer of zeros over the constant
-    # 3 has the limit 3, while a nonzero t^-1 coefficient still has none.
-    from sphemb.families import ScaledMatrix
-
-    def realization(curve):
-        return MatrixRealization(
-            base_point=(((Fraction(3),),),),
-            membership=lambda pt: True,
-            arrows=((0, 0),),
-            group_sampler=lambda rng: (),
-            borel_sampler=lambda rng: (),
-            lie_basis=(),
-            expected_orbit_dimension=0,
-            stabilizer_sampler=lambda rng: (),
-            curves=(Curve("c", (curve,), (1,)),),
-        )
-
-    sig = limit_signature(realization(ScaledMatrix(2, (1, 1), {-1: [[0]], 0: [[6]]}, True)), "c")
-    assert sig.limit_point == (((3,),),) and sig.rank_profile == (1,)
-    # With no t^0 layer the limit is zero.
-    sig = limit_signature(realization(ScaledMatrix(2, (1, 1), {1: [[6]]}, True)), "c")
-    assert sig.limit_point == (((0,),),) and sig.rank_profile == (0,)
+    # An entry c t^e keeps c at e = 0 and drops at e > 0; any e < 0 has no
+    # limit.  The limit keeps the base point's scale: (3, 5/2) over 2.
+    base = ((3, 0, 0), (0, Fraction(5, 2), 0))
+    real = _one_arrow(
+        base,
+        Curve("flat", {}, (2,)),
+        Curve("half", {(0, 1): 1, (1, 2): 4}, (1,)),
+        Curve("gone", {(0, 0): 1, (0, 1): 2, (1, 0): -1}, (0,)),
+        Curve("both", {(0, 0): 1, (1, 0): 1}, (2,)),
+    )
+    sig = limit_signature(real, "flat")
+    assert sig.limit_point == (base,) and sig.rank_profile == (2,) and sig.limit_point[0].scale == 2
+    sig = limit_signature(real, "half")
+    assert sig.limit_point == (((3, 0, 0), (0, 0, 0)),) and sig.rank_profile == (1,)
+    # With every entry's exponent positive the limit is zero.
+    sig = limit_signature(real, "gone")
+    assert sig.limit_point == (((0, 0, 0), (0, 0, 0)),) and sig.rank_profile == (0,)
+    # t at row 0 on the left and t^-1 at column 0 on the right meet at (0, 0) as t^(1 - 1) = 1.
+    sig = limit_signature(real, "both")
+    assert sig.limit_point == (base,) and sig.rank_profile == (2,)
     with pytest.raises(NegativeExponentError):
-        limit_signature(realization(ScaledMatrix(2, (1, 1), {-1: [[2]], 0: [[4]]}, True)), "c")
+        limit_signature(_one_arrow(base, Curve("c", {(1, 1): 1}, (1,))), "c")
 
 
 def test_orbit_dimensions():
@@ -280,14 +282,14 @@ def test_verification_report_families():
 
 # Reference copies of the per-function loops that t_order and
 # semiinvariance_check ran before every semi-invariant shared one set of draws,
-# each form read off the translate's layers (``form_reference``).
+# each form read off the translate built in sympy (``form_reference``).
 def _reference_orders(real, functions, curve_label, trials, seed):
     # Per function, the loop's per-trial orders; a run with fewer trials sees a
     # prefix.  Each function's loop draws the same elements, so each translate
     # is built once here and every form read off it.
-    curve = real.curve(curve_label)
-    rng = random.Random(seed)
-    per_trial = [form_orders([f.form for f in functions], real.act(real.group_sampler(rng), curve)) for _ in range(trials)]
+    rng, curve = random.Random(seed), curve_point(real, curve_label)
+    forms = [f.form for f in functions]
+    per_trial = [form_orders(forms, act(real, real.group_sampler(rng), curve)) for _ in range(trials)]
     return [list(orders) for orders in zip(*per_trial)]
 
 
@@ -305,7 +307,7 @@ def _reference_semiinvariance_failure(real, f, trials, seed):
     saw_nonzero = False
     for _ in range(trials):
         b = real.borel_sampler(rng)
-        factor = real.weight_value(chi, b)
+        factor = Fraction(*real.weight_ratio(chi, b))
         for _ in range(2):
             x = real.act(real.group_sampler(rng), real.base_point)
             fx = form_at(f.form, x)
@@ -414,8 +416,8 @@ def test_planted_weight_slips_are_rejected(spec):
 
 
 # Every semi-invariant of these members, on every curve, is read by
-# Cauchy-Binet; the per-function reference loop builds each translate and
-# reads the form off its layers.
+# Cauchy-Binet; the per-function reference loop builds each translate in
+# sympy and reads the form off it.
 _FORM_MEMBERS = [f"monoid:m={m}" for m in range(1, 8)] + [
     f"determinantal:m={m},n={n},r={r}" for m in range(2, 6) for n in range(2, 6) for r in range(1, min(m, n))
 ]
@@ -451,47 +453,41 @@ def test_minor_orders_are_the_symbolic_generic_orders(spec):
     real = build_family(spec).realization
     checked = 0
     for c in real.curves:
+        lam = dict(c.cocharacter)
         for f in real.semi_invariants:
             if not isinstance(f.form, Minor):
                 continue
-            x, k = c.point[f.form.arrow], f.form.k
-            (rows, cols), low = x.shape, min(x.layers)
+            (s, u), k = real.arrows[f.form.arrow], f.form.k
+            x0 = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in r] for r in real.base_point[f.form.arrow]])
+            rows, cols = x0.shape
+            left, right = sympy.diag(*[t ** lam.get((s, i), 0) for i in range(rows)]), sympy.diag(*[t ** -lam.get((u, j), 0) for j in range(cols)])
+            curve = left * x0 * right
             g = sympy.Matrix(rows, rows, lambda i, j: sympy.Symbol(f"g_{i}{j}"))
             h = sympy.Matrix(cols, cols, lambda i, j: sympy.Symbol(f"h_{i}{j}"))
-            curve = sympy.Matrix(rows, cols, lambda i, j: sum(sympy.Rational(m[i][j], x.scale) * t**e for e, m in x.layers.items()))
             moved = g * curve * h
             block = moved[rows - k :, cols - k :] if f.form.trailing else moved[:k, :k]
-            # Times t^(-k low), the determinant is a polynomial in t.
-            minor = sympy.Poly(sympy.expand(block.det(method="berkowitz") * t ** (-k * low)), t)
-            order = min(e for (e,) in minor.monoms()) + k * low
+            # Distinct monomials in the symbols never cancel, so the least power of t among the terms is the order.
+            minor = sympy.expand(block.det(method="berkowitz"))
+            order = min(term.as_coeff_exponent(t)[1] for term in sympy.Add.make_args(minor))
             assert t_order(real, f, c.label, trials=8, seed=0).order == order, (c.label, f.name)
             checked += 1
     assert checked == len(real.curves) * sum(isinstance(f.form, Minor) for f in real.semi_invariants) > 0
 
 
-def _monomial(entries: dict, scale: int = 1) -> ScaledMatrix:
-    """The 3 x 3 matrix with c t^e / scale at each (i, j) of {(i, j): (c, e)}."""
-    layers = {}
-    for (i, j), (c, e) in entries.items():
-        layers.setdefault(e, [[0] * 3 for _ in range(3)])[i][j] = c
-    return ScaledMatrix(scale, (3, 3), layers, any(e for _, e in entries.values()))
+def _permuted_realization(base, curves):
+    """Two 3 x 3 arrows on four GL(3) factors, with draws of entries in {-1, 0, 1}.
 
-
-def _permuted_realization(curves):
-    """Two 3 x 3 arrows on four GL(3) factors whose curves permute rows, with draws of entries in {-1, 0, 1}.
-
-    ``curves`` maps a label to each arrow's {(i, j): (c, e)}; every curve has
-    the same coefficients, over scale 2 on the first arrow.  Such small draws
+    ``base`` holds each arrow's {(i, j): c}, over scale 2 on the first
+    arrow, and ``curves`` maps a label to a cocharacter.  Such small draws
     often cancel a translate's lowest coefficient, so the orders test the
     whole polynomial, its signs included, and not only the powers of t it can
     hold.
     """
-    first = next(iter(curves.values()))
-    base = tuple(_monomial({k: (c, 0) for k, (c, _) in x.items()}, s) for x, s in zip(first, (2, 1)))
+    point = tuple(ScaledMatrix(s, (3, 3), [[x.get((i, j), 0) for j in range(3)] for i in range(3)]) for x, s in zip(base, (2, 1)))
     character = TorusLattice(("eps_1",)).combination([])
     forms = [Minor(a, k, trailing) for a in (0, 1) for trailing in (False, True) for k in range(4)] + [Pairing(0, 1, 3)]
     return MatrixRealization(
-        base_point=base,
+        base_point=point,
         membership=lambda pt: True,
         arrows=((0, 1), (2, 3)),
         group_sampler=lambda rng: tuple(_rand_invertible(rng, 3, -1, 1) for _ in range(4)),
@@ -500,15 +496,22 @@ def _permuted_realization(curves):
         expected_orbit_dimension=0,
         stabilizer_sampler=lambda rng: (),
         semi_invariants=tuple(SemiInvariantSpec(repr(form), character, form) for form in forms),
-        curves=tuple(
-            Curve(label, tuple(_monomial(x, s) for x, s in zip(point, (2, 1))), (3, 3)) for label, point in curves.items()
-        ),
+        curves=tuple(Curve(label, lam, (3, 3)) for label, lam in curves.items()),
     )
 
 
-# A transposition and a 3-cycle, with coefficients of both signs; on "flat"
-# every power of t is 0, so each minor is one coefficient sum.
+# A transposition and a 3-cycle, with coefficients of both signs, and three
+# cocharacters on them: on "flat" every power of t is 0, so each minor is one
+# coefficient sum.  The four factors are distinct, so a cocharacter that
+# scales the rows of each arrow gives any exponents on its entries: these
+# curves' entries (c, e) are written out in _PERMUTED_ENTRIES.
+_PERMUTED_BASE = ({(0, 1): 2, (1, 0): -4, (2, 2): 6}, {(0, 2): 1, (1, 0): -1, (2, 1): 2})
 _PERMUTED_CURVES = {
+    "flat": {},
+    "tied": {(0, 1): 1, (0, 2): 1, (2, 0): 1, (2, 2): 1},
+    "spread": {(0, 0): 2, (0, 2): 1, (2, 1): 2},
+}
+_PERMUTED_ENTRIES = {
     "flat": ({(0, 1): (2, 0), (1, 0): (-4, 0), (2, 2): (6, 0)}, {(0, 2): (1, 0), (1, 0): (-1, 0), (2, 1): (2, 0)}),
     "tied": ({(0, 1): (2, 0), (1, 0): (-4, 1), (2, 2): (6, 1)}, {(0, 2): (1, 1), (1, 0): (-1, 0), (2, 1): (2, 1)}),
     "spread": ({(0, 1): (2, 2), (1, 0): (-4, 0), (2, 2): (6, 1)}, {(0, 2): (1, 0), (1, 0): (-1, 2), (2, 1): (2, 0)}),
@@ -516,7 +519,11 @@ _PERMUTED_CURVES = {
 
 
 def test_form_orders_match_translated_evaluation_on_permuted_curves():
-    real = _permuted_realization(_PERMUTED_CURVES)
+    real = _permuted_realization(_PERMUTED_BASE, _PERMUTED_CURVES)
+    for label, arrows in _PERMUTED_ENTRIES.items():
+        for arrow, entries in enumerate(arrows):
+            want = tuple(sorted((i, j, c, e) for (i, j), (c, e) in entries.items()))
+            assert real.monomial_entries(label, arrow) == want, (label, arrow)
     functions = real.semi_invariants
     unstable = 0
     for seed in range(12):
@@ -532,20 +539,41 @@ def test_form_orders_match_translated_evaluation_on_permuted_curves():
 
 def test_non_monomial_curve_fails_construction():
     # Cauchy-Binet reads a structured semi-invariant's arrows on each curve
-    # as monomial matrices; any other curve is refused, naming the arrow.
-    flat, second = _PERMUTED_CURVES["flat"]
-    for label, x in (
-        ("column", {(0, 0): (2, 0), (1, 0): (-4, 1), (2, 2): (6, 0)}),
-        ("row", {(0, 1): (2, 0), (0, 2): (-4, 1), (1, 0): (6, 0)}),
+    # as monomial matrices, and a curve is monomial where its base point is;
+    # any other base point is refused, naming the arrow.
+    second = _PERMUTED_BASE[1]
+    for x in ({(0, 0): 2, (1, 0): -4, (2, 2): 6}, {(0, 1): 2, (0, 2): -4, (1, 0): 6}):
+        with pytest.raises(ValueError, match="base point is not monomial on arrow 0"):
+            _permuted_realization((x, second), _PERMUTED_CURVES)
+    # With no curve, no order is read on the base point, which stands.
+    _permuted_realization((x, second), {})
+
+
+@pytest.mark.parametrize(
+    "spec, form, curve, message",
+    [
+        ("monoid:m=3", Minor(0, 4), "lambda_0", "no 4 x 4 minor of arrow 0's 3 x 3 matrix"),
+        ("circular:m=2,n=3,r=1,s=1", Pairing(0, 1, 1), "lambda_1", r"arrows 0 and 1 have shapes \(2, 3\) and \(3, 2\)"),
+    ],
+)
+def test_malformed_forms_handed_to_the_oracle_are_refused_alike(spec, form, curve, message):
+    # A form the realization never saw, handed straight to t_order or to the
+    # Borel check, is checked against the arrows as at construction: each
+    # refuses it with the same ValueError, before drawing anything.
+    bundle = build_family(spec)
+    real, weight = bundle.realization, bundle.model.weight_lattice.combination([])
+    real.group_sampler = real.borel_sampler = None  # any draw would fail
+    big = SemiInvariantSpec("big", weight, form)
+    errors = set()
+    for call in (
+        lambda: t_order(real, big, curve),
+        lambda: t_order(real, (big,), curve),
+        lambda: semiinvariance_check(real, big),
     ):
-        with pytest.raises(ValueError, match=f"curve {label} is not monomial on arrow 0"):
-            _permuted_realization({label: (x, second)})
-    # 2 - t at (0, 2) of the second arrow, the base point's 1 at t = 1.
-    real = _permuted_realization({"flat": (flat, second)})
-    layers = {0: [[0, 0, 2], [-1, 0, 0], [0, 2, 0]], 1: [[0, 0, -1], [0, 0, 0], [0, 0, 0]]}
-    point = (real.base_point[0], ScaledMatrix(1, (3, 3), layers, True))
-    with pytest.raises(ValueError, match="curve entry is not monomial on arrow 1"):
-        dataclasses.replace(real, curves=real.curves + (Curve("entry", point, (3, 3)),))
+        with pytest.raises(ValueError, match=f"semi-invariant big: {message}") as err:
+            call()
+        errors.add((type(err.value), str(err.value)))
+    assert len(errors) == 1 and next(iter(errors))[0] is ValueError
 
 
 def test_t_order_on_no_functions_draws_nothing():

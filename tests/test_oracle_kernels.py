@@ -1,15 +1,14 @@
 """Differential tests of the oracle's integer matrix kernels on hypothesis-drawn inputs.
 
-The translate is checked against plain products of ``LaurentPoly`` and
-``Fraction`` rows, the monoid's dilation against the ``Fraction`` sum and
-the sum over layers (``form_reference``), the minors and
-``leading_principal_minors`` against sympy determinants, ``ScaledMatrix``
-equality against equality of its divided rows, and ``weight_value`` against
-a product of ``Fraction`` powers.  The Borel check's shortcuts are checked
-against the paths they skip: the pivots of the matrix as stored, and of it
-turned, against sympy, and ``weight_ratio`` against ``weight_value``.  A
-form is read at rational points only: on a Laurent matrix it raises
-``ValueError``, and its t-orders on translates come from Cauchy-Binet.
+The translate is checked against plain products of ``Fraction`` rows, the
+monoid's dilation against the ``Fraction`` sum and the sympy reference
+(``form_reference``), the minors and ``leading_principal_minors`` against
+sympy determinants, ``ScaledMatrix`` equality against equality of its
+divided rows, and ``weight_ratio`` against a product of ``Fraction`` powers.
+The Borel check's shortcuts are checked against the paths they skip: the
+pivots of the matrix as stored, and of it turned, against sympy.  A form is
+read at rational points; its t-orders on translated curves come from
+Cauchy-Binet and are checked against the translate built in sympy.
 """
 
 import dataclasses
@@ -36,35 +35,29 @@ from sphemb.families import (  # noqa: E402
 )
 from sphemb.lattice import leading_principal_minors, mat_mul  # noqa: E402
 from sphemb.rootdata import TorusLattice  # noqa: E402
-from test_families import _divided_layers, _minor  # noqa: E402
-from form_reference import form_at, form_orders, form_values  # noqa: E402
+from test_families import _minor  # noqa: E402
+from form_reference import act, curve_point, form_at, form_orders, form_values  # noqa: E402
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def _layer(rows, cols, zeros=False):
+def _integer_rows(rows, cols, zeros=False):
     entry = st.just(0) if zeros else st.integers(-9, 9) | st.just(0)
     return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
 
 @st.composite
-def scaled_matrices(draw, rows=None, cols=None, laurent=None):
-    """A ``ScaledMatrix`` up to 4 x 4 built on its stored layers.
-
-    Layers may hold zeros or be all zero.  A Laurent matrix has up to three
-    layers at powers from -2 to 3; a rational one has layer 0 or none.
-    """
+def scaled_matrices(draw, rows=None, cols=None):
+    """A ``ScaledMatrix`` up to 4 x 4 built on its stored integers, which may hold zeros or be all zero."""
     rows = draw(st.integers(0, 4)) if rows is None else rows
     cols = draw(st.integers(0, 4)) if cols is None else cols
-    laurent = draw(st.booleans()) if laurent is None else laurent
-    powers = draw(st.lists(st.integers(-2, 3), unique=True, max_size=3) if laurent else st.sampled_from(([0], [0], [])))
-    layers = {e: draw(_layer(rows, cols, zeros=draw(st.integers(0, 4)) == 0)) for e in powers}
-    return ScaledMatrix(draw(st.sampled_from((1, 1, 2, 3, 6, 7))), (rows, cols), layers, laurent)
+    integers = draw(_integer_rows(rows, cols, zeros=draw(st.integers(0, 4)) == 0))
+    return ScaledMatrix(draw(st.sampled_from((1, 1, 2, 3, 6, 7))), (rows, cols), integers)
 
 
 def _divided(x):
-    """x's rows from its layers by ``LaurentPoly`` arithmetic, or its layer 0 as ``Fraction``s."""
-    return _divided_layers(x.scale, x.shape, x.layers, x.laurent)
+    """x's stored integers, each divided by its scale as a ``Fraction``."""
+    return tuple(tuple(Fraction(c, x.scale) for c in r) for r in x.integers)
 
 
 def _integer_square(size):
@@ -76,7 +69,7 @@ def _rows(m):
 
 
 def _reference_translate(left, x_rows, right):
-    """(L / l) x (R / r) as a product of ``Fraction`` and ``LaurentPoly`` rows."""
+    """(L / l) x (R / r) as a product of ``Fraction`` rows."""
     (l, big_l), (r, big_r) = left, right
     lf = [[Fraction(a, l) for a in row] for row in big_l]
     rf = [[Fraction(a, r) for a in row] for row in big_r]
@@ -90,8 +83,8 @@ def _types(m):
 @_SETTINGS
 @given(st.integers(0, 4), st.integers(0, 4), st.data())
 def test_translate_matches_reference_product(rows, cols, data):
-    # Negative exponents, stored zero coefficients, all-zero layers, and
-    # 0-row and 0-column points, each moved by integer forms with scales.
+    # Stored zeros, all-zero matrices, and 0-row and 0-column points, each
+    # moved by integer forms with scales.
     x = data.draw(scaled_matrices(rows, cols))
     left = (data.draw(st.sampled_from((1, 2, 5))), data.draw(_integer_square(rows)))
     right = (data.draw(st.sampled_from((1, 3, 4))), data.draw(_integer_square(cols)))
@@ -99,11 +92,8 @@ def test_translate_matches_reference_product(rows, cols, data):
     moved = _translate(left, x, right)
     want = _reference_translate(left, _divided(x), right)
     assert moved.rows == want and _types(moved.rows) == _types(want) and _divided(moved) == want
-    assert moved.scale == left[0] * x.scale * right[0] and moved.laurent == x.laurent
-    assert moved.shape == (rows, cols)
-    assert all(len(m) == rows and all(len(r) == cols for r in m) for m in moved.layers.values())
-    # The translate has x's layers, so a rational translate keeps layer 0 only.
-    assert moved.layers.keys() == x.layers.keys()
+    assert moved.scale == left[0] * x.scale * right[0]
+    assert moved.shape == (rows, cols) and len(moved.integers) == rows and all(len(r) == cols for r in moved.integers)
 
 
 @pytest.mark.parametrize("params", [(2, 0, 3, 0, 0), (1, 2, 0, 1, 0), (0, 2, 2, 0, 1)])
@@ -196,18 +186,13 @@ def _sympy_block_det(x, k, trailing):
 
 @_SETTINGS
 @given(st.one_of(planted_minor_matrices().map(ScaledMatrix.of), scaled_matrices()))
-def test_stored_pivots_match_sympy_and_laurent_minors_are_refused(x):
-    # Wide, tall and Laurent matrices, and planted vanishing leading pivots.
+def test_stored_pivots_match_sympy(x):
+    # Wide and tall matrices, and planted vanishing leading pivots.
     n = min(x.shape)
-    if x.laurent:
-        for k in range(n + 1):
-            with pytest.raises(ValueError, match="rational matrices only"):
-                x.minor_ratio(k)
-        return
     for trailing in (False, True):
         ratios = [x.minor_ratio(k, trailing) for k in range(n + 1)]
-        layer = x.constant_terms()
-        pivots = leading_principal_minors([r[::-1] for r in reversed(layer)] if trailing else layer)
+        stored = x.integers
+        pivots = leading_principal_minors([r[::-1] for r in reversed(stored)] if trailing else stored)
         # Up to the first vanishing pivot, the minors are the pivots of the matrix as stored, or turned.
         assert [r for r, _ in ratios[1 : len(pivots) + 1]] == pivots
         for k, (got, scale) in enumerate(ratios):
@@ -216,43 +201,32 @@ def test_stored_pivots_match_sympy_and_laurent_minors_are_refused(x):
 
 
 @_SETTINGS
-@given(st.integers(0, 4).flatmap(lambda m: st.tuples(scaled_matrices(m, m, False), scaled_matrices(m, m, False))),
-       st.sampled_from((1, 2, 3, 6)))
-def test_rational_dilation_is_the_sum_over_layers(pair, divisor):
-    # The rational dot product against the sum over layers; the same arrows read as Laurent matrices are refused.
+@given(st.integers(0, 4).flatmap(lambda m: st.tuples(scaled_matrices(m, m), scaled_matrices(m, m))), st.sampled_from((1, 2, 3, 6)))
+def test_rational_dilation_matches_the_reference_sum(pair, divisor):
+    # The integer dot product against the sympy reference and the Fraction sum.
     form = Pairing(0, 1, divisor)
     got = form.ratio(pair)
     assert type(got[0]) is int and got[1] == pair[0].scale * pair[1].scale * divisor
     assert Fraction(*got) == form_at(form, pair) == _reference_dilation(pair, divisor)
-    with pytest.raises(ValueError, match="rational points only"):
-        form.ratio(tuple(ScaledMatrix(x.scale, x.shape, x.layers, True) for x in pair))
 
 
 @st.composite
 def matrix_pairs(draw):
-    """Two ``ScaledMatrix``: a copy over another scale with all-zero layers
-    dropped or added, a changed copy, constants under the other entry type,
-    an independent draw, or a draw of another width."""
+    """Two ``ScaledMatrix``: a copy over another scale, a changed copy, an
+    independent draw, or a draw of another width."""
     a = draw(scaled_matrices())
     rows, cols = a.shape
-    how = draw(st.sampled_from(("rescaled", "changed", "retyped", "independent", "reshaped")))
+    how = draw(st.sampled_from(("rescaled", "changed", "independent", "reshaped")))
     if how == "independent":
         return a, draw(scaled_matrices())
     if how == "reshaped":
         return a, draw(scaled_matrices(rows=rows, cols=draw(st.integers(0, 4).filter(lambda c: c != cols))))
-    if how == "retyped":
-        constants = {0: a.constant_terms()}
-        laurent = draw(st.booleans())
-        return ScaledMatrix(a.scale, a.shape, constants, laurent), ScaledMatrix(a.scale, a.shape, constants, not laurent)
     k = draw(st.integers(1, 5))
-    powers = st.integers(-2, 3) if a.laurent else st.just(0)
-    layers = {e: [[k * c for c in r] for r in m] for e, m in a.layers.items() if any(map(any, m)) or draw(st.booleans())}
-    if draw(st.integers(0, 3)) == 0:
-        layers.setdefault(draw(powers), [[0] * cols for _ in range(rows)])
+    integers = [[k * c for c in r] for r in a.integers]
     if how == "changed" and rows and cols:
-        i, j, e = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), draw(powers)
-        layers.setdefault(e, [[0] * cols for _ in range(rows)])[i][j] += draw(st.sampled_from((1, -1, k)))
-    return a, ScaledMatrix(k * a.scale, a.shape, layers, a.laurent)
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        integers[i][j] += draw(st.sampled_from((1, -1, k)))
+    return a, ScaledMatrix(k * a.scale, a.shape, integers)
 
 
 @_SETTINGS
@@ -271,13 +245,13 @@ def test_equality_agrees_with_rows(pair):
 def test_equality_checks_shapes():
     # zip alone would pair a prefix; unequal shapes never compare equal,
     # except that matrices with no rows are () whatever their widths.
-    wide = ScaledMatrix(1, (1, 2), {0: [[1, 1]]}, False)
-    narrow = ScaledMatrix(1, (1, 1), {0: [[1]]}, False)
+    wide = ScaledMatrix(1, (1, 2), [[1, 1]])
+    narrow = ScaledMatrix(1, (1, 1), [[1]])
     assert wide != narrow and narrow != wide
-    assert ScaledMatrix(1, (1, 2), {0: [[0, 0]]}, False) != ScaledMatrix(1, (1, 1), {}, False)
-    assert ScaledMatrix(1, (2, 0), {0: [[], []]}, False) != ScaledMatrix(1, (1, 0), {0: [[]]}, False)
-    assert ScaledMatrix(1, (2, 1), {0: [[1], [0]]}, True) != ScaledMatrix(1, (1, 1), {0: [[1]]}, True)
-    empty = (ScaledMatrix(1, (0, 2), {0: []}, False), ScaledMatrix(3, (0, 5), {}, True), ScaledMatrix(2, (0, 0), {1: []}, True))
+    assert ScaledMatrix(1, (1, 2), [[0, 0]]) != ScaledMatrix(1, (1, 1), [[0]])
+    assert ScaledMatrix(1, (2, 0), [[], []]) != ScaledMatrix(1, (1, 0), [[]])
+    assert ScaledMatrix(1, (2, 1), [[1], [0]]) != ScaledMatrix(1, (1, 1), [[1]])
+    empty = (ScaledMatrix(1, (0, 2), []), ScaledMatrix(3, (0, 5), []), ScaledMatrix(2, (0, 0), []))
     assert all(a == b and hash(a) == hash(b) for a in empty for b in (*empty, ()))
 
 
@@ -298,30 +272,32 @@ def _dilation(m):
 @pytest.mark.parametrize("m", sorted(_MONOIDS))
 def test_dilation_on_orbit_points_and_translates(m):
     # Rational orbit points by value; every boundary curve moved by group
-    # draws, a Laurent arrow A beside a rational B at lambda_0 and lambda_m,
-    # by the t-orders that Cauchy-Binet reads, against the sum over the
-    # translate's layers.
+    # draws, by the t-orders that Cauchy-Binet reads, against the translate
+    # built in sympy.
     real, rng = _MONOIDS[m], random.Random(m)
     for _ in range(6):
         point = real.act(real.group_sampler(rng), real.base_point)
         got, want = _dilation(m)(point), _reference_dilation(point, m)
         assert got == want and type(got) is type(want), point
     for c in real.curves:
-        want = [form_orders([_dilation(m)], real.act(g, c.point))[0] for g in real.group_draws(3, m)]
+        curve = curve_point(real, c.label)
+        want = [form_orders([_dilation(m)], act(real, g, curve))[0] for g in real.group_draws(3, m)]
         assert real.form_orders((_dilation(m),), c.label, 3, m) == [want], c.label
 
 
 def test_dilation_drops_cancelled_powers():
-    # On the curve (diag(1, 1, t), diag(1, -1, 1)) the terms at t^0 cancel,
+    # On the curve (diag(1, 1, t), diag(1, -1, 1)), t at a1's last diagonal
+    # entry on the base point (I, diag(1, -1, 1)), the terms at t^0 cancel,
     # 1 - 1, on every group draw: P = L_a^T L_b and Q = R_a R_b^T are scalar
     # matrices on the monoid.  So d is t times a constant, of order 1 on every
     # draw: a group of terms whose sum vanishes is passed over.
     x, y = ScaledMatrix.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), ScaledMatrix.of([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    a = ScaledMatrix(1, (3, 3), {0: [[1, 0, 0], [0, 1, 0], [0, 0, 0]], 1: [[0, 0, 0], [0, 0, 0], [0, 0, 1]]}, True)
-    cancel = Curve("cancel", (a, y), (3, 3))
+    cancel = Curve("cancel", {(0, 2): 1}, (3, 3))
     real = dataclasses.replace(_MONOIDS[3], base_point=(x, y), membership=lambda pt: True, curves=(cancel,))
+    assert real.monomial_entries("cancel", 0) == ((0, 0, 1, 0), (1, 1, 1, 0), (2, 2, 1, 1))
+    curve = curve_point(real, "cancel")
     for g in real.group_draws(8, 0):
-        (value,) = form_values([_dilation(3)], real.act(g, cancel.point))
+        (value,) = form_values([_dilation(3)], act(real, g, curve))
         assert list(value) == [1], value
     assert real.form_orders((_dilation(3),), "cancel", 8, 0) == [[1] * 8]
 
@@ -329,12 +305,8 @@ def test_dilation_drops_cancelled_powers():
 @_SETTINGS
 @given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), scaled_matrices(m, m), scaled_matrices(m, m))))
 def test_dilation_matches_reference_sum(drawn):
-    # Stored zeros and all-zero layers; a Laurent arrow beside a rational one is refused.
+    # Stored zeros and all-zero matrices.
     m, a, b = drawn
-    if a.laurent or b.laurent:
-        with pytest.raises(ValueError, match="rational points only"):
-            _dilation(m)((a, b))
-        return
     got, want = _dilation(m)((a, b)), _reference_dilation((a, b), m)
     assert got == want and type(got) is type(want)
 
@@ -364,8 +336,8 @@ def test_weight_value_matches_fraction_powers(spec):
         coords = [rng.randint(-3, 3) for _ in real.torus]
         coords[rng.randrange(len(coords))] = rng.randint(-3, -1)
         chi = lattice.character(coords)
-        got = real.weight_value(chi, b)
-        assert type(got) is Fraction and got == _reference_weight(real, chi, b)
+        num, den = real.weight_ratio(chi, b)
+        assert Fraction(num, den) == _reference_weight(real, chi, b)
 
 
 @pytest.mark.parametrize("spec", ["monoid:m=3", "monoid:m=4", "circular:m=2,n=3,r=1,s=1", "determinantal:m=3,n=3,r=2"])
@@ -380,6 +352,6 @@ def test_weight_ratio_is_the_undivided_weight_value(spec):
         chi = lattice.character([rng.randint(-3, 3) for _ in real.torus])
         num, den = real.weight_ratio(chi, b)
         assert type(num) is int and type(den) is int and den
-        assert Fraction(num, den) == real.weight_value(chi, b) == _reference_weight(real, chi, b)
+        assert Fraction(num, den) == _reference_weight(real, chi, b)
         signs.add(den > 0)
     assert signs == {True, False}
