@@ -42,7 +42,9 @@ Every semi-invariant is data: a ``Minor`` or a ``Pairing`` of arrows, checked
 against the arrows when its realization is built.  Its t-orders along a curve
 are read by Cauchy-Binet from the curve's monomial entries and the seeded
 draws' integer units (``MatrixRealization.form_orders``), without building the
-translate.
+translate.  Each realization declares its Borel's triangular orientation per
+factor and its dual factor pairs; the Borel sampler draws to that table, and
+``MatrixRealization.borel_exponents`` reads a form's Borel weight off it.
 
 Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives them
 at construction from each family's ambient map, colour coroots and boundary
@@ -357,8 +359,12 @@ class MatrixRealization:
     sparse matrix, as (i, j, c) triples for c E_ij; ``tangent_rows`` reads it.
     ``torus[k]`` names the diagonal entries, as (factor, index) pairs, whose
     ratio is basis character k's value on a Borel element; ``weight_ratio``
-    reads it.  ``memo`` keeps results that depend only on the realization,
-    such as ``group_draws``.
+    reads it.  ``borel_lower[v]`` says whether factor v's Borel part is lower
+    (else upper) triangular, and each pair (a, b) of ``dual_factors`` has
+    g_a^T g_b scalar on the group; ``borel_sampler`` draws to the first, and
+    ``borel_exponents`` reads both.  Either may be left empty, which
+    certifies no form.  ``memo`` keeps results that depend only on the
+    realization, such as ``group_draws``.
     """
 
     base_point: Point
@@ -370,6 +376,8 @@ class MatrixRealization:
     expected_orbit_dimension: int
     stabilizer_sampler: Callable[[random.Random], GroupElement]
     torus: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
+    borel_lower: tuple[bool, ...] = ()
+    dual_factors: tuple[tuple[int, int], ...] = ()
     semi_invariants: tuple[SemiInvariantSpec, ...] = ()
     curves: tuple[Curve, ...] = ()
     shapes: tuple[tuple[int, int], ...] = field(init=False, repr=False)
@@ -379,6 +387,14 @@ class MatrixRealization:
         if not self.membership(self.base_point):
             raise ValueError("base point fails the membership predicate")
         self.shapes = tuple(ScaledMatrix.of(x).shape for x in self.base_point)
+        factors = 1 + max((v for arrow in self.arrows for v in arrow), default=-1)
+        if self.borel_lower and len(self.borel_lower) != factors:
+            raise ValueError(f"borel_lower has {len(self.borel_lower)} entries for {factors} factors")
+        for a, b in self.dual_factors:
+            if not (0 <= a < len(self.borel_lower) and 0 <= b < len(self.borel_lower)):
+                raise ValueError(f"dual factors {(a, b)} name a factor with no Borel orientation")
+            if self.borel_lower[a] == self.borel_lower[b]:
+                raise ValueError(f"dual factors {(a, b)} have the same Borel orientation")
         self.check_forms(self.semi_invariants)
         # Cauchy-Binet reads a form's arrows on each curve as monomial matrices: at most one nonzero entry per row and column.
         for a in {a for f in self.semi_invariants for a in f.form.arrows} if self.curves else ():
@@ -528,6 +544,43 @@ class MatrixRealization:
                 p, q = g[f][1][i][i] * g[h][0], g[f][0] * g[h][1][j][j]
                 num, den = (num * p**c, den * q**c) if c > 0 else (num * q**-c, den * p**-c)
         return num, den
+
+    def torus_exponents(self, chi: Character) -> dict[tuple[int, int], int]:
+        """chi as ``weight_ratio`` reads it: the exponent of each Borel diagonal entry (factor, index), zeros dropped."""
+        exponents: dict[tuple[int, int], int] = {}
+        for c, (top, bottom) in zip(chi.coords, self.torus):
+            exponents[top] = exponents.get(top, 0) + c
+            exponents[bottom] = exponents.get(bottom, 0) - c
+        return {entry: e for entry, e in exponents.items() if e}
+
+    def borel_exponents(self, form) -> dict[tuple[int, int], int] | None:
+        """``form``'s weight read off the Borel's triangular shape, as ``torus_exponents`` gives one, or ``None``.
+
+        A Borel element moves arrow (s, t)'s X to g_s X g_t^-1.  With g_s lower
+        and g_t upper triangular (``borel_lower``) a leading k x k minor
+        rescales by g_s's first k diagonal entries over g_t's; with both
+        swapped a trailing minor does, by the last k.  A ``Pairing``
+        tr(A^T B) / divisor rescales by c_s / c_t when g_sa^T g_sb = c_s I and
+        g_ta^T g_tb = c_t I (``dual_factors``), each c being the product of
+        its pair's (0, 0) entries.  Anything else gives ``None``.
+        """
+        lower = self.borel_lower
+        if not lower:
+            return None
+        if isinstance(form, Minor):
+            (s, t), k = self.arrows[form.arrow], form.k
+            if lower[s] == lower[t] or lower[s] == form.trailing:
+                return None
+            rows, cols = self.shapes[form.arrow] if form.trailing else (k, k)
+            return {**{(s, i): 1 for i in range(rows - k, rows)}, **{(t, j): -1 for j in range(cols - k, cols)}}
+        (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
+        dual = {frozenset(pair) for pair in self.dual_factors}
+        if {sa, sb} not in dual or {ta, tb} not in dual:
+            return None
+        exponents: dict[tuple[int, int], int] = {}
+        for factor, e in ((sa, 1), (sb, 1), (ta, -1), (tb, -1)):
+            exponents[factor, 0] = exponents.get((factor, 0), 0) + e
+        return {entry: e for entry, e in exponents.items() if e}
 
 
 def _minor_terms(entries, k: int) -> list[tuple[int, list[tuple[tuple[int, ...], tuple[int, ...], int]]]]:
@@ -760,15 +813,16 @@ def _monoid_membership(point: Point) -> bool:
     return at_b == mat_mul(a, list(zip(*b))) == [[d * (i == j) for j in range(len(a))] for i in range(len(a))]
 
 
-def _sample_monoid_element(rng: random.Random, m: int, triangular: str | None = None) -> tuple[Unit, Unit]:
+def _sample_monoid_element(rng: random.Random, m: int, lower: bool | None = None) -> tuple[Unit, Unit]:
     """The units A and B = c A^-T of a random monoid element, from one elimination of A.
 
-    With A^-1 = X / d, B is c X^T / d and B^-1 is A^T / c.
+    A is generic, or triangular (lower if ``lower``), which makes B triangular
+    the other way.  With A^-1 = X / d, B is c X^T / d and B^-1 is A^T / c.
     """
-    if triangular is None:
+    if lower is None:
         _, a, d, x = _rand_generic(rng, m)
     else:
-        _, a, d, x = _rand_triangular(rng, m, lower=triangular == "lower")
+        _, a, d, x = _rand_triangular(rng, m, lower)
     c = rng.choice([-3, -2, -1, 1, 2, 3])
     sign = 1 if c > 0 else -1
     b = [[c * e for e in col] for col in zip(*x)]
@@ -783,9 +837,12 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         g1 = _sample_monoid_element(rng, m)
         return g1 + _sample_monoid_element(rng, m)
 
+    # a1 lower, so b1 = c a1^-T upper; a2 upper, so b2 lower.  a_k^T b_k = c I pairs each a with its b.
+    borel_lower, dual_factors = (True, False, False, True), ((0, 1), (2, 3))
+
     def borel_sampler(rng: random.Random) -> GroupElement:
-        g1 = _sample_monoid_element(rng, m, triangular="lower")
-        return g1 + _sample_monoid_element(rng, m, triangular="upper")
+        g1 = _sample_monoid_element(rng, m, borel_lower[0])
+        return g1 + _sample_monoid_element(rng, m, borel_lower[2])
 
     lattice = model.weight_lattice
     # The dilation d = sum a_ij b_ij / m, then the leading and trailing minors of A.
@@ -819,6 +876,8 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         arrows=arrows,
         group_sampler=group_sampler,
         borel_sampler=borel_sampler,
+        borel_lower=borel_lower,
+        dual_factors=dual_factors,
         lie_basis=tuple(lie_basis),
         # eps_k is a1's k-th diagonal entry over a2's, eps_{m+1} b1's first over b2's.
         torus=tuple(((0, k), (2, k)) for k in range(m)) + (((1, 0), (3, 0)),),
@@ -839,9 +898,11 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
     Arrow k = (s, t) carries a dims[s] x dims[t] matrix X_k, moved by
     g . X_k = g_s X_k g_t^-1.  A point is a member when rk X_k <= ranks[k] and
     X_i X_j = 0 for every (i, j) in ``zero_paths``.  Borel elements are lower
-    triangular at even vertices and upper triangular at odd ones.  The Lie
-    basis is E_ij at each vertex, vertex-major.
+    triangular at even vertices and upper triangular at odd ones
+    (``borel_lower``), drawn from that table.  The Lie basis is E_ij at each
+    vertex, vertex-major.
     """
+    borel_lower = tuple(v % 2 == 0 for v in range(len(dims)))
 
     def membership(point: Point) -> bool:
         # Ranks and zero compositions are unchanged by scaling each arrow
@@ -855,13 +916,14 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
         return tuple(_rand_generic(rng, d) for d in dims)
 
     def borel_sampler(rng: random.Random) -> GroupElement:
-        return tuple(_rand_triangular(rng, d, lower=v % 2 == 0) for v, d in enumerate(dims))
+        return tuple(_rand_triangular(rng, d, lower) for d, lower in zip(dims, borel_lower))
 
     return {
         "arrows": arrows,
         "membership": membership,
         "group_sampler": group_sampler,
         "borel_sampler": borel_sampler,
+        "borel_lower": borel_lower,
         "lie_basis": tuple({v: ((i, j, 1),)} for v, d in enumerate(dims) for i in range(d) for j in range(d)),
     }
 

@@ -4,9 +4,11 @@ Every check here works over the rationals with exact arithmetic: t-adic
 orders of semi-invariants along generically translated boundary curves
 (read by Cauchy-Binet from each semi-invariant's form),
 cocharacter limits, Jacobian-rank orbit dimensions, Borel semi-invariance of
-claimed weights, and stabilizer membership.  Randomness is only used to pick
-Zariski-generic group elements; identical seeds give identical reports, and
-disagreement between trials is reported as instability, never averaged away.
+claimed weights (certified in closed form from the Borel's triangular shape
+where it can be, sampled otherwise), and stabilizer membership.  Randomness
+is only used to pick Zariski-generic group elements; identical seeds give
+identical reports, and disagreement between trials is reported as
+instability, never averaged away.
 """
 
 from __future__ import annotations
@@ -175,8 +177,37 @@ def base_orbit_dimension(real) -> int:
     return real.memo("base_orbit_dimension", lambda: orbit_dimension(real))
 
 
+def _certified(real, f) -> bool:
+    """Whether ``f`` is semi-invariant with its claimed weight by closed form, with no draw.
+
+    The weight read off the Borel's triangular shape (``borel_exponents``)
+    must equal the claimed one as ``weight_ratio`` reads it
+    (``torus_exponents``), so f(b . x) = chi(b) f(x) for every Borel element b
+    and every point x, and f must be nonzero at the base point, so it does not
+    vanish on the orbit.
+    """
+    derived = real.borel_exponents(f.form)
+    if derived is None or derived != real.torus_exponents(f.claimed_weight):
+        return False
+    return f.form.ratio(real.base_point)[0] != 0
+
+
+def _borel_failures(real, candidates, trials: int, seed: int) -> list[str | None]:
+    """Per candidate, ``None`` if it is ``_certified`` or passes ``_semiinvariance_failures``, else why not.
+
+    Only the candidates with no certificate are sampled.  The sampled check
+    draws trial i's Borel element and orbit points whatever its candidates
+    are, so each of them gets the verdict it gets among all candidates.
+    """
+    _check_trials(trials)
+    real.check_forms(candidates)
+    sampled = [f for f in candidates if not _certified(real, f)]
+    failures = dict(zip(sampled, _semiinvariance_failures(real, sampled, trials, seed)))
+    return [failures.get(f) for f in candidates]
+
+
 def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[str | None]:
-    """Per candidate, ``None`` if it passes the Borel rescaling check, else why not.
+    """Per candidate, ``None`` if it passes the sampled Borel rescaling check, else why not.
 
     Trial i tests every undecided candidate f against the i-th Borel element b
     of ``Random(seed)`` and the orbit points x = g . x0 and g^-1 . x0 of the
@@ -184,7 +215,8 @@ def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[s
     f(x) != 0, as integer cross-products of undivided pairs (``weight_ratio``, ``form.ratio``).
     Each b, x and b . x is taken once, only while some candidate is undecided,
     and with no candidate nothing is drawn.  A form that cannot be read on
-    the realization's arrows raises ``ValueError`` (``check_forms``).
+    the realization's arrows raises ``ValueError`` (``check_forms``).  The
+    oracle samples only uncertified candidates (``_borel_failures``).
     """
     _check_trials(trials)
     real.check_forms(candidates)
@@ -222,14 +254,17 @@ def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[s
 def semiinvariance_check(real, f, trials: int = 8, seed: int = 0) -> Character:
     """Confirm that ``f`` rescales by its claimed weight under Borel translation.
 
-    For each of ``trials`` trials (at least 1) a seeded Borel element b and
-    the orbit points g . x0 and g^-1 . x0 of that trial's boundary draw g
-    (``group_draws``) are taken, and f(b . x) == chi(b) f(x) (``weight_ratio``)
-    is required exactly; the claimed weight is returned once every trial
-    agrees.  The draws are the ones ``select_semi_invariants`` tests every
-    candidate against, so both give the same verdict for ``f``.
+    A form whose weight follows from the Borel's triangular shape, equals the
+    claimed one and is nonzero at the base point is confirmed with no draw
+    (``_certified``).  Otherwise, for each of ``trials`` trials (at least 1)
+    a seeded Borel element b and the orbit points g . x0 and g^-1 . x0 of
+    that trial's boundary draw g (``group_draws``) are taken, and
+    f(b . x) == chi(b) f(x) (``weight_ratio``) is required exactly; the
+    claimed weight is returned once every trial agrees.  The draws are the
+    ones ``select_semi_invariants`` tests every uncertified candidate
+    against, so both give the same verdict for ``f``.
     """
-    (failure,) = _semiinvariance_failures(real, (f,), trials, seed)
+    (failure,) = _borel_failures(real, (f,), trials, seed)
     if failure is not None:
         raise SemiInvarianceError(failure)
     return f.claimed_weight
@@ -238,10 +273,11 @@ def semiinvariance_check(real, f, trials: int = 8, seed: int = 0) -> Character:
 def select_semi_invariants(real, trials: int = 8, seed: int = 0):
     """The candidate semi-invariants whose claimed weights survive the check.
 
-    All candidates are tested against one shared set of seeded draws.
+    A candidate with a closed-form certificate (``_certified``) is kept with
+    no draw; the others are tested against one shared set of seeded draws.
     """
     candidates = real.semi_invariants
-    failures = _semiinvariance_failures(real, candidates, trials, seed)
+    failures = _borel_failures(real, candidates, trials, seed)
     return tuple(f for f, failure in zip(candidates, failures) if failure is None)
 
 

@@ -414,9 +414,8 @@ def test_bundle_builds_its_realization_once(monkeypatch):
         built.clear()
 
 
-def test_no_state_outlives_a_verify_call(monkeypatch):
-    # Two calls in one process do the work of two sphemb processes: each
-    # builds its realization and draws its own group and Borel elements.
+def _count_draws(monkeypatch):
+    """The realizations built from here on, and the group and Borel draws they make."""
     from sphemb.families import MatrixRealization
 
     built, counts = [], {"group_sampler": 0, "borel_sampler": 0}
@@ -434,10 +433,31 @@ def test_no_state_outlives_a_verify_call(monkeypatch):
             setattr(real, name, counted)
 
     monkeypatch.setattr(MatrixRealization, "__post_init__", post_init)
+    return built, counts
+
+
+def test_no_state_outlives_a_verify_call(monkeypatch):
+    # Two calls in one process do the work of two sphemb processes: each
+    # builds its realization and draws its own group and Borel elements.  The
+    # Borel check samples only the trailing minors, which fail on trial 1.
+    built, counts = _count_draws(monkeypatch)
     first, second = (_invoke(["verify", "--family", "monoid:m=3"]) for _ in range(2))
     assert first == second and first[0] == 0 and first[1]["result"]["passed"]
     assert len(built) == 2 and built[0] is not built[1]
-    assert counts == {"group_sampler": 2 * 8, "borel_sampler": 2 * 8}
+    assert counts == {"group_sampler": 2 * 8, "borel_sampler": 2 * 1}
+
+
+@pytest.mark.parametrize("family", ["determinantal:m=3,n=3,r=2", "determinantal:m=4,n=5,r=3", "determinantal:m=2,n=4,r=1"])
+def test_determinantal_verify_draws_no_group_or_borel_element(monkeypatch, family):
+    # Every leading minor is certified by the Borel's shape, and no
+    # determinantal boundary curve is divisorial, so neither the Borel check
+    # nor the model's finalization draws a group or Borel element.
+    _, counts = _count_draws(monkeypatch)
+    for trials in ("1", "8"):
+        code, doc = _invoke(["verify", "--family", family, "--trials", trials])
+        assert code == 0 and doc["result"]["passed"]
+        assert [c["check"] for c in doc["result"]["checks"]].count("semi_invariant_weight") == int(family[-1])
+    assert counts == {"group_sampler": 0, "borel_sampler": 0}
 
 
 def test_determinantal_section_runs_no_oracle(monkeypatch):

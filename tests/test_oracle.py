@@ -611,6 +611,8 @@ def test_verification_report_draw_counts():
     # and g^-1 . x0 from the same draws the boundary orders read, so only the
     # Borel elements are drawn beside them.  The realization's semi-invariants
     # are forms, read by Cauchy-Binet, so no boundary translate is built.
+    # d and Delta_1..3 are certified by the Borel's shape with no draw; only
+    # Delta_trail_1 and Delta_trail_2 are sampled, and both fail on trial 1.
     def counting():
         model, real = monoid_model(3)
         counts = {"group_sampler": 0, "borel_sampler": 0, "act": 0}
@@ -632,8 +634,9 @@ def test_verification_report_draw_counts():
     model, real, counts = counting()
     verified = select_semi_invariants(real, trials=trials, seed=0)
     assert len(verified) == 4 and len(real.semi_invariants) == 6
-    # one Borel element per trial, two orbit points and their two Borel moves
-    assert counts == {"group_sampler": trials, "borel_sampler": trials, "act": 4 * trials}
+    # the boundary draws, drawn at once; one Borel element and one orbit point
+    # g . x0 with its Borel move, on which both trailing minors fail
+    assert counts == {"group_sampler": trials, "borel_sampler": 1, "act": 2}
 
     for name in counts:
         counts[name] = 0
@@ -647,7 +650,7 @@ def test_verification_report_draw_counts():
     model, real, counts = counting()
     report = verification_report(model, real, trials=trials, seed=0)
     assert report.passed and report.stable
-    assert counts == {"group_sampler": trials, "borel_sampler": trials, "act": 4 * trials + 2}
+    assert counts == {"group_sampler": trials, "borel_sampler": 1, "act": 2 + 2}
     # another seed draws its own elements once
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
