@@ -12,22 +12,27 @@ Four families are provided:
   realization only.
 
 Every realization is a product of GL factors moving one matrix per arrow
-(s, t) as g_s X g_t^-1; its arrows and Lie basis are data.  The last three
-act on the arrow spaces of a small quiver; ``_quiver_parts`` builds their
-arrows, samplers, membership test and Lie basis from the quiver data.
+(s, t) as g_s X g_t^-1, and the group is data: the arrows, each factor's
+size (read off the base point), its Borel orientation and the dual factor
+pairs (g_b = c g_a^-T).  ``MatrixRealization`` derives its group and Borel
+samplers and its Lie basis from these tables; a family writes only its
+stabilizer sampler.  The last three act on the arrow spaces of a small
+quiver; ``_quiver_parts`` builds their arrows, membership test and Borel
+orientation from the quiver data.
 
 A group element is a tuple of units, one per factor: a unit (l, L, r, R)
 is the matrix L / l with inverse R / r, for integer matrices L, R and
-integers l, r > 0.  Samplers draw them (a triangular unit inverted by
-substitution, any other by ``integer_inverse``), ``act`` multiplies on their
-integer matrices and inverts nothing, ``inverse_element`` swaps each unit's
-halves and ``bumped_copies`` perturbs them; no other module reads a unit's fields.
+integers l, r > 0.  Samplers draw them (each inverted by ``integer_inverse``,
+a dual pair's second factor read off its first by ``_dual_unit``), ``act``
+multiplies on their integer matrices and inverts nothing,
+``inverse_element`` swaps each unit's halves and ``bumped_copies`` perturbs
+them; no other module reads a unit's fields.
 
 A point is rational: one ``ScaledMatrix`` per arrow, an integer matrix over
 one scale.  The constructors build each base point once in this form.  A
 translate is one integer product (``_translate``); the membership tests and a
-form's value at a point (``Minor.ratio``, one fraction-free elimination each
-way, and ``Pairing.ratio``, one dot product) read the integers as stored; two
+form's value at a point (``Minor.ratio``, one ``determinant`` of its block,
+and ``Pairing.ratio``, one dot product) read the integers as stored; two
 points compare on their integers, and ``Fraction`` rows are divided out only
 when read.  ``ScaledMatrix.of`` converts a matrix given as rows.
 
@@ -42,9 +47,10 @@ Every semi-invariant is data: a ``Minor`` or a ``Pairing`` of arrows, checked
 against the arrows when its realization is built.  Its t-orders along a curve
 are read by Cauchy-Binet from the curve's monomial entries and the seeded
 draws' integer units (``MatrixRealization.form_orders``), without building the
-translate.  Each realization declares its Borel's triangular orientation per
-factor and its dual factor pairs; the Borel sampler draws to that table, and
-``MatrixRealization.borel_exponents`` reads a form's Borel weight off it.
+translate (``MatrixRealization.lowest_terms`` gives each draw's lowest term).
+The Borel sampler draws to the orientation table, and
+``MatrixRealization.borel_exponents`` reads a form's Borel weight off it and
+the dual pairs.
 
 Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives them
 at construction from each family's ambient map, colour coroots and boundary
@@ -70,7 +76,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel, pairing_table
-from .lattice import IntegerMatrix, determinant, integer_inverse, leading_principal_minors, mat_mul, rational_rank
+from .lattice import IntegerMatrix, determinant, integer_inverse, mat_mul, rational_rank
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice
 
 
@@ -94,20 +100,18 @@ class ScaledMatrix:
     The format of every point: ``shape`` (rows, columns) and ``integers``,
     scale times the matrix for an integer ``scale`` > 0.  The divided rows of
     ``Fraction`` are built when first read, and the matrix hashes and compares
-    like them; two ``ScaledMatrix`` compare on their integers.  Its leading
-    minors are the pivots of one fraction-free elimination of it as stored,
-    its trailing minors those of it turned by 180 degrees, and a minor past a
-    vanishing pivot the determinant of its block (``minor_ratio``).
+    like them; two ``ScaledMatrix`` compare on their integers.  Each leading
+    or trailing minor is the ``determinant`` of its block of the integers as
+    stored (``minor_ratio``).
     """
 
-    __slots__ = ("scale", "shape", "integers", "_rows", "_pivots")
+    __slots__ = ("scale", "shape", "integers", "_rows")
 
     def __init__(self, scale: int, shape: tuple[int, int], integers: list[list[int]]):
         self.scale = scale
         self.shape = shape
         self.integers = integers
         self._rows: Matrix | None = None
-        self._pivots: dict[bool, list[int]] = {}
 
     @classmethod
     def of(cls, m) -> "ScaledMatrix":
@@ -153,25 +157,15 @@ class ScaledMatrix:
     def minor_ratio(self, k: int, trailing: bool = False) -> tuple[int, int]:
         """(n, scale^k) for the top-left k x k minor n / scale^k, the bottom-right one if ``trailing``.
 
-        n is the k-th pivot of one fraction-free elimination of the integers as
-        stored, or turned by 180 degrees for a trailing minor (the turned
-        block reverses both its rows and its columns, so its determinant is
-        the same), while no earlier pivot vanished; past a vanishing pivot it
-        is ``determinant`` of the k x k block.  ``ValueError`` unless
-        0 <= k <= min(rows, columns).
+        n is ``determinant`` of the k x k block of the integers as stored.
+        ``ValueError`` unless 0 <= k <= min(rows, columns).
         """
         rows, cols = self.shape
         if not 0 <= k <= min(rows, cols):
             raise ValueError(f"no {k} x {k} minor in a {rows} x {cols} matrix")
         stored = self.integers
-        pivots = self._pivots.get(trailing)
-        if pivots is None:
-            turned = [r[::-1] for r in reversed(stored)] if trailing else stored
-            pivots = self._pivots[trailing] = [1, *leading_principal_minors(turned)]
-        if k < len(pivots):
-            return pivots[k], self.scale**k
-        block = [r[cols - k :] for r in stored[rows - k :]] if trailing else [r[:k] for r in stored[:k]]
-        return determinant(IntegerMatrix.from_rows(block)), self.scale**k
+        block = (r[cols - k :] for r in stored[rows - k :]) if trailing else (r[:k] for r in stored[:k])
+        return determinant(IntegerMatrix(k, k, tuple(chain.from_iterable(block)))), self.scale**k
 
 
 # Group samplers draw from a wide integer range: translated-curve orders are
@@ -206,20 +200,22 @@ def _rand_generic(rng: random.Random, n: int) -> Unit:
 
 
 def _rand_triangular(rng: random.Random, n: int, lower: bool) -> Unit:
-    """A triangular unit (1, M, d, X), drawn row by row; d = |det M| and X = d M^-1, whose rows solve
-    M X = d I by substitution from M's corner row, each divided exactly by its diagonal entry."""
+    """A triangular unit, drawn row by row: each diagonal entry from {+-1, +-2, +-3}, each entry off it from -3..3."""
     draw, m = rng.randrange, _zeros(n, n)
     for i in range(n):
         m[i][i] = rng.choice([-3, -2, -1, 1, 2, 3])
         for j in range(i) if lower else range(i + 1, n):
             m[i][j] = draw(-3, 4)
-    d, x = abs(prod(m[i][i] for i in range(n))), _zeros(n, n)
-    for i in range(n) if lower else reversed(range(n)):
-        row = [d * (i == j) for j in range(n)]
-        for k in range(i) if lower else range(i + 1, n):
-            row = [a - m[i][k] * b for a, b in zip(row, x[k])]
-        x[i] = [a // m[i][i] for a in row]
-    return (1, m, d, x)
+    return _unit(m)
+
+
+def _dual_unit(rng: random.Random, unit: Unit) -> Unit:
+    """c A^-T for the unit A = L / l with inverse X / d and c drawn from {+-1, +-2, +-3}: c X^T / d, with inverse
+    L^T / (l c)."""
+    l, a, d, x = unit
+    c = rng.choice([-3, -2, -1, 1, 2, 3])
+    sign = 1 if c > 0 else -1
+    return (d, [[c * e for e in col] for col in zip(*x)], l * abs(c), [[sign * e for e in col] for col in zip(*a)])
 
 
 def inverse_element(g: GroupElement) -> GroupElement:
@@ -348,59 +344,118 @@ class Curve:
         object.__setattr__(self, "cocharacter", tuple(sorted(dict(self.cocharacter).items())))
 
 
+def _factor_sizes(arrows, shapes) -> tuple[int, ...]:
+    """Each factor's size, read off the base point: arrow (s, t) of shape (rows, columns) gives s rows and t columns.
+
+    A point given as zero rows has shape (0, 0) at any width (``ScaledMatrix.of``), so such an arrow gives t
+    size 0 only where no other arrow gives t a size.  ``ValueError`` for a factor on no arrow or with two sizes.
+    """
+    sizes: dict[int, int | None] = {}
+    for (s, t), (rows, cols) in zip(arrows, shapes):
+        for v, n in ((s, rows), (t, cols if rows or cols else None)):
+            if sizes.get(v) is None:
+                sizes[v] = n
+            elif n is not None and n != sizes[v]:
+                raise ValueError(f"factor {v} has sizes {sizes[v]} and {n}")
+    for v in range(1 + max(sizes, default=-1)):
+        if v not in sizes:
+            raise ValueError(f"factor {v} is on no arrow")
+    return tuple(sizes[v] or 0 for v in range(len(sizes)))
+
+
+def _lie_basis(sizes, dual_factors) -> tuple[dict[int, tuple[tuple[int, int, int], ...]], ...]:
+    """The Lie algebra of the group with these factor ``sizes`` and ``dual_factors``, as ``MatrixRealization.lie_basis``.
+
+    E_ij at each factor in no dual pair, factor by factor.  Then each dual
+    pair (a, b), whose Lie algebra is the pairs (A, delta I - A^T), spanned by
+    (E_ij, -E_ji) and (0, I).
+    """
+    paired = {v for pair in dual_factors for v in pair}
+    basis = [{v: ((i, j, 1),)} for v, n in enumerate(sizes) if v not in paired for i in range(n) for j in range(n)]
+    for a, b in dual_factors:
+        n = sizes[a]
+        basis += [{a: ((i, j, 1),), b: ((j, i, -1),)} for i in range(n) for j in range(n)]
+        basis.append({b: tuple((k, k, 1) for k in range(n))})
+    return tuple(basis)
+
+
 @dataclass(eq=False)
 class MatrixRealization:
     """Concrete matrix avatar of a family member, for oracle-level checks.
 
     A point is one matrix per arrow (s, t) of ``arrows``, and a group element
-    one unit per vertex; ``act`` moves X to g_s X g_t^-1.  ``shapes`` holds
+    one unit per factor; ``act`` moves X to g_s X g_t^-1.  ``shapes`` holds
     the base point's (rows, columns) per arrow, on which every form is checked
-    (``check_forms``).  Each element of ``lie_basis`` maps a vertex to a
-    sparse matrix, as (i, j, c) triples for c E_ij; ``tangent_rows`` reads it.
-    ``torus[k]`` names the diagonal entries, as (factor, index) pairs, whose
-    ratio is basis character k's value on a Borel element; ``weight_ratio``
-    reads it.  ``borel_lower[v]`` says whether factor v's Borel part is lower
-    (else upper) triangular, and each pair (a, b) of ``dual_factors`` has
-    g_a^T g_b scalar on the group; ``borel_sampler`` draws to the first, and
-    ``borel_exponents`` reads both.  Either may be left empty, which
-    certifies no form.  ``memo`` keeps results that depend only on the
-    realization, such as ``group_draws``.
+    (``check_forms``), and ``sizes`` each factor's size, read off them.
+    ``borel_lower[v]`` says whether factor v's Borel part is lower (else
+    upper) triangular, and each pair (a, b) of ``dual_factors`` has
+    g_b = c g_a^-T, so g_a^T g_b scalar, on the group.  The group is this
+    data: the samplers (``group_sampler``, ``borel_sampler``), the Lie basis
+    (``lie_basis``, each element mapping a factor to a sparse matrix as
+    (i, j, c) triples for c E_ij, taken at construction by ``_lie_basis``)
+    and the closed-form Borel weights (``borel_exponents``) are read off
+    these tables and nothing else.  ``torus[k]`` names the diagonal entries,
+    as (factor, index) pairs, whose ratio is basis character k's value on a
+    Borel element; ``weight_ratio`` reads it.  ``memo`` keeps results that
+    depend only on the realization, such as ``group_draws``.
     """
 
     base_point: Point
     membership: Callable[[Point], bool]
     arrows: tuple[tuple[int, int], ...]
-    group_sampler: Callable[[random.Random], GroupElement]
-    borel_sampler: Callable[[random.Random], GroupElement]
-    lie_basis: tuple[dict[int, tuple[tuple[int, int, int], ...]], ...]
+    borel_lower: tuple[bool, ...]
     expected_orbit_dimension: int
     stabilizer_sampler: Callable[[random.Random], GroupElement]
     torus: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
-    borel_lower: tuple[bool, ...] = ()
     dual_factors: tuple[tuple[int, int], ...] = ()
     semi_invariants: tuple[SemiInvariantSpec, ...] = ()
     curves: tuple[Curve, ...] = ()
     shapes: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    sizes: tuple[int, ...] = field(init=False, repr=False)
+    lie_basis: tuple[dict[int, tuple[tuple[int, int, int], ...]], ...] = field(init=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not self.membership(self.base_point):
             raise ValueError("base point fails the membership predicate")
         self.shapes = tuple(ScaledMatrix.of(x).shape for x in self.base_point)
-        factors = 1 + max((v for arrow in self.arrows for v in arrow), default=-1)
-        if self.borel_lower and len(self.borel_lower) != factors:
-            raise ValueError(f"borel_lower has {len(self.borel_lower)} entries for {factors} factors")
+        self.sizes = factors = _factor_sizes(self.arrows, self.shapes)
+        if len(self.borel_lower) != len(factors):
+            raise ValueError(f"borel_lower has {len(self.borel_lower)} entries for {len(factors)} factors")
+        paired: set[int] = set()
         for a, b in self.dual_factors:
-            if not (0 <= a < len(self.borel_lower) and 0 <= b < len(self.borel_lower)):
+            if not (0 <= a < len(factors) and 0 <= b < len(factors)):
                 raise ValueError(f"dual factors {(a, b)} name a factor with no Borel orientation")
             if self.borel_lower[a] == self.borel_lower[b]:
                 raise ValueError(f"dual factors {(a, b)} have the same Borel orientation")
+            if not a < b or factors[a] != factors[b] or paired & {a, b}:
+                raise ValueError(f"dual factors {(a, b)} are not two unpaired factors of one size, in factor order")
+            paired |= {a, b}
+        self.lie_basis = _lie_basis(factors, self.dual_factors)
         self.check_forms(self.semi_invariants)
         # Cauchy-Binet reads a form's arrows on each curve as monomial matrices: at most one nonzero entry per row and column.
         for a in {a for f in self.semi_invariants for a in f.form.arrows} if self.curves else ():
             x = ScaledMatrix.of(self.base_point[a]).integers
             if any(sum(map(bool, line)) > 1 for line in (*x, *zip(*x))):
                 raise ValueError(f"base point is not monomial on arrow {a}")
+
+    def group_sampler(self, rng: random.Random) -> GroupElement:
+        """A random group element, factor by factor: a generic unit (``_rand_generic``), but c g_a^-T at the second
+        factor of each dual pair (a, b) (``_dual_unit``)."""
+        return self._draw(rng, borel=False)
+
+    def borel_sampler(self, rng: random.Random) -> GroupElement:
+        """A random Borel element: ``group_sampler`` with each generic unit triangular as ``borel_lower`` says."""
+        return self._draw(rng, borel=True)
+
+    def _draw(self, rng: random.Random, borel: bool) -> GroupElement:
+        duals, g = {b: a for a, b in self.dual_factors}, []
+        for v, n in enumerate(self.sizes):
+            if v in duals:
+                g.append(_dual_unit(rng, g[duals[v]]))
+            else:
+                g.append(_rand_triangular(rng, n, self.borel_lower[v]) if borel else _rand_generic(rng, n))
+        return tuple(g)
 
     def check_forms(self, functions) -> None:
         """``ValueError`` naming the first semi-invariant whose form cannot be read on points of ``shapes``."""
@@ -447,9 +502,17 @@ class MatrixRealization:
         return self.memo(("monomial_entries", curve_label, arrow), entries)
 
     def form_orders(self, forms, curve_label: str, trials: int, seed: int) -> list[list[int | None]]:
-        """Per form (``Minor`` or ``Pairing``), its t-order on each seeded translate g . curve, ``None`` where it vanishes.
+        """Per form (``Minor`` or ``Pairing``), its t-order on each seeded translate g . curve, ``None`` where it
+        vanishes: the power of its ``lowest_terms``."""
+        lowest = self.lowest_terms(forms, curve_label, trials, seed)
+        return [[None if term is None else term[0] for term in terms] for terms in lowest]
 
-        The translates of ``group_draws(trials, seed)`` are not built.  At an
+    def lowest_terms(self, forms, curve_label: str, trials: int, seed: int) -> list[list[tuple[int, int] | None]]:
+        """Per form, its lowest term (e, c) on each seeded translate g . curve, ``None`` where the form vanishes.
+
+        c t^e is the lowest nonzero term of the form's undivided value
+        (``form.ratio``) on the translate as ``act`` stores it.  The
+        translates of ``group_draws(trials, seed)`` are not built.  At an
         arrow (s, t) a translate is L X R over a positive scale, for the
         units L of g_s and R of g_t^-1 and the curve's monomial X
         (``monomial_entries``), so by Cauchy-Binet its k-th leading minor is
@@ -462,7 +525,7 @@ class MatrixRealization:
         (``_minor_terms``, ``_pairing_terms``), and the tables left and right,
         taken once per draw and shared by every curve with the same supports
         and every k up to the largest asked for (``_draw_table``).  The order
-        is the least power whose integer coefficient is nonzero.
+        is the least power whose integer coefficient c is nonzero.
         """
         if not forms:
             return []
@@ -487,16 +550,20 @@ class MatrixRealization:
                 terms = self.memo(("pairing_terms", curve_label, *form.arrows), lambda: _pairing_terms(x, y))
                 plans.append((("gram_columns", sa, sb), ("gram_rows", ta, tb), terms))
         tables = self.memo(("draw_tables", trials, seed), lambda: [{} for _ in range(trials)])
-        orders: list[list[int | None]] = [[] for _ in forms]
+        lowest: list[list[tuple[int, int] | None]] = [[] for _ in forms]
         for g, cache in zip(self.group_draws(trials, seed), tables):
-            for (left_key, right_key, groups), form_orders in zip(plans, orders):
+            for (left_key, right_key, groups), form_terms in zip(plans, lowest):
                 for key in (left_key, right_key):
                     if key not in cache:
                         cache[key] = _draw_table(g, key)
-                left, right = cache[left_key], cache[right_key]
-                nonzero = (e for e, terms in groups if sum([left[i] * c * right[j] for i, j, c in terms]))
-                form_orders.append(next(nonzero, None))
-        return orders
+                left, right, term = cache[left_key], cache[right_key], None
+                for e, terms in groups:
+                    coefficient = sum([left[i] * c * right[j] for i, j, c in terms])
+                    if coefficient:
+                        term = (e, coefficient)
+                        break
+                form_terms.append(term)
+        return lowest
 
     def act(self, g: GroupElement, point: Point) -> Point:
         """g . X = g_s X g_t^-1 at each arrow (s, t)."""
@@ -531,11 +598,6 @@ class MatrixRealization:
             rows.append({col: e for col, e in row.items() if e})
         return rows
 
-    def lie_algebra_rows(self, point: Point) -> list[list[int]]:
-        """``tangent_rows`` as dense integer rows."""
-        width = sum(prod(ScaledMatrix.of(x).shape) for x in point)
-        return [[row.get(col, 0) for col in range(width)] for row in self.tangent_rows(point)]
-
     def weight_ratio(self, chi: Character, g: GroupElement) -> tuple[int, int]:
         """chi(g) undivided as (num, den), den != 0: each basis character's diagonal ratio p / q to the power c of chi's coordinate."""
         num = den = 1
@@ -565,8 +627,6 @@ class MatrixRealization:
         its pair's (0, 0) entries.  Anything else gives ``None``.
         """
         lower = self.borel_lower
-        if not lower:
-            return None
         if isinstance(form, Minor):
             (s, t), k = self.arrows[form.arrow], form.k
             if lower[s] == lower[t] or lower[s] == form.trailing:
@@ -813,37 +873,8 @@ def _monoid_membership(point: Point) -> bool:
     return at_b == mat_mul(a, list(zip(*b))) == [[d * (i == j) for j in range(len(a))] for i in range(len(a))]
 
 
-def _sample_monoid_element(rng: random.Random, m: int, lower: bool | None = None) -> tuple[Unit, Unit]:
-    """The units A and B = c A^-T of a random monoid element, from one elimination of A.
-
-    A is generic, or triangular (lower if ``lower``), which makes B triangular
-    the other way.  With A^-1 = X / d, B is c X^T / d and B^-1 is A^T / c.
-    """
-    if lower is None:
-        _, a, d, x = _rand_generic(rng, m)
-    else:
-        _, a, d, x = _rand_triangular(rng, m, lower)
-    c = rng.choice([-3, -2, -1, 1, 2, 3])
-    sign = 1 if c > 0 else -1
-    b = [[c * e for e in col] for col in zip(*x)]
-    return (1, a, d, x), (d, b, abs(c), [[sign * e for e in col] for col in zip(*a)])
-
-
 def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealization:
     identity = _monomial_matrix(m, m, [(k, k) for k in range(m)])
-    base = (identity, identity)
-
-    def group_sampler(rng: random.Random) -> GroupElement:
-        g1 = _sample_monoid_element(rng, m)
-        return g1 + _sample_monoid_element(rng, m)
-
-    # a1 lower, so b1 = c a1^-T upper; a2 upper, so b2 lower.  a_k^T b_k = c I pairs each a with its b.
-    borel_lower, dual_factors = (True, False, False, True), ((0, 1), (2, 3))
-
-    def borel_sampler(rng: random.Random) -> GroupElement:
-        g1 = _sample_monoid_element(rng, m, borel_lower[0])
-        return g1 + _sample_monoid_element(rng, m, borel_lower[2])
-
     lattice = model.weight_lattice
     # The dilation d = sum a_ij b_ij / m, then the leading and trailing minors of A.
     d_weight = lattice.basis_character("eps_1") + lattice.basis_character(f"eps_{m + 1}")
@@ -855,30 +886,21 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         chi = lattice.character([1 if k >= m - i else 0 for k in range(m)] + [0])
         semi.append(SemiInvariantSpec(f"Delta_trail_{i}", chi, Minor(0, i, trailing=True)))
 
-    arrows = ((0, 2), (1, 3))  # (a1, b1, a2, b2) . (X, Y) = (a1 X a2^-1, b1 Y b2^-1)
     cochars = _monoid_cocharacters(m).items()
     curves = [Curve(label, lam, (r, m - r), f"X_{r}") for r, (label, lam) in enumerate(cochars)]
 
-    # Lie algebra of the unit group: pairs (a, delta I - a^T) on each side,
-    # spanned by (E_ij, -E_ji) and (0, I).
-    lie_basis = []
-    for a, b in ((0, 1), (2, 3)):
-        lie_basis += [{a: ((i, j, 1),), b: ((j, i, -1),)} for i in range(m) for j in range(m)]
-        lie_basis.append({b: tuple((k, k, 1) for k in range(m))})
-
     def stabilizer_sampler(rng: random.Random) -> GroupElement:
-        g = _sample_monoid_element(rng, m)
+        a = _rand_generic(rng, m)
+        g = (a, _dual_unit(rng, a))
         return g + g
 
     return MatrixRealization(
-        base_point=base,
+        base_point=(identity, identity),
         membership=_monoid_membership,
-        arrows=arrows,
-        group_sampler=group_sampler,
-        borel_sampler=borel_sampler,
-        borel_lower=borel_lower,
-        dual_factors=dual_factors,
-        lie_basis=tuple(lie_basis),
+        arrows=((0, 2), (1, 3)),  # (a1, b1, a2, b2) . (X, Y) = (a1 X a2^-1, b1 Y b2^-1)
+        # a1 lower, so b1 = c a1^-T upper; a2 upper, so b2 lower.
+        borel_lower=(True, False, False, True),
+        dual_factors=((0, 1), (2, 3)),
         # eps_k is a1's k-th diagonal entry over a2's, eps_{m+1} b1's first over b2's.
         torus=tuple(((0, k), (2, k)) for k in range(m)) + (((1, 0), (3, 0)),),
         semi_invariants=tuple(semi),
@@ -892,17 +914,14 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
 # Quiver realizations: prod GL(dims) acting on the arrow spaces of a quiver.
 
 
-def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
-    """Arrows, samplers, membership and Lie basis of a quiver realization.
+def _quiver_parts(factors: int, arrows, ranks, zero_paths=()) -> dict:
+    """Arrows, membership and Borel orientation of a quiver realization on ``factors`` factors.
 
-    Arrow k = (s, t) carries a dims[s] x dims[t] matrix X_k, moved by
-    g . X_k = g_s X_k g_t^-1.  A point is a member when rk X_k <= ranks[k] and
-    X_i X_j = 0 for every (i, j) in ``zero_paths``.  Borel elements are lower
-    triangular at even vertices and upper triangular at odd ones
-    (``borel_lower``), drawn from that table.  The Lie basis is E_ij at each
-    vertex, vertex-major.
+    Arrow k = (s, t) carries a matrix X_k, moved by g . X_k = g_s X_k g_t^-1.
+    A point is a member when rk X_k <= ranks[k] and X_i X_j = 0 for every
+    (i, j) in ``zero_paths``.  Borel elements are lower triangular at even
+    vertices and upper triangular at odd ones (``borel_lower``).
     """
-    borel_lower = tuple(v % 2 == 0 for v in range(len(dims)))
 
     def membership(point: Point) -> bool:
         # Ranks and zero compositions are unchanged by scaling each arrow
@@ -912,20 +931,7 @@ def _quiver_parts(dims, arrows, ranks, zero_paths=()) -> dict:
             return False
         return all(e == 0 for i, j in zero_paths for row in mat_mul(scaled[i], scaled[j]) for e in row)
 
-    def group_sampler(rng: random.Random) -> GroupElement:
-        return tuple(_rand_generic(rng, d) for d in dims)
-
-    def borel_sampler(rng: random.Random) -> GroupElement:
-        return tuple(_rand_triangular(rng, d, lower) for d, lower in zip(dims, borel_lower))
-
-    return {
-        "arrows": arrows,
-        "membership": membership,
-        "group_sampler": group_sampler,
-        "borel_sampler": borel_sampler,
-        "borel_lower": borel_lower,
-        "lie_basis": tuple({v: ((i, j, 1),)} for v, d in enumerate(dims) for i in range(d) for j in range(d)),
-    }
+    return {"arrows": arrows, "membership": membership, "borel_lower": tuple(v % 2 == 0 for v in range(factors))}
 
 
 # ---------------------------------------------------------------------------
@@ -1108,7 +1114,7 @@ def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDiviso
         curves=tuple(curves),
         expected_orbit_dimension=(r + s) * (m + n - (r + s)),
         stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, s),
-        **_quiver_parts((m, n), arrows, (r, s), ((0, 1), (1, 0))),
+        **_quiver_parts(2, arrows, (r, s), ((0, 1), (1, 0))),
     )
 
 
@@ -1189,7 +1195,7 @@ def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) ->
         curves=(Curve(f"lambda_{r}", lam, (r - 1,), f"X_{r - 1}"),),
         expected_orbit_dimension=r * (m + n - r),
         stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, 0),
-        **_quiver_parts((m, n), ((0, 1),), (r,)),
+        **_quiver_parts(2, ((0, 1),), (r,)),
     )
 
 
@@ -1265,7 +1271,7 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
         # The orbit of complexes of ranks (r, s) (De Concini-Strickland 1981).
         expected_orbit_dimension=r * (l + m - r) + s * (m + n - s) - r * s,
         stabilizer_sampler=stabilizer_sampler,
-        **_quiver_parts((l, m, n), ((0, 1), (1, 2)), (r, s), ((0, 1),)),
+        **_quiver_parts(3, ((0, 1), (1, 2)), (r, s), ((0, 1),)),
     )
 
 

@@ -4,11 +4,9 @@ Integer matrices with arbitrary-precision entries, Smith normal form with
 unimodular transforms, cokernel presentations of finitely generated abelian
 groups, and integer linear-system solving.  One fraction-free (Bareiss)
 elimination, ``_bareiss``, gives the determinant and, as Gauss-Jordan, the
-scaled inverse of an integer matrix; the same elimination without row
-exchanges (``leading_principal_minors``) gives the leading principal minors
-as its pivots.  Ranks, rational and integer, come from one sparse
-fraction-free echelon (``sparse_rank``) that touches only nonzero
-entries.  No floating point anywhere.
+scaled inverse of an integer matrix.  Ranks, rational and integer, come
+from one sparse fraction-free echelon (``sparse_rank``) that touches only
+nonzero entries.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -144,31 +142,6 @@ def _bareiss(m: list[list[int]], ncols: int, jordan: bool = False) -> tuple[int,
         prev = p
         rank += 1
     return rank, swaps, prev
-
-
-def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Delta_1, Delta_2, ... of an integer matrix, up to and including the first that vanishes.
-
-    Delta_k is the determinant of the top-left k x k block, k <= min(rows,
-    columns).  One fraction-free (Bareiss 1968) elimination of that square
-    block with no row exchanges: the k-th pivot is Delta_k, and each entry
-    below and right of it becomes (p x - a y) / Delta_(k-1), an exact division.
-    """
-    n = min(len(rows), len(rows[0]) if rows else 0)
-    m = [list(r[:n]) for r in rows[:n]]
-    minors = []
-    prev = 1
-    for k in range(n):
-        p = m[k][k]
-        minors.append(p)
-        if not p:
-            break
-        pivot_row = m[k][k + 1 :]
-        for row in m[k + 1 :]:
-            a = row[k]
-            row[k + 1 :] = [(p * x - a * y) // prev for x, y in zip(row[k + 1 :], pivot_row)]
-        prev = p
-    return minors
 
 
 def scaled_to_integers(rows) -> tuple[int, list[list[int]]]:

@@ -2,11 +2,11 @@
 
 A realization declares each factor's Borel orientation (``borel_lower``) and
 the factor pairs with g_a^T g_b scalar on the group (``dual_factors``).  The
-Borel sampler draws to the first table; the oracle reads both to certify a
-``Minor`` or ``Pairing`` form with no draw (``oracle._certified``) and samples
-only what is left.  These tests check the tables against the samplers' draws,
-every certificate against the sampled check, and that no slipped, vanishing
-or undeclared form gets a certificate.
+group and Borel samplers are derived from both tables; the oracle reads them
+to certify a ``Minor`` or ``Pairing`` form with no draw (``oracle._certified``)
+and samples only what is left.  These tests check the tables against the
+samplers' draws, every certificate against the sampled check, and that no
+slipped, vanishing or undeclared form gets a certificate.
 """
 
 from __future__ import annotations
@@ -82,9 +82,11 @@ def test_orientation_data_matches_the_samplers(spec):
         ({"borel_lower": (True,) * 5}, "borel_lower has 5 entries for 4 factors"),
         ({"dual_factors": ((0, 4),)}, r"dual factors \(0, 4\) name a factor with no Borel orientation"),
         ({"dual_factors": ((-1, 1),)}, r"dual factors \(-1, 1\) name a factor with no Borel orientation"),
-        ({"borel_lower": ()}, r"dual factors \(0, 1\) name a factor with no Borel orientation"),
+        ({"borel_lower": ()}, "borel_lower has 0 entries for 4 factors"),
         ({"dual_factors": ((0, 3),)}, r"dual factors \(0, 3\) have the same Borel orientation"),
         ({"dual_factors": ((1, 1),)}, r"dual factors \(1, 1\) have the same Borel orientation"),
+        ({"dual_factors": ((1, 0),)}, r"dual factors \(1, 0\) are not two unpaired factors of one size, in factor order"),
+        ({"dual_factors": ((0, 1), (1, 3))}, r"dual factors \(1, 3\) are not two unpaired factors"),
     ],
 )
 def test_malformed_orientation_data_is_refused(changes, message):
@@ -99,6 +101,10 @@ def test_malformed_quiver_orientation_is_refused():
         dataclasses.replace(real, borel_lower=(True, False, True))
     with pytest.raises(ValueError, match=r"dual factors \(0, 2\) name a factor"):
         dataclasses.replace(real, dual_factors=((0, 2),))
+    # A dual pair's second factor is drawn as c g_a^-T, so both have one size.
+    circular = build_family("circular:m=2,n=3,r=1,s=1").realization
+    with pytest.raises(ValueError, match=r"dual factors \(0, 1\) are not two unpaired factors of one size"):
+        dataclasses.replace(circular, dual_factors=((0, 1),))
 
 
 def _certified(real):
@@ -173,16 +179,6 @@ def test_forms_vanishing_at_the_base_point_get_no_certificate():
     _assert_sampled(moved, list(moved.semi_invariants) + [zero])
     assert oracle.select_semi_invariants(moved, trials=8, seed=0) == moved.semi_invariants
     assert oracle._borel_failures(moved, (zero,), 8, 0) == ["Delta_3 vanished at every sampled point"]
-
-
-@pytest.mark.parametrize("spec", ["monoid:m=3", "determinantal:m=3,n=4,r=2"])
-def test_realizations_without_orientation_data_sample_every_form(spec):
-    real = build_family(spec).realization
-    bare = dataclasses.replace(real, borel_lower=(), dual_factors=())
-    assert all(bare.borel_exponents(f.form) is None for f in bare.semi_invariants)
-    _assert_sampled(bare, list(bare.semi_invariants))
-    for seed in range(5):
-        assert oracle.select_semi_invariants(bare, seed=seed) == oracle.select_semi_invariants(real, seed=seed)
 
 
 def test_closed_form_weights():

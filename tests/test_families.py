@@ -38,7 +38,7 @@ from sphemb.families import (
 from sphemb.oracle import stabilizer_check
 from sphemb.rootdata import pair
 from sphemb.lattice import integer_inverse, rational_inverse
-from test_lattice import _reference_rational_inverse, _reference_rational_rank
+from test_lattice import _dense_lie_rows, _reference_rational_inverse, _reference_rational_rank
 
 
 def test_monoid_parameter_validation():
@@ -322,7 +322,7 @@ def test_quiver_families_membership_and_lie_rows():
         assert real.membership(zero)
         for point in bad_points:
             assert not real.membership(point), point
-        rows = real.lie_algebra_rows(real.base_point)
+        rows = _dense_lie_rows(real, real.base_point)
         assert len(rows) == sum(d * d for d in dims)
         assert all(len(row) == sum(sizes) for row in rows)
 
@@ -863,9 +863,8 @@ def _random_minor_matrix(rng, rows, cols):
 
 
 def test_minors_match_reference_determinants_of_sliced_blocks():
-    # Delta_k is read on the matrix as stored, the trailing minors on it
-    # turned by 180 degrees, and every k of one matrix shares its elimination
-    # pivots, read here in a random order.
+    # Every leading and trailing minor is read on the matrix as stored, in a
+    # random order of k.
     from sphemb.families import ScaledMatrix
 
     rng = random.Random(29)
@@ -921,8 +920,8 @@ def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
 
 
 def test_minor_memos_belong_to_one_matrix():
-    # Two matrices with equal shapes share no pivots: the second one's
-    # minors are its own, whichever is eliminated first.
+    # Two matrices with equal shapes each give their own minors, in any
+    # order of reading.
     from sphemb.families import ScaledMatrix
 
     a = ScaledMatrix.of([[1, 2, 0], [3, 4, 5], [0, 6, 7]])
@@ -1003,6 +1002,36 @@ def test_points_given_as_rows_validate_act_and_limit_alike():
                 assert t_order(hand, f, c.label, trials=2) == t_order(real, f, c.label, trials=2), (spec, f.name)
 
 
+def test_factor_sizes_are_read_off_the_base_point():
+    # Each factor's size comes from the shapes of the arrows at it, the
+    # samplers and the Lie basis from the sizes.  A point given as zero rows
+    # has shape (0, 0) at any width, so it fixes only its source factor's
+    # size, and its target's comes from another arrow.
+    for spec in _SAMPLER_SPECS:
+        bundle = build_family(spec)
+        real, params = bundle.realization, bundle.params
+        if bundle.name == "monoid":
+            # Two dual pairs (a, b), each with Lie algebra the (A, delta I - A^T).
+            want, dimension = (params["m"],) * 4, 2 * (params["m"] ** 2 + 1)
+        else:
+            # m <= n after the circular swap.
+            circular = bundle.name == "circular"
+            want = families._circular_parameters(**params)[:2] if circular else tuple(params[k] for k in "lmn" if k in params)
+            dimension = sum(n * n for n in want)
+        assert real.sizes == want, spec
+        assert tuple(len(unit[1]) for unit in real.group_sampler(random.Random(0))) == want, spec
+        assert len(real.lie_basis) == dimension, spec
+    real = build_family("complexes:l=0,m=2,n=2,r=0,s=1").realization
+    hand = dataclasses.replace(real, base_point=tuple(tuple(map(tuple, x)) for x in real.base_point))
+    assert hand.shapes[0] == (0, 0) and hand.sizes == real.sizes == (0, 2, 2)
+    circular = build_family("circular:m=2,n=3,r=1,s=1").realization
+    with pytest.raises(ValueError, match="factor 0 has sizes 2 and 3"):
+        dataclasses.replace(circular, arrows=((0, 1), (0, 1)))
+    determinantal = build_family("determinantal:m=2,n=3,r=1").realization
+    with pytest.raises(ValueError, match="factor 1 is on no arrow"):
+        dataclasses.replace(determinantal, arrows=((0, 2),), borel_lower=(True, False, True))
+
+
 def test_group_draws_are_the_seeded_stream_drawn_once():
     _, real = monoid_model(2)
     for trials, seed in ((3, 0), (3, 11), (5, 0)):
@@ -1048,7 +1077,7 @@ def test_quiver_lie_rows_match_unit_matrix_products():
         arrows = arrows_of[bundle.name]
         dims = tuple(bundle.params[k] for k in "lmn" if k in bundle.params)
         for point in _orbit_points(real, rng):
-            got = real.lie_algebra_rows(point)
+            got = _dense_lie_rows(real, point)
             assert got == _scaled_by_arrow(_reference_quiver_lie_rows(dims, arrows, point), point), spec
             assert all(type(e) is int for row in got for e in row)
 
@@ -1058,16 +1087,15 @@ def test_monoid_lie_rows_match_unit_matrix_products():
     for m in (1, 2, 3, 4):
         _, real = monoid_model(m)
         for point in _orbit_points(real, rng):
-            got = real.lie_algebra_rows(point)
+            got = _dense_lie_rows(real, point)
             assert got == _scaled_by_arrow(_reference_monoid_lie_rows(m, point), point)
             assert all(type(e) is int for row in got for e in row)
 
 
 def test_tangent_rows_are_the_sparse_lie_rows_and_rank_like_the_reference():
     # At each member's base point and curve limits: the sparse tangents match
-    # the unit-matrix products, store no zero, read densely as
-    # lie_algebra_rows, and rank (sparse_rank, orbit_dimension) like Fraction
-    # elimination of the dense rows.
+    # the unit-matrix products, store no zero, and rank (sparse_rank,
+    # orbit_dimension) like Fraction elimination of the dense reference rows.
     from sphemb.lattice import sparse_rank
     from sphemb.oracle import limit_signature, orbit_dimension
 
@@ -1095,20 +1123,16 @@ def test_tangent_rows_are_the_sparse_lie_rows_and_rank_like_the_reference():
             tangents = real.tangent_rows(point)
             assert all(0 not in row.values() for row in tangents), spec
             assert [{j: e for j, e in enumerate(row) if e} for row in reference] == tangents, spec
-            dense = real.lie_algebra_rows(point)
-            assert dense == [[row.get(j, 0) for j in range(len(r))] for row, r in zip(tangents, reference)], spec
-            rank = _reference_rational_rank(dense)
+            rank = _reference_rational_rank(reference)
             assert sparse_rank(real.tangent_rows(point)) == rank == orbit_dimension(real, point), spec
             checked += 1
     assert checked > 100
     # A Lie element acting on both ends of an arrow cancels where it commutes
     # with X = E_00: the cancelled entry is dropped, not stored as a zero.
-    real = dataclasses.replace(
-        build_family("determinantal:m=2,n=2,r=1").realization,
-        lie_basis=({0: ((0, 0, 1),), 1: ((0, 0, 1),)}, {0: ((0, 1, 1),), 1: ((0, 1, 1),)}, {0: ((0, 0, 2),)}),
-    )
+    real = build_family("determinantal:m=2,n=2,r=1").realization
+    real.lie_basis = ({0: ((0, 0, 1),), 1: ((0, 0, 1),)}, {0: ((0, 1, 1),), 1: ((0, 1, 1),)}, {0: ((0, 0, 2),)})
     assert real.tangent_rows(real.base_point) == [{}, {1: -1}, {0: 2}]
-    assert real.lie_algebra_rows(real.base_point) == [[0, 0, 0, 0], [0, -1, 0, 0], [2, 0, 0, 0]]
+    assert _dense_lie_rows(real, real.base_point) == [[0, 0, 0, 0], [0, -1, 0, 0], [2, 0, 0, 0]]
     assert sparse_rank(real.tangent_rows(real.base_point)) == 2 == orbit_dimension(real)
 
 

@@ -186,8 +186,7 @@ def _same(got, want) -> bool:
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(minor_matrices(), st.randoms(use_true_random=False))
 def test_minors_match_sympy_determinants(m, rnd):
-    # Every leading and trailing minor of one stored matrix, in a drawn
-    # order so that the shared pivots are taken in different orders.
+    # Every leading and trailing minor of one stored matrix, in a drawn order.
     rows, cols = len(m), len(m[0])
     scaled = ScaledMatrix.of(m)
     reads = [(trailing, k) for trailing in (False, True) for k in range(1, min(rows, cols) + 1)]

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from form_reference import act, curve_point, form_at, form_orders
+from form_reference import act, curve_point, form_at, form_values
 
+from sphemb import families
 from sphemb.families import (
     Curve,
     MatrixRealization,
@@ -13,7 +14,6 @@ from sphemb.families import (
     Pairing,
     ScaledMatrix,
     SemiInvariantSpec,
-    _rand_invertible,
     build_family,
     circular_complexes_model,
     complexes_realization,
@@ -102,9 +102,7 @@ def _one_arrow(base, *curves):
         base_point=(base,),
         membership=lambda pt: True,
         arrows=((0, 1),),
-        group_sampler=lambda rng: (),
-        borel_sampler=lambda rng: (),
-        lie_basis=(),
+        borel_lower=(True, False),
         expected_orbit_dimension=0,
         stabilizer_sampler=lambda rng: (),
         curves=curves,
@@ -283,14 +281,36 @@ def test_verification_report_families():
 # Reference copies of the per-function loops that t_order and
 # semiinvariance_check ran before every semi-invariant shared one set of draws,
 # each form read off the translate built in sympy (``form_reference``).
-def _reference_orders(real, functions, curve_label, trials, seed):
-    # Per function, the loop's per-trial orders; a run with fewer trials sees a
-    # prefix.  Each function's loop draws the same elements, so each translate
-    # is built once here and every form read off it.
+def _reference_lowest_terms(real, functions, curve_label, trials, seed):
+    # Per function, the lowest term (e, c) of its undivided value on each
+    # trial's translate, None where it vanishes: c is the sympy coefficient of
+    # t^e times the translate's positive scale.  Each function's loop draws the
+    # same elements, so each translate is built once here and every form read
+    # off it; a run with fewer trials sees a prefix.
     rng, curve = random.Random(seed), curve_point(real, curve_label)
     forms = [f.form for f in functions]
-    per_trial = [form_orders(forms, act(real, real.group_sampler(rng), curve)) for _ in range(trials)]
-    return [list(orders) for orders in zip(*per_trial)]
+    per_trial = []
+    for _ in range(trials):
+        moved = act(real, real.group_sampler(rng), curve)
+        terms = []
+        for form, value in zip(forms, form_values(forms, moved)):
+            if isinstance(form, Minor):
+                scale = moved[form.arrow][2] ** form.k
+            else:
+                scale = moved[form.arrow_a][2] * moved[form.arrow_b][2] * form.divisor
+            e = min(value, default=None)
+            terms.append(None if e is None else (e, value[e] * scale))
+        per_trial.append(terms)
+    return [list(terms) for terms in zip(*per_trial)]
+
+
+def _lowest_terms_and_orders(real, functions, curve_label, trials, seed):
+    """The package's ``lowest_terms``, checked against the reference's, and the reference's orders."""
+    lowest = _reference_lowest_terms(real, functions, curve_label, trials, seed)
+    got = real.lowest_terms([f.form for f in functions], curve_label, trials, seed)
+    assert got == lowest, (curve_label, seed)
+    assert all(type(c) is int for terms in got for term in terms if term for c in term)
+    return [[None if term is None else term[0] for term in terms] for terms in lowest]
 
 
 def _reference_t_order(orders):
@@ -356,7 +376,7 @@ def test_shared_draws_match_per_function_loops(seed):
         # nothing to orders; the zero function covers the vanishing case.
         functions = tuple(f for f in candidates if f.name not in ("wrong_weight", "one"))
         for curve_label in [c.label for c in real.curves]:
-            orders = _reference_orders(real, functions, curve_label, 20, seed)
+            orders = _lowest_terms_and_orders(real, functions, curve_label, 20, seed)
             for trials in (1, 8, 20):
                 want = tuple(_reference_t_order(o[:trials]) for o in orders)
                 assert (None in want) == (functions[-1].name == "zero"), (name, curve_label)
@@ -430,7 +450,7 @@ def test_form_orders_match_translated_evaluation(spec):
     assert functions and all(f.evaluate is f.form for f in functions)
     for seed in (0, 1, 7, 931794):
         for curve_label in [c.label for c in real.curves]:
-            orders = _reference_orders(real, functions, curve_label, 8, seed)
+            orders = _lowest_terms_and_orders(real, functions, curve_label, 8, seed)
             for trials in (1, 3, 8):
                 want = tuple(_reference_t_order(o[:trials]) for o in orders)
                 assert t_order(real, functions, curve_label, trials=trials, seed=seed) == want, (seed, curve_label, trials)
@@ -475,13 +495,14 @@ def test_minor_orders_are_the_symbolic_generic_orders(spec):
 
 
 def _permuted_realization(base, curves):
-    """Two 3 x 3 arrows on four GL(3) factors, with draws of entries in {-1, 0, 1}.
+    """Two 3 x 3 arrows on four GL(3) factors.
 
     ``base`` holds each arrow's {(i, j): c}, over scale 2 on the first
-    arrow, and ``curves`` maps a label to a cocharacter.  Such small draws
-    often cancel a translate's lowest coefficient, so the orders test the
-    whole polynomial, its signs included, and not only the powers of t it can
-    hold.
+    arrow, and ``curves`` maps a label to a cocharacter.  Under
+    ``_small_draws`` its group elements have entries in {-1, 0, 1}.  Such
+    small draws often cancel a translate's lowest coefficient, so the orders
+    test the whole polynomial, its signs included, and not only the powers of
+    t it can hold.
     """
     point = tuple(ScaledMatrix(s, (3, 3), [[x.get((i, j), 0) for j in range(3)] for i in range(3)]) for x, s in zip(base, (2, 1)))
     character = TorusLattice(("eps_1",)).combination([])
@@ -490,9 +511,7 @@ def _permuted_realization(base, curves):
         base_point=point,
         membership=lambda pt: True,
         arrows=((0, 1), (2, 3)),
-        group_sampler=lambda rng: tuple(_rand_invertible(rng, 3, -1, 1) for _ in range(4)),
-        borel_sampler=lambda rng: (),
-        lie_basis=(),
+        borel_lower=(True, False, True, False),
         expected_orbit_dimension=0,
         stabilizer_sampler=lambda rng: (),
         semi_invariants=tuple(SemiInvariantSpec(repr(form), character, form) for form in forms),
@@ -518,7 +537,13 @@ _PERMUTED_ENTRIES = {
 }
 
 
-def test_form_orders_match_translated_evaluation_on_permuted_curves():
+@pytest.fixture
+def _small_draws(monkeypatch):
+    """Generic units drawn with entries in {-1, 0, 1}: ``_rand_generic`` reads ``_GENERIC_RANGE`` at each draw."""
+    monkeypatch.setattr(families, "_GENERIC_RANGE", 1)
+
+
+def test_form_orders_match_translated_evaluation_on_permuted_curves(_small_draws):
     real = _permuted_realization(_PERMUTED_BASE, _PERMUTED_CURVES)
     for label, arrows in _PERMUTED_ENTRIES.items():
         for arrow, entries in enumerate(arrows):
@@ -528,7 +553,7 @@ def test_form_orders_match_translated_evaluation_on_permuted_curves():
     unstable = 0
     for seed in range(12):
         for curve_label in _PERMUTED_CURVES:
-            orders = _reference_orders(real, functions, curve_label, 8, seed)
+            orders = _lowest_terms_and_orders(real, functions, curve_label, 8, seed)
             for trials in (1, 3, 8):
                 want = tuple(_reference_t_order(o[:trials]) for o in orders)
                 assert t_order(real, functions, curve_label, trials=trials, seed=seed) == want, (seed, curve_label, trials)
