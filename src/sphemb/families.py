@@ -23,15 +23,18 @@ orientation from the quiver data.
 A group element is a tuple of units, one per factor: a unit (l, L, r, R)
 is the matrix L / l with inverse R / r, for integer matrices L, R and
 integers l, r > 0.  Samplers draw them (each inverted by ``integer_inverse``,
-a dual pair's second factor read off its first by ``_dual_unit``), ``act``
-multiplies on their integer matrices and inverts nothing,
-``inverse_element`` swaps each unit's halves and ``bumped_copies`` perturbs
-them; no other module reads a unit's fields.
+a dual pair's second factor read off its first by ``_dual_unit``; a
+stabilizer's diagonal blocks are tested by ``row_determinant`` and not
+inverted), ``act`` multiplies on their integer matrices and inverts nothing,
+``inverse_element`` swaps each unit's halves, and the stabilizer check and
+its negative control (``MatrixRealization.fixes_base_point`` and
+``bump_moves_base_point``) read the units' L alone, and R only to skip a
+singular bump; no other module reads a unit's fields.
 
 A point is rational: one ``ScaledMatrix`` per arrow, an integer matrix over
 one scale.  The constructors build each base point once in this form.  A
 translate is one integer product (``_translate``); the membership tests and a
-form's value at a point (``Minor.ratio``, one ``determinant`` of its block,
+form's value at a point (``Minor.ratio``, one ``row_determinant`` of its block,
 and ``Pairing.ratio``, one dot product) read the integers as stored; two
 points compare on their integers, and ``Fraction`` rows are divided out only
 when read.  ``ScaledMatrix.of`` converts a matrix given as rows.
@@ -47,7 +50,8 @@ Every semi-invariant is data: a ``Minor`` or a ``Pairing`` of arrows, checked
 against the arrows when its realization is built.  Its t-orders along a curve
 are read by Cauchy-Binet from the curve's monomial entries and the seeded
 draws' integer units (``MatrixRealization.form_orders``), without building the
-translate (``MatrixRealization.lowest_terms`` gives each draw's lowest term).
+translate (``MatrixRealization.lowest_terms`` gives each draw's lowest term);
+a ``Pairing`` on dual pairs reads two scalars per draw, not two Gram tables.
 The Borel sampler draws to the orientation table, and
 ``MatrixRealization.borel_exponents`` reads a form's Borel weight off it and
 the dual pairs.
@@ -76,7 +80,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel, pairing_table
-from .lattice import IntegerMatrix, determinant, integer_inverse, mat_mul, rational_rank
+from .lattice import integer_inverse, mat_mul, rational_rank, row_determinant
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice
 
 
@@ -101,8 +105,8 @@ class ScaledMatrix:
     scale times the matrix for an integer ``scale`` > 0.  The divided rows of
     ``Fraction`` are built when first read, and the matrix hashes and compares
     like them; two ``ScaledMatrix`` compare on their integers.  Each leading
-    or trailing minor is the ``determinant`` of its block of the integers as
-    stored (``minor_ratio``).
+    or trailing minor is the ``row_determinant`` of its block of the integers
+    as stored (``minor_ratio``).
     """
 
     __slots__ = ("scale", "shape", "integers", "_rows")
@@ -157,15 +161,15 @@ class ScaledMatrix:
     def minor_ratio(self, k: int, trailing: bool = False) -> tuple[int, int]:
         """(n, scale^k) for the top-left k x k minor n / scale^k, the bottom-right one if ``trailing``.
 
-        n is ``determinant`` of the k x k block of the integers as stored.
+        n is ``row_determinant`` of the k x k block of the integers as stored.
         ``ValueError`` unless 0 <= k <= min(rows, columns).
         """
         rows, cols = self.shape
         if not 0 <= k <= min(rows, cols):
             raise ValueError(f"no {k} x {k} minor in a {rows} x {cols} matrix")
         stored = self.integers
-        block = (r[cols - k :] for r in stored[rows - k :]) if trailing else (r[:k] for r in stored[:k])
-        return determinant(IntegerMatrix(k, k, tuple(chain.from_iterable(block)))), self.scale**k
+        block = [r[cols - k :] for r in stored[rows - k :]] if trailing else [r[:k] for r in stored[:k]]
+        return row_determinant(block), self.scale**k
 
 
 # Group samplers draw from a wide integer range: translated-curve orders are
@@ -186,13 +190,22 @@ def _unit(m: list[list[int]]) -> Unit:
     return (1, m, *integer_inverse(m))
 
 
-def _rand_invertible(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> Unit:
+def _rand_invertible(rng: random.Random, n: int, lo: int, hi: int) -> Unit:
     """A random integer matrix as a unit, redrawn exactly while it is singular; n = 0 draws nothing."""
     while True:
         m = _rand_int_matrix(rng, n, n, lo, hi)
         inverse = integer_inverse(m)
         if inverse is not None:
             return (1, m, *inverse)
+
+
+def _rand_nonsingular(rng: random.Random, n: int) -> list[list[int]]:
+    """The matrix ``_rand_invertible`` draws from -4..4, on the same stream: each draw is tested by one
+    ``row_determinant`` and nothing is inverted."""
+    while True:
+        m = _rand_int_matrix(rng, n, n, -4, 4)
+        if row_determinant(m):
+            return m
 
 
 def _rand_generic(rng: random.Random, n: int) -> Unit:
@@ -221,24 +234,6 @@ def _dual_unit(rng: random.Random, unit: Unit) -> Unit:
 def inverse_element(g: GroupElement) -> GroupElement:
     """g^-1, read off the units: the factor L / l with inverse R / r becomes R / r with inverse L / l."""
     return tuple((r, big_r, l, big_l) for l, big_l, r, big_r in g)
-
-
-def bumped_copies(g: GroupElement):
-    """Copies of ``g`` with one entry of one factor raised by 1, each with its own inverse.
-
-    Factor by factor, then row-major: factor L / l becomes (L + l E_ij) / l.
-    A bump that makes its factor singular is skipped.  A copy need not lie
-    in the group, so each bumped factor is inverted as it is.
-    """
-    for k, (l, m, _, _) in enumerate(g):
-        for i, row in enumerate(m):
-            for j in range(len(row)):
-                bumped = [list(r) for r in m]
-                bumped[i][j] += l
-                inverse = integer_inverse(bumped)
-                if inverse is not None:
-                    d, x = inverse
-                    yield g[:k] + ((l, bumped, d, [[l * e for e in r] for r in x]),) + g[k + 1 :]
 
 
 @dataclass(frozen=True)
@@ -347,20 +342,17 @@ class Curve:
 def _factor_sizes(arrows, shapes) -> tuple[int, ...]:
     """Each factor's size, read off the base point: arrow (s, t) of shape (rows, columns) gives s rows and t columns.
 
-    A point given as zero rows has shape (0, 0) at any width (``ScaledMatrix.of``), so such an arrow gives t
-    size 0 only where no other arrow gives t a size.  ``ValueError`` for a factor on no arrow or with two sizes.
+    ``ValueError`` for a factor on no arrow or with two sizes.
     """
-    sizes: dict[int, int | None] = {}
+    sizes: dict[int, int] = {}
     for (s, t), (rows, cols) in zip(arrows, shapes):
-        for v, n in ((s, rows), (t, cols if rows or cols else None)):
-            if sizes.get(v) is None:
-                sizes[v] = n
-            elif n is not None and n != sizes[v]:
+        for v, n in ((s, rows), (t, cols)):
+            if sizes.setdefault(v, n) != n:
                 raise ValueError(f"factor {v} has sizes {sizes[v]} and {n}")
     for v in range(1 + max(sizes, default=-1)):
         if v not in sizes:
             raise ValueError(f"factor {v} is on no arrow")
-    return tuple(sizes[v] or 0 for v in range(len(sizes)))
+    return tuple(sizes[v] for v in range(len(sizes)))
 
 
 def _lie_basis(sizes, dual_factors) -> tuple[dict[int, tuple[tuple[int, int, int], ...]], ...]:
@@ -416,6 +408,9 @@ class MatrixRealization:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        for a, x in enumerate(self.base_point):
+            if not isinstance(x, ScaledMatrix) and not len(x):
+                raise ValueError(f"base point arrow {a} is given as no rows, which have no width: give it as a ScaledMatrix")
         if not self.membership(self.base_point):
             raise ValueError("base point fails the membership predicate")
         self.shapes = tuple(ScaledMatrix.of(x).shape for x in self.base_point)
@@ -485,6 +480,15 @@ class MatrixRealization:
 
         return self.memo(("group_draws", trials, seed), draw)
 
+    def _base_entries(self, arrow: int) -> tuple[tuple[int, int, int], ...]:
+        """(i, j, c) per nonzero entry c of the base point's integers at ``arrow``, by row, taken once."""
+
+        def entries():
+            x = ScaledMatrix.of(self.base_point[arrow]).integers
+            return tuple((i, j, c) for i, r in enumerate(x) for j, c in enumerate(r) if c)
+
+        return self.memo(("base_entries", arrow), entries)
+
     def monomial_entries(self, curve_label: str, arrow: int) -> tuple[tuple[int, int, int, int], ...]:
         """(i, j, c, e) per entry c t^e of the curve lambda(t) . x0 at ``arrow`` (s, t), by row, taken once.
 
@@ -494,10 +498,7 @@ class MatrixRealization:
 
         def entries():
             lam, (s, t) = dict(self.curve(curve_label).cocharacter), self.arrows[arrow]
-            x = ScaledMatrix.of(self.base_point[arrow]).integers
-            return tuple(
-                (i, j, c, lam.get((s, i), 0) - lam.get((t, j), 0)) for i, r in enumerate(x) for j, c in enumerate(r) if c
-            )
+            return tuple((i, j, c, lam.get((s, i), 0) - lam.get((t, j), 0)) for i, j, c in self._base_entries(arrow))
 
         return self.memo(("monomial_entries", curve_label, arrow), entries)
 
@@ -525,7 +526,11 @@ class MatrixRealization:
         (``_minor_terms``, ``_pairing_terms``), and the tables left and right,
         taken once per draw and shared by every curve with the same supports
         and every k up to the largest asked for (``_draw_table``).  The order
-        is the least power whose integer coefficient c is nonzero.
+        is the least power whose integer coefficient c is nonzero.  On a
+        ``Pairing`` whose sources and targets are dual pairs, P = p I and
+        Q = q I on every draw (``dual_factors``), so the value is p q times
+        the untranslated pairing: only p and q are taken per draw, and the
+        curve's terms at one position are summed once (``_dual_pairing_terms``).
         """
         if not forms:
             return []
@@ -547,8 +552,10 @@ class MatrixRealization:
             else:
                 x, y = (self.monomial_entries(curve_label, a) for a in form.arrows)
                 (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
-                terms = self.memo(("pairing_terms", curve_label, *form.arrows), lambda: _pairing_terms(x, y))
-                plans.append((("gram_columns", sa, sb), ("gram_rows", ta, tb), terms))
+                dual = self._on_dual_pairs(form)
+                pairing_terms = _dual_pairing_terms if dual else _pairing_terms
+                terms = self.memo(("pairing_terms", curve_label, *form.arrows), lambda: pairing_terms(x, y))
+                plans.append((("gram_columns", sa, sb, dual), ("gram_rows", ta, tb, dual), terms))
         tables = self.memo(("draw_tables", trials, seed), lambda: [{} for _ in range(trials)])
         lowest: list[list[tuple[int, int] | None]] = [[] for _ in forms]
         for g, cache in zip(self.group_draws(trials, seed), tables):
@@ -568,6 +575,56 @@ class MatrixRealization:
     def act(self, g: GroupElement, point: Point) -> Point:
         """g . X = g_s X g_t^-1 at each arrow (s, t)."""
         return tuple(_translate(g[s][:2], x, g[t][2:]) for (s, t), x in zip(self.arrows, point))
+
+    def fixes_base_point(self, g: GroupElement) -> bool:
+        """Whether g . x0 = x0, exactly: g_s X g_t^-1 = X at each arrow (s, t), tested as l_t L_s X = l_s X L_t.
+
+        L_s / l_s and L_t / l_t are the units' matrices of g_s and g_t and X
+        the base point's integers, read at their nonzero entries; no translate
+        and no inverse is built.
+        """
+        return self._fixes([unit[:2] for unit in g])
+
+    def bump_moves_base_point(self, g: GroupElement) -> bool:
+        """Whether some bump of g moves the base point: the stabilizer's negative control.
+
+        A bump raises one entry of one factor by 1, L / l becoming
+        (L + l E_ij) / l.  The bumps are walked factor by factor, then
+        row-major, up to the first that moves the base point.  By the matrix
+        determinant lemma det(g_k + E_ij) = det(g_k) (1 + (g_k^-1)_ji), so the
+        bump makes its factor singular exactly when R_ji = -r for the unit's
+        inverse R / r, and it is skipped.  Every other bump is tested as
+        ``fixes_base_point`` tests g, so no bumped factor is inverted.
+        """
+        forward = [unit[:2] for unit in g]
+        for k, (l, big_l, r, big_r) in enumerate(g):
+            for i, row in enumerate(big_l):
+                for j in range(len(row)):
+                    if big_r[j][i] == -r:
+                        continue
+                    bumped = list(big_l)
+                    bumped[i] = list(row)
+                    bumped[i][j] += l
+                    if not self._fixes(forward[:k] + [(l, bumped)] + forward[k + 1 :]):
+                        return True
+        return False
+
+    def _fixes(self, forward) -> bool:
+        """``fixes_base_point`` for the factors L / l given as (l, L) in ``forward``, one per factor."""
+        for arrow, ((s, t), (rows, cols)) in enumerate(zip(self.arrows, self.shapes)):
+            (ls, left), (lt, right) = forward[s], forward[t]
+            # l_t L_s X - l_s X L_t: X's entry c at (i, j) adds c L_s's column i to column j and c L_t's row j to row i.
+            diff = _zeros(rows, cols)
+            for i, j, c in self._base_entries(arrow):
+                a, b = lt * c, ls * c
+                for out, e in zip(diff, (r[i] for r in left)):
+                    out[j] += a * e
+                out = diff[i]
+                for h, e in enumerate(right[j]):
+                    out[h] -= b * e
+            if any(map(any, diff)):
+                return False
+        return True
 
     def tangent_rows(self, point: Point) -> list[dict[int, int]]:
         """Per ``lie_basis`` element A, the tangent A_s X - X A_t at each arrow (s, t), times X's scale.
@@ -633,14 +690,19 @@ class MatrixRealization:
                 return None
             rows, cols = self.shapes[form.arrow] if form.trailing else (k, k)
             return {**{(s, i): 1 for i in range(rows - k, rows)}, **{(t, j): -1 for j in range(cols - k, cols)}}
-        (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
-        dual = {frozenset(pair) for pair in self.dual_factors}
-        if {sa, sb} not in dual or {ta, tb} not in dual:
+        if not self._on_dual_pairs(form):
             return None
+        (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
         exponents: dict[tuple[int, int], int] = {}
         for factor, e in ((sa, 1), (sb, 1), (ta, -1), (tb, -1)):
             exponents[factor, 0] = exponents.get((factor, 0), 0) + e
         return {entry: e for entry, e in exponents.items() if e}
+
+    def _on_dual_pairs(self, form: Pairing) -> bool:
+        """Whether the ``Pairing``'s two sources are a pair of ``dual_factors``, and its two targets too."""
+        (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
+        dual = {frozenset(pair) for pair in self.dual_factors}
+        return {sa, sb} in dual and {ta, tb} in dual
 
 
 def _minor_terms(entries, k: int) -> list[tuple[int, list[tuple[tuple[int, ...], tuple[int, ...], int]]]]:
@@ -669,15 +731,30 @@ def _pairing_terms(x_entries, y_entries) -> list[tuple[int, list[tuple[tuple[int
     return sorted(groups.items())
 
 
+def _dual_pairing_terms(x_entries, y_entries) -> list[tuple[int, list[tuple[tuple[int, int], tuple[int, int], int]]]]:
+    """``_pairing_terms`` where both draw tables are scalar, p I and q I: per power e of t, ascending, the one
+    term ((0, 0), (0, 0), s) for the sum s of x y over X's and Y's entries at one position with f + g = e,
+    powers with s = 0 left out."""
+    y_at = {(c, d): (y, g) for c, d, y, g in y_entries}
+    sums: dict[int, int] = {}
+    for a, b, x, f in x_entries:
+        if (a, b) in y_at:
+            y, g = y_at[a, b]
+            sums[f + g] = sums.get(f + g, 0) + x * y
+    return [(e, [((0, 0), (0, 0), total)]) for e, total in sorted(sums.items()) if total]
+
+
 def _draw_table(g: GroupElement, key: tuple) -> dict:
     """One table of ``MatrixRealization.form_orders`` for the group element g, named by ``key``.
 
     ("rows", f, turn, support, depth) and ("columns", ...) hold the minors of
     the first rows of L, or of the first columns of R, for the unit (l, L, r,
     R) of factor f (``_first_row_minors``), read from the last one back when
-    ``turn`` is -1.  ("gram_columns", f, h) holds column a of f's L times
-    column c of h's L, and ("gram_rows", f, h) row b of f's R times row d of
-    h's R, keyed by (a, c) or (b, d): the products L_f^T L_h and R_f R_h^T.
+    ``turn`` is -1.  ("gram_columns", f, h, scalar) holds column a of f's L
+    times column c of h's L, and ("gram_rows", f, h, scalar) row b of f's R
+    times row d of h's R, keyed by (a, c) or (b, d): the products L_f^T L_h
+    and R_f R_h^T.  With ``scalar`` (f and h a dual pair) the product is its
+    (0, 0) entry times the identity, and only that entry is taken.
     """
     kind, *args = key
     if kind == "rows":
@@ -686,8 +763,10 @@ def _draw_table(g: GroupElement, key: tuple) -> dict:
     if kind == "columns":
         f, turn, support, depth = args
         return _first_row_minors(list(zip(*g[f][3]))[::turn], support, depth)
-    f, h = args
-    a, b = (zip(*g[f][1]), list(zip(*g[h][1]))) if kind == "gram_columns" else (g[f][3], g[h][3])
+    f, h, scalar = args
+    a, b = (list(zip(*g[f][1])), list(zip(*g[h][1]))) if kind == "gram_columns" else (g[f][3], g[h][3])
+    if scalar:
+        a, b = a[:1], b[:1]
     return {(i, j): sum(map(mul, p, q)) for i, p in enumerate(a) for j, q in enumerate(b)}
 
 
@@ -1133,10 +1212,10 @@ def _block_matrix(blocks, row_sizes: Sequence[int], col_sizes: Sequence[int]) ->
 
 def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: int) -> GroupElement:
     """A random element of the block-shaped stabilizer of the base idempotent."""
-    shared_11 = _rand_invertible(rng, r)[1]
-    shared_33 = _rand_invertible(rng, s)[1]
-    a22 = _rand_invertible(rng, m - r - s)[1]
-    b22 = _rand_invertible(rng, n - r - s)[1]
+    shared_11 = _rand_nonsingular(rng, r)
+    shared_33 = _rand_nonsingular(rng, s)
+    a22 = _rand_nonsingular(rng, m - r - s)
+    b22 = _rand_nonsingular(rng, n - r - s)
     a = _block_matrix(
         [
             [shared_11, _rand_int_matrix(rng, r, m - r - s), _rand_int_matrix(rng, r, s)],
@@ -1243,24 +1322,24 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
     _check_complexes_parameters(l, m, n, r, s)
 
     def stabilizer_sampler(rng: random.Random) -> GroupElement:
-        a11 = _rand_invertible(rng, r)[1]
-        c22 = _rand_invertible(rng, s)[1]
+        a11 = _rand_nonsingular(rng, r)
+        c22 = _rand_nonsingular(rng, s)
         a_full = _block_matrix(
-            [[a11, _rand_int_matrix(rng, r, l - r)], [None, _rand_invertible(rng, l - r)[1]]],
+            [[a11, _rand_int_matrix(rng, r, l - r)], [None, _rand_nonsingular(rng, l - r)]],
             (r, l - r),
             (r, l - r),
         )
         b_full = _block_matrix(
             [
                 [a11, None, None],
-                [_rand_int_matrix(rng, m - r - s, r), _rand_invertible(rng, m - r - s)[1], None],
+                [_rand_int_matrix(rng, m - r - s, r), _rand_nonsingular(rng, m - r - s), None],
                 [_rand_int_matrix(rng, s, r), _rand_int_matrix(rng, s, m - r - s), c22],
             ],
             (r, m - r - s, s),
             (r, m - r - s, s),
         )
         c_full = _block_matrix(
-            [[_rand_invertible(rng, n - s)[1], _rand_int_matrix(rng, n - s, s)], [None, c22]],
+            [[_rand_nonsingular(rng, n - s), _rand_int_matrix(rng, n - s, s)], [None, c22]],
             (n - s, s),
             (n - s, s),
         )

@@ -3,7 +3,8 @@
 Integer matrices with arbitrary-precision entries, Smith normal form with
 unimodular transforms, cokernel presentations of finitely generated abelian
 groups, and integer linear-system solving.  One fraction-free (Bareiss)
-elimination, ``_bareiss``, gives the determinant and, as Gauss-Jordan, the
+elimination, ``_bareiss``, gives the determinant (``row_determinant`` on
+rows, ``determinant`` on an ``IntegerMatrix``) and, as Gauss-Jordan, the
 scaled inverse of an integer matrix.  Ranks, rational and integer, come
 from one sparse fraction-free echelon (``sparse_rank``) that touches only
 nonzero entries.  No floating point anywhere.
@@ -154,8 +155,18 @@ def determinant(a: IntegerMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    rank, swaps, last = _bareiss(a.to_rows(), a.cols)
-    if rank < a.rows:
+    return row_determinant(a.to_rows())
+
+
+def row_determinant(rows) -> int:
+    """det of a square integer matrix given as its rows, by one ``_bareiss`` pass; the rows are not changed.
+
+    ``_bareiss`` swaps and replaces rows but never writes into one, so only
+    the list of rows is copied.
+    """
+    m = list(rows)
+    rank, swaps, last = _bareiss(m, len(m))
+    if rank < len(m):
         return 0
     return -last if swaps % 2 else last
 

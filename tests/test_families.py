@@ -983,11 +983,12 @@ def test_points_are_scaled_matrices_from_construction():
 
 
 def test_points_given_as_rows_validate_act_and_limit_alike():
-    # The same realization with its base point given as tuples of rows.
+    # The same realization with its base point given as tuples of rows; an
+    # arrow with no rows stays a ScaledMatrix, as rows would lose its width.
     from sphemb.oracle import limit_signature, t_order
 
     def as_rows(point):
-        return tuple(tuple(tuple(r) for r in x) for x in point)
+        return tuple(tuple(tuple(r) for r in x) if len(x) else x for x in point)
 
     rng = random.Random(13)
     for spec in _GRID_SPECS:
@@ -1004,9 +1005,7 @@ def test_points_given_as_rows_validate_act_and_limit_alike():
 
 def test_factor_sizes_are_read_off_the_base_point():
     # Each factor's size comes from the shapes of the arrows at it, the
-    # samplers and the Lie basis from the sizes.  A point given as zero rows
-    # has shape (0, 0) at any width, so it fixes only its source factor's
-    # size, and its target's comes from another arrow.
+    # samplers and the Lie basis from the sizes.
     for spec in _SAMPLER_SPECS:
         bundle = build_family(spec)
         real, params = bundle.realization, bundle.params
@@ -1021,15 +1020,27 @@ def test_factor_sizes_are_read_off_the_base_point():
         assert real.sizes == want, spec
         assert tuple(len(unit[1]) for unit in real.group_sampler(random.Random(0))) == want, spec
         assert len(real.lie_basis) == dimension, spec
-    real = build_family("complexes:l=0,m=2,n=2,r=0,s=1").realization
-    hand = dataclasses.replace(real, base_point=tuple(tuple(map(tuple, x)) for x in real.base_point))
-    assert hand.shapes[0] == (0, 0) and hand.sizes == real.sizes == (0, 2, 2)
+    assert build_family("complexes:l=0,m=2,n=2,r=0,s=1").realization.sizes == (0, 2, 2)
     circular = build_family("circular:m=2,n=3,r=1,s=1").realization
     with pytest.raises(ValueError, match="factor 0 has sizes 2 and 3"):
         dataclasses.replace(circular, arrows=((0, 1), (0, 1)))
     determinantal = build_family("determinantal:m=2,n=3,r=1").realization
     with pytest.raises(ValueError, match="factor 1 is on no arrow"):
         dataclasses.replace(determinantal, arrows=((0, 2),), borel_lower=(True, False, True))
+
+
+def test_an_arrow_given_as_no_rows_is_refused():
+    # No rows have no width: read off them, factor 2 of complexes 0,0,2,0,0
+    # would get size 0 with no error.  Such an arrow must be a ScaledMatrix,
+    # which keeps its shape, as every family's base point is.
+    real = build_family("complexes:l=0,m=0,n=2,r=0,s=0").realization
+    assert real.shapes == ((0, 0), (0, 2)) and real.sizes == (0, 0, 2)
+    rows = tuple(tuple(map(tuple, x)) for x in real.base_point)
+    assert rows == ((), ())
+    for a in (0, 1):
+        point = tuple(rows[k] if k == a else x for k, x in enumerate(real.base_point))
+        with pytest.raises(ValueError, match=f"base point arrow {a} is given as no rows.*ScaledMatrix"):
+            dataclasses.replace(real, base_point=point)
 
 
 def test_group_draws_are_the_seeded_stream_drawn_once():
@@ -1430,12 +1441,23 @@ def test_sampled_units_carry_their_inverses():
                     assert mat_mul(inv, [list(row) for row in factor]) == _identity_rows(len(factor)), (spec, sampler)
 
 
-def test_act_on_hand_built_elements_inverts_their_own_factors():
-    # A bumped copy of a sampled element is no group element: each bumped
-    # factor carries its own inverse, never one through identities that hold
-    # only for sampled elements (B^-1 = A^T / c).
-    from sphemb.families import bumped_copies
+def _bumped_copies(g):
+    """Copies of ``g`` with one entry of one factor raised by 1, factor by factor and row-major, each bumped
+    factor L / l as (L + l E_ij) / l with its own inverse from ``integer_inverse``; a singular bump gives no copy."""
+    for k, (l, m, _, _) in enumerate(g):
+        for i, row in enumerate(m):
+            for j in range(len(row)):
+                bumped = [list(r) for r in m]
+                bumped[i][j] += l
+                inverse = _unit_inverse(l, bumped)
+                if inverse is not None:
+                    yield g[:k] + ((l, bumped, *inverse),) + g[k + 1 :]
 
+
+def test_act_on_hand_built_elements_inverts_their_own_factors():
+    # A bumped copy of a sampled element is no group element: ``act`` reads
+    # each bumped factor's own inverse, never one through identities that
+    # hold only for sampled elements (B^-1 = A^T / c).
     for m in (1, 2, 3):
         _, real = monoid_model(m)
         x = _points(real)[1 + m // 2]
@@ -1443,7 +1465,7 @@ def test_act_on_hand_built_elements_inverts_their_own_factors():
             g = real.group_sampler(random.Random(seed))
             factors = _factors(g)
             copies = 0
-            for bumped in bumped_copies(g):
+            for bumped in _bumped_copies(g):
                 (k,) = [j for j in range(4) if bumped[j] is not g[j]]
                 inverse = _inverses(bumped)[k]
                 assert inverse == _reference_rational_inverse(_factors(bumped)[k]), (m, seed, k)
@@ -1465,35 +1487,47 @@ def test_act_on_hand_built_elements_inverts_their_own_factors():
     # of (I, [[1, 1], [0, 1]]) only B's (1, 0) entry gives [[1, 1], [1, 1]]
     real = build_family("circular:m=2,n=2,r=1,s=1").realization
     g = (families._unit([[1, 0], [0, 1]]), families._unit([[1, 1], [0, 1]]))
-    copies = list(bumped_copies(g))
+    copies = list(_bumped_copies(g))
     assert len(copies) == 7
     assert [[1, 1], [1, 1]] not in [c[1][1] for c in copies]
     assert all(not stabilizer_check(real, c) for c in copies)
+    assert real.bump_moves_base_point(g)
 
 
-def test_bumped_copies():
-    # Factor by factor, then row-major; each copy raises one entry of one
-    # factor by 1 (the integer matrix by l), keeps the other factors, and
-    # carries the bumped factor's own inverse.  [[-1]] + 1 and [[1, 2], [2, 4]]
-    # are singular, so those two bumps yield no copy.
-    from sphemb.families import _unit, bumped_copies
+def test_negative_control_walks_the_invertible_bumps_in_order():
+    # Factor by factor, then row-major; each bump raises one entry of one
+    # factor by 1 (the integer matrix by l) and keeps the other factors.
+    # [[-1]] + 1 and [[1, 1], [1, 1]] are singular, so those two bumps are
+    # skipped, read off the stored inverses (R_ji = -r, here R_01 for the
+    # (1, 0) bump).  The base point is zero, so no bump moves it and every
+    # other bump is tested.
+    from sphemb.families import _unit
 
+    real = build_family("complexes:l=1,m=2,n=2,r=0,s=0").realization
     minus_one = (1, [[-1]], 1, [[-1]])
     diag = (3, [[3, 0], [0, 6]], 2, [[2, 0], [0, 1]])  # diag(1, 2) and diag(1, 1/2)
-    g = (minus_one, diag, _unit([[1, 2], [2, 3]]))
+    g = (minus_one, diag, _unit([[1, 1], [0, 1]]))
     before = _factors(g)
     bumps = []
-    for copy in bumped_copies(g):
-        (k,) = [j for j in range(3) if copy[j] is not g[j]]
-        after = _factors(copy)[k]
-        (cell,) = [(i, j) for i, row in enumerate(after) for j, e in enumerate(row) if e != before[k][i][j]]
-        assert after[cell[0]][cell[1]] == before[k][cell[0]][cell[1]] + 1
-        assert copy[k][0] == g[k][0] and copy[k][2] > 0
-        assert _inverses(copy)[k] == _reference_rational_inverse(after), (k, cell)
+
+    def record(forward):
+        (k,) = [j for j in range(3) if forward[j][1] is not g[j][1]]
+        l, after = forward[k]
+        (cell,) = [(i, j) for i, row in enumerate(after) for j, e in enumerate(row) if e != g[k][1][i][j]]
+        assert l == g[k][0] and after[cell[0]][cell[1]] == g[k][1][cell[0]][cell[1]] + l
         bumps.append((k, cell))
-    assert bumps == [(1, (0, 0)), (1, (0, 1)), (1, (1, 0)), (1, (1, 1)), (2, (0, 0)), (2, (0, 1)), (2, (1, 0))]
+        return True
+
+    real._fixes = record
+    assert not real.bump_moves_base_point(g)
+    assert bumps == [(1, (0, 0)), (1, (0, 1)), (1, (1, 0)), (1, (1, 1)), (2, (0, 0)), (2, (0, 1)), (2, (1, 1))]
+    # the same bumps, in the same order, as the copies that integer_inverse finds invertible
+    reference = []
+    for copy in _bumped_copies(g):
+        (k,) = [j for j in range(3) if copy[j] is not g[j]]
+        reference += [(k, (i, j)) for i, row in enumerate(copy[k][1]) for j, e in enumerate(row) if e != g[k][1][i][j]]
+    assert bumps == reference
     assert _factors(g) == before  # the element itself is left as it was
-    assert list(bumped_copies(((1, [], 1, []), minus_one))) == []
 
 
 # Every member of a small grid of each family, for the inverse-element test.

@@ -669,13 +669,12 @@ def test_verification_report_draw_counts():
     # four boundary curves, all read on the trials draws the check took
     assert counts == {"group_sampler": 0, "borel_sampler": 0, "act": 0}
 
-    # A fresh realization: the boundary orders reuse the check's draws; plus
-    # two acts: the stabilizer check and the first perturbed element, which
-    # already moves the base point.
+    # A fresh realization: the boundary orders reuse the check's draws, and
+    # the stabilizer check and its negative control build no translate.
     model, real, counts = counting()
     report = verification_report(model, real, trials=trials, seed=0)
     assert report.passed and report.stable
-    assert counts == {"group_sampler": trials, "borel_sampler": 1, "act": 2 + 2}
+    assert counts == {"group_sampler": trials, "borel_sampler": 1, "act": 2}
     # another seed draws its own elements once
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)

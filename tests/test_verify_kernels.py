@@ -1,0 +1,174 @@
+"""Differential tests of the exact checks that ``verify`` reads without building what it never uses.
+
+* The stabilizer check tests g . x0 = x0 as l_t L_s X = l_s X L_t on the
+  units' forward matrices (``fixes_base_point``), and its negative control
+  skips a singular bump by the stored inverse and tests the rest the same way
+  (``bump_moves_base_point``).  The references build the translate with
+  ``act`` and each bumped copy's inverse with ``integer_inverse``, as the
+  checks were first defined.
+* A curve limit's rank is the count of its kept entries when they lie in
+  distinct rows and columns; the reference ranks every limit with
+  ``rational_rank``.
+* A ``Pairing`` on dual pairs reads two scalars per draw instead of two Gram
+  tables; the sympy reference builds the translate, and a realization
+  without ``dual_factors`` still reads the full Gram tables.
+"""
+
+import dataclasses
+import random
+
+import pytest
+from test_families import _GRID_SPECS, _INVERSE_MEMBERS, _SAMPLER_SPECS, _bumped_copies
+from test_oracle import _lowest_terms_and_orders, _one_arrow
+
+from sphemb import families
+from sphemb.families import Curve, Pairing, ScaledMatrix, _unit, build_family, monoid_model
+from sphemb.lattice import rational_rank
+from sphemb.oracle import limit_signature, stabilizer_check, verification_report
+
+# Every family grid the other tests use, each member once.
+_SPECS = sorted(set(_GRID_SPECS) | set(_SAMPLER_SPECS) | set(_INVERSE_MEMBERS))
+
+
+def _act_fixes(real, g):
+    """The check as first defined: the translate g . x0, built by ``act``, compared with x0."""
+    return real.act(g, real.base_point) == real.base_point
+
+
+def _act_negative_control(real, g):
+    """Whether some invertible bumped copy, inverted by ``integer_inverse``, moves x0 by ``act``."""
+    return any(not _act_fixes(real, c) for c in _bumped_copies(g))
+
+
+def _singular_bump_unit(n):
+    """A unit with a singular bump: I + E_01, whose (1, 0) bump is [[1, 1], [1, 1]] at n = 2, or [[-1]] at n = 1."""
+    if n == 1:
+        return _unit([[-1]])
+    return _unit([[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)])
+
+
+def _elements(real, seed):
+    """The sampled stabilizer element, also with each factor's unit over another scale, planted non-stabilizer
+    elements and an element with singular bumps."""
+    rng = random.Random(seed)
+    stab, g = real.stabilizer_sampler(rng), real.group_sampler(rng)
+    yield "stabilizer", stab
+    # factor k as (k + 2) L / ((k + 2) l): the same element, its scales differing between factors
+    yield "rescaled stabilizer", tuple(
+        ((k + 2) * l, [[(k + 2) * e for e in row] for row in m], r, x) for k, (l, m, r, x) in enumerate(stab)
+    )
+    yield "group", g
+    for k in range(len(stab)):
+        yield f"stabilizer with factor {k} from a group draw", stab[:k] + (g[k],) + stab[k + 1 :]
+    yield "singular bumps", tuple(_singular_bump_unit(n) for n in real.sizes)
+
+
+def _zero_base(real):
+    """``real`` on the zero point of its arrows' shapes, which every element fixes."""
+    zero = tuple(ScaledMatrix(1, x.shape, [[0] * x.shape[1] for _ in range(x.shape[0])]) for x in real.base_point)
+    return dataclasses.replace(real, base_point=zero)
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_stabilizer_checks_match_the_act_reference(spec):
+    real = build_family(spec).realization
+    for target in (real, _zero_base(real)):
+        for seed in (0, 1, 7):
+            for name, g in _elements(target, seed):
+                fixed = _act_fixes(target, g)
+                assert target.fixes_base_point(g) == stabilizer_check(target, g) == fixed, (spec, seed, name)
+                assert target.bump_moves_base_point(g) == _act_negative_control(target, g), (spec, seed, name)
+                if target is not real:
+                    assert fixed and not target.bump_moves_base_point(g), (spec, seed, name)
+                elif name.endswith("stabilizer"):
+                    assert fixed, (spec, seed, name)
+
+
+def test_the_planted_elements_reach_every_branch():
+    # Over the grid, the references see elements that move x0 and elements
+    # that fix it, bumps skipped as singular, and negative controls that hold
+    # and that fail (a zero base point or a factor whose bumps all fix x0).
+    seen = {"moved": 0, "fixed": 0, "singular": 0, "control": 0, "no control": 0}
+    for spec in _SPECS:
+        real = build_family(spec).realization
+        for name, g in _elements(real, 0):
+            seen["fixed" if _act_fixes(real, g) else "moved"] += 1
+            seen["control" if real.bump_moves_base_point(g) else "no control"] += 1
+            bumps = sum(len(unit[1]) ** 2 for unit in g)
+            seen["singular"] += bumps - sum(1 for _ in _bumped_copies(g))
+    assert all(seen.values()), seen
+
+
+def test_negative_control_on_the_singular_bump_example():
+    # Of the eight bumps of (I, [[1, 1], [0, 1]]) only B's (1, 0) entry is
+    # singular; the other seven move the base idempotent of circular 2,2,1,1.
+    real = build_family("circular:m=2,n=2,r=1,s=1").realization
+    g = (_unit([[1, 0], [0, 1]]), _unit([[1, 1], [0, 1]]))
+    tested = []
+    fixes = real._fixes
+    real._fixes = lambda forward: tested.append(forward) or fixes(forward)
+    assert real.bump_moves_base_point(g) and _act_negative_control(real, g)
+    assert len(tested) == 1  # the first bump already moves the base point
+    assert len(list(_bumped_copies(g))) == 7
+
+
+def test_verification_report_builds_no_translate_off_the_borel_check():
+    # With act made to raise, every member whose Borel check samples nothing
+    # still verifies: the stabilizer check and its negative control use none.
+    for spec in ("circular:m=3,n=3,r=1,s=2", "determinantal:m=3,n=3,r=2", "complexes:l=2,m=3,n=2,r=1,s=1"):
+        bundle = build_family(spec)
+        real = bundle.realization
+
+        def refuse(*args):
+            raise AssertionError("a translate was built")
+
+        real.act = refuse
+        report = verification_report(bundle.model, real)
+        assert report.passed, spec
+        assert "stabilizer_negative_control" in [rec.check for rec in report.records], spec
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_limit_ranks_count_the_kept_entries(spec):
+    real = build_family(spec).realization
+    for c in real.curves:
+        sig = limit_signature(real, c.label)
+        assert sig.rank_profile == tuple(rational_rank(x.integers) for x in sig.limit_point), (spec, c.label)
+
+
+def test_limit_ranks_of_a_non_monomial_limit():
+    # Kept entries that share a row or a column are ranked by elimination;
+    # those left in distinct rows and columns are counted.
+    base = ((1, 1, 0), (2, 2, 0), (0, 0, 3))
+    curves = {"flat": {}, "cut": {(0, 2): 1}, "row": {(0, 1): 1}, "single": {(0, 0): 1, (0, 1): 1}}
+    real = _one_arrow(base, *(Curve(label, lam, ()) for label, lam in curves.items()))
+    for label, rank in (("flat", 2), ("cut", 1), ("row", 2), ("single", 1)):
+        sig = limit_signature(real, label)
+        assert sig.rank_profile == (rank,) == (rational_rank(sig.limit_point[0].integers),), label
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_dual_pairing_reads_two_scalars(m, monkeypatch):
+    # The monoid's dilation d pairs arrows whose sources and targets are dual
+    # pairs: each draw gives one (0, 0) entry per side, and the lowest terms
+    # match the sympy reference.  Without dual_factors the draws are generic
+    # on every factor, and the same Pairing reads the full Gram tables.
+    _, real = monoid_model(m)
+    plain = dataclasses.replace(real, dual_factors=())
+    (d,) = [f for f in real.semi_invariants if isinstance(f.form, Pairing)]
+    tables = []
+    draw_table = families._draw_table
+
+    def recording(g, key):
+        table = draw_table(g, key)
+        tables.append((key, len(table)))
+        return table
+
+    monkeypatch.setattr(families, "_draw_table", recording)
+    for target, dual, size in ((real, True, 1), (plain, False, m * m)):
+        for seed in (0, 1, 7):
+            tables.clear()
+            for c in target.curves:
+                _lowest_terms_and_orders(target, (d,), c.label, 4, seed)
+            assert tables and all(key[0] in ("gram_columns", "gram_rows") for key, _ in tables), (m, seed)
+            assert all(key[-1] is dual and n == size for key, n in tables), (m, seed, dual)
