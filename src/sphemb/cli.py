@@ -28,7 +28,7 @@ from .divisor_model import (
     validate_model,
     wonderful_section_divisor,
 )
-from .families import FamilyParameterError, build_family
+from .families import FamilyParameterError, build_family, parse_integer
 from .rootdata import LatticeMismatchError
 
 
@@ -54,6 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _integer_option(text: str) -> int:
+    """An integer option's value, read by ``parse_integer``; a bad one is reported as argparse reports a bad ``int``."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> tuple[_Parser, argparse.Action]:
     """The argument parser and its subcommands action, built on first use and shared by every ``run``."""
@@ -62,8 +70,8 @@ def _build_parser() -> tuple[_Parser, argparse.Action]:
 
     def common(p):
         p.add_argument("--family", required=True, help="family specifier, e.g. monoid:m=3")
-        p.add_argument("--trials", type=int, default=8)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=_integer_option, default=8)
+        p.add_argument("--seed", type=_integer_option, default=0)
 
     p = sub.add_parser("class-group")
     common(p)
@@ -113,7 +121,7 @@ def _parse_sparse(text: str) -> dict[str, int]:
         if not sep or not label:
             raise UsageError(f"malformed entry {token!r}; expected label:coefficient")
         try:
-            coeff = int(value)
+            coeff = parse_integer(value)
         except ValueError:
             raise UsageError(f"coefficient {value!r} is not an integer") from None
         out[label.strip()] = out.get(label.strip(), 0) + coeff

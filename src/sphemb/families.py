@@ -56,21 +56,25 @@ The Borel sampler draws to the orientation table, and
 ``MatrixRealization.borel_exponents`` reads a form's Borel weight off it and
 the dual pairs.
 
-Divisor functionals are transcribed tables.  ``_crosscheck`` re-derives them
-at construction from each family's ambient map, colour coroots and boundary
-exponents and raises ``ValueError`` on disagreement, so a transcription slip
-cannot survive construction.  It reads the model's one integer pairing table
-(``pairing_table``), which the relation matrix reuses.  ``_wonderful``
-builds the wonderful data of both families from a table of colour coroots.
-The circular coroots are one table (``_circular_coroots``), read by the
-check and by the wonderful data; the determinantal model and wonderful data
-are the circular ones at s = 0.  Each family's boundary cocharacters are one
-table too, read by its curves and by the check.
+Divisor functionals are derived, one table per fact.  A boundary's valuation
+is its curve's cocharacter read through the realization's torus table
+(``_valuation``: basis character k, torus[k] = (top, bottom), pairs as
+lambda(top) - lambda(bottom)), so the curves, the Borel weights and the model
+read the same ``_monoid_torus`` / ``_circular_torus`` and
+``_monoid_cocharacters`` / ``_circular_cocharacters``.  A monoid colour's
+functional is its coroot in ``_monoid_coroots``; a circular colour's is its
+first coroot in ``_circular_coroots`` pulled back through the torus, and the
+two coroots of a paired colour must pull back alike (``ValueError``
+otherwise).  Only the canonical coefficients, the aliases and the root
+characters are written out.  ``_wonderful`` builds the wonderful data of both
+families from the same coroot tables; the determinantal model and wonderful
+data are the circular ones at s = 0.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
@@ -79,7 +83,7 @@ from math import lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
-from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel, pairing_table
+from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel
 from .lattice import integer_inverse, mat_mul, rational_rank, row_determinant
 from .rootdata import Character, Covector, SimpleRootSet, TorusLattice
 
@@ -190,18 +194,9 @@ def _unit(m: list[list[int]]) -> Unit:
     return (1, m, *integer_inverse(m))
 
 
-def _rand_invertible(rng: random.Random, n: int, lo: int, hi: int) -> Unit:
-    """A random integer matrix as a unit, redrawn exactly while it is singular; n = 0 draws nothing."""
-    while True:
-        m = _rand_int_matrix(rng, n, n, lo, hi)
-        inverse = integer_inverse(m)
-        if inverse is not None:
-            return (1, m, *inverse)
-
-
 def _rand_nonsingular(rng: random.Random, n: int) -> list[list[int]]:
-    """The matrix ``_rand_invertible`` draws from -4..4, on the same stream: each draw is tested by one
-    ``row_determinant`` and nothing is inverted."""
+    """A random integer matrix with entries in -4..4, redrawn exactly while it is singular: each draw is tested by
+    one ``row_determinant`` and nothing is inverted; n = 0 draws nothing."""
     while True:
         m = _rand_int_matrix(rng, n, n, -4, 4)
         if row_determinant(m):
@@ -209,7 +204,13 @@ def _rand_nonsingular(rng: random.Random, n: int) -> list[list[int]]:
 
 
 def _rand_generic(rng: random.Random, n: int) -> Unit:
-    return _rand_invertible(rng, n, -_GENERIC_RANGE, _GENERIC_RANGE)
+    """A random integer matrix with entries in +-``_GENERIC_RANGE`` as a unit, redrawn exactly while it is singular;
+    n = 0 draws nothing."""
+    while True:
+        m = _rand_int_matrix(rng, n, n, -_GENERIC_RANGE, _GENERIC_RANGE)
+        inverse = integer_inverse(m)
+        if inverse is not None:
+            return (1, m, *inverse)
 
 
 def _rand_triangular(rng: random.Random, n: int, lower: bool) -> Unit:
@@ -855,6 +856,21 @@ def _monoid_cocharacters(m: int) -> dict[str, dict[tuple[int, int], int]]:
     return {f"lambda_{r}": {**{(0, k): 1 for k in range(r, m)}, **{(1, k): 1 for k in range(r)}} for r in range(m + 1)}
 
 
+def _monoid_torus(m: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """The monoid torus table: eps_k is a1's k-th diagonal entry over a2's, eps_{m+1} b1's first over b2's."""
+    return tuple(((0, k), (2, k)) for k in range(m)) + (((1, 0), (3, 0)),)
+
+
+def _valuation(lattice: TorusLattice, torus, cocharacter: dict[tuple[int, int], int]) -> Covector:
+    """The functional pairing basis character k, with torus[k] = (top, bottom), as lambda(top) - lambda(bottom).
+
+    For the cocharacter lambda of a boundary curve this is the boundary's
+    valuation: chi_k(lambda(t)) = t^(lambda(top) - lambda(bottom)) on the
+    torus entries that ``torus`` names.
+    """
+    return lattice.covector([cocharacter.get(top, 0) - cocharacter.get(bottom, 0) for top, bottom in torus])
+
+
 def _monoid_model(m: int) -> SphericalDivisorModel:
     if m < 1:
         raise FamilyParameterError("monoid requires m >= 1")
@@ -875,17 +891,14 @@ def _monoid_model(m: int) -> SphericalDivisorModel:
         roots.append((f"alpha_{i}", alpha, alpha_v))
         colors.append(ColorSpec(f"D_{i}", alpha_v, canonical_coefficient=-2))
 
-    boundaries = []
-    for r in range(m + 1):
-        coords = [0 if k <= r else 1 for k in range(1, m + 1)]
-        coords.append(1 if r >= 1 else 0)
-        boundaries.append(BoundarySpec(f"X_{r}", lattice.covector(coords)))
+    torus, cochars = _monoid_torus(m), _monoid_cocharacters(m).values()
+    boundaries = [BoundarySpec(f"X_{r}", _valuation(lattice, torus, lam)) for r, lam in enumerate(cochars)]
 
     char_aliases = tuple(
         (f"eps_{m + k}", basis[0] + basis[m] - basis[k - 1]) for k in range(2, m + 1)
     )
 
-    model = SphericalDivisorModel(
+    return SphericalDivisorModel(
         weight_lattice=lattice,
         simple_roots=SimpleRootSet(tuple(roots)),
         colors=tuple(colors),
@@ -893,53 +906,6 @@ def _monoid_model(m: int) -> SphericalDivisorModel:
         basis_characters=basis,
         character_aliases=char_aliases,
     )
-    # The tables on the ambient 2m-torus (a1's diagonal, then b1's), where sum(c_k eps_k) has
-    # coordinates (c_1..c_m, c_{m+1}, 0...): D_i pairs as alpha_i^vee on the first m coordinates
-    # and -alpha_i^vee on the last m, and X_r as the exponents of lambda_r.
-    _crosscheck(
-        model,
-        lambda chi: list(chi.coords) + [0] * (m - 1),
-        {f"D_{i}": ({i - 1: 1, i: -1, m + i - 1: -1, m + i: 1},) for i in range(1, m)},
-        [{f * m + k: e for (f, k), e in lam.items()} for lam in _monoid_cocharacters(m).values()],
-    )
-    return model
-
-
-def _crosscheck(
-    model: SphericalDivisorModel,
-    ambient: Callable[[Character], list[int]],
-    coroots: dict[str, tuple[dict[int, int], ...]],
-    exponents: Sequence[dict[int, int]],
-) -> None:
-    """Re-derive a model's functional tables on an ambient torus.
-
-    ``ambient`` maps a character to its ambient coordinates, ``coroots`` gives
-    each colour's sparse ambient coroots in colour order, and ``exponents``
-    one sparse exponent vector per boundary.  Every basis character must pair
-    with a colour's functional as with each of its coroots, and with a
-    boundary's valuation as with its exponents; a disagreement raises
-    ``ValueError`` naming the label.  Both sides are compared as integers
-    over the functional's ``scale``, the model's side read from its
-    ``pairing_table``.
-    """
-    if tuple(coroots) != model.color_ids:
-        raise ValueError(f"colours {model.color_ids} disagree with the coroot table's {tuple(coroots)}")
-    # Each basis character's nonzero ambient coordinates, and its scaled pairings in label order.
-    basis = [
-        ([(k, a) for k, a in enumerate(ambient(b)) if a], values)
-        for b, values in zip(model.basis_characters, pairing_table(model))
-    ]
-    for i, spec in enumerate(model.colors, start=len(model.boundaries)):
-        scale = spec.functional.scale
-        for amb, values in basis:
-            for cor in coroots[spec.id]:
-                if values[i] != scale * sum(a * cor.get(k, 0) for k, a in amb):
-                    raise ValueError(f"colour table for {spec.id} disagrees with ambient coroot pairing")
-    for i, (spec, expo) in enumerate(zip(model.boundaries, exponents, strict=True)):
-        scale = spec.valuation.scale
-        for amb, values in basis:
-            if values[i] != scale * sum(a * expo.get(k, 0) for k, a in amb):
-                raise ValueError(f"boundary valuation {spec.id} disagrees with its curve exponents")
 
 
 def _monoid_membership(point: Point) -> bool:
@@ -980,8 +946,7 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
         # a1 lower, so b1 = c a1^-T upper; a2 upper, so b2 lower.
         borel_lower=(True, False, False, True),
         dual_factors=((0, 1), (2, 3)),
-        # eps_k is a1's k-th diagonal entry over a2's, eps_{m+1} b1's first over b2's.
-        torus=tuple(((0, k), (2, k)) for k in range(m)) + (((1, 0), (3, 0)),),
+        torus=_monoid_torus(m),
         semi_invariants=tuple(semi),
         curves=tuple(curves),
         expected_orbit_dimension=m * m + 1,
@@ -1060,75 +1025,53 @@ def _circular_model(m: int, n: int, r: int, s: int) -> SphericalDivisorModel:
     """
     labels = tuple(f"eps_{i}" for i in range(1, r + 1)) + tuple(f"delta_{j}" for j in range(1, s + 1))
     lattice = TorusLattice(labels)
-    basis = tuple(lattice.basis_character(lab) for lab in labels)
+    torus = _circular_torus(m, n, r, s)
 
-    def eps_vec(mapping) -> list:
-        v = [0] * (r + s)
-        for idx, c in mapping.items():
-            v[idx] = c
-        return v
+    def pulled_back(coroot: dict[int, int]) -> Covector:
+        # Ambient entry (f, i) sits at f m + i, and basis character k has weight -(top - bottom) there.
+        return _valuation(lattice, torus, {(0, a) if a < m else (1, a - m): -c for a, c in coroot.items()})
 
-    roots = []
-    colors = []
+    functionals = {}
+    for label, (first, *others) in _circular_coroots(m, n, r, s).items():
+        functionals[label] = pulled_back(first)
+        if any(pulled_back(c) != functionals[label] for c in others):
+            raise ValueError(f"the coroots of colour {label} pull back to different functionals")
+
+    # An exterior colour on the side of size m (1) or n (2) has coefficient
+    # -(size - (r + s) + 1).  A D_s<side> that the coroot table leaves out
+    # while s > 0 is merged into D_r<side>, whose coroot pulls back to both
+    # functionals' sum: the coefficient doubles and D_s<side> is an alias.
+    coefficients, aliases = {}, []
+    for side, size in enumerate((m, n), start=1):
+        coefficient = -(size - (r + s) + 1)
+        merged = s > 0 and f"D_s{side}" not in functionals
+        coefficients[f"D_r{side}"] = 2 * coefficient if merged else coefficient
+        coefficients[f"D_s{side}"] = coefficient
+        if merged:
+            aliases.append((f"D_s{side}", f"D_r{side}"))
+    colors = [ColorSpec(lab, f, canonical_coefficient=coefficients.get(lab, -2)) for lab, f in functionals.items()]
+
     simple = [(f"alpha_{i}", f"D_{i}", {i - 1: 1, i: -1}) for i in range(1, r)]
     simple += [(f"beta_{j}", f"E_{j}", {r + j - 1: -1, r + j: 1}) for j in range(1, s)]
-    for root_label, color_label, coords in simple:
-        coroot = lattice.covector(eps_vec(coords))
-        roots.append((root_label, lattice.character(eps_vec(coords)), coroot))
-        colors.append(ColorSpec(color_label, coroot, canonical_coefficient=-2))
-
-    # Exterior colours D_r1, D_r2, D_s1, D_s2, in that order.  When r, s > 0
-    # and r + s equals m (side 1) or n (side 2), D_s<side> merges into
-    # D_r<side>: functionals and coefficients add, and D_s<side> is an alias.
-    coeffs = (-(m - (r + s) + 1), -(n - (r + s) + 1))
-    exterior: dict[str, tuple[list, int]] = {}
-    aliases = []
-    if r > 0:
-        for side, coeff in enumerate(coeffs, start=1):
-            exterior[f"D_r{side}"] = (eps_vec({r - 1: 1}), coeff)
-    if s > 0:
-        phi_s = eps_vec({r: 1})
-        for side, (size, coeff) in enumerate(zip((m, n), coeffs), start=1):
-            if r > 0 and r + s == size:
-                fun, coeff_r = exterior[f"D_r{side}"]
-                exterior[f"D_r{side}"] = ([a + b for a, b in zip(fun, phi_s)], coeff_r + coeff)
-                aliases.append((f"D_s{side}", f"D_r{side}"))
-            else:
-                exterior[f"D_s{side}"] = (phi_s, coeff)
-    for lab, (fun, coeff) in exterior.items():
-        colors.append(ColorSpec(lab, lattice.covector(fun), canonical_coefficient=coeff))
+    roots = [
+        (root, lattice.character(coords.get(k, 0) for k in range(r + s)), functionals[color])
+        for root, color, coords in simple
+    ]
 
     boundaries = []
     if m == n and r + s == m:
-        boundaries.append(BoundarySpec(f"X_{{{r - 1},{m - r}}}", lattice.covector(eps_vec({r - 1: 1}))))
-        boundaries.append(BoundarySpec(f"X_{{{r},{m - r - 1}}}", lattice.covector(eps_vec({r: 1}))))
+        ids = (f"X_{{{r - 1},{m - r}}}", f"X_{{{r},{m - r - 1}}}")
+        cochars = _circular_cocharacters(r, s).values()
+        boundaries = [BoundarySpec(i, _valuation(lattice, torus, lam)) for i, lam in zip(ids, cochars)]
 
-    model = SphericalDivisorModel(
+    return SphericalDivisorModel(
         weight_lattice=lattice,
         simple_roots=SimpleRootSet(tuple(roots)),
         colors=tuple(colors),
         boundaries=tuple(boundaries),
-        basis_characters=basis,
+        basis_characters=tuple(lattice.basis_character(lab) for lab in lattice.labels),
         label_aliases=tuple(aliases),
     )
-
-    def ambient(chi: Character) -> list[int]:
-        # On the (m + n)-torus eps_i has weight -e_i + e_{m+i} and delta_j
-        # weight e_{m-s+j} - e_{m+n-s+j}.
-        v = [0] * (m + n)
-        for i in range(r):
-            v[i] -= chi.coords[i]
-            v[m + i] += chi.coords[i]
-        for j in range(s):
-            v[m - s + j] += chi.coords[r + j]
-            v[m + n - s + j] -= chi.coords[r + j]
-        return v
-
-    # The boundaries' valuations are the negated exponents of their curves'
-    # cocharacters, the left torus at 0..m-1 and the right at m..m+n-1.
-    exponents = [{f * m + k: -e for (f, k), e in lam.items()} for lam in _circular_cocharacters(r, s).values()]
-    _crosscheck(model, ambient, _circular_coroots(m, n, r, s), exponents if boundaries else [])
-    return model
 
 
 def _circular_cocharacters(r: int, s: int) -> dict[str, dict[tuple[int, int], int]]:
@@ -1430,9 +1373,9 @@ def parse_family_spec(text: str) -> tuple[str, dict[str, int]]:
                 raise FamilyParameterError(f"unknown parameter {key!r} for family {name}")
             if key in params:
                 raise FamilyParameterError(f"duplicate parameter {key!r}")
-            params[key] = _parse_int(val)
+            params[key] = parse_integer(val)
         else:
-            positional.append(_parse_int(tok))
+            positional.append(parse_integer(tok))
     if positional:
         if params or len(positional) != len(wanted):
             raise FamilyParameterError(f"family {name} takes parameters {','.join(wanted)}")
@@ -1443,11 +1386,19 @@ def parse_family_spec(text: str) -> tuple[str, dict[str, int]]:
     return name, params
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise FamilyParameterError(f"parameter value {text.strip()!r} is not an integer") from None
+_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_integer(text: str) -> int:
+    """``text``, stripped, read as exactly ``[+-]?[0-9]+`` in ASCII digits, or ``FamilyParameterError``.
+
+    Every integer on the command line is read here: ``int`` alone would also
+    read ``1_0`` as 10, and non-ASCII digits.
+    """
+    stripped = text.strip()
+    if _INTEGER_TEXT.fullmatch(stripped) is None:
+        raise FamilyParameterError(f"parameter value {stripped!r} is not an integer")
+    return int(stripped)
 
 
 class FamilyBundle:

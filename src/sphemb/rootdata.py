@@ -3,8 +3,9 @@
 Characters are integer vectors against a labelled lattice basis; covectors
 act on them by exact rational dot product, computed as one integer dot
 product against the covector's numerators over their common denominator.
-Family constructors store the fully composed pairing functionals, so no sign
-juggling happens at computation time.
+Family constructors derive each model's functionals once, from their torus,
+cocharacter and coroot tables, and store them composed, so no sign juggling
+happens at computation time.
 """
 
 from __future__ import annotations

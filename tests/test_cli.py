@@ -149,6 +149,24 @@ def test_trials_below_one_exit_2():
             assert "--trials must be at least 1" in doc["message"]
 
 
+def test_integers_are_ascii_digit_strings():
+    # Family parameters, --trials, --seed and sparse coefficients are read as
+    # [+-]?[0-9]+ after stripping: int() would read 1_0 as 10 and an
+    # Arabic-Indic digit as 3.
+    for argv, message in (
+        (["class-group", "--family", "monoid:m=1_0"], "parameter value '1_0' is not an integer"),
+        (["class-group", "--family", "monoid:m=\u0663"], "parameter value '\u0663' is not an integer"),
+        (["class-group", "--family", "monoid:m=3", "--trials", "0_8"], "argument --trials: invalid int value: '0_8'"),
+        (["class-group", "--family", "monoid:m=3", "--seed", "1_0"], "argument --seed: invalid int value: '1_0'"),
+        (["divisor", "--family", "monoid:m=3", "--chi", "eps_1:1_0"], "coefficient '1_0' is not an integer"),
+    ):
+        code, doc = _invoke(argv)
+        assert (code, doc["status"], doc["message"]) == (2, "error", message), argv
+    code, doc = _invoke(["divisor", "--family", " monoid: m = +3 ", "--chi", "eps_1: -2 ", "--seed", " 5", "--trials", "+2"])
+    assert code == 0 and doc["result"]["character"] == {"eps_1": -2}
+    assert (doc["inputs"]["seed"], doc["inputs"]["trials"]) == (5, 2)
+
+
 # sha256 of the output line of each command.  Seeded output must stay
 # byte-identical through refactors of the oracle, the realizations and the
 # divisor layer: the table covers every family's `verify` (circular members

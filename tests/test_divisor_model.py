@@ -356,24 +356,27 @@ def test_one_pairing_table_per_model_object(monkeypatch):
     paired = []
     scaled_pairings = divisor_model.scaled_pairings
     monkeypatch.setattr(divisor_model, "scaled_pairings", lambda chi, fs: paired.append(chi) or scaled_pairings(chi, fs))
-    # The families' cross-checks pair only through the model's table.
+    # The families derive their functionals from tables and pair nothing at
+    # construction; the first query builds the model's one table.
     assert not hasattr(families, "scaled_pairings")
 
     model = build_family("monoid:m=6").model
     basis = list(model.basis_characters)
-    assert paired == basis
+    assert paired == []
     data = class_group_data(model)
     assert validate_model(model).ok and data.generators == ("D_1", "D_2", "D_3", "D_4", "D_5")
     assert paired == basis
 
     # A replaced model builds its own table: the determinantal finalization
-    # replaces the provisional model, which replaced the circular one.
+    # replaces the provisional model, and a copy of the final one builds anew.
     paired.clear()
     bundle = build_family("determinantal:m=3,n=3,r=2")
-    assert len(paired) == 2
+    assert paired == []
     final = bundle.model
     class_group_data(final)
     assert validate_model(final).ok
+    assert paired == list(final.basis_characters)
+    class_group_data(dataclasses.replace(final))
     assert paired == list(final.basis_characters) * 2
 
     # A planted slip: D_3's functional halved, D_5's divided by 3, X_1's
