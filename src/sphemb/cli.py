@@ -2,8 +2,8 @@
 
 Every invocation prints exactly one JSON document to standard output, also on
 errors.  Exit codes: 0 success, 2 usage or parameter errors, 3 domain errors,
-4 oracle instability, 5 a stable ``verify`` report that did not pass.  With
-exit 4 or 5 from ``verify``, the report is the document's ``result`` object.
+4 an unstable ``verify`` report, 5 a stable ``verify`` report that did not
+pass.  With exit 4 or 5, the report is the document's ``result`` object.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .divisor_model import (
     ForeignLabelError,
     NonIntegralPairingError,
     PicardMembershipError,
-    ProvisionalModelError,
     canonical_divisor,
     class_group_data,
     class_of,
@@ -70,8 +69,8 @@ def _build_parser() -> tuple[_Parser, argparse.Action]:
 
     def common(p):
         p.add_argument("--family", required=True, help="family specifier, e.g. monoid:m=3")
-        p.add_argument("--trials", type=_integer_option, default=8)
-        p.add_argument("--seed", type=_integer_option, default=0)
+        p.add_argument("--trials", type=_integer_option, default=8, help="oracle trials, at least 1; read only by verify")
+        p.add_argument("--seed", type=_integer_option, default=0, help="oracle seed; read only by verify")
 
     p = sub.add_parser("class-group")
     common(p)
@@ -144,7 +143,7 @@ def _character_dict(model, chi) -> dict[str, int]:
 def _dispatch(ns) -> dict:
     if ns.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {ns.trials}")
-    bundle = build_family(ns.family, trials=ns.trials, seed=ns.seed)
+    bundle = build_family(ns.family)
     if ns.command not in ("verify", "wonderful-section"):
         model = bundle.model
         if model is None:
@@ -256,7 +255,6 @@ def run(argv, stdout=None) -> int:
         DomainError,
         ForeignLabelError,
         NonIntegralPairingError,
-        ProvisionalModelError,
         PicardMembershipError,
         LatticeMismatchError,
         oracle.SemiInvarianceError,
@@ -264,9 +262,6 @@ def run(argv, stdout=None) -> int:
     ) as e:
         _emit(stdout, {"command": ns.command, "inputs": inputs, "status": "error", "message": str(e)})
         return 3
-    except oracle.OracleInstabilityError as e:
-        _emit(stdout, {"command": ns.command, "inputs": inputs, "status": "error", "message": str(e)})
-        return 4
     except ReportError as e:
         _emit(stdout, {"command": ns.command, "inputs": inputs, "result": e.report, "status": "error", "message": str(e)})
         return e.exit_code

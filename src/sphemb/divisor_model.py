@@ -34,10 +34,6 @@ class NonIntegralPairingError(ValueError):
     """A pairing that must be integral came out fractional (malformed model)."""
 
 
-class ProvisionalModelError(ValueError):
-    """Class-group queries on a model whose boundary data is not yet confirmed."""
-
-
 class PicardMembershipError(ValueError):
     """A character outside the Picard sublattice of a wonderful model."""
 
@@ -122,7 +118,6 @@ class SphericalDivisorModel:
     basis_characters: tuple[Character, ...]
     label_aliases: tuple[tuple[str, str], ...] = ()
     character_aliases: tuple[tuple[str, Character], ...] = ()
-    provisional: bool = False
 
     @property
     def label_order(self) -> tuple[str, ...]:
@@ -283,13 +278,6 @@ class ClassCoordinates:
         return all(c == 0 for c in self.free) and all(c == 0 for c in self.torsion)
 
 
-def _require_final(model: SphericalDivisorModel):
-    if model.provisional:
-        raise ProvisionalModelError(
-            "model boundary data is provisional; confirm it with the oracle before class-group queries"
-        )
-
-
 def _relation_matrix(model: SphericalDivisorModel) -> IntegerMatrix:
     return IntegerMatrix.from_rows(_integral_rows(model, pairing_table(model)), cols=len(model.label_order))
 
@@ -345,7 +333,7 @@ def _choose_basis(vectors: Sequence[Sequence[int]], f: int) -> tuple[list[int], 
 
 
 def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
-    """Class group and SNF of a final model, computed once and kept on the model object.
+    """Class group and SNF of a model, computed once and kept on the model object.
 
     A lookup is one attribute read; it never hashes the frozen model.  The
     relation matrix's SNF is the only one computed; the named generators come
@@ -354,7 +342,6 @@ def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
     cached = model.__dict__.get("_class_group_data")
     if cached is not None:
         return cached
-    _require_final(model)
     order = model.label_order
     rel = _relation_matrix(model)
     snf = smith_normal_form(rel)
@@ -538,8 +525,6 @@ def model_to_json_dict(model: SphericalDivisorModel) -> dict:
         doc["aliases"] = {a: t for a, t in model.label_aliases}
     if model.character_aliases:
         doc["character_aliases"] = {a: list(chi.coords) for a, chi in model.character_aliases}
-    if model.provisional:
-        doc["provisional"] = True
     return doc
 
 
@@ -560,9 +545,9 @@ def model_from_json(doc) -> SphericalDivisorModel:
     A malformed document raises ``ModelDocumentError``: a missing field, a
     field of the wrong type (labels and ids are strings, character
     coordinates and canonical coefficients integers, functional coordinates
-    "p/q" strings or integers, ``provisional`` a boolean), or a value the
-    model rejects, such as a zero denominator or a coordinate count that is
-    not the rank.
+    "p/q" strings or integers, ``provisional`` a boolean), a value the model
+    rejects, such as a zero denominator or a coordinate count that is not the
+    rank, or ``provisional`` true: every model is final.
     """
     try:
         return _read_model(json.loads(doc) if isinstance(doc, str) else doc)
@@ -615,7 +600,7 @@ def _read_model(doc) -> SphericalDivisorModel:
         BoundarySpec(_typed(item["id"], str, "a boundary id"), covector(item["valuation"]))
         for item in entries("boundaries")
     )
-    return SphericalDivisorModel(
+    model = SphericalDivisorModel(
         weight_lattice=lattice,
         simple_roots=simple_roots,
         colors=colors,
@@ -623,5 +608,8 @@ def _read_model(doc) -> SphericalDivisorModel:
         basis_characters=tuple(character(c) for c in _typed(doc["basis_characters"], list, "basis characters")),
         label_aliases=tuple((a, _typed(t, str, "an alias target")) for a, t in mapping("aliases").items()),
         character_aliases=tuple((a, character(c)) for a, c in mapping("character_aliases").items()),
-        provisional=_typed(doc.get("provisional", False), bool, "provisional"),
     )
+    # No model awaits confirmation by the oracle, so only a false provisional key reads.
+    if _typed(doc.get("provisional", False), bool, "provisional"):
+        raise ModelDocumentError("provisional is true: every model is final")
+    return model

@@ -6,8 +6,8 @@ Four families are provided:
   A^T B = A B^T = d(A,B) I, embedded blockwise; its divisor model and a
   matrix realization with boundary curves and semi-invariants.
 * ``circular``: pairs (A, B) with AB = 0, BA = 0 and rank bounds.
-* ``determinantal``: single matrices of bounded rank; the divisor model's
-  boundary list is provisional until confirmed by the oracle.
+* ``determinantal``: single matrices of bounded rank; the divisor model is
+  the circular one at s = 0 and has no boundary divisor.
 * ``complexes``: pairs (A, B) with AB = 0 and rank bounds; matrix
   realization only.
 
@@ -75,9 +75,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, combinations
 from math import lcm, prod
 from operator import mul
@@ -1185,20 +1185,21 @@ def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: in
 
 
 def determinantal_realization(m: int, n: int, r: int) -> tuple[MatrixRealization, SphericalDivisorModel]:
-    """Matrix realization plus a provisional divisor model for rank <= r matrices.
-
-    The boundary-divisor data is not transcribed from anywhere: the returned
-    model is provisional and must be finalized through the oracle before
-    class-group queries are allowed (``finalize_determinantal_model``).
-    """
-    model = _provisional_determinantal_model(m, n, r)
+    """Matrix realization plus the divisor model of the m x n matrices of rank <= r."""
+    model = _determinantal_model(m, n, r)
     return _determinantal_realization(m, n, r, model.weight_lattice), model
 
 
-def _provisional_determinantal_model(m: int, n: int, r: int) -> SphericalDivisorModel:
+def _determinantal_model(m: int, n: int, r: int) -> SphericalDivisorModel:
+    """The circular model at s = 0, in closed form: it has no boundary divisor.
+
+    The complement of the open orbit is the rank <= r - 1 locus, of dimension
+    (r - 1)(m + n - r + 1) and so of codimension m + n - 2r + 1 >= 3 (Bruns-Vetter,
+    *Determinantal Rings*, LNM 1327, 1988), so it holds no divisor.
+    """
     if not 0 < r < min(m, n):
         raise FamilyParameterError("determinantal requires 0 < r < min(m, n)")
-    return replace(_circular_model(m, n, r, 0), provisional=True)
+    return _circular_model(m, n, r, 0)
 
 
 def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) -> MatrixRealization:
@@ -1207,7 +1208,7 @@ def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) ->
         chi = lattice.character([1 if k < i else 0 for k in range(r)])
         semi.append(SemiInvariantSpec(f"Delta_{i}", chi, Minor(0, i)))
 
-    # The circular lambda_r at s = 0; its limit is the candidate boundary orbit X_{r-1}.
+    # The circular lambda_r at s = 0; its limit spans the rank <= r - 1 orbit X_{r-1}, which is no divisor.
     lam = _circular_cocharacters(r, 0)[f"lambda_{r}"]
 
     return MatrixRealization(
@@ -1224,31 +1225,22 @@ def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) ->
 def finalize_determinantal_model(
     model: SphericalDivisorModel, realization: MatrixRealization, trials: int = 8, seed: int = 0
 ) -> SphericalDivisorModel:
-    """Confirm the boundary data of a provisional determinantal model.
+    """``model``, once no boundary-labelled curve of ``realization`` reaches a divisor.
 
-    The orbit of each boundary-labelled curve's limit at t = 0 is measured
-    with the Jacobian-rank oracle; only a codimension-one orbit closure
-    becomes a boundary divisor, with its valuation solved from t-adic orders
-    of the verified semi-invariants along the curve.
+    The orbit of each such curve's limit at t = 0 is measured with the
+    Jacobian-rank oracle, and one of codimension 1 raises ``ValueError``: the
+    determinantal model is built in closed form with no boundary divisor
+    (``_determinantal_model``).  ``trials`` and ``seed`` are not read, and
+    nothing in the package calls this check.
     """
     from . import oracle
 
     base_dim = oracle.base_orbit_dimension(realization)
-    divisorial = [
-        c
-        for c in realization.curves
-        if c.boundary is not None
-        and base_dim - oracle.orbit_dimension(realization, oracle.curve_signature(realization, c.label).limit_point) == 1
-    ]
-    confirmed = []
-    if divisorial:
-        verified = oracle.select_semi_invariants(realization, trials=trials, seed=seed)
-        for c in divisorial:
-            valuation = oracle.infer_boundary_valuation(
-                realization, c.label, verified, model.weight_lattice, trials=trials, seed=seed
-            )
-            confirmed.append(BoundarySpec(c.boundary, valuation))
-    return replace(model, boundaries=tuple(confirmed), provisional=False)
+    for c in (c for c in realization.curves if c.boundary is not None):
+        limit = oracle.curve_signature(realization, c.label).limit_point
+        if base_dim - oracle.orbit_dimension(realization, limit) == 1:
+            raise ValueError(f"the limit of {c.label} lies in a divisor, {c.boundary}")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -1404,9 +1396,10 @@ def parse_integer(text: str) -> int:
 class FamilyBundle:
     """A family member's divisor model, wonderful data and matrix realization.
 
-    Each is built on first read, once per bundle, by its thunk; a part with no
-    thunk reads as ``None``.  The realization is validated as it is built, and
-    a determinantal member's model is finalized by the oracle from it.
+    The model is a value, ``None`` for a family with none.  The realization
+    and the wonderful data are each built on first read, once per bundle, by
+    their thunk, and wonderful data with no thunk reads as ``None``.  The
+    realization is validated as it is built.
     """
 
     def __init__(
@@ -1414,13 +1407,13 @@ class FamilyBundle:
         name: str,
         params: dict[str, int],
         realize: Callable[[], MatrixRealization],
-        model: Callable[[], SphericalDivisorModel] | None = None,
+        model: SphericalDivisorModel | None = None,
         wonder: Callable[[], WonderfulModel] | None = None,
     ):
         self.name = name
         self.params = params
+        self.model = model
         self._realize = realize
-        self._model = model
         self._wonder = wonder
 
     @cached_property
@@ -1431,44 +1424,34 @@ class FamilyBundle:
     def wonderful(self) -> WonderfulModel | None:
         return None if self._wonder is None else self._wonder()
 
-    @cached_property
-    def model(self) -> SphericalDivisorModel | None:
-        return None if self._model is None else self._model()
-
 
 def build_family(spec: str, trials: int = 8, seed: int = 0) -> FamilyBundle:
     """Construct the model/realization bundle for a family specifier string.
 
-    Parameters are checked, and the monoid and circular models built, here.
-    The realization and the wonderful data are built when
-    ``bundle.realization`` and ``bundle.wonderful`` are first read; a
-    determinantal model is finalized through the oracle, with ``trials`` and
-    ``seed``, when ``bundle.model`` is first read.
+    Parameters are checked, and the divisor model built, here.  The
+    realization and the wonderful data are built when ``bundle.realization``
+    and ``bundle.wonderful`` are first read.  ``trials`` and ``seed`` are
+    accepted and do not affect the bundle: no model is built with the oracle.
     """
     name, params = parse_family_spec(spec)
     if name == "monoid":
         m = params["m"]
         model = _monoid_model(m)
-        return FamilyBundle(name, params, lambda: _monoid_realization(m, model), lambda: model, lambda: monoid_wonderful(m))
+        return FamilyBundle(name, params, lambda: _monoid_realization(m, model), model, lambda: monoid_wonderful(m))
     if name == "circular":
         m, n, r, s = _circular_parameters(**params)
         model = _circular_model(m, n, r, s)
         return FamilyBundle(
-            name,
-            params,
-            lambda: _circular_realization(m, n, r, s, model),
-            lambda: model,
-            lambda: _circular_wonderful(m, n, r, s),
+            name, params, lambda: _circular_realization(m, n, r, s, model), model, lambda: _circular_wonderful(m, n, r, s)
         )
     if name == "determinantal":
         m, n, r = params["m"], params["n"], params["r"]
-        provisional = _provisional_determinantal_model(m, n, r)
-        realize = cache(lambda: _determinantal_realization(m, n, r, provisional.weight_lattice))
+        model = _determinantal_model(m, n, r)
         return FamilyBundle(
             name,
             params,
-            realize,
-            lambda: finalize_determinantal_model(provisional, realize(), trials=trials, seed=seed),
+            lambda: _determinantal_realization(m, n, r, model.weight_lattice),
+            model,
             lambda: _circular_wonderful(m, n, r, 0),
         )
     _check_complexes_parameters(**params)

@@ -432,8 +432,3 @@ def rational_inverse(rows):
     d, x = inverse
     return [[Fraction(scale * e, d) for e in r] for r in x]
 
-
-def rational_solve(rows, rhs):
-    """Unique solution of a square nonsingular rational system."""
-    inv = rational_inverse(rows)
-    return [sum(inv[i][k] * Fraction(rhs[k]) for k in range(len(rhs))) for i in range(len(rhs))]

@@ -19,9 +19,9 @@ import random
 from dataclasses import dataclass
 
 from .families import ScaledMatrix, inverse_element
-from .lattice import rational_rank, rational_solve, sparse_rank
+from .lattice import rational_rank, sparse_rank
 from .laurent import NegativeExponentError
-from .rootdata import Character, Covector, TorusLattice, pair
+from .rootdata import Character, pair
 
 
 class IdenticallyZeroError(ValueError):
@@ -30,10 +30,6 @@ class IdenticallyZeroError(ValueError):
 
 class SemiInvarianceError(ValueError):
     """The function is not semi-invariant with the claimed weight."""
-
-
-class OracleInstabilityError(RuntimeError):
-    """Trials disagreed where the generic-translate guarantee demands agreement."""
 
 
 @dataclass(frozen=True)
@@ -327,43 +323,6 @@ def verify_boundary_valuations(
                 )
             )
     return VerificationReport(tuple(records))
-
-
-def infer_boundary_valuation(
-    real,
-    curve_label: str,
-    semi_invariants,
-    lattice: TorusLattice,
-    trials: int = 8,
-    seed: int = 0,
-) -> Covector:
-    """Solve the boundary valuation functional from oracle t-adic orders.
-
-    Requires the claimed weights of the given semi-invariants to span the
-    lattice; the functional is the unique solution of <weight_i, nu> = order_i.
-    The chosen functions share one set of translates of the curve.
-    """
-    _check_trials(trials)
-    chosen = []
-    rows: list[list[int]] = []
-    for f in semi_invariants:
-        candidate = rows + [list(f.claimed_weight.coords)]
-        if rational_rank(candidate) == len(candidate):
-            chosen.append(f)
-            rows = candidate
-        if len(rows) == lattice.rank:
-            break
-    if len(rows) != lattice.rank:
-        raise ValueError("semi-invariant weights do not span the character lattice")
-    orders = []
-    for f, result in zip(chosen, t_order(real, tuple(chosen), curve_label, trials=trials, seed=seed)):
-        if result is None:
-            raise IdenticallyZeroError(_vanished_message(f, curve_label, trials))
-        if not result.stable:
-            raise OracleInstabilityError(f"unstable order for {f.name} along {curve_label}")
-        orders.append(result.order)
-    solution = rational_solve(rows, orders)
-    return Covector(lattice, tuple(solution))
 
 
 def stabilizer_check(real, element) -> bool:

@@ -15,7 +15,7 @@ the character lattice, one label at a time:
   the functionals add, the coefficient doubles and D_s<side> is an alias.
   When m = n = r + s, X_{r-1,m-r} is eps_r and X_{r,m-r-1} is delta_1.
 * determinantal (m, n, r): the circular formulas at s = 0, unswapped, and no
-  boundary once finalized.
+  boundary: the rank <= r - 1 locus has codimension m + n - 2r + 1 >= 3.
 
 Nothing here reads the package's torus, cocharacter or coroot tables, so a
 slip in any of them shows as a disagreement that ``first_disagreement`` names.

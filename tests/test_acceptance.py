@@ -22,9 +22,8 @@ from sphemb.divisor_model import (
 )
 from sphemb.families import (
     admissible_circular_parameters,
+    build_family,
     circular_complexes_model,
-    determinantal_realization,
-    finalize_determinantal_model,
     monoid_model,
 )
 from sphemb.lattice import IntegerMatrix, determinant, smith_normal_form
@@ -192,9 +191,7 @@ def test_c10_oracle_model_boundary_equivalence():
 def test_c11_validation_invariant():
     models = [monoid_model(m)[0] for m in range(1, 7)]
     models += [circular_complexes_model(*p)[0] for p in admissible_circular_parameters(5, 5)]
-    for m, n, r in [(2, 2, 1), (2, 3, 1), (3, 3, 2)]:
-        real, provisional = determinantal_realization(m, n, r)
-        models.append(finalize_determinantal_model(provisional, real))
+    models += [build_family(f"determinantal:{m},{n},{r}").model for m, n, r in [(2, 2, 1), (2, 3, 1), (3, 3, 2)]]
     for model in models:
         report = validate_model(model)
         assert report.ok, report.failures

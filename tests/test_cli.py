@@ -249,7 +249,7 @@ PINNED_ARGV_DIGESTS = {
     ("verify", "--family", "circular:m=3,n=2,r=1,s=1"):
         (0, "4f847944a98d8a7cd0d147e9ec7b0a4545c5bcb8b0725dea843bb578c80edf05"),
     # Both circular curves carry a boundary label; the smallest monoid; a
-    # determinantal member with m > n, finalized through the oracle.
+    # determinantal member with m > n.
     ("verify", "--family", "circular:m=3,n=3,r=1,s=2"):
         (0, "07269af9ab8b5c1690222653ef2242aaf156787c400289c436afd1272cfdddeb"),
     ("verify", "--family", "monoid:m=1"):
@@ -304,6 +304,20 @@ PINNED_ARGV_DIGESTS = {
         (0, "2dac884b815e21b8e283f21f41fc0f3f013304970fcde6d1a357c24c4e60c22f"),
     ("verify", "--family", "monoid:m=5", "--trials", "1", "--seed", "931794"):
         (0, "2ded6536a6f4188fdf0dd50b8fa6b9db53107505f19441ebcdbd59b08991879c"),
+    # Determinantal divisor queries, m > n among them, recorded while the
+    # model was still confirmed by the oracle before any query ran.
+    ("canonical", "--family", "determinantal:m=4,n=3,r=2"):
+        (0, "e10ff78b55aaed4beb4b3490f41a08e782ccb6327f5819cb95f79a60993bcc2f"),
+    ("canonical", "--family", "determinantal:3,4,2"):
+        (0, "43ef6ad7fceef8cdc84792d461216aa416097f1b0bde6f7153a47617cd85fd86"),
+    ("class-of", "--family", "determinantal:m=4,n=3,r=2", "--divisor", "D_r1:2,D_1:-1"):
+        (0, "d5cd4d55a455a51aaa2e96fc7ef92ca23205fca796360a75e9dfa558c0d66b21"),
+    ("divisor", "--family", "determinantal:m=4,n=3,r=2", "--chi", "eps_1:2,eps_2:-1"):
+        (0, "04a22bce545c2bebdc1b782acb8cb249b9d5661a7db1ea3709511e7371127e28"),
+    ("class-group", "--family", "determinantal:m=5,n=3,r=2"):
+        (0, "f0b462f52fb0bf188e8df99884edebb7e5cd0a9d820abfec4278c665a6b69aad"),
+    ("gorenstein", "--family", "determinantal:m=4,n=3,r=2"):
+        (0, "f40671f76cb64d66e049c4438e8cf01ee9059821f5eef9feff53809a44f4bc33"),
 }
 
 
@@ -349,7 +363,7 @@ def test_stable_failed_verify_exits_5(monkeypatch):
     doubled = model.weight_lattice.covector([2 * c for c in first.valuation.coords])
     slipped = dataclasses.replace(model, boundaries=(dataclasses.replace(first, valuation=doubled), *rest))
     bundle.__dict__["model"] = slipped
-    monkeypatch.setattr(cli, "build_family", lambda spec, trials, seed: bundle)
+    monkeypatch.setattr(cli, "build_family", lambda spec: bundle)
     code, doc = _invoke(["verify", "--family", "monoid:m=3"])
     assert code == 5 and doc["status"] == "error"
     assert doc["result"]["stable"] is True and doc["result"]["passed"] is False
@@ -467,9 +481,9 @@ def test_no_state_outlives_a_verify_call(monkeypatch):
 
 @pytest.mark.parametrize("family", ["determinantal:m=3,n=3,r=2", "determinantal:m=4,n=5,r=3", "determinantal:m=2,n=4,r=1"])
 def test_determinantal_verify_draws_no_group_or_borel_element(monkeypatch, family):
-    # Every leading minor is certified by the Borel's shape, and no
-    # determinantal boundary curve is divisorial, so neither the Borel check
-    # nor the model's finalization draws a group or Borel element.
+    # Every leading minor is certified by the Borel's shape, and the
+    # determinantal model has no boundary to read orders along, so verify
+    # draws no group or Borel element.
     _, counts = _count_draws(monkeypatch)
     for trials in ("1", "8"):
         code, doc = _invoke(["verify", "--family", family, "--trials", trials])
@@ -478,32 +492,41 @@ def test_determinantal_verify_draws_no_group_or_borel_element(monkeypatch, famil
     assert counts == {"group_sampler": 0, "borel_sampler": 0}
 
 
-def test_determinantal_section_runs_no_oracle(monkeypatch):
+def test_determinantal_queries_build_no_realization(monkeypatch):
+    # The determinantal model is built in closed form: with the realization's
+    # construction and the orbit-dimension oracle made to raise, every query
+    # but verify still exits with its pinned bytes, m > n included.
     from sphemb import oracle
+    from sphemb.families import MatrixRealization
 
-    dims = _count_calls(monkeypatch, oracle, "orbit_dimension")
-    code, _ = _invoke(["wonderful-section", "--family", "determinantal:m=5,n=5,r=3", "--chi", "eps_1_1:1"])
-    assert code == 3 and not dims
-    code, _ = _invoke(
-        ["wonderful-section", "--family", "determinantal:m=5,n=5,r=3", "--chi", "eps_1_1:1,eps_1_2:-1"]
-    )
-    assert code == 0 and not dims
-    # A divisor command reads the model, which the oracle finalizes.
-    code, _ = _invoke(["class-group", "--family", "determinantal:m=5,n=5,r=3"])
-    assert code == 0 and dims
+    def refuse(*args, **kwargs):
+        raise AssertionError("a realization was built or an orbit measured")
+
+    monkeypatch.setattr(MatrixRealization, "__post_init__", refuse)
+    monkeypatch.setattr(oracle, "orbit_dimension", refuse)
+    pinned = {(c, "--family", f, "--seed", seed): (0, d) for (c, f, seed), d in PINNED_OUTPUT_DIGESTS.items()}
+    pinned.update(PINNED_ARGV_DIGESTS)
+    queries = {argv: want for argv, want in pinned.items() if "determinantal" in argv[2] and argv[0] != "verify"}
+    commands = {argv[0] for argv in queries}
+    assert commands == {"class-group", "canonical", "gorenstein", "class-of", "divisor", "model", "wonderful-section"}
+    assert any(argv[2].startswith(("determinantal:m=3,n=2", "determinantal:m=4,n=3")) for argv in queries)
+    for argv, (code, digest) in queries.items():
+        out = io.StringIO()
+        assert run(list(argv), stdout=out) == code, argv
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
 
 
 def test_determinantal_verify_takes_each_orbit_dimension_and_limit_once(monkeypatch):
-    # The finalization measures the base orbit, the curve's limit and its
-    # orbit; the report reads the base orbit dimension and the limit back.
+    # The report measures the base orbit once and takes the curve's limit
+    # once; nothing measures the limit's orbit.
     from sphemb import oracle
 
     dims = _count_calls(monkeypatch, oracle, "orbit_dimension")
     limits = _count_calls(monkeypatch, oracle, "limit_signature")
     code, doc = _invoke(["verify", "--family", "determinantal:m=3,n=3,r=2"])
     assert code == 0 and doc["result"]["passed"]
-    assert len(dims) == 2 and len(limits) == 1
-    assert len(dims[0]) == 1 and len(dims[1]) == 2  # the base point, then the limit point
+    assert len(dims) == 1 and len(limits) == 1
+    assert len(dims[0]) == 1  # the base point
 
 
 def test_parameter_errors_stay_eager():

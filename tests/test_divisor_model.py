@@ -13,7 +13,6 @@ from sphemb.divisor_model import (
     ModelDocumentError,
     NonIntegralPairingError,
     PicardMembershipError,
-    ProvisionalModelError,
     WonderfulModel,
     _choose_basis,
     _relation_matrix,
@@ -314,14 +313,6 @@ def test_foreign_label_rejected():
         class_of(model, Divisor.from_mapping({"bogus": 1}))
 
 
-def test_provisional_model_gates_class_queries():
-    _, provisional = determinantal_realization(3, 3, 2)
-    with pytest.raises(ProvisionalModelError):
-        class_group(provisional)
-    with pytest.raises(ProvisionalModelError):
-        is_gorenstein(provisional)
-
-
 def test_class_group_data_is_kept_on_the_model(monkeypatch):
     from sphemb import divisor_model
     from sphemb.divisor_model import SphericalDivisorModel
@@ -367,8 +358,7 @@ def test_one_pairing_table_per_model_object(monkeypatch):
     assert validate_model(model).ok and data.generators == ("D_1", "D_2", "D_3", "D_4", "D_5")
     assert paired == basis
 
-    # A replaced model builds its own table: the determinantal finalization
-    # replaces the provisional model, and a copy of the final one builds anew.
+    # A replaced model builds its own table: a copy of a model builds anew.
     paired.clear()
     bundle = build_family("determinantal:m=3,n=3,r=2")
     assert paired == []
@@ -520,6 +510,7 @@ _DELETE = object()
         (("basis_characters", 0), [1, 0], "coordinate length does not match lattice rank"),
         (("simple_roots", 0, "label"), None, "a root label has the wrong type: None"),
         (("provisional",), "yes", "provisional has the wrong type: 'yes'"),
+        (("provisional",), True, "provisional is true: every model is final"),
         (("aliases",), [["D_s1", "D_r1"]], "aliases has the wrong type"),
         (("character_aliases",), {"eps_9": ["1", 0, 0]}, "a character coordinate has the wrong type: '1'"),
         (("lattice", "labels", 1), "eps_1", "basis labels must be distinct"),
@@ -599,6 +590,9 @@ def test_serialization_schema_fields():
     assert set(doc) >= {"lattice", "basis_characters", "simple_roots", "colors", "boundaries"}
     assert doc["lattice"] == {"rank": 3, "labels": ["eps_1", "eps_2", "eps_3"]}
     assert all(isinstance(x, str) for item in doc["colors"] for x in item["functional"])
+    # No model is provisional, so no dump has the key; a false one still reads.
+    assert "provisional" not in doc
+    assert model_from_json(dict(doc, provisional=False)) == monoid_model(2)[0]
 
 
 # ---------------------------------------------------------------------------

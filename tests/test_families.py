@@ -194,13 +194,11 @@ def test_determinantal_parameter_validation():
             determinantal_realization(*bad)
 
 
-def test_determinantal_realization_and_finalized_model():
-    real, provisional = determinantal_realization(2, 2, 1)
-    assert provisional.provisional
+def test_determinantal_realization_and_model():
+    real, model = determinantal_realization(2, 2, 1)
     assert real.membership(real.base_point)
-    model = finalize_determinantal_model(provisional, real)
-    assert not model.provisional
-    # The only candidate boundary orbit has codimension > 1, so none survive.
+    assert model == build_family("determinantal:2,2,1").model
+    # The rank <= r - 1 locus has codimension m + n - 2r + 1 = 3, so no boundary.
     assert model.boundaries == ()
     assert validate_model(model).ok
     pres = class_group(model)
@@ -225,24 +223,35 @@ def _reference_standard_er(rows, cols, r):
 
 
 def test_determinantal_candidate_is_the_curve_limit():
+    # The oracle's reference for the closed-form model: on all 91 members with
+    # m, n <= 7 the curve's limit is the rank r - 1 idempotent, its orbit has
+    # codimension m + n - 2r + 1 >= 3, and the model has no boundary.
     from sphemb.oracle import limit_signature, orbit_dimension
 
-    for m in range(2, 6):
-        for n in range(2, 6):
-            for r in range(1, min(m, n)):
-                real, provisional = determinantal_realization(m, n, r)
-                (curve,) = real.curves
-                assert curve.boundary == f"X_{r - 1}"
-                limit = limit_signature(real, curve.label).limit_point
-                assert limit == (_reference_standard_er(m, n, r - 1),), (m, n, r)
-                codim = orbit_dimension(real) - orbit_dimension(real, point=limit)
-                assert codim == m + n - 2 * r + 1 >= 2, (m, n, r)
-                assert finalize_determinantal_model(provisional, real).boundaries == ()
+    members = [(m, n, r) for m in range(2, 8) for n in range(2, 8) for r in range(1, min(m, n))]
+    assert len(members) == 91
+    for m, n, r in members:
+        real, model = determinantal_realization(m, n, r)
+        (curve,) = real.curves
+        assert curve.boundary == f"X_{r - 1}"
+        limit = limit_signature(real, curve.label).limit_point
+        assert limit == (_reference_standard_er(m, n, r - 1),), (m, n, r)
+        codim = orbit_dimension(real) - orbit_dimension(real, point=limit)
+        assert codim == m + n - 2 * r + 1 >= 3, (m, n, r)
+        assert build_family(f"determinantal:{m},{n},{r}").model.boundaries == ()
+        assert finalize_determinantal_model(model, real) is model
+
+
+def test_finalize_determinantal_model_refuses_a_divisorial_curve():
+    # A realization whose boundary curves reach divisors, the monoid's, fails
+    # the codimension check that every determinantal model passes unchanged.
+    monoid, monoid_real = monoid_model(2)
+    with pytest.raises(ValueError, match="^the limit of lambda_0 lies in a divisor, X_0$"):
+        finalize_determinantal_model(monoid, monoid_real)
 
 
 def test_determinantal_rectangular_canonical_class():
-    real, provisional = determinantal_realization(2, 4, 1)
-    model = finalize_determinantal_model(provisional, real)
+    model = build_family("determinantal:2,4,1").model
     coords = class_of(model, canonical_divisor(model))
     assert coords.generators == ("D_r1",)
     assert coords.free == (4 - 2,)
@@ -381,7 +390,7 @@ def test_build_family_bundles():
     bundle = build_family("complexes:2,3,2,1,1")
     assert bundle.model is None
     bundle = build_family("determinantal:2,3,1")
-    assert bundle.model is not None and not bundle.model.provisional
+    assert bundle.model is not None and bundle.model.boundaries == ()
 
 
 def test_functional_tables_match_ambient_pairings():
@@ -1430,9 +1439,7 @@ def test_torus_tables_match_the_weight_functions():
             _, _, r, s = families._circular_parameters(**params)
             lattice, reference = bundle.model.weight_lattice, _ref_circular_weight_value(r, s)
         else:
-            m, n, r = params["m"], params["n"], params["r"]
-            lattice = families._provisional_determinantal_model(m, n, r).weight_lattice
-            reference = _ref_circular_weight_value(r, 0)
+            lattice, reference = bundle.model.weight_lattice, _ref_circular_weight_value(params["r"], 0)
         assert len(real.torus) == lattice.rank, spec
         chars = [lattice.basis_character(lab) for lab in lattice.labels]
         chars += [lattice.character([rng.randint(-3, 3) for _ in range(lattice.rank)]) for _ in range(4)]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from form_reference import act, curve_point, form_at, form_values
+from valuation_reference import infer_boundary_valuation
 
 from sphemb import families
 from sphemb.families import (
@@ -28,7 +29,6 @@ from sphemb.oracle import (
     SemiInvarianceError,
     TOrderResult,
     VerificationReport,
-    infer_boundary_valuation,
     limit_signature,
     orbit_dimension,
     select_semi_invariants,
