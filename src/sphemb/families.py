@@ -13,61 +13,45 @@ Four families are provided:
 
 Every realization is a product of GL factors moving one matrix per arrow
 (s, t) as g_s X g_t^-1, and the group is data: the arrows, each factor's
-size (read off the base point), its Borel orientation and the dual factor
-pairs (g_b = c g_a^-T).  ``MatrixRealization`` derives its group and Borel
-samplers and its Lie basis from these tables; a family writes only its
-stabilizer sampler.  The last three act on the arrow spaces of a small
-quiver; ``_quiver_parts`` builds their arrows, membership test and Borel
-orientation from the quiver data.
+size, its Borel orientation and the dual factor pairs (g_b = c g_a^-T),
+from which ``MatrixRealization`` derives its samplers and Lie basis; a
+family writes only its stabilizer sampler.  ``_quiver_parts`` builds the
+last three families' arrows, membership test and Borel orientation.
 
-A group element is a tuple of units, one per factor: a unit (l, L, r, R)
-is the matrix L / l with inverse R / r, for integer matrices L, R and
-integers l, r > 0.  Samplers draw them (each inverted by ``integer_inverse``,
-a dual pair's second factor read off its first by ``_dual_unit``; a
-stabilizer's diagonal blocks are tested by ``row_determinant`` and not
-inverted), ``act`` multiplies on their integer matrices and inverts nothing,
-``inverse_element`` swaps each unit's halves, and the stabilizer check and
-its negative control (``MatrixRealization.fixes_base_point`` and
-``bump_moves_base_point``) read the units' L alone, and R only to skip a
-singular bump; no other module reads a unit's fields.
+A group element is a tuple of units (l, L, r, R), one per factor: the
+matrix L / l with inverse R / r, for integer L, R and l, r > 0.  The
+oracle draws forward only (``MatrixRealization.group_draw``): a generic
+factor as its integer matrix A and det A, a dual pair's second factor as
+its scalar c.  ``element`` inverts a draw (``integer_inverse``) only where
+a translate is built (``act``, ``_translate``), and a stabilizer element is
+its factors (l, L) alone, which the stabilizer check and its negative
+control read (``fixes_base_point``, ``bump_moves_base_point``).
 
 A point is rational: one ``ScaledMatrix`` per arrow, an integer matrix over
-one scale.  The constructors build each base point once in this form.  A
-translate is one integer product (``_translate``); the membership tests and a
-form's value at a point (``Minor.ratio``, one ``row_determinant`` of its block,
-and ``Pairing.ratio``, one dot product) read the integers as stored; two
-points compare on their integers, and ``Fraction`` rows are divided out only
-when read.  ``ScaledMatrix.of`` converts a matrix given as rows.
+one scale, built once per base point.  The membership tests and a form's
+value at a point (``Minor.ratio``, one ``row_determinant`` of its block, and
+``Pairing.ratio``, one dot product) read the integers as stored.
 
-A curve is a cocharacter: ``Curve`` holds the exponents of a one-parameter
-subgroup lambda of the diagonal torus, and the curve is lambda(t) . x0 for
-the base point x0, which is monomial wherever a form reads it.  Its entries
-are the base point's, c at (i, j) of arrow (s, t) becoming c t^(lambda_s(i) -
-lambda_t(j)) (``MatrixRealization.monomial_entries``); the curve's limit at
-t = 0 and every t-order are read off them, and no point in t is built.
-
-Every semi-invariant is data: a ``Minor`` or a ``Pairing`` of arrows, checked
-against the arrows when its realization is built.  Its t-orders along a curve
-are read by Cauchy-Binet from the curve's monomial entries and the seeded
-draws' integer units (``MatrixRealization.form_orders``), without building the
-translate (``MatrixRealization.lowest_terms`` gives each draw's lowest term);
-a ``Pairing`` on dual pairs reads two scalars per draw, not two Gram tables.
-The Borel sampler draws to the orientation table, and
-``MatrixRealization.borel_exponents`` reads a form's Borel weight off it and
-the dual pairs.
+A curve is a cocharacter lambda (``Curve``) through the base point x0,
+which is monomial wherever a form reads it: entry c at (i, j) of arrow
+(s, t) becomes c t^(lambda_s(i) - lambda_t(j)) (``monomial_entries``), and
+the curve's limit and every t-order are read off these entries.  Every
+semi-invariant is data, a ``Minor`` or a ``Pairing`` of arrows; its
+t-orders on the seeded translates are read by Cauchy-Binet off the curve's
+entries and the forward draws, the inverses' minors by Jacobi's identity
+(``lowest_terms``), and its Borel weight off the orientation table and the
+dual pairs (``borel_exponents``).
 
 Divisor functionals are derived, one table per fact.  A boundary's valuation
-is its curve's cocharacter read through the realization's torus table
-(``_valuation``: basis character k, torus[k] = (top, bottom), pairs as
-lambda(top) - lambda(bottom)), so the curves, the Borel weights and the model
-read the same ``_monoid_torus`` / ``_circular_torus`` and
-``_monoid_cocharacters`` / ``_circular_cocharacters``.  A monoid colour's
-functional is its coroot in ``_monoid_coroots``; a circular colour's is its
-first coroot in ``_circular_coroots`` pulled back through the torus, and the
-two coroots of a paired colour must pull back alike (``ValueError``
-otherwise).  Only the canonical coefficients, the aliases and the root
-characters are written out.  ``_wonderful`` builds the wonderful data of both
-families from the same coroot tables; the determinantal model and wonderful
+is its curve's cocharacter read through the torus table (``_valuation``:
+basis character k, torus[k] = (top, bottom), pairs as lambda(top) -
+lambda(bottom)), so the curves, the Borel weights and the model read the
+same ``_monoid_torus`` / ``_circular_torus`` and cocharacter tables.  A
+monoid colour's functional is its coroot in ``_monoid_coroots``; a circular
+colour's is its first coroot in ``_circular_coroots`` pulled back through
+the torus, and a paired colour's two coroots must pull back alike
+(``ValueError`` otherwise).  ``_wonderful`` builds both families' wonderful
+data from the same coroot tables; the determinantal model and wonderful
 data are the circular ones at s = 0.
 """
 
@@ -96,6 +80,8 @@ Matrix = tuple[tuple, ...]
 Point = tuple[Matrix, ...]
 Unit = tuple[int, list[list[int]], int, list[list[int]]]
 GroupElement = tuple[Unit, ...]
+Factor = tuple[int, list[list[int]]]
+Draw = tuple  # per factor: (A, det A) for a generic factor, the scalar c for a dual pair's second
 
 
 def _zeros(rows: int, cols: int) -> list[list[int]]:
@@ -189,52 +175,40 @@ def _rand_int_matrix(rng: random.Random, rows: int, cols: int, lo: int = -2, hi:
     return [[draw(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+_SCALARS = (-3, -2, -1, 1, 2, 3)
+
+
 def _unit(m: list[list[int]]) -> Unit:
     """The unit of an invertible integer matrix M: (1, M, r, R) with M^-1 = R / r."""
     return (1, m, *integer_inverse(m))
 
 
-def _rand_nonsingular(rng: random.Random, n: int) -> list[list[int]]:
-    """A random integer matrix with entries in -4..4, redrawn exactly while it is singular: each draw is tested by
-    one ``row_determinant`` and nothing is inverted; n = 0 draws nothing."""
+def _rand_nonsingular(rng: random.Random, n: int, bound: int = 4) -> tuple[list[list[int]], int]:
+    """A random integer matrix with entries in -bound..bound and its determinant, redrawn exactly while it is
+    singular: each draw is tested by one ``row_determinant`` and nothing is inverted; n = 0 draws nothing."""
     while True:
-        m = _rand_int_matrix(rng, n, n, -4, 4)
-        if row_determinant(m):
-            return m
+        m = _rand_int_matrix(rng, n, n, -bound, bound)
+        det = row_determinant(m)
+        if det:
+            return m, det
 
 
-def _rand_generic(rng: random.Random, n: int) -> Unit:
-    """A random integer matrix with entries in +-``_GENERIC_RANGE`` as a unit, redrawn exactly while it is singular;
-    n = 0 draws nothing."""
-    while True:
-        m = _rand_int_matrix(rng, n, n, -_GENERIC_RANGE, _GENERIC_RANGE)
-        inverse = integer_inverse(m)
-        if inverse is not None:
-            return (1, m, *inverse)
-
-
-def _rand_triangular(rng: random.Random, n: int, lower: bool) -> Unit:
-    """A triangular unit, drawn row by row: each diagonal entry from {+-1, +-2, +-3}, each entry off it from -3..3."""
+def _rand_triangular(rng: random.Random, n: int, lower: bool) -> tuple[list[list[int]], int]:
+    """A triangular matrix and its determinant, drawn row by row: each diagonal entry from {+-1, +-2, +-3}, each
+    entry off it from -3..3."""
     draw, m = rng.randrange, _zeros(n, n)
     for i in range(n):
-        m[i][i] = rng.choice([-3, -2, -1, 1, 2, 3])
+        m[i][i] = rng.choice(_SCALARS)
         for j in range(i) if lower else range(i + 1, n):
             m[i][j] = draw(-3, 4)
-    return _unit(m)
+    return m, prod(m[i][i] for i in range(n))
 
 
-def _dual_unit(rng: random.Random, unit: Unit) -> Unit:
-    """c A^-T for the unit A = L / l with inverse X / d and c drawn from {+-1, +-2, +-3}: c X^T / d, with inverse
-    L^T / (l c)."""
+def _dual_unit(unit: Unit, c: int) -> Unit:
+    """c A^-T for the unit A = L / l with inverse X / d: c X^T / d, with inverse L^T / (l c)."""
     l, a, d, x = unit
-    c = rng.choice([-3, -2, -1, 1, 2, 3])
     sign = 1 if c > 0 else -1
     return (d, [[c * e for e in col] for col in zip(*x)], l * abs(c), [[sign * e for e in col] for col in zip(*a)])
-
-
-def inverse_element(g: GroupElement) -> GroupElement:
-    """g^-1, read off the units: the factor L / l with inverse R / r becomes R / r with inverse L / l."""
-    return tuple((r, big_r, l, big_l) for l, big_l, r, big_r in g)
 
 
 @dataclass(frozen=True)
@@ -377,19 +351,20 @@ class MatrixRealization:
     """Concrete matrix avatar of a family member, for oracle-level checks.
 
     A point is one matrix per arrow (s, t) of ``arrows``, and a group element
-    one unit per factor; ``act`` moves X to g_s X g_t^-1.  ``shapes`` holds
+    one unit per factor; ``act`` moves X to g_s X g_t^-1.  A stabilizer
+    element (``stabilizer_sampler``) is one factor (l, L) per factor.  ``shapes`` holds
     the base point's (rows, columns) per arrow, on which every form is checked
     (``check_forms``), and ``sizes`` each factor's size, read off them.
     ``borel_lower[v]`` says whether factor v's Borel part is lower (else
     upper) triangular, and each pair (a, b) of ``dual_factors`` has
     g_b = c g_a^-T, so g_a^T g_b scalar, on the group.  The group is this
-    data: the samplers (``group_sampler``, ``borel_sampler``), the Lie basis
+    data: the samplers (``group_draw``, ``group_sampler``, ``borel_sampler``), the Lie basis
     (``lie_basis``, each element mapping a factor to a sparse matrix as
     (i, j, c) triples for c E_ij, taken at construction by ``_lie_basis``)
     and the closed-form Borel weights (``borel_exponents``) are read off
     these tables and nothing else.  ``torus[k]`` names the diagonal entries,
     as (factor, index) pairs, whose ratio is basis character k's value on a
-    Borel element; ``weight_ratio`` reads it.  ``memo`` keeps results that
+    Borel element (``torus_exponents``).  ``memo`` keeps results that
     depend only on the realization, such as ``group_draws``.
     """
 
@@ -398,7 +373,7 @@ class MatrixRealization:
     arrows: tuple[tuple[int, int], ...]
     borel_lower: tuple[bool, ...]
     expected_orbit_dimension: int
-    stabilizer_sampler: Callable[[random.Random], GroupElement]
+    stabilizer_sampler: Callable[[random.Random], tuple[Factor, ...]]
     torus: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
     dual_factors: tuple[tuple[int, int], ...] = ()
     semi_invariants: tuple[SemiInvariantSpec, ...] = ()
@@ -435,23 +410,33 @@ class MatrixRealization:
             if any(sum(map(bool, line)) > 1 for line in (*x, *zip(*x))):
                 raise ValueError(f"base point is not monomial on arrow {a}")
 
+    def group_draw(self, rng: random.Random, borel: bool = False) -> Draw:
+        """A random group element as drawn, nothing inverted: per factor (A, det A) for A with entries in
+        +-``_GENERIC_RANGE``, redrawn while singular, or triangular as ``borel_lower`` says if ``borel``, but the
+        scalar c of g_b = c g_a^-T at the second factor b of each dual pair (a, b)."""
+        duals, lower = {b for _, b in self.dual_factors}, self.borel_lower
+        return tuple(
+            rng.choice(_SCALARS) if v in duals
+            else _rand_triangular(rng, n, lower[v]) if borel
+            else _rand_nonsingular(rng, n, _GENERIC_RANGE)
+            for v, n in enumerate(self.sizes)
+        )
+
+    def element(self, draw: Draw) -> GroupElement:
+        """The units of a draw: (1, A, d, X) with A^-1 = X / d (``integer_inverse``) per generic factor, and
+        c g_a^-T (``_dual_unit``) at the second factor of each dual pair."""
+        duals, g = {b: a for a, b in self.dual_factors}, []
+        for v, f in enumerate(draw):
+            g.append(_dual_unit(g[duals[v]], f) if v in duals else _unit(f[0]))
+        return tuple(g)
+
     def group_sampler(self, rng: random.Random) -> GroupElement:
-        """A random group element, factor by factor: a generic unit (``_rand_generic``), but c g_a^-T at the second
-        factor of each dual pair (a, b) (``_dual_unit``)."""
-        return self._draw(rng, borel=False)
+        """A random group element as units: the ``element`` of a ``group_draw``."""
+        return self.element(self.group_draw(rng))
 
     def borel_sampler(self, rng: random.Random) -> GroupElement:
-        """A random Borel element: ``group_sampler`` with each generic unit triangular as ``borel_lower`` says."""
-        return self._draw(rng, borel=True)
-
-    def _draw(self, rng: random.Random, borel: bool) -> GroupElement:
-        duals, g = {b: a for a, b in self.dual_factors}, []
-        for v, n in enumerate(self.sizes):
-            if v in duals:
-                g.append(_dual_unit(rng, g[duals[v]]))
-            else:
-                g.append(_rand_triangular(rng, n, self.borel_lower[v]) if borel else _rand_generic(rng, n))
-        return tuple(g)
+        """A random Borel element as units: the ``element`` of a triangular ``group_draw``."""
+        return self.element(self.group_draw(rng, borel=True))
 
     def check_forms(self, functions) -> None:
         """``ValueError`` naming the first semi-invariant whose form cannot be read on points of ``shapes``."""
@@ -472,12 +457,13 @@ class MatrixRealization:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def group_draws(self, trials: int, seed: int) -> tuple[GroupElement, ...]:
-        """The first ``trials`` elements ``group_sampler`` draws from ``Random(seed)``, drawn once."""
+    def group_draws(self, trials: int, seed: int) -> tuple[Draw, ...]:
+        """The first ``trials`` elements ``group_draw`` draws from ``Random(seed)``, drawn once; their units are the
+        ones ``group_sampler`` gives on the same stream."""
 
         def draw():
             rng = random.Random(seed)
-            return tuple(self.group_sampler(rng) for _ in range(trials))
+            return tuple(self.group_draw(rng) for _ in range(trials))
 
         return self.memo(("group_draws", trials, seed), draw)
 
@@ -513,100 +499,138 @@ class MatrixRealization:
         """Per form, its lowest term (e, c) on each seeded translate g . curve, ``None`` where the form vanishes.
 
         c t^e is the lowest nonzero term of the form's undivided value
-        (``form.ratio``) on the translate as ``act`` stores it.  The
-        translates of ``group_draws(trials, seed)`` are not built.  At an
-        arrow (s, t) a translate is L X R over a positive scale, for the
+        (``form.ratio``) on the translate as ``act`` stores it, for the units
+        of ``group_draws(trials, seed)``; no translate and no unit is built.
+        At an arrow (s, t) a translate is L X R over a positive scale, for the
         units L of g_s and R of g_t^-1 and the curve's monomial X
-        (``monomial_entries``), so by Cauchy-Binet its k-th leading minor is
-        sum_I det L[K, I] det X[I, J] det R[J, K] over the k-subsets I of X's
-        nonzero rows, J being their columns.  A trailing minor reads L's rows
-        and R's columns from the last one back, which turns both by one sign;
-        a ``Pairing`` of arrows a, b is sum x_ab y_cd P[a][c] Q[b][d] with
-        P = L_a^T L_b and Q = R_a R_b^T.  Either is sum left[i] c right[j] over
-        the curve's terms (i, j, c), grouped by power of t once per realization
-        (``_minor_terms``, ``_pairing_terms``), and the tables left and right,
-        taken once per draw and shared by every curve with the same supports
-        and every k up to the largest asked for (``_draw_table``).  The order
-        is the least power whose integer coefficient c is nonzero.  On a
-        ``Pairing`` whose sources and targets are dual pairs, P = p I and
-        Q = q I on every draw (``dual_factors``), so the value is p q times
-        the untranslated pairing: only p and q are taken per draw, and the
-        curve's terms at one position are summed once (``_dual_pairing_terms``).
+        (``monomial_entries``), so by Cauchy-Binet its minor on the rows and
+        columns K is sum_I det L[K, I] det X[I, J] det R[J, K] over the
+        k-subsets I of X's nonzero rows, J being their columns.  A generic
+        factor has L = A and R = d A^-1 (d = |det A|); the second of a dual
+        pair (a, b), drawn as c, has L = c (d_a A_a^-1)^T and R = sign(c) A_a^T.
+        A minor of A is read off A's rows K, and one of d A^-1 by Jacobi's
+        identity, det (d A^-1)[J, K] = sgn(det A) (-1)^(sum J + sum K)
+        d^(k-1) det A[K^c, J^c], off its rows K^c (``_row_minors``, a table
+        per draw, factor and rows, or ``_complement_minors`` where cheaper);
+        the curve's terms fold in J^c and (-1)^(sum J) (``_minor_terms``),
+        and the rest once per form and draw (``_scalars``).  A ``Pairing`` of
+        arrows a, b is sum x_ab y_cd P[a][c] Q[b][d] for P = L_a^T L_b and
+        Q = R_a R_b^T: p I and q I on dual pairs, p = c d_a and
+        q = sign(c') d_b (``_dual_pairing_terms``), else two Gram tables of
+        the draw's units (``element``).  The order is the least power whose
+        integer coefficient c is nonzero.
         """
         if not forms:
             return []
-        depth: dict[tuple[int, bool], int] = {}
-        for form in forms:
-            if isinstance(form, Minor):
-                key = (form.arrow, form.trailing)
-                depth[key] = max(depth.get(key, 0), min(form.k, len(self.monomial_entries(curve_label, form.arrow))))
-        # Per form, the keys of its two draw tables and its terms by power of t.
-        plans = []
-        for form in forms:
-            if isinstance(form, Minor):
-                x = self.monomial_entries(curve_label, form.arrow)
-                rows, cols = tuple(e[0] for e in x), tuple(sorted(e[1] for e in x))
-                (s, t), k = self.arrows[form.arrow], depth[form.arrow, form.trailing]
-                turn = -1 if form.trailing else 1
-                terms = self.memo(("minor_terms", curve_label, form.arrow, form.k), lambda: _minor_terms(x, form.k))
-                plans.append((("rows", s, turn, rows, k), ("columns", t, turn, cols, k), terms))
-            else:
-                x, y = (self.monomial_entries(curve_label, a) for a in form.arrows)
-                (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
-                dual = self._on_dual_pairs(form)
-                pairing_terms = _dual_pairing_terms if dual else _pairing_terms
-                terms = self.memo(("pairing_terms", curve_label, *form.arrows), lambda: pairing_terms(x, y))
-                plans.append((("gram_columns", sa, sb, dual), ("gram_rows", ta, tb, dual), terms))
+        plans = [self.memo(("plan", curve_label, form), lambda: self._plan(form, curve_label)) for form in forms]
         tables = self.memo(("draw_tables", trials, seed), lambda: [{} for _ in range(trials)])
         lowest: list[list[tuple[int, int] | None]] = [[] for _ in forms]
-        for g, cache in zip(self.group_draws(trials, seed), tables):
-            for (left_key, right_key, groups), form_terms in zip(plans, lowest):
+        for draw, cache in zip(self.group_draws(trials, seed), tables):
+            for (left_key, right_key, sign, scalars, groups), form_terms in zip(plans, lowest):
                 for key in (left_key, right_key):
                     if key not in cache:
-                        cache[key] = _draw_table(g, key)
+                        cache[key] = self._draw_table(draw, key, cache)
                 left, right, term = cache[left_key], cache[right_key], None
                 for e, terms in groups:
                     coefficient = sum([left[i] * c * right[j] for i, j, c in terms])
                     if coefficient:
-                        term = (e, coefficient)
+                        term = (e, _scalars(draw, sign * coefficient, scalars))
                         break
                 form_terms.append(term)
         return lowest
+
+    def _plan(self, form, curve_label: str) -> tuple:
+        """How ``lowest_terms`` reads ``form`` on the curve: the keys of its left and right draw tables
+        (``_draw_table``), its sign and per-draw scalars (``_scalars``) and its terms by power of t."""
+        duals = {b: a for a, b in self.dual_factors}
+        if isinstance(form, Pairing):
+            x, y = (self.monomial_entries(curve_label, a) for a in form.arrows)
+            (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
+            if not self._on_dual_pairs(form):
+                return ("gram_columns", sa, sb), ("gram_rows", ta, tb), 1, (), _pairing_terms(x, y)
+            # p = c d_a and q = sign(c') d_b, c and c' the scalars of each pair's second factor.
+            b, b2 = max(sa, sb), max(ta, tb)
+            scalars = ((b, 1, 0), (duals[b], 1, 1), (b2, 0, 1), (duals[b2], 1, 1))
+            return ("one",), ("one",), 1, scalars, _dual_pairing_terms(x, y)
+        x = self.monomial_entries(curve_label, form.arrow)
+        (s, t), k, (rows, cols) = self.arrows[form.arrow], form.k, self.shapes[form.arrow]
+        if k == 0:
+            return ("one",), ("one",), 1, (), [(0, [(0, 0, 1)])]
+        lead, full = not form.trailing, [(1 << rows) - 1, (1 << cols) - 1]
+        # (-1)^(sum K) for K the first or the last k of n indices.
+        turn = [(-1) ** ((0 if lead else k * (n - k)) + k * (k - 1) // 2) for n in (rows, cols)]
+        # det L_s[K, I]: forward on A_s, or through Jacobi on c (d_a A_a^-1)^T at a dual pair's second factor.
+        if s in duals:
+            left, sign, scalars = ("minors", duals[s], not lead, full[0]), turn[0], [(s, k, 0), (duals[s], k - 1, k)]
+        else:
+            left, sign, scalars, full[0] = ("minors", s, lead, sum({1 << e[0] for e in x})), 1, [], 0
+        # det R_t[J, K]: through Jacobi on d A_t^-1, or forward on sign(c) A_a^T at a dual pair's second factor.
+        if t in duals:
+            right, full[1] = ("minors", duals[t], lead, sum({1 << e[1] for e in x})), 0
+            scalars.append((t, 0, k))
+        else:
+            right, sign = ("minors", t, not lead, full[1]), sign * turn[1]
+            scalars.append((t, k - 1, k))
+        terms = self.memo(("minor_terms", curve_label, form.arrow, k, *full), lambda: _minor_terms(x, k, *full))
+        keys = [left, right]
+        for side, n in enumerate((rows, cols)):
+            # A Jacobi side needs det A[K^c, J^c] only for the J^c its terms name: one row_determinant each (about
+            # (n - k)^3 steps, 32 for the call) where the table on all 2^n column subsets, shared by every k, costs more.
+            masks = tuple(sorted({term[side] for _, group in terms for term in group}))
+            if full[side] and len(masks) * ((n - k) ** 3 + 32) < 1 << n:
+                keys[side] = ("complements", *keys[side][1:3], masks)
+        return *keys, sign, tuple(scalars), terms
+
+    def _draw_table(self, draw: Draw, key: tuple, cache: dict) -> dict:
+        """One table of ``lowest_terms`` for a draw, named by ``key``: ("minors", v, top, columns) for
+        ``_row_minors`` of factor v's A, ("complements", v, top, masks) for its entries on ``masks`` alone,
+        ("gram_columns", f, h) and ("gram_rows", f, h) for L_f^T L_h and R_f R_h^T of
+        the draw's units (``element``, taken once per draw), keyed by (row, column), and ("one",) for {0: 1}."""
+        kind, *args = key
+        if kind == "minors":
+            v, top, columns = args
+            return _row_minors(draw[v][0], columns, top)
+        if kind == "complements":
+            v, top, masks = args
+            return _complement_minors(draw[v][0], masks, top)
+        if kind == "one":
+            return {0: 1}
+        if "element" not in cache:
+            cache["element"] = self.element(draw)
+        g, (f, h) = cache["element"], args
+        a, b = (list(zip(*g[f][1])), list(zip(*g[h][1]))) if kind == "gram_columns" else (g[f][3], g[h][3])
+        return {(i, j): sum(map(mul, p, q)) for i, p in enumerate(a) for j, q in enumerate(b)}
 
     def act(self, g: GroupElement, point: Point) -> Point:
         """g . X = g_s X g_t^-1 at each arrow (s, t)."""
         return tuple(_translate(g[s][:2], x, g[t][2:]) for (s, t), x in zip(self.arrows, point))
 
-    def fixes_base_point(self, g: GroupElement) -> bool:
+    def fixes_base_point(self, g) -> bool:
         """Whether g . x0 = x0, exactly: g_s X g_t^-1 = X at each arrow (s, t), tested as l_t L_s X = l_s X L_t.
 
-        L_s / l_s and L_t / l_t are the units' matrices of g_s and g_t and X
-        the base point's integers, read at their nonzero entries; no translate
-        and no inverse is built.
+        g is a tuple of factors (l, L), or of units, whose first halves are
+        read; X is the base point's integers, read at their nonzero entries.
         """
         return self._fixes([unit[:2] for unit in g])
 
-    def bump_moves_base_point(self, g: GroupElement) -> bool:
-        """Whether some bump of g moves the base point: the stabilizer's negative control.
+    def bump_moves_base_point(self, g) -> bool:
+        """Whether some bump of g (as ``fixes_base_point`` reads it) moves the base point: the negative control.
 
         A bump raises one entry of one factor by 1, L / l becoming
-        (L + l E_ij) / l.  The bumps are walked factor by factor, then
-        row-major, up to the first that moves the base point.  By the matrix
-        determinant lemma det(g_k + E_ij) = det(g_k) (1 + (g_k^-1)_ji), so the
-        bump makes its factor singular exactly when R_ji = -r for the unit's
-        inverse R / r, and it is skipped.  Every other bump is tested as
-        ``fixes_base_point`` tests g, so no bumped factor is inverted.
+        (L + l E_ij) / l, walked factor by factor, then row-major, up to the
+        first that moves the base point.  A bump with
+        det(L + l E_ij) = det L + l C_ij(L) = 0, C_ij the (i, j) cofactor of L,
+        makes its factor singular and is skipped (one ``row_determinant``);
+        every other is tested as ``fixes_base_point`` tests g.
         """
         forward = [unit[:2] for unit in g]
-        for k, (l, big_l, r, big_r) in enumerate(g):
+        for k, (l, big_l) in enumerate(forward):
             for i, row in enumerate(big_l):
                 for j in range(len(row)):
-                    if big_r[j][i] == -r:
-                        continue
                     bumped = list(big_l)
                     bumped[i] = list(row)
                     bumped[i][j] += l
-                    if not self._fixes(forward[:k] + [(l, bumped)] + forward[k + 1 :]):
+                    if row_determinant(bumped) and not self._fixes(forward[:k] + [(l, bumped)] + forward[k + 1 :]):
                         return True
         return False
 
@@ -656,17 +680,8 @@ class MatrixRealization:
             rows.append({col: e for col, e in row.items() if e})
         return rows
 
-    def weight_ratio(self, chi: Character, g: GroupElement) -> tuple[int, int]:
-        """chi(g) undivided as (num, den), den != 0: each basis character's diagonal ratio p / q to the power c of chi's coordinate."""
-        num = den = 1
-        for c, ((f, i), (h, j)) in zip(chi.coords, self.torus):
-            if c:
-                p, q = g[f][1][i][i] * g[h][0], g[f][0] * g[h][1][j][j]
-                num, den = (num * p**c, den * q**c) if c > 0 else (num * q**-c, den * p**-c)
-        return num, den
-
     def torus_exponents(self, chi: Character) -> dict[tuple[int, int], int]:
-        """chi as ``weight_ratio`` reads it: the exponent of each Borel diagonal entry (factor, index), zeros dropped."""
+        """chi on a Borel element as ``torus`` reads it: the exponent of each diagonal entry (factor, index), zeros dropped."""
         exponents: dict[tuple[int, int], int] = {}
         for c, (top, bottom) in zip(chi.coords, self.torus):
             exponents[top] = exponents.get(top, 0) + c
@@ -699,6 +714,41 @@ class MatrixRealization:
             exponents[factor, 0] = exponents.get((factor, 0), 0) + e
         return {entry: e for entry, e in exponents.items() if e}
 
+    def root_move(self, form, point: Point) -> tuple[int, int, int] | None:
+        """(v, i, j) for the first root element u = I + E_ij of the Borel that changes ``form`` at ``point``, or ``None``.
+
+        u sits at factor v, below the diagonal if ``borel_lower[v]`` and above
+        it otherwise, and u^-T at v's partner w in ``dual_factors``; the roots
+        are tried factor by factor, the highest first.  u moves X at (s, t) by
+        row i += row j at s = v, column j -= column i at t = v, row j -= row i
+        at s = w and column i += column j at t = w.
+        """
+        value, partner = form.ratio(point), dict(self.dual_factors)
+        seconds = set(partner.values())
+        for v, n in enumerate(self.sizes):
+            w, lower = partner.get(v), self.borel_lower[v]
+            if v in seconds or not any({v, w} & set(self.arrows[a]) for a in form.arrows):
+                continue
+            for h in range(n - 1, 0, -1):
+                for i, j in ((i, i - h) for i in range(h, n)) if lower else ((i, i + h) for i in range(n - h)):
+                    moved = list(point)
+                    for a in form.arrows:
+                        (s, t), x = self.arrows[a], ScaledMatrix.of(point[a])
+                        y = [list(r) for r in x.integers]
+                        if s == v:
+                            y[i] = [p + q for p, q in zip(y[i], y[j])]
+                        if s == w:
+                            y[j] = [p - q for p, q in zip(y[j], y[i])]
+                        for r in y:
+                            if t == v:
+                                r[j] -= r[i]
+                            if t == w:
+                                r[i] += r[j]
+                        moved[a] = ScaledMatrix(x.scale, x.shape, y)
+                    if form.ratio(moved) != value:
+                        return v, i, j
+        return None
+
     def _on_dual_pairs(self, form: Pairing) -> bool:
         """Whether the ``Pairing``'s two sources are a pair of ``dual_factors``, and its two targets too."""
         (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
@@ -706,19 +756,23 @@ class MatrixRealization:
         return {sa, sb} in dual and {ta, tb} in dual
 
 
-def _minor_terms(entries, k: int) -> list[tuple[int, list[tuple[tuple[int, ...], tuple[int, ...], int]]]]:
+def _minor_terms(entries, k: int, left_full: int = 0, right_full: int = 0) -> list[tuple[int, list[tuple[int, int, int]]]]:
     """Per power e of t, ascending, the (I, J, c) with det X[I, J] = c t^e over the k-subsets I of X's nonzero rows.
 
     X is monomial, given by its (i, j, c, e) ``entries`` in row order; J is
-    the sorted columns of I's entries, and c carries the sign of the
-    permutation that sorts them.
+    the columns of I's entries, and c carries the sign of the permutation
+    that sorts them.  I and J are bitmasks; a side read through Jacobi's
+    identity gives the mask of all its indices (``left_full``, ``right_full``),
+    and its key is then the complement of its set S, c carrying (-1)^(sum S).
     """
     groups: dict[int, list] = {}
     for chosen in combinations(entries, k):
         rows, cols, coefficients, powers = zip(*chosen) if chosen else ((),) * 4
-        inversions = sum(a > b for n, a in enumerate(cols) for b in cols[n + 1 :])
-        coefficient = -prod(coefficients) if inversions % 2 else prod(coefficients)
-        groups.setdefault(sum(powers), []).append((rows, tuple(sorted(cols)), coefficient))
+        flips = sum(a > b for n, a in enumerate(cols) for b in cols[n + 1 :])
+        flips += (sum(rows) if left_full else 0) + (sum(cols) if right_full else 0)
+        coefficient = -prod(coefficients) if flips % 2 else prod(coefficients)
+        left, right = sum(1 << i for i in rows) ^ left_full, sum(1 << j for j in cols) ^ right_full
+        groups.setdefault(sum(powers), []).append((left, right, coefficient))
     return sorted(groups.items())
 
 
@@ -732,62 +786,55 @@ def _pairing_terms(x_entries, y_entries) -> list[tuple[int, list[tuple[tuple[int
     return sorted(groups.items())
 
 
-def _dual_pairing_terms(x_entries, y_entries) -> list[tuple[int, list[tuple[tuple[int, int], tuple[int, int], int]]]]:
-    """``_pairing_terms`` where both draw tables are scalar, p I and q I: per power e of t, ascending, the one
-    term ((0, 0), (0, 0), s) for the sum s of x y over X's and Y's entries at one position with f + g = e,
-    powers with s = 0 left out."""
+def _dual_pairing_terms(x_entries, y_entries) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """``_pairing_terms`` where both Gram tables are scalar, p I and q I, and read as the table {0: 1}: per power e
+    of t, ascending, the one term (0, 0, s) for the sum s of x y over X's and Y's entries at one position with
+    f + g = e, powers with s = 0 left out."""
     y_at = {(c, d): (y, g) for c, d, y, g in y_entries}
     sums: dict[int, int] = {}
     for a, b, x, f in x_entries:
         if (a, b) in y_at:
             y, g = y_at[a, b]
             sums[f + g] = sums.get(f + g, 0) + x * y
-    return [(e, [((0, 0), (0, 0), total)]) for e, total in sorted(sums.items()) if total]
+    return [(e, [(0, 0, total)]) for e, total in sorted(sums.items()) if total]
 
 
-def _draw_table(g: GroupElement, key: tuple) -> dict:
-    """One table of ``MatrixRealization.form_orders`` for the group element g, named by ``key``.
-
-    ("rows", f, turn, support, depth) and ("columns", ...) hold the minors of
-    the first rows of L, or of the first columns of R, for the unit (l, L, r,
-    R) of factor f (``_first_row_minors``), read from the last one back when
-    ``turn`` is -1.  ("gram_columns", f, h, scalar) holds column a of f's L
-    times column c of h's L, and ("gram_rows", f, h, scalar) row b of f's R
-    times row d of h's R, keyed by (a, c) or (b, d): the products L_f^T L_h
-    and R_f R_h^T.  With ``scalar`` (f and h a dual pair) the product is its
-    (0, 0) entry times the identity, and only that entry is taken.
-    """
-    kind, *args = key
-    if kind == "rows":
-        f, turn, support, depth = args
-        return _first_row_minors(g[f][1][::turn], support, depth)
-    if kind == "columns":
-        f, turn, support, depth = args
-        return _first_row_minors(list(zip(*g[f][3]))[::turn], support, depth)
-    f, h, scalar = args
-    a, b = (list(zip(*g[f][1])), list(zip(*g[h][1]))) if kind == "gram_columns" else (g[f][3], g[h][3])
-    if scalar:
-        a, b = a[:1], b[:1]
-    return {(i, j): sum(map(mul, p, q)) for i, p in enumerate(a) for j, q in enumerate(b)}
-
-
-def _first_row_minors(rows, support: tuple[int, ...], depth: int) -> dict[tuple[int, ...], int]:
-    """det of ``rows``' first k rows on the columns I, for every subset I of ``support`` with k = len(I) <= depth.
-
-    Keyed by I, in ``support``'s order; each is expanded along its last row
-    from the minors one size smaller.
-    """
-    minors = {(): 1}
-    for k in range(depth):
-        row = rows[k]
-        for cols in combinations(support, k + 1):
+def _row_minors(rows, columns: int, top: bool) -> dict[int, int]:
+    """det of ``rows``' first j rows (``top``), or of its last j, on every j-subset of the columns in the bitmask
+    ``columns``, keyed by its bitmask, for every j up to their number; each is expanded along the row its block
+    adds to the one a size smaller, its last in a top block and its first in a bottom one."""
+    indices = [j for j in range(columns.bit_length()) if columns >> j & 1]
+    minors, height = {0: 1}, len(rows)
+    for size in range(1, len(indices) + 1):
+        row, shift = (rows[size - 1], size - 1) if top else (rows[height - size], 0)
+        for chosen in combinations(indices, size):
+            mask = sum(1 << j for j in chosen)
             total = 0
-            for pos, j in enumerate(cols):
+            for pos, j in enumerate(chosen):
                 if row[j]:
-                    term = row[j] * minors[cols[:pos] + cols[pos + 1 :]]
-                    total += -term if (k + pos) % 2 else term
-            minors[cols] = total
+                    term = row[j] * minors[mask ^ 1 << j]
+                    total += -term if (shift + pos) & 1 else term
+            minors[mask] = total
     return minors
+
+
+def _complement_minors(rows, masks, top: bool) -> dict[int, int]:
+    """The entries of ``_row_minors`` keyed by ``masks``, one ``row_determinant`` each."""
+    minors = {}
+    for mask in masks:
+        columns = [j for j in range(mask.bit_length()) if mask >> j & 1]
+        block = rows[: len(columns)] if top else rows[len(rows) - len(columns) :]
+        minors[mask] = row_determinant([[row[j] for j in columns] for row in block])
+    return minors
+
+
+def _scalars(draw: Draw, sign: int, scalars) -> int:
+    """``sign`` times x^e sgn(x)^f for each (v, e, f) of a plan of ``lowest_terms``, x being factor v's det A or c:
+    sgn(det A) |det A|^(k-1) is (v, k - 1, k), |det A| is (v, 1, 1), c^k is (v, k, 0) and sign(c)^k is (v, 0, k)."""
+    for v, e, f in scalars:
+        x = draw[v] if isinstance(draw[v], int) else draw[v][1]
+        sign *= -(x**e) if x < 0 and f % 2 else x**e
+    return sign
 
 
 def _translate(left: tuple[int, list[list[int]]], x, right: tuple[int, list[list[int]]]) -> ScaledMatrix:
@@ -934,9 +981,10 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
     cochars = _monoid_cocharacters(m).items()
     curves = [Curve(label, lam, (r, m - r), f"X_{r}") for r, (label, lam) in enumerate(cochars)]
 
-    def stabilizer_sampler(rng: random.Random) -> GroupElement:
-        a = _rand_generic(rng, m)
-        g = (a, _dual_unit(rng, a))
+    def stabilizer_sampler(rng: random.Random) -> tuple[Factor, ...]:
+        # The one inverse of a stabilizer draw: the dual factor's matrix is c A^-T.
+        a = _unit(_rand_nonsingular(rng, m, _GENERIC_RANGE)[0])
+        g = (a[:2], _dual_unit(a, rng.choice(_SCALARS))[:2])
         return g + g
 
     return MatrixRealization(
@@ -1153,12 +1201,12 @@ def _block_matrix(blocks, row_sizes: Sequence[int], col_sizes: Sequence[int]) ->
     return rows
 
 
-def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: int) -> GroupElement:
-    """A random element of the block-shaped stabilizer of the base idempotent."""
-    shared_11 = _rand_nonsingular(rng, r)
-    shared_33 = _rand_nonsingular(rng, s)
-    a22 = _rand_nonsingular(rng, m - r - s)
-    b22 = _rand_nonsingular(rng, n - r - s)
+def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: int) -> tuple[Factor, ...]:
+    """A random element of the block-shaped stabilizer of the base idempotent, as factors (1, L)."""
+    shared_11 = _rand_nonsingular(rng, r)[0]
+    shared_33 = _rand_nonsingular(rng, s)[0]
+    a22 = _rand_nonsingular(rng, m - r - s)[0]
+    b22 = _rand_nonsingular(rng, n - r - s)[0]
     a = _block_matrix(
         [
             [shared_11, _rand_int_matrix(rng, r, m - r - s), _rand_int_matrix(rng, r, s)],
@@ -1177,7 +1225,7 @@ def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: in
         (r, n - r - s, s),
         (r, n - r - s, s),
     )
-    return (_unit(a), _unit(b))
+    return ((1, a), (1, b))
 
 
 # ---------------------------------------------------------------------------
@@ -1256,29 +1304,29 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
     """Pairs (A, B) in Mat(l,m) x Mat(m,n) with rk A <= r, rk B <= s, AB = 0."""
     _check_complexes_parameters(l, m, n, r, s)
 
-    def stabilizer_sampler(rng: random.Random) -> GroupElement:
-        a11 = _rand_nonsingular(rng, r)
-        c22 = _rand_nonsingular(rng, s)
+    def stabilizer_sampler(rng: random.Random) -> tuple[Factor, ...]:
+        a11 = _rand_nonsingular(rng, r)[0]
+        c22 = _rand_nonsingular(rng, s)[0]
         a_full = _block_matrix(
-            [[a11, _rand_int_matrix(rng, r, l - r)], [None, _rand_nonsingular(rng, l - r)]],
+            [[a11, _rand_int_matrix(rng, r, l - r)], [None, _rand_nonsingular(rng, l - r)[0]]],
             (r, l - r),
             (r, l - r),
         )
         b_full = _block_matrix(
             [
                 [a11, None, None],
-                [_rand_int_matrix(rng, m - r - s, r), _rand_nonsingular(rng, m - r - s), None],
+                [_rand_int_matrix(rng, m - r - s, r), _rand_nonsingular(rng, m - r - s)[0], None],
                 [_rand_int_matrix(rng, s, r), _rand_int_matrix(rng, s, m - r - s), c22],
             ],
             (r, m - r - s, s),
             (r, m - r - s, s),
         )
         c_full = _block_matrix(
-            [[_rand_nonsingular(rng, n - s), _rand_int_matrix(rng, n - s, s)], [None, c22]],
+            [[_rand_nonsingular(rng, n - s)[0], _rand_int_matrix(rng, n - s, s)], [None, c22]],
             (n - s, s),
             (n - s, s),
         )
-        return (_unit(a_full), _unit(b_full), _unit(c_full))
+        return ((1, a_full), (1, b_full), (1, c_full))
 
     return MatrixRealization(
         base_point=(_monomial_matrix(l, m, _standard_er(r)), _monomial_matrix(m, n, _standard_fs(m, n, s))),

@@ -5,10 +5,9 @@ orders of semi-invariants along generically translated boundary curves
 (read by Cauchy-Binet from each semi-invariant's form),
 cocharacter limits (ranked by counting where they are monomial),
 Jacobian-rank orbit dimensions, Borel semi-invariance of claimed weights
-(certified in closed form from the Borel's triangular shape where it can be,
-sampled otherwise), and stabilizer membership with its negative control,
-both read on the units' forward matrices with no translate or inverse
-built.  Randomness is only used to pick Zariski-generic group elements;
+(decided in closed form with no Borel element drawn), and stabilizer
+membership with its negative control, both read on the stabilizer's
+forward factors.  Randomness is only used to pick Zariski-generic group elements;
 identical seeds give identical reports, and disagreement between trials is
 reported as instability, never averaged away.
 """
@@ -17,8 +16,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
-from .families import ScaledMatrix, inverse_element
+from .families import ScaledMatrix
 from .lattice import rational_rank, sparse_rank
 from .laurent import NegativeExponentError
 from .rootdata import Character, pair
@@ -179,107 +179,59 @@ def base_orbit_dimension(real) -> int:
     return real.memo("base_orbit_dimension", lambda: orbit_dimension(real))
 
 
-def _certified(real, f) -> bool:
-    """Whether ``f`` is semi-invariant with its claimed weight by closed form, with no draw.
+def _borel_failures(real, candidates, first_draw) -> list[str | None]:
+    """Per candidate, ``None`` if it is certified in closed form, else why it is rejected; no Borel element is drawn.
 
-    The weight read off the Borel's triangular shape (``borel_exponents``)
-    must equal the claimed one as ``weight_ratio`` reads it
-    (``torus_exponents``), so f(b . x) = chi(b) f(x) for every Borel element b
-    and every point x, and f must be nonzero at the base point, so it does not
-    vanish on the orbit.
+    A shape weight (``borel_exponents``) holds at every point, so a form
+    with one that is nonzero at x0 or at x = g . x0 (g from ``first_draw()``,
+    x built by ``act`` only if needed) is certified if it is the claimed
+    weight (``torus_exponents``) and refuted if not.  A form with no shape
+    weight is refuted when a root element changes it at x (``root_move``).
+    Every other form is undecided and rejected: the check fails closed.
     """
-    derived = real.borel_exponents(f.form)
-    if derived is None or derived != real.torus_exponents(f.claimed_weight):
-        return False
-    return f.form.ratio(real.base_point)[0] != 0
-
-
-def _borel_failures(real, candidates, trials: int, seed: int) -> list[str | None]:
-    """Per candidate, ``None`` if it is ``_certified`` or passes ``_semiinvariance_failures``, else why not.
-
-    Only the candidates with no certificate are sampled.  The sampled check
-    draws trial i's Borel element and orbit points whatever its candidates
-    are, so each of them gets the verdict it gets among all candidates.
-    """
-    _check_trials(trials)
     real.check_forms(candidates)
-    sampled = [f for f in candidates if not _certified(real, f)]
-    failures = dict(zip(sampled, _semiinvariance_failures(real, sampled, trials, seed)))
-    return [failures.get(f) for f in candidates]
-
-
-def _semiinvariance_failures(real, candidates, trials: int, seed: int) -> list[str | None]:
-    """Per candidate, ``None`` if it passes the sampled Borel rescaling check, else why not.
-
-    Trial i tests every undecided candidate f against the i-th Borel element b
-    of ``Random(seed)`` and the orbit points x = g . x0 and g^-1 . x0 of the
-    i-th boundary draw g (``group_draws``): f(b . x) must equal chi(b) f(x) wherever
-    f(x) != 0, as integer cross-products of undivided pairs (``weight_ratio``, ``form.ratio``).
-    Each b, x and b . x is taken once, only while some candidate is undecided,
-    and with no candidate nothing is drawn.  A form that cannot be read on
-    the realization's arrows raises ``ValueError`` (``check_forms``).  The
-    oracle samples only uncertified candidates (``_borel_failures``).
-    """
-    _check_trials(trials)
-    real.check_forms(candidates)
-    failures: list[str | None] = [None] * len(candidates)
-    saw_nonzero = [False] * len(candidates)
-    rng = random.Random(seed)
-    for g in real.group_draws(trials, seed) if candidates else ():
-        if all(failures):
-            break
-        b = real.borel_sampler(rng)
-        factors = {k: real.weight_ratio(f.claimed_weight, b) for k, f in enumerate(candidates) if failures[k] is None}
-        for h in (g, inverse_element(g)):
-            live = [k for k in factors if failures[k] is None]
-            if not live:
-                break
-            x = real.act(h, real.base_point)
-            moved = None
-            for k in live:
-                f, (num, den) = candidates[k], factors[k]
-                n_x, q_x = f.form.ratio(x)
-                if n_x == 0:
-                    continue
-                saw_nonzero[k] = True
-                if moved is None:
-                    moved = real.act(b, x)
-                n_bx, q_bx = f.form.ratio(moved)
-                if n_bx * q_x * den != num * n_x * q_bx:
-                    failures[k] = f"{f.name} does not rescale by its claimed weight under the Borel action"
-    for k, f in enumerate(candidates):
-        if failures[k] is None and not saw_nonzero[k]:
-            failures[k] = f"{f.name} vanished at every sampled point"
+    moved = cache(lambda: real.act(real.element(first_draw()), real.base_point))
+    failures: list[str | None] = []
+    for f in candidates:
+        derived = real.borel_exponents(f.form)
+        root = real.root_move(f.form, moved()) if derived is None else None
+        if root:
+            reason = "is not Borel semi-invariant: the root element I + E_{1},{2} at factor {0} changes it".format(*root)
+        elif derived is None:
+            reason = "is undecided: no closed form shows its claimed weight"
+        elif not (f.form.ratio(real.base_point)[0] or f.form.ratio(moved())[0]):
+            reason = "is undecided: it vanishes at the base point and at its first translate"
+        elif derived != real.torus_exponents(f.claimed_weight):
+            reason = "does not rescale by its claimed weight under the Borel action"
+        else:
+            reason = None
+        failures.append(reason and f"{f.name} {reason}")
     return failures
 
 
 def semiinvariance_check(real, f, trials: int = 8, seed: int = 0) -> Character:
-    """Confirm that ``f`` rescales by its claimed weight under Borel translation.
+    """The claimed weight of ``f`` if ``_borel_failures`` certifies it, else ``SemiInvarianceError`` saying why not.
 
-    A form whose weight follows from the Borel's triangular shape, equals the
-    claimed one and is nonzero at the base point is confirmed with no draw
-    (``_certified``).  Otherwise, for each of ``trials`` trials (at least 1)
-    a seeded Borel element b and the orbit points g . x0 and g^-1 . x0 of
-    that trial's boundary draw g (``group_draws``) are taken, and
-    f(b . x) == chi(b) f(x) (``weight_ratio``) is required exactly; the
-    claimed weight is returned once every trial agrees.  The draws are the
-    ones ``select_semi_invariants`` tests every uncertified candidate
-    against, so both give the same verdict for ``f``.
+    Its orbit point g . x0 is built from the first element
+    of ``Random(seed)``; the verdict is one at every ``trials`` (at least 1)
+    and ``seed``, and ``select_semi_invariants`` gives it too.
     """
-    (failure,) = _borel_failures(real, (f,), trials, seed)
+    _check_trials(trials)
+    (failure,) = _borel_failures(real, (f,), lambda: real.group_draws(1, seed)[0])
     if failure is not None:
         raise SemiInvarianceError(failure)
     return f.claimed_weight
 
 
 def select_semi_invariants(real, trials: int = 8, seed: int = 0):
-    """The candidate semi-invariants whose claimed weights survive the check.
+    """The candidate semi-invariants whose claimed weights are certified in closed form (``_borel_failures``).
 
-    A candidate with a closed-form certificate (``_certified``) is kept with
-    no draw; the others are tested against one shared set of seeded draws.
+    The others are rejected; the orbit point g . x0 is built from the first
+    of the ``trials`` seeded group draws that the boundary orders read.
     """
+    _check_trials(trials)
     candidates = real.semi_invariants
-    failures = _borel_failures(real, candidates, trials, seed)
+    failures = _borel_failures(real, candidates, lambda: real.group_draws(trials, seed)[0])
     return tuple(f for f, failure in zip(candidates, failures) if failure is None)
 
 

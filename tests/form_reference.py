@@ -11,7 +11,9 @@ products.  Nothing here reads the package's minor kernels
 (``ScaledMatrix.minor_ratio``, ``MatrixRealization.form_orders``), its
 translate (``act``) or its curve entries (``monomial_entries``).  sympy is
 imported on first use, so a test that reads a form here is skipped where
-sympy is missing.
+sympy is missing.  ``weight_value`` reads a character's value on a Borel
+element off the realization's torus table (``torus_exponents``) in
+``Fraction`` powers.
 """
 
 from fractions import Fraction
@@ -118,3 +120,11 @@ def form_at(form, point) -> Fraction:
     (value,) = form_values((form,), rational_point(point))
     assert value.keys() <= {0}, value
     return value.get(0, Fraction(0))
+
+
+def weight_value(real, chi, g) -> Fraction:
+    """chi(g) for a Borel element g given as units: each diagonal entry L_ii / l of ``torus_exponents`` to its power."""
+    value = Fraction(1)
+    for (f, i), e in real.torus_exponents(chi).items():
+        value *= Fraction(g[f][1][i][i], g[f][0]) ** e
+    return value

@@ -1,12 +1,15 @@
-"""Closed-form Borel certificates against the sampled Borel check.
+"""Closed-form Borel verdicts against a sampled Borel check.
 
 A realization declares each factor's Borel orientation (``borel_lower``) and
 the factor pairs with g_a^T g_b scalar on the group (``dual_factors``).  The
 group and Borel samplers are derived from both tables; the oracle reads them
-to certify a ``Minor`` or ``Pairing`` form with no draw (``oracle._certified``)
-and samples only what is left.  These tests check the tables against the
-samplers' draws, every certificate against the sampled check, and that no
-slipped, vanishing or undeclared form gets a certificate.
+to certify a ``Minor`` or ``Pairing`` form by its shape weight, nonzero at
+the base point or at its first translate (``oracle._borel_failures``), and
+rejects every other form with no Borel element drawn: by a shape weight that
+differs from its claim, by a root element that moves it, or as undecided.  These tests check the tables against the samplers' draws, every
+certificate against a sampled reference check, and that every slipped,
+vanishing or undeclared form is rejected, with one verdict at every trials
+and seed.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import random
 import re
 
 import pytest
+
+from form_reference import weight_value
 
 from sphemb import oracle
 from sphemb.families import (
@@ -51,8 +56,8 @@ def _triangular(unit, lower: bool) -> bool:
 
 
 def _scalar_product(unit_a, unit_b) -> bool:
-    """Whether (L_a / l_a)^T (L_b / l_b) is a nonzero scalar matrix, read on the integers."""
-    (_, a, _, _), (_, b, _, _) = unit_a, unit_b
+    """Whether (L_a / l_a)^T (L_b / l_b) is a nonzero scalar matrix, read on the integers of units or factors (l, L)."""
+    (_, a), (_, b) = unit_a[:2], unit_b[:2]
     product = [[sum(x * y for x, y in zip(col_a, col_b)) for col_b in zip(*b)] for col_a in zip(*a)]
     c = product[0][0] if product else 1
     return c != 0 and product == [[c * (i == j) for j in range(len(product))] for i in range(len(product))]
@@ -108,22 +113,39 @@ def test_malformed_quiver_orientation_is_refused():
 
 
 def _certified(real):
-    return [f for f in real.semi_invariants if oracle._certified(real, f)]
+    failures = oracle._borel_failures(real, real.semi_invariants, lambda: real.group_draws(1, 0)[0])
+    return [f for f, why in zip(real.semi_invariants, failures) if why is None]
+
+
+def _sampled_failures(real, candidates, trials, seed):
+    """Per candidate, whether the sampled Borel rescaling check rejects it: f(b . x) = chi(b) f(x) at the i-th Borel
+    element b of ``Random(seed)`` and the orbit points x = g . x0 and g^-1 . x0 of the i-th boundary draw g, on
+    ``Fraction`` values; a form zero at every sampled point is rejected too."""
+    rng, failed, seen = random.Random(seed), [False] * len(candidates), [False] * len(candidates)
+    for draw in real.group_draws(trials, seed):
+        b, g = real.borel_sampler(rng), real.element(draw)
+        for h in (g, tuple((r, big_r, l, big_l) for l, big_l, r, big_r in g)):
+            x = real.act(h, real.base_point)
+            moved = real.act(b, x)
+            for k, f in enumerate(candidates):
+                value = f.evaluate(x)
+                if value:
+                    seen[k] = True
+                    failed[k] |= f.evaluate(moved) != weight_value(real, f.claimed_weight, b) * value
+    return [a or not b for a, b in zip(failed, seen)]
 
 
 @pytest.mark.parametrize("spec", _GRID)
 def test_every_certificate_passes_the_sampled_check(spec):
     # Every declared semi-invariant but the monoid's trailing minors, which
-    # the Borel rejects by design, is certified from the Borel's shape.
+    # the Borel rejects by design, is certified from the Borel's shape, and
+    # passes the sampled check; the trailing minors fail it.
     real = build_family(spec).realization
     certified = _certified(real)
     assert certified == [f for f in real.semi_invariants if not f.name.startswith("Delta_trail")], spec
     for seed in range(20):
-        assert oracle._semiinvariance_failures(real, certified, 8, seed) == [None] * len(certified), (spec, seed)
-        accepted = oracle.select_semi_invariants(real, trials=8, seed=seed)
-        sampled = [f for f in real.semi_invariants if f not in certified]
-        kept = [f for f, why in zip(sampled, oracle._semiinvariance_failures(real, sampled, 8, seed)) if why is None]
-        assert set(accepted) == set(certified) | set(kept), (spec, seed)
+        assert _sampled_failures(real, real.semi_invariants, 8, seed) == [f not in certified for f in real.semi_invariants]
+        assert oracle.select_semi_invariants(real, trials=8, seed=seed) == tuple(certified), (spec, seed)
 
 
 def _slips(real):
@@ -138,47 +160,68 @@ def _slips(real):
     return out
 
 
-def _assert_sampled(real, candidates):
-    # No candidate is certified, and each gets the sampled check's verdict,
-    # alone and among the realization's own semi-invariants.
-    assert candidates and not any(oracle._certified(real, f) for f in candidates)
+def _assert_rejected(real, candidates, messages):
+    # Each candidate is rejected with its message, alone and among the
+    # realization's own semi-invariants, at every trials and seed.
+    assert candidates and all(messages)
     everyone = dataclasses.replace(real, semi_invariants=real.semi_invariants + tuple(candidates))
     for seed in (0, 1, 7):
         for trials in (1, 8):
-            want = oracle._semiinvariance_failures(real, candidates, trials, seed)
-            assert oracle._borel_failures(real, candidates, trials, seed) == want
+            assert oracle._borel_failures(real, candidates, lambda: real.group_draws(trials, seed)[0]) == messages
             accepted = oracle.select_semi_invariants(everyone, trials=trials, seed=seed)
-            assert [f in accepted for f in candidates] == [why is None for why in want], (seed, trials)
-            for f, why in zip(candidates, want):
-                if why is None:
-                    assert oracle.semiinvariance_check(real, f, trials, seed) == f.claimed_weight
-                else:
-                    with pytest.raises(oracle.SemiInvarianceError, match=re.escape(why)):
-                        oracle.semiinvariance_check(real, f, trials, seed)
+            assert not set(candidates) & set(accepted), (seed, trials)
+            for f, why in zip(candidates, messages):
+                with pytest.raises(oracle.SemiInvarianceError, match=re.escape(why)):
+                    oracle.semiinvariance_check(real, f, trials, seed)
 
 
 @pytest.mark.parametrize("spec", ["monoid:m=2", "monoid:m=3", "determinantal:m=3,n=3,r=2", "determinantal:m=2,n=4,r=1"])
 def test_slipped_weights_get_no_certificate(spec):
+    # Each slip keeps its form's shape weight, which differs from the claim,
+    # and is nonzero at the base point, so it is refuted with no draw.
     real = build_family(spec).realization
     slips = _slips(real)
-    _assert_sampled(real, slips)
-    # Eight trials reject every slip.
-    assert all(oracle._borel_failures(real, slips, 8, 0))
+    _assert_rejected(real, slips, [f"{f.name} does not rescale by its claimed weight under the Borel action" for f in slips])
+    # The sampled reference rejects every slip at eight trials too.
+    assert all(_sampled_failures(real, slips, 8, 0))
 
 
 def test_forms_vanishing_at_the_base_point_get_no_certificate():
     # The rank-2 base point with its ones off the leading block: Delta_1 and
-    # Delta_2 are zero there, though not on the orbit, so both are sampled and
-    # pass; the 3 x 3 minor vanishes on the whole orbit and is rejected.
+    # Delta_2 are zero there, though not on the orbit, so their shape weights
+    # are certified at x = g . x0; the 3 x 3 minor vanishes on the whole orbit
+    # and is rejected as undecided.
     real = build_family("determinantal:m=3,n=3,r=2").realization
     moved = dataclasses.replace(real, base_point=(_monomial_matrix(3, 3, [(1, 2), (2, 1)]),), curves=())
     weights = {f.name: f.claimed_weight for f in real.semi_invariants}
     zero = SemiInvariantSpec("Delta_3", weights["Delta_1"].lattice.combination([]), Minor(0, 3))
     assert ScaledMatrix.of(moved.base_point[0]).minor_ratio(1)[0] == 0
     assert moved.borel_exponents(Minor(0, 1)) == real.borel_exponents(Minor(0, 1)) == {(0, 0): 1, (1, 0): -1}
-    _assert_sampled(moved, list(moved.semi_invariants) + [zero])
-    assert oracle.select_semi_invariants(moved, trials=8, seed=0) == moved.semi_invariants
-    assert oracle._borel_failures(moved, (zero,), 8, 0) == ["Delta_3 vanished at every sampled point"]
+    for seed in (0, 1, 7):
+        for trials in (1, 8):
+            assert oracle.select_semi_invariants(moved, trials=trials, seed=seed) == moved.semi_invariants
+    _assert_rejected(moved, [zero], ["Delta_3 is undecided: it vanishes at the base point and at its first translate"])
+    # A slipped weight on a form zero at x0 is refuted at x.
+    slips = _slips(moved)
+    _assert_rejected(moved, slips, [f"{f.name} does not rescale by its claimed weight under the Borel action" for f in slips])
+    # The sampled reference keeps Delta_1 and Delta_2 and rejects the 3 x 3 minor and every slip.
+    assert _sampled_failures(moved, list(moved.semi_invariants) + [zero], 8, 0) == [False, False, True]
+    assert all(_sampled_failures(moved, slips, 8, 0))
+
+
+def test_a_semi_invariant_with_no_shape_weight_is_undecided():
+    # det A, the monoid's trailing m x m minor, is Borel semi-invariant of
+    # Delta_m's weight, but a trailing minor of A has no shape weight and no
+    # root element moves a determinant: the check fails closed.  A trailing
+    # minor of fewer rows is refuted by a root element, the highest first.
+    for m in (2, 3, 4):
+        real = build_family(f"monoid:m={m}").realization
+        weights = {f.name: f.claimed_weight for f in real.semi_invariants}
+        det = SemiInvariantSpec("det", weights[f"Delta_{m}"], Minor(0, m, trailing=True))
+        assert real.borel_exponents(det.form) is None and not _sampled_failures(real, [det], 8, 0)[0]
+        trailing = [f for f in real.semi_invariants if f.name.startswith("Delta_trail")]
+        refuted = [f"{f.name} is not Borel semi-invariant: the root element I + E_{m - 1},0 at factor 0 changes it" for f in trailing]
+        _assert_rejected(real, [det] + trailing, ["det is undecided: no closed form shows its claimed weight"] + refuted)
 
 
 def test_closed_form_weights():
@@ -199,3 +242,24 @@ def test_closed_form_weights():
     assert circular.borel_exponents(Minor(1, 2, trailing=True)) == {(1, 2): 1, (1, 3): 1, (0, 1): -1, (0, 2): -1}
     assert circular.borel_exponents(Minor(1, 1)) is None
     assert isinstance(circular, MatrixRealization) and circular.dual_factors == ()
+
+
+@pytest.mark.parametrize("spec", ["monoid:m=2", "monoid:m=4", "determinantal:m=2,n=3,r=1", "determinantal:m=3,n=3,r=2"])
+def test_semiinvariance_check_gives_one_verdict_at_every_trials_and_seed(spec):
+    # Its trials (checked to be at least 1) and seed move no verdict and no
+    # message: certified forms, slips, trailing minors and det A alike.
+    real = build_family(spec).realization
+    weights = {f.name: f.claimed_weight for f in real.semi_invariants}
+    square = min(real.shapes[0]) == max(real.shapes[0])
+    extra = [SemiInvariantSpec("det", weights["Delta_1"], Minor(0, real.shapes[0][0], trailing=True))] if square else []
+    candidates = list(real.semi_invariants) + _slips(real) + extra
+
+    def verdict(f, trials, seed):
+        try:
+            return oracle.semiinvariance_check(real, f, trials, seed)
+        except oracle.SemiInvarianceError as err:
+            return str(err)
+
+    for f in candidates:
+        verdicts = {verdict(f, trials, seed) for trials in (1, 3, 8, 20) for seed in (0, 1, 7, 931794)}
+        assert len(verdicts) == 1, (spec, f.name, verdicts)

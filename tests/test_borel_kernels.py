@@ -1,11 +1,13 @@
 """Pins and differential tests for the Borel check's integer kernels.
 
 The pins hash the per-trial values that the seeded `verify` reports reduce
-away: every order list ``form_orders`` gives, and every f(x), f(b . x) and
-chi(b) that the Borel rescaling check can read.  A kernel that is wrong only
-on some draws changes them even where a report's verdict does not move.
-The samplers' triangular units and bounded draws are checked against
-``integer_inverse`` and ``randint``'s stream.
+away: every order list ``form_orders`` gives, and per semi-invariant its
+Borel verdict with the values the closed-form check reads, f(x0), f(x) at
+x = g . x0 for the first draw g, and the root element that refutes it with
+f(u . x).  A kernel that is wrong only on some draws changes them even where
+a report's verdict does not move.  The samplers' triangular units and
+bounded draws are checked against ``integer_inverse`` and ``randint``'s
+stream.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from fractions import Fraction
 from math import prod
 
 from sphemb import families, oracle
-from sphemb.families import build_family, inverse_element
-from sphemb.lattice import integer_inverse
+from sphemb.families import ScaledMatrix, build_family
+from sphemb.lattice import integer_inverse, mat_mul, row_determinant
 
 # The monoid and determinantal members of the oracle-verify benchmark.
 _PIN_MEMBERS = (
@@ -32,24 +34,45 @@ _PIN_MEMBERS = (
 _PIN_RUNS = [(seed, trials) for seed in (0, 1, 931794) for trials in (1, 3, 8)]
 
 
+def _root_moved(real, point, v, i, j):
+    """``point`` moved by the root element I + E_ij at factor v, and its inverse transpose at v's dual partner,
+    as the product of Fraction matrices at each arrow."""
+    partner = dict(real.dual_factors).get(v)
+
+    def unit(factor, inverse):
+        n = real.sizes[factor]
+        u = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+        if factor == v:
+            u[i][j] = Fraction(-1 if inverse else 1)
+        elif factor == partner:
+            u[j][i] = Fraction(1 if inverse else -1)
+        return u
+
+    moved = []
+    for (s, t), x in zip(real.arrows, point):
+        rows = mat_mul(mat_mul(unit(s, False), [list(r) for r in x]), unit(t, True))
+        moved.append(ScaledMatrix.of(rows))
+    return tuple(moved)
+
+
 def _pinned_values(spec, seed, trials):
-    """(orders, borel) for one member: per curve and verified form its order list,
-    and per trial, orbit point and candidate (f(x), f(b . x), chi(b)) as reduced fractions."""
+    """(orders, borel) for one member: per curve and verified form its order list, and per semi-invariant its
+    verdict, f(x0), f(x) at x = g . x0 for the first draw g, and a refuting root with f(u . x), as reduced fractions."""
     real = build_family(spec).realization
     verified = oracle.select_semi_invariants(real, trials=trials, seed=seed)
     forms = tuple(f.form for f in verified)
     orders = [(c.label, real.form_orders(forms, c.label, trials, seed)) for c in real.curves]
+    failures = oracle._borel_failures(real, real.semi_invariants, lambda: real.group_draws(trials, seed)[0])
+    x = real.act(real.element(real.group_draws(trials, seed)[0]), real.base_point)
     borel = []
-    rng = random.Random(seed)
-    for g in real.group_draws(trials, seed):
-        b = real.borel_sampler(rng)
-        for h in (g, inverse_element(g)):
-            x = real.act(h, real.base_point)
-            moved = real.act(b, x)
-            for f in real.semi_invariants:
-                values = (Fraction(*f.form.ratio(x)), Fraction(*f.form.ratio(moved)))
-                assert values == (f.evaluate(x), f.evaluate(moved)), (spec, f.name)
-                borel.append((f.name, *values, Fraction(*real.weight_ratio(f.claimed_weight, b))))
+    for f, why in zip(real.semi_invariants, failures):
+        root = real.root_move(f.form, x)
+        values = (f.evaluate(real.base_point), f.evaluate(x))
+        if root is not None:
+            values += (f.evaluate(_root_moved(real, x, *root)),)
+            assert values[2] != values[1], (spec, f.name)
+        assert (why is None) == (f in verified), (spec, f.name)
+        borel.append((f.name, why, root, *values))
     return orders, borel
 
 
@@ -65,7 +88,7 @@ def test_per_trial_orders_and_borel_values_are_pinned():
             orders.append((spec, seed, trials, o))
             borel.append((spec, seed, trials, b))
     assert _digest(orders) == "e57b2be0c8858756f1743493ca5d29244f0f931ff22f30a9e8de7684609fc80c"
-    assert _digest(borel) == "98b800239e453c9ca5882e8b5b41bc3793b1e05bbf294ad80f9ec29ba130ca6e"
+    assert _digest(borel) == "0ae7ad2e5be9580d080d64ff3d1bf371cd8a6a77acdb803de2b81954545bf8cb"
 
 
 def _reference_triangular(rng, n, lower):
@@ -87,10 +110,9 @@ def test_triangular_unit_is_the_integer_inverse_unit():
         for lower in (True, False):
             for seed in range(12):
                 rng, ref = random.Random(seed), random.Random(seed)
-                unit = families._rand_triangular(rng, n, lower)
-                m = unit[1]
+                m, det = families._rand_triangular(rng, n, lower)
                 assert m == _reference_triangular(ref, n, lower) and rng.getstate() == ref.getstate()
-                assert unit == (1, m, *integer_inverse(m)), (n, lower, seed)
+                assert det == row_determinant(m) and families._unit(m) == (1, m, *integer_inverse(m)), (n, lower, seed)
                 diagonal = [m[i][i] for i in range(n)]
                 signs.add(prod(diagonal) > 0)
                 if n >= 3 and max(diagonal) < 0:

@@ -450,7 +450,7 @@ def _count_draws(monkeypatch):
     """The realizations built from here on, and the group and Borel draws they make."""
     from sphemb.families import MatrixRealization
 
-    built, counts = [], {"group_sampler": 0, "borel_sampler": 0}
+    built, counts = [], {"group_draw": 0, "borel_sampler": 0}
     original = MatrixRealization.__post_init__
 
     def post_init(real):
@@ -470,13 +470,14 @@ def _count_draws(monkeypatch):
 
 def test_no_state_outlives_a_verify_call(monkeypatch):
     # Two calls in one process do the work of two sphemb processes: each
-    # builds its realization and draws its own group and Borel elements.  The
-    # Borel check samples only the trailing minors, which fail on trial 1.
+    # builds its realization and draws its own group elements.  The Borel
+    # check draws no Borel element: the trailing minors are refuted by a root
+    # element at the first group draw's translate.
     built, counts = _count_draws(monkeypatch)
     first, second = (_invoke(["verify", "--family", "monoid:m=3"]) for _ in range(2))
     assert first == second and first[0] == 0 and first[1]["result"]["passed"]
     assert len(built) == 2 and built[0] is not built[1]
-    assert counts == {"group_sampler": 2 * 8, "borel_sampler": 2 * 1}
+    assert counts == {"group_draw": 2 * 8, "borel_sampler": 0}
 
 
 @pytest.mark.parametrize("family", ["determinantal:m=3,n=3,r=2", "determinantal:m=4,n=5,r=3", "determinantal:m=2,n=4,r=1"])
@@ -489,7 +490,7 @@ def test_determinantal_verify_draws_no_group_or_borel_element(monkeypatch, famil
         code, doc = _invoke(["verify", "--family", family, "--trials", trials])
         assert code == 0 and doc["result"]["passed"]
         assert [c["check"] for c in doc["result"]["checks"]].count("semi_invariant_weight") == int(family[-1])
-    assert counts == {"group_sampler": 0, "borel_sampler": 0}
+    assert counts == {"group_draw": 0, "borel_sampler": 0}
 
 
 def test_determinantal_queries_build_no_realization(monkeypatch):

@@ -33,7 +33,8 @@ from sphemb.families import (
 )
 from sphemb.oracle import stabilizer_check
 from sphemb.rootdata import pair
-from sphemb.lattice import integer_inverse, rational_inverse
+from sphemb.lattice import integer_inverse, rational_inverse, row_determinant
+from form_reference import weight_value
 from test_lattice import _dense_lie_rows, _reference_rational_inverse, _reference_rational_rank
 
 
@@ -265,10 +266,10 @@ def test_complexes_realization_checks():
     good = real.stabilizer_sampler(rng)
     assert stabilizer_check(real, good)
     # breaking the shared-block condition A11 = B11 moves the base point
-    l, a, _, _ = good[0]
+    l, a = good[0]
     a_rows = [list(r) for r in a]
     a_rows[0][0] += l
-    bad = ((l, a_rows, *_unit_inverse(l, a_rows)), good[1], good[2])
+    bad = ((l, a_rows), good[1], good[2])
     assert not stabilizer_check(real, bad)
     with pytest.raises(FamilyParameterError):
         complexes_realization(2, 3, 2, 3, 1)
@@ -341,13 +342,12 @@ def test_circular_stabilizer_samples():
         # breaking A11 = B11 moves the base point; skip the one shift that
         # would make the perturbed matrix singular
         for delta in (1, 2, 3):
-            l, a, _, _ = g[0]
+            l, a = g[0]
             rows = [list(r) for r in a]
             rows[0][0] += delta * l
-            inverse = _unit_inverse(l, rows)
-            if inverse is None:
+            if _unit_inverse(l, rows) is None:
                 continue
-            assert not stabilizer_check(real, ((l, rows, *inverse), g[1]))
+            assert not stabilizer_check(real, ((l, rows), g[1]))
             break
         else:
             raise AssertionError("no invertible perturbation found")
@@ -881,11 +881,16 @@ def test_an_arrow_given_as_no_rows_is_refused():
 
 
 def test_group_draws_are_the_seeded_stream_drawn_once():
+    # Each draw keeps a generic factor as (A, det A) and a dual pair's second
+    # factor as its scalar c; its units are the group sampler's on the stream.
     _, real = monoid_model(2)
     for trials, seed in ((3, 0), (3, 11), (5, 0)):
         draws = real.group_draws(trials, seed)
         rng = random.Random(seed)
-        assert draws == tuple(real.group_sampler(rng) for _ in range(trials))
+        assert tuple(map(real.element, draws)) == tuple(real.group_sampler(rng) for _ in range(trials))
+        for (a, det_a), c, (b, det_b), c2 in draws:
+            assert (det_a, det_b) == (row_determinant(a), row_determinant(b)) and det_a and det_b
+            assert c in (-3, -2, -1, 1, 2, 3) and c2 in (-3, -2, -1, 1, 2, 3)
         assert real.group_draws(trials, seed) is draws
     assert real.group_draws(3, 0) != real.group_draws(3, 11)
     # A copy draws afresh: its sampler may differ.
@@ -1217,18 +1222,19 @@ def test_rand_generic_rejects_exactly_the_singular_draws(monkeypatch):
         n, bound = 1 + seed % 3, 1 + seed % 2
         monkeypatch.setattr(families, "_GENERIC_RANGE", bound)
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        l, m, d, x = families._rand_generic(rng, n)
-        assert (l, _fracs(m)) == (1, _ref_invertible(ref_rng, n, -bound, bound))
+        m, det = families._rand_nonsingular(rng, n, families._GENERIC_RANGE)
+        assert _fracs(m) == _ref_invertible(ref_rng, n, -bound, bound)
         assert rng.getstate() == ref_rng.getstate()
         probe = random.Random(seed)
         rejected += [[probe.randint(-bound, bound) for _ in range(n)] for _ in range(n)] != m
-        assert [[Fraction(e, d) for e in r] for r in x] == _reference_rational_inverse(m)
+        d, x = integer_inverse(m)
+        assert det in (d, -d) and [[Fraction(e, d) for e in r] for r in x] == _reference_rational_inverse(m)
     assert rejected > 40
 
 
 def _factors(g):
-    """The factors L / l of a tuple of units, as tuples of Fractions."""
-    return tuple(tuple(tuple(Fraction(e, l) for e in row) for row in m) for l, m, _, _ in g)
+    """The factors L / l of a tuple of units or of factors (l, L), as tuples of Fractions."""
+    return tuple(tuple(tuple(Fraction(e, l) for e in row) for row in m) for l, m, *_ in g)
 
 
 def _inverses(g):
@@ -1248,13 +1254,17 @@ def _points(real):
 
 
 def test_sampled_units_carry_their_inverses():
-    # R / r times L / l is the identity for every factor of every sampler's
-    # draws, stabilizer samplers included, on integer matrices with l, r > 0.
+    # R / r times L / l is the identity for every factor of the group and
+    # Borel samplers' draws, on integer matrices with l, r > 0.  A stabilizer
+    # element carries its nonsingular factors (l, L) alone, l > 0.
     from sphemb.lattice import mat_mul
 
     for spec in _SAMPLER_SPECS:
         real = build_family(spec).realization
-        for sampler in _SAMPLERS:
+        for seed in range(3):
+            for l, m in real.stabilizer_sampler(random.Random(seed)):
+                assert l > 0 and all(type(e) is int for row in m for e in row) and row_determinant(m), spec
+        for sampler in ("group_sampler", "borel_sampler"):
             for seed in range(3):
                 g = getattr(real, sampler)(random.Random(seed))
                 assert type(g) is tuple, (spec, sampler)
@@ -1267,7 +1277,7 @@ def test_sampled_units_carry_their_inverses():
 def _bumped_copies(g):
     """Copies of ``g`` with one entry of one factor raised by 1, factor by factor and row-major, each bumped
     factor L / l as (L + l E_ij) / l with its own inverse from ``integer_inverse``; a singular bump gives no copy."""
-    for k, (l, m, _, _) in enumerate(g):
+    for k, (l, m, *_) in enumerate(g):
         for i, row in enumerate(m):
             for j in range(len(row)):
                 bumped = [list(r) for r in m]
@@ -1321,9 +1331,8 @@ def test_negative_control_walks_the_invertible_bumps_in_order():
     # Factor by factor, then row-major; each bump raises one entry of one
     # factor by 1 (the integer matrix by l) and keeps the other factors.
     # [[-1]] + 1 and [[1, 1], [1, 1]] are singular, so those two bumps are
-    # skipped, read off the stored inverses (R_ji = -r, here R_01 for the
-    # (1, 0) bump).  The base point is zero, so no bump moves it and every
-    # other bump is tested.
+    # skipped: det L + l C_ij(L) = 0 for the (i, j) cofactor C_ij.  The base
+    # point is zero, so no bump moves it and every other bump is tested.
     from sphemb.families import _unit
 
     real = build_family("complexes:l=1,m=2,n=2,r=0,s=0").realization
@@ -1353,7 +1362,7 @@ def test_negative_control_walks_the_invertible_bumps_in_order():
     assert _factors(g) == before  # the element itself is left as it was
 
 
-# Every member of a small grid of each family, for the inverse-element test.
+# Every member of a small grid of each family, for the swapped-units test.
 _INVERSE_MEMBERS = (
     [f"monoid:m={m}" for m in range(1, 5)]
     + [f"determinantal:m={m},n={n},r={r}" for m in (2, 3) for n in (2, 3, 4) for r in range(1, min(m, n))]
@@ -1370,24 +1379,27 @@ _INVERSE_MEMBERS = (
 )
 
 
-@pytest.mark.parametrize("spec", _INVERSE_MEMBERS)
-def test_inverse_element_undoes_act(spec):
-    # The Borel check's second orbit point is g^-1 . x0, read off g's units
-    # with no elimination; it must undo g on any point, stay in the variety
-    # and invert back to g itself.
-    from sphemb.families import inverse_element
+def _inverse_element(g):
+    """g^-1, read off the units: the factor L / l with inverse R / r becomes R / r with inverse L / l."""
+    return tuple((r, big_r, l, big_l) for l, big_l, r, big_r in g)
 
+
+@pytest.mark.parametrize("spec", _INVERSE_MEMBERS)
+def test_swapped_units_undo_act(spec):
+    # The units of a draw (``element``) carry their inverses: g^-1, read off
+    # g's units with no elimination, must undo g on any point, stay in the
+    # variety and invert back to g itself.
     real = build_family(spec).realization
     for seed in range(8):
         rng = random.Random(seed)
-        g, h = real.group_sampler(rng), real.group_sampler(rng)
-        inverse = inverse_element(g)
+        g, h = real.element(real.group_draw(rng)), real.group_sampler(rng)
+        inverse = _inverse_element(g)
         orbit_point = real.act(h, real.base_point)
         for x in (real.base_point, orbit_point):
             assert real.act(inverse, real.act(g, x)) == x, (spec, seed)
             assert real.act(g, real.act(inverse, x)) == x, (spec, seed)
         assert real.membership(real.act(inverse, real.base_point)), (spec, seed)
-        assert inverse_element(inverse) == g
+        assert _inverse_element(inverse) == g
 
 
 # The weight functions the torus tables replace, on Fraction factor matrices.
@@ -1446,7 +1458,7 @@ def test_torus_tables_match_the_weight_functions():
         for seed in range(4):
             b = real.borel_sampler(random.Random(seed))
             for chi in chars:
-                got = Fraction(*real.weight_ratio(chi, b))
+                got = weight_value(real, chi, b)
                 assert got == reference(chi, _factors(b)) and type(got) is Fraction, (spec, seed, chi.coords)
                 checked += 1
     assert checked > 500

@@ -4,10 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from form_reference import act, curve_point, form_at, form_values
+from form_reference import act, curve_point, form_at, form_values, weight_value
 from valuation_reference import infer_boundary_valuation
 
-from sphemb import families
+from sphemb import families, oracle
 from sphemb.families import (
     Curve,
     MatrixRealization,
@@ -321,13 +321,14 @@ def _reference_t_order(orders):
 
 
 def _reference_semiinvariance_failure(real, f, trials, seed):
-    """The message the per-function loop raised for ``f``, or None if it passed."""
+    """The message the sampled per-function Borel check raised for ``f``, or None if it passed: f(b . x) = chi(b) f(x)
+    at seeded Borel elements b and orbit points x, both read in ``Fraction`` arithmetic."""
     rng = random.Random(seed)
     chi = f.claimed_weight
     saw_nonzero = False
     for _ in range(trials):
         b = real.borel_sampler(rng)
-        factor = Fraction(*real.weight_ratio(chi, b))
+        factor = weight_value(real, chi, b)
         for _ in range(2):
             x = real.act(real.group_sampler(rng), real.base_point)
             fx = form_at(f.form, x)
@@ -363,13 +364,15 @@ def _equivalence_realizations():
 def test_shared_draws_match_per_function_loops(seed):
     for name, real in _equivalence_realizations():
         candidates = real.semi_invariants
-        failures = {}
+        # The closed-form verdicts are one at every trials; each kept form
+        # passes the sampled reference check, and each form it rejects at 8 or
+        # 20 trials is rejected.
+        selected = select_semi_invariants(real, trials=8, seed=seed)
         for trials in (1, 8, 20):
-            expected = failures[trials] = [
-                _reference_semiinvariance_failure(real, f, trials, seed) for f in candidates
-            ]
+            assert select_semi_invariants(real, trials=trials, seed=seed) == selected, (name, trials)
+        for trials in (8, 20):
+            expected = [_reference_semiinvariance_failure(real, f, trials, seed) for f in candidates]
             assert any(expected) and not all(expected), name
-            selected = select_semi_invariants(real, trials=trials, seed=seed)
             assert selected == tuple(f for f, why in zip(candidates, expected) if why is None), (name, trials)
 
         # The extra candidates with a wrong weight or a constant value add
@@ -382,14 +385,14 @@ def test_shared_draws_match_per_function_loops(seed):
                 assert (None in want) == (functions[-1].name == "zero"), (name, curve_label)
                 assert t_order(real, functions, curve_label, trials=trials, seed=seed) == want
 
-        # A single function keeps its own contract, on the same draws.
-        for f, why in zip(candidates, failures[8]):
+        # A single function gets the verdict and the message it gets among all.
+        for f, why in zip(candidates, oracle._borel_failures(real, candidates, lambda: real.group_draws(1, seed)[0])):
             if why is None:
-                assert semiinvariance_check(real, f, trials=8, seed=seed) == f.claimed_weight
+                assert f in selected and semiinvariance_check(real, f, trials=8, seed=seed) == f.claimed_weight
             else:
                 with pytest.raises(SemiInvarianceError) as err:
                     semiinvariance_check(real, f, trials=8, seed=seed)
-                assert str(err.value) == why
+                assert f not in selected and str(err.value) == why
         for f, result in zip(functions, want):
             if result is None:
                 with pytest.raises(IdenticallyZeroError):
@@ -422,17 +425,17 @@ def _slips(real):
 
 @pytest.mark.parametrize("spec", _SLIP_MEMBERS)
 def test_planted_weight_slips_are_rejected(spec):
+    # Every slip is rejected at one trial, on every seed: a slip of a form
+    # with a shape weight is refuted by it, and a slip of a trailing minor by
+    # a root element.  The true semi-invariants are kept.
     real = build_family(spec).realization
     originals, slips = real.semi_invariants, _slips(real)
     slipped = dataclasses.replace(real, semi_invariants=originals + slips)
-    for seed in range(20):
-        # One trial: the one Borel element is the first of Random(seed), as in
-        # the per-function loop, so every verdict is the loop's.
-        expected = tuple(f for f in slipped.semi_invariants if _reference_semiinvariance_failure(slipped, f, 1, seed) is None)
-        assert select_semi_invariants(slipped, trials=1, seed=seed) == expected, seed
-        # Eight trials reject every slip and keep what the loop keeps.
-        kept = tuple(f for f in originals if _reference_semiinvariance_failure(real, f, 8, seed) is None)
-        assert kept and select_semi_invariants(slipped, trials=8, seed=seed) == kept, seed
+    kept = tuple(f for f in originals if not f.name.startswith("Delta_trail"))
+    for seed in range(100):
+        assert select_semi_invariants(slipped, trials=1, seed=seed) == kept, seed
+    # Each kept form passes the sampled reference check at eight trials.
+    assert all(_reference_semiinvariance_failure(real, f, 8, 0) is None for f in kept)
 
 
 # Every semi-invariant of these members, on every curve, is read by
@@ -632,15 +635,15 @@ def test_trials_below_one_are_rejected():
 
 def test_verification_report_draw_counts():
     # Each group element is drawn once per trial, whatever the number of
-    # semi-invariants and curves: the Borel check takes its orbit points g . x0
-    # and g^-1 . x0 from the same draws the boundary orders read, so only the
-    # Borel elements are drawn beside them.  The realization's semi-invariants
-    # are forms, read by Cauchy-Binet, so no boundary translate is built.
-    # d and Delta_1..3 are certified by the Borel's shape with no draw; only
-    # Delta_trail_1 and Delta_trail_2 are sampled, and both fail on trial 1.
+    # semi-invariants and curves, and no Borel element is drawn: d and
+    # Delta_1..3 are certified by the Borel's shape, and Delta_trail_1 and
+    # Delta_trail_2 are refuted by a root element at g . x0 for the first
+    # boundary draw g, whose units (``element``) are the only ones built, and
+    # x the one translate ``act`` builds.  The orders are read by Cauchy-Binet
+    # off the forward draws.
     def counting():
         model, real = monoid_model(3)
-        counts = {"group_sampler": 0, "borel_sampler": 0, "act": 0}
+        counts = {"group_draw": 0, "element": 0, "group_sampler": 0, "borel_sampler": 0, "act": 0}
 
         def counted(name):
             fn = getattr(real, name)
@@ -655,30 +658,29 @@ def test_verification_report_draw_counts():
             setattr(real, name, counted(name))
         return model, real, counts
 
-    trials = 8
+    trials, none = 8, {"group_draw": 0, "element": 0, "group_sampler": 0, "borel_sampler": 0, "act": 0}
     model, real, counts = counting()
     verified = select_semi_invariants(real, trials=trials, seed=0)
     assert len(verified) == 4 and len(real.semi_invariants) == 6
-    # the boundary draws, drawn at once; one Borel element and one orbit point
-    # g . x0 with its Borel move, on which both trailing minors fail
-    assert counts == {"group_sampler": trials, "borel_sampler": 1, "act": 2}
+    # the boundary draws, drawn at once, and the units and translate of the first
+    assert counts == {**none, "group_draw": trials, "element": 1, "act": 1}
 
     for name in counts:
         counts[name] = 0
     verify_boundary_valuations(model, real, verified, trials=trials, seed=0)
     # four boundary curves, all read on the trials draws the check took
-    assert counts == {"group_sampler": 0, "borel_sampler": 0, "act": 0}
+    assert counts == none
 
     # A fresh realization: the boundary orders reuse the check's draws, and
     # the stabilizer check and its negative control build no translate.
     model, real, counts = counting()
     report = verification_report(model, real, trials=trials, seed=0)
     assert report.passed and report.stable
-    assert counts == {"group_sampler": trials, "borel_sampler": 1, "act": 2}
+    assert counts == {**none, "group_draw": trials, "element": 1, "act": 1}
     # another seed draws its own elements once
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
-    assert counts["group_sampler"] == 2 * trials
+    assert counts["group_draw"] == 2 * trials and counts["element"] == 1
 
 
 def test_boundary_without_curve_fails_closed():

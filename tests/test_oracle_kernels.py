@@ -4,8 +4,8 @@ The translate is checked against plain products of ``Fraction`` rows, the
 monoid's dilation against the ``Fraction`` sum and the sympy reference
 (``form_reference``), the leading and trailing minors of the matrix as
 stored against sympy determinants, ``ScaledMatrix`` equality against
-equality of its divided rows, and ``weight_ratio`` against a product of
-``Fraction`` powers.  A form is read at rational points; its t-orders on
+equality of its divided rows, and a character's value on a Borel element,
+read off ``torus_exponents``, against a product of ``Fraction`` powers.  A form is read at rational points; its t-orders on
 translated curves come from Cauchy-Binet and are checked against the
 translate built in sympy.
 """
@@ -35,7 +35,7 @@ from sphemb.families import (  # noqa: E402
 from sphemb.lattice import mat_mul  # noqa: E402
 from sphemb.rootdata import TorusLattice  # noqa: E402
 from test_families import _minor  # noqa: E402
-from form_reference import act, curve_point, form_at, form_orders, form_values  # noqa: E402
+from form_reference import act, curve_point, form_at, form_orders, form_values, weight_value  # noqa: E402
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -261,7 +261,7 @@ def test_dilation_on_orbit_points_and_translates(m):
         assert got == want and type(got) is type(want), point
     for c in real.curves:
         curve = curve_point(real, c.label)
-        want = [form_orders([_dilation(m)], act(real, g, curve))[0] for g in real.group_draws(3, m)]
+        want = [form_orders([_dilation(m)], act(real, real.element(g), curve))[0] for g in real.group_draws(3, m)]
         assert real.form_orders((_dilation(m),), c.label, 3, m) == [want], c.label
 
 
@@ -277,7 +277,7 @@ def test_dilation_drops_cancelled_powers():
     assert real.monomial_entries("cancel", 0) == ((0, 0, 1, 0), (1, 1, 1, 0), (2, 2, 1, 1))
     curve = curve_point(real, "cancel")
     for g in real.group_draws(8, 0):
-        (value,) = form_values([_dilation(3)], act(real, g, curve))
+        (value,) = form_values([_dilation(3)], act(real, real.element(g), curve))
         assert list(value) == [1], value
     assert real.form_orders((_dilation(3),), "cancel", 8, 0) == [[1] * 8]
 
@@ -307,7 +307,9 @@ def _reference_weight(real, chi, g):
     + [f"determinantal:m={m},n={n},r={r}" for m in (2, 3, 4) for n in (2, 3, 4) for r in range(1, min(m, n))],
 )
 def test_weight_value_matches_fraction_powers(spec):
-    # Seeded Borel draws against characters with a negative coordinate.
+    # Seeded Borel draws against characters with a negative coordinate: the
+    # exponents ``torus_exponents`` gives each diagonal entry, raised and
+    # multiplied, read chi(b) as the torus table's ratios do.
     real = build_family(spec).realization
     lattice = TorusLattice(tuple(f"e_{k}" for k in range(len(real.torus))))
     rng = random.Random(spec)
@@ -316,22 +318,5 @@ def test_weight_value_matches_fraction_powers(spec):
         coords = [rng.randint(-3, 3) for _ in real.torus]
         coords[rng.randrange(len(coords))] = rng.randint(-3, -1)
         chi = lattice.character(coords)
-        num, den = real.weight_ratio(chi, b)
-        assert Fraction(num, den) == _reference_weight(real, chi, b)
-
-
-@pytest.mark.parametrize("spec", ["monoid:m=3", "monoid:m=4", "circular:m=2,n=3,r=1,s=1", "determinantal:m=3,n=3,r=2"])
-def test_weight_ratio_is_the_undivided_weight_value(spec):
-    # The pair the Borel check cross-multiplies: equal to the value as a
-    # fraction, its denominator nonzero and of either sign.
-    real = build_family(spec).realization
-    lattice = TorusLattice(tuple(f"e_{k}" for k in range(len(real.torus))))
-    rng, signs = random.Random(spec), set()
-    for _ in range(40):
-        b = real.borel_sampler(rng)
-        chi = lattice.character([rng.randint(-3, 3) for _ in real.torus])
-        num, den = real.weight_ratio(chi, b)
-        assert type(num) is int and type(den) is int and den
-        assert Fraction(num, den) == _reference_weight(real, chi, b)
-        signs.add(den > 0)
-    assert signs == {True, False}
+        assert 0 not in real.torus_exponents(chi).values()
+        assert weight_value(real, chi, b) == _reference_weight(real, chi, b)

@@ -1,11 +1,12 @@
 """Differential tests of the exact checks that ``verify`` reads without building what it never uses.
 
 * The stabilizer check tests g . x0 = x0 as l_t L_s X = l_s X L_t on the
-  units' forward matrices (``fixes_base_point``), and its negative control
-  skips a singular bump by the stored inverse and tests the rest the same way
+  forward factors (``fixes_base_point``), and its negative control skips a
+  bump (i, j) with det L + l C_ij(L) = 0 and tests the rest the same way
   (``bump_moves_base_point``).  The references build the translate with
   ``act`` and each bumped copy's inverse with ``integer_inverse``, as the
-  checks were first defined.
+  checks were first defined, and walk the bumps by the inverse's test
+  R_ji = -r.
 * A curve limit's rank is the count of its kept entries when they lie in
   distinct rows and columns; the reference ranks every limit with
   ``rational_rank``.
@@ -18,11 +19,10 @@ import dataclasses
 import random
 
 import pytest
-from test_families import _GRID_SPECS, _INVERSE_MEMBERS, _SAMPLER_SPECS, _bumped_copies
+from test_families import _GRID_SPECS, _INVERSE_MEMBERS, _SAMPLER_SPECS, _bumped_copies, _unit_inverse
 from test_oracle import _lowest_terms_and_orders, _one_arrow
 
-from sphemb import families
-from sphemb.families import Curve, Pairing, ScaledMatrix, _unit, build_family, monoid_model
+from sphemb.families import Curve, MatrixRealization, Pairing, ScaledMatrix, _unit, build_family, monoid_model
 from sphemb.lattice import rational_rank
 from sphemb.oracle import limit_signature, stabilizer_check, verification_report
 
@@ -30,14 +30,19 @@ from sphemb.oracle import limit_signature, stabilizer_check, verification_report
 _SPECS = sorted(set(_GRID_SPECS) | set(_SAMPLER_SPECS) | set(_INVERSE_MEMBERS))
 
 
+def _units(g):
+    """The units of a tuple of factors (l, L) or of units, each factor inverted by ``integer_inverse``."""
+    return tuple((l, m, *_unit_inverse(l, m)) for l, m, *_ in g)
+
+
 def _act_fixes(real, g):
     """The check as first defined: the translate g . x0, built by ``act``, compared with x0."""
-    return real.act(g, real.base_point) == real.base_point
+    return real.act(_units(g), real.base_point) == real.base_point
 
 
 def _act_negative_control(real, g):
     """Whether some invertible bumped copy, inverted by ``integer_inverse``, moves x0 by ``act``."""
-    return any(not _act_fixes(real, c) for c in _bumped_copies(g))
+    return any(not _act_fixes(real, c) for c in _bumped_copies(_units(g)))
 
 
 def _singular_bump_unit(n):
@@ -54,9 +59,7 @@ def _elements(real, seed):
     stab, g = real.stabilizer_sampler(rng), real.group_sampler(rng)
     yield "stabilizer", stab
     # factor k as (k + 2) L / ((k + 2) l): the same element, its scales differing between factors
-    yield "rescaled stabilizer", tuple(
-        ((k + 2) * l, [[(k + 2) * e for e in row] for row in m], r, x) for k, (l, m, r, x) in enumerate(stab)
-    )
+    yield "rescaled stabilizer", tuple(((k + 2) * l, [[(k + 2) * e for e in row] for row in m]) for k, (l, m) in enumerate(stab))
     yield "group", g
     for k in range(len(stab)):
         yield f"stabilizer with factor {k} from a group draw", stab[:k] + (g[k],) + stab[k + 1 :]
@@ -95,7 +98,7 @@ def test_the_planted_elements_reach_every_branch():
             seen["fixed" if _act_fixes(real, g) else "moved"] += 1
             seen["control" if real.bump_moves_base_point(g) else "no control"] += 1
             bumps = sum(len(unit[1]) ** 2 for unit in g)
-            seen["singular"] += bumps - sum(1 for _ in _bumped_copies(g))
+            seen["singular"] += bumps - sum(1 for _ in _bumped_copies(_units(g)))
     assert all(seen.values()), seen
 
 
@@ -150,25 +153,68 @@ def test_limit_ranks_of_a_non_monomial_limit():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_dual_pairing_reads_two_scalars(m, monkeypatch):
     # The monoid's dilation d pairs arrows whose sources and targets are dual
-    # pairs: each draw gives one (0, 0) entry per side, and the lowest terms
-    # match the sympy reference.  Without dual_factors the draws are generic
-    # on every factor, and the same Pairing reads the full Gram tables.
+    # pairs: each draw gives p = c d_a and q = sign(c') d_b, read off the draw
+    # with no table but {0: 1}, and the lowest terms match the sympy
+    # reference.  Without dual_factors the draws are generic on every factor,
+    # and the same Pairing reads the full Gram tables off the draw's units.
     _, real = monoid_model(m)
     plain = dataclasses.replace(real, dual_factors=())
     (d,) = [f for f in real.semi_invariants if isinstance(f.form, Pairing)]
     tables = []
-    draw_table = families._draw_table
+    draw_table = MatrixRealization._draw_table
 
-    def recording(g, key):
-        table = draw_table(g, key)
+    def recording(self, draw, key, cache):
+        table = draw_table(self, draw, key, cache)
         tables.append((key, len(table)))
         return table
 
-    monkeypatch.setattr(families, "_draw_table", recording)
-    for target, dual, size in ((real, True, 1), (plain, False, m * m)):
+    monkeypatch.setattr(MatrixRealization, "_draw_table", recording)
+    for target, kinds, size in ((real, {"one"}, 1), (plain, {"gram_columns", "gram_rows"}, m * m)):
         for seed in (0, 1, 7):
             tables.clear()
             for c in target.curves:
                 _lowest_terms_and_orders(target, (d,), c.label, 4, seed)
-            assert tables and all(key[0] in ("gram_columns", "gram_rows") for key, _ in tables), (m, seed)
-            assert all(key[-1] is dual and n == size for key, n in tables), (m, seed, dual)
+            assert tables and {key[0] for key, _ in tables} == kinds, (m, seed)
+            assert all(n == size for _, n in tables), (m, seed, kinds)
+
+
+def _reference_bumps(g):
+    """The bumps (k, i, j) that the negative control tests, in its order, a singular one skipped by the test on the
+    inverse R / r of L / l from ``integer_inverse``: det(L / l + E_ij) = det(L / l) (1 + R_ji / r) vanishes iff
+    R_ji = -r."""
+    out = []
+    for k, (l, m, *_) in enumerate(g):
+        inverse = _unit_inverse(l, m)
+        for i, row in enumerate(m):
+            for j in range(len(row)):
+                if inverse is None or inverse[1][j][i] != -inverse[0]:
+                    out.append((k, i, j))
+    return out
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_cofactor_bumps_walk_the_inverse_reference(spec):
+    # With every bump made to fix x0, the negative control walks every bump it
+    # does not skip: the cofactor test det L + l C_ij(L) = 0 skips exactly the
+    # bumps the inverse's R_ji = -r test skipped, on sampled stabilizer and
+    # group elements, their rescaled copies, elements with singular bumps and
+    # zero base points.
+    real = build_family(spec).realization
+    singular = (_unit([[1, 0], [0, 1]]), _unit([[1, 1], [0, 1]]))
+    for target in (real, _zero_base(real)):
+        for seed in (0, 1, 7):
+            for name, g in _elements(target, seed):
+                walked = []
+
+                def record(forward, g=g, walked=walked):
+                    (k,) = [v for v in range(len(g)) if forward[v][1] is not g[v][1]]
+                    (cell,) = [(i, j) for i, row in enumerate(forward[k][1]) for j, e in enumerate(row) if e != g[k][1][i][j]]
+                    walked.append((k, *cell))
+                    return True
+
+                target._fixes = record
+                assert not target.bump_moves_base_point(g)
+                del target._fixes
+                assert walked == _reference_bumps(g), (spec, seed, name)
+    # I and [[1, 1], [0, 1]]: only B's (1, 0) bump, to [[1, 1], [1, 1]], is singular.
+    assert _reference_bumps(singular) == [(0, i, j) for i in (0, 1) for j in (0, 1)] + [(1, 0, 0), (1, 0, 1), (1, 1, 1)]
