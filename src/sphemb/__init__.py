@@ -28,19 +28,8 @@ from .divisor_model import (
     validate_model,
     wonderful_section_divisor,
 )
-from .families import (
-    Curve,
-    MatrixRealization,
-    Minor,
-    Pairing,
-    SemiInvariantSpec,
-    build_family,
-    circular_complexes_model,
-    complexes_realization,
-    determinantal_realization,
-    finalize_determinantal_model,
-    monoid_model,
-)
+from .realization import Curve, MatrixRealization, Minor, Pairing, SemiInvariantSpec
+from .families import build_family, finalize_determinantal_model
 from .oracle import (
     LimitSignature,
     TOrderResult,

@@ -1,4 +1,4 @@
-"""Model and matrix-realization constructors for the example families.
+"""The example families: their divisor models, wonderful data and matrix realizations.
 
 Four families are provided:
 
@@ -11,36 +11,12 @@ Four families are provided:
 * ``complexes``: pairs (A, B) with AB = 0 and rank bounds; matrix
   realization only.
 
-Every realization is a product of GL factors moving one matrix per arrow
-(s, t) as g_s X g_t^-1, and the group is data: the arrows, each factor's
-size, its Borel orientation and the dual factor pairs (g_b = c g_a^-T),
-from which ``MatrixRealization`` derives its samplers and Lie basis; a
-family writes only its stabilizer sampler.  ``_quiver_parts`` builds the
-last three families' arrows, membership test and Borel orientation.
-
-A group element is a tuple of units (l, L, r, R), one per factor: the
-matrix L / l with inverse R / r, for integer L, R and l, r > 0.  The
-oracle draws forward only (``MatrixRealization.group_draw``): a generic
-factor as its integer matrix A and det A, a dual pair's second factor as
-its scalar c.  ``element`` inverts a draw (``integer_inverse``) only where
-a translate is built (``act``, ``_translate``), and a stabilizer element is
-its factors (l, L) alone, which the stabilizer check and its negative
-control read (``fixes_base_point``, ``bump_moves_base_point``).
-
-A point is rational: one ``ScaledMatrix`` per arrow, an integer matrix over
-one scale, built once per base point.  The membership tests and a form's
-value at a point (``Minor.ratio``, one ``row_determinant`` of its block, and
-``Pairing.ratio``, one dot product) read the integers as stored.
-
-A curve is a cocharacter lambda (``Curve``) through the base point x0,
-which is monomial wherever a form reads it: entry c at (i, j) of arrow
-(s, t) becomes c t^(lambda_s(i) - lambda_t(j)) (``monomial_entries``), and
-the curve's limit and every t-order are read off these entries.  Every
-semi-invariant is data, a ``Minor`` or a ``Pairing`` of arrows; its
-t-orders on the seeded translates are read by Cauchy-Binet off the curve's
-entries and the forward draws, the inverses' minors by Jacobi's identity
-(``lowest_terms``), and its Borel weight off the orientation table and the
-dual pairs (``borel_exponents``).
+``build_family`` builds every member, from its specifier, through one table
+(``_FAMILIES``) of each family's parameter names and member builder.  A
+realization (``realization.MatrixRealization``) is data: a family passes
+its base point, arrows, Borel orientation, dual factor pairs, torus,
+semi-invariants, curves and stabilizer sampler.  ``_quiver_parts`` builds
+the last three families' arrows, membership test and Borel orientation.
 
 Divisor functionals are derived, one table per fact.  A boundary's valuation
 is its curve's cocharacter read through the torus table (``_valuation``:
@@ -59,828 +35,38 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
-from math import lcm, prod
-from operator import mul
 from typing import Callable, Sequence
 
+from . import oracle
 from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel
-from .lattice import integer_inverse, mat_mul, rational_rank, row_determinant
-from .rootdata import Character, Covector, SimpleRootSet, TorusLattice
+from .lattice import mat_mul, rational_rank
+from .realization import (
+    _GENERIC_RANGE,
+    _SCALARS,
+    Curve,
+    Factor,
+    MatrixRealization,
+    Minor,
+    Pairing,
+    Point,
+    ScaledMatrix,
+    SemiInvariantSpec,
+    _dual_unit,
+    _monomial_matrix,
+    _rand_int_matrix,
+    _rand_nonsingular,
+    _unit,
+)
+from .rootdata import Covector, SimpleRootSet, TorusLattice
 
 
 class FamilyParameterError(ValueError):
     """Family parameters outside the admissible range."""
 
 
-Matrix = tuple[tuple, ...]
-Point = tuple[Matrix, ...]
-Unit = tuple[int, list[list[int]], int, list[list[int]]]
-GroupElement = tuple[Unit, ...]
-Factor = tuple[int, list[list[int]]]
-Draw = tuple  # per factor: (A, det A) for a generic factor, the scalar c for a dual pair's second
-
-
-def _zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
-
-
-class ScaledMatrix:
-    """A rational matrix held as one integer matrix over one scale.
-
-    The format of every point: ``shape`` (rows, columns) and ``integers``,
-    scale times the matrix for an integer ``scale`` > 0.  The divided rows of
-    ``Fraction`` are built when first read, and the matrix hashes and compares
-    like them; two ``ScaledMatrix`` compare on their integers.  Each leading
-    or trailing minor is the ``row_determinant`` of its block of the integers
-    as stored (``minor_ratio``).
-    """
-
-    __slots__ = ("scale", "shape", "integers", "_rows")
-
-    def __init__(self, scale: int, shape: tuple[int, int], integers: list[list[int]]):
-        self.scale = scale
-        self.shape = shape
-        self.integers = integers
-        self._rows: Matrix | None = None
-
-    @classmethod
-    def of(cls, m) -> "ScaledMatrix":
-        """m itself, or its rows of rationals over the lcm of their denominators."""
-        if isinstance(m, ScaledMatrix):
-            return m
-        rows = [[Fraction(e) for e in r] for r in m]
-        scale = lcm(*(e.denominator for r in rows for e in r))
-        shape = (len(rows), len(rows[0]) if rows else 0)
-        return cls(scale, shape, [[e.numerator * (scale // e.denominator) for e in r] for r in rows])
-
-    @property
-    def rows(self) -> Matrix:
-        """Each entry divided by the scale once, as a ``Fraction``."""
-        if self._rows is None:
-            self._rows = tuple(tuple(Fraction(c, self.scale) for c in r) for r in self.integers)
-        return self._rows
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __eq__(self, other):
-        """Equality of the divided rows, read on the integers against a ``ScaledMatrix``; no rows equal no rows at any width."""
-        if not isinstance(other, ScaledMatrix):
-            return self.rows == other
-        if self.shape[0] != other.shape[0] or self.shape[0] and self.shape[1] != other.shape[1]:
-            return False
-        s, t = other.scale, self.scale
-        return all([c * s for c in p] == [c * t for c in q] for p, q in zip(self.integers, other.integers))
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"ScaledMatrix({self.rows!r})"
-
-    def minor_ratio(self, k: int, trailing: bool = False) -> tuple[int, int]:
-        """(n, scale^k) for the top-left k x k minor n / scale^k, the bottom-right one if ``trailing``.
-
-        n is ``row_determinant`` of the k x k block of the integers as stored.
-        ``ValueError`` unless 0 <= k <= min(rows, columns).
-        """
-        rows, cols = self.shape
-        if not 0 <= k <= min(rows, cols):
-            raise ValueError(f"no {k} x {k} minor in a {rows} x {cols} matrix")
-        stored = self.integers
-        block = [r[cols - k :] for r in stored[rows - k :]] if trailing else [r[:k] for r in stored[:k]]
-        return row_determinant(block), self.scale**k
-
-
-# Group samplers draw from a wide integer range: translated-curve orders are
-# read off coefficient polynomials in the sampled entries, and a wide range
-# keeps accidental zeros of those polynomials rare.  Structured samplers
-# (Borel, stabilizer shapes) need no genericity and stay small.
-_GENERIC_RANGE = 999
-
-
-def _rand_int_matrix(rng: random.Random, rows: int, cols: int, lo: int = -2, hi: int = 2):
-    """Entries ``rng.randint(lo, hi)`` row-major, drawn as ``randrange(lo, hi + 1)``: the same stream."""
-    draw, hi = rng.randrange, hi + 1
-    return [[draw(lo, hi) for _ in range(cols)] for _ in range(rows)]
-
-
-_SCALARS = (-3, -2, -1, 1, 2, 3)
-
-
-def _unit(m: list[list[int]]) -> Unit:
-    """The unit of an invertible integer matrix M: (1, M, r, R) with M^-1 = R / r."""
-    return (1, m, *integer_inverse(m))
-
-
-def _rand_nonsingular(rng: random.Random, n: int, bound: int = 4) -> tuple[list[list[int]], int]:
-    """A random integer matrix with entries in -bound..bound and its determinant, redrawn exactly while it is
-    singular: each draw is tested by one ``row_determinant`` and nothing is inverted; n = 0 draws nothing."""
-    while True:
-        m = _rand_int_matrix(rng, n, n, -bound, bound)
-        det = row_determinant(m)
-        if det:
-            return m, det
-
-
-def _rand_triangular(rng: random.Random, n: int, lower: bool) -> tuple[list[list[int]], int]:
-    """A triangular matrix and its determinant, drawn row by row: each diagonal entry from {+-1, +-2, +-3}, each
-    entry off it from -3..3."""
-    draw, m = rng.randrange, _zeros(n, n)
-    for i in range(n):
-        m[i][i] = rng.choice(_SCALARS)
-        for j in range(i) if lower else range(i + 1, n):
-            m[i][j] = draw(-3, 4)
-    return m, prod(m[i][i] for i in range(n))
-
-
-def _dual_unit(unit: Unit, c: int) -> Unit:
-    """c A^-T for the unit A = L / l with inverse X / d: c X^T / d, with inverse L^T / (l c)."""
-    l, a, d, x = unit
-    sign = 1 if c > 0 else -1
-    return (d, [[c * e for e in col] for col in zip(*x)], l * abs(c), [[sign * e for e in col] for col in zip(*a)])
-
-
-@dataclass(frozen=True)
-class Minor:
-    """The k x k minor of arrow ``arrow``'s matrix on its first k rows and columns, or its last k if ``trailing``."""
-
-    arrow: int
-    k: int
-    trailing: bool = False
-
-    @property
-    def arrows(self) -> tuple[int, ...]:
-        return (self.arrow,)
-
-    def fault(self, shapes: Sequence[tuple[int, int]]) -> str | None:
-        """Why the form cannot be read on points whose arrows have these ``shapes``, or ``None``."""
-        if not 0 <= self.arrow < len(shapes):
-            return f"no arrow {self.arrow}"
-        rows, cols = shapes[self.arrow]
-        if not 0 <= self.k <= min(rows, cols):
-            return f"no {self.k} x {self.k} minor of arrow {self.arrow}'s {rows} x {cols} matrix"
-        return None
-
-    def __call__(self, point: Point) -> Fraction:
-        return Fraction(*self.ratio(point))
-
-    def ratio(self, point: Point) -> tuple[int, int]:
-        """The value at a point as its undivided pair (n, q), q > 0: the arrow's matrix's ``minor_ratio``."""
-        return ScaledMatrix.of(point[self.arrow]).minor_ratio(self.k, self.trailing)
-
-
-@dataclass(frozen=True)
-class Pairing:
-    """sum_ij a_ij b_ij / divisor, for the matrix a of arrow ``arrow_a`` and b of arrow ``arrow_b``."""
-
-    arrow_a: int
-    arrow_b: int
-    divisor: int
-
-    @property
-    def arrows(self) -> tuple[int, ...]:
-        return (self.arrow_a, self.arrow_b)
-
-    def fault(self, shapes: Sequence[tuple[int, int]]) -> str | None:
-        """Why the form cannot be read on points whose arrows have these ``shapes``, or ``None``."""
-        for a in self.arrows:
-            if not 0 <= a < len(shapes):
-                return f"no arrow {a}"
-        if self.divisor < 1:
-            return f"divisor {self.divisor} is below 1"
-        if shapes[self.arrow_a] != shapes[self.arrow_b]:
-            return f"arrows {self.arrow_a} and {self.arrow_b} have shapes {shapes[self.arrow_a]} and {shapes[self.arrow_b]}"
-        return None
-
-    def __call__(self, point: Point) -> Fraction:
-        return Fraction(*self.ratio(point))
-
-    def ratio(self, point: Point) -> tuple[int, int]:
-        """The value at a point as its undivided pair (n, q), q > 0: for the stored L_a A and L_b B,
-        one integer dot product over L_a L_b divisor."""
-        a, b = ScaledMatrix.of(point[self.arrow_a]), ScaledMatrix.of(point[self.arrow_b])
-        return sum(map(mul, chain(*a.integers), chain(*b.integers))), a.scale * b.scale * self.divisor
-
-
-@dataclass(eq=False)
-class SemiInvariantSpec:
-    """A polynomial function of the matrix entries with a claimed weight.
-
-    ``form`` is the function as data, a ``Minor`` or a ``Pairing``; anything
-    else raises ``ValueError``.  The oracle reads its t-orders by Cauchy-Binet
-    (``MatrixRealization.form_orders``) and its values at rational points from
-    ``form.ratio``.  ``evaluate`` is the form itself, set at construction.
-    """
-
-    name: str
-    claimed_weight: Character
-    form: Minor | Pairing
-    evaluate: Callable[[Point], Fraction] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not isinstance(self.form, (Minor, Pairing)):
-            raise ValueError(f"semi-invariant {self.name} has no Minor or Pairing form")
-        self.evaluate = self.form
-
-
-@dataclass(frozen=True)
-class Curve:
-    """The curve lambda(t) . x0 of a cocharacter lambda through the base point x0,
-    the ranks of its limit at t = 0 per arrow, and the boundary divisor it reaches, if any.
-
-    ``cocharacter`` is lambda's {(factor, diagonal index): exponent} table,
-    given as a dict or as pairs and held as its sorted ((factor, index),
-    exponent) pairs: lambda(t) is diagonal in every factor, with t^e at each
-    listed entry and 1 elsewhere.
-    """
-
-    label: str
-    cocharacter: tuple[tuple[tuple[int, int], int], ...]
-    limit_ranks: tuple[int, ...]
-    boundary: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "cocharacter", tuple(sorted(dict(self.cocharacter).items())))
-
-
-def _factor_sizes(arrows, shapes) -> tuple[int, ...]:
-    """Each factor's size, read off the base point: arrow (s, t) of shape (rows, columns) gives s rows and t columns.
-
-    ``ValueError`` for a factor on no arrow or with two sizes.
-    """
-    sizes: dict[int, int] = {}
-    for (s, t), (rows, cols) in zip(arrows, shapes):
-        for v, n in ((s, rows), (t, cols)):
-            if sizes.setdefault(v, n) != n:
-                raise ValueError(f"factor {v} has sizes {sizes[v]} and {n}")
-    for v in range(1 + max(sizes, default=-1)):
-        if v not in sizes:
-            raise ValueError(f"factor {v} is on no arrow")
-    return tuple(sizes[v] for v in range(len(sizes)))
-
-
-def _lie_basis(sizes, dual_factors) -> tuple[dict[int, tuple[tuple[int, int, int], ...]], ...]:
-    """The Lie algebra of the group with these factor ``sizes`` and ``dual_factors``, as ``MatrixRealization.lie_basis``.
-
-    E_ij at each factor in no dual pair, factor by factor.  Then each dual
-    pair (a, b), whose Lie algebra is the pairs (A, delta I - A^T), spanned by
-    (E_ij, -E_ji) and (0, I).
-    """
-    paired = {v for pair in dual_factors for v in pair}
-    basis = [{v: ((i, j, 1),)} for v, n in enumerate(sizes) if v not in paired for i in range(n) for j in range(n)]
-    for a, b in dual_factors:
-        n = sizes[a]
-        basis += [{a: ((i, j, 1),), b: ((j, i, -1),)} for i in range(n) for j in range(n)]
-        basis.append({b: tuple((k, k, 1) for k in range(n))})
-    return tuple(basis)
-
-
-@dataclass(eq=False)
-class MatrixRealization:
-    """Concrete matrix avatar of a family member, for oracle-level checks.
-
-    A point is one matrix per arrow (s, t) of ``arrows``, and a group element
-    one unit per factor; ``act`` moves X to g_s X g_t^-1.  A stabilizer
-    element (``stabilizer_sampler``) is one factor (l, L) per factor.  ``shapes`` holds
-    the base point's (rows, columns) per arrow, on which every form is checked
-    (``check_forms``), and ``sizes`` each factor's size, read off them.
-    ``borel_lower[v]`` says whether factor v's Borel part is lower (else
-    upper) triangular, and each pair (a, b) of ``dual_factors`` has
-    g_b = c g_a^-T, so g_a^T g_b scalar, on the group.  The group is this
-    data: the samplers (``group_draw``, ``group_sampler``, ``borel_sampler``), the Lie basis
-    (``lie_basis``, each element mapping a factor to a sparse matrix as
-    (i, j, c) triples for c E_ij, taken at construction by ``_lie_basis``)
-    and the closed-form Borel weights (``borel_exponents``) are read off
-    these tables and nothing else.  ``torus[k]`` names the diagonal entries,
-    as (factor, index) pairs, whose ratio is basis character k's value on a
-    Borel element (``torus_exponents``).  ``memo`` keeps results that
-    depend only on the realization, such as ``group_draws``.
-    """
-
-    base_point: Point
-    membership: Callable[[Point], bool]
-    arrows: tuple[tuple[int, int], ...]
-    borel_lower: tuple[bool, ...]
-    expected_orbit_dimension: int
-    stabilizer_sampler: Callable[[random.Random], tuple[Factor, ...]]
-    torus: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
-    dual_factors: tuple[tuple[int, int], ...] = ()
-    semi_invariants: tuple[SemiInvariantSpec, ...] = ()
-    curves: tuple[Curve, ...] = ()
-    shapes: tuple[tuple[int, int], ...] = field(init=False, repr=False)
-    sizes: tuple[int, ...] = field(init=False, repr=False)
-    lie_basis: tuple[dict[int, tuple[tuple[int, int, int], ...]], ...] = field(init=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        for a, x in enumerate(self.base_point):
-            if not isinstance(x, ScaledMatrix) and not len(x):
-                raise ValueError(f"base point arrow {a} is given as no rows, which have no width: give it as a ScaledMatrix")
-        if not self.membership(self.base_point):
-            raise ValueError("base point fails the membership predicate")
-        self.shapes = tuple(ScaledMatrix.of(x).shape for x in self.base_point)
-        self.sizes = factors = _factor_sizes(self.arrows, self.shapes)
-        if len(self.borel_lower) != len(factors):
-            raise ValueError(f"borel_lower has {len(self.borel_lower)} entries for {len(factors)} factors")
-        paired: set[int] = set()
-        for a, b in self.dual_factors:
-            if not (0 <= a < len(factors) and 0 <= b < len(factors)):
-                raise ValueError(f"dual factors {(a, b)} name a factor with no Borel orientation")
-            if self.borel_lower[a] == self.borel_lower[b]:
-                raise ValueError(f"dual factors {(a, b)} have the same Borel orientation")
-            if not a < b or factors[a] != factors[b] or paired & {a, b}:
-                raise ValueError(f"dual factors {(a, b)} are not two unpaired factors of one size, in factor order")
-            paired |= {a, b}
-        self.lie_basis = _lie_basis(factors, self.dual_factors)
-        self.check_forms(self.semi_invariants)
-        # Cauchy-Binet reads a form's arrows on each curve as monomial matrices: at most one nonzero entry per row and column.
-        for a in {a for f in self.semi_invariants for a in f.form.arrows} if self.curves else ():
-            x = ScaledMatrix.of(self.base_point[a]).integers
-            if any(sum(map(bool, line)) > 1 for line in (*x, *zip(*x))):
-                raise ValueError(f"base point is not monomial on arrow {a}")
-
-    def group_draw(self, rng: random.Random, borel: bool = False) -> Draw:
-        """A random group element as drawn, nothing inverted: per factor (A, det A) for A with entries in
-        +-``_GENERIC_RANGE``, redrawn while singular, or triangular as ``borel_lower`` says if ``borel``, but the
-        scalar c of g_b = c g_a^-T at the second factor b of each dual pair (a, b)."""
-        duals, lower = {b for _, b in self.dual_factors}, self.borel_lower
-        return tuple(
-            rng.choice(_SCALARS) if v in duals
-            else _rand_triangular(rng, n, lower[v]) if borel
-            else _rand_nonsingular(rng, n, _GENERIC_RANGE)
-            for v, n in enumerate(self.sizes)
-        )
-
-    def element(self, draw: Draw) -> GroupElement:
-        """The units of a draw: (1, A, d, X) with A^-1 = X / d (``integer_inverse``) per generic factor, and
-        c g_a^-T (``_dual_unit``) at the second factor of each dual pair."""
-        duals, g = {b: a for a, b in self.dual_factors}, []
-        for v, f in enumerate(draw):
-            g.append(_dual_unit(g[duals[v]], f) if v in duals else _unit(f[0]))
-        return tuple(g)
-
-    def group_sampler(self, rng: random.Random) -> GroupElement:
-        """A random group element as units: the ``element`` of a ``group_draw``."""
-        return self.element(self.group_draw(rng))
-
-    def borel_sampler(self, rng: random.Random) -> GroupElement:
-        """A random Borel element as units: the ``element`` of a triangular ``group_draw``."""
-        return self.element(self.group_draw(rng, borel=True))
-
-    def check_forms(self, functions) -> None:
-        """``ValueError`` naming the first semi-invariant whose form cannot be read on points of ``shapes``."""
-        for f in functions:
-            fault = f.form.fault(self.shapes)
-            if fault is not None:
-                raise ValueError(f"semi-invariant {f.name}: {fault}")
-
-    def curve(self, label: str) -> Curve:
-        for c in self.curves:
-            if c.label == label:
-                return c
-        raise KeyError(f"unknown curve {label!r}")
-
-    def memo(self, key, compute: Callable[[], object]):
-        """compute(), run once per realization and key."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    def group_draws(self, trials: int, seed: int) -> tuple[Draw, ...]:
-        """The first ``trials`` elements ``group_draw`` draws from ``Random(seed)``, drawn once; their units are the
-        ones ``group_sampler`` gives on the same stream."""
-
-        def draw():
-            rng = random.Random(seed)
-            return tuple(self.group_draw(rng) for _ in range(trials))
-
-        return self.memo(("group_draws", trials, seed), draw)
-
-    def _base_entries(self, arrow: int) -> tuple[tuple[int, int, int], ...]:
-        """(i, j, c) per nonzero entry c of the base point's integers at ``arrow``, by row, taken once."""
-
-        def entries():
-            x = ScaledMatrix.of(self.base_point[arrow]).integers
-            return tuple((i, j, c) for i, r in enumerate(x) for j, c in enumerate(r) if c)
-
-        return self.memo(("base_entries", arrow), entries)
-
-    def monomial_entries(self, curve_label: str, arrow: int) -> tuple[tuple[int, int, int, int], ...]:
-        """(i, j, c, e) per entry c t^e of the curve lambda(t) . x0 at ``arrow`` (s, t), by row, taken once.
-
-        c is the base point's nonzero entry at (i, j), as stored, and e is
-        lambda_s(i) - lambda_t(j).
-        """
-
-        def entries():
-            lam, (s, t) = dict(self.curve(curve_label).cocharacter), self.arrows[arrow]
-            return tuple((i, j, c, lam.get((s, i), 0) - lam.get((t, j), 0)) for i, j, c in self._base_entries(arrow))
-
-        return self.memo(("monomial_entries", curve_label, arrow), entries)
-
-    def form_orders(self, forms, curve_label: str, trials: int, seed: int) -> list[list[int | None]]:
-        """Per form (``Minor`` or ``Pairing``), its t-order on each seeded translate g . curve, ``None`` where it
-        vanishes: the power of its ``lowest_terms``."""
-        lowest = self.lowest_terms(forms, curve_label, trials, seed)
-        return [[None if term is None else term[0] for term in terms] for terms in lowest]
-
-    def lowest_terms(self, forms, curve_label: str, trials: int, seed: int) -> list[list[tuple[int, int] | None]]:
-        """Per form, its lowest term (e, c) on each seeded translate g . curve, ``None`` where the form vanishes.
-
-        c t^e is the lowest nonzero term of the form's undivided value
-        (``form.ratio``) on the translate as ``act`` stores it, for the units
-        of ``group_draws(trials, seed)``; no translate and no unit is built.
-        At an arrow (s, t) a translate is L X R over a positive scale, for the
-        units L of g_s and R of g_t^-1 and the curve's monomial X
-        (``monomial_entries``), so by Cauchy-Binet its minor on the rows and
-        columns K is sum_I det L[K, I] det X[I, J] det R[J, K] over the
-        k-subsets I of X's nonzero rows, J being their columns.  A generic
-        factor has L = A and R = d A^-1 (d = |det A|); the second of a dual
-        pair (a, b), drawn as c, has L = c (d_a A_a^-1)^T and R = sign(c) A_a^T.
-        A minor of A is read off A's rows K, and one of d A^-1 by Jacobi's
-        identity, det (d A^-1)[J, K] = sgn(det A) (-1)^(sum J + sum K)
-        d^(k-1) det A[K^c, J^c], off its rows K^c (``_row_minors``, a table
-        per draw, factor and rows, or ``_complement_minors`` where cheaper);
-        the curve's terms fold in J^c and (-1)^(sum J) (``_minor_terms``),
-        and the rest once per form and draw (``_scalars``).  A ``Pairing`` of
-        arrows a, b is sum x_ab y_cd P[a][c] Q[b][d] for P = L_a^T L_b and
-        Q = R_a R_b^T: p I and q I on dual pairs, p = c d_a and
-        q = sign(c') d_b (``_dual_pairing_terms``), else two Gram tables of
-        the draw's units (``element``).  The order is the least power whose
-        integer coefficient c is nonzero.
-        """
-        if not forms:
-            return []
-        plans = [self.memo(("plan", curve_label, form), lambda: self._plan(form, curve_label)) for form in forms]
-        tables = self.memo(("draw_tables", trials, seed), lambda: [{} for _ in range(trials)])
-        lowest: list[list[tuple[int, int] | None]] = [[] for _ in forms]
-        for draw, cache in zip(self.group_draws(trials, seed), tables):
-            for (left_key, right_key, sign, scalars, groups), form_terms in zip(plans, lowest):
-                for key in (left_key, right_key):
-                    if key not in cache:
-                        cache[key] = self._draw_table(draw, key, cache)
-                left, right, term = cache[left_key], cache[right_key], None
-                for e, terms in groups:
-                    coefficient = sum([left[i] * c * right[j] for i, j, c in terms])
-                    if coefficient:
-                        term = (e, _scalars(draw, sign * coefficient, scalars))
-                        break
-                form_terms.append(term)
-        return lowest
-
-    def _plan(self, form, curve_label: str) -> tuple:
-        """How ``lowest_terms`` reads ``form`` on the curve: the keys of its left and right draw tables
-        (``_draw_table``), its sign and per-draw scalars (``_scalars``) and its terms by power of t."""
-        duals = {b: a for a, b in self.dual_factors}
-        if isinstance(form, Pairing):
-            x, y = (self.monomial_entries(curve_label, a) for a in form.arrows)
-            (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
-            if not self._on_dual_pairs(form):
-                return ("gram_columns", sa, sb), ("gram_rows", ta, tb), 1, (), _pairing_terms(x, y)
-            # p = c d_a and q = sign(c') d_b, c and c' the scalars of each pair's second factor.
-            b, b2 = max(sa, sb), max(ta, tb)
-            scalars = ((b, 1, 0), (duals[b], 1, 1), (b2, 0, 1), (duals[b2], 1, 1))
-            return ("one",), ("one",), 1, scalars, _dual_pairing_terms(x, y)
-        x = self.monomial_entries(curve_label, form.arrow)
-        (s, t), k, (rows, cols) = self.arrows[form.arrow], form.k, self.shapes[form.arrow]
-        if k == 0:
-            return ("one",), ("one",), 1, (), [(0, [(0, 0, 1)])]
-        lead, full = not form.trailing, [(1 << rows) - 1, (1 << cols) - 1]
-        # (-1)^(sum K) for K the first or the last k of n indices.
-        turn = [(-1) ** ((0 if lead else k * (n - k)) + k * (k - 1) // 2) for n in (rows, cols)]
-        # det L_s[K, I]: forward on A_s, or through Jacobi on c (d_a A_a^-1)^T at a dual pair's second factor.
-        if s in duals:
-            left, sign, scalars = ("minors", duals[s], not lead, full[0]), turn[0], [(s, k, 0), (duals[s], k - 1, k)]
-        else:
-            left, sign, scalars, full[0] = ("minors", s, lead, sum({1 << e[0] for e in x})), 1, [], 0
-        # det R_t[J, K]: through Jacobi on d A_t^-1, or forward on sign(c) A_a^T at a dual pair's second factor.
-        if t in duals:
-            right, full[1] = ("minors", duals[t], lead, sum({1 << e[1] for e in x})), 0
-            scalars.append((t, 0, k))
-        else:
-            right, sign = ("minors", t, not lead, full[1]), sign * turn[1]
-            scalars.append((t, k - 1, k))
-        terms = self.memo(("minor_terms", curve_label, form.arrow, k, *full), lambda: _minor_terms(x, k, *full))
-        keys = [left, right]
-        for side, n in enumerate((rows, cols)):
-            # A Jacobi side needs det A[K^c, J^c] only for the J^c its terms name: one row_determinant each (about
-            # (n - k)^3 steps, 32 for the call) where the table on all 2^n column subsets, shared by every k, costs more.
-            masks = tuple(sorted({term[side] for _, group in terms for term in group}))
-            if full[side] and len(masks) * ((n - k) ** 3 + 32) < 1 << n:
-                keys[side] = ("complements", *keys[side][1:3], masks)
-        return *keys, sign, tuple(scalars), terms
-
-    def _draw_table(self, draw: Draw, key: tuple, cache: dict) -> dict:
-        """One table of ``lowest_terms`` for a draw, named by ``key``: ("minors", v, top, columns) for
-        ``_row_minors`` of factor v's A, ("complements", v, top, masks) for its entries on ``masks`` alone,
-        ("gram_columns", f, h) and ("gram_rows", f, h) for L_f^T L_h and R_f R_h^T of
-        the draw's units (``element``, taken once per draw), keyed by (row, column), and ("one",) for {0: 1}."""
-        kind, *args = key
-        if kind == "minors":
-            v, top, columns = args
-            return _row_minors(draw[v][0], columns, top)
-        if kind == "complements":
-            v, top, masks = args
-            return _complement_minors(draw[v][0], masks, top)
-        if kind == "one":
-            return {0: 1}
-        if "element" not in cache:
-            cache["element"] = self.element(draw)
-        g, (f, h) = cache["element"], args
-        a, b = (list(zip(*g[f][1])), list(zip(*g[h][1]))) if kind == "gram_columns" else (g[f][3], g[h][3])
-        return {(i, j): sum(map(mul, p, q)) for i, p in enumerate(a) for j, q in enumerate(b)}
-
-    def act(self, g: GroupElement, point: Point) -> Point:
-        """g . X = g_s X g_t^-1 at each arrow (s, t)."""
-        return tuple(_translate(g[s][:2], x, g[t][2:]) for (s, t), x in zip(self.arrows, point))
-
-    def fixes_base_point(self, g) -> bool:
-        """Whether g . x0 = x0, exactly: g_s X g_t^-1 = X at each arrow (s, t), tested as l_t L_s X = l_s X L_t.
-
-        g is a tuple of factors (l, L), or of units, whose first halves are
-        read; X is the base point's integers, read at their nonzero entries.
-        """
-        return self._fixes([unit[:2] for unit in g])
-
-    def bump_moves_base_point(self, g) -> bool:
-        """Whether some bump of g (as ``fixes_base_point`` reads it) moves the base point: the negative control.
-
-        A bump raises one entry of one factor by 1, L / l becoming
-        (L + l E_ij) / l, walked factor by factor, then row-major, up to the
-        first that moves the base point.  A bump with
-        det(L + l E_ij) = det L + l C_ij(L) = 0, C_ij the (i, j) cofactor of L,
-        makes its factor singular and is skipped (one ``row_determinant``);
-        every other is tested as ``fixes_base_point`` tests g.
-        """
-        forward = [unit[:2] for unit in g]
-        for k, (l, big_l) in enumerate(forward):
-            for i, row in enumerate(big_l):
-                for j in range(len(row)):
-                    bumped = list(big_l)
-                    bumped[i] = list(row)
-                    bumped[i][j] += l
-                    if row_determinant(bumped) and not self._fixes(forward[:k] + [(l, bumped)] + forward[k + 1 :]):
-                        return True
-        return False
-
-    def _fixes(self, forward) -> bool:
-        """``fixes_base_point`` for the factors L / l given as (l, L) in ``forward``, one per factor."""
-        for arrow, ((s, t), (rows, cols)) in enumerate(zip(self.arrows, self.shapes)):
-            (ls, left), (lt, right) = forward[s], forward[t]
-            # l_t L_s X - l_s X L_t: X's entry c at (i, j) adds c L_s's column i to column j and c L_t's row j to row i.
-            diff = _zeros(rows, cols)
-            for i, j, c in self._base_entries(arrow):
-                a, b = lt * c, ls * c
-                for out, e in zip(diff, (r[i] for r in left)):
-                    out[j] += a * e
-                out = diff[i]
-                for h, e in enumerate(right[j]):
-                    out[h] -= b * e
-            if any(map(any, diff)):
-                return False
-        return True
-
-    def tangent_rows(self, point: Point) -> list[dict[int, int]]:
-        """Per ``lie_basis`` element A, the tangent A_s X - X A_t at each arrow (s, t), times X's scale.
-
-        A ``{column: int}`` dict that stores no zero, the arrows' entries numbered row-major, arrow by arrow.
-        Only X's nonzero entries are read: c E_ij moves X's row j to row i (left) and column i to column j (right).
-        """
-        blocks, offset = [], 0
-        for (s, t), x in zip(self.arrows, map(ScaledMatrix.of, point)):
-            (height, cols), by_row, by_col = x.shape, {}, {}
-            for k, r in enumerate(x.integers):
-                for h, e in enumerate(r):
-                    if e:
-                        by_row.setdefault(k, []).append((offset + h, e))
-                        by_col.setdefault(h, []).append((offset + k * cols, e))
-            blocks.append((s, t, cols, by_row, by_col))
-            offset += height * cols
-        rows = []
-        for element in self.lie_basis:
-            row: dict[int, int] = {}
-            for s, t, cols, by_row, by_col in blocks:
-                for i, j, c in element.get(s, ()):
-                    for col, e in by_row.get(j, ()):
-                        row[col + i * cols] = row.get(col + i * cols, 0) + c * e
-                for i, j, c in element.get(t, ()):
-                    for col, e in by_col.get(i, ()):
-                        row[col + j] = row.get(col + j, 0) - c * e
-            rows.append({col: e for col, e in row.items() if e})
-        return rows
-
-    def torus_exponents(self, chi: Character) -> dict[tuple[int, int], int]:
-        """chi on a Borel element as ``torus`` reads it: the exponent of each diagonal entry (factor, index), zeros dropped."""
-        exponents: dict[tuple[int, int], int] = {}
-        for c, (top, bottom) in zip(chi.coords, self.torus):
-            exponents[top] = exponents.get(top, 0) + c
-            exponents[bottom] = exponents.get(bottom, 0) - c
-        return {entry: e for entry, e in exponents.items() if e}
-
-    def borel_exponents(self, form) -> dict[tuple[int, int], int] | None:
-        """``form``'s weight read off the Borel's triangular shape, as ``torus_exponents`` gives one, or ``None``.
-
-        A Borel element moves arrow (s, t)'s X to g_s X g_t^-1.  With g_s lower
-        and g_t upper triangular (``borel_lower``) a leading k x k minor
-        rescales by g_s's first k diagonal entries over g_t's; with both
-        swapped a trailing minor does, by the last k.  A ``Pairing``
-        tr(A^T B) / divisor rescales by c_s / c_t when g_sa^T g_sb = c_s I and
-        g_ta^T g_tb = c_t I (``dual_factors``), each c being the product of
-        its pair's (0, 0) entries.  Anything else gives ``None``.
-        """
-        lower = self.borel_lower
-        if isinstance(form, Minor):
-            (s, t), k = self.arrows[form.arrow], form.k
-            if lower[s] == lower[t] or lower[s] == form.trailing:
-                return None
-            rows, cols = self.shapes[form.arrow] if form.trailing else (k, k)
-            return {**{(s, i): 1 for i in range(rows - k, rows)}, **{(t, j): -1 for j in range(cols - k, cols)}}
-        if not self._on_dual_pairs(form):
-            return None
-        (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
-        exponents: dict[tuple[int, int], int] = {}
-        for factor, e in ((sa, 1), (sb, 1), (ta, -1), (tb, -1)):
-            exponents[factor, 0] = exponents.get((factor, 0), 0) + e
-        return {entry: e for entry, e in exponents.items() if e}
-
-    def root_move(self, form, point: Point) -> tuple[int, int, int] | None:
-        """(v, i, j) for the first root element u = I + E_ij of the Borel that changes ``form`` at ``point``, or ``None``.
-
-        u sits at factor v, below the diagonal if ``borel_lower[v]`` and above
-        it otherwise, and u^-T at v's partner w in ``dual_factors``; the roots
-        are tried factor by factor, the highest first.  u moves X at (s, t) by
-        row i += row j at s = v, column j -= column i at t = v, row j -= row i
-        at s = w and column i += column j at t = w.
-        """
-        value, partner = form.ratio(point), dict(self.dual_factors)
-        seconds = set(partner.values())
-        for v, n in enumerate(self.sizes):
-            w, lower = partner.get(v), self.borel_lower[v]
-            if v in seconds or not any({v, w} & set(self.arrows[a]) for a in form.arrows):
-                continue
-            for h in range(n - 1, 0, -1):
-                for i, j in ((i, i - h) for i in range(h, n)) if lower else ((i, i + h) for i in range(n - h)):
-                    moved = list(point)
-                    for a in form.arrows:
-                        (s, t), x = self.arrows[a], ScaledMatrix.of(point[a])
-                        y = [list(r) for r in x.integers]
-                        if s == v:
-                            y[i] = [p + q for p, q in zip(y[i], y[j])]
-                        if s == w:
-                            y[j] = [p - q for p, q in zip(y[j], y[i])]
-                        for r in y:
-                            if t == v:
-                                r[j] -= r[i]
-                            if t == w:
-                                r[i] += r[j]
-                        moved[a] = ScaledMatrix(x.scale, x.shape, y)
-                    if form.ratio(moved) != value:
-                        return v, i, j
-        return None
-
-    def _on_dual_pairs(self, form: Pairing) -> bool:
-        """Whether the ``Pairing``'s two sources are a pair of ``dual_factors``, and its two targets too."""
-        (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
-        dual = {frozenset(pair) for pair in self.dual_factors}
-        return {sa, sb} in dual and {ta, tb} in dual
-
-
-def _minor_terms(entries, k: int, left_full: int = 0, right_full: int = 0) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """Per power e of t, ascending, the (I, J, c) with det X[I, J] = c t^e over the k-subsets I of X's nonzero rows.
-
-    X is monomial, given by its (i, j, c, e) ``entries`` in row order; J is
-    the columns of I's entries, and c carries the sign of the permutation
-    that sorts them.  I and J are bitmasks; a side read through Jacobi's
-    identity gives the mask of all its indices (``left_full``, ``right_full``),
-    and its key is then the complement of its set S, c carrying (-1)^(sum S).
-    """
-    groups: dict[int, list] = {}
-    for chosen in combinations(entries, k):
-        rows, cols, coefficients, powers = zip(*chosen) if chosen else ((),) * 4
-        flips = sum(a > b for n, a in enumerate(cols) for b in cols[n + 1 :])
-        flips += (sum(rows) if left_full else 0) + (sum(cols) if right_full else 0)
-        coefficient = -prod(coefficients) if flips % 2 else prod(coefficients)
-        left, right = sum(1 << i for i in rows) ^ left_full, sum(1 << j for j in cols) ^ right_full
-        groups.setdefault(sum(powers), []).append((left, right, coefficient))
-    return sorted(groups.items())
-
-
-def _pairing_terms(x_entries, y_entries) -> list[tuple[int, list[tuple[tuple[int, int], tuple[int, int], int]]]]:
-    """Per power e of t, ascending, the ((a, c), (b, d), x y) over the entries x t^f at (a, b) of X and y t^g
-    at (c, d) of Y with f + g = e, for monomial X and Y given by their (i, j, c, e) entries."""
-    groups: dict[int, list] = {}
-    for a, b, x, f in x_entries:
-        for c, d, y, g in y_entries:
-            groups.setdefault(f + g, []).append(((a, c), (b, d), x * y))
-    return sorted(groups.items())
-
-
-def _dual_pairing_terms(x_entries, y_entries) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """``_pairing_terms`` where both Gram tables are scalar, p I and q I, and read as the table {0: 1}: per power e
-    of t, ascending, the one term (0, 0, s) for the sum s of x y over X's and Y's entries at one position with
-    f + g = e, powers with s = 0 left out."""
-    y_at = {(c, d): (y, g) for c, d, y, g in y_entries}
-    sums: dict[int, int] = {}
-    for a, b, x, f in x_entries:
-        if (a, b) in y_at:
-            y, g = y_at[a, b]
-            sums[f + g] = sums.get(f + g, 0) + x * y
-    return [(e, [(0, 0, total)]) for e, total in sorted(sums.items()) if total]
-
-
-def _row_minors(rows, columns: int, top: bool) -> dict[int, int]:
-    """det of ``rows``' first j rows (``top``), or of its last j, on every j-subset of the columns in the bitmask
-    ``columns``, keyed by its bitmask, for every j up to their number; each is expanded along the row its block
-    adds to the one a size smaller, its last in a top block and its first in a bottom one."""
-    indices = [j for j in range(columns.bit_length()) if columns >> j & 1]
-    minors, height = {0: 1}, len(rows)
-    for size in range(1, len(indices) + 1):
-        row, shift = (rows[size - 1], size - 1) if top else (rows[height - size], 0)
-        for chosen in combinations(indices, size):
-            mask = sum(1 << j for j in chosen)
-            total = 0
-            for pos, j in enumerate(chosen):
-                if row[j]:
-                    term = row[j] * minors[mask ^ 1 << j]
-                    total += -term if (shift + pos) & 1 else term
-            minors[mask] = total
-    return minors
-
-
-def _complement_minors(rows, masks, top: bool) -> dict[int, int]:
-    """The entries of ``_row_minors`` keyed by ``masks``, one ``row_determinant`` each."""
-    minors = {}
-    for mask in masks:
-        columns = [j for j in range(mask.bit_length()) if mask >> j & 1]
-        block = rows[: len(columns)] if top else rows[len(rows) - len(columns) :]
-        minors[mask] = row_determinant([[row[j] for j in columns] for row in block])
-    return minors
-
-
-def _scalars(draw: Draw, sign: int, scalars) -> int:
-    """``sign`` times x^e sgn(x)^f for each (v, e, f) of a plan of ``lowest_terms``, x being factor v's det A or c:
-    sgn(det A) |det A|^(k-1) is (v, k - 1, k), |det A| is (v, 1, 1), c^k is (v, k, 0) and sign(c)^k is (v, 0, k)."""
-    for v, e, f in scalars:
-        x = draw[v] if isinstance(draw[v], int) else draw[v][1]
-        sign *= -(x**e) if x < 0 and f % 2 else x**e
-    return sign
-
-
-def _translate(left: tuple[int, list[list[int]]], x, right: tuple[int, list[list[int]]]) -> ScaledMatrix:
-    """(L / l) x (R / r) for integer forms left = (l, L) and right = (r, R), l, r > 0.
-
-    x (``ScaledMatrix.of``) is kept as its nonzero rows K.  Row k of X R is
-    c times R's row l if (k, l) holds the row's one nonzero entry c, as in
-    base points, else the row against R's columns.  The result, L[:, K]
-    (X[K] R), over the scale l L_x r, is taken in integer row-column
-    products; a zero x's columns are empty.
-    """
-    (left_scale, left), (right_scale, right) = left, right
-    x = ScaledMatrix.of(x)
-    shape, right_columns = (len(left), len(right[0]) if right else 0), list(zip(*right))
-    picked, middle = [], []
-    for k, x_row in enumerate(x.integers):
-        nonzero = [l for l, c in enumerate(x_row) if c]
-        if len(nonzero) == 1:
-            c, row = x_row[nonzero[0]], right[nonzero[0]]
-            middle.append(row if c == 1 else [c * y for y in row])
-        elif nonzero:
-            middle.append([sum(map(mul, x_row, col)) for col in right_columns])
-        else:
-            continue
-        picked.append(k)
-    columns = list(zip(*middle)) or [()] * shape[1]
-    rows = left if len(picked) == len(x.integers) else ([r[k] for k in picked] for r in left)
-    return ScaledMatrix(left_scale * x.scale * right_scale, shape, [[sum(map(mul, r, col)) for col in columns] for r in rows])
-
-
-def _monomial_matrix(rows: int, cols: int, ones) -> ScaledMatrix:
-    """The rows x cols matrix with a 1 at each (i, j) of ``ones`` and zeros elsewhere, on scale 1."""
-    matrix = _zeros(rows, cols)
-    for i, j in ones:
-        matrix[i][j] = 1
-    return ScaledMatrix(1, (rows, cols), matrix)
-
-
 # ---------------------------------------------------------------------------
 # The dilation monoid.
-
-
-def monoid_model(m: int) -> tuple[SphericalDivisorModel, MatrixRealization]:
-    """Divisor model and matrix realization of the rank-m dilation monoid."""
-    model = _monoid_model(m)
-    return model, _monoid_realization(m, model)
 
 
 def _monoid_coroots(m: int) -> dict[str, dict[int, int]]:
@@ -919,9 +105,6 @@ def _valuation(lattice: TorusLattice, torus, cocharacter: dict[tuple[int, int], 
 
 
 def _monoid_model(m: int) -> SphericalDivisorModel:
-    if m < 1:
-        raise FamilyParameterError("monoid requires m >= 1")
-
     labels = tuple(f"eps_{k}" for k in range(1, m + 2))
     lattice = TorusLattice(labels)
     basis = tuple(lattice.basis_character(lab) for lab in labels)
@@ -1002,6 +185,14 @@ def _monoid_realization(m: int, model: SphericalDivisorModel) -> MatrixRealizati
     )
 
 
+def _monoid(m: int):
+    """The rank-m dilation monoid's model, realization and wonderful data, as ``build_family`` takes them."""
+    if m < 1:
+        raise FamilyParameterError("monoid requires m >= 1")
+    model = _monoid_model(m)
+    return model, lambda: _monoid_realization(m, model), lambda: _monoid_wonderful(m)
+
+
 # ---------------------------------------------------------------------------
 # Quiver realizations: prod GL(dims) acting on the arrow spaces of a quiver.
 
@@ -1057,13 +248,6 @@ def _circular_parameters(m: int, n: int, r: int, s: int) -> tuple[int, int, int,
     if (r, s) in {(0, 0), (m, 0), (0, m)}:
         raise FamilyParameterError(f"(r, s) = {(r, s)} is a degenerate case with no model")
     return m, n, r, s
-
-
-def circular_complexes_model(m: int, n: int, r: int, s: int) -> tuple[SphericalDivisorModel, MatrixRealization]:
-    """Divisor model and realization for pairs (A, B) with AB = BA = 0 and rank bounds."""
-    m, n, r, s = _circular_parameters(m, n, r, s)
-    model = _circular_model(m, n, r, s)
-    return model, _circular_realization(m, n, r, s, model)
 
 
 def _circular_model(m: int, n: int, r: int, s: int) -> SphericalDivisorModel:
@@ -1188,6 +372,13 @@ def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDiviso
     )
 
 
+def _circular(m: int, n: int, r: int, s: int):
+    """The model, realization and wonderful data of pairs (A, B) with AB = BA = 0 and rank bounds."""
+    m, n, r, s = _circular_parameters(m, n, r, s)
+    model = _circular_model(m, n, r, s)
+    return model, lambda: _circular_realization(m, n, r, s, model), lambda: _circular_wonderful(m, n, r, s)
+
+
 def _block_matrix(blocks, row_sizes: Sequence[int], col_sizes: Sequence[int]) -> list[list[int]]:
     """The integer matrix of a grid of blocks, ``None`` for a zero block."""
     rows = []
@@ -1232,26 +423,8 @@ def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: in
 # Determinantal varieties.
 
 
-def determinantal_realization(m: int, n: int, r: int) -> tuple[MatrixRealization, SphericalDivisorModel]:
-    """Matrix realization plus the divisor model of the m x n matrices of rank <= r."""
-    model = _determinantal_model(m, n, r)
-    return _determinantal_realization(m, n, r, model.weight_lattice), model
-
-
-def _determinantal_model(m: int, n: int, r: int) -> SphericalDivisorModel:
-    """The circular model at s = 0, in closed form: it has no boundary divisor.
-
-    The complement of the open orbit is the rank <= r - 1 locus, of dimension
-    (r - 1)(m + n - r + 1) and so of codimension m + n - 2r + 1 >= 3 (Bruns-Vetter,
-    *Determinantal Rings*, LNM 1327, 1988), so it holds no divisor.
-    """
-    if not 0 < r < min(m, n):
-        raise FamilyParameterError("determinantal requires 0 < r < min(m, n)")
-    return _circular_model(m, n, r, 0)
-
-
-def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) -> MatrixRealization:
-    semi = []
+def _determinantal_realization(m: int, n: int, r: int, model: SphericalDivisorModel) -> MatrixRealization:
+    lattice, semi = model.weight_lattice, []
     for i in range(1, r + 1):
         chi = lattice.character([1 if k < i else 0 for k in range(r)])
         semi.append(SemiInvariantSpec(f"Delta_{i}", chi, Minor(0, i)))
@@ -1270,6 +443,21 @@ def _determinantal_realization(m: int, n: int, r: int, lattice: TorusLattice) ->
     )
 
 
+def _determinantal(m: int, n: int, r: int):
+    """The model, realization and wonderful data of the m x n matrices of rank <= r.
+
+    The model is the circular one at s = 0, in closed form: it has no
+    boundary divisor.  The complement of the open orbit is the rank <= r - 1
+    locus, of dimension (r - 1)(m + n - r + 1) and so of codimension
+    m + n - 2r + 1 >= 3 (Bruns-Vetter, *Determinantal Rings*, LNM 1327, 1988),
+    so it holds no divisor.
+    """
+    if not 0 < r < min(m, n):
+        raise FamilyParameterError("determinantal requires 0 < r < min(m, n)")
+    model = _circular_model(m, n, r, 0)
+    return model, lambda: _determinantal_realization(m, n, r, model), lambda: _circular_wonderful(m, n, r, 0)
+
+
 def finalize_determinantal_model(
     model: SphericalDivisorModel, realization: MatrixRealization, trials: int = 8, seed: int = 0
 ) -> SphericalDivisorModel:
@@ -1278,11 +466,9 @@ def finalize_determinantal_model(
     The orbit of each such curve's limit at t = 0 is measured with the
     Jacobian-rank oracle, and one of codimension 1 raises ``ValueError``: the
     determinantal model is built in closed form with no boundary divisor
-    (``_determinantal_model``).  ``trials`` and ``seed`` are not read, and
+    (``_determinantal``).  ``trials`` and ``seed`` are not read, and
     nothing in the package calls this check.
     """
-    from . import oracle
-
     base_dim = oracle.base_orbit_dimension(realization)
     for c in (c for c in realization.curves if c.boundary is not None):
         limit = oracle.curve_signature(realization, c.label).limit_point
@@ -1295,14 +481,8 @@ def finalize_determinantal_model(
 # Varieties of complexes (realization only).
 
 
-def _check_complexes_parameters(l: int, m: int, n: int, r: int, s: int) -> None:
-    if not (0 <= r <= l and 0 <= s <= n and r + s <= m):
-        raise FamilyParameterError("complexes requires 0 <= r <= l, 0 <= s <= n, r + s <= m")
-
-
-def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixRealization:
+def _complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixRealization:
     """Pairs (A, B) in Mat(l,m) x Mat(m,n) with rk A <= r, rk B <= s, AB = 0."""
-    _check_complexes_parameters(l, m, n, r, s)
 
     def stabilizer_sampler(rng: random.Random) -> tuple[Factor, ...]:
         a11 = _rand_nonsingular(rng, r)[0]
@@ -1337,6 +517,13 @@ def complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReali
     )
 
 
+def _complexes(l: int, m: int, n: int, r: int, s: int):
+    """No model, the realization and no wonderful data: the varieties of complexes have a realization only."""
+    if not (0 <= r <= l and 0 <= s <= n and r + s <= m):
+        raise FamilyParameterError("complexes requires 0 <= r <= l, 0 <= s <= n, r + s <= m")
+    return None, lambda: _complexes_realization(l, m, n, r, s), None
+
+
 # ---------------------------------------------------------------------------
 # Wonderful-compactification coroot data for the families.
 
@@ -1357,9 +544,8 @@ def _wonderful(labels: tuple[str, ...], table: dict[str, tuple[dict[int, int], .
     return WonderfulModel(lattice, tuple((lab, tuple(cov(c) for c in cors)) for lab, cors in table.items()))
 
 
-def monoid_wonderful(m: int) -> WonderfulModel:
-    if m < 1:
-        raise FamilyParameterError("monoid requires m >= 1")
+def _monoid_wonderful(m: int) -> WonderfulModel:
+    """Wonderful data of the rank-m dilation monoid (no checks)."""
     labels = tuple(f"eps_{k}_1" for k in range(1, m + 2)) + tuple(f"eps_{k}_2" for k in range(1, m + 2))
     # D_i pairs -alpha_i^vee on the first copy with alpha_i^vee on the second.
     return _wonderful(
@@ -1369,10 +555,6 @@ def monoid_wonderful(m: int) -> WonderfulModel:
             for lab, coroot in _monoid_coroots(m).items()
         },
     )
-
-
-def circular_wonderful(m: int, n: int, r: int, s: int) -> WonderfulModel:
-    return _circular_wonderful(*_circular_parameters(m, n, r, s))
 
 
 def _circular_wonderful(m: int, n: int, r: int, s: int) -> WonderfulModel:
@@ -1386,20 +568,23 @@ def _circular_wonderful(m: int, n: int, r: int, s: int) -> WonderfulModel:
 #                            determinantal:m,n,r  complexes:l,m,n,r,s
 
 
-_FAMILY_PARAMS = {
-    "monoid": ("m",),
-    "circular": ("m", "n", "r", "s"),
-    "determinantal": ("m", "n", "r"),
-    "complexes": ("l", "m", "n", "r", "s"),
+# Per family, its parameter names and its member builder: the parameters in,
+# checked, and (model, realization thunk, wonderful thunk) out, ``None`` for
+# what the family has not.
+_FAMILIES = {
+    "monoid": (("m",), _monoid),
+    "circular": (("m", "n", "r", "s"), _circular),
+    "determinantal": (("m", "n", "r"), _determinantal),
+    "complexes": (("l", "m", "n", "r", "s"), _complexes),
 }
 
 
 def parse_family_spec(text: str) -> tuple[str, dict[str, int]]:
     name, sep, rest = text.partition(":")
     name = name.strip()
-    if name not in _FAMILY_PARAMS:
+    if name not in _FAMILIES:
         raise FamilyParameterError(f"unknown family {name!r}")
-    wanted = _FAMILY_PARAMS[name]
+    wanted = _FAMILIES[name][0]
     if not sep or not rest.strip():
         raise FamilyParameterError(f"family {name} requires parameters {','.join(wanted)}")
     params: dict[str, int] = {}
@@ -1482,28 +667,8 @@ def build_family(spec: str, trials: int = 8, seed: int = 0) -> FamilyBundle:
     accepted and do not affect the bundle: no model is built with the oracle.
     """
     name, params = parse_family_spec(spec)
-    if name == "monoid":
-        m = params["m"]
-        model = _monoid_model(m)
-        return FamilyBundle(name, params, lambda: _monoid_realization(m, model), model, lambda: monoid_wonderful(m))
-    if name == "circular":
-        m, n, r, s = _circular_parameters(**params)
-        model = _circular_model(m, n, r, s)
-        return FamilyBundle(
-            name, params, lambda: _circular_realization(m, n, r, s, model), model, lambda: _circular_wonderful(m, n, r, s)
-        )
-    if name == "determinantal":
-        m, n, r = params["m"], params["n"], params["r"]
-        model = _determinantal_model(m, n, r)
-        return FamilyBundle(
-            name,
-            params,
-            lambda: _determinantal_realization(m, n, r, model.weight_lattice),
-            model,
-            lambda: _circular_wonderful(m, n, r, 0),
-        )
-    _check_complexes_parameters(**params)
-    return FamilyBundle(name, params, lambda: complexes_realization(**params))
+    model, realize, wonder = _FAMILIES[name][1](**params)
+    return FamilyBundle(name, params, realize, model, wonder)
 
 
 def admissible_circular_parameters(max_m: int, max_n: int):

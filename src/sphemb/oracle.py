@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass
 from functools import cache
 
-from .families import ScaledMatrix
 from .lattice import rational_rank, sparse_rank
 from .laurent import NegativeExponentError
+from .realization import ScaledMatrix
 from .rootdata import Character, pair
 
 

@@ -7,9 +7,10 @@ R of g_t, so its minor on the rows and columns K is
 sum_I det L[K, I] det X[I, J] det R[J, K]: the minors of L's first rows and
 of R's first columns are expanded along their last row (``first_row_minors``),
 read from the last one back for a trailing minor, which turns both by one
-sign.  A ``Pairing`` of arrows a, b reads the Gram tables P = L_a^T L_b and
-Q = R_a R_b^T, only their (0, 0) entries on dual pairs.  Nothing here reads
-the package's forward draws, Jacobi tables or per-draw scalars.
+sign.  A ``Pairing`` of arrows a, b, which realizations take only on dual
+factor pairs, reads the (0, 0) entries of the Gram tables P = L_a^T L_b and
+Q = R_a R_b^T, which are scalar there.  Nothing here reads the package's
+forward draws, Jacobi tables or per-draw scalars.
 """
 
 import random
@@ -17,7 +18,7 @@ from itertools import combinations
 from math import prod
 from operator import mul
 
-from sphemb.families import Minor
+from sphemb.realization import Minor
 
 
 def minor_terms(entries, k):
@@ -32,18 +33,15 @@ def minor_terms(entries, k):
     return sorted(groups.items())
 
 
-def pairing_terms(x_entries, y_entries, dual):
-    """Per power of t, ascending, the ((a, c), (b, d), x y) of two monomial matrices' entries, or on dual pairs the one
-    term ((0, 0), (0, 0), s) for the sum s over entries at one position, powers with s = 0 left out."""
-    groups = {}
+def pairing_terms(x_entries, y_entries):
+    """Per power of t, ascending, the one term ((0, 0), (0, 0), s) of two monomial matrices' entries on dual pairs,
+    for the sum s of x y over their entries at one position, powers with s = 0 left out."""
+    sums = {}
     for a, b, x, f in x_entries:
         for c, d, y, g in y_entries:
-            if not dual or (a, b) == (c, d):
-                groups.setdefault(f + g, []).append(((a, c), (b, d), x * y))
-    if dual:
-        sums = {e: sum(term[2] for term in terms) for e, terms in groups.items()}
-        return [(e, [((0, 0), (0, 0), s)]) for e, s in sorted(sums.items()) if s]
-    return sorted(groups.items())
+            if (a, b) == (c, d):
+                sums[f + g] = sums.get(f + g, 0) + x * y
+    return [(e, [((0, 0), (0, 0), s)]) for e, s in sorted(sums.items()) if s]
 
 
 def first_row_minors(rows, support, depth):
@@ -65,8 +63,7 @@ def first_row_minors(rows, support, depth):
 def draw_table(g, key):
     """One table for the units g, named by ``key``: ("rows", f, turn, support, depth) for the minors of L's first
     rows, ("columns", ...) for R's first columns, read from the last one back when ``turn`` is -1, and
-    ("gram_columns", f, h, scalar) or ("gram_rows", f, h, scalar) for L_f^T L_h or R_f R_h^T, only its (0, 0)
-    entry when ``scalar``."""
+    ("gram_columns", f, h) or ("gram_rows", f, h) for the (0, 0) entry of L_f^T L_h or R_f R_h^T."""
     kind, *args = key
     if kind == "rows":
         f, turn, support, depth = args
@@ -74,11 +71,9 @@ def draw_table(g, key):
     if kind == "columns":
         f, turn, support, depth = args
         return first_row_minors(list(zip(*g[f][3]))[::turn], support, depth)
-    f, h, scalar = args
+    f, h = args
     a, b = (list(zip(*g[f][1])), list(zip(*g[h][1]))) if kind == "gram_columns" else (g[f][3], g[h][3])
-    if scalar:
-        a, b = a[:1], b[:1]
-    return {(i, j): sum(map(mul, p, q)) for i, p in enumerate(a) for j, q in enumerate(b)}
+    return {(0, 0): sum(map(mul, a[0], b[0]))}
 
 
 def lowest_terms(real, forms, curve_label, trials, seed, kernel=draw_table):
@@ -96,8 +91,7 @@ def lowest_terms(real, forms, curve_label, trials, seed, kernel=draw_table):
         else:
             x, y = (real.monomial_entries(curve_label, a) for a in form.arrows)
             (sa, ta), (sb, tb) = (real.arrows[a] for a in form.arrows)
-            dual = real._on_dual_pairs(form)
-            plans.append((("gram_columns", sa, sb, dual), ("gram_rows", ta, tb, dual), pairing_terms(x, y, dual)))
+            plans.append((("gram_columns", sa, sb), ("gram_rows", ta, tb), pairing_terms(x, y)))
     lowest = [[] for _ in forms]
     for g in units:
         for (left_key, right_key, groups), form_terms in zip(plans, lowest):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphemb.families import Pairing, ScaledMatrix
+from sphemb.realization import Pairing, ScaledMatrix
 
 
 def _ring():

@@ -20,12 +20,7 @@ from sphemb.divisor_model import (
     wonderful_section_divisor,
     WonderfulModel,
 )
-from sphemb.families import (
-    admissible_circular_parameters,
-    build_family,
-    circular_complexes_model,
-    monoid_model,
-)
+from sphemb.families import admissible_circular_parameters, build_family
 from sphemb.lattice import IntegerMatrix, determinant, smith_normal_form
 from sphemb.oracle import orbit_dimension, select_semi_invariants, verify_boundary_valuations
 from sphemb.rootdata import TorusLattice
@@ -37,7 +32,7 @@ def _passed(num, text):
 
 def test_c01_monoid_class_group():
     for m in range(1, 7):
-        pres = class_group(monoid_model(m)[0])
+        pres = class_group(build_family(f"monoid:m={m}").model)
         assert pres.free_rank == m - 1, m
         assert pres.invariant_factors == (), m
     _passed(1, "monoid class groups free of rank m-1, no torsion, m=1..6")
@@ -45,13 +40,13 @@ def test_c01_monoid_class_group():
 
 def test_c02_monoid_gorenstein():
     for m in range(1, 7):
-        assert is_gorenstein(monoid_model(m)[0]) == (m == 1), m
+        assert is_gorenstein(build_family(f"monoid:m={m}").model) == (m == 1), m
     _passed(2, "monoid Gorenstein iff m=1, m=1..6")
 
 
 def test_c03_monoid_relations_regression():
     for m in range(2, 7):
-        model, _ = monoid_model(m)
+        model = build_family(f"monoid:m={m}").model
 
         def expected(i):
             coeffs = {}
@@ -77,7 +72,7 @@ def test_c03_monoid_relations_regression():
 
 def test_c04_dilation_divisor():
     for m in range(1, 7):
-        model, _ = monoid_model(m)
+        model = build_family(f"monoid:m={m}").model
         dilation = model.divisor({f"X_{j}": 1 for j in range(m + 1)})
         assert class_of(model, dilation).is_zero, m
         ok, witness = is_principal(model, dilation)
@@ -92,7 +87,7 @@ def test_c05_circular_case_i():
         n = m
         for r in range(1, m):
             s = m - r
-            model, _ = circular_complexes_model(m, n, r, s)
+            model = build_family(f"circular:m={m},n={n},r={r},s={s}").model
             assert len(model.boundaries) == 2, (m, r)
             pres = class_group(model)
             assert pres.free_rank == 2 and not pres.invariant_factors, (m, r)
@@ -109,7 +104,7 @@ def test_c06_circular_case_ii():
         for n in range(m + 1, 6):
             for r in range(1, m):
                 s = m - r
-                model, _ = circular_complexes_model(m, n, r, s)
+                model = build_family(f"circular:m={m},n={n},r={r},s={s}").model
                 assert len(model.boundaries) == 0, (m, n, r)
                 pres = class_group(model)
                 assert pres.free_rank == 1 and not pres.invariant_factors, (m, n, r)
@@ -126,7 +121,7 @@ def test_c07_circular_case_iii():
     for m, n, r, s in admissible_circular_parameters(5, 5):
         if r + s >= m:
             continue
-        model, _ = circular_complexes_model(m, n, r, s)
+        model = build_family(f"circular:m={m},n={n},r={r},s={s}").model
         expected_gens = tuple(
             lab for lab, present in (("D_r1", r > 0), ("D_s1", s > 0)) if present
         )
@@ -143,7 +138,7 @@ def test_c07_circular_case_iii():
 def test_c08_circular_gorenstein_corollary():
     cases = 0
     for m, n, r, s in admissible_circular_parameters(5, 5):
-        model, _ = circular_complexes_model(m, n, r, s)
+        model = build_family(f"circular:m={m},n={n},r={r},s={s}").model
         assert is_gorenstein(model) == (m == n), (m, n, r, s)
         cases += 1
     _passed(8, f"circular Gorenstein iff m = n over all {cases} admissible parameter sets, m,n <= 5")
@@ -153,7 +148,7 @@ def test_c09_dimension_oracle():
     start = time.monotonic()
     cases = 0
     for m, n, r, s in admissible_circular_parameters(4, 4):
-        _, real = circular_complexes_model(m, n, r, s)
+        real = build_family(f"circular:m={m},n={n},r={r},s={s}").realization
         assert orbit_dimension(real) == (r + s) * (m + n - (r + s)), (m, n, r, s)
         cases += 1
     elapsed = time.monotonic() - start
@@ -164,7 +159,8 @@ def test_c09_dimension_oracle():
 def test_c10_oracle_model_boundary_equivalence():
     start = time.monotonic()
     for m in range(1, 5):
-        model, real = monoid_model(m)
+        bundle = build_family(f"monoid:m={m}")
+        model, real = bundle.model, bundle.realization
         verified = select_semi_invariants(real, trials=8, seed=0)
         assert [f.name for f in verified] == ["d"] + [f"Delta_{i}" for i in range(1, m + 1)]
         report = verify_boundary_valuations(model, real, verified, trials=8, seed=0)
@@ -172,7 +168,8 @@ def test_c10_oracle_model_boundary_equivalence():
         assert report.stable, m
 
     # negative control: corrupting one valuation is caught at exactly that entry
-    model, real = monoid_model(3)
+    bundle = build_family("monoid:m=3")
+    model, real = bundle.model, bundle.realization
     doubled = model.weight_lattice.covector([2 * c for c in model.boundaries[1].valuation.coords])
     corrupted = dataclasses.replace(
         model,
@@ -189,8 +186,8 @@ def test_c10_oracle_model_boundary_equivalence():
 
 
 def test_c11_validation_invariant():
-    models = [monoid_model(m)[0] for m in range(1, 7)]
-    models += [circular_complexes_model(*p)[0] for p in admissible_circular_parameters(5, 5)]
+    models = [build_family(f"monoid:m={m}").model for m in range(1, 7)]
+    models += [build_family("circular:m={},n={},r={},s={}".format(*p)).model for p in admissible_circular_parameters(5, 5)]
     models += [build_family(f"determinantal:{m},{n},{r}").model for m, n, r in [(2, 2, 1), (2, 3, 1), (3, 3, 2)]]
     for model in models:
         report = validate_model(model)
@@ -220,10 +217,10 @@ def test_c12_property_suites():
 
     # principal_divisor is a homomorphism on 200 random character pairs.
     models = [
-        monoid_model(2)[0],
-        monoid_model(4)[0],
-        circular_complexes_model(2, 2, 1, 1)[0],
-        circular_complexes_model(3, 4, 2, 1)[0],
+        build_family("monoid:m=2").model,
+        build_family("monoid:m=4").model,
+        build_family("circular:m=2,n=2,r=1,s=1").model,
+        build_family("circular:m=3,n=4,r=2,s=1").model,
     ]
     for k in range(200):
         model = models[k % len(models)]

@@ -23,15 +23,8 @@ import pytest
 from form_reference import weight_value
 
 from sphemb import oracle
-from sphemb.families import (
-    MatrixRealization,
-    Minor,
-    ScaledMatrix,
-    SemiInvariantSpec,
-    _monomial_matrix,
-    admissible_circular_parameters,
-    build_family,
-)
+from sphemb.families import admissible_circular_parameters, build_family
+from sphemb.realization import MatrixRealization, Minor, ScaledMatrix, SemiInvariantSpec, _monomial_matrix
 
 _GRID = (
     [f"monoid:m={m}" for m in range(1, 6)]

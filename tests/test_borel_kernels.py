@@ -17,8 +17,9 @@ import random
 from fractions import Fraction
 from math import prod
 
-from sphemb import families, oracle
-from sphemb.families import ScaledMatrix, build_family
+from sphemb import oracle, realization
+from sphemb.families import build_family
+from sphemb.realization import ScaledMatrix
 from sphemb.lattice import integer_inverse, mat_mul, row_determinant
 
 # The monoid and determinantal members of the oracle-verify benchmark.
@@ -110,9 +111,9 @@ def test_triangular_unit_is_the_integer_inverse_unit():
         for lower in (True, False):
             for seed in range(12):
                 rng, ref = random.Random(seed), random.Random(seed)
-                m, det = families._rand_triangular(rng, n, lower)
+                m, det = realization._rand_triangular(rng, n, lower)
                 assert m == _reference_triangular(ref, n, lower) and rng.getstate() == ref.getstate()
-                assert det == row_determinant(m) and families._unit(m) == (1, m, *integer_inverse(m)), (n, lower, seed)
+                assert det == row_determinant(m) and realization._unit(m) == (1, m, *integer_inverse(m)), (n, lower, seed)
                 diagonal = [m[i][i] for i in range(n)]
                 signs.add(prod(diagonal) > 0)
                 if n >= 3 and max(diagonal) < 0:
@@ -131,6 +132,6 @@ def test_bounded_draws_follow_the_randint_stream():
         for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 4)):
             for seed in range(6):
                 rng, ref = random.Random(seed), random.Random(seed)
-                got = families._rand_int_matrix(rng, rows, cols, *(bounds or ()))
+                got = realization._rand_int_matrix(rng, rows, cols, *(bounds or ()))
                 assert got == [[ref.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], (bounds, rows, cols)
                 assert rng.getstate() == ref.getstate()

@@ -121,9 +121,9 @@ def test_model_dump_round_trips():
     code, doc = _invoke(["model", "--family", "circular:m=2,n=2,r=1,s=1", "--dump"])
     assert code == 0
     model = model_from_json(doc["result"])
-    from sphemb.families import circular_complexes_model
+    from sphemb.families import build_family
 
-    assert model == circular_complexes_model(2, 2, 1, 1)[0]
+    assert model == build_family("circular:m=2,n=2,r=1,s=1").model
 
 
 def test_byte_identical_output():
@@ -412,7 +412,7 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_divisor_commands_build_no_realization(monkeypatch):
-    from sphemb.families import MatrixRealization
+    from sphemb.realization import MatrixRealization
 
     built = _count_calls(monkeypatch, MatrixRealization, "__post_init__")
     for family, divisor in (("monoid:m=5", "D_1:1,X_0:2"), ("circular:m=2,n=3,r=1,s=1", "D_r1:1,D_s2:-1")):
@@ -434,7 +434,8 @@ def test_divisor_commands_build_no_realization(monkeypatch):
 
 
 def test_bundle_builds_its_realization_once(monkeypatch):
-    from sphemb.families import MatrixRealization, build_family
+    from sphemb.families import build_family
+    from sphemb.realization import MatrixRealization
 
     built = _count_calls(monkeypatch, MatrixRealization, "__post_init__")
     for spec in ("monoid:m=3", "circular:m=2,n=2,r=1,s=1", "determinantal:m=3,n=3,r=2", "complexes:1,2,2,1,1"):
@@ -448,7 +449,7 @@ def test_bundle_builds_its_realization_once(monkeypatch):
 
 def _count_draws(monkeypatch):
     """The realizations built from here on, and the group and Borel draws they make."""
-    from sphemb.families import MatrixRealization
+    from sphemb.realization import MatrixRealization
 
     built, counts = [], {"group_draw": 0, "borel_sampler": 0}
     original = MatrixRealization.__post_init__
@@ -498,7 +499,7 @@ def test_determinantal_queries_build_no_realization(monkeypatch):
     # construction and the orbit-dimension oracle made to raise, every query
     # but verify still exits with its pinned bytes, m > n included.
     from sphemb import oracle
-    from sphemb.families import MatrixRealization
+    from sphemb.realization import MatrixRealization
 
     def refuse(*args, **kwargs):
         raise AssertionError("a realization was built or an orbit measured")

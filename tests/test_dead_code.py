@@ -1,9 +1,11 @@
-"""A stdlib (``ast``) guard against dead code in the package.
+"""A stdlib (``ast``) guard against dead code in the package, and on its layering.
 
 It fails on an import that a module of ``sphemb`` (``__init__.py`` aside,
 whose imports are the public names) never reads, and on a private function
 or class (``_name``, not a dunder) that nothing in the package refers to by
-name or attribute.
+name or attribute.  It also fails when the realization kernel or the oracle
+imports ``families``: the families build on both, never the other way, and
+with the unused-import check no module re-exports the kernel's names.
 """
 
 import ast
@@ -56,12 +58,42 @@ def unreferenced_private_definitions(modules: dict[str, ast.Module]) -> list[str
     return out
 
 
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, by name: ``from . import x``, ``from .x import y`` and their absolute
+    forms."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("sphemb")):
+            module = (node.module or "").removeprefix("sphemb").lstrip(".")
+            out |= {alias.name for alias in node.names} if not module else {module.partition(".")[0]}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("sphemb.")}
+    return out
+
+
+def layering_faults(modules: dict[str, ast.Module]) -> list[str]:
+    kernel = ("realization.py", "oracle.py")
+    return [f"{name} imports families" for name in kernel if "families" in imported_modules(modules[name])]
+
+
 def test_no_unused_imports():
     assert unused_imports(_modules()) == []
 
 
 def test_no_unreferenced_private_definitions():
     assert unreferenced_private_definitions(_modules()) == []
+
+
+def test_kernel_and_oracle_do_not_import_the_families():
+    assert layering_faults(_modules()) == []
+
+
+def test_layering_guard_flags_each_import_form():
+    for text in ("from . import families\n", "from .families import build_family\n", "from sphemb.families import x\n",
+                 "import sphemb.families\n", "from . import lattice, families\n"):
+        planted = dict(_modules(), **{"oracle.py": ast.parse(text)})
+        assert layering_faults(planted) == ["oracle.py imports families"], text
+    assert layering_faults(dict(_modules(), **{"oracle.py": ast.parse("from .realization import families\n")})) == []
 
 
 def test_guard_flags_planted_dead_code():

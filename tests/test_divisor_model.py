@@ -30,13 +30,7 @@ from sphemb.divisor_model import (
     validate_model,
     wonderful_section_divisor,
 )
-from sphemb.families import (
-    admissible_circular_parameters,
-    build_family,
-    circular_complexes_model,
-    determinantal_realization,
-    monoid_model,
-)
+from sphemb.families import admissible_circular_parameters, build_family
 from sphemb.lattice import IntegerMatrix, smith_normal_form, solve_integer
 from sphemb.rootdata import TorusLattice
 
@@ -48,12 +42,12 @@ def _random_character(model, rng):
 
 
 def test_principal_divisor_zero_character():
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     assert principal_divisor(model, model.weight_lattice.combination([])).is_zero
 
 
 def test_principal_divisor_monoid_relations():
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     assert principal_divisor(model, model.character("eps_1")).as_dict() == {"X_0": 1, "D_1": 1}
     assert principal_divisor(model, model.character("eps_4")).as_dict() == {
         "X_1": 1,
@@ -67,7 +61,7 @@ def test_principal_divisor_monoid_relations():
 
 def test_principal_divisor_is_homomorphism():
     rng = random.Random(41)
-    models = [monoid_model(3)[0], monoid_model(4)[0], circular_complexes_model(3, 3, 1, 2)[0]]
+    models = [build_family("monoid:m=3").model, build_family("monoid:m=4").model, build_family("circular:m=3,n=3,r=1,s=2").model]
     for model in models:
         for _ in range(40):
             a = _random_character(model, rng)
@@ -77,21 +71,21 @@ def test_principal_divisor_is_homomorphism():
 
 def test_class_of_principal_is_zero():
     rng = random.Random(43)
-    for model in (monoid_model(3)[0], circular_complexes_model(2, 3, 1, 1)[0]):
+    for model in (build_family("monoid:m=3").model, build_family("circular:m=2,n=3,r=1,s=1").model):
         for _ in range(40):
             chi = _random_character(model, rng)
             assert class_of(model, principal_divisor(model, chi)).is_zero
 
 
 def test_class_group_monoid():
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     pres = class_group(model)
     assert pres.free_rank == 2 and not pres.invariant_factors
     assert class_group_generators(model) == ("D_1", "D_2")
 
 
 def test_class_group_invariant_under_reordering():
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     rng = random.Random(47)
     for _ in range(10):
         colors = list(model.colors)
@@ -110,7 +104,7 @@ def test_class_group_invariant_under_reordering():
 
 
 def test_canonical_divisor_monoid():
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     assert canonical_divisor(model).as_dict() == {
         "X_0": -1,
         "X_1": -1,
@@ -125,20 +119,20 @@ def test_canonical_divisor_monoid():
 
 
 def test_canonical_divisor_circular_cases():
-    model, _ = circular_complexes_model(2, 2, 1, 1)
+    model = build_family("circular:m=2,n=2,r=1,s=1").model
     assert canonical_divisor(model).as_dict() == {
         "X_{0,1}": -1,
         "X_{1,0}": -1,
         "D_r1": -2,
         "D_r2": -2,
     }
-    model, _ = circular_complexes_model(2, 3, 1, 1)
+    model = build_family("circular:m=2,n=3,r=1,s=1").model
     assert canonical_divisor(model).as_dict() == {"D_r1": -2, "D_r2": -2, "D_s2": -2}
 
 
 def test_is_principal_witness_is_exact():
     rng = random.Random(53)
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     for _ in range(30):
         chi = _random_character(model, rng)
         d = principal_divisor(model, chi)
@@ -169,8 +163,8 @@ def _reference_is_principal(model, d):
 def test_is_principal_matches_solve_integer_on_family_models():
     # Every relation matrix here has full row rank, so the witness is unique.
     rng = random.Random(61)
-    models = [monoid_model(m)[0] for m in range(1, 7)]
-    models += [circular_complexes_model(*p)[0] for p in admissible_circular_parameters(3, 4)]
+    models = [build_family(f"monoid:m={m}").model for m in range(1, 7)]
+    models += [build_family("circular:m={},n={},r={},s={}".format(*p)).model for p in admissible_circular_parameters(3, 4)]
     models += [
         build_family(f"determinantal:m={m},n={n},r={r}").model
         for m in range(2, 5)
@@ -258,15 +252,15 @@ def test_generators_pinned_where_the_greedy_rejects_a_colour():
 
 
 def test_gorenstein_examples():
-    assert is_gorenstein(monoid_model(1)[0])
-    assert not is_gorenstein(monoid_model(3)[0])
-    assert is_gorenstein(circular_complexes_model(2, 2, 1, 1)[0])
+    assert is_gorenstein(build_family("monoid:m=1").model)
+    assert not is_gorenstein(build_family("monoid:m=3").model)
+    assert is_gorenstein(build_family("circular:m=2,n=2,r=1,s=1").model)
 
 
 def test_principal_divisor_rejects_non_integral_pairing():
     # One colour functional and one boundary valuation with 1/2 at eps_1:
     # an odd eps_1 coordinate pairs to a half-integer, an even one does not.
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     half = model.weight_lattice.covector(["1/2", 0, 0, 0])
     bad_colour = dataclasses.replace(
         model, colors=(dataclasses.replace(model.colors[0], functional=half),) + model.colors[1:]
@@ -297,7 +291,7 @@ def test_wonderful_section_rejects_non_integral_pairing():
 
 
 def test_character_from_mapping():
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     chi = model.character_from_mapping({"eps_1": 2, "eps_4": -1, "eps_2": 0})
     assert chi == 2 * model.character("eps_1") - model.character("eps_4")
     assert model.character_from_mapping({}) == model.weight_lattice.character([0] * model.weight_lattice.rank)
@@ -306,7 +300,7 @@ def test_character_from_mapping():
 
 
 def test_foreign_label_rejected():
-    model, _ = monoid_model(2)
+    model = build_family("monoid:m=2").model
     with pytest.raises(ForeignLabelError):
         model.divisor({"X_9": 1})
     with pytest.raises(ForeignLabelError):
@@ -317,8 +311,8 @@ def test_class_group_data_is_kept_on_the_model(monkeypatch):
     from sphemb import divisor_model
     from sphemb.divisor_model import SphericalDivisorModel
 
-    model, _ = monoid_model(4)
-    twin, _ = monoid_model(4)
+    model = build_family("monoid:m=4").model
+    twin = build_family("monoid:m=4").model
     snf_inputs = []
     snf = divisor_model.smith_normal_form
     monkeypatch.setattr(divisor_model, "smith_normal_form", lambda a: snf_inputs.append(a) or snf(a))
@@ -407,7 +401,7 @@ def test_one_pairing_table_per_model_object(monkeypatch):
 
 
 def test_validate_model_detects_corruption():
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     assert validate_model(model).ok
 
     # Boundary valuation replaced by a dominant functional.
@@ -444,8 +438,8 @@ def test_divisor_algebra():
 
 
 def _family_models():
-    yield from (monoid_model(m)[0] for m in range(1, 13))
-    yield from (circular_complexes_model(*p)[0] for p in admissible_circular_parameters(5, 6))
+    yield from (build_family(f"monoid:m={m}").model for m in range(1, 13))
+    yield from (build_family("circular:m={},n={},r={},s={}".format(*p)).model for p in admissible_circular_parameters(5, 6))
     for m in range(1, 6):
         for n in range(1, 6):
             for r in range(1, min(m, n)):
@@ -467,7 +461,7 @@ def test_serialization_round_trip():
 
 
 def test_json_rank_must_match_labels():
-    doc = model_to_json_dict(monoid_model(2)[0])
+    doc = model_to_json_dict(build_family("monoid:m=2").model)
     doc["lattice"]["rank"] = 4
     with pytest.raises(ModelDocumentError, match="^label count does not match rank$"):
         model_from_json(doc)
@@ -517,13 +511,13 @@ _DELETE = object()
     ],
 )
 def test_malformed_json_documents_raise_model_document_error(path, value, message):
-    doc = model_to_json_dict(monoid_model(2)[0])
+    doc = model_to_json_dict(build_family("monoid:m=2").model)
     bad = _edited(doc, path, value)
     for given_as in (bad, json.dumps(bad)):
         with pytest.raises(ModelDocumentError) as caught:
             model_from_json(given_as)
         assert str(caught.value).startswith(message), str(caught.value)
-    assert model_from_json(doc) == monoid_model(2)[0]
+    assert model_from_json(doc) == build_family("monoid:m=2").model
 
 
 # Messages and values of the document's reading of one functional coordinate,
@@ -545,7 +539,7 @@ def test_malformed_json_documents_raise_model_document_error(path, value, messag
     ],
 )
 def test_functional_coordinate_text_errors_are_pinned(text, message):
-    doc = _edited(model_to_json_dict(monoid_model(3)[0]), ("colors", 0, "functional", 0), text)
+    doc = _edited(model_to_json_dict(build_family("monoid:m=3").model), ("colors", 0, "functional", 0), text)
     for given_as in (doc, json.dumps(doc)):
         with pytest.raises(ModelDocumentError) as caught:
             model_from_json(given_as)
@@ -570,7 +564,7 @@ def test_functional_coordinate_text_errors_are_pinned(text, message):
     ],
 )
 def test_functional_coordinate_text_values_are_pinned(text, scale, numerators):
-    doc = _edited(model_to_json_dict(monoid_model(3)[0]), ("colors", 0, "functional", 0), text)
+    doc = _edited(model_to_json_dict(build_family("monoid:m=3").model), ("colors", 0, "functional", 0), text)
     for given_as in (doc, json.dumps(doc)):
         functional = model_from_json(given_as).colors[0].functional
         assert (functional.scale, functional.numerators) == (scale, numerators)
@@ -582,17 +576,17 @@ def test_json_text_that_is_not_a_model_document():
         with pytest.raises(ModelDocumentError):
             model_from_json(text)
     with pytest.raises(ModelDocumentError, match="the model document has the wrong type"):
-        model_from_json([model_to_json_dict(monoid_model(2)[0])])
+        model_from_json([model_to_json_dict(build_family("monoid:m=2").model)])
 
 
 def test_serialization_schema_fields():
-    doc = model_to_json_dict(monoid_model(2)[0])
+    doc = model_to_json_dict(build_family("monoid:m=2").model)
     assert set(doc) >= {"lattice", "basis_characters", "simple_roots", "colors", "boundaries"}
     assert doc["lattice"] == {"rank": 3, "labels": ["eps_1", "eps_2", "eps_3"]}
     assert all(isinstance(x, str) for item in doc["colors"] for x in item["functional"])
     # No model is provisional, so no dump has the key; a false one still reads.
     assert "provisional" not in doc
-    assert model_from_json(dict(doc, provisional=False)) == monoid_model(2)[0]
+    assert model_from_json(dict(doc, provisional=False)) == build_family("monoid:m=2").model
 
 
 # ---------------------------------------------------------------------------
@@ -829,10 +823,10 @@ if given is not None:
     _JSON_DOCS = [
         model_to_json_dict(m)
         for m in (
-            monoid_model(2)[0],
-            monoid_model(5)[0],
-            circular_complexes_model(3, 4, 2, 1)[0],
-            determinantal_realization(3, 3, 2)[1],
+            build_family("monoid:m=2").model,
+            build_family("monoid:m=5").model,
+            build_family("circular:m=3,n=4,r=2,s=1").model,
+            build_family("determinantal:m=3,n=3,r=2").model,
         )
     ]
 

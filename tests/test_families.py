@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphemb import families
+from sphemb import families, realization
 from sphemb.divisor_model import (
     canonical_divisor,
     class_group,
@@ -15,22 +15,13 @@ from sphemb.divisor_model import (
 )
 from sphemb.families import (
     FamilyParameterError,
-    Minor,
-    Pairing,
-    ScaledMatrix,
-    SemiInvariantSpec,
     admissible_circular_parameters,
     build_family,
-    circular_complexes_model,
-    circular_wonderful,
-    complexes_realization,
-    determinantal_realization,
     finalize_determinantal_model,
-    monoid_model,
-    monoid_wonderful,
     parse_family_spec,
     sample_circular_stabilizer,
 )
+from sphemb.realization import Curve, Minor, Pairing, ScaledMatrix, SemiInvariantSpec
 from sphemb.oracle import stabilizer_check
 from sphemb.rootdata import pair
 from sphemb.lattice import integer_inverse, rational_inverse, row_determinant
@@ -40,28 +31,29 @@ from test_lattice import _dense_lie_rows, _reference_rational_inverse, _referenc
 
 def test_monoid_parameter_validation():
     with pytest.raises(FamilyParameterError):
-        monoid_model(0)
+        build_family("monoid:m=0")
 
 
 def test_monoid_shapes():
-    model, real = monoid_model(3)
+    bundle = build_family("monoid:m=3")
+    model, real = bundle.model, bundle.realization
     assert model.boundary_ids == ("X_0", "X_1", "X_2", "X_3")
     assert model.color_ids == ("D_1", "D_2")
-    model1, _ = monoid_model(1)
+    model1 = build_family("monoid:m=1").model
     assert model1.boundary_ids == ("X_0", "X_1")
     assert model1.color_ids == ()
     assert class_group(model1).is_trivial
 
 
 def test_monoid_eps2_relation():
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     d = principal_divisor(model, model.character("eps_2"))
     assert d.as_dict() == {"X_0": 1, "X_1": 1, "D_2": 1, "D_1": -1}
 
 
 def test_monoid_redundant_coordinate_aliases():
     # eps_{m+i} = eps_{m+1} + eps_1 - eps_i, so eps_i + eps_{m+i} agree for all i.
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     total = None
     for i in (1, 2, 3):
         chi = model.character(f"eps_{i}") + model.character(f"eps_{3 + i}")
@@ -73,7 +65,7 @@ def test_monoid_redundant_coordinate_aliases():
 
 
 def test_monoid_realization_membership_and_curves():
-    _, real = monoid_model(3)
+    real = build_family("monoid:m=3").realization
     assert real.membership(real.base_point)
     rng = random.Random(3)
     for _ in range(5):
@@ -92,6 +84,9 @@ def test_monoid_realization_membership_and_curves():
         ("monoid:m=2", Minor(5, 1), "no arrow 5"),
         ("monoid:m=2", Pairing(0, 2, 1), "no arrow 2"),
         ("circular:m=2,n=3,r=1,s=1", Pairing(0, 1, 1), r"arrows 0 and 1 have shapes \(2, 3\) and \(3, 2\)"),
+        # A Pairing is read only where the arrows' sources, and their targets, are a dual factor pair.
+        ("monoid:m=2", Pairing(0, 0, 1), "arrows 0 and 0 do not run between dual factor pairs"),
+        ("circular:m=2,n=2,r=1,s=1", Pairing(0, 1, 1), "arrows 0 and 1 do not run between dual factor pairs"),
     ],
 )
 def test_malformed_forms_fail_construction(spec, form, message):
@@ -102,9 +97,40 @@ def test_malformed_forms_fail_construction(spec, form, message):
         dataclasses.replace(real, semi_invariants=real.semi_invariants + (SemiInvariantSpec("bad", weight, form),))
 
 
+def test_every_built_in_pairing_runs_between_dual_pairs():
+    # check_forms refuses any other Pairing, and no family member declares one:
+    # the one Pairing is the monoid's dilation, between (0, 1) and (2, 3).
+    specs = [f"monoid:m={m}" for m in range(1, 9)]
+    specs += ["circular:m={},n={},r={},s={}".format(*p) for p in admissible_circular_parameters(5, 6)]
+    specs += [f"determinantal:m={m},n={n},r={r}" for m in range(2, 6) for n in range(2, 6) for r in range(1, min(m, n))]
+    specs += [spec for spec in _INVERSE_MEMBERS if spec.startswith("complexes")]
+    pairings = []
+    for spec in specs:
+        real = build_family(spec).realization
+        dual = {frozenset(pair) for pair in real.dual_factors}
+        for f in real.semi_invariants:
+            if isinstance(f.form, Pairing):
+                ends = [real.arrows[a] for a in f.form.arrows]
+                assert all(frozenset(v) in dual for v in zip(*ends)), (spec, f.name)
+                pairings.append(spec)
+    assert len(specs) == 214 and pairings == specs[:8]
+
+
+def test_curves_are_checked_against_the_factors():
+    # A cocharacter entry off every factor's diagonal is refused, as is a
+    # second curve with one label, which ``curve`` would never return.
+    real = build_family("monoid:m=2").realization
+    for lam, entry in (({(7, 0): 1, (0, 9): 2}, r"\(0, 9\)"), ({(7, 0): 1}, r"\(7, 0\)"), ({(1, -1): 1}, r"\(1, -1\)")):
+        bad = Curve("lambda_0", lam, (0,), "X_0")
+        with pytest.raises(ValueError, match=f"^curve lambda_0's cocharacter names {entry}, no diagonal entry of a factor$"):
+            dataclasses.replace(real, curves=(bad,))
+    with pytest.raises(ValueError, match="^curve lambda_0 is given twice$"):
+        dataclasses.replace(real, curves=real.curves + real.curves[:1])
+
+
 def test_semi_invariants_are_forms():
     # A plain callable, or no form at all, is refused; evaluate is the form itself.
-    _, real = monoid_model(2)
+    real = build_family("monoid:m=2").realization
     weight = real.semi_invariants[0].claimed_weight
     for form in (None, lambda point: Fraction(1), Fraction(1)):
         with pytest.raises(ValueError, match="semi-invariant plain has no Minor or Pairing form"):
@@ -116,40 +142,40 @@ def test_semi_invariants_are_forms():
 def test_circular_parameter_validation():
     for bad in [(2, 2, 0, 0), (2, 2, 2, 0), (2, 2, 0, 2), (2, 2, 2, 1), (2, 2, -1, 1)]:
         with pytest.raises(FamilyParameterError):
-            circular_complexes_model(*bad)
+            build_family("circular:m={},n={},r={},s={}".format(*bad))
 
 
 def test_circular_swap_normalization():
-    a, _ = circular_complexes_model(3, 2, 1, 1)
-    b, _ = circular_complexes_model(2, 3, 1, 1)
+    a = build_family("circular:m=3,n=2,r=1,s=1").model
+    b = build_family("circular:m=2,n=3,r=1,s=1").model
     assert a == b
 
 
 def test_circular_boundary_counts():
     for m, n, r, s in admissible_circular_parameters(5, 5):
-        model, _ = circular_complexes_model(m, n, r, s)
+        model = build_family(f"circular:m={m},n={n},r={r},s={s}").model
         expected = 2 if (m == n and r + s == m) else 0
         assert len(model.boundaries) == expected, (m, n, r, s)
 
 
 def test_circular_color_inventory():
-    model, _ = circular_complexes_model(3, 3, 1, 1)
+    model = build_family("circular:m=3,n=3,r=1,s=1").model
     assert model.color_ids == ("D_r1", "D_r2", "D_s1", "D_s2")
-    model, _ = circular_complexes_model(2, 2, 1, 1)
+    model = build_family("circular:m=2,n=2,r=1,s=1").model
     assert model.color_ids == ("D_r1", "D_r2")
     assert dict(model.label_aliases) == {"D_s1": "D_r1", "D_s2": "D_r2"}
-    model, _ = circular_complexes_model(2, 3, 1, 1)
+    model = build_family("circular:m=2,n=3,r=1,s=1").model
     assert model.color_ids == ("D_r1", "D_r2", "D_s2")
-    model, _ = circular_complexes_model(4, 4, 2, 2)
+    model = build_family("circular:m=4,n=4,r=2,s=2").model
     assert model.color_ids == ("D_1", "E_1", "D_r1", "D_r2")
-    model, _ = circular_complexes_model(4, 5, 1, 0)
+    model = build_family("circular:m=4,n=5,r=1,s=0").model
     assert model.color_ids == ("D_r1", "D_r2")
-    model, _ = circular_complexes_model(4, 5, 0, 2)
+    model = build_family("circular:m=4,n=5,r=0,s=2").model
     assert model.color_ids == ("E_1", "D_s1", "D_s2")
 
 
 def test_circular_merged_label_queries_agree():
-    model, _ = circular_complexes_model(3, 3, 1, 2)
+    model = build_family("circular:m=3,n=3,r=1,s=2").model
     via_r = model.divisor({"D_r1": 1})
     via_s = model.divisor({"D_s1": 1})
     assert via_r == via_s
@@ -157,7 +183,7 @@ def test_circular_merged_label_queries_agree():
 
 
 def test_circular_relations_case_i():
-    model, _ = circular_complexes_model(4, 4, 2, 2)
+    model = build_family("circular:m=4,n=4,r=2,s=2").model
     lat = model.weight_lattice
     rel = {
         "eps_1": principal_divisor(model, lat.basis_character("eps_1")).as_dict(),
@@ -172,8 +198,8 @@ def test_circular_relations_case_i():
 
 
 def test_all_family_models_validate():
-    models = [monoid_model(m)[0] for m in range(1, 7)]
-    models += [circular_complexes_model(*p)[0] for p in admissible_circular_parameters(5, 5)]
+    models = [build_family(f"monoid:m={m}").model for m in range(1, 7)]
+    models += [build_family("circular:m={},n={},r={},s={}".format(*p)).model for p in admissible_circular_parameters(5, 5)]
     for model in models:
         report = validate_model(model)
         assert report.ok, report.failures
@@ -181,7 +207,7 @@ def test_all_family_models_validate():
 
 def test_monoid_class_groups_through_rank_six():
     for m in range(1, 7):
-        model, _ = monoid_model(m)
+        model = build_family(f"monoid:m={m}").model
         pres = class_group(model)
         assert pres.free_rank == m - 1
         assert pres.invariant_factors == ()
@@ -192,13 +218,13 @@ def test_monoid_class_groups_through_rank_six():
 def test_determinantal_parameter_validation():
     for bad in [(2, 2, 0), (2, 2, 2), (3, 2, 2)]:
         with pytest.raises(FamilyParameterError):
-            determinantal_realization(*bad)
+            build_family("determinantal:m={},n={},r={}".format(*bad))
 
 
 def test_determinantal_realization_and_model():
-    real, model = determinantal_realization(2, 2, 1)
+    bundle = build_family("determinantal:m=2,n=2,r=1")
+    real, model = bundle.realization, bundle.model
     assert real.membership(real.base_point)
-    assert model == build_family("determinantal:2,2,1").model
     # The rank <= r - 1 locus has codimension m + n - 2r + 1 = 3, so no boundary.
     assert model.boundaries == ()
     assert validate_model(model).ok
@@ -209,9 +235,10 @@ def test_determinantal_realization_and_model():
 
 
 def test_each_model_boundary_has_one_curve():
-    cases = [(monoid_model(m), None) for m in range(1, 9)]
-    cases += [(circular_complexes_model(*p), p[2]) for p in admissible_circular_parameters(5, 5)]
-    for (model, real), r in cases:
+    cases = [(build_family(f"monoid:m={m}"), None) for m in range(1, 9)]
+    cases += [(build_family("circular:m={},n={},r={},s={}".format(*p)), p[2]) for p in admissible_circular_parameters(5, 5)]
+    for bundle, r in cases:
+        model, real = bundle.model, bundle.realization
         named = [c.boundary for c in real.curves if c.boundary is not None]
         assert sorted(named) == sorted(model.boundary_ids), model.boundary_ids
         if r is not None and model.boundaries:
@@ -232,7 +259,8 @@ def test_determinantal_candidate_is_the_curve_limit():
     members = [(m, n, r) for m in range(2, 8) for n in range(2, 8) for r in range(1, min(m, n))]
     assert len(members) == 91
     for m, n, r in members:
-        real, model = determinantal_realization(m, n, r)
+        bundle = build_family(f"determinantal:m={m},n={n},r={r}")
+        real, model = bundle.realization, bundle.model
         (curve,) = real.curves
         assert curve.boundary == f"X_{r - 1}"
         limit = limit_signature(real, curve.label).limit_point
@@ -246,7 +274,8 @@ def test_determinantal_candidate_is_the_curve_limit():
 def test_finalize_determinantal_model_refuses_a_divisorial_curve():
     # A realization whose boundary curves reach divisors, the monoid's, fails
     # the codimension check that every determinantal model passes unchanged.
-    monoid, monoid_real = monoid_model(2)
+    bundle = build_family("monoid:m=2")
+    monoid, monoid_real = bundle.model, bundle.realization
     with pytest.raises(ValueError, match="^the limit of lambda_0 lies in a divisor, X_0$"):
         finalize_determinantal_model(monoid, monoid_real)
 
@@ -259,7 +288,7 @@ def test_determinantal_rectangular_canonical_class():
 
 
 def test_complexes_realization_checks():
-    real = complexes_realization(2, 3, 2, 1, 1)
+    real = build_family("complexes:l=2,m=3,n=2,r=1,s=1").realization
     # base point satisfies AB = 0 and the rank bounds
     assert real.membership(real.base_point)
     rng = random.Random(17)
@@ -272,7 +301,7 @@ def test_complexes_realization_checks():
     bad = ((l, a_rows), good[1], good[2])
     assert not stabilizer_check(real, bad)
     with pytest.raises(FamilyParameterError):
-        complexes_realization(2, 3, 2, 3, 1)
+        build_family("complexes:l=2,m=3,n=2,r=3,s=1")
 
 
 def _unit(rows, cols, *cells):
@@ -295,13 +324,13 @@ def test_quiver_families_membership_and_lie_rows():
     # one condition: one rank bound exceeded or one zero composition broken)
     cases = [
         (
-            determinantal_realization(3, 3, 1)[0],
+            build_family("determinantal:m=3,n=3,r=1").realization,
             (3, 3),
             (9,),
             [(_unit(3, 3, (0, 0), (1, 1)),)],
         ),
         (
-            circular_complexes_model(2, 3, 1, 1)[1],
+            build_family("circular:m=2,n=3,r=1,s=1").realization,
             (2, 3),
             (6, 6),
             [
@@ -312,7 +341,7 @@ def test_quiver_families_membership_and_lie_rows():
             ],
         ),
         (
-            complexes_realization(2, 3, 2, 1, 1),
+            build_family("complexes:l=2,m=3,n=2,r=1,s=1").realization,
             (2, 3, 2),
             (6, 6),
             [
@@ -334,7 +363,7 @@ def test_quiver_families_membership_and_lie_rows():
 
 
 def test_circular_stabilizer_samples():
-    _, real = circular_complexes_model(2, 2, 1, 1)
+    real = build_family("circular:m=2,n=2,r=1,s=1").realization
     rng = random.Random(19)
     for _ in range(5):
         g = sample_circular_stabilizer(rng, 2, 2, 1, 1)
@@ -354,7 +383,7 @@ def test_circular_stabilizer_samples():
 
 
 def test_wonderful_family_models():
-    wm = monoid_wonderful(3)
+    wm = build_family("monoid:m=3").wonderful
     lat = wm.lattice
     # fundamental-weight pair for the first simple root: (-w_1, w_1)
     chi = lat.character([-1, 0, 0, 0, 1, 0, 0, 0])
@@ -362,7 +391,7 @@ def test_wonderful_family_models():
 
     assert wonderful_section_divisor(wm, chi).as_dict() == {"D_1": 1}
 
-    wc = circular_wonderful(2, 2, 1, 1)
+    wc = build_family("circular:m=2,n=2,r=1,s=1").wonderful
     assert [lab for lab, coroots in wc.colors if len(coroots) == 1] == ["D_r1", "D_r2"]
     chi = wc.lattice.character([0, 1, 0, 0])
     assert wonderful_section_divisor(wc, chi).as_dict() == {"D_r1": 1}
@@ -396,7 +425,7 @@ def test_build_family_bundles():
 def test_functional_tables_match_ambient_pairings():
     # The merged D_r1 pulls back eps_r + delta_1 from its one coroot; spot-check
     # its pairing with delta_1 (tests/model_reference.py checks every label).
-    model, _ = circular_complexes_model(2, 3, 1, 1)
+    model = build_family("circular:m=2,n=3,r=1,s=1").model
     d_r1 = next(c for c in model.colors if c.id == "D_r1")
     chi = model.weight_lattice.basis_character("delta_1")
     assert pair(chi, d_r1.functional) == Fraction(1)
@@ -414,7 +443,7 @@ def test_admissible_circular_parameters_match_the_rule():
     assert admissible_circular_parameters(5, 6) == expected
     for m, n, r, s in [(2, 2, 0, 0), (2, 3, 2, 0), (3, 2, 0, 2), (2, 3, 2, 1), (3, 3, -1, 1)]:
         with pytest.raises(FamilyParameterError):
-            circular_wonderful(m, n, r, s)
+            build_family(f"circular:m={m},n={n},r={r},s={s}")
 
 
 def test_wonderful_colours_are_the_model_colours():
@@ -438,11 +467,11 @@ def _curve_entries(real, label, powers):
 def test_curve_points_are_the_cocharacters_applied_to_the_base_point():
     # Every boundary curve's entries against its matrices written out by hand.
     for m in range(1, 6):
-        _, real = monoid_model(m)
+        real = build_family(f"monoid:m={m}").realization
         for r in range(m + 1):
             _curve_entries(real, f"lambda_{r}", ({(k, k): int(k >= r) for k in range(m)}, {(k, k): int(k < r) for k in range(m)}))
     for m, n, r, s in admissible_circular_parameters(4, 5):
-        _, real = circular_complexes_model(m, n, r, s)
+        real = build_family(f"circular:m={m},n={n},r={r},s={s}").realization
         er = {(i, i): 0 for i in range(r)}
         fs = {(n - s + k, m - s + k): 0 for k in range(s)}
         want = {}
@@ -454,7 +483,7 @@ def test_curve_points_are_the_cocharacters_applied_to_the_base_point():
         for c in real.curves:
             _curve_entries(real, c.label, want[c.label])
     for m, n, r in ((2, 2, 1), (3, 4, 2), (5, 3, 2)):
-        real, _ = determinantal_realization(m, n, r)
+        real = build_family(f"determinantal:m={m},n={n},r={r}").realization
         (curve,) = real.curves
         assert curve.label == f"lambda_{r}" and curve.cocharacter == (((0, r - 1), 1),)
         _curve_entries(real, curve.label, ({**{(i, i): 0 for i in range(r)}, (r - 1, r - 1): 1},))
@@ -626,7 +655,7 @@ def test_apply_pair_matches_reference_products():
     # The translate kernel on integer forms (l, L) of g_left and (r, R) of
     # g_right, L / l = g_left and R / r = g_right.  Forms are scaled up by a
     # random factor, as a carried form need not be reduced.
-    from sphemb.families import _translate
+    from sphemb.realization import _translate
     from sphemb.lattice import scaled_to_integers
 
     rng = random.Random(11)
@@ -658,7 +687,7 @@ def test_apply_pair_matches_reference_products():
 
 def _minor(m, k, trailing=False) -> Fraction:
     """The top-left, or bottom-right, k x k minor of m: ``ScaledMatrix.minor_ratio`` divided once."""
-    from sphemb.families import ScaledMatrix
+    from sphemb.realization import ScaledMatrix
 
     return Fraction(*ScaledMatrix.of(m).minor_ratio(k, trailing))
 
@@ -702,7 +731,7 @@ def _random_minor_matrix(rng, rows, cols):
 def test_minors_match_reference_determinants_of_sliced_blocks():
     # Every leading and trailing minor is read on the matrix as stored, in a
     # random order of k.
-    from sphemb.families import ScaledMatrix
+    from sphemb.realization import ScaledMatrix
 
     rng = random.Random(29)
     for _ in range(300):
@@ -720,7 +749,7 @@ def test_minors_match_reference_determinants_of_sliced_blocks():
 
 
 def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
-    from sphemb.families import ScaledMatrix, _translate
+    from sphemb.realization import ScaledMatrix, _translate
     from sphemb.lattice import scaled_to_integers
 
     rng = random.Random(5)
@@ -759,7 +788,7 @@ def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
 def test_minor_memos_belong_to_one_matrix():
     # Two matrices with equal shapes each give their own minors, in any
     # order of reading.
-    from sphemb.families import ScaledMatrix
+    from sphemb.realization import ScaledMatrix
 
     a = ScaledMatrix.of([[1, 2, 0], [3, 4, 5], [0, 6, 7]])
     b = ScaledMatrix.of([[7, 0, 1], [0, 2, 0], [5, 0, 3]])
@@ -771,7 +800,7 @@ def test_minor_memos_belong_to_one_matrix():
 
 def test_stored_zero_coefficients_read_as_zero():
     # A stored entry may be zero, as where terms cancelled, and a matrix may be all zero.
-    from sphemb.families import ScaledMatrix, _translate
+    from sphemb.realization import ScaledMatrix, _translate
 
     stored = ScaledMatrix(2, (2, 2), [[0, 0], [4, 6]])
     rows = ((0, 0), (2, 3))
@@ -787,7 +816,7 @@ def test_stored_zero_coefficients_read_as_zero():
 
 def test_minor_sizes_are_checked():
     # A k x k minor needs 0 <= k <= min(rows, columns); the 2 x 3 matrix has no 3 x 3 block.
-    from sphemb.families import ScaledMatrix
+    from sphemb.realization import ScaledMatrix
 
     m = [[1, 2, 3], [4, 5, 6]]
     for matrix in (m, ScaledMatrix.of(m), list(zip(*m))):
@@ -809,7 +838,7 @@ _GRID_SPECS = (
 
 
 def test_points_are_scaled_matrices_from_construction():
-    from sphemb.families import ScaledMatrix
+    from sphemb.realization import ScaledMatrix
     from sphemb.oracle import limit_signature
 
     for spec in _GRID_SPECS:
@@ -883,7 +912,7 @@ def test_an_arrow_given_as_no_rows_is_refused():
 def test_group_draws_are_the_seeded_stream_drawn_once():
     # Each draw keeps a generic factor as (A, det A) and a dual pair's second
     # factor as its scalar c; its units are the group sampler's on the stream.
-    _, real = monoid_model(2)
+    real = build_family("monoid:m=2").realization
     for trials, seed in ((3, 0), (3, 11), (5, 0)):
         draws = real.group_draws(trials, seed)
         rng = random.Random(seed)
@@ -938,7 +967,7 @@ def test_quiver_lie_rows_match_unit_matrix_products():
 def test_monoid_lie_rows_match_unit_matrix_products():
     rng = random.Random(9)
     for m in (1, 2, 3, 4):
-        _, real = monoid_model(m)
+        real = build_family(f"monoid:m={m}").realization
         for point in _orbit_points(real, rng):
             got = _dense_lie_rows(real, point)
             assert got == _scaled_by_arrow(_reference_monoid_lie_rows(m, point), point)
@@ -993,8 +1022,8 @@ def test_monoid_wonderful_pairs_are_the_model_coroots():
     # D_i of the wonderful data pairs -f on the first copy of the lattice with
     # f on the second, f the model's colour functional alpha_i^vee.
     for m in range(1, 9):
-        model, _ = monoid_model(m)
-        wm = monoid_wonderful(m)
+        bundle = build_family(f"monoid:m={m}")
+        model, wm = bundle.model, bundle.wonderful
         assert list(wm.color_ids) == list(model.color_ids)
         for (lab, (left, right)), spec in zip(wm.colors, model.colors):
             f = list(spec.functional.coords)
@@ -1042,7 +1071,7 @@ def test_integer_memberships_match_fraction_memberships():
     rng = random.Random(23)
     verdicts = []
     for m in (1, 2, 3, 4):
-        _, real = monoid_model(m)
+        real = build_family(f"monoid:m={m}").realization
         d0 = [[Fraction(0)] * m for _ in range(m)]
         e11, e21 = [list(r) for r in d0], [list(r) for r in d0]
         e11[0][0] = Fraction(1)
@@ -1220,9 +1249,9 @@ def test_rand_generic_rejects_exactly_the_singular_draws(monkeypatch):
     rejected = 0
     for seed in range(200):
         n, bound = 1 + seed % 3, 1 + seed % 2
-        monkeypatch.setattr(families, "_GENERIC_RANGE", bound)
+        monkeypatch.setattr(realization, "_GENERIC_RANGE", bound)
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        m, det = families._rand_nonsingular(rng, n, families._GENERIC_RANGE)
+        m, det = realization._rand_nonsingular(rng, n, realization._GENERIC_RANGE)
         assert _fracs(m) == _ref_invertible(ref_rng, n, -bound, bound)
         assert rng.getstate() == ref_rng.getstate()
         probe = random.Random(seed)
@@ -1292,7 +1321,7 @@ def test_act_on_hand_built_elements_inverts_their_own_factors():
     # each bumped factor's own inverse, never one through identities that
     # hold only for sampled elements (B^-1 = A^T / c).
     for m in (1, 2, 3):
-        _, real = monoid_model(m)
+        real = build_family(f"monoid:m={m}").realization
         x = _points(real)[1 + m // 2]
         for seed in range(4):
             g = real.group_sampler(random.Random(seed))
@@ -1319,7 +1348,7 @@ def test_act_on_hand_built_elements_inverts_their_own_factors():
     # a bump that makes a factor singular yields no copy: of the eight bumps
     # of (I, [[1, 1], [0, 1]]) only B's (1, 0) entry gives [[1, 1], [1, 1]]
     real = build_family("circular:m=2,n=2,r=1,s=1").realization
-    g = (families._unit([[1, 0], [0, 1]]), families._unit([[1, 1], [0, 1]]))
+    g = (realization._unit([[1, 0], [0, 1]]), realization._unit([[1, 1], [0, 1]]))
     copies = list(_bumped_copies(g))
     assert len(copies) == 7
     assert [[1, 1], [1, 1]] not in [c[1][1] for c in copies]
@@ -1333,7 +1362,7 @@ def test_negative_control_walks_the_invertible_bumps_in_order():
     # [[-1]] + 1 and [[1, 1], [1, 1]] are singular, so those two bumps are
     # skipped: det L + l C_ij(L) = 0 for the (i, j) cofactor C_ij.  The base
     # point is zero, so no bump moves it and every other bump is tested.
-    from sphemb.families import _unit
+    from sphemb.realization import _unit
 
     real = build_family("complexes:l=1,m=2,n=2,r=0,s=0").realization
     minus_one = (1, [[-1]], 1, [[-1]])
@@ -1468,7 +1497,7 @@ def test_dilation_matches_fraction_sum():
     # d(A, B) = sum a_ij b_ij / m, summed on integer forms and divided once,
     # at the base point, the curves' limits and their translates.
     for m in (1, 2, 3, 4):
-        _, real = monoid_model(m)
+        real = build_family(f"monoid:m={m}").realization
         (dilation,) = [f for f in real.semi_invariants if f.name == "d"]
         rng = random.Random(m)
         points = _points(real) + [real.act(real.group_sampler(rng), x) for x in _points(real)]

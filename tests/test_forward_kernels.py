@@ -6,9 +6,8 @@ c, and the minors of an inverse d A^-1 through Jacobi's identity.
 ``draw_reference`` reads the same seeded elements as units, each generic
 factor inverted by ``integer_inverse``, as the kernel first did.  Both must
 give the same lowest term, power and integer coefficient, for every leading
-and trailing minor of every arrow, the realization's own forms and a
-``Pairing`` that is not on dual pairs, on every family grid the other tests
-use.  Planted mutants of the forward kernel must fail the comparison, and
+and trailing minor of every arrow and the realization's own forms, on every
+family grid the other tests use.  Planted mutants of the forward kernel must fail the comparison, and
 ``verify`` must invert only where a translate is built.
 """
 
@@ -21,9 +20,10 @@ from test_borel_kernels import _PIN_MEMBERS
 from test_families import _GRID_SPECS, _INVERSE_MEMBERS, _SAMPLER_SPECS
 from test_oracle import _FORM_MEMBERS, _SLIP_MEMBERS
 
-from sphemb import divisor_model, families, lattice
+from sphemb import divisor_model, lattice, realization
 from sphemb.cli import run
-from sphemb.families import MatrixRealization, Minor, Pairing, build_family
+from sphemb.families import build_family
+from sphemb.realization import MatrixRealization, Minor, Pairing
 
 _SEEDS = (0, 1, 7, 931794)
 _TRIALS = 4
@@ -36,11 +36,10 @@ _SPECS = sorted(
 
 
 def _forms(real):
-    """Every leading and trailing minor of every arrow, the realization's own forms and the non-dual Pairing of
-    arrow 0 with itself."""
+    """Every leading and trailing minor of every arrow and the realization's own forms."""
     forms = [Minor(a, k, trailing) for a, (rows, cols) in enumerate(real.shapes) for trailing in (False, True)
              for k in range(min(rows, cols) + 1)]
-    return forms + [f.form for f in real.semi_invariants] + [Pairing(0, 0, 1)]
+    return forms + [f.form for f in real.semi_invariants]
 
 
 def _mismatches(specs, seeds=_SEEDS):
@@ -72,7 +71,7 @@ def test_the_grid_reaches_every_branch_of_the_forward_kernel():
     assert {spec.partition(":")[0] for spec in _SPECS} == {"monoid", "circular", "determinantal"}
     # Jacobi sides read both off a factor's table of minors and off one determinant per complement.
     kinds = {key[0] for real in reals for c in real.curves for form in _forms(real) for key in real._plan(form, c.label)[:2]}
-    assert kinds == {"minors", "complements", "gram_columns", "gram_rows", "one"}
+    assert kinds == {"minors", "complements", "one"}
 
 
 @pytest.mark.parametrize("spec", ["determinantal:m=3,n=14,r=1", "determinantal:m=3,n=16,r=2", "circular:m=2,n=16,r=1,s=1"])
@@ -123,7 +122,7 @@ def _pairing_without_c(original):
     # p = d_a: the scalar c of the source pair's second factor dropped.
     def mutant(self, form, curve_label):
         plan = original(self, form, curve_label)
-        if isinstance(form, Pairing) and self._on_dual_pairs(form):
+        if isinstance(form, Pairing):
             plan = (*plan[:3], plan[3][1:], plan[4])
         return plan
 
@@ -133,8 +132,8 @@ def _pairing_without_c(original):
 @pytest.mark.parametrize(
     "owner, name, mutate",
     [
-        (families, "_minor_terms", _no_jacobi_sign),
-        (families, "_scalars", _full_power),
+        (realization, "_minor_terms", _no_jacobi_sign),
+        (realization, "_scalars", _full_power),
         (MatrixRealization, "_plan", _unreversed_trailing_rows),
         (MatrixRealization, "_plan", _pairing_without_c),
     ],
@@ -166,7 +165,7 @@ _INVERSES = {
 def test_verify_inverts_only_where_a_translate_is_built(spec, monkeypatch):
     calls = []
     inverse = lattice.integer_inverse
-    for module in (lattice, families, divisor_model):
+    for module in (lattice, realization, divisor_model):
         if hasattr(module, "integer_inverse"):
             monkeypatch.setattr(module, "integer_inverse", lambda rows: calls.append(len(rows)) or inverse(rows))
     for seed in ("0", "7"):

@@ -16,7 +16,7 @@ from model_reference import first_disagreement, model_grid
 from sphemb import families
 from sphemb.cli import run
 from sphemb.divisor_model import BoundarySpec, ColorSpec
-from sphemb.families import build_family, circular_complexes_model
+from sphemb.families import build_family
 
 
 def test_model_grid_dumps_are_pinned():
@@ -75,7 +75,7 @@ def test_second_coroot_slip_fails_construction(monkeypatch):
 
     _patch_table(monkeypatch, "_circular_coroots", negate_second)
     with pytest.raises(ValueError, match=re.escape("E_1")):
-        circular_complexes_model(4, 4, 2, 2)
+        build_family("circular:m=4,n=4,r=2,s=2")
 
 
 @pytest.mark.parametrize("m", [3, 4])

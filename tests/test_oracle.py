@@ -7,20 +7,9 @@ import pytest
 from form_reference import act, curve_point, form_at, form_values, weight_value
 from valuation_reference import infer_boundary_valuation
 
-from sphemb import families, oracle
-from sphemb.families import (
-    Curve,
-    MatrixRealization,
-    Minor,
-    Pairing,
-    ScaledMatrix,
-    SemiInvariantSpec,
-    build_family,
-    circular_complexes_model,
-    complexes_realization,
-    determinantal_realization,
-    monoid_model,
-)
+from sphemb import oracle, realization
+from sphemb.families import build_family
+from sphemb.realization import Curve, MatrixRealization, Minor, Pairing, ScaledMatrix, SemiInvariantSpec
 from sphemb.laurent import NegativeExponentError
 from sphemb.rootdata import TorusLattice
 from sphemb.oracle import (
@@ -45,7 +34,8 @@ def _find(semis, name):
 
 
 def test_t_order_examples():
-    model, real = monoid_model(3)
+    bundle = build_family("monoid:m=3")
+    model, real = bundle.model, bundle.realization
     d = _find(real.semi_invariants, "d")
     res = t_order(real, d, "lambda_1")
     assert res.order == 1 and res.stable
@@ -58,7 +48,8 @@ def test_t_order_examples():
     assert t_order(real, delta2, "lambda_0").order == 2
 
     # A 3 x 3 minor vanishes on every matrix of rank at most 2.
-    det_real, det_model = determinantal_realization(3, 3, 2)
+    bundle = build_family("determinantal:m=3,n=3,r=2")
+    det_real, det_model = bundle.realization, bundle.model
     zero = SemiInvariantSpec("zero", det_model.weight_lattice.combination([]), Minor(0, 3))
     with pytest.raises(IdenticallyZeroError):
         t_order(det_real, zero, "lambda_2")
@@ -66,7 +57,7 @@ def test_t_order_examples():
 
 def test_monoid_limit_signatures():
     for m in range(1, 6):
-        _, real = monoid_model(m)
+        real = build_family(f"monoid:m={m}").realization
         for r in range(m + 1):
             sig = limit_signature(real, f"lambda_{r}")
             assert sig.rank_profile == (r, m - r)
@@ -77,20 +68,20 @@ def test_monoid_limit_signatures():
 
 
 def test_determinantal_limit_signature():
-    real, _ = determinantal_realization(2, 2, 1)
+    real = build_family("determinantal:m=2,n=2,r=1").realization
     assert real.membership(real.base_point)
     sig = limit_signature(real, "lambda_1")
     assert sig.rank_profile == (0,)  # the scaled idempotent degenerates to zero
 
 
 def test_circular_limit_signature():
-    _, real = circular_complexes_model(2, 2, 1, 1)
+    real = build_family("circular:m=2,n=2,r=1,s=1").realization
     sig = limit_signature(real, "lambda_1")
     assert sig.rank_profile == (0, 1)
     sig = limit_signature(real, "mu_1")
     assert sig.rank_profile == (1, 0)
     # a curve without t degenerates nowhere: limit is the base point
-    _, real23 = circular_complexes_model(2, 3, 1, 1)
+    real23 = build_family("circular:m=2,n=3,r=1,s=1").realization
     sig = limit_signature(real23, "mu_1")
     assert sig.limit_point == real23.base_point
     assert sig.rank_profile == (1, 1)
@@ -142,11 +133,11 @@ def test_limit_reads_stored_coefficients():
 
 
 def test_orbit_dimensions():
-    assert orbit_dimension(circular_complexes_model(2, 2, 1, 1)[1]) == 4
-    assert orbit_dimension(circular_complexes_model(3, 3, 1, 1)[1]) == 8
-    assert orbit_dimension(determinantal_realization(3, 3, 2)[0]) == 8
-    assert orbit_dimension(monoid_model(2)[1]) == 5
-    real = complexes_realization(2, 3, 2, 1, 1)
+    assert orbit_dimension(build_family("circular:m=2,n=2,r=1,s=1").realization) == 4
+    assert orbit_dimension(build_family("circular:m=3,n=3,r=1,s=1").realization) == 8
+    assert orbit_dimension(build_family("determinantal:m=3,n=3,r=2").realization) == 8
+    assert orbit_dimension(build_family("monoid:m=2").realization) == 5
+    real = build_family("complexes:l=2,m=3,n=2,r=1,s=1").realization
     assert orbit_dimension(real) == real.expected_orbit_dimension == 7
     # The Jacobian rank at the base point is the closed formula
     # r(l + m - r) + s(m + n - s) - rs on every complexes member with
@@ -155,7 +146,7 @@ def test_orbit_dimensions():
     for l, m, n in itertools.product(range(4), repeat=3):
         for r, s in itertools.product(range(l + 1), range(n + 1)):
             if r + s <= m:
-                real = complexes_realization(l, m, n, r, s)
+                real = build_family(f"complexes:l={l},m={m},n={n},r={r},s={s}").realization
                 assert orbit_dimension(real) == real.expected_orbit_dimension, (l, m, n, r, s)
                 count += 1
     assert count == 206
@@ -163,13 +154,15 @@ def test_orbit_dimensions():
 
 def test_semiinvariance_weights():
     for m in range(1, 6):
-        model, real = monoid_model(m)
+        bundle = build_family(f"monoid:m={m}")
+        model, real = bundle.model, bundle.realization
         d = _find(real.semi_invariants, "d")
         weight = semiinvariance_check(real, d)
         expected = model.character("eps_1") + model.character(f"eps_{m + 1}")
         assert weight == expected
 
-    model, real = monoid_model(3)
+    bundle = build_family("monoid:m=3")
+    model, real = bundle.model, bundle.realization
     delta1 = _find(real.semi_invariants, "Delta_1")
     assert semiinvariance_check(real, delta1, trials=20) == model.character("eps_1")
 
@@ -178,7 +171,8 @@ def test_semiinvariance_weights():
 
 
 def test_semiinvariance_rejects_wrong_claims():
-    model, real = monoid_model(3)
+    bundle = build_family("monoid:m=3")
+    model, real = bundle.model, bundle.realization
     # trailing principal minors are not semi-invariant for this Borel choice
     trailing = _find(real.semi_invariants, "Delta_trail_1")
     with pytest.raises(SemiInvarianceError):
@@ -191,13 +185,14 @@ def test_semiinvariance_rejects_wrong_claims():
 
 
 def test_select_semi_invariants_keeps_leading_minors():
-    _, real = monoid_model(3)
+    real = build_family("monoid:m=3").realization
     names = [f.name for f in select_semi_invariants(real)]
     assert names == ["d", "Delta_1", "Delta_2", "Delta_3"]
 
 
 def test_verify_boundary_valuations_monoid():
-    model, real = monoid_model(3)
+    bundle = build_family("monoid:m=3")
+    model, real = bundle.model, bundle.realization
     report = verify_boundary_valuations(model, real)
     assert report.passed and report.stable
     # model value <chi, nu_r> appears in every record
@@ -207,7 +202,8 @@ def test_verify_boundary_valuations_monoid():
 
 
 def test_verify_boundary_valuations_negative_control():
-    model, real = monoid_model(3)
+    bundle = build_family("monoid:m=3")
+    model, real = bundle.model, bundle.realization
     doubled = model.weight_lattice.covector([2 * c for c in model.boundaries[1].valuation.coords])
     corrupted = dataclasses.replace(
         model,
@@ -227,7 +223,8 @@ def test_verify_boundary_valuations_negative_control():
 
 
 def test_reports_are_deterministic():
-    model, real = monoid_model(2)
+    bundle = build_family("monoid:m=2")
+    model, real = bundle.model, bundle.realization
     a = verify_boundary_valuations(model, real, trials=8, seed=42)
     b = verify_boundary_valuations(model, real, trials=8, seed=42)
     assert a == b
@@ -237,7 +234,8 @@ def test_reports_are_deterministic():
 
 
 def test_infer_boundary_valuation_matches_model():
-    model, real = monoid_model(3)
+    bundle = build_family("monoid:m=3")
+    model, real = bundle.model, bundle.realization
     verified = select_semi_invariants(real)
     for spec in model.boundaries:
         (curve,) = [c.label for c in real.curves if c.boundary == spec.id]
@@ -246,7 +244,7 @@ def test_infer_boundary_valuation_matches_model():
 
 
 def test_stabilizer_check_examples():
-    _, real = circular_complexes_model(2, 2, 1, 1)
+    real = build_family("circular:m=2,n=2,r=1,s=1").realization
     # the identity element: two units (1, I, 1, I)
     identity_rows = [[int(i == j) for j in range(2)] for i in range(2)]
     identity = ((1, identity_rows, 1, identity_rows),) * 2
@@ -264,13 +262,14 @@ def test_stabilizer_check_examples():
 
 
 def test_verification_report_families():
-    model, real = monoid_model(2)
+    bundle = build_family("monoid:m=2")
+    model, real = bundle.model, bundle.realization
     report = verification_report(model, real)
     checks = {rec.check for rec in report.records}
     assert {"semi_invariant_weight", "boundary_valuation", "limit_rank_profile", "orbit_dimension"} <= checks
     assert report.passed and report.stable
 
-    creal = complexes_realization(2, 3, 2, 1, 1)
+    creal = build_family("complexes:l=2,m=3,n=2,r=1,s=1").realization
     report = verification_report(None, creal)
     assert report.passed
     assert {"orbit_dimension", "stabilizer_fixes_base_point", "stabilizer_negative_control"} <= {
@@ -343,12 +342,9 @@ def _reference_semiinvariance_failure(real, f, trials, seed):
 
 
 def _equivalence_realizations():
-    for name, (model, real) in (
-        ("monoid:2", monoid_model(2)),
-        ("monoid:3", monoid_model(3)),
-        ("determinantal:3,3,2", determinantal_realization(3, 3, 2)[::-1]),
-    ):
-        lattice = model.weight_lattice
+    for name in ("monoid:m=2", "monoid:m=3", "determinantal:m=3,n=3,r=2"):
+        bundle = build_family(name)
+        real, lattice = bundle.realization, bundle.model.weight_lattice
         d = _find(real.semi_invariants, "Delta_1")
         extra = (
             SemiInvariantSpec("wrong_weight", d.claimed_weight + d.claimed_weight, d.form),
@@ -498,14 +494,15 @@ def test_minor_orders_are_the_symbolic_generic_orders(spec):
 
 
 def _permuted_realization(base, curves):
-    """Two 3 x 3 arrows on four GL(3) factors.
+    """Two 3 x 3 arrows on four GL(3) factors, the first two generic and their duals c g^-T.
 
     ``base`` holds each arrow's {(i, j): c}, over scale 2 on the first
     arrow, and ``curves`` maps a label to a cocharacter.  Under
-    ``_small_draws`` its group elements have entries in {-1, 0, 1}.  Such
+    ``_small_draws`` the generic factors have entries in {-1, 0, 1}.  Such
     small draws often cancel a translate's lowest coefficient, so the orders
     test the whole polynomial, its signs included, and not only the powers of
-    t it can hold.
+    t it can hold.  The second arrow runs between the duals of the first's
+    ends, so the two arrows can be paired.
     """
     point = tuple(ScaledMatrix(s, (3, 3), [[x.get((i, j), 0) for j in range(3)] for i in range(3)]) for x, s in zip(base, (2, 1)))
     character = TorusLattice(("eps_1",)).combination([])
@@ -514,7 +511,8 @@ def _permuted_realization(base, curves):
         base_point=point,
         membership=lambda pt: True,
         arrows=((0, 1), (2, 3)),
-        borel_lower=(True, False, True, False),
+        borel_lower=(True, False, False, True),
+        dual_factors=((0, 2), (1, 3)),
         expected_orbit_dimension=0,
         stabilizer_sampler=lambda rng: (),
         semi_invariants=tuple(SemiInvariantSpec(repr(form), character, form) for form in forms),
@@ -543,7 +541,7 @@ _PERMUTED_ENTRIES = {
 @pytest.fixture
 def _small_draws(monkeypatch):
     """Generic units drawn with entries in {-1, 0, 1}: ``_rand_generic`` reads ``_GENERIC_RANGE`` at each draw."""
-    monkeypatch.setattr(families, "_GENERIC_RANGE", 1)
+    monkeypatch.setattr(realization, "_GENERIC_RANGE", 1)
 
 
 def test_form_orders_match_translated_evaluation_on_permuted_curves(_small_draws):
@@ -582,6 +580,9 @@ def test_non_monomial_curve_fails_construction():
     [
         ("monoid:m=3", Minor(0, 4), "lambda_0", "no 4 x 4 minor of arrow 0's 3 x 3 matrix"),
         ("circular:m=2,n=3,r=1,s=1", Pairing(0, 1, 1), "lambda_1", r"arrows 0 and 1 have shapes \(2, 3\) and \(3, 2\)"),
+        # Equal shapes, but no dual factor pairs: no Gram table of the draws is scalar.
+        ("circular:m=2,n=2,r=1,s=1", Pairing(0, 1, 1), "lambda_1", "arrows 0 and 1 do not run between dual factor pairs"),
+        ("monoid:m=2", Pairing(1, 1, 1), "lambda_0", "arrows 1 and 1 do not run between dual factor pairs"),
     ],
 )
 def test_malformed_forms_handed_to_the_oracle_are_refused_alike(spec, form, curve, message):
@@ -590,7 +591,7 @@ def test_malformed_forms_handed_to_the_oracle_are_refused_alike(spec, form, curv
     # refuses it with the same ValueError, before drawing anything.
     bundle = build_family(spec)
     real, weight = bundle.realization, bundle.model.weight_lattice.combination([])
-    real.group_sampler = real.borel_sampler = None  # any draw would fail
+    real.group_draw = real.group_sampler = real.borel_sampler = None  # any draw would fail
     big = SemiInvariantSpec("big", weight, form)
     errors = set()
     for call in (
@@ -605,8 +606,8 @@ def test_malformed_forms_handed_to_the_oracle_are_refused_alike(spec, form, curv
 
 
 def test_t_order_on_no_functions_draws_nothing():
-    _, real = monoid_model(2)
-    real.group_sampler = real.borel_sampler = None  # any draw would fail
+    real = build_family("monoid:m=2").realization
+    real.group_draw = real.group_sampler = real.borel_sampler = None  # any draw would fail
     assert t_order(real, (), "lambda_0") == ()
     with pytest.raises(KeyError, match="unknown curve 'nope'"):
         t_order(real, (), "nope")
@@ -614,7 +615,8 @@ def test_t_order_on_no_functions_draws_nothing():
 
 
 def test_trials_below_one_are_rejected():
-    model, real = monoid_model(3)
+    bundle = build_family("monoid:m=3")
+    model, real = bundle.model, bundle.realization
     d = _find(real.semi_invariants, "d")
     for trials in (0, -3):
         calls = [
@@ -642,7 +644,8 @@ def test_verification_report_draw_counts():
     # x the one translate ``act`` builds.  The orders are read by Cauchy-Binet
     # off the forward draws.
     def counting():
-        model, real = monoid_model(3)
+        bundle = build_family("monoid:m=3")
+        model, real = bundle.model, bundle.realization
         counts = {"group_draw": 0, "element": 0, "group_sampler": 0, "borel_sampler": 0, "act": 0}
 
         def counted(name):
@@ -684,7 +687,8 @@ def test_verification_report_draw_counts():
 
 
 def test_boundary_without_curve_fails_closed():
-    model, real = monoid_model(2)
+    bundle = build_family("monoid:m=2")
+    model, real = bundle.model, bundle.realization
     cut = dataclasses.replace(real, curves=real.curves[:-1])
     verified = select_semi_invariants(cut)
     report = verify_boundary_valuations(model, cut, verified)

@@ -22,16 +22,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sphemb.families import (  # noqa: E402
-    Curve,
-    Pairing,
-    ScaledMatrix,
-    _translate,
-    admissible_circular_parameters,
-    build_family,
-    complexes_realization,
-    monoid_model,
-)
+from sphemb.families import admissible_circular_parameters, build_family  # noqa: E402
+from sphemb.realization import Curve, Pairing, ScaledMatrix, _translate  # noqa: E402
 from sphemb.lattice import mat_mul  # noqa: E402
 from sphemb.rootdata import TorusLattice  # noqa: E402
 from test_families import _minor  # noqa: E402
@@ -98,7 +90,7 @@ def test_translate_matches_reference_product(rows, cols, data):
 @pytest.mark.parametrize("params", [(2, 0, 3, 0, 0), (1, 2, 0, 1, 0), (0, 2, 2, 0, 1)])
 def test_translate_on_empty_arrows_of_complexes(params):
     # complexes members with l, m or n = 0 carry arrows with no rows or no columns.
-    real = complexes_realization(*params)
+    real = build_family("complexes:l={},m={},n={},r={},s={}".format(*params)).realization
     g = real.group_sampler(random.Random(3))
     moved = real.act(g, real.base_point)
     for (s, t), x, y in zip(real.arrows, real.base_point, moved):
@@ -235,7 +227,7 @@ def test_equality_checks_shapes():
     assert all(a == b and hash(a) == hash(b) for a in empty for b in (*empty, ()))
 
 
-_MONOIDS = {m: monoid_model(m)[1] for m in range(1, 5)}
+_MONOIDS = {m: build_family(f"monoid:m={m}").realization for m in range(1, 5)}
 
 
 def _reference_dilation(point, m):

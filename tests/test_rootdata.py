@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphemb.families import monoid_model
+from sphemb.families import build_family
 from sphemb.rootdata import (
     Character,
     Covector,
@@ -180,7 +180,7 @@ def test_antidominant_examples():
 
 
 def test_monoid_lambda1_image_is_antidominant():
-    model, _ = monoid_model(3)
+    model = build_family("monoid:m=3").model
     # lambda_1 image: 0,1,1 on eps_1..eps_3 and 1 on eps_4.
     v = model.weight_lattice.covector([0, 1, 1, 1])
     assert is_antidominant(v, model.simple_roots)

@@ -12,7 +12,7 @@ import sys
 
 from snf_reference import dense_smith_normal_form
 from sphemb.divisor_model import _relation_matrix, class_group_data
-from sphemb.families import admissible_circular_parameters, build_family, circular_complexes_model
+from sphemb.families import admissible_circular_parameters, build_family
 from sphemb.lattice import IntegerMatrix, determinant, smith_normal_form
 
 
@@ -128,7 +128,7 @@ def _family_models():
     for m in range(1, 41):
         yield f"monoid:m={m}", build_family(f"monoid:m={m}").model
     for p in admissible_circular_parameters(5, 7):
-        yield f"circular:{p}", circular_complexes_model(*p)[0]
+        yield f"circular:{p}", build_family("circular:m={},n={},r={},s={}".format(*p)).model
     for m in range(1, 6):
         for n in range(1, 6):
             for r in range(1, min(m, n)):

@@ -12,7 +12,7 @@
   ``rational_rank``.
 * A ``Pairing`` on dual pairs reads two scalars per draw instead of two Gram
   tables; the sympy reference builds the translate, and a realization
-  without ``dual_factors`` still reads the full Gram tables.
+  without ``dual_factors`` refuses the ``Pairing``.
 """
 
 import dataclasses
@@ -22,7 +22,9 @@ import pytest
 from test_families import _GRID_SPECS, _INVERSE_MEMBERS, _SAMPLER_SPECS, _bumped_copies, _unit_inverse
 from test_oracle import _lowest_terms_and_orders, _one_arrow
 
-from sphemb.families import Curve, MatrixRealization, Pairing, ScaledMatrix, _unit, build_family, monoid_model
+from sphemb import realization
+from sphemb.families import build_family
+from sphemb.realization import Curve, Pairing, ScaledMatrix, _unit
 from sphemb.lattice import rational_rank
 from sphemb.oracle import limit_signature, stabilizer_check, verification_report
 
@@ -155,27 +157,26 @@ def test_dual_pairing_reads_two_scalars(m, monkeypatch):
     # The monoid's dilation d pairs arrows whose sources and targets are dual
     # pairs: each draw gives p = c d_a and q = sign(c') d_b, read off the draw
     # with no table but {0: 1}, and the lowest terms match the sympy
-    # reference.  Without dual_factors the draws are generic on every factor,
-    # and the same Pairing reads the full Gram tables off the draw's units.
-    _, real = monoid_model(m)
-    plain = dataclasses.replace(real, dual_factors=())
+    # reference.  Without dual_factors no Gram table is scalar, and the same
+    # Pairing is refused when the realization is built.
+    real = build_family(f"monoid:m={m}").realization
     (d,) = [f for f in real.semi_invariants if isinstance(f.form, Pairing)]
     tables = []
-    draw_table = MatrixRealization._draw_table
+    draw_table = realization._draw_table
 
-    def recording(self, draw, key, cache):
-        table = draw_table(self, draw, key, cache)
+    def recording(draw, key):
+        table = draw_table(draw, key)
         tables.append((key, len(table)))
         return table
 
-    monkeypatch.setattr(MatrixRealization, "_draw_table", recording)
-    for target, kinds, size in ((real, {"one"}, 1), (plain, {"gram_columns", "gram_rows"}, m * m)):
-        for seed in (0, 1, 7):
-            tables.clear()
-            for c in target.curves:
-                _lowest_terms_and_orders(target, (d,), c.label, 4, seed)
-            assert tables and {key[0] for key, _ in tables} == kinds, (m, seed)
-            assert all(n == size for _, n in tables), (m, seed, kinds)
+    monkeypatch.setattr(realization, "_draw_table", recording)
+    for seed in (0, 1, 7):
+        tables.clear()
+        for c in real.curves:
+            _lowest_terms_and_orders(real, (d,), c.label, 4, seed)
+        assert tables and {key for key, _ in tables} == {("one",)} and all(n == 1 for _, n in tables), (m, seed)
+    with pytest.raises(ValueError, match="^semi-invariant d: arrows 0 and 1 do not run between dual factor pairs$"):
+        dataclasses.replace(real, dual_factors=())
 
 
 def _reference_bumps(g):
