@@ -1,5 +1,7 @@
 """Exact divisor calculus for spherical embeddings with a randomized matrix oracle."""
 
+from types import ModuleType as _ModuleType
+
 from .lattice import (
     AbelianGroupPresentation,
     IntegerMatrix,
@@ -41,4 +43,5 @@ from .oracle import (
     verify_boundary_valuations,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names imported above; importing them also binds the submodules, which are not exported.
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -469,9 +469,9 @@ def finalize_determinantal_model(
     (``_determinantal``).  ``trials`` and ``seed`` are not read, and
     nothing in the package calls this check.
     """
-    base_dim = oracle.base_orbit_dimension(realization)
+    base_dim = oracle.orbit_dimension(realization)
     for c in (c for c in realization.curves if c.boundary is not None):
-        limit = oracle.curve_signature(realization, c.label).limit_point
+        limit = oracle.limit_signature(realization, c.label).limit_point
         if base_dim - oracle.orbit_dimension(realization, limit) == 1:
             raise ValueError(f"the limit of {c.label} lies in a divisor, {c.boundary}")
     return model
@@ -658,13 +658,13 @@ class FamilyBundle:
         return None if self._wonder is None else self._wonder()
 
 
-def build_family(spec: str, trials: int = 8, seed: int = 0) -> FamilyBundle:
+def build_family(spec: str, seed: int = 0) -> FamilyBundle:
     """Construct the model/realization bundle for a family specifier string.
 
     Parameters are checked, and the divisor model built, here.  The
     realization and the wonderful data are built when ``bundle.realization``
-    and ``bundle.wonderful`` are first read.  ``trials`` and ``seed`` are
-    accepted and do not affect the bundle: no model is built with the oracle.
+    and ``bundle.wonderful`` are first read.  Nothing reads ``seed`` (no model is
+    built with the oracle); only the benchmark's model-cold workload passes it.
     """
     name, params = parse_family_spec(spec)
     model, realize, wonder = _FAMILIES[name][1](**params)

@@ -169,16 +169,6 @@ def orbit_dimension(real, point=None) -> int:
     return sparse_rank(real.tangent_rows(real.base_point if point is None else point))
 
 
-def curve_signature(real, curve_label: str) -> LimitSignature:
-    """``limit_signature`` of the labelled curve, taken once per realization."""
-    return real.memo(("limit_signature", curve_label), lambda: limit_signature(real, curve_label))
-
-
-def base_orbit_dimension(real) -> int:
-    """``orbit_dimension`` at the base point, taken once per realization."""
-    return real.memo("base_orbit_dimension", lambda: orbit_dimension(real))
-
-
 def _borel_failures(real, candidates, first_draw) -> list[str | None]:
     """Per candidate, ``None`` if it is certified in closed form, else why it is rejected; no Borel element is drawn.
 
@@ -314,9 +304,9 @@ def verification_report(model, real, trials: int = 8, seed: int = 0) -> Verifica
         )
 
     for c in real.curves:
-        sig = curve_signature(real, c.label)
+        sig = limit_signature(real, c.label)
         records.append(_exact_record("limit_rank_profile", {"curve": c.label}, list(c.limit_ranks), list(sig.rank_profile)))
-    dim = base_orbit_dimension(real)
+    dim = orbit_dimension(real)
     records.append(_exact_record("orbit_dimension", {"point": "base"}, real.expected_orbit_dimension, dim))
     element = real.stabilizer_sampler(rng)
     fixed = stabilizer_check(real, element)

@@ -24,12 +24,12 @@ A curve is a cocharacter lambda (``Curve``) through the base point x0,
 which is monomial wherever a form reads it: entry c at (i, j) of arrow
 (s, t) becomes c t^(lambda_s(i) - lambda_t(j)) (``monomial_entries``), and
 the curve's limit and every t-order are read off these entries.  Every
-semi-invariant is data, a ``Minor`` or a ``Pairing`` of arrows whose
-sources and targets are dual factor pairs; its t-orders on the seeded
-translates are read by Cauchy-Binet off the curve's entries and the forward
-draws, the inverses' minors by Jacobi's identity (``lowest_terms``), and
-its Borel weight off the orientation table and the dual pairs
-(``borel_exponents``).
+semi-invariant is data, a ``Minor`` on an arrow between generic factors or
+a ``Pairing`` of arrows whose sources and targets are dual factor pairs;
+its t-orders on the seeded translates are read by Cauchy-Binet off the
+curve's entries and the forward draws, the inverses' minors by Jacobi's
+identity (``lowest_terms``), and its Borel weight off the orientation table
+and the dual pairs (``borel_exponents``).
 """
 
 from __future__ import annotations
@@ -250,8 +250,9 @@ class SemiInvariantSpec:
     """A polynomial function of the matrix entries with a claimed weight.
 
     ``form`` is the function as data, a ``Minor`` or a ``Pairing``; anything
-    else raises ``ValueError``, and so does a ``Pairing`` off the dual factor
-    pairs when a realization checks it (``MatrixRealization.check_forms``).
+    else raises ``ValueError``, and so do a ``Pairing`` off the dual factor
+    pairs and a ``Minor`` on an arrow at a dual pair's second factor when a
+    realization checks it (``MatrixRealization.check_forms``).
     The oracle reads its t-orders by Cauchy-Binet
     (``MatrixRealization.form_orders``) and its values at rational points from
     ``form.ratio``.  ``evaluate`` is the form itself, set at construction.
@@ -421,12 +422,17 @@ class MatrixRealization:
         return self.element(self.group_draw(rng, borel=True))
 
     def check_forms(self, functions) -> None:
-        """``ValueError`` naming the first semi-invariant whose form cannot be read on points of ``shapes``, or is a
-        ``Pairing`` whose arrows' sources, or targets, are not a pair of ``dual_factors``."""
+        """``ValueError`` naming the first semi-invariant whose form cannot be read on points of ``shapes``, is a
+        ``Pairing`` whose arrows' sources, or targets, are not a pair of ``dual_factors``, or is a ``Minor`` on an
+        arrow with the second factor of a dual pair as its source or target."""
+        seconds = {b for _, b in self.dual_factors}
         for f in functions:
-            fault = f.form.fault(self.shapes)
-            if fault is None and isinstance(f.form, Pairing) and not self._on_dual_pairs(f.form):
-                fault = f"arrows {f.form.arrow_a} and {f.form.arrow_b} do not run between dual factor pairs"
+            form = f.form
+            fault = form.fault(self.shapes)
+            if fault is None and isinstance(form, Pairing) and not self._on_dual_pairs(form):
+                fault = f"arrows {form.arrow_a} and {form.arrow_b} do not run between dual factor pairs"
+            if fault is None and isinstance(form, Minor) and seconds & set(self.arrows[form.arrow]):
+                fault = f"arrow {form.arrow} runs at the second factor of a dual pair"
             if fault is not None:
                 raise ValueError(f"semi-invariant {f.name}: {fault}")
 
@@ -490,12 +496,12 @@ class MatrixRealization:
         units L of g_s and R of g_t^-1 and the curve's monomial X
         (``monomial_entries``), so by Cauchy-Binet its minor on the rows and
         columns K is sum_I det L[K, I] det X[I, J] det R[J, K] over the
-        k-subsets I of X's nonzero rows, J being their columns.  A generic
-        factor has L = A and R = d A^-1 (d = |det A|); the second of a dual
-        pair (a, b), drawn as c, has L = c (d_a A_a^-1)^T and R = sign(c) A_a^T.
-        A minor of A is read off A's rows K, and one of d A^-1 by Jacobi's
-        identity, det (d A^-1)[J, K] = sgn(det A) (-1)^(sum J + sum K)
-        d^(k-1) det A[K^c, J^c], off its rows K^c (``_row_minors``, a table
+        k-subsets I of X's nonzero rows, J being their columns.  A ``Minor``
+        runs between generic factors (``check_forms``), each drawn as A with
+        d = |det A|, so L = A_s and R = d_t A_t^-1: det L[K, I] is read
+        forward off A_s's rows K, and det R[J, K] by Jacobi's identity,
+        det (d A^-1)[J, K] = sgn(det A) (-1)^(sum J + sum K)
+        d^(k-1) det A[K^c, J^c], off A_t's rows K^c (``_row_minors``, a table
         per draw, factor and rows, or ``_complement_minors`` where cheaper);
         the curve's terms fold in J^c and (-1)^(sum J) (``_minor_terms``),
         and the rest once per form and draw (``_scalars``).  A ``Pairing`` of
@@ -526,9 +532,11 @@ class MatrixRealization:
 
     def _plan(self, form, curve_label: str) -> tuple:
         """How ``lowest_terms`` reads ``form`` on the curve: the keys of its left and right draw tables
-        (``_draw_table``), its sign and per-draw scalars (``_scalars``) and its terms by power of t."""
-        duals = {b: a for a, b in self.dual_factors}
+        (``_draw_table``), its sign and per-draw scalars (``_scalars``) and its terms by power of t: for a ``Minor``
+        of k > 0 on arrow (s, t), det L_s[K, I] forward off A_s's rows K and det R_t[J, K] through Jacobi off A_t's
+        rows K^c, with the sign (-1)^(sum K) for t's first or last k indices K and the scalar sgn(det A_t) |det A_t|^(k-1)."""
         if isinstance(form, Pairing):
+            duals = {b: a for a, b in self.dual_factors}
             x, y = (self.monomial_entries(curve_label, a) for a in form.arrows)
             (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
             # p = c d_a and q = sign(c') d_b, c and c' the scalars of each pair's second factor.
@@ -536,33 +544,19 @@ class MatrixRealization:
             scalars = ((b, 1, 0), (duals[b], 1, 1), (b2, 0, 1), (duals[b2], 1, 1))
             return ("one",), ("one",), 1, scalars, _dual_pairing_terms(x, y)
         x = self.monomial_entries(curve_label, form.arrow)
-        (s, t), k, (rows, cols) = self.arrows[form.arrow], form.k, self.shapes[form.arrow]
+        (s, t), k, n = self.arrows[form.arrow], form.k, self.shapes[form.arrow][1]
         if k == 0:
             return ("one",), ("one",), 1, (), [(0, [(0, 0, 1)])]
-        lead, full = not form.trailing, [(1 << rows) - 1, (1 << cols) - 1]
-        # (-1)^(sum K) for K the first or the last k of n indices.
-        turn = [(-1) ** ((0 if lead else k * (n - k)) + k * (k - 1) // 2) for n in (rows, cols)]
-        # det L_s[K, I]: forward on A_s, or through Jacobi on c (d_a A_a^-1)^T at a dual pair's second factor.
-        if s in duals:
-            left, sign, scalars = ("minors", duals[s], not lead, full[0]), turn[0], [(s, k, 0), (duals[s], k - 1, k)]
-        else:
-            left, sign, scalars, full[0] = ("minors", s, lead, sum({1 << e[0] for e in x})), 1, [], 0
-        # det R_t[J, K]: through Jacobi on d A_t^-1, or forward on sign(c) A_a^T at a dual pair's second factor.
-        if t in duals:
-            right, full[1] = ("minors", duals[t], lead, sum({1 << e[1] for e in x})), 0
-            scalars.append((t, 0, k))
-        else:
-            right, sign = ("minors", t, not lead, full[1]), sign * turn[1]
-            scalars.append((t, k - 1, k))
-        terms = self.memo(("minor_terms", curve_label, form.arrow, k, *full), lambda: _minor_terms(x, k, *full))
-        keys = [left, right]
-        for side, n in enumerate((rows, cols)):
-            # A Jacobi side needs det A[K^c, J^c] only for the J^c its terms name: one row_determinant each (about
-            # (n - k)^3 steps, 32 for the call) where the table on all 2^n column subsets, shared by every k, costs more.
-            masks = tuple(sorted({term[side] for _, group in terms for term in group}))
-            if full[side] and len(masks) * ((n - k) ** 3 + 32) < 1 << n:
-                keys[side] = ("complements", *keys[side][1:3], masks)
-        return *keys, sign, tuple(scalars), terms
+        lead, full = not form.trailing, (1 << n) - 1
+        sign = (-1) ** ((0 if lead else k * (n - k)) + k * (k - 1) // 2)
+        terms = self.memo(("minor_terms", curve_label, form.arrow, k), lambda: _minor_terms(x, k, full))
+        left = ("minors", s, lead, sum({1 << e[0] for e in x}))
+        # Jacobi needs det A_t[K^c, J^c] only for the J^c the terms name: one row_determinant each (about (n - k)^3
+        # steps, 32 for the call) where the table on all 2^n column subsets, shared by every k, costs more.
+        masks = tuple(sorted({j for _, group in terms for _, j, _ in group}))
+        cheaper = len(masks) * ((n - k) ** 3 + 32) < 1 << n
+        right = ("complements", t, not lead, masks) if cheaper else ("minors", t, not lead, full)
+        return left, right, sign, ((t, k - 1, k),), terms
 
     def act(self, g: GroupElement, point: Point) -> Point:
         """g . X = g_s X g_t^-1 at each arrow (s, t)."""
@@ -677,38 +671,28 @@ class MatrixRealization:
             exponents[factor, 0] = exponents.get((factor, 0), 0) + e
         return {entry: e for entry, e in exponents.items() if e}
 
-    def root_move(self, form, point: Point) -> tuple[int, int, int] | None:
-        """(v, i, j) for the first root element u = I + E_ij of the Borel that changes ``form`` at ``point``, or ``None``.
+    def root_move(self, form: Minor, point: Point) -> tuple[int, int, int] | None:
+        """(v, i, j) for the first root element u = I + E_ij of the Borel that changes the ``Minor`` at ``point``, or
+        ``None``: the one form that can lack a shape weight (``borel_exponents``) once ``check_forms`` has run.
 
         u sits at factor v, below the diagonal if ``borel_lower[v]`` and above
-        it otherwise, and u^-T at v's partner w in ``dual_factors``; the roots
-        are tried factor by factor, the highest first.  u moves X at (s, t) by
-        row i += row j at s = v, column j -= column i at t = v, row j -= row i
-        at s = w and column i += column j at t = w.
+        it otherwise; the roots are tried at the ends of the form's arrow
+        (s, t) in factor order, the highest first.  u moves the arrow's X by
+        row i += row j at s = v and column j -= column i at t = v.
         """
-        value, partner = form.ratio(point), dict(self.dual_factors)
-        seconds = set(partner.values())
-        for v, n in enumerate(self.sizes):
-            w, lower = partner.get(v), self.borel_lower[v]
-            if v in seconds or not any({v, w} & set(self.arrows[a]) for a in form.arrows):
-                continue
+        (s, t), x, k = self.arrows[form.arrow], ScaledMatrix.of(point[form.arrow]), form.k
+        value = x.minor_ratio(k, form.trailing)
+        for v in sorted({s, t}):
+            n, lower = self.sizes[v], self.borel_lower[v]
             for h in range(n - 1, 0, -1):
                 for i, j in ((i, i - h) for i in range(h, n)) if lower else ((i, i + h) for i in range(n - h)):
-                    moved = list(point)
-                    for a in form.arrows:
-                        (s, t), x = self.arrows[a], ScaledMatrix.of(point[a])
-                        y = [list(r) for r in x.integers]
-                        if s == v:
-                            y[i] = [p + q for p, q in zip(y[i], y[j])]
-                        if s == w:
-                            y[j] = [p - q for p, q in zip(y[j], y[i])]
+                    y = [list(r) for r in x.integers]
+                    if s == v:
+                        y[i] = [p + q for p, q in zip(y[i], y[j])]
+                    if t == v:
                         for r in y:
-                            if t == v:
-                                r[j] -= r[i]
-                            if t == w:
-                                r[i] += r[j]
-                        moved[a] = ScaledMatrix(x.scale, x.shape, y)
-                    if form.ratio(moved) != value:
+                            r[j] -= r[i]
+                    if ScaledMatrix(x.scale, x.shape, y).minor_ratio(k, form.trailing) != value:
                         return v, i, j
         return None
 
@@ -719,23 +703,22 @@ class MatrixRealization:
         return {sa, sb} in dual and {ta, tb} in dual
 
 
-def _minor_terms(entries, k: int, left_full: int = 0, right_full: int = 0) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """Per power e of t, ascending, the (I, J, c) with det X[I, J] = c t^e over the k-subsets I of X's nonzero rows.
+def _minor_terms(entries, k: int, full: int) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """Per power e of t, ascending, the (I, J^c, c) with det X[I, J] = (-1)^(sum J) c t^e over the k-subsets I of X's
+    nonzero rows.
 
     X is monomial, given by its (i, j, c, e) ``entries`` in row order; J is
     the columns of I's entries, and c carries the sign of the permutation
-    that sorts them.  I and J are bitmasks; a side read through Jacobi's
-    identity gives the mask of all its indices (``left_full``, ``right_full``),
-    and its key is then the complement of its set S, c carrying (-1)^(sum S).
+    that sorts them and (-1)^(sum J).  I is a bitmask, and so is J^c, the
+    columns of ``full`` (all of them) outside J, on which the Jacobi side
+    reads its complementary minor.
     """
     groups: dict[int, list] = {}
     for chosen in combinations(entries, k):
         rows, cols, coefficients, powers = zip(*chosen) if chosen else ((),) * 4
-        flips = sum(a > b for n, a in enumerate(cols) for b in cols[n + 1 :])
-        flips += (sum(rows) if left_full else 0) + (sum(cols) if right_full else 0)
+        flips = sum(cols) + sum(a > b for n, a in enumerate(cols) for b in cols[n + 1 :])
         coefficient = -prod(coefficients) if flips % 2 else prod(coefficients)
-        left, right = sum(1 << i for i in rows) ^ left_full, sum(1 << j for j in cols) ^ right_full
-        groups.setdefault(sum(powers), []).append((left, right, coefficient))
+        groups.setdefault(sum(powers), []).append((sum(1 << i for i in rows), sum(1 << j for j in cols) ^ full, coefficient))
     return sorted(groups.items())
 
 

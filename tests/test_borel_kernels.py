@@ -19,7 +19,7 @@ from math import prod
 
 from sphemb import oracle, realization
 from sphemb.families import build_family
-from sphemb.realization import ScaledMatrix
+from sphemb.realization import Minor, ScaledMatrix
 from sphemb.lattice import integer_inverse, mat_mul, row_determinant
 
 # The monoid and determinantal members of the oracle-verify benchmark.
@@ -36,17 +36,13 @@ _PIN_RUNS = [(seed, trials) for seed in (0, 1, 931794) for trials in (1, 3, 8)]
 
 
 def _root_moved(real, point, v, i, j):
-    """``point`` moved by the root element I + E_ij at factor v, and its inverse transpose at v's dual partner,
-    as the product of Fraction matrices at each arrow."""
-    partner = dict(real.dual_factors).get(v)
+    """``point`` moved by the root element I + E_ij at factor v, as the product of Fraction matrices at each arrow."""
 
     def unit(factor, inverse):
         n = real.sizes[factor]
         u = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
         if factor == v:
             u[i][j] = Fraction(-1 if inverse else 1)
-        elif factor == partner:
-            u[j][i] = Fraction(1 if inverse else -1)
         return u
 
     moved = []
@@ -67,7 +63,7 @@ def _pinned_values(spec, seed, trials):
     x = real.act(real.element(real.group_draws(trials, seed)[0]), real.base_point)
     borel = []
     for f, why in zip(real.semi_invariants, failures):
-        root = real.root_move(f.form, x)
+        root = real.root_move(f.form, x) if isinstance(f.form, Minor) else None
         values = (f.evaluate(real.base_point), f.evaluate(x))
         if root is not None:
             values += (f.evaluate(_root_moved(real, x, *root)),)

@@ -6,10 +6,12 @@ or class (``_name``, not a dunder) that nothing in the package refers to by
 name or attribute.  It also fails when the realization kernel or the oracle
 imports ``families``: the families build on both, never the other way, and
 with the unused-import check no module re-exports the kernel's names.
+Last, ``from sphemb import *`` must bind the public names alone, no module.
 """
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import sphemb
 
@@ -108,3 +110,12 @@ def test_guard_flags_planted_dead_code():
     live = dict(dead, **{"n.py": ast.parse("import os\nimport m\n\nos.sep\nm._helper()\n")})
     live["m.py"] = ast.parse("import os\n\ndef _helper():\n    return os.sep\n")
     assert unused_imports(live) == [] and unreferenced_private_definitions(live) == []
+
+
+def test_star_import_binds_the_public_names_and_no_module():
+    namespace: dict = {}
+    exec("from sphemb import *", namespace)
+    bound = {name: value for name, value in namespace.items() if name != "__builtins__"}
+    assert sorted(bound) == sphemb.__all__ and all(hasattr(sphemb, name) for name in sphemb.__all__)
+    assert not [name for name, value in bound.items() if isinstance(value, ModuleType)]
+    assert {"build_family", "MatrixRealization", "t_order", "class_group"} <= set(bound)

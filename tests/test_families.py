@@ -87,6 +87,8 @@ def test_monoid_realization_membership_and_curves():
         # A Pairing is read only where the arrows' sources, and their targets, are a dual factor pair.
         ("monoid:m=2", Pairing(0, 0, 1), "arrows 0 and 0 do not run between dual factor pairs"),
         ("circular:m=2,n=2,r=1,s=1", Pairing(0, 1, 1), "arrows 0 and 1 do not run between dual factor pairs"),
+        # A Minor is read only between generic factors: the monoid's arrow 1 runs between the duals' second factors.
+        ("monoid:m=2", Minor(1, 1), "arrow 1 runs at the second factor of a dual pair"),
     ],
 )
 def test_malformed_forms_fail_construction(spec, form, message):
@@ -100,20 +102,25 @@ def test_malformed_forms_fail_construction(spec, form, message):
 def test_every_built_in_pairing_runs_between_dual_pairs():
     # check_forms refuses any other Pairing, and no family member declares one:
     # the one Pairing is the monoid's dilation, between (0, 1) and (2, 3).
+    # Likewise it refuses a Minor at a dual pair's second factor, and none of
+    # the 114 declared Minors sits on such an arrow.
     specs = [f"monoid:m={m}" for m in range(1, 9)]
     specs += ["circular:m={},n={},r={},s={}".format(*p) for p in admissible_circular_parameters(5, 6)]
     specs += [f"determinantal:m={m},n={n},r={r}" for m in range(2, 6) for n in range(2, 6) for r in range(1, min(m, n))]
     specs += [spec for spec in _INVERSE_MEMBERS if spec.startswith("complexes")]
-    pairings = []
+    pairings, minors = [], []
     for spec in specs:
         real = build_family(spec).realization
-        dual = {frozenset(pair) for pair in real.dual_factors}
+        dual, seconds = {frozenset(pair) for pair in real.dual_factors}, {b for _, b in real.dual_factors}
         for f in real.semi_invariants:
             if isinstance(f.form, Pairing):
                 ends = [real.arrows[a] for a in f.form.arrows]
                 assert all(frozenset(v) in dual for v in zip(*ends)), (spec, f.name)
                 pairings.append(spec)
+            else:
+                minors.append(bool(seconds & set(real.arrows[f.form.arrow])))
     assert len(specs) == 214 and pairings == specs[:8]
+    assert (sum(minors), len(minors)) == (0, 114)
 
 
 def test_curves_are_checked_against_the_factors():

@@ -36,9 +36,10 @@ _SPECS = sorted(
 
 
 def _forms(real):
-    """Every leading and trailing minor of every arrow and the realization's own forms."""
-    forms = [Minor(a, k, trailing) for a, (rows, cols) in enumerate(real.shapes) for trailing in (False, True)
-             for k in range(min(rows, cols) + 1)]
+    """Every leading and trailing minor of every arrow between generic factors and the realization's own forms."""
+    seconds = {b for _, b in real.dual_factors}
+    forms = [Minor(a, k, trailing) for a, (rows, cols) in enumerate(real.shapes) if not seconds & set(real.arrows[a])
+             for trailing in (False, True) for k in range(min(rows, cols) + 1)]
     return forms + [f.form for f in real.semi_invariants]
 
 
@@ -63,8 +64,8 @@ def test_lowest_terms_match_the_inverse_reference(spec):
 
 
 def test_the_grid_reaches_every_branch_of_the_forward_kernel():
-    # Dual pairs on both sides of an arrow (the monoid's arrow 1), generic
-    # factors on both (every other family), curves on every member kept.
+    # Minors between generic factors (every family), a Pairing between dual
+    # pairs (the monoid's dilation), curves on every member kept.
     reals = [build_family(spec).realization for spec in _SPECS]
     assert all(real.curves for real in reals)
     assert {bool(real.dual_factors) for real in reals} == {True, False}
@@ -92,9 +93,12 @@ _MUTANT_SPECS = ["monoid:m=2", "monoid:m=3", "determinantal:m=3,n=3,r=2"]
 
 
 def _no_jacobi_sign(original):
-    # (-1)^(sum J) dropped: the complement keys are kept, the sign is not.
-    def mutant(entries, k, left_full=0, right_full=0):
-        return [(e, [(i ^ left_full, j ^ right_full, c) for i, j, c in terms]) for e, terms in original(entries, k)]
+    # (-1)^(sum J) dropped: the complement keys J^c are kept, the sign is not.
+    def mutant(entries, k, full):
+        def unsigned(jc, c):
+            return -c if sum(j for j in range(full.bit_length()) if (jc ^ full) >> j & 1) % 2 else c
+
+        return [(e, [(i, jc, unsigned(jc, c)) for i, jc, c in terms]) for e, terms in original(entries, k, full)]
 
     return mutant
 

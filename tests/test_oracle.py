@@ -502,11 +502,12 @@ def _permuted_realization(base, curves):
     small draws often cancel a translate's lowest coefficient, so the orders
     test the whole polynomial, its signs included, and not only the powers of
     t it can hold.  The second arrow runs between the duals of the first's
-    ends, so the two arrows can be paired.
+    ends, so the two arrows can be paired; it runs at the duals' second
+    factors, so no Minor is read on it.
     """
     point = tuple(ScaledMatrix(s, (3, 3), [[x.get((i, j), 0) for j in range(3)] for i in range(3)]) for x, s in zip(base, (2, 1)))
     character = TorusLattice(("eps_1",)).combination([])
-    forms = [Minor(a, k, trailing) for a in (0, 1) for trailing in (False, True) for k in range(4)] + [Pairing(0, 1, 3)]
+    forms = [Minor(0, k, trailing) for trailing in (False, True) for k in range(4)] + [Pairing(0, 1, 3)]
     return MatrixRealization(
         base_point=point,
         membership=lambda pt: True,
@@ -583,6 +584,8 @@ def test_non_monomial_curve_fails_construction():
         # Equal shapes, but no dual factor pairs: no Gram table of the draws is scalar.
         ("circular:m=2,n=2,r=1,s=1", Pairing(0, 1, 1), "lambda_1", "arrows 0 and 1 do not run between dual factor pairs"),
         ("monoid:m=2", Pairing(1, 1, 1), "lambda_0", "arrows 1 and 1 do not run between dual factor pairs"),
+        # A Minor is read only between generic factors: arrow 1 runs at the duals' second factors.
+        ("monoid:m=2", Minor(1, 1), "lambda_0", "arrow 1 runs at the second factor of a dual pair"),
     ],
 )
 def test_malformed_forms_handed_to_the_oracle_are_refused_alike(spec, form, curve, message):
