@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 import re
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import oracle
 from .divisor_model import BoundarySpec, ColorSpec, SphericalDivisorModel, WonderfulModel
@@ -50,13 +50,13 @@ from .realization import (
     Minor,
     Pairing,
     Point,
-    ScaledMatrix,
     SemiInvariantSpec,
     _dual_unit,
     _monomial_matrix,
     _rand_int_matrix,
     _rand_nonsingular,
     _unit,
+    _zeros,
 )
 from .rootdata import Covector, SimpleRootSet, TorusLattice
 
@@ -141,8 +141,7 @@ def _monoid_model(m: int) -> SphericalDivisorModel:
 def _monoid_membership(point: Point) -> bool:
     # A^T B = A B^T = d I, tested on the stored L A and L' B: both products
     # scale by L L', and d with them.
-    a = ScaledMatrix.of(point[0]).integers
-    b = ScaledMatrix.of(point[1]).integers
+    a, b = point[0].integers, point[1].integers
     at_b = mat_mul(list(zip(*a)), b)
     d = at_b[0][0]
     return at_b == mat_mul(a, list(zip(*b))) == [[d * (i == j) for j in range(len(a))] for i in range(len(a))]
@@ -209,7 +208,7 @@ def _quiver_parts(factors: int, arrows, ranks, zero_paths=()) -> dict:
     def membership(point: Point) -> bool:
         # Ranks and zero compositions are unchanged by scaling each arrow
         # matrix, so they are read on the stored integers.
-        scaled = [ScaledMatrix.of(x).integers for x in point]
+        scaled = [x.integers for x in point]
         if any(rational_rank(x) > k for x, k in zip(scaled, ranks)):
             return False
         return all(e == 0 for i, j in zero_paths for row in mat_mul(scaled[i], scaled[j]) for e in row)
@@ -379,44 +378,31 @@ def _circular(m: int, n: int, r: int, s: int):
     return model, lambda: _circular_realization(m, n, r, s, model), lambda: _circular_wonderful(m, n, r, s)
 
 
-def _block_matrix(blocks, row_sizes: Sequence[int], col_sizes: Sequence[int]) -> list[list[int]]:
-    """The integer matrix of a grid of blocks, ``None`` for a zero block."""
+def _block_triangular(rng: random.Random, diagonal, upper: bool) -> list[list[int]]:
+    """The integer matrix of a block-triangular grid, drawn block by block in row-major order.
+
+    Each diagonal block is given as a matrix, or as a size and drawn in place
+    by ``_rand_nonsingular``; each block above the diagonal (``upper``), or
+    below it, is drawn by ``_rand_int_matrix``, and every other block is zero.
+    """
+    sizes = [d if isinstance(d, int) else len(d) for d in diagonal]
     rows = []
-    for bi, rsize in enumerate(row_sizes):
-        for i in range(rsize):
-            row = []
-            for bj, csize in enumerate(col_sizes):
-                blk = blocks[bi][bj]
-                row.extend([0] * csize if blk is None else blk[i])
-            rows.append(row)
+    for i, height in enumerate(sizes):
+        blocks = []
+        for j, width in enumerate(sizes):
+            if i == j:
+                blocks.append(_rand_nonsingular(rng, height)[0] if isinstance(diagonal[i], int) else diagonal[i])
+            else:
+                blocks.append(_rand_int_matrix(rng, height, width) if (j > i) == upper else _zeros(height, width))
+        rows += [sum(line, []) for line in zip(*blocks)]
     return rows
 
 
 def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: int) -> tuple[Factor, ...]:
     """A random element of the block-shaped stabilizer of the base idempotent, as factors (1, L)."""
-    shared_11 = _rand_nonsingular(rng, r)[0]
-    shared_33 = _rand_nonsingular(rng, s)[0]
-    a22 = _rand_nonsingular(rng, m - r - s)[0]
-    b22 = _rand_nonsingular(rng, n - r - s)[0]
-    a = _block_matrix(
-        [
-            [shared_11, _rand_int_matrix(rng, r, m - r - s), _rand_int_matrix(rng, r, s)],
-            [None, a22, _rand_int_matrix(rng, m - r - s, s)],
-            [None, None, shared_33],
-        ],
-        (r, m - r - s, s),
-        (r, m - r - s, s),
-    )
-    b = _block_matrix(
-        [
-            [shared_11, None, None],
-            [_rand_int_matrix(rng, n - r - s, r), b22, None],
-            [_rand_int_matrix(rng, s, r), _rand_int_matrix(rng, s, n - r - s), shared_33],
-        ],
-        (r, n - r - s, s),
-        (r, n - r - s, s),
-    )
-    return ((1, a), (1, b))
+    first, last, a22, b22 = (_rand_nonsingular(rng, k)[0] for k in (r, s, m - r - s, n - r - s))
+    a = _block_triangular(rng, (first, a22, last), True)
+    return ((1, a), (1, _block_triangular(rng, (first, b22, last), False)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,28 +471,9 @@ def _complexes_realization(l: int, m: int, n: int, r: int, s: int) -> MatrixReal
     """Pairs (A, B) in Mat(l,m) x Mat(m,n) with rk A <= r, rk B <= s, AB = 0."""
 
     def stabilizer_sampler(rng: random.Random) -> tuple[Factor, ...]:
-        a11 = _rand_nonsingular(rng, r)[0]
-        c22 = _rand_nonsingular(rng, s)[0]
-        a_full = _block_matrix(
-            [[a11, _rand_int_matrix(rng, r, l - r)], [None, _rand_nonsingular(rng, l - r)[0]]],
-            (r, l - r),
-            (r, l - r),
-        )
-        b_full = _block_matrix(
-            [
-                [a11, None, None],
-                [_rand_int_matrix(rng, m - r - s, r), _rand_nonsingular(rng, m - r - s)[0], None],
-                [_rand_int_matrix(rng, s, r), _rand_int_matrix(rng, s, m - r - s), c22],
-            ],
-            (r, m - r - s, s),
-            (r, m - r - s, s),
-        )
-        c_full = _block_matrix(
-            [[_rand_nonsingular(rng, n - s)[0], _rand_int_matrix(rng, n - s, s)], [None, c22]],
-            (n - s, s),
-            (n - s, s),
-        )
-        return ((1, a_full), (1, b_full), (1, c_full))
+        a11, c22 = (_rand_nonsingular(rng, k)[0] for k in (r, s))
+        grids = (((a11, l - r), True), ((a11, m - r - s, c22), False), ((n - s, c22), True))
+        return tuple((1, _block_triangular(rng, diagonal, upper)) for diagonal, upper in grids)
 
     return MatrixRealization(
         base_point=(_monomial_matrix(l, m, _standard_er(r)), _monomial_matrix(m, n, _standard_fs(m, n, s))),

@@ -141,7 +141,8 @@ def t_order(
 
 
 def limit_signature(real, curve_label: str) -> LimitSignature:
-    """Limit of the curve at t=0 with per-block ranks, taken on integers.
+    """Limit of the curve at t=0 with per-block ranks, taken on integers: one ``ScaledMatrix`` per arrow, on the
+    base point's scale and shape.
 
     Of the curve's entries c t^e (``monomial_entries``) those with e = 0 stay
     and those with e > 0 drop; an entry with e < 0 has no limit and raises
@@ -150,7 +151,7 @@ def limit_signature(real, curve_label: str) -> LimitSignature:
     rank; any other is ranked by ``rational_rank``.
     """
     limits, ranks = [], []
-    for arrow, x in enumerate(map(ScaledMatrix.of, real.base_point)):
+    for arrow, x in enumerate(real.base_point):
         entries = real.monomial_entries(curve_label, arrow)
         if any(e < 0 for *_, e in entries):
             raise NegativeExponentError("no limit at t=0: negative powers of t present")
@@ -162,7 +163,7 @@ def limit_signature(real, curve_label: str) -> LimitSignature:
 
 
 def orbit_dimension(real, point=None) -> int:
-    """Rank of the infinitesimal group action at a point (default: base point).
+    """Rank of the infinitesimal group action at a point, one ``ScaledMatrix`` per arrow (default: base point).
 
     Exact over the rationals and deterministic: ``sparse_rank`` of the sparse ``tangent_rows``.
     """

@@ -15,10 +15,11 @@ a translate is built (``act``, ``_translate``), and a stabilizer element is
 its factors (l, L) alone, which the stabilizer check and its negative
 control read (``fixes_base_point``, ``bump_moves_base_point``).
 
-A point is rational: one ``ScaledMatrix`` per arrow, an integer matrix over
-one scale, built once per base point.  The membership tests and a form's
-value at a point (``Minor.ratio``, one ``row_determinant`` of its block, and
-``Pairing.ratio``, one dot product) read the integers as stored.
+A point is a tuple of ``ScaledMatrix``, one per arrow, the one point format:
+an integer matrix over one scale, built once per base point.  The membership
+tests, tangents and a form's value at a point (``Minor.ratio``, one
+``row_determinant`` of its block, and ``Pairing.ratio``, one dot product)
+read its integers, scale and shape as stored.
 
 A curve is a cocharacter lambda (``Curve``) through the base point x0,
 which is monomial wherever a form reads it: entry c at (i, j) of arrow
@@ -42,11 +43,9 @@ from math import prod
 from operator import mul
 from typing import Callable, Sequence
 
-from .lattice import integer_inverse, row_determinant, scaled_to_integers
+from .lattice import integer_inverse, row_determinant
 from .rootdata import Character
 
-Matrix = tuple[tuple, ...]
-Point = tuple[Matrix, ...]
 Unit = tuple[int, list[list[int]], int, list[list[int]]]
 GroupElement = tuple[Unit, ...]
 Factor = tuple[int, list[list[int]]]
@@ -58,63 +57,35 @@ def _zeros(rows: int, cols: int) -> list[list[int]]:
 
 
 class ScaledMatrix:
-    """A rational matrix held as one integer matrix over one scale.
+    """A rational matrix held as one integer matrix over one scale: the one format of every point.
 
-    The format of every point: ``shape`` (rows, columns) and ``integers``,
-    scale times the matrix for an integer ``scale`` > 0.  The divided rows of
-    ``Fraction`` are built when first read, and the matrix hashes and compares
-    like them; two ``ScaledMatrix`` compare on their integers.  Each leading
-    or trailing minor is the ``row_determinant`` of its block of the integers
-    as stored (``minor_ratio``).
+    ``shape`` is (rows, columns) and ``integers`` is scale times the matrix,
+    for an integer ``scale`` > 0.  Two ``ScaledMatrix`` compare on their
+    integers, and nothing else equals one; it is unhashable, as it holds lists.
+    Each leading or trailing minor is the ``row_determinant`` of its block of
+    the integers as stored (``minor_ratio``).
     """
 
-    __slots__ = ("scale", "shape", "integers", "_rows")
+    __slots__ = ("scale", "shape", "integers")
 
     def __init__(self, scale: int, shape: tuple[int, int], integers: list[list[int]]):
         self.scale = scale
         self.shape = shape
         self.integers = integers
-        self._rows: Matrix | None = None
-
-    @classmethod
-    def of(cls, m) -> "ScaledMatrix":
-        """m itself, or its rows of rationals over the lcm of their denominators."""
-        if isinstance(m, ScaledMatrix):
-            return m
-        rows = [[Fraction(e) for e in r] for r in m]
-        scale, integers = scaled_to_integers(rows)
-        return cls(scale, (len(rows), len(rows[0]) if rows else 0), integers)
-
-    @property
-    def rows(self) -> Matrix:
-        """Each entry divided by the scale once, as a ``Fraction``."""
-        if self._rows is None:
-            self._rows = tuple(tuple(Fraction(c, self.scale) for c in r) for r in self.integers)
-        return self._rows
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __iter__(self):
-        return iter(self.rows)
 
     def __eq__(self, other):
-        """Equality of the divided rows, read on the integers against a ``ScaledMatrix``; no rows equal no rows at any width."""
+        """Equality of the divided matrices, read on the integers; no rows equal no rows at any width."""
         if not isinstance(other, ScaledMatrix):
-            return self.rows == other
+            return NotImplemented
         if self.shape[0] != other.shape[0] or self.shape[0] and self.shape[1] != other.shape[1]:
             return False
         s, t = other.scale, self.scale
         return all([c * s for c in p] == [c * t for c in q] for p, q in zip(self.integers, other.integers))
 
-    def __hash__(self):
-        return hash(self.rows)
+    __hash__ = None
 
     def __repr__(self):
-        return f"ScaledMatrix({self.rows!r})"
+        return f"ScaledMatrix({self.scale!r}, {self.shape!r}, {self.integers!r})"
 
     def minor_ratio(self, k: int, trailing: bool = False) -> tuple[int, int]:
         """(n, scale^k) for the top-left k x k minor n / scale^k, the bottom-right one if ``trailing``.
@@ -129,6 +100,8 @@ class ScaledMatrix:
         block = [r[cols - k :] for r in stored[rows - k :]] if trailing else [r[:k] for r in stored[:k]]
         return row_determinant(block), self.scale**k
 
+
+Point = tuple[ScaledMatrix, ...]
 
 # Group samplers draw from a wide integer range: translated-curve orders are
 # read off coefficient polynomials in the sampled entries, and a wide range
@@ -205,7 +178,7 @@ class Minor:
 
     def ratio(self, point: Point) -> tuple[int, int]:
         """The value at a point as its undivided pair (n, q), q > 0: the arrow's matrix's ``minor_ratio``."""
-        return ScaledMatrix.of(point[self.arrow]).minor_ratio(self.k, self.trailing)
+        return point[self.arrow].minor_ratio(self.k, self.trailing)
 
 
 @dataclass(frozen=True)
@@ -241,7 +214,7 @@ class Pairing:
     def ratio(self, point: Point) -> tuple[int, int]:
         """The value at a point as its undivided pair (n, q), q > 0: for the stored L_a A and L_b B,
         one integer dot product over L_a L_b divisor."""
-        a, b = ScaledMatrix.of(point[self.arrow_a]), ScaledMatrix.of(point[self.arrow_b])
+        a, b = point[self.arrow_a], point[self.arrow_b]
         return sum(map(mul, chain(*a.integers), chain(*b.integers))), a.scale * b.scale * self.divisor
 
 
@@ -325,8 +298,9 @@ def _lie_basis(sizes, dual_factors) -> tuple[dict[int, tuple[tuple[int, int, int
 class MatrixRealization:
     """Concrete matrix avatar of a family member, for oracle-level checks.
 
-    A point is one matrix per arrow (s, t) of ``arrows``, and a group element
-    one unit per factor; ``act`` moves X to g_s X g_t^-1.  A stabilizer
+    A point is one ``ScaledMatrix`` per arrow (s, t) of ``arrows``, and a
+    base point of anything else raises ``ValueError`` naming the arrow; a
+    group element is one unit per factor, and ``act`` moves X to g_s X g_t^-1.  A stabilizer
     element (``stabilizer_sampler``) is one factor (l, L) per factor.  ``shapes`` holds
     the base point's (rows, columns) per arrow, on which every form is checked
     (``check_forms``), and ``sizes`` each factor's size, read off them.
@@ -360,11 +334,11 @@ class MatrixRealization:
 
     def __post_init__(self):
         for a, x in enumerate(self.base_point):
-            if not isinstance(x, ScaledMatrix) and not len(x):
-                raise ValueError(f"base point arrow {a} is given as no rows, which have no width: give it as a ScaledMatrix")
+            if not isinstance(x, ScaledMatrix):
+                raise ValueError(f"base point arrow {a} is not a ScaledMatrix")
         if not self.membership(self.base_point):
             raise ValueError("base point fails the membership predicate")
-        self.shapes = tuple(ScaledMatrix.of(x).shape for x in self.base_point)
+        self.shapes = tuple(x.shape for x in self.base_point)
         self.sizes = factors = _factor_sizes(self.arrows, self.shapes)
         if len(self.borel_lower) != len(factors):
             raise ValueError(f"borel_lower has {len(self.borel_lower)} entries for {len(factors)} factors")
@@ -389,7 +363,7 @@ class MatrixRealization:
         self.check_forms(self.semi_invariants)
         # Cauchy-Binet reads a form's arrows on each curve as monomial matrices: at most one nonzero entry per row and column.
         for a in {a for f in self.semi_invariants for a in f.form.arrows} if self.curves else ():
-            x = ScaledMatrix.of(self.base_point[a]).integers
+            x = self.base_point[a].integers
             if any(sum(map(bool, line)) > 1 for line in (*x, *zip(*x))):
                 raise ValueError(f"base point is not monomial on arrow {a}")
 
@@ -462,7 +436,7 @@ class MatrixRealization:
         """(i, j, c) per nonzero entry c of the base point's integers at ``arrow``, by row, taken once."""
 
         def entries():
-            x = ScaledMatrix.of(self.base_point[arrow]).integers
+            x = self.base_point[arrow].integers
             return tuple((i, j, c) for i, r in enumerate(x) for j, c in enumerate(r) if c)
 
         return self.memo(("base_entries", arrow), entries)
@@ -559,7 +533,8 @@ class MatrixRealization:
         return left, right, sign, ((t, k - 1, k),), terms
 
     def act(self, g: GroupElement, point: Point) -> Point:
-        """g . X = g_s X g_t^-1 at each arrow (s, t)."""
+        """g . X = g_s X g_t^-1 at each arrow (s, t) of a point, as a ``ScaledMatrix`` over the product of the scales
+        of g_s, X and g_t^-1 (``_translate``)."""
         return tuple(_translate(g[s][:2], x, g[t][2:]) for (s, t), x in zip(self.arrows, point))
 
     def fixes_base_point(self, g) -> bool:
@@ -609,13 +584,13 @@ class MatrixRealization:
         return True
 
     def tangent_rows(self, point: Point) -> list[dict[int, int]]:
-        """Per ``lie_basis`` element A, the tangent A_s X - X A_t at each arrow (s, t), times X's scale.
+        """Per ``lie_basis`` element A, the tangent A_s X - X A_t at each arrow (s, t), times X's scale: X's integers.
 
         A ``{column: int}`` dict that stores no zero, the arrows' entries numbered row-major, arrow by arrow.
         Only X's nonzero entries are read: c E_ij moves X's row j to row i (left) and column i to column j (right).
         """
         blocks, offset = [], 0
-        for (s, t), x in zip(self.arrows, map(ScaledMatrix.of, point)):
+        for (s, t), x in zip(self.arrows, point):
             (height, cols), by_row, by_col = x.shape, {}, {}
             for k, r in enumerate(x.integers):
                 for h, e in enumerate(r):
@@ -680,7 +655,7 @@ class MatrixRealization:
         (s, t) in factor order, the highest first.  u moves the arrow's X by
         row i += row j at s = v and column j -= column i at t = v.
         """
-        (s, t), x, k = self.arrows[form.arrow], ScaledMatrix.of(point[form.arrow]), form.k
+        (s, t), x, k = self.arrows[form.arrow], point[form.arrow], form.k
         value = x.minor_ratio(k, form.trailing)
         for v in sorted({s, t}):
             n, lower = self.sizes[v], self.borel_lower[v]
@@ -784,18 +759,17 @@ def _scalars(draw: Draw, sign: int, scalars) -> int:
     return sign
 
 
-def _translate(left: tuple[int, list[list[int]]], x, right: tuple[int, list[list[int]]]) -> ScaledMatrix:
+def _translate(left: tuple[int, list[list[int]]], x: ScaledMatrix, right: tuple[int, list[list[int]]]) -> ScaledMatrix:
     """(L / l) x (R / r) for integer forms left = (l, L) and right = (r, R), l, r > 0.
 
-    x (``ScaledMatrix.of``) is kept as its nonzero rows K.  Row k of X R is
+    x is kept as its nonzero rows K.  Row k of X R is
     c times R's row l if (k, l) holds the row's one nonzero entry c, as in
     base points, else the row against R's columns.  The result, L[:, K]
     (X[K] R), over the scale l L_x r, is taken in integer row-column
     products; a zero x's columns are empty.
     """
     (left_scale, left), (right_scale, right) = left, right
-    x = ScaledMatrix.of(x)
-    shape, right_columns = (len(left), len(right[0]) if right else 0), list(zip(*right))
+    shape, right_columns = x.shape, list(zip(*right))
     picked, middle = [], []
     for k, x_row in enumerate(x.integers):
         nonzero = [l for l, c in enumerate(x_row) if c]

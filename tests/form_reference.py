@@ -2,7 +2,7 @@
 
 A point is read here one arrow at a time as (X, low, scale), for the matrix
 t^low X / scale with X over Z[t], or over Z for a rational point, whose
-stored integers and scale are read as they are (``ScaledMatrix.of``).  A curve lambda(t) . x0 is built from the base point
+``ScaledMatrix`` integers and scale are read as they are.  A curve lambda(t) . x0 is built from the base point
 x0 and the curve's cocharacter as diag(t^lambda_s) x0 diag(t^-lambda_t) at
 each arrow (s, t), both diagonals shifted to nonnegative powers, and is
 moved by a group element's units (``act``).  A ``Minor``'s value is a sympy determinant over
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphemb.realization import Pairing, ScaledMatrix
+from sphemb.realization import Pairing
 
 
 def _ring():
@@ -36,10 +36,9 @@ def _terms(value, domain) -> list:
 
 
 def _integer_matrix(x, ring):
-    """The stored integers of the rational matrix x (``ScaledMatrix.of``) in ``ring``, and its scale."""
+    """The stored integers of the ``ScaledMatrix`` x in ``ring``, and its scale."""
     from sympy.polys.matrices import DomainMatrix
 
-    x = ScaledMatrix.of(x)
     return DomainMatrix([[ring(c) for c in r] for r in x.integers], x.shape, ring), x.scale
 
 

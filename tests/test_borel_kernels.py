@@ -19,8 +19,9 @@ from math import prod
 
 from sphemb import oracle, realization
 from sphemb.families import build_family
-from sphemb.realization import Minor, ScaledMatrix
+from sphemb.realization import Minor
 from sphemb.lattice import integer_inverse, mat_mul, row_determinant
+from point_reference import divided, scaled
 
 # The monoid and determinantal members of the oracle-verify benchmark.
 _PIN_MEMBERS = (
@@ -47,8 +48,8 @@ def _root_moved(real, point, v, i, j):
 
     moved = []
     for (s, t), x in zip(real.arrows, point):
-        rows = mat_mul(mat_mul(unit(s, False), [list(r) for r in x]), unit(t, True))
-        moved.append(ScaledMatrix.of(rows))
+        rows = mat_mul(mat_mul(unit(s, False), [list(r) for r in divided(x)]), unit(t, True))
+        moved.append(scaled(rows))
     return tuple(moved)
 
 

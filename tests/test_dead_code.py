@@ -7,15 +7,25 @@ name or attribute.  It also fails when the realization kernel or the oracle
 imports ``families``: the families build on both, never the other way, and
 with the unused-import check no module re-exports the kernel's names.
 Last, ``from sphemb import *`` must bind the public names alone, no module.
+
+Two guards read the repository around the package: every private name
+(``_name``) that the README shows as code is defined in the package, and
+every third-party module that the tests or the benchmark import is listed in
+``pyproject.toml``'s ``test`` extra, which CI installs.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import sphemb
 
 PACKAGE = Path(sphemb.__file__).resolve().parent
+REPOSITORY = Path(__file__).resolve().parent.parent
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -119,3 +129,61 @@ def test_star_import_binds_the_public_names_and_no_module():
     assert sorted(bound) == sphemb.__all__ and all(hasattr(sphemb, name) for name in sphemb.__all__)
     assert not [name for name, value in bound.items() if isinstance(value, ModuleType)]
     assert {"build_family", "MatrixRealization", "t_order", "class_group"} <= set(bound)
+
+
+def defined_names(modules: dict[str, ast.Module]) -> set[str]:
+    """Every name that a module of the package defines, at any depth: functions, classes and assigned names."""
+    out = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                out.add(node.id)
+    return out
+
+
+def private_names_in_code(text: str) -> set[str]:
+    """Each ``_name`` (no dunder) in a backticked span of ``text``, at the span's start or after a dot, space or bracket."""
+    spans = re.findall(r"`([^`\n]+)`", text)
+    return {name for span in spans for name in re.findall(r"(?:^|(?<=[.\s(]))(_[A-Za-z]\w*)", span)}
+
+
+def test_readme_names_only_existing_private_code():
+    names = private_names_in_code((REPOSITORY / "README.md").read_text(encoding="utf-8"))
+    assert names and sorted(names - defined_names(_modules())) == []
+
+
+def test_readme_guard_reads_each_name_form():
+    text = "(`_pairing_row`, which `principal_divisor` reads), `realization._dual_unit`, `__init__`, `a_b` and `_f(x, _y)`"
+    assert private_names_in_code(text) == {"_pairing_row", "_dual_unit", "_f", "_y"}
+    assert "_pairing_row" not in defined_names(_modules()) and "_dual_unit" in defined_names(_modules())
+
+
+def third_party_imports(paths) -> set[str]:
+    """The top-level modules that the files ``paths`` import, by statement or ``pytest.importorskip``, outside the
+    standard library, ``sphemb`` and the files' own directories."""
+    local = {path.stem for path in paths}
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                out |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                out.add(node.module.partition(".")[0])
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip" and node.args:
+                out.add(node.args[0].value.partition(".")[0])
+    return out - set(sys.stdlib_module_names) - local - {"sphemb"}
+
+
+def test_test_extra_lists_every_third_party_import():
+    # Each module is named as its distribution is; the extra's entries are
+    # read up to their first version or marker character.
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the standard library from Python 3.11")
+    project = tomllib.loads((REPOSITORY / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    extra = project["optional-dependencies"]["test"]
+    listed = {re.match(r"[A-Za-z0-9_.-]+", entry).group().lower().replace("-", "_") for entry in extra}
+    paths = sorted((REPOSITORY / "tests").glob("*.py")) + sorted((REPOSITORY / "bench").glob("*.py"))
+    imported = third_party_imports(paths)
+    assert {"pytest", "sympy", "hypothesis"} <= imported
+    assert sorted(imported - listed) == []

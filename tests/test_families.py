@@ -26,6 +26,7 @@ from sphemb.oracle import stabilizer_check
 from sphemb.rootdata import pair
 from sphemb.lattice import integer_inverse, rational_inverse, row_determinant
 from form_reference import weight_value
+from point_reference import divided, scaled
 from test_lattice import _dense_lie_rows, _reference_rational_inverse, _reference_rational_rank
 
 
@@ -271,7 +272,7 @@ def test_determinantal_candidate_is_the_curve_limit():
         (curve,) = real.curves
         assert curve.boundary == f"X_{r - 1}"
         limit = limit_signature(real, curve.label).limit_point
-        assert limit == (_reference_standard_er(m, n, r - 1),), (m, n, r)
+        assert tuple(map(divided, limit)) == (_reference_standard_er(m, n, r - 1),), (m, n, r)
         codim = orbit_dimension(real) - orbit_dimension(real, point=limit)
         assert codim == m + n - 2 * r + 1 >= 3, (m, n, r)
         assert build_family(f"determinantal:{m},{n},{r}").model.boundaries == ()
@@ -312,9 +313,7 @@ def test_complexes_realization_checks():
 
 
 def _unit(rows, cols, *cells):
-    return tuple(
-        tuple(Fraction((i, j) in cells) for j in range(cols)) for i in range(rows)
-    )
+    return ScaledMatrix(1, (rows, cols), [[int((i, j) in cells) for j in range(cols)] for i in range(rows)])
 
 
 def _unit_inverse(l, rows):
@@ -360,7 +359,7 @@ def test_quiver_families_membership_and_lie_rows():
     ]
     for real, dims, sizes, bad_points in cases:
         assert real.membership(real.base_point)
-        zero = tuple(_unit(len(x), len(x[0])) for x in real.base_point)
+        zero = tuple(_unit(*x.shape) for x in real.base_point)
         assert real.membership(zero)
         for point in bad_points:
             assert not real.membership(point), point
@@ -586,7 +585,7 @@ def _reference_quiver_lie_rows(dims, arrows, point):
             for j in range(d):
                 e = _units(d, i, j)
                 row = []
-                for (s, t), x in zip(arrows, point):
+                for (s, t), x in zip(arrows, map(divided, point)):
                     if v == s:
                         row += [Fraction(q) for r in mat_mul(e, x) for q in r]
                     elif v == t:
@@ -600,7 +599,7 @@ def _reference_quiver_lie_rows(dims, arrows, point):
 def _reference_monoid_lie_rows(m, point):
     from sphemb.lattice import mat_mul
 
-    x, y = point
+    x, y = map(divided, point)
     rows = []
 
     def tangent(a, c, side):
@@ -673,7 +672,7 @@ def test_apply_pair_matches_reference_products():
         return k * scale, [[k * e for e in r] for r in rows]
 
     def _apply_pair(g_left, x, g_right):
-        return _translate(form(g_left), x, form(g_right))
+        return divided(_translate(form(g_left), scaled(x, len(g_right)), form(g_right)))
 
     for _ in range(400):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
@@ -693,10 +692,8 @@ def test_apply_pair_matches_reference_products():
 
 
 def _minor(m, k, trailing=False) -> Fraction:
-    """The top-left, or bottom-right, k x k minor of m: ``ScaledMatrix.minor_ratio`` divided once."""
-    from sphemb.realization import ScaledMatrix
-
-    return Fraction(*ScaledMatrix.of(m).minor_ratio(k, trailing))
+    """The top-left, or bottom-right, k x k minor of m, a ``ScaledMatrix`` or rows: ``ScaledMatrix.minor_ratio`` divided once."""
+    return Fraction(*(m if isinstance(m, ScaledMatrix) else scaled(m)).minor_ratio(k, trailing))
 
 
 def test_full_minor_matches_cofactor_expansion():
@@ -738,25 +735,22 @@ def _random_minor_matrix(rng, rows, cols):
 def test_minors_match_reference_determinants_of_sliced_blocks():
     # Every leading and trailing minor is read on the matrix as stored, in a
     # random order of k.
-    from sphemb.realization import ScaledMatrix
-
     rng = random.Random(29)
     for _ in range(300):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_minor_matrix(rng, rows, cols)
-        scaled = ScaledMatrix.of(m)
+        x = scaled(m)
         ks = list(range(1, min(rows, cols) + 1))
         rng.shuffle(ks)
         for k in ks:
             lead = _reference_det([r[:k] for r in m[:k]])
             trail = _reference_det([r[cols - k :] for r in m[rows - k :]])
-            assert _minor(scaled, k) == lead == _minor(m, k), (m, k)
-            assert _minor(scaled, k, True) == trail == _minor(m, k, True), (m, k)
-        assert scaled._rows is None  # the minors read the stored integers only
+            assert _minor(x, k) == lead, (m, k)
+            assert _minor(x, k, True) == trail, (m, k)
 
 
 def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
-    from sphemb.realization import ScaledMatrix, _translate
+    from sphemb.realization import _translate
     from sphemb.lattice import scaled_to_integers
 
     rng = random.Random(5)
@@ -765,28 +759,25 @@ def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
         x = _random_point(rng, rows, cols)
         g_left, g_right = _random_group_matrix(rng, rows), _random_group_matrix(rng, cols)
         left, right = scaled_to_integers(g_left), scaled_to_integers(g_right)
-        moved = _translate(left, x, right)
-        assert ScaledMatrix.of(moved) is moved and moved._rows is None
+        moved = _translate(left, scaled(x), right)
         scale, integers = moved.scale, moved.integers
-        assert scale == left[0] * ScaledMatrix.of(x).scale * right[0]
+        assert scale == left[0] * scaled(x).scale * right[0]
         assert moved.shape == (rows, cols) and len(integers) == rows and all(len(r) == cols for r in integers)
-        eager = tuple(tuple(Fraction(c, scale) for c in r) for r in integers)
+        eager = divided(moved)
         assert eager == _reference_apply_pair(g_left, x, g_right)
-        # == both ways, != and hash as the eagerly divided tuple, also on
-        # the same matrix stored over another scale and inside a point
+        # == both ways and != on the same matrix stored over another scale,
+        # also inside a point, and on its divided rows stored afresh
         doubled = ScaledMatrix(2 * scale, moved.shape, [[2 * c for c in r] for r in integers])
-        for other in (eager, doubled):
+        for other in (scaled(eager), doubled):
             assert moved == other and other == moved and not moved != other and not other != moved
-            assert hash(moved) == hash(other)
-        assert (moved,) == (eager,) and (eager,) == (moved,)
-        assert len(moved) == rows and list(moved) == list(eager) and moved[-1] == eager[-1]
+        assert (moved,) == (doubled,) and (doubled,) == (moved,)
         changed = [list(r) for r in eager]
         changed[0][0] += 1
-        changed = tuple(tuple(r) for r in changed)
+        changed = scaled(changed)
         assert moved != changed and changed != moved and not moved == changed
         # A second translate and the rational minors read the stored form as they are.
         identity = [[int(i == j) for j in range(rows)] for i in range(rows)], [[int(i == j) for j in range(cols)] for i in range(cols)]
-        assert _translate((3, [[3 * e for e in r] for r in identity[0]]), moved, (1, identity[1])) == eager
+        assert divided(_translate((3, [[3 * e for e in r] for r in identity[0]]), moved, (1, identity[1]))) == eager
         for k in range(1, min(rows, cols) + 1):
             assert _minor(moved, k) == _minor(eager, k) == _reference_det([r[:k] for r in eager[:k]])
             assert _minor(moved, k, True) == _minor(eager, k, True)
@@ -795,10 +786,8 @@ def test_translate_keeps_its_integer_form_and_compares_like_its_rows():
 def test_minor_memos_belong_to_one_matrix():
     # Two matrices with equal shapes each give their own minors, in any
     # order of reading.
-    from sphemb.realization import ScaledMatrix
-
-    a = ScaledMatrix.of([[1, 2, 0], [3, 4, 5], [0, 6, 7]])
-    b = ScaledMatrix.of([[7, 0, 1], [0, 2, 0], [5, 0, 3]])
+    a = scaled([[1, 2, 0], [3, 4, 5], [0, 6, 7]])
+    b = scaled([[7, 0, 1], [0, 2, 0], [5, 0, 3]])
     assert [_minor(a, k) for k in (1, 2, 3)] == [1, -2, -44]
     assert [_minor(b, k) for k in (1, 2, 3)] == [7, 14, 32]
     assert [_minor(a, k) for k in (3, 2, 1)] == [-44, -2, 1]
@@ -807,26 +796,24 @@ def test_minor_memos_belong_to_one_matrix():
 
 def test_stored_zero_coefficients_read_as_zero():
     # A stored entry may be zero, as where terms cancelled, and a matrix may be all zero.
-    from sphemb.realization import ScaledMatrix, _translate
+    from sphemb.realization import _translate
 
     stored = ScaledMatrix(2, (2, 2), [[0, 0], [4, 6]])
     rows = ((0, 0), (2, 3))
-    assert stored == rows and hash(stored) == hash(rows)
+    assert divided(stored) == rows
     assert stored == ScaledMatrix(1, (2, 2), [[0, 0], [2, 3]])
     zero = ScaledMatrix(5, (2, 2), [[0, 0], [0, 0]])
-    assert zero == ((0, 0), (0, 0)) and _minor(zero, 1) == _minor(zero, 2, True) == 0
-    assert _translate((1, [[1, 0], [0, 1]]), stored, (1, [[1, 0], [0, 1]])) == rows
+    assert divided(zero) == ((0, 0), (0, 0)) and _minor(zero, 1) == _minor(zero, 2, True) == 0
+    assert divided(_translate((1, [[1, 0], [0, 1]]), stored, (1, [[1, 0], [0, 1]]))) == rows
     # g x g^-1 with g = [[1, 1], [0, 1]] fixes the identity through cancelling terms.
-    fixed = _translate((1, [[1, 1], [0, 1]]), ((1, 0), (0, 1)), (1, [[1, -1], [0, 1]]))
-    assert fixed == ((1, 0), (0, 1)) and _minor(fixed, 1, True) == 1 and _minor(fixed, 2) == 1
+    fixed = _translate((1, [[1, 1], [0, 1]]), scaled([[1, 0], [0, 1]]), (1, [[1, -1], [0, 1]]))
+    assert divided(fixed) == ((1, 0), (0, 1)) and _minor(fixed, 1, True) == 1 and _minor(fixed, 2) == 1
 
 
 def test_minor_sizes_are_checked():
     # A k x k minor needs 0 <= k <= min(rows, columns); the 2 x 3 matrix has no 3 x 3 block.
-    from sphemb.realization import ScaledMatrix
-
     m = [[1, 2, 3], [4, 5, 6]]
-    for matrix in (m, ScaledMatrix.of(m), list(zip(*m))):
+    for matrix in (scaled(m), scaled(list(zip(*m)))):
         for k in (-1, 3):
             with pytest.raises(ValueError, match="minor"):
                 _minor(matrix, k)
@@ -845,35 +832,13 @@ _GRID_SPECS = (
 
 
 def test_points_are_scaled_matrices_from_construction():
-    from sphemb.realization import ScaledMatrix
     from sphemb.oracle import limit_signature
 
     for spec in _GRID_SPECS:
         real = build_family(spec).realization
         for point in [real.base_point] + [limit_signature(real, c.label).limit_point for c in real.curves]:
             for x in point:
-                assert isinstance(x, ScaledMatrix) and ScaledMatrix.of(x) is x, spec
-
-
-def test_points_given_as_rows_validate_act_and_limit_alike():
-    # The same realization with its base point given as tuples of rows; an
-    # arrow with no rows stays a ScaledMatrix, as rows would lose its width.
-    from sphemb.oracle import limit_signature, t_order
-
-    def as_rows(point):
-        return tuple(tuple(tuple(r) for r in x) if len(x) else x for x in point)
-
-    rng = random.Random(13)
-    for spec in _GRID_SPECS:
-        real = build_family(spec).realization
-        hand = dataclasses.replace(real, base_point=as_rows(real.base_point))
-        assert hand.membership(hand.base_point)
-        g = real.group_sampler(rng)
-        assert hand.act(g, hand.base_point) == real.act(g, real.base_point), spec
-        for c in real.curves:
-            assert limit_signature(hand, c.label) == limit_signature(real, c.label), (spec, c.label)
-            for f in real.semi_invariants:
-                assert t_order(hand, f, c.label, trials=2) == t_order(real, f, c.label, trials=2), (spec, f.name)
+                assert isinstance(x, ScaledMatrix), spec
 
 
 def test_factor_sizes_are_read_off_the_base_point():
@@ -902,18 +867,23 @@ def test_factor_sizes_are_read_off_the_base_point():
         dataclasses.replace(determinantal, arrows=((0, 2),), borel_lower=(True, False, True))
 
 
-def test_an_arrow_given_as_no_rows_is_refused():
-    # No rows have no width: read off them, factor 2 of complexes 0,0,2,0,0
-    # would get size 0 with no error.  Such an arrow must be a ScaledMatrix,
-    # which keeps its shape, as every family's base point is.
-    real = build_family("complexes:l=0,m=0,n=2,r=0,s=0").realization
-    assert real.shapes == ((0, 0), (0, 2)) and real.sizes == (0, 0, 2)
-    rows = tuple(tuple(map(tuple, x)) for x in real.base_point)
-    assert rows == ((), ())
-    for a in (0, 1):
-        point = tuple(rows[k] if k == a else x for k, x in enumerate(real.base_point))
-        with pytest.raises(ValueError, match=f"base point arrow {a} is given as no rows.*ScaledMatrix"):
-            dataclasses.replace(real, base_point=point)
+def test_a_base_point_given_as_rows_is_refused():
+    # Every point is a ScaledMatrix, which keeps its shape: an arrow given as
+    # rows, as tuples or lists, is refused by name at construction, whether
+    # the realization is built afresh or copied with dataclasses.replace.
+    from sphemb.realization import MatrixRealization
+
+    for spec in _GRID_SPECS + ["complexes:l=0,m=0,n=2,r=0,s=0"]:
+        real = build_family(spec).realization
+        fields = {f.name: getattr(real, f.name) for f in dataclasses.fields(real) if f.init}
+        for a, x in enumerate(real.base_point):
+            for rows in (divided(x), [list(r) for r in divided(x)]):
+                point = real.base_point[:a] + (rows,) + real.base_point[a + 1 :]
+                copied = lambda: dataclasses.replace(real, base_point=point)  # noqa: E731
+                built = lambda: MatrixRealization(**{**fields, "base_point": point})  # noqa: E731
+                for build in (copied, built):
+                    with pytest.raises(ValueError, match=f"^base point arrow {a} is not a ScaledMatrix$"):
+                        build()
 
 
 def test_group_draws_are_the_seeded_stream_drawn_once():
@@ -937,7 +907,8 @@ def _orbit_points(real, rng):
     yield real.base_point
     yield real.act(real.group_sampler(rng), real.base_point)
     yield tuple(
-        tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in r) for r in x) for x in real.base_point
+        scaled([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)], cols)
+        for rows, cols in (x.shape for x in real.base_point)
     )
 
 
@@ -945,7 +916,7 @@ def _scaled_by_arrow(rows, point):
     """Each arrow's block of the ``Fraction`` reference rows times that arrow's scale."""
     scales = []
     for x in point:
-        scales += [ScaledMatrix.of(x).scale] * (len(x) * (len(x[0]) if x else 0))
+        scales += [x.scale] * (x.shape[0] * x.shape[1])
     return [[e * scale for e, scale in zip(row, scales, strict=True)] for row in rows]
 
 
@@ -1040,7 +1011,7 @@ def test_monoid_wonderful_pairs_are_the_model_coroots():
 
 def _reference_monoid_membership(point):
     # A^T B = A B^T = d I over Fraction, the check before it ran on integers.
-    a, b = ([[Fraction(e) for e in r] for r in x] for x in point)
+    a, b = ([list(r) for r in divided(x)] for x in point)
     at_b = [[sum(x * y for x, y in zip(ca, cb)) for cb in zip(*b)] for ca in zip(*a)]
     a_bt = [[sum(x * y for x, y in zip(ra, rb)) for rb in b] for ra in a]
     d = at_b[0][0]
@@ -1052,6 +1023,7 @@ def _reference_quiver_membership(point, ranks, zero_paths):
     def product(x, y):
         return [[sum((e * f for e, f in zip(row, col)), Fraction(0)) for col in zip(*y)] for row in x]
 
+    point = tuple(map(divided, point))
     if any(_reference_rational_rank(x) > k for x, k in zip(point, ranks)):
         return False
     return all(e == 0 for i, j in zero_paths for row in product(point[i], point[j]) for e in row)
@@ -1063,15 +1035,15 @@ def _membership_points(real, rng):
         x = real.act(real.group_sampler(rng), real.base_point)
         yield x
         k = rng.randrange(len(x))
-        if x[k] and x[k][0]:
-            rows = [list(r) for r in x[k]]
+        if all(x[k].shape):
+            rows = [list(r) for r in divided(x[k])]
             i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
             rows[i][j] += rng.choice((1, Fraction(1, 2)))
-            yield x[:k] + (tuple(map(tuple, rows)),) + x[k + 1 :]
+            yield x[:k] + (scaled(rows),) + x[k + 1 :]
         c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
-        yield tuple(tuple(tuple(c * e for e in r) for r in m) for m in x)
+        yield tuple(scaled([[c * e for e in r] for r in divided(m)], m.shape[1]) for m in x)
         # each arrow matrix scaled by its own rational
-        yield tuple(tuple(tuple(Fraction(k + 2, 3) * e for e in r) for r in m) for k, m in enumerate(x))
+        yield tuple(scaled([[Fraction(k + 2, 3) * e for e in r] for r in divided(m)], m.shape[1]) for k, m in enumerate(x))
 
 
 def test_integer_memberships_match_fraction_memberships():
@@ -1085,7 +1057,7 @@ def test_integer_memberships_match_fraction_memberships():
         if m > 1:
             e21[1][0] = Fraction(1)
         # (E11, E21): A^T B = 0 but A B^T != 0 when m > 1
-        points = [*_membership_points(real, rng), (_freeze(e11), _freeze(e21))]
+        points = [*_membership_points(real, rng), (scaled(e11), scaled(e21))]
         for point in points:
             got = real.membership(point)
             assert got == _reference_monoid_membership(point), (m, point)
@@ -1105,10 +1077,6 @@ def test_integer_memberships_match_fraction_memberships():
             assert got == _reference_quiver_membership(point, ranks, zero_paths), (spec, point)
             verdicts.append(got)
     assert verdicts.count(True) > 40 and verdicts.count(False) > 20
-
-
-def _freeze(rows):
-    return tuple(tuple(r) for r in rows)
 
 
 # A sampled group element is a tuple of units (l, L, r, R), the factor L / l
@@ -1251,7 +1219,7 @@ def test_samplers_consume_the_reference_stream():
     assert checked == len(_SAMPLER_SPECS) * len(_SAMPLERS) * 12
 
 
-def test_rand_generic_rejects_exactly_the_singular_draws(monkeypatch):
+def test_rand_nonsingular_rejects_exactly_the_singular_draws(monkeypatch):
     # Small ranges make singular draws common, so the rejection rule shows.
     rejected = 0
     for seed in range(200):
@@ -1342,16 +1310,16 @@ def test_act_on_hand_built_elements_inverts_their_own_factors():
                     assert inverse != _inverses(g)[k]  # not A^T / c
                 f = _factors(bumped)
                 want = tuple(
-                    _reference_apply_pair(f[j], x[j], _reference_rational_inverse(f[j + 2])) for j in (0, 1)
+                    _reference_apply_pair(f[j], divided(x[j]), _reference_rational_inverse(f[j + 2])) for j in (0, 1)
                 )
-                assert real.act(bumped, x) == want, (m, seed, k)
+                assert tuple(map(divided, real.act(bumped, x))) == want, (m, seed, k)
                 copies += 1
             assert copies > 0
             # the sampled element itself against the same reference product
             want = tuple(
-                _reference_apply_pair(factors[j], x[j], _reference_rational_inverse(factors[j + 2])) for j in (0, 1)
+                _reference_apply_pair(factors[j], divided(x[j]), _reference_rational_inverse(factors[j + 2])) for j in (0, 1)
             )
-            assert real.act(g, x) == want
+            assert tuple(map(divided, real.act(g, x))) == want
     # a bump that makes a factor singular yields no copy: of the eight bumps
     # of (I, [[1, 1], [0, 1]]) only B's (1, 0) entry gives [[1, 1], [1, 1]]
     real = build_family("circular:m=2,n=2,r=1,s=1").realization
@@ -1509,7 +1477,7 @@ def test_dilation_matches_fraction_sum():
         rng = random.Random(m)
         points = _points(real) + [real.act(real.group_sampler(rng), x) for x in _points(real)]
         for point in points:
-            a, b = point
+            a, b = map(divided, point)
             want = sum((a[i][j] * b[i][j] for i in range(m) for j in range(m)), Fraction(0)) / m
             got = dilation.evaluate(point)
             assert got == want and type(got) is type(want), (m, point)

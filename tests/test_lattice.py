@@ -375,9 +375,7 @@ def test_rational_rank_matches_fraction_elimination():
 
 def _dense_lie_rows(real, point) -> list[list[int]]:
     """``real.tangent_rows(point)`` as dense integer rows: the arrows' entries numbered row-major, arrow by arrow."""
-    from sphemb.realization import ScaledMatrix
-
-    width = sum(math.prod(ScaledMatrix.of(x).shape) for x in point)
+    width = sum(math.prod(x.shape) for x in point)
     return [[row.get(col, 0) for col in range(width)] for row in real.tangent_rows(point)]
 
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
-from sphemb.families import ScaledMatrix  # noqa: E402
 from sphemb.lattice import (  # noqa: E402
     IntegerMatrix,
     determinant,
@@ -22,6 +21,7 @@ from sphemb.lattice import (  # noqa: E402
     smith_normal_form,
 )
 from sphemb.rootdata import TorusLattice, pair  # noqa: E402
+from point_reference import scaled  # noqa: E402
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -188,12 +188,12 @@ def _same(got, want) -> bool:
 def test_minors_match_sympy_determinants(m, rnd):
     # Every leading and trailing minor of one stored matrix, in a drawn order.
     rows, cols = len(m), len(m[0])
-    scaled = ScaledMatrix.of(m)
+    x = scaled(m)
     reads = [(trailing, k) for trailing in (False, True) for k in range(1, min(rows, cols) + 1)]
     rnd.shuffle(reads)
     for trailing, k in reads:
         block = [r[cols - k :] for r in m[rows - k :]] if trailing else [r[:k] for r in m[:k]]
-        assert _same(Fraction(*scaled.minor_ratio(k, trailing)), _sympy_det(block)), (trailing, k)
+        assert _same(Fraction(*x.minor_ratio(k, trailing)), _sympy_det(block)), (trailing, k)
     if rows == cols:
-        full = [Fraction(*ScaledMatrix.of(m).minor_ratio(rows, trailing)) for trailing in (False, True)]
+        full = [Fraction(*scaled(m).minor_ratio(rows, trailing)) for trailing in (False, True)]
         assert all(_same(got, _sympy_det(m)) for got in full)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from form_reference import act, curve_point, form_at, form_values, weight_value
+from point_reference import divided, scaled
 from valuation_reference import infer_boundary_valuation
 
 from sphemb import oracle, realization
@@ -62,7 +63,7 @@ def test_monoid_limit_signatures():
             sig = limit_signature(real, f"lambda_{r}")
             assert sig.rank_profile == (r, m - r)
             # the limit is the pair of complementary standard idempotents
-            a, b = sig.limit_point
+            a, b = map(divided, sig.limit_point)
             assert all(a[i][i] == (1 if i < r else 0) for i in range(m))
             assert all(b[i][i] == (0 if i < r else 1) for i in range(m))
 
@@ -88,9 +89,9 @@ def test_circular_limit_signature():
 
 
 def _one_arrow(base, *curves):
-    """A realization of one arrow between two factors, on a base point given as rows, with the given curves."""
+    """A realization of one arrow between two factors, on a base point given as rows (``scaled``), with the given curves."""
     return MatrixRealization(
-        base_point=(base,),
+        base_point=(scaled(base),),
         membership=lambda pt: True,
         arrows=((0, 1),),
         borel_lower=(True, False),
@@ -119,15 +120,15 @@ def test_limit_reads_stored_coefficients():
         Curve("both", {(0, 0): 1, (1, 0): 1}, (2,)),
     )
     sig = limit_signature(real, "flat")
-    assert sig.limit_point == (base,) and sig.rank_profile == (2,) and sig.limit_point[0].scale == 2
+    assert tuple(map(divided, sig.limit_point)) == (base,) and sig.rank_profile == (2,) and sig.limit_point[0].scale == 2
     sig = limit_signature(real, "half")
-    assert sig.limit_point == (((3, 0, 0), (0, 0, 0)),) and sig.rank_profile == (1,)
+    assert tuple(map(divided, sig.limit_point)) == (((3, 0, 0), (0, 0, 0)),) and sig.rank_profile == (1,)
     # With every entry's exponent positive the limit is zero.
     sig = limit_signature(real, "gone")
-    assert sig.limit_point == (((0, 0, 0), (0, 0, 0)),) and sig.rank_profile == (0,)
+    assert tuple(map(divided, sig.limit_point)) == (((0, 0, 0), (0, 0, 0)),) and sig.rank_profile == (0,)
     # t at row 0 on the left and t^-1 at column 0 on the right meet at (0, 0) as t^(1 - 1) = 1.
     sig = limit_signature(real, "both")
-    assert sig.limit_point == (base,) and sig.rank_profile == (2,)
+    assert tuple(map(divided, sig.limit_point)) == (base,) and sig.rank_profile == (2,)
     with pytest.raises(NegativeExponentError):
         limit_signature(_one_arrow(base, Curve("c", {(1, 1): 1}, (1,))), "c")
 
@@ -477,7 +478,7 @@ def test_minor_orders_are_the_symbolic_generic_orders(spec):
             if not isinstance(f.form, Minor):
                 continue
             (s, u), k = real.arrows[f.form.arrow], f.form.k
-            x0 = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in r] for r in real.base_point[f.form.arrow]])
+            x0 = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in r] for r in divided(real.base_point[f.form.arrow])])
             rows, cols = x0.shape
             left, right = sympy.diag(*[t ** lam.get((s, i), 0) for i in range(rows)]), sympy.diag(*[t ** -lam.get((u, j), 0) for j in range(cols)])
             curve = left * x0 * right
@@ -541,7 +542,8 @@ _PERMUTED_ENTRIES = {
 
 @pytest.fixture
 def _small_draws(monkeypatch):
-    """Generic units drawn with entries in {-1, 0, 1}: ``_rand_generic`` reads ``_GENERIC_RANGE`` at each draw."""
+    """Generic units drawn with entries in {-1, 0, 1}: ``group_draw`` reads ``_GENERIC_RANGE`` at each draw and bounds
+    ``_rand_nonsingular`` by it."""
     monkeypatch.setattr(realization, "_GENERIC_RANGE", 1)
 
 

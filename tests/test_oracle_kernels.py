@@ -28,6 +28,7 @@ from sphemb.lattice import mat_mul  # noqa: E402
 from sphemb.rootdata import TorusLattice  # noqa: E402
 from test_families import _minor  # noqa: E402
 from form_reference import act, curve_point, form_at, form_orders, form_values, weight_value  # noqa: E402
+from point_reference import divided, scaled  # noqa: E402
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -46,11 +47,6 @@ def scaled_matrices(draw, rows=None, cols=None):
     return ScaledMatrix(draw(st.sampled_from((1, 1, 2, 3, 6, 7))), (rows, cols), integers)
 
 
-def _divided(x):
-    """x's stored integers, each divided by its scale as a ``Fraction``."""
-    return tuple(tuple(Fraction(c, x.scale) for c in r) for r in x.integers)
-
-
 def _integer_square(size):
     return st.lists(st.lists(st.integers(-9, 9) | st.just(0), min_size=size, max_size=size), min_size=size, max_size=size)
 
@@ -67,10 +63,6 @@ def _reference_translate(left, x_rows, right):
     return tuple(tuple(row) for row in mat_mul(mat_mul(lf, _rows(x_rows)), rf))
 
 
-def _types(m):
-    return [[type(e) for e in r] for r in m]
-
-
 @_SETTINGS
 @given(st.integers(0, 4), st.integers(0, 4), st.data())
 def test_translate_matches_reference_product(rows, cols, data):
@@ -79,10 +71,9 @@ def test_translate_matches_reference_product(rows, cols, data):
     x = data.draw(scaled_matrices(rows, cols))
     left = (data.draw(st.sampled_from((1, 2, 5))), data.draw(_integer_square(rows)))
     right = (data.draw(st.sampled_from((1, 3, 4))), data.draw(_integer_square(cols)))
-    assert x.rows == _divided(x) and _types(x.rows) == _types(_divided(x))
     moved = _translate(left, x, right)
-    want = _reference_translate(left, _divided(x), right)
-    assert moved.rows == want and _types(moved.rows) == _types(want) and _divided(moved) == want
+    want = _reference_translate(left, divided(x), right)
+    assert divided(moved) == want
     assert moved.scale == left[0] * x.scale * right[0]
     assert moved.shape == (rows, cols) and len(moved.integers) == rows and all(len(r) == cols for r in moved.integers)
 
@@ -94,8 +85,8 @@ def test_translate_on_empty_arrows_of_complexes(params):
     g = real.group_sampler(random.Random(3))
     moved = real.act(g, real.base_point)
     for (s, t), x, y in zip(real.arrows, real.base_point, moved):
-        want = _reference_translate(g[s][:2], x.rows, g[t][2:])
-        assert y.rows == want and y.shape == x.shape
+        want = _reference_translate(g[s][:2], divided(x), g[t][2:])
+        assert divided(y) == want and y.shape == x.shape
 
 
 @st.composite
@@ -131,16 +122,15 @@ def test_rational_minors_match_sympy(m, rnd):
     # Every k from 0, leading and trailing, read in a drawn order on one
     # stored matrix, including minors past a vanishing smaller one.
     rows, cols = len(m), len(m[0]) if m else 0
-    scaled = ScaledMatrix.of(m)
+    x = scaled(m)
     reads = [(kind, k) for kind in ("leading", "trailing") for k in range(min(rows, cols) + 1)]
     rnd.shuffle(reads)
     for kind, k in reads:
         if kind == "leading":
-            got, block = _minor(scaled, k), [r[:k] for r in m[:k]]
+            got, block = _minor(x, k), [r[:k] for r in m[:k]]
         else:
-            got, block = _minor(scaled, k, True), [r[cols - k :] for r in m[rows - k :]]
+            got, block = _minor(x, k, True), [r[cols - k :] for r in m[rows - k :]]
         assert got == _sympy_det(block), (kind, k)
-    assert scaled._rows is None
 
 
 def test_minors_past_a_vanishing_pivot():
@@ -148,7 +138,7 @@ def test_minors_past_a_vanishing_pivot():
     swap = [[0, 1], [1, 0]]
     assert [_minor(swap, k) for k in (0, 1, 2)] == [1, 0, -1]
     assert [_minor(swap, k, True) for k in (0, 1, 2)] == [1, 0, -1]
-    m = ScaledMatrix.of([[0, 1, 2], [1, 0, 3], [4, 5, Fraction(1, 2)]])
+    m = scaled([[0, 1, 2], [1, 0, 3], [4, 5, Fraction(1, 2)]])
     assert [_minor(m, k) for k in (3, 2, 1)] == [Fraction(43, 2), -1, 0]
     assert [m.minor_ratio(k) for k in (1, 2, 3)] == [(0, 2), (-4, 4), (172, 8)]
 
@@ -156,12 +146,12 @@ def test_minors_past_a_vanishing_pivot():
 def _sympy_block_det(x, k, trailing):
     """The top-left, or bottom-right, k x k minor of a rational ``ScaledMatrix`` by sympy, as a ``Fraction``."""
     rows, cols = x.shape
-    block = [r[cols - k :] for r in x.rows[rows - k :]] if trailing else [r[:k] for r in x.rows[:k]]
+    block = [r[cols - k :] for r in divided(x)[rows - k :]] if trailing else [r[:k] for r in divided(x)[:k]]
     return _sympy_det(block)
 
 
 @_SETTINGS
-@given(st.one_of(planted_minor_matrices().map(ScaledMatrix.of), scaled_matrices()))
+@given(st.one_of(planted_minor_matrices().map(scaled), scaled_matrices()))
 def test_stored_pivots_match_sympy(x):
     # Wide and tall matrices, and planted vanishing leading and trailing minors.
     n = min(x.shape)
@@ -205,18 +195,25 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_equality_agrees_with_rows(pair):
     a, b = pair
-    equal = a.rows == b.rows
+    equal = divided(a) == divided(b)
     assert (a == b) is equal and (b == a) is equal and (a != b) is not equal
-    if equal:
-        assert hash(a) == hash(b)
-    # Against plain tuples, equality and hash read the divided rows.
-    assert (a == b.rows) is equal and (b.rows == a) is equal and (a != b.rows) is not equal
-    assert hash(a) == hash(a.rows) and a == a.rows
+    # Nothing but a ScaledMatrix equals one, not even its own divided rows.
+    assert a != divided(a) and divided(a) != a and a != a.integers
+
+
+def test_points_are_unhashable_and_have_no_rows():
+    # A ScaledMatrix holds lists, so it has no hash, and no view of itself as rows.
+    x = ScaledMatrix(2, (2, 2), [[0, 0], [4, 6]])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(x)
+    for name in ("of", "rows", "__len__", "__getitem__", "__iter__"):
+        assert not hasattr(x, name), name
+    assert repr(x) == "ScaledMatrix(2, (2, 2), [[0, 0], [4, 6]])"
 
 
 def test_equality_checks_shapes():
     # zip alone would pair a prefix; unequal shapes never compare equal,
-    # except that matrices with no rows are () whatever their widths.
+    # except that matrices with no rows are equal whatever their widths.
     wide = ScaledMatrix(1, (1, 2), [[1, 1]])
     narrow = ScaledMatrix(1, (1, 1), [[1]])
     assert wide != narrow and narrow != wide
@@ -224,7 +221,7 @@ def test_equality_checks_shapes():
     assert ScaledMatrix(1, (2, 0), [[], []]) != ScaledMatrix(1, (1, 0), [[]])
     assert ScaledMatrix(1, (2, 1), [[1], [0]]) != ScaledMatrix(1, (1, 1), [[1]])
     empty = (ScaledMatrix(1, (0, 2), []), ScaledMatrix(3, (0, 5), []), ScaledMatrix(2, (0, 0), []))
-    assert all(a == b and hash(a) == hash(b) for a in empty for b in (*empty, ()))
+    assert all(a == b for a in empty for b in empty) and all(a != () for a in empty)
 
 
 _MONOIDS = {m: build_family(f"monoid:m={m}").realization for m in range(1, 5)}
@@ -232,7 +229,7 @@ _MONOIDS = {m: build_family(f"monoid:m={m}").realization for m in range(1, 5)}
 
 def _reference_dilation(point, m):
     """sum a_ij b_ij / m on the ``Fraction`` rows of the two arrows of a rational point."""
-    a, b = map(_divided, point)
+    a, b = map(divided, point)
     return sum((x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb)), Fraction(0)) / m
 
 
@@ -263,7 +260,7 @@ def test_dilation_drops_cancelled_powers():
     # 1 - 1, on every group draw: P = L_a^T L_b and Q = R_a R_b^T are scalar
     # matrices on the monoid.  So d is t times a constant, of order 1 on every
     # draw: a group of terms whose sum vanishes is passed over.
-    x, y = ScaledMatrix.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), ScaledMatrix.of([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    x, y = scaled([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), scaled([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
     cancel = Curve("cancel", {(0, 2): 1}, (3, 3))
     real = dataclasses.replace(_MONOIDS[3], base_point=(x, y), membership=lambda pt: True, curves=(cancel,))
     assert real.monomial_entries("cancel", 0) == ((0, 0, 1, 0), (1, 1, 1, 0), (2, 2, 1, 1))
