@@ -31,7 +31,7 @@ from .divisor_model import (
     wonderful_section_divisor,
 )
 from .realization import Curve, MatrixRealization, Minor, Pairing, SemiInvariantSpec
-from .families import build_family, finalize_determinantal_model
+from .families import build_family
 from .oracle import (
     LimitSignature,
     TOrderResult,

@@ -242,7 +242,7 @@ def principal_divisor(model: SphericalDivisorModel, chi: Character) -> Divisor:
 
 
 def canonical_divisor(model: SphericalDivisorModel) -> Divisor:
-    """The fixed representative: -1 on every boundary, the stored coefficient on every colour."""
+    """The fixed representative: -1 on every boundary, each colour's stored coefficient (derived, or a document's)."""
     coeffs = {b.id: -1 for b in model.boundaries}
     coeffs.update({c.id: c.canonical_coefficient for c in model.colors})
     return Divisor.from_mapping(coeffs)

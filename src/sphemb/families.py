@@ -26,9 +26,10 @@ same ``_monoid_torus`` / ``_circular_torus`` and cocharacter tables.  A
 monoid colour's functional is its coroot in ``_monoid_coroots``; a circular
 colour's is its first coroot in ``_circular_coroots`` pulled back through
 the torus, and a paired colour's two coroots must pull back alike
-(``ValueError`` otherwise).  ``_wonderful`` builds both families' wonderful
-data from the same coroot tables; the determinantal model and wonderful
-data are the circular ones at s = 0.
+(``ValueError`` otherwise).  Every colour's canonical coefficient is read off
+the same coroot tables by Brion's formula (``_canonical_coefficients``), and
+``_wonderful`` builds both families' wonderful data from them; the
+determinantal model and wonderful data are the circular ones at s = 0.
 """
 
 from __future__ import annotations
@@ -104,12 +105,27 @@ def _valuation(lattice: TorusLattice, torus, cocharacter: dict[tuple[int, int], 
     return lattice.covector([cocharacter.get(top, 0) - cocharacter.get(bottom, 0) for top, bottom in torus])
 
 
+def _canonical_coefficients(table: dict[str, tuple[dict[int, int], ...]], ends: tuple[int, ...]) -> dict[str, int]:
+    """Each colour's canonical coefficient -a_D, by Brion's formula a_D = <2 rho_G - 2 rho_L, alpha^vee> for type b.
+
+    alpha^vee is the colour's first coroot, joining ambient coordinates a = min(alpha^vee) and a + 1.  In type A,
+    a_D is the size of L's block holding a plus that of the block holding a + 1.  L's blocks are cut after each
+    coroot the table lists (at its a) and after each GL factor's last coordinate (``ends``), so a_D is the next cut
+    above a less the previous one below it, -1 before the first (Brion, *Variétés sphériques et théorie de Mori*,
+    Duke Math. J. 72, 1993).
+    """
+    cuts = [-1, *sorted({min(c) for coroots in table.values() for c in coroots} | set(ends))]
+    at = {lab: cuts.index(min(first)) for lab, (first, *_) in table.items()}
+    return {lab: cuts[i - 1] - cuts[i + 1] for lab, i in at.items()}
+
+
 def _monoid_model(m: int) -> SphericalDivisorModel:
     labels = tuple(f"eps_{k}" for k in range(1, m + 2))
     lattice = TorusLattice(labels)
     basis = tuple(lattice.basis_character(lab) for lab in labels)
     coroot_table = _monoid_coroots(m)
 
+    coefficients = _canonical_coefficients({lab: (c,) for lab, c in coroot_table.items()}, (m - 1, m))
     roots = []
     colors = []
     for i in range(1, m):
@@ -119,7 +135,7 @@ def _monoid_model(m: int) -> SphericalDivisorModel:
         alpha = lattice.character(root)
         alpha_v = lattice.covector([coroot_table[f"D_{i}"].get(k, 0) for k in range(m + 1)])
         roots.append((f"alpha_{i}", alpha, alpha_v))
-        colors.append(ColorSpec(f"D_{i}", alpha_v, canonical_coefficient=-2))
+        colors.append(ColorSpec(f"D_{i}", alpha_v, coefficients[f"D_{i}"]))
 
     torus, cochars = _monoid_torus(m), _monoid_cocharacters(m).values()
     boundaries = [BoundarySpec(f"X_{r}", _valuation(lattice, torus, lam)) for r, lam in enumerate(cochars)]
@@ -262,25 +278,15 @@ def _circular_model(m: int, n: int, r: int, s: int) -> SphericalDivisorModel:
         # Ambient entry (f, i) sits at f m + i, and basis character k has weight -(top - bottom) there.
         return _valuation(lattice, torus, {(0, a) if a < m else (1, a - m): -c for a, c in coroot.items()})
 
-    functionals = {}
-    for label, (first, *others) in _circular_coroots(m, n, r, s).items():
+    functionals, table = {}, _circular_coroots(m, n, r, s)
+    for label, (first, *others) in table.items():
         functionals[label] = pulled_back(first)
         if any(pulled_back(c) != functionals[label] for c in others):
             raise ValueError(f"the coroots of colour {label} pull back to different functionals")
-
-    # An exterior colour on the side of size m (1) or n (2) has coefficient
-    # -(size - (r + s) + 1).  A D_s<side> that the coroot table leaves out
-    # while s > 0 is merged into D_r<side>, whose coroot pulls back to both
-    # functionals' sum: the coefficient doubles and D_s<side> is an alias.
-    coefficients, aliases = {}, []
-    for side, size in enumerate((m, n), start=1):
-        coefficient = -(size - (r + s) + 1)
-        merged = s > 0 and f"D_s{side}" not in functionals
-        coefficients[f"D_r{side}"] = 2 * coefficient if merged else coefficient
-        coefficients[f"D_s{side}"] = coefficient
-        if merged:
-            aliases.append((f"D_s{side}", f"D_r{side}"))
-    colors = [ColorSpec(lab, f, canonical_coefficient=coefficients.get(lab, -2)) for lab, f in functionals.items()]
+    coefficients = _canonical_coefficients(table, (m - 1, m + n - 1))
+    colors = [ColorSpec(lab, f, coefficients[lab]) for lab, f in functionals.items()]
+    # A D_s<side> that the table leaves out while s > 0 is merged into D_r<side>.
+    aliases = [(f"D_s{side}", f"D_r{side}") for side in (1, 2) if s > 0 and f"D_s{side}" not in functionals]
 
     simple = [(f"alpha_{i}", f"D_{i}", {i - 1: 1, i: -1}) for i in range(1, r)]
     simple += [(f"beta_{j}", f"E_{j}", {r + j - 1: -1, r + j: 1}) for j in range(1, s)]

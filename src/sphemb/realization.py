@@ -224,8 +224,8 @@ class SemiInvariantSpec:
 
     ``form`` is the function as data, a ``Minor`` or a ``Pairing``; anything
     else raises ``ValueError``, and so do a ``Pairing`` off the dual factor
-    pairs and a ``Minor`` on an arrow at a dual pair's second factor when a
-    realization checks it (``MatrixRealization.check_forms``).
+    pairs and a ``Minor`` on a loop arrow or at a dual pair's second factor
+    when a realization checks it (``MatrixRealization.check_forms``).
     The oracle reads its t-orders by Cauchy-Binet
     (``MatrixRealization.form_orders``) and its values at rational points from
     ``form.ratio``.  ``evaluate`` is the form itself, set at construction.
@@ -398,7 +398,7 @@ class MatrixRealization:
     def check_forms(self, functions) -> None:
         """``ValueError`` naming the first semi-invariant whose form cannot be read on points of ``shapes``, is a
         ``Pairing`` whose arrows' sources, or targets, are not a pair of ``dual_factors``, or is a ``Minor`` on an
-        arrow with the second factor of a dual pair as its source or target."""
+        arrow with the second factor of a dual pair as its source or target, or on a loop (s = t)."""
         seconds = {b for _, b in self.dual_factors}
         for f in functions:
             form = f.form
@@ -407,6 +407,8 @@ class MatrixRealization:
                 fault = f"arrows {form.arrow_a} and {form.arrow_b} do not run between dual factor pairs"
             if fault is None and isinstance(form, Minor) and seconds & set(self.arrows[form.arrow]):
                 fault = f"arrow {form.arrow} runs at the second factor of a dual pair"
+            if fault is None and isinstance(form, Minor) and len(set(self.arrows[form.arrow])) == 1:
+                fault = f"arrow {form.arrow} is a loop"
             if fault is not None:
                 raise ValueError(f"semi-invariant {f.name}: {fault}")
 

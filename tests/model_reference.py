@@ -19,6 +19,10 @@ the character lattice, one label at a time:
 
 Nothing here reads the package's torus, cocharacter or coroot tables, so a
 slip in any of them shows as a disagreement that ``first_disagreement`` names.
+The canonical coefficients are the paper's rule, an independent reference:
+the package derives its own from the coroot tables by Brion's formula
+a_D = <2 rho_G - 2 rho_L, alpha^vee> (``families._canonical_coefficients``),
+so the comparison checks one derivation against another.
 """
 
 from sphemb.families import admissible_circular_parameters

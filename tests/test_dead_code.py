@@ -11,11 +11,13 @@ Last, ``from sphemb import *`` must bind the public names alone, no module.
 Two guards read the repository around the package: every private name
 (``_name``) that the README shows as code is defined in the package, and
 every third-party module that the tests or the benchmark import is listed in
-``pyproject.toml``'s ``test`` extra, which CI installs.
+``pyproject.toml``'s ``test`` extra, which CI installs.  A third reads the CI
+workflow: its install step installs that extra and names no package itself.
 """
 
 import ast
 import re
+import shlex
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -187,3 +189,40 @@ def test_test_extra_lists_every_third_party_import():
     imported = third_party_imports(paths)
     assert {"pytest", "sympy", "hypothesis"} <= imported
     assert sorted(imported - listed) == []
+
+
+def install_step_faults(workflow: str) -> list[str]:
+    """What is wrong with the workflow's "Install test dependencies" step: it is missing, or it installs anything
+    but the package's ``test`` extra, ``.[test]``, one argument after ``pip install``."""
+    step = re.search(r"- name: Install test dependencies\n\s+run: (.+)", workflow)
+    if step is None:
+        return ["no install step"]
+    words = shlex.split(step.group(1))
+    if words[:4] != ["python", "-m", "pip", "install"]:
+        return [f"the install step runs {step.group(1)!r}"]
+    faults = [f"the install step installs {word!r}" for word in words[4:] if word != ".[test]"]
+    return faults + ([] if ".[test]" in words[4:] else ["the install step does not install the test extra"])
+
+
+def test_ci_installs_the_test_extra():
+    workflow = (REPOSITORY / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    assert install_step_faults(workflow) == []
+
+
+def test_install_step_guard_flags_named_packages():
+    step = "      - name: Install test dependencies\n        run: {}\n"
+    assert install_step_faults(step.format('python -m pip install ".[test]"')) == []
+    assert install_step_faults(step.format("python -m pip install .[test]")) == []
+    assert install_step_faults(step.format("python -m pip install pytest sympy hypothesis")) == [
+        "the install step installs 'pytest'",
+        "the install step installs 'sympy'",
+        "the install step installs 'hypothesis'",
+        "the install step does not install the test extra",
+    ]
+    assert install_step_faults(step.format('python -m pip install ".[test]" numpy')) == ["the install step installs 'numpy'"]
+    assert install_step_faults(step.format("python -m pip install .")) == [
+        "the install step installs '.'",
+        "the install step does not install the test extra",
+    ]
+    assert install_step_faults(step.format("python -m pip install")) == ["the install step does not install the test extra"]
+    assert install_step_faults("steps: []\n") == ["no install step"]

@@ -23,7 +23,7 @@ from sphemb.families import (
 )
 from sphemb.realization import Curve, Minor, Pairing, ScaledMatrix, SemiInvariantSpec
 from sphemb.oracle import stabilizer_check
-from sphemb.rootdata import pair
+from sphemb.rootdata import TorusLattice, pair
 from sphemb.lattice import integer_inverse, rational_inverse, row_determinant
 from form_reference import weight_value
 from point_reference import divided, scaled
@@ -90,21 +90,43 @@ def test_monoid_realization_membership_and_curves():
         ("circular:m=2,n=2,r=1,s=1", Pairing(0, 1, 1), "arrows 0 and 1 do not run between dual factor pairs"),
         # A Minor is read only between generic factors: the monoid's arrow 1 runs between the duals' second factors.
         ("monoid:m=2", Minor(1, 1), "arrow 1 runs at the second factor of a dual pair"),
+        # Nor on a loop, where its two sides would read one factor's draw.
+        ("loop", Minor(0, 1), "arrow 0 is a loop"),
     ],
 )
 def test_malformed_forms_fail_construction(spec, form, message):
     # Each form is checked against the realization's arrows when it is built, naming the semi-invariant.
-    bundle = build_family(spec)
-    real, weight = bundle.realization, bundle.model.weight_lattice.combination([])
+    real, weight = realization_and_weight(spec)
     with pytest.raises(ValueError, match=f"semi-invariant bad: {message}"):
         dataclasses.replace(real, semi_invariants=real.semi_invariants + (SemiInvariantSpec("bad", weight, form),))
+
+
+def realization_and_weight(spec: str):
+    """The realization of a family member, or of ``_loop_realization`` for ``"loop"``, and the zero weight."""
+    if spec == "loop":
+        return _loop_realization(), TorusLattice(("eps_1",)).combination([])
+    bundle = build_family(spec)
+    return bundle.realization, bundle.model.weight_lattice.combination([])
+
+
+def _loop_realization():
+    """One GL(2) factor conjugating one 2 x 2 matrix: the arrow (0, 0) is a loop, with one curve through E_11."""
+    return realization.MatrixRealization(
+        base_point=(scaled(((1, 0), (0, 0))),),
+        membership=lambda point: True,
+        arrows=((0, 0),),
+        borel_lower=(True,),
+        expected_orbit_dimension=2,
+        stabilizer_sampler=lambda rng: (),
+        curves=(Curve("lambda", {(0, 0): 1}, (1,)),),
+    )
 
 
 def test_every_built_in_pairing_runs_between_dual_pairs():
     # check_forms refuses any other Pairing, and no family member declares one:
     # the one Pairing is the monoid's dilation, between (0, 1) and (2, 3).
-    # Likewise it refuses a Minor at a dual pair's second factor, and none of
-    # the 114 declared Minors sits on such an arrow.
+    # Likewise it refuses a Minor at a dual pair's second factor or on a loop,
+    # and none of the 114 declared Minors sits on such an arrow.
     specs = [f"monoid:m={m}" for m in range(1, 9)]
     specs += ["circular:m={},n={},r={},s={}".format(*p) for p in admissible_circular_parameters(5, 6)]
     specs += [f"determinantal:m={m},n={n},r={r}" for m in range(2, 6) for n in range(2, 6) for r in range(1, min(m, n))]
@@ -119,9 +141,10 @@ def test_every_built_in_pairing_runs_between_dual_pairs():
                 assert all(frozenset(v) in dual for v in zip(*ends)), (spec, f.name)
                 pairings.append(spec)
             else:
-                minors.append(bool(seconds & set(real.arrows[f.form.arrow])))
+                s, t = real.arrows[f.form.arrow]
+                minors.append((bool(seconds & {s, t}), s == t))
     assert len(specs) == 214 and pairings == specs[:8]
-    assert (sum(minors), len(minors)) == (0, 114)
+    assert len(minors) == 114 and [sum(column) for column in zip(*minors)] == [0, 0]
 
 
 def test_curves_are_checked_against_the_factors():

@@ -1,8 +1,13 @@
 """The monoid, circular and determinantal models against a hand-written reference.
 
 The models' functionals are derived from the torus, cocharacter and coroot
-tables in ``sphemb.families``; ``model_reference`` writes them out as formulas.
-A slip planted in any table must make the comparison fail, naming its label.
+tables in ``sphemb.families``, and their canonical coefficients from the
+coroot tables by Brion's formula; ``model_reference`` writes the functionals
+out as formulas and the coefficients by the paper's rule.  A slip planted in
+any table must make the comparison fail, naming its label.  Brion's formula
+holds for colours of type b, so every coroot table behind the model grid is
+also checked to list no simple coroot twice and to give a paired colour the
+same coefficient from each of its coroots.
 """
 
 import dataclasses
@@ -16,7 +21,7 @@ from model_reference import first_disagreement, model_grid
 from sphemb import families
 from sphemb.cli import run
 from sphemb.divisor_model import BoundarySpec, ColorSpec
-from sphemb.families import build_family
+from sphemb.families import build_family, parse_family_spec
 
 
 def test_model_grid_dumps_are_pinned():
@@ -162,3 +167,65 @@ def test_extra_boundary_is_named(spec):
     enlarged = dataclasses.replace(model, boundaries=model.boundaries + (extra,))
     assert first_disagreement(model, name, params) is None
     assert first_disagreement(enlarged, name, params) == "X_extra"
+
+
+@pytest.mark.parametrize("label, spec", [("D_1", "monoid:m=3"), ("D_r1", "circular:m=3,n=4,r=2,s=1"), ("D_s2", "circular:m=3,n=4,r=2,s=1")])
+def test_shifted_canonical_coefficient_is_named(monkeypatch, label, spec):
+    # The reference's coefficients are the paper's rule, not a copy of the derived ones.
+    original = families._canonical_coefficients
+
+    def shifted(*args):
+        coefficients = original(*args)
+        return {**coefficients, label: coefficients[label] - 1}
+
+    monkeypatch.setattr(families, "_canonical_coefficients", shifted)
+    assert _disagreement(spec) == label
+
+
+def coroot_table(spec: str):
+    """The coroot table of ``spec``'s model, one tuple of coroots per colour, and its GL factors' last coordinates."""
+    name, params = parse_family_spec(spec)
+    if name == "monoid":
+        m = params["m"]
+        return {label: (coroot,) for label, coroot in families._monoid_coroots(m).items()}, (m - 1, m)
+    if name == "circular":
+        m, n, r, s = families._circular_parameters(**params)
+    else:
+        m, n, r, s = params["m"], params["n"], params["r"], 0
+    return families._circular_coroots(m, n, r, s), (m - 1, m + n - 1)
+
+
+def type_b_faults(table, ends) -> list[str]:
+    """Why Brion's rule for colours of type b may not give ``table``'s coefficients: a simple coroot, named by its
+    lower coordinate, that two colours list (a colour of type a), or a colour's coroot that gives another
+    coefficient than its first."""
+    faults, owner = [], {}
+    for label, coroots in table.items():
+        for coroot in coroots:
+            if owner.setdefault(min(coroot), label) != label:
+                faults.append(f"{owner[min(coroot)]} and {label} list the coroot at {min(coroot)}")
+    coefficients = families._canonical_coefficients(table, ends)
+    for label, coroots in table.items():
+        for coroot in coroots[1:]:
+            # The same coroots with this one first: the same cuts, read at this coroot.
+            if families._canonical_coefficients({**table, label: (coroot, *coroots)}, ends)[label] != coefficients[label]:
+                faults.append(f"{label}'s coroot at {min(coroot)} gives another coefficient")
+    return faults
+
+
+def test_every_grid_coroot_table_is_of_type_b():
+    tables = [coroot_table(spec) for spec in model_grid()]
+    assert len(tables) == 953 and sum(len(coroots) == 2 for table, _ in tables for coroots in table.values()) > 0
+    assert [(spec, faults) for spec, faults in zip(model_grid(), (type_b_faults(*t) for t in tables)) if faults] == []
+
+
+def test_type_b_guard_flags_planted_tables():
+    # D_s1 lists D_r1's coroot: a simple root moving two colours.
+    table, ends = coroot_table("circular:m=3,n=4,r=1,s=1")
+    assert type_b_faults(table, ends) == []
+    assert type_b_faults({**table, "D_s1": table["D_r1"]}, ends) == ["D_r1 and D_s1 list the coroot at 0"]
+    # D_1's right-hand coroot moved into a block of size 3 while its left one sits between blocks of size 1.
+    table, ends = coroot_table("determinantal:m=3,n=5,r=2")
+    assert type_b_faults(table, ends) == []
+    moved = {**table, "D_1": (table["D_1"][0], {6: 1, 7: -1})}
+    assert type_b_faults(moved, ends) == ["D_1's coroot at 6 gives another coefficient"]

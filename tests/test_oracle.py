@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from form_reference import act, curve_point, form_at, form_values, weight_value
 from point_reference import divided, scaled
+from test_families import realization_and_weight
 from valuation_reference import infer_boundary_valuation
 
 from sphemb import oracle, realization
@@ -588,14 +589,15 @@ def test_non_monomial_curve_fails_construction():
         ("monoid:m=2", Pairing(1, 1, 1), "lambda_0", "arrows 1 and 1 do not run between dual factor pairs"),
         # A Minor is read only between generic factors: arrow 1 runs at the duals' second factors.
         ("monoid:m=2", Minor(1, 1), "lambda_0", "arrow 1 runs at the second factor of a dual pair"),
+        # Nor on a loop arrow (s = t), whose two sides are one factor's draw.
+        ("loop", Minor(0, 1), "lambda", "arrow 0 is a loop"),
     ],
 )
 def test_malformed_forms_handed_to_the_oracle_are_refused_alike(spec, form, curve, message):
     # A form the realization never saw, handed straight to t_order or to the
     # Borel check, is checked against the arrows as at construction: each
     # refuses it with the same ValueError, before drawing anything.
-    bundle = build_family(spec)
-    real, weight = bundle.realization, bundle.model.weight_lattice.combination([])
+    real, weight = realization_and_weight(spec)
     real.group_draw = real.group_sampler = real.borel_sampler = None  # any draw would fail
     big = SemiInvariantSpec("big", weight, form)
     errors = set()
