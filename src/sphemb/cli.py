@@ -70,7 +70,7 @@ def _build_parser() -> tuple[_Parser, argparse.Action]:
     def common(p):
         p.add_argument("--family", required=True, help="family specifier, e.g. monoid:m=3")
         p.add_argument("--trials", type=_integer_option, default=8, help="oracle trials, at least 1; read only by verify")
-        p.add_argument("--seed", type=_integer_option, default=0, help="oracle seed; read only by verify")
+        p.add_argument("--seed", type=_integer_option, default=0, help="oracle seed, at least 0; read only by verify")
 
     p = sub.add_parser("class-group")
     common(p)
@@ -143,6 +143,8 @@ def _character_dict(model, chi) -> dict[str, int]:
 def _dispatch(ns) -> dict:
     if ns.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {ns.trials}")
+    if ns.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {ns.seed}")
     bundle = build_family(ns.family)
     if ns.command not in ("verify", "wonderful-section"):
         model = bundle.model

@@ -90,9 +90,11 @@ class VerificationReport:
         }
 
 
-def _check_trials(trials: int) -> None:
+def _check_trials(trials: int, seed: int) -> None:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
 
 
 def _vanished_message(f, curve_label: str, trials: int) -> str:
@@ -106,19 +108,26 @@ def _order_result(orders: list[int | None]) -> TOrderResult | None:
     return TOrderResult(order=min(finite), trials=len(orders), stable=len(set(orders)) == 1 and None not in orders)
 
 
+def _curve_orders(real, functions, curve_labels, trials: int, seed: int) -> list[tuple[TOrderResult | None, ...]]:
+    """Per curve label, one ``_order_result`` per function, all read in one ``sweep`` after one ``check_forms``."""
+    real.check_forms(functions)
+    lowest = real.sweep(tuple(fn.form for fn in functions), curve_labels, trials, seed)
+    return [tuple(_order_result([term and term[0] for term in terms]) for terms in per_curve) for per_curve in lowest]
+
+
 def t_order(
     real, f, curve_label: str, trials: int = 8, seed: int = 0
 ) -> TOrderResult | tuple[TOrderResult | None, ...]:
     """Generic t-adic order of ``f`` along the labelled curve.
 
     The curve is translated by ``trials`` seeded random group elements
-    (``trials`` must be at least 1) and ``f`` is taken as an exact
-    polynomial in t; the generic order is the minimum over trials, with
+    (``trials`` at least 1, ``seed`` at least 0) and ``f`` is taken as an
+    exact polynomial in t; the generic order is the minimum over trials, with
     ``stable`` recording all-trials agreement.  The elements are the first
     ``trials`` draws of ``Random(seed)``, drawn once per realization
     (``group_draws``), so every curve sees the same ones.  Each function's
     form is read by Cauchy-Binet on those draws, without building the
-    translate (``MatrixRealization.form_orders``).
+    translate (``MatrixRealization.sweep``).
 
     ``f`` may also be a tuple of semi-invariants: every function is then
     read on the same seeded draws, and the result is a tuple with one
@@ -127,12 +136,9 @@ def t_order(
     ``IdenticallyZeroError``.  A form that cannot be read on the
     realization's arrows raises ``ValueError`` (``check_forms``).
     """
-    _check_trials(trials)
+    _check_trials(trials, seed)
     real.curve(curve_label)  # KeyError for an unknown label, also with no function to read
-    functions = f if isinstance(f, tuple) else (f,)
-    real.check_forms(functions)
-    orders = real.form_orders(tuple(fn.form for fn in functions), curve_label, trials, seed)
-    results = tuple(map(_order_result, orders))
+    (results,) = _curve_orders(real, f if isinstance(f, tuple) else (f,), (curve_label,), trials, seed)
     if isinstance(f, tuple):
         return results
     if results[0] is None:
@@ -207,7 +213,7 @@ def semiinvariance_check(real, f, trials: int = 8, seed: int = 0) -> Character:
     of ``Random(seed)``; the verdict is one at every ``trials`` (at least 1)
     and ``seed``, and ``select_semi_invariants`` gives it too.
     """
-    _check_trials(trials)
+    _check_trials(trials, seed)
     (failure,) = _borel_failures(real, (f,), lambda: real.group_draws(1, seed)[0])
     if failure is not None:
         raise SemiInvarianceError(failure)
@@ -220,7 +226,7 @@ def select_semi_invariants(real, trials: int = 8, seed: int = 0):
     The others are rejected; the orbit point g . x0 is built from the first
     of the ``trials`` seeded group draws that the boundary orders read.
     """
-    _check_trials(trials)
+    _check_trials(trials, seed)
     candidates = real.semi_invariants
     failures = _borel_failures(real, candidates, lambda: real.group_draws(trials, seed)[0])
     return tuple(f for f, failure in zip(candidates, failures) if failure is None)
@@ -233,22 +239,21 @@ def verify_boundary_valuations(
 
     For each boundary divisor and each verified semi-invariant, the model
     value <chi, nu> is compared with the generic order of the function along
-    the boundary's translated curve.  A boundary with no curve fails closed:
-    each of its records has no curve and no oracle value, ran no trial, and
-    does not match.
+    the boundary's translated curve, all read in one ``sweep`` of the draws.
+    A boundary with no curve fails closed: each of its records has no curve
+    and no oracle value, ran no trial, and does not match.
     """
-    _check_trials(trials)
+    _check_trials(trials, seed)
     if semi_invariants is None:
         semi_invariants = select_semi_invariants(real, trials=trials, seed=seed)
     semi_invariants = tuple(semi_invariants)
     curve_of = {c.boundary: c.label for c in real.curves}
+    labels = [curve_of[spec.id] for spec in model.boundaries if spec.id in curve_of]
+    orders = dict(zip(labels, _curve_orders(real, semi_invariants, labels, trials, seed) if labels else ()))
     records = []
     for spec in model.boundaries:
         curve_label = curve_of.get(spec.id)
-        if curve_label is None:
-            results, ran = (None,) * len(semi_invariants), 0
-        else:
-            results, ran = t_order(real, semi_invariants, curve_label, trials=trials, seed=seed), trials
+        results, ran = (orders[curve_label], trials) if curve_label is not None else ((None,) * len(semi_invariants), 0)
         for f, result in zip(semi_invariants, results):
             expected = pair(f.claimed_weight, spec.valuation)
             model_value = expected.numerator if expected.denominator == 1 else str(expected)
@@ -281,7 +286,7 @@ def _exact_record(check: str, inputs: dict, model_value, oracle_value) -> CheckR
 
 def verification_report(model, real, trials: int = 8, seed: int = 0) -> VerificationReport:
     """Full oracle suite for one family member, as flat check records."""
-    _check_trials(trials)
+    _check_trials(trials, seed)
     records: list[CheckRecord] = []
     rng = random.Random(seed)
 

@@ -29,7 +29,7 @@ semi-invariant is data, a ``Minor`` on an arrow between generic factors or
 a ``Pairing`` of arrows whose sources and targets are dual factor pairs;
 its t-orders on the seeded translates are read by Cauchy-Binet off the
 curve's entries and the forward draws, the inverses' minors by Jacobi's
-identity (``lowest_terms``), and its Borel weight off the orientation table
+identity (``sweep``), and its Borel weight off the orientation table
 and the dual pairs (``borel_exponents``).
 """
 
@@ -111,9 +111,12 @@ _GENERIC_RANGE = 999
 
 
 def _rand_int_matrix(rng: random.Random, rows: int, cols: int, lo: int = -2, hi: int = 2):
-    """Entries ``rng.randint(lo, hi)`` row-major, drawn as ``randrange(lo, hi + 1)``: the same stream."""
-    draw, hi = rng.randrange, hi + 1
-    return [[draw(lo, hi) for _ in range(cols)] for _ in range(rows)]
+    """Entries ``rng.randint(lo, hi)`` row-major, as ``randrange`` draws them: ``getrandbits``, redrawn while too big."""
+    n, bits, flat = hi - lo + 1, rng.getrandbits, []
+    while len(flat) < rows * cols:
+        if (r := bits(n.bit_length())) < n:
+            flat.append(lo + r)
+    return [flat[i * cols : (i + 1) * cols] for i in range(rows)]
 
 
 _SCALARS = (-3, -2, -1, 1, 2, 3)
@@ -463,7 +466,11 @@ class MatrixRealization:
         return [[None if term is None else term[0] for term in terms] for terms in lowest]
 
     def lowest_terms(self, forms, curve_label: str, trials: int, seed: int) -> list[list[tuple[int, int] | None]]:
-        """Per form, its lowest term (e, c) on each seeded translate g . curve, ``None`` where the form vanishes.
+        """Per form, its lowest term (e, c) on each seeded translate g . curve, ``None`` where it vanishes (``sweep``)."""
+        return self.sweep(forms, (curve_label,), trials, seed)[0]
+
+    def sweep(self, forms, curve_labels, trials: int, seed: int) -> list[list[list[tuple[int, int] | None]]]:
+        """Per curve label, ``lowest_terms`` of the forms on it, all read in one pass over the draws.
 
         c t^e is the lowest nonzero term of the form's undivided value
         (``form.ratio``) on the translate as ``act`` stores it, for the units
@@ -479,60 +486,76 @@ class MatrixRealization:
         det (d A^-1)[J, K] = sgn(det A) (-1)^(sum J + sum K)
         d^(k-1) det A[K^c, J^c], off A_t's rows K^c (``_row_minors``, a table
         per draw, factor and rows, or ``_complement_minors`` where cheaper);
-        the curve's terms fold in J^c and (-1)^(sum J) (``_minor_terms``),
-        and the rest once per form and draw (``_scalars``).  A ``Pairing`` of
-        arrows a, b is sum x_ab y_cd P[a][c] Q[b][d] for P = L_a^T L_b and
-        Q = R_a R_b^T, which are p I and q I on the dual pairs it runs between
-        (``check_forms``), p = c d_a and q = sign(c') d_b
-        (``_dual_pairing_terms``).  The order is the least power whose
-        integer coefficient c is nonzero.
+        each curve groups the subsets (``_minor_subsets``) by power of t, and
+        the rest is one multiplier per form and draw (``_scalars``).  A
+        ``Pairing`` of arrows a, b is sum x_ab y_cd P[a][c] Q[b][d] for
+        P = L_a^T L_b and Q = R_a R_b^T, which are p I and q I on the dual
+        pairs it runs between (``check_forms``), p = c d_a and q = sign(c') d_b:
+        the multiplier times the untranslated pairing, with no table read.
         """
         if not forms:
-            return []
-        plans = [self.memo(("plan", curve_label, form), lambda: self._plan(form, curve_label)) for form in forms]
+            return [[] for _ in curve_labels]
+        plans = [self._plan(form) for form in forms]
+        reads = [[self._curve_terms(form, plan[4], label) for label in curve_labels] for form, plan in zip(forms, plans)]
         tables = self.memo(("draw_tables", trials, seed), lambda: [{} for _ in range(trials)])
-        lowest: list[list[tuple[int, int] | None]] = [[] for _ in forms]
+        lowest: list[list[list[tuple[int, int] | None]]] = [[[] for _ in forms] for _ in curve_labels]
         for draw, cache in zip(self.group_draws(trials, seed), tables):
-            for (left_key, right_key, sign, scalars, groups), form_terms in zip(plans, lowest):
+            for f, ((left_key, right_key, sign, scalars, _), per_curve) in enumerate(zip(plans, reads)):
+                multiplier = _scalars(draw, sign, scalars)
+                if left_key is None:
+                    for out, term in zip(lowest, per_curve):
+                        out[f].append(term and (term[0], multiplier * term[1]))
+                    continue
                 for key in (left_key, right_key):
                     if key not in cache:
                         cache[key] = _draw_table(draw, key)
-                left, right, term = cache[left_key], cache[right_key], None
-                for e, terms in groups:
-                    coefficient = sum([left[i] * c * right[j] for i, j, c in terms])
-                    if coefficient:
-                        term = (e, _scalars(draw, sign * coefficient, scalars))
-                        break
-                form_terms.append(term)
+                left, right = cache[left_key], cache[right_key]
+                for out, groups in zip(lowest, per_curve):
+                    term = None
+                    for e, terms in groups:
+                        coefficient = sum([left[i] * c * right[j] for i, j, c in terms])
+                        if coefficient:
+                            term = (e, multiplier * coefficient)
+                            break
+                    out[f].append(term)
         return lowest
 
-    def _plan(self, form, curve_label: str) -> tuple:
-        """How ``lowest_terms`` reads ``form`` on the curve: the keys of its left and right draw tables
-        (``_draw_table``), its sign and per-draw scalars (``_scalars``) and its terms by power of t: for a ``Minor``
-        of k > 0 on arrow (s, t), det L_s[K, I] forward off A_s's rows K and det R_t[J, K] through Jacobi off A_t's
-        rows K^c, with the sign (-1)^(sum K) for t's first or last k indices K and the scalar sgn(det A_t) |det A_t|^(k-1)."""
+    def _plan(self, form) -> tuple:
+        """How ``sweep`` reads ``form`` on every curve: its left and right draw tables' keys (``_draw_table``), or
+        ``None``, its sign and per-draw scalars (``_scalars``) and, for a ``Minor`` of k > 0 on arrow (s, t), its
+        subsets: det L_s[K, I] forward off A_s's rows K, det R_t[J, K] through Jacobi off A_t's rows K^c, the sign
+        (-1)^(sum K) for t's first or last k indices K and the scalar sgn(det A_t) |det A_t|^(k-1)."""
         if isinstance(form, Pairing):
             duals = {b: a for a, b in self.dual_factors}
-            x, y = (self.monomial_entries(curve_label, a) for a in form.arrows)
             (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
             # p = c d_a and q = sign(c') d_b, c and c' the scalars of each pair's second factor.
             b, b2 = max(sa, sb), max(ta, tb)
-            scalars = ((b, 1, 0), (duals[b], 1, 1), (b2, 0, 1), (duals[b2], 1, 1))
-            return ("one",), ("one",), 1, scalars, _dual_pairing_terms(x, y)
-        x = self.monomial_entries(curve_label, form.arrow)
+            return None, None, 1, ((b, 1, 0), (duals[b], 1, 1), (b2, 0, 1), (duals[b2], 1, 1)), ()
         (s, t), k, n = self.arrows[form.arrow], form.k, self.shapes[form.arrow][1]
         if k == 0:
-            return ("one",), ("one",), 1, (), [(0, [(0, 0, 1)])]
-        lead, full = not form.trailing, (1 << n) - 1
+            return None, None, 1, (), ()
+        lead, full, entries = not form.trailing, (1 << n) - 1, self._base_entries(form.arrow)
         sign = (-1) ** ((0 if lead else k * (n - k)) + k * (k - 1) // 2)
-        terms = self.memo(("minor_terms", curve_label, form.arrow, k), lambda: _minor_terms(x, k, full))
-        left = ("minors", s, lead, sum({1 << e[0] for e in x}))
-        # Jacobi needs det A_t[K^c, J^c] only for the J^c the terms name: one row_determinant each (about (n - k)^3
+        subsets = self.memo(("subsets", form.arrow, k), lambda: _minor_subsets(entries, k, full))
+        left = ("minors", s, lead, sum({1 << i for i, _, _ in entries}))
+        # Jacobi needs det A_t[K^c, J^c] only for the J^c the subsets name: one row_determinant each (about (n - k)^3
         # steps, 32 for the call) where the table on all 2^n column subsets, shared by every k, costs more.
-        masks = tuple(sorted({j for _, group in terms for _, j, _ in group}))
+        masks = tuple(sorted({j for _, j, _, _ in subsets}))
         cheaper = len(masks) * ((n - k) ** 3 + 32) < 1 << n
         right = ("complements", t, not lead, masks) if cheaper else ("minors", t, not lead, full)
-        return left, right, sign, ((t, k - 1, k),), terms
+        return left, right, sign, ((t, k - 1, k),), subsets
+
+    def _curve_terms(self, form, subsets, curve_label: str):
+        """For a ``Minor`` of k > 0 its ``subsets`` (I, J^c, c) grouped by the power e of t the curve gives them, e
+        ascending; for a form that reads no table, its lowest term (e, c) on the curve itself, or ``None``."""
+        if isinstance(form, Pairing):
+            return _dual_pairing_term(*(self.monomial_entries(curve_label, a) for a in form.arrows))
+        if form.k == 0:
+            return 0, 1
+        powers, groups = [e for *_, e in self.monomial_entries(curve_label, form.arrow)], {}
+        for rows, jc, c, chosen in subsets:
+            groups.setdefault(sum([powers[i] for i in chosen]), []).append((rows, jc, c))
+        return sorted(groups.items())
 
     def act(self, g: GroupElement, point: Point) -> Point:
         """g . X = g_s X g_t^-1 at each arrow (s, t) of a point, as a ``ScaledMatrix`` over the product of the scales
@@ -680,46 +703,36 @@ class MatrixRealization:
         return {sa, sb} in dual and {ta, tb} in dual
 
 
-def _minor_terms(entries, k: int, full: int) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """Per power e of t, ascending, the (I, J^c, c) with det X[I, J] = (-1)^(sum J) c t^e over the k-subsets I of X's
-    nonzero rows.
-
-    X is monomial, given by its (i, j, c, e) ``entries`` in row order; J is
-    the columns of I's entries, and c carries the sign of the permutation
-    that sorts them and (-1)^(sum J).  I is a bitmask, and so is J^c, the
-    columns of ``full`` (all of them) outside J, on which the Jacobi side
-    reads its complementary minor.
-    """
-    groups: dict[int, list] = {}
-    for chosen in combinations(entries, k):
-        rows, cols, coefficients, powers = zip(*chosen) if chosen else ((),) * 4
+def _minor_subsets(entries, k: int, full: int) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """Per k-subset of a monomial X's nonzero (i, j, c) ``entries``, (I, J^c, c, chosen) with det X[I, J] = (-1)^(sum J) c
+    at t = 1: ``chosen`` indexes the subset's entries, I is the bitmask of their rows and J^c that of the columns of
+    ``full`` outside theirs, J, on which Jacobi reads the complementary minor; c carries the sign that sorts J."""
+    subsets = []
+    for chosen in combinations(range(len(entries)), k):
+        rows, cols, coefficients = zip(*(entries[n] for n in chosen))
         flips = sum(cols) + sum(a > b for n, a in enumerate(cols) for b in cols[n + 1 :])
         coefficient = -prod(coefficients) if flips % 2 else prod(coefficients)
-        groups.setdefault(sum(powers), []).append((sum(1 << i for i in rows), sum(1 << j for j in cols) ^ full, coefficient))
-    return sorted(groups.items())
+        subsets.append((sum(1 << i for i in rows), sum(1 << j for j in cols) ^ full, coefficient, chosen))
+    return subsets
 
 
-def _dual_pairing_terms(x_entries, y_entries) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """The terms of a ``Pairing`` on dual pairs, whose Gram tables p I and q I are read as the table {0: 1}: per
-    power e of t, ascending, the one term (0, 0, s) for the sum s of x y over the entries x t^f of X and y t^g of Y
-    at one position with f + g = e, powers with s = 0 left out, for monomial X and Y given by their (i, j, c, e)
-    entries."""
+def _dual_pairing_term(x_entries, y_entries) -> tuple[int, int] | None:
+    """The lowest term (e, s) of a ``Pairing`` of monomial X and Y, given by their (i, j, c, e) entries: s is the sum
+    of x y over the entries x t^f of X and y t^g of Y at one position with f + g = e, the least e with s nonzero;
+    ``None`` if every such sum is 0."""
     y_at = {(c, d): (y, g) for c, d, y, g in y_entries}
     sums: dict[int, int] = {}
     for a, b, x, f in x_entries:
         if (a, b) in y_at:
             y, g = y_at[a, b]
             sums[f + g] = sums.get(f + g, 0) + x * y
-    return [(e, [(0, 0, total)]) for e, total in sorted(sums.items()) if total]
+    return min(((e, total) for e, total in sums.items() if total), default=None)
 
 
 def _draw_table(draw: Draw, key: tuple) -> dict:
-    """One table of ``lowest_terms`` for a draw, named by ``key``: ("minors", v, top, columns) for ``_row_minors`` of
-    factor v's A, ("complements", v, top, masks) for its entries on ``masks`` alone and ("one",) for {0: 1}."""
-    kind, *args = key
-    if kind == "one":
-        return {0: 1}
-    v, top, columns = args
+    """One table of ``sweep`` for a draw, named by ``key``: ("minors", v, top, columns) for ``_row_minors`` of
+    factor v's A and ("complements", v, top, masks) for its entries on ``masks`` alone."""
+    kind, v, top, columns = key
     return (_row_minors if kind == "minors" else _complement_minors)(draw[v][0], columns, top)
 
 
@@ -753,7 +766,7 @@ def _complement_minors(rows, masks, top: bool) -> dict[int, int]:
 
 
 def _scalars(draw: Draw, sign: int, scalars) -> int:
-    """``sign`` times x^e sgn(x)^f for each (v, e, f) of a plan of ``lowest_terms``, x being factor v's det A or c:
+    """``sign`` times x^e sgn(x)^f for each (v, e, f) of a plan of ``sweep``, x being factor v's det A or c:
     sgn(det A) |det A|^(k-1) is (v, k - 1, k), |det A| is (v, 1, 1), c^k is (v, k, 0) and sign(c)^k is (v, 0, k)."""
     for v, e, f in scalars:
         x = draw[v] if isinstance(draw[v], int) else draw[v][1]

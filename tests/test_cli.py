@@ -149,6 +149,19 @@ def test_trials_below_one_exit_2():
             assert "--trials must be at least 1" in doc["message"]
 
 
+def test_seed_below_zero_exits_2():
+    # Random(-s) draws what Random(s) draws, so a negative seed would only
+    # repeat another seed's report; it is refused, as --trials below 1 is.
+    for seed in ("-1", "-931794"):
+        for command in ("verify", "class-group"):
+            code, doc = _invoke([command, "--family", "monoid:m=3", "--trials", "8", "--seed", seed])
+            assert code == 2 and doc["status"] == "error"
+            assert doc["inputs"]["seed"] == int(seed)
+            assert doc["message"] == f"--seed must be at least 0, got {seed}"
+    code, doc = _invoke(["verify", "--family", "monoid:m=2", "--seed", "-0"])
+    assert code == 0 and doc["inputs"]["seed"] == 0
+
+
 def test_integers_are_ascii_digit_strings():
     # Family parameters, --trials, --seed and sparse coefficients are read as
     # [+-]?[0-9]+ after stripping: int() would read 1_0 as 10 and an

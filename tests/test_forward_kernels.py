@@ -70,9 +70,10 @@ def test_the_grid_reaches_every_branch_of_the_forward_kernel():
     assert all(real.curves for real in reals)
     assert {bool(real.dual_factors) for real in reals} == {True, False}
     assert {spec.partition(":")[0] for spec in _SPECS} == {"monoid", "circular", "determinantal"}
-    # Jacobi sides read both off a factor's table of minors and off one determinant per complement.
-    kinds = {key[0] for real in reals for c in real.curves for form in _forms(real) for key in real._plan(form, c.label)[:2]}
-    assert kinds == {"minors", "complements", "one"}
+    # Jacobi sides read both off a factor's table of minors and off one
+    # determinant per complement; the dilation and the 0 x 0 minors read no table.
+    kinds = {key and key[0] for real in reals for form in _forms(real) for key in real._plan(form)[:2]}
+    assert kinds == {"minors", "complements", None}
 
 
 @pytest.mark.parametrize("spec", ["determinantal:m=3,n=14,r=1", "determinantal:m=3,n=16,r=2", "circular:m=2,n=16,r=1,s=1"])
@@ -93,18 +94,18 @@ _MUTANT_SPECS = ["monoid:m=2", "monoid:m=3", "determinantal:m=3,n=3,r=2"]
 
 
 def _no_jacobi_sign(original):
-    # (-1)^(sum J) dropped: the complement keys J^c are kept, the sign is not.
+    # (-1)^(sum J) dropped from each subset: the complement keys J^c are kept, the sign is not.
     def mutant(entries, k, full):
         def unsigned(jc, c):
             return -c if sum(j for j in range(full.bit_length()) if (jc ^ full) >> j & 1) % 2 else c
 
-        return [(e, [(i, jc, unsigned(jc, c)) for i, jc, c in terms]) for e, terms in original(entries, k, full)]
+        return [(i, jc, unsigned(jc, c), chosen) for i, jc, c, chosen in original(entries, k, full)]
 
     return mutant
 
 
 def _full_power(original):
-    # d^k in place of d^(k - 1) for every Jacobi read of a generic factor.
+    # d^k in place of d^(k - 1) in every per-(form, draw) multiplier of a Jacobi read of a generic factor.
     def mutant(draw, sign, scalars):
         return original(draw, sign, tuple((v, f if f == e + 1 and isinstance(draw[v], tuple) else e, f) for v, e, f in scalars))
 
@@ -113,8 +114,8 @@ def _full_power(original):
 
 def _unreversed_trailing_rows(original):
     # A trailing minor read on the rows a leading one reads.
-    def mutant(self, form, curve_label):
-        left, right, *rest = original(self, form, curve_label)
+    def mutant(self, form):
+        left, right, *rest = original(self, form)
         if isinstance(form, Minor) and form.trailing and form.k:
             left, right = ((kind, v, not top, cols) for kind, v, top, cols in (left, right))
         return (left, right, *rest)
@@ -124,8 +125,8 @@ def _unreversed_trailing_rows(original):
 
 def _pairing_without_c(original):
     # p = d_a: the scalar c of the source pair's second factor dropped.
-    def mutant(self, form, curve_label):
-        plan = original(self, form, curve_label)
+    def mutant(self, form):
+        plan = original(self, form)
         if isinstance(form, Pairing):
             plan = (*plan[:3], plan[3][1:], plan[4])
         return plan
@@ -136,7 +137,7 @@ def _pairing_without_c(original):
 @pytest.mark.parametrize(
     "owner, name, mutate",
     [
-        (realization, "_minor_terms", _no_jacobi_sign),
+        (realization, "_minor_subsets", _no_jacobi_sign),
         (realization, "_scalars", _full_power),
         (MatrixRealization, "_plan", _unreversed_trailing_rows),
         (MatrixRealization, "_plan", _pairing_without_c),

@@ -642,6 +642,27 @@ def test_trials_below_one_are_rejected():
                 call()
 
 
+def test_seed_below_zero_is_rejected():
+    # Random(-s) seeds as Random(s): a negative seed would alias another one.
+    bundle = build_family("monoid:m=3")
+    model, real = bundle.model, bundle.realization
+    d = _find(real.semi_invariants, "d")
+    for seed in (-1, -931794):
+        calls = [
+            lambda: t_order(real, d, "lambda_0", seed=seed),
+            lambda: t_order(real, (d,), "lambda_0", seed=seed),
+            lambda: select_semi_invariants(real, seed=seed),
+            lambda: semiinvariance_check(real, d, seed=seed),
+            lambda: infer_boundary_valuation(real, "lambda_0", real.semi_invariants, model.weight_lattice, seed=seed),
+            lambda: verify_boundary_valuations(model, real, seed=seed),
+            lambda: verification_report(model, real, seed=seed),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^seed must be at least 0, got {seed}$"):
+                call()
+    assert not any(key[-1] < 0 for key in real._memo if key[0] == "group_draws")
+
+
 def test_verification_report_draw_counts():
     # Each group element is drawn once per trial, whatever the number of
     # semi-invariants and curves, and no Borel element is drawn: d and

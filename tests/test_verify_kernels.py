@@ -13,20 +13,28 @@
 * A ``Pairing`` on dual pairs reads two scalars per draw instead of two Gram
   tables; the sympy reference builds the translate, and a realization
   without ``dual_factors`` refuses the ``Pairing``.
+* ``verify`` reads every boundary order in one ``sweep`` of the draws: its
+  terms are those of one ``lowest_terms`` call per curve on a fresh
+  realization, in any order of curves and forms, each draw table is built
+  once per draw and key, and the forms are checked once, as ``t_order``
+  checks them.
 """
 
 import dataclasses
+import io
 import random
 
 import pytest
 from test_families import _GRID_SPECS, _INVERSE_MEMBERS, _SAMPLER_SPECS, _bumped_copies, _unit_inverse
-from test_oracle import _lowest_terms_and_orders, _one_arrow
+from test_forward_kernels import _forms
+from test_oracle import _PERMUTED_BASE, _PERMUTED_CURVES, _lowest_terms_and_orders, _one_arrow, _permuted_realization
 
 from sphemb import realization
+from sphemb.cli import run
 from sphemb.families import build_family
-from sphemb.realization import Curve, Pairing, ScaledMatrix, _unit
+from sphemb.realization import Curve, Minor, Pairing, ScaledMatrix, SemiInvariantSpec, _unit
 from sphemb.lattice import rational_rank
-from sphemb.oracle import limit_signature, stabilizer_check, verification_report
+from sphemb.oracle import limit_signature, stabilizer_check, t_order, verification_report, verify_boundary_valuations
 
 # Every family grid the other tests use, each member once.
 _SPECS = sorted(set(_GRID_SPECS) | set(_SAMPLER_SPECS) | set(_INVERSE_MEMBERS))
@@ -156,7 +164,7 @@ def test_limit_ranks_of_a_non_monomial_limit():
 def test_dual_pairing_reads_two_scalars(m, monkeypatch):
     # The monoid's dilation d pairs arrows whose sources and targets are dual
     # pairs: each draw gives p = c d_a and q = sign(c') d_b, read off the draw
-    # with no table but {0: 1}, and the lowest terms match the sympy
+    # with no draw table at all, and the lowest terms match the sympy
     # reference.  Without dual_factors no Gram table is scalar, and the same
     # Pairing is refused when the realization is built.
     real = build_family(f"monoid:m={m}").realization
@@ -174,7 +182,7 @@ def test_dual_pairing_reads_two_scalars(m, monkeypatch):
         tables.clear()
         for c in real.curves:
             _lowest_terms_and_orders(real, (d,), c.label, 4, seed)
-        assert tables and {key for key, _ in tables} == {("one",)} and all(n == 1 for _, n in tables), (m, seed)
+        assert tables == [], (m, seed)
     with pytest.raises(ValueError, match="^semi-invariant d: arrows 0 and 1 do not run between dual factor pairs$"):
         dataclasses.replace(real, dual_factors=())
 
@@ -219,3 +227,83 @@ def test_cofactor_bumps_walk_the_inverse_reference(spec):
                 assert walked == _reference_bumps(g), (spec, seed, name)
     # I and [[1, 1], [0, 1]]: only B's (1, 0) bump, to [[1, 1], [1, 1]], is singular.
     assert _reference_bumps(singular) == [(0, i, j) for i in (0, 1) for j in (0, 1)] + [(1, 0, 0), (1, 0, 1), (1, 1, 1)]
+
+
+# One arrow between two factors with three entries, a row and a column left
+# empty, and curves that give its entries tied, spread and negative powers.
+_ONE_ARROW_BASE = ((0, 2, 0, 0), (-3, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 5))
+_ONE_ARROW_CURVES = {"flat": {}, "tied": {(0, 0): 1, (0, 1): 1}, "spread": {(0, 1): 3, (0, 3): -1, (1, 3): 2}}
+
+
+def _sweep_realizations():
+    """Fresh realizations to sweep, each with the forms read on it: monoid m <= 6, the one-arrow realization and the
+    permuted two-arrow one, with every leading and trailing minor and its own forms."""
+    for m in range(1, 7):
+        real = build_family(f"monoid:m={m}").realization
+        yield f"monoid:m={m}", real, _forms(real)
+    curves = (Curve(label, lam, ()) for label, lam in _ONE_ARROW_CURVES.items())
+    yield "one arrow", _one_arrow(_ONE_ARROW_BASE, *curves), [Minor(0, k, t) for t in (False, True) for k in range(5)]
+    real = _permuted_realization(_PERMUTED_BASE, _PERMUTED_CURVES)
+    yield "permuted", real, [f.form for f in real.semi_invariants]
+
+
+@pytest.mark.parametrize("reverse_curves", [False, True])
+@pytest.mark.parametrize("reverse_forms", [False, True])
+def test_the_sweep_reads_what_one_curve_reads(reverse_curves, reverse_forms):
+    # Each curve's terms in one sweep over all curves are those one
+    # lowest_terms call gives on that curve alone, on a realization that
+    # shares no table, plan or draw with the sweep's.
+    fresh = {name: real for name, real, _ in _sweep_realizations()}
+    for name, real, forms in _sweep_realizations():
+        forms = forms[::-1] if reverse_forms else forms
+        labels = [c.label for c in real.curves][:: -1 if reverse_curves else 1]
+        for seed in (0, 1, 7, 931794):
+            for trials in (1, 3, 8):
+                swept = real.sweep(forms, labels, trials, seed)
+                assert len(swept) == len(labels), name
+                for label, terms in zip(labels, swept):
+                    assert terms == fresh[name].lowest_terms(forms, label, trials, seed), (name, label, seed, trials)
+        assert real.sweep([], labels, 3, 0) == [[] for _ in labels]
+
+
+@pytest.mark.parametrize("spec", ["monoid:m=2", "monoid:m=3", "monoid:m=4", "monoid:m=6"])
+def test_verify_builds_each_draw_table_once(spec, monkeypatch):
+    # Every boundary curve of a verify (m + 1 on the monoid, the only family
+    # whose model has boundaries) reads the draw tables of one sweep: each
+    # (draw, key) table is built once, however many curves read it.
+    built = []
+    draw_table = realization._draw_table
+
+    def recording(draw, key):
+        built.append((id(draw), key))
+        return draw_table(draw, key)
+
+    monkeypatch.setattr(realization, "_draw_table", recording)
+    for seed in ("0", "7"):
+        built.clear()
+        assert run(["verify", "--family", spec, "--seed", seed], stdout=io.StringIO()) == 0
+        assert built and len(set(built)) == len(built), (spec, seed)
+
+
+def test_a_malformed_form_raises_once_through_the_sweep():
+    # verify_boundary_valuations checks the forms once, as t_order does, and
+    # raises t_order's ValueError; with no boundary curve it reads no order
+    # and raises nothing.
+    bundle = build_family("monoid:m=3")
+    model, real = bundle.model, bundle.realization
+    weight = model.weight_lattice.combination([])
+    for form, message in ((Minor(5, 1), "no arrow 5"), (Minor(0, 4), "no 4 x 4 minor of arrow 0's 3 x 3 matrix")):
+        bad = SemiInvariantSpec("bad", weight, form)
+        with pytest.raises(ValueError, match=f"^semi-invariant bad: {message}$"):
+            t_order(real, bad, "lambda_0")
+        checked = []
+        check = real.check_forms
+        real.check_forms = lambda functions: checked.append(functions) or check(functions)
+        with pytest.raises(ValueError, match=f"^semi-invariant bad: {message}$"):
+            verify_boundary_valuations(model, real, (bad,))
+        del real.check_forms
+        assert len(checked) == 1
+    bare = dataclasses.replace(real, curves=())
+    bare.check_forms = lambda functions: pytest.fail("forms checked with no curve to read them on")
+    report = verify_boundary_valuations(model, bare, (bad,))
+    assert report.records and all(rec.inputs["curve"] is None and rec.trials == 0 for rec in report.records)

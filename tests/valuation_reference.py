@@ -38,7 +38,7 @@ def infer_boundary_valuation(
     lattice; the functional is the unique solution of <weight_i, nu> = order_i.
     The chosen functions share one set of translates of the curve.
     """
-    _check_trials(trials)
+    _check_trials(trials, seed)
     chosen = []
     rows: list[list[int]] = []
     for f in semi_invariants:
