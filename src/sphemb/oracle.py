@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 
-from .lattice import rational_rank, sparse_rank
+from .lattice import sparse_rank
 from .laurent import NegativeExponentError
 from .realization import ScaledMatrix
 from .rootdata import Character, pair
@@ -108,10 +108,17 @@ def _order_result(orders: list[int | None]) -> TOrderResult | None:
     return TOrderResult(order=min(finite), trials=len(orders), stable=len(set(orders)) == 1 and None not in orders)
 
 
-def _curve_orders(real, functions, curve_labels, trials: int, seed: int) -> list[tuple[TOrderResult | None, ...]]:
-    """Per curve label, one ``_order_result`` per function, all read in one ``sweep`` after one ``check_forms``."""
+def _draws(real, trials: int, seed: int):
+    """A thunk of ``group_draws(trials, seed)``: nothing is drawn before its first call, and every call of it returns
+    the draws its first call drew.  It lives for one public call, so draws are shared within that call alone."""
+    return cache(lambda: real.group_draws(trials, seed))
+
+
+def _curve_orders(real, functions, curve_labels, draws) -> list[tuple[TOrderResult | None, ...]]:
+    """Per curve label, one ``_order_result`` per function, all read in one ``sweep`` after one ``check_forms``; the
+    ``draws`` thunk is called only if there is a function to read."""
     real.check_forms(functions)
-    lowest = real.sweep(tuple(fn.form for fn in functions), curve_labels, trials, seed)
+    lowest = real.sweep(tuple(fn.form for fn in functions), curve_labels, draws() if functions else ())
     return [tuple(_order_result([term and term[0] for term in terms]) for terms in per_curve) for per_curve in lowest]
 
 
@@ -124,8 +131,8 @@ def t_order(
     (``trials`` at least 1, ``seed`` at least 0) and ``f`` is taken as an
     exact polynomial in t; the generic order is the minimum over trials, with
     ``stable`` recording all-trials agreement.  The elements are the first
-    ``trials`` draws of ``Random(seed)``, drawn once per realization
-    (``group_draws``), so every curve sees the same ones.  Each function's
+    ``trials`` draws of ``Random(seed)`` (``group_draws``), drawn once per
+    call, so every function sees the same ones.  Each function's
     form is read by Cauchy-Binet on those draws, without building the
     translate (``MatrixRealization.sweep``).
 
@@ -138,7 +145,7 @@ def t_order(
     """
     _check_trials(trials, seed)
     real.curve(curve_label)  # KeyError for an unknown label, also with no function to read
-    (results,) = _curve_orders(real, f if isinstance(f, tuple) else (f,), (curve_label,), trials, seed)
+    (results,) = _curve_orders(real, f if isinstance(f, tuple) else (f,), (curve_label,), _draws(real, trials, seed))
     if isinstance(f, tuple):
         return results
     if results[0] is None:
@@ -152,9 +159,9 @@ def limit_signature(real, curve_label: str) -> LimitSignature:
 
     Of the curve's entries c t^e (``monomial_entries``) those with e = 0 stay
     and those with e > 0 drop; an entry with e < 0 has no limit and raises
-    ``NegativeExponentError``.  A limit whose kept entries lie in distinct
-    rows and columns, as on every monomial base point, has their count as its
-    rank; any other is ranked by ``rational_rank``.
+    ``NegativeExponentError``.  A realization with curves has a monomial base
+    point, so the kept entries lie in distinct rows and columns, and their
+    count is the rank.
     """
     limits, ranks = [], []
     for arrow, x in enumerate(real.base_point):
@@ -163,8 +170,7 @@ def limit_signature(real, curve_label: str) -> LimitSignature:
             raise NegativeExponentError("no limit at t=0: negative powers of t present")
         kept, (rows, cols) = {(i, j): c for i, j, c, e in entries if e == 0}, x.shape
         limits.append(ScaledMatrix(x.scale, x.shape, [[kept.get((i, j), 0) for j in range(cols)] for i in range(rows)]))
-        monomial = len({i for i, _ in kept}) == len({j for _, j in kept}) == len(kept)
-        ranks.append(len(kept) if monomial else rational_rank(limits[-1].integers))
+        ranks.append(len(kept))
     return LimitSignature(limit_point=tuple(limits), rank_profile=tuple(ranks))
 
 
@@ -227,8 +233,13 @@ def select_semi_invariants(real, trials: int = 8, seed: int = 0):
     of the ``trials`` seeded group draws that the boundary orders read.
     """
     _check_trials(trials, seed)
+    return _selected(real, _draws(real, trials, seed))
+
+
+def _selected(real, draws) -> tuple:
+    """``select_semi_invariants`` on the ``draws`` thunk, which is called only if some candidate needs g . x0."""
     candidates = real.semi_invariants
-    failures = _borel_failures(real, candidates, lambda: real.group_draws(trials, seed)[0])
+    failures = _borel_failures(real, candidates, lambda: draws()[0])
     return tuple(f for f, failure in zip(candidates, failures) if failure is None)
 
 
@@ -241,15 +252,19 @@ def verify_boundary_valuations(
     value <chi, nu> is compared with the generic order of the function along
     the boundary's translated curve, all read in one ``sweep`` of the draws.
     A boundary with no curve fails closed: each of its records has no curve
-    and no oracle value, ran no trial, and does not match.
+    and no oracle value, ran no trial, and does not match.  The selection,
+    when ``semi_invariants`` is ``None``, and the orders read the same draws.
     """
     _check_trials(trials, seed)
-    if semi_invariants is None:
-        semi_invariants = select_semi_invariants(real, trials=trials, seed=seed)
-    semi_invariants = tuple(semi_invariants)
+    return _boundary_report(model, real, semi_invariants, trials, _draws(real, trials, seed))
+
+
+def _boundary_report(model, real, semi_invariants, trials: int, draws) -> VerificationReport:
+    """``verify_boundary_valuations`` on the ``draws`` thunk of its ``trials`` draws."""
+    semi_invariants = _selected(real, draws) if semi_invariants is None else tuple(semi_invariants)
     curve_of = {c.boundary: c.label for c in real.curves}
     labels = [curve_of[spec.id] for spec in model.boundaries if spec.id in curve_of]
-    orders = dict(zip(labels, _curve_orders(real, semi_invariants, labels, trials, seed) if labels else ()))
+    orders = dict(zip(labels, _curve_orders(real, semi_invariants, labels, draws) if labels else ()))
     records = []
     for spec in model.boundaries:
         curve_label = curve_of.get(spec.id)
@@ -285,12 +300,17 @@ def _exact_record(check: str, inputs: dict, model_value, oracle_value) -> CheckR
 
 
 def verification_report(model, real, trials: int = 8, seed: int = 0) -> VerificationReport:
-    """Full oracle suite for one family member, as flat check records."""
+    """Full oracle suite for one family member, as flat check records.
+
+    The group elements are drawn at most once, and only if a check reads
+    them: the Borel check's orbit point and the boundary orders share them.
+    """
     _check_trials(trials, seed)
     records: list[CheckRecord] = []
     rng = random.Random(seed)
 
-    verified = select_semi_invariants(real, trials=trials, seed=seed)
+    draws = _draws(real, trials, seed)
+    verified = _selected(real, draws)
     for f in verified:
         records.append(
             CheckRecord(
@@ -305,9 +325,7 @@ def verification_report(model, real, trials: int = 8, seed: int = 0) -> Verifica
         )
 
     if model is not None and model.boundaries and verified:
-        records.extend(
-            verify_boundary_valuations(model, real, verified, trials=trials, seed=seed).records
-        )
+        records.extend(_boundary_report(model, real, verified, trials, draws).records)
 
     for c in real.curves:
         sig = limit_signature(real, c.label)

@@ -22,7 +22,7 @@ tests, tangents and a form's value at a point (``Minor.ratio``, one
 read its integers, scale and shape as stored.
 
 A curve is a cocharacter lambda (``Curve``) through the base point x0,
-which is monomial wherever a form reads it: entry c at (i, j) of arrow
+which is monomial at every arrow: entry c at (i, j) of arrow
 (s, t) becomes c t^(lambda_s(i) - lambda_t(j)) (``monomial_entries``), and
 the curve's limit and every t-order are read off these entries.  Every
 semi-invariant is data, a ``Minor`` on an arrow between generic factors or
@@ -38,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
 from math import prod
 from operator import mul
@@ -230,7 +231,7 @@ class SemiInvariantSpec:
     pairs and a ``Minor`` on a loop arrow or at a dual pair's second factor
     when a realization checks it (``MatrixRealization.check_forms``).
     The oracle reads its t-orders by Cauchy-Binet
-    (``MatrixRealization.form_orders``) and its values at rational points from
+    (``MatrixRealization.sweep``) and its values at rational points from
     ``form.ratio``.  ``evaluate`` is the form itself, set at construction.
     """
 
@@ -316,8 +317,10 @@ class MatrixRealization:
     and the closed-form Borel weights (``borel_exponents``) are read off
     these tables and nothing else.  ``torus[k]`` names the diagonal entries,
     as (factor, index) pairs, whose ratio is basis character k's value on a
-    Borel element (``torus_exponents``).  ``memo`` keeps results that
-    depend only on the realization, such as ``group_draws``.
+    Borel element (``torus_exponents``).  The base point's nonzero entries
+    per arrow and each curve's entries c t^e (``monomial_entries``) are
+    taken at construction; after it a realization gains no state, and every
+    call draws and builds what it reads.
     """
 
     base_point: Point
@@ -333,7 +336,8 @@ class MatrixRealization:
     shapes: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     sizes: tuple[int, ...] = field(init=False, repr=False)
     lie_basis: tuple[dict[int, tuple[tuple[int, int, int], ...]], ...] = field(init=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _base_entries: tuple[tuple[tuple[int, int, int], ...], ...] = field(init=False, repr=False)
+    _curve_entries: dict[str, tuple[tuple[tuple[int, int, int, int], ...], ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         for a, x in enumerate(self.base_point):
@@ -354,20 +358,27 @@ class MatrixRealization:
             if not a < b or factors[a] != factors[b] or paired & {a, b}:
                 raise ValueError(f"dual factors {(a, b)} are not two unpaired factors of one size, in factor order")
             paired |= {a, b}
-        labels: set[str] = set()
-        for c in self.curves:
-            if c.label in labels:
-                raise ValueError(f"curve {c.label} is given twice")
-            labels.add(c.label)
-            for v, i in (entry for entry, _ in c.cocharacter):
+        self._base_entries = tuple(
+            tuple((i, j, c) for i, r in enumerate(x.integers) for j, c in enumerate(r) if c) for x in self.base_point
+        )
+        self._curve_entries = {}
+        for curve in self.curves:
+            if curve.label in self._curve_entries:
+                raise ValueError(f"curve {curve.label} is given twice")
+            lam = dict(curve.cocharacter)
+            for v, i in lam:
                 if not (0 <= v < len(factors) and 0 <= i < factors[v]):
-                    raise ValueError(f"curve {c.label}'s cocharacter names {(v, i)}, no diagonal entry of a factor")
+                    raise ValueError(f"curve {curve.label}'s cocharacter names {(v, i)}, no diagonal entry of a factor")
+            self._curve_entries[curve.label] = tuple(
+                tuple((i, j, c, lam.get((s, i), 0) - lam.get((t, j), 0)) for i, j, c in entries)
+                for (s, t), entries in zip(self.arrows, self._base_entries)
+            )
         self.lie_basis = _lie_basis(factors, self.dual_factors)
         self.check_forms(self.semi_invariants)
-        # Cauchy-Binet reads a form's arrows on each curve as monomial matrices: at most one nonzero entry per row and column.
-        for a in {a for f in self.semi_invariants for a in f.form.arrows} if self.curves else ():
-            x = self.base_point[a].integers
-            if any(sum(map(bool, line)) > 1 for line in (*x, *zip(*x))):
+        # Cauchy-Binet and the limits read every arrow on each curve as a monomial matrix: at most one nonzero entry
+        # per row and column.
+        for a, x in enumerate(self.base_point) if self.curves else ():
+            if any(sum(map(bool, line)) > 1 for line in (*x.integers, *zip(*x.integers))):
                 raise ValueError(f"base point is not monomial on arrow {a}")
 
     def group_draw(self, rng: random.Random, borel: bool = False) -> Draw:
@@ -421,60 +432,29 @@ class MatrixRealization:
                 return c
         raise KeyError(f"unknown curve {label!r}")
 
-    def memo(self, key, compute: Callable[[], object]):
-        """compute(), run once per realization and key."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
     def group_draws(self, trials: int, seed: int) -> tuple[Draw, ...]:
-        """The first ``trials`` elements ``group_draw`` draws from ``Random(seed)``, drawn once; their units are the
-        ones ``group_sampler`` gives on the same stream."""
-
-        def draw():
-            rng = random.Random(seed)
-            return tuple(self.group_draw(rng) for _ in range(trials))
-
-        return self.memo(("group_draws", trials, seed), draw)
-
-    def _base_entries(self, arrow: int) -> tuple[tuple[int, int, int], ...]:
-        """(i, j, c) per nonzero entry c of the base point's integers at ``arrow``, by row, taken once."""
-
-        def entries():
-            x = self.base_point[arrow].integers
-            return tuple((i, j, c) for i, r in enumerate(x) for j, c in enumerate(r) if c)
-
-        return self.memo(("base_entries", arrow), entries)
+        """The first ``trials`` elements ``group_draw`` draws from ``Random(seed)``, drawn afresh on every call; their
+        units are the ones ``group_sampler`` gives on the same stream."""
+        rng = random.Random(seed)
+        return tuple(self.group_draw(rng) for _ in range(trials))
 
     def monomial_entries(self, curve_label: str, arrow: int) -> tuple[tuple[int, int, int, int], ...]:
-        """(i, j, c, e) per entry c t^e of the curve lambda(t) . x0 at ``arrow`` (s, t), by row, taken once.
+        """(i, j, c, e) per entry c t^e of the curve lambda(t) . x0 at ``arrow`` (s, t), by row, taken at construction.
 
         c is the base point's nonzero entry at (i, j), as stored, and e is
         lambda_s(i) - lambda_t(j).
         """
+        if curve_label not in self._curve_entries:
+            raise KeyError(f"unknown curve {curve_label!r}")
+        return self._curve_entries[curve_label][arrow]
 
-        def entries():
-            lam, (s, t) = dict(self.curve(curve_label).cocharacter), self.arrows[arrow]
-            return tuple((i, j, c, lam.get((s, i), 0) - lam.get((t, j), 0)) for i, j, c in self._base_entries(arrow))
-
-        return self.memo(("monomial_entries", curve_label, arrow), entries)
-
-    def form_orders(self, forms, curve_label: str, trials: int, seed: int) -> list[list[int | None]]:
-        """Per form (``Minor`` or ``Pairing``), its t-order on each seeded translate g . curve, ``None`` where it
-        vanishes: the power of its ``lowest_terms``."""
-        lowest = self.lowest_terms(forms, curve_label, trials, seed)
-        return [[None if term is None else term[0] for term in terms] for terms in lowest]
-
-    def lowest_terms(self, forms, curve_label: str, trials: int, seed: int) -> list[list[tuple[int, int] | None]]:
-        """Per form, its lowest term (e, c) on each seeded translate g . curve, ``None`` where it vanishes (``sweep``)."""
-        return self.sweep(forms, (curve_label,), trials, seed)[0]
-
-    def sweep(self, forms, curve_labels, trials: int, seed: int) -> list[list[list[tuple[int, int] | None]]]:
-        """Per curve label, ``lowest_terms`` of the forms on it, all read in one pass over the draws.
+    def sweep(self, forms, curve_labels, draws: Sequence[Draw]) -> list[list[list[tuple[int, int] | None]]]:
+        """Per curve label, per form, its lowest term (e, c) on each translate g . curve, ``None`` where it vanishes,
+        for g running over ``draws`` (as ``group_draws`` gives them), all read in one pass over the draws.
 
         c t^e is the lowest nonzero term of the form's undivided value
         (``form.ratio``) on the translate as ``act`` stores it, for the units
-        of ``group_draws(trials, seed)``; no translate and no unit is built.
+        of the draw; no translate and no unit is built.
         At an arrow (s, t) a translate is L X R over a positive scale, for the
         units L of g_s and R of g_t^-1 and the curve's monomial X
         (``monomial_entries``), so by Cauchy-Binet its minor on the rows and
@@ -486,20 +466,21 @@ class MatrixRealization:
         det (d A^-1)[J, K] = sgn(det A) (-1)^(sum J + sum K)
         d^(k-1) det A[K^c, J^c], off A_t's rows K^c (``_row_minors``, a table
         per draw, factor and rows, or ``_complement_minors`` where cheaper);
-        each curve groups the subsets (``_minor_subsets``) by power of t, and
+        each curve groups the subsets (``_minor_subsets``, built once per arrow
+        and k) by power of t, and
         the rest is one multiplier per form and draw (``_scalars``).  A
         ``Pairing`` of arrows a, b is sum x_ab y_cd P[a][c] Q[b][d] for
         P = L_a^T L_b and Q = R_a R_b^T, which are p I and q I on the dual
         pairs it runs between (``check_forms``), p = c d_a and q = sign(c') d_b:
         the multiplier times the untranslated pairing, with no table read.
+        The subsets and the draw tables live for the call alone.
         """
-        if not forms:
-            return [[] for _ in curve_labels]
-        plans = [self._plan(form) for form in forms]
+        subsets = cache(lambda arrow, k: _minor_subsets(self._base_entries[arrow], k, (1 << self.shapes[arrow][1]) - 1))
+        plans = [self._plan(form, subsets) for form in forms]
         reads = [[self._curve_terms(form, plan[4], label) for label in curve_labels] for form, plan in zip(forms, plans)]
-        tables = self.memo(("draw_tables", trials, seed), lambda: [{} for _ in range(trials)])
         lowest: list[list[list[tuple[int, int] | None]]] = [[[] for _ in forms] for _ in curve_labels]
-        for draw, cache in zip(self.group_draws(trials, seed), tables):
+        for draw in draws:
+            tables: dict = {}
             for f, ((left_key, right_key, sign, scalars, _), per_curve) in enumerate(zip(plans, reads)):
                 multiplier = _scalars(draw, sign, scalars)
                 if left_key is None:
@@ -507,9 +488,9 @@ class MatrixRealization:
                         out[f].append(term and (term[0], multiplier * term[1]))
                     continue
                 for key in (left_key, right_key):
-                    if key not in cache:
-                        cache[key] = _draw_table(draw, key)
-                left, right = cache[left_key], cache[right_key]
+                    if key not in tables:
+                        tables[key] = _draw_table(draw, key)
+                left, right = tables[left_key], tables[right_key]
                 for out, groups in zip(lowest, per_curve):
                     term = None
                     for e, terms in groups:
@@ -520,11 +501,12 @@ class MatrixRealization:
                     out[f].append(term)
         return lowest
 
-    def _plan(self, form) -> tuple:
+    def _plan(self, form, subsets: Callable[[int, int], list]) -> tuple:
         """How ``sweep`` reads ``form`` on every curve: its left and right draw tables' keys (``_draw_table``), or
         ``None``, its sign and per-draw scalars (``_scalars``) and, for a ``Minor`` of k > 0 on arrow (s, t), its
-        subsets: det L_s[K, I] forward off A_s's rows K, det R_t[J, K] through Jacobi off A_t's rows K^c, the sign
-        (-1)^(sum K) for t's first or last k indices K and the scalar sgn(det A_t) |det A_t|^(k-1)."""
+        subsets (``subsets(arrow, k)``, as ``_minor_subsets`` gives them): det L_s[K, I] forward off A_s's rows K,
+        det R_t[J, K] through Jacobi off A_t's rows K^c, the sign (-1)^(sum K) for t's first or last k indices K and
+        the scalar sgn(det A_t) |det A_t|^(k-1)."""
         if isinstance(form, Pairing):
             duals = {b: a for a, b in self.dual_factors}
             (sa, ta), (sb, tb) = (self.arrows[a] for a in form.arrows)
@@ -534,16 +516,15 @@ class MatrixRealization:
         (s, t), k, n = self.arrows[form.arrow], form.k, self.shapes[form.arrow][1]
         if k == 0:
             return None, None, 1, (), ()
-        lead, full, entries = not form.trailing, (1 << n) - 1, self._base_entries(form.arrow)
+        lead, chosen = not form.trailing, subsets(form.arrow, k)
         sign = (-1) ** ((0 if lead else k * (n - k)) + k * (k - 1) // 2)
-        subsets = self.memo(("subsets", form.arrow, k), lambda: _minor_subsets(entries, k, full))
-        left = ("minors", s, lead, sum({1 << i for i, _, _ in entries}))
+        left = ("minors", s, lead, sum({1 << i for i, _, _ in self._base_entries[form.arrow]}))
         # Jacobi needs det A_t[K^c, J^c] only for the J^c the subsets name: one row_determinant each (about (n - k)^3
         # steps, 32 for the call) where the table on all 2^n column subsets, shared by every k, costs more.
-        masks = tuple(sorted({j for _, j, _, _ in subsets}))
+        masks = tuple(sorted({j for _, j, _, _ in chosen}))
         cheaper = len(masks) * ((n - k) ** 3 + 32) < 1 << n
-        right = ("complements", t, not lead, masks) if cheaper else ("minors", t, not lead, full)
-        return left, right, sign, ((t, k - 1, k),), subsets
+        right = ("complements", t, not lead, masks) if cheaper else ("minors", t, not lead, (1 << n) - 1)
+        return left, right, sign, ((t, k - 1, k),), chosen
 
     def _curve_terms(self, form, subsets, curve_label: str):
         """For a ``Minor`` of k > 0 its ``subsets`` (I, J^c, c) grouped by the power e of t the curve gives them, e
@@ -597,7 +578,7 @@ class MatrixRealization:
             (ls, left), (lt, right) = forward[s], forward[t]
             # l_t L_s X - l_s X L_t: X's entry c at (i, j) adds c L_s's column i to column j and c L_t's row j to row i.
             diff = _zeros(rows, cols)
-            for i, j, c in self._base_entries(arrow):
+            for i, j, c in self._base_entries[arrow]:
                 a, b = lt * c, ls * c
                 for out, e in zip(diff, (r[i] for r in left)):
                     out[j] += a * e

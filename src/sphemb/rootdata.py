@@ -146,11 +146,6 @@ class Covector:
     def __repr__(self):
         return f"Covector(lattice={self.lattice!r}, coords={self.coords!r})"
 
-    def __add__(self, other: "Covector") -> "Covector":
-        if self.lattice != other.lattice:
-            raise LatticeMismatchError("covectors on different lattices")
-        return Covector(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
 
 def scaled_pairings(chi: Character, covectors: Iterable[Covector]) -> list[int]:
     """The integers ``f.scale * <chi, f>``, one per covector f.

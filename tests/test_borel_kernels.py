@@ -1,7 +1,7 @@
 """Pins and differential tests for the Borel check's integer kernels.
 
 The pins hash the per-trial values that the seeded `verify` reports reduce
-away: every order list ``form_orders`` gives, and per semi-invariant its
+away: every order list one ``sweep`` gives, and per semi-invariant its
 Borel verdict with the values the closed-form check reads, f(x0), f(x) at
 x = g . x0 for the first draw g, and the root element that refutes it with
 f(u . x).  A kernel that is wrong only on some draws changes them even where
@@ -59,9 +59,11 @@ def _pinned_values(spec, seed, trials):
     real = build_family(spec).realization
     verified = oracle.select_semi_invariants(real, trials=trials, seed=seed)
     forms = tuple(f.form for f in verified)
-    orders = [(c.label, real.form_orders(forms, c.label, trials, seed)) for c in real.curves]
-    failures = oracle._borel_failures(real, real.semi_invariants, lambda: real.group_draws(trials, seed)[0])
-    x = real.act(real.element(real.group_draws(trials, seed)[0]), real.base_point)
+    draws = real.group_draws(trials, seed)
+    swept = real.sweep(forms, [c.label for c in real.curves], draws)
+    orders = [(c.label, [[term and term[0] for term in terms] for terms in per_curve]) for c, per_curve in zip(real.curves, swept)]
+    failures = oracle._borel_failures(real, real.semi_invariants, lambda: draws[0])
+    x = real.act(real.element(draws[0]), real.base_point)
     borel = []
     for f, why in zip(real.semi_invariants, failures):
         root = real.root_move(f.form, x) if isinstance(f.form, Minor) else None

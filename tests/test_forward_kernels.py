@@ -1,6 +1,6 @@
 """Differential tests of the forward-only Cauchy-Binet kernel against the inverse-based reference.
 
-``MatrixRealization.lowest_terms`` reads each draw forward only: a generic
+``MatrixRealization.sweep`` reads each draw forward only: a generic
 factor as its matrix A and det A, a dual pair's second factor as its scalar
 c, and the minors of an inverse d A^-1 through Jacobi's identity.
 ``draw_reference`` reads the same seeded elements as units, each generic
@@ -18,7 +18,7 @@ import pytest
 from test_borel_certificates import _GRID
 from test_borel_kernels import _PIN_MEMBERS
 from test_families import _GRID_SPECS, _INVERSE_MEMBERS, _SAMPLER_SPECS
-from test_oracle import _FORM_MEMBERS, _SLIP_MEMBERS
+from test_oracle import _FORM_MEMBERS, _SLIP_MEMBERS, _lowest_terms
 
 from sphemb import divisor_model, lattice, realization
 from sphemb.cli import run
@@ -51,7 +51,7 @@ def _mismatches(specs, seeds=_SEEDS):
         forms = _forms(real)
         for seed in seeds:
             for c in real.curves:
-                got = real.lowest_terms(forms, c.label, _TRIALS, seed)
+                got = _lowest_terms(real, forms, c.label, _TRIALS, seed)
                 assert all(type(x) is int for terms in got for term in terms if term for x in term)
                 if got != draw_reference.lowest_terms(real, forms, c.label, _TRIALS, seed):
                     out.append((spec, c.label, seed))
@@ -63,7 +63,7 @@ def test_lowest_terms_match_the_inverse_reference(spec):
     assert _mismatches([spec]) == []
 
 
-def test_the_grid_reaches_every_branch_of_the_forward_kernel():
+def test_the_grid_reaches_every_branch_of_the_forward_kernel(monkeypatch):
     # Minors between generic factors (every family), a Pairing between dual
     # pairs (the monoid's dilation), curves on every member kept.
     reals = [build_family(spec).realization for spec in _SPECS]
@@ -72,22 +72,33 @@ def test_the_grid_reaches_every_branch_of_the_forward_kernel():
     assert {spec.partition(":")[0] for spec in _SPECS} == {"monoid", "circular", "determinantal"}
     # Jacobi sides read both off a factor's table of minors and off one
     # determinant per complement; the dilation and the 0 x 0 minors read no table.
-    kinds = {key and key[0] for real in reals for form in _forms(real) for key in real._plan(form)[:2]}
+    plans, plan = [], MatrixRealization._plan
+    monkeypatch.setattr(MatrixRealization, "_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
+    for real in reals:
+        real.sweep(_forms(real), (), ())
+    kinds = {key and key[0] for p in plans for key in p[:2]}
     assert kinds == {"minors", "complements", None}
 
 
 @pytest.mark.parametrize("spec", ["determinantal:m=3,n=14,r=1", "determinantal:m=3,n=16,r=2", "circular:m=2,n=16,r=1,s=1"])
-def test_a_wide_factor_is_read_on_the_complements_its_terms_name(spec):
+def test_a_wide_factor_is_read_on_the_complements_its_terms_name(spec, monkeypatch):
     # The 14- or 16-wide factor is read through Jacobi on the curve's few
     # complements, one determinant each, never as a table of its minors on
     # all 2^n column subsets: no draw table holds more than 2^m entries, m
     # the narrow factor's size.
     real = build_family(spec).realization
     forms = _forms(real)
+    sizes, draw_table = [], realization._draw_table
+
+    def recording(draw, key):
+        table = draw_table(draw, key)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(realization, "_draw_table", recording)
     for c in real.curves:
-        assert real.lowest_terms(forms, c.label, _TRIALS, 0) == draw_reference.lowest_terms(real, forms, c.label, _TRIALS, 0)
-    for cache in real._memo[("draw_tables", _TRIALS, 0)]:
-        assert max(len(table) for key, table in cache.items() if key[0] in ("minors", "complements")) <= 2 ** min(real.sizes)
+        assert _lowest_terms(real, forms, c.label, _TRIALS, 0) == draw_reference.lowest_terms(real, forms, c.label, _TRIALS, 0)
+    assert sizes and max(sizes) <= 2 ** min(real.sizes)
 
 
 _MUTANT_SPECS = ["monoid:m=2", "monoid:m=3", "determinantal:m=3,n=3,r=2"]
@@ -114,8 +125,8 @@ def _full_power(original):
 
 def _unreversed_trailing_rows(original):
     # A trailing minor read on the rows a leading one reads.
-    def mutant(self, form):
-        left, right, *rest = original(self, form)
+    def mutant(self, form, subsets):
+        left, right, *rest = original(self, form, subsets)
         if isinstance(form, Minor) and form.trailing and form.k:
             left, right = ((kind, v, not top, cols) for kind, v, top, cols in (left, right))
         return (left, right, *rest)
@@ -125,8 +136,8 @@ def _unreversed_trailing_rows(original):
 
 def _pairing_without_c(original):
     # p = d_a: the scalar c of the source pair's second factor dropped.
-    def mutant(self, form):
-        plan = original(self, form)
+    def mutant(self, form, subsets):
+        plan = original(self, form, subsets)
         if isinstance(form, Pairing):
             plan = (*plan[:3], plan[3][1:], plan[4])
         return plan

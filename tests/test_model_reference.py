@@ -133,7 +133,8 @@ def _corrupting(cls, label):
 
     def make(lab, functional, *args, **kwargs):
         if lab == label:
-            functional = functional + functional.lattice.covector([1] + [0] * (functional.lattice.rank - 1))
+            first, *rest = functional.coords
+            functional = functional.lattice.covector([first + 1, *rest])
         return cls(lab, functional, *args, **kwargs)
 
     return make

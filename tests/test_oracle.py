@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -305,10 +306,16 @@ def _reference_lowest_terms(real, functions, curve_label, trials, seed):
     return [list(terms) for terms in zip(*per_trial)]
 
 
+def _lowest_terms(real, forms, curve_label, trials, seed):
+    """Per form, its lowest term on each seeded translate of the curve: one ``sweep`` of ``group_draws``."""
+    (terms,) = real.sweep(forms, (curve_label,), real.group_draws(trials, seed))
+    return terms
+
+
 def _lowest_terms_and_orders(real, functions, curve_label, trials, seed):
-    """The package's ``lowest_terms``, checked against the reference's, and the reference's orders."""
+    """The package's lowest terms (``_lowest_terms``), checked against the reference's, and the reference's orders."""
     lowest = _reference_lowest_terms(real, functions, curve_label, trials, seed)
-    got = real.lowest_terms([f.form for f in functions], curve_label, trials, seed)
+    got = _lowest_terms(real, [f.form for f in functions], curve_label, trials, seed)
     assert got == lowest, (curve_label, seed)
     assert all(type(c) is int for terms in got for term in terms if term for c in term)
     return [[None if term is None else term[0] for term in terms] for terms in lowest]
@@ -618,6 +625,9 @@ def test_t_order_on_no_functions_draws_nothing():
     assert t_order(real, (), "lambda_0") == ()
     with pytest.raises(KeyError, match="unknown curve 'nope'"):
         t_order(real, (), "nope")
+    # The curve entries taken at construction are read by label, and an unknown one is named.
+    with pytest.raises(KeyError, match="unknown curve 'nope'"):
+        limit_signature(real, "nope")
     assert select_semi_invariants(dataclasses.replace(real, semi_invariants=())) == ()
 
 
@@ -644,9 +654,13 @@ def test_trials_below_one_are_rejected():
 
 def test_seed_below_zero_is_rejected():
     # Random(-s) seeds as Random(s): a negative seed would alias another one.
+    # Each call refuses it before drawing anything.
     bundle = build_family("monoid:m=3")
     model, real = bundle.model, bundle.realization
     d = _find(real.semi_invariants, "d")
+    drawn = []
+    group_draw = real.group_draw
+    real.group_draw = lambda rng, *args: drawn.append(rng) or group_draw(rng, *args)
     for seed in (-1, -931794):
         calls = [
             lambda: t_order(real, d, "lambda_0", seed=seed),
@@ -660,12 +674,15 @@ def test_seed_below_zero_is_rejected():
         for call in calls:
             with pytest.raises(ValueError, match=f"^seed must be at least 0, got {seed}$"):
                 call()
-    assert not any(key[-1] < 0 for key in real._memo if key[0] == "group_draws")
+    assert drawn == []
+    # The spy sees the draws of a valid seed.
+    verify_boundary_valuations(model, real, seed=0)
+    assert len(drawn) == 8
 
 
 def test_verification_report_draw_counts():
-    # Each group element is drawn once per trial, whatever the number of
-    # semi-invariants and curves, and no Borel element is drawn: d and
+    # Each group element is drawn once per trial and public call, whatever the
+    # number of semi-invariants and curves, and no Borel element is drawn: d and
     # Delta_1..3 are certified by the Borel's shape, and Delta_trail_1 and
     # Delta_trail_2 are refuted by a root element at g . x0 for the first
     # boundary draw g, whose units (``element``) are the only ones built, and
@@ -699,19 +716,63 @@ def test_verification_report_draw_counts():
     for name in counts:
         counts[name] = 0
     verify_boundary_valuations(model, real, verified, trials=trials, seed=0)
-    # four boundary curves, all read on the trials draws the check took
-    assert counts == none
+    # four boundary curves, all read on one set of trials draws, drawn again:
+    # no draw outlives the call that drew it
+    assert counts == {**none, "group_draw": trials}
+    for name in counts:
+        counts[name] = 0
+    verify_boundary_valuations(model, real, trials=trials, seed=0)
+    # the selection and the orders share the call's draws
+    assert counts == {**none, "group_draw": trials, "element": 1, "act": 1}
 
-    # A fresh realization: the boundary orders reuse the check's draws, and
-    # the stabilizer check and its negative control build no translate.
+    # The boundary orders reuse the Borel check's draws, and the stabilizer
+    # check and its negative control build no translate.
     model, real, counts = counting()
     report = verification_report(model, real, trials=trials, seed=0)
     assert report.passed and report.stable
     assert counts == {**none, "group_draw": trials, "element": 1, "act": 1}
-    # another seed draws its own elements once
+    # each call draws its own elements, on this seed or another
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
     verify_boundary_valuations(model, real, verified, trials=trials, seed=1)
-    assert counts["group_draw"] == 2 * trials and counts["element"] == 1
+    assert counts["group_draw"] == 3 * trials and counts["element"] == 1
+    report = verification_report(model, real, trials=trials, seed=0)
+    assert report.passed and report.stable
+    assert counts["group_draw"] == 4 * trials and counts["element"] == 2
+
+
+@pytest.mark.parametrize("spec", ["monoid:m=3", "circular:m=3,n=3,r=1,s=2"])
+def test_the_realization_gains_no_state(spec):
+    # After construction a realization is data: no oracle call and no sweep
+    # changes or adds any of its attributes.
+    bundle = build_family(spec)
+    model, real = bundle.model, bundle.realization
+    before = repr(vars(real))
+    labels = [c.label for c in real.curves]
+    for seed in (0, 1):
+        verification_report(model, real, seed=seed)
+        t_order(real, real.semi_invariants, labels[0], seed=seed)
+        select_semi_invariants(real, seed=seed)
+        verify_boundary_valuations(model, real, seed=seed)
+        real.sweep([f.form for f in real.semi_invariants], labels, real.group_draws(3, seed))
+        assert repr(vars(real)) == before, seed
+
+
+def test_seeded_calls_hold_no_memory():
+    # A loop of seeds on one realization holds no more than one call does:
+    # the draws, the Cauchy-Binet subsets and the draw tables of a call are
+    # dropped when it returns.
+    bundle = build_family("monoid:m=8")
+    model, real = bundle.model, bundle.realization
+    verify_boundary_valuations(model, real, trials=8, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for seed in range(1, 51):
+            verify_boundary_valuations(model, real, trials=8, seed=seed)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 5 * 2**20, held
 
 
 def test_boundary_without_curve_fails_closed():

@@ -250,8 +250,10 @@ def test_dilation_on_orbit_points_and_translates(m):
         assert got == want and type(got) is type(want), point
     for c in real.curves:
         curve = curve_point(real, c.label)
-        want = [form_orders([_dilation(m)], act(real, real.element(g), curve))[0] for g in real.group_draws(3, m)]
-        assert real.form_orders((_dilation(m),), c.label, 3, m) == [want], c.label
+        draws = real.group_draws(3, m)
+        want = [form_orders([_dilation(m)], act(real, real.element(g), curve))[0] for g in draws]
+        (terms,) = real.sweep((_dilation(m),), (c.label,), draws)
+        assert [[term and term[0] for term in t] for t in terms] == [want], c.label
 
 
 def test_dilation_drops_cancelled_powers():
@@ -265,10 +267,12 @@ def test_dilation_drops_cancelled_powers():
     real = dataclasses.replace(_MONOIDS[3], base_point=(x, y), membership=lambda pt: True, curves=(cancel,))
     assert real.monomial_entries("cancel", 0) == ((0, 0, 1, 0), (1, 1, 1, 0), (2, 2, 1, 1))
     curve = curve_point(real, "cancel")
-    for g in real.group_draws(8, 0):
+    draws = real.group_draws(8, 0)
+    for g in draws:
         (value,) = form_values([_dilation(3)], act(real, real.element(g), curve))
         assert list(value) == [1], value
-    assert real.form_orders((_dilation(3),), "cancel", 8, 0) == [[1] * 8]
+    ((terms,),) = real.sweep((_dilation(3),), ("cancel",), draws)
+    assert [term and term[0] for term in terms] == [1] * 8
 
 
 @_SETTINGS

@@ -7,15 +7,15 @@
   ``act`` and each bumped copy's inverse with ``integer_inverse``, as the
   checks were first defined, and walk the bumps by the inverse's test
   R_ji = -r.
-* A curve limit's rank is the count of its kept entries when they lie in
-  distinct rows and columns; the reference ranks every limit with
-  ``rational_rank``.
+* A curve limit's rank is the count of its kept entries, which lie in
+  distinct rows and columns, as a realization with curves has a monomial
+  base point; the reference ranks every limit with ``rational_rank``.
 * A ``Pairing`` on dual pairs reads two scalars per draw instead of two Gram
   tables; the sympy reference builds the translate, and a realization
   without ``dual_factors`` refuses the ``Pairing``.
 * ``verify`` reads every boundary order in one ``sweep`` of the draws: its
-  terms are those of one ``lowest_terms`` call per curve on a fresh
-  realization, in any order of curves and forms, each draw table is built
+  terms are those of one sweep per curve on a fresh realization, in any
+  order of curves and forms, each draw table is built
   once per draw and key, and the forms are checked once, as ``t_order``
   checks them.
 """
@@ -27,7 +27,8 @@ import random
 import pytest
 from test_families import _GRID_SPECS, _INVERSE_MEMBERS, _SAMPLER_SPECS, _bumped_copies, _unit_inverse
 from test_forward_kernels import _forms
-from test_oracle import _PERMUTED_BASE, _PERMUTED_CURVES, _lowest_terms_and_orders, _one_arrow, _permuted_realization
+from point_reference import scaled
+from test_oracle import _PERMUTED_BASE, _PERMUTED_CURVES, _lowest_terms, _lowest_terms_and_orders, _one_arrow, _permuted_realization
 
 from sphemb import realization
 from sphemb.cli import run
@@ -149,15 +150,24 @@ def test_limit_ranks_count_the_kept_entries(spec):
         assert sig.rank_profile == tuple(rational_rank(x.integers) for x in sig.limit_point), (spec, c.label)
 
 
-def test_limit_ranks_of_a_non_monomial_limit():
-    # Kept entries that share a row or a column are ranked by elimination;
-    # those left in distinct rows and columns are counted.
+def test_a_non_monomial_limit_is_refused_at_construction():
+    # Limits and orders read every arrow on each curve as a monomial matrix,
+    # so a realization with curves refuses a base point with two nonzero
+    # entries in one row or column at any arrow, whether its own forms read
+    # the arrow or not; with no curve the base point stands.  The circular
+    # member declares no form, so none of its own forms reads arrow 0.
     base = ((1, 1, 0), (2, 2, 0), (0, 0, 3))
     curves = {"flat": {}, "cut": {(0, 2): 1}, "row": {(0, 1): 1}, "single": {(0, 0): 1, (0, 1): 1}}
-    real = _one_arrow(base, *(Curve(label, lam, ()) for label, lam in curves.items()))
-    for label, rank in (("flat", 2), ("cut", 1), ("row", 2), ("single", 1)):
-        sig = limit_signature(real, label)
-        assert sig.rank_profile == (rank,) == (rational_rank(sig.limit_point[0].integers),), label
+    for label, lam in curves.items():
+        with pytest.raises(ValueError, match="^base point is not monomial on arrow 0$"):
+            _one_arrow(base, Curve(label, lam, ()))
+    assert _one_arrow(base).curves == ()
+    real = build_family("circular:m=2,n=2,r=1,s=1").realization
+    assert real.curves and not real.semi_invariants
+    point = (scaled([[1, 0], [1, 0]]), scaled([[0, 0], [-1, 1]]))
+    with pytest.raises(ValueError, match="^base point is not monomial on arrow 0$"):
+        dataclasses.replace(real, base_point=point)
+    assert dataclasses.replace(real, base_point=point, curves=()).base_point == point
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -250,20 +260,19 @@ def _sweep_realizations():
 @pytest.mark.parametrize("reverse_curves", [False, True])
 @pytest.mark.parametrize("reverse_forms", [False, True])
 def test_the_sweep_reads_what_one_curve_reads(reverse_curves, reverse_forms):
-    # Each curve's terms in one sweep over all curves are those one
-    # lowest_terms call gives on that curve alone, on a realization that
-    # shares no table, plan or draw with the sweep's.
+    # Each curve's terms in one sweep over all curves are those one sweep
+    # gives on that curve alone, on another realization of the same data.
     fresh = {name: real for name, real, _ in _sweep_realizations()}
     for name, real, forms in _sweep_realizations():
         forms = forms[::-1] if reverse_forms else forms
         labels = [c.label for c in real.curves][:: -1 if reverse_curves else 1]
         for seed in (0, 1, 7, 931794):
             for trials in (1, 3, 8):
-                swept = real.sweep(forms, labels, trials, seed)
+                swept = real.sweep(forms, labels, real.group_draws(trials, seed))
                 assert len(swept) == len(labels), name
                 for label, terms in zip(labels, swept):
-                    assert terms == fresh[name].lowest_terms(forms, label, trials, seed), (name, label, seed, trials)
-        assert real.sweep([], labels, 3, 0) == [[] for _ in labels]
+                    assert terms == _lowest_terms(fresh[name], forms, label, trials, seed), (name, label, seed, trials)
+        assert real.sweep([], labels, real.group_draws(3, 0)) == [[] for _ in labels]
 
 
 @pytest.mark.parametrize("spec", ["monoid:m=2", "monoid:m=3", "monoid:m=4", "monoid:m=6"])
