@@ -6,8 +6,9 @@ Four families are provided:
   A^T B = A B^T = d(A,B) I, embedded blockwise; its divisor model and a
   matrix realization with boundary curves and semi-invariants.
 * ``circular``: pairs (A, B) with AB = 0, BA = 0 and rank bounds.
-* ``determinantal``: single matrices of bounded rank; the divisor model is
-  the circular one at s = 0 and has no boundary divisor.
+* ``determinantal``: single matrices of bounded rank; the divisor model,
+  wonderful data and realization are the circular ones at s = 0, and the
+  model has no boundary divisor.
 * ``complexes``: pairs (A, B) with AB = 0 and rank bounds; matrix
   realization only.
 
@@ -29,7 +30,8 @@ the torus, and a paired colour's two coroots must pull back alike
 (``ValueError`` otherwise).  Every colour's canonical coefficient is read off
 the same coroot tables by Brion's formula (``_canonical_coefficients``), and
 ``_wonderful`` builds both families' wonderful data from them; the
-determinantal model and wonderful data are the circular ones at s = 0.
+determinantal model, wonderful data and realization are the circular ones
+at s = 0, taken as given (no m <= n swap).
 """
 
 from __future__ import annotations
@@ -358,22 +360,30 @@ def _circular_torus(m: int, n: int, r: int, s: int) -> tuple[tuple[tuple[int, in
 
 
 def _circular_realization(m: int, n: int, r: int, s: int, model: SphericalDivisorModel) -> MatrixRealization:
-    base = (_monomial_matrix(m, n, _standard_er(r)), _monomial_matrix(n, m, _standard_fs(n, m, s)))
-    arrows = ((0, 1), (1, 0))
+    """The circular realization for parameters as given: Delta_k, A's leading k x k minor (k <= r), weighs
+    eps_1 + ... + eps_k, and Nabla_k, B's trailing one (k <= s), delta_(s-k+1) + ... + delta_s.  At s = 0, rk B <= 0
+    leaves B no coordinate: A, the m x n matrices of rank <= r, is the one arrow, with no zero path."""
+    lattice, arrows = model.weight_lattice, ((0, 1), (1, 0))[: 2 if s else 1]
+    # Per semi-invariant, its name, the basis characters its weight sums and its form.
+    forms = [(f"Delta_{k}", range(k), Minor(0, k)) for k in range(1, r + 1)]
+    forms += [(f"Nabla_{k}", range(r + s - k, r + s), Minor(1, k, trailing=True)) for k in range(1, s + 1)]
+    semi = [SemiInvariantSpec(name, lattice.character(int(i in ones) for i in range(r + s)), f) for name, ones, f in forms]
+    base = (_monomial_matrix(m, n, _standard_er(r)), _monomial_matrix(n, m, _standard_fs(n, m, s)))[: len(arrows)]
     limit_ranks = {f"lambda_{r}": (r - 1, s), f"mu_{r}": (r, s - 1 if r + s == n else s)}
     # A member with boundaries has both curves, in the model's boundary order.
     curves = [
-        Curve(label, lam, limit_ranks[label], boundary)
+        Curve(label, lam, limit_ranks[label][: len(arrows)], boundary)
         for (label, lam), boundary in zip(_circular_cocharacters(r, s).items(), model.boundary_ids or (None, None))
     ]
 
     return MatrixRealization(
         base_point=base,
         torus=_circular_torus(m, n, r, s),
+        semi_invariants=tuple(semi),
         curves=tuple(curves),
         expected_orbit_dimension=(r + s) * (m + n - (r + s)),
         stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, s),
-        **_quiver_parts(2, arrows, (r, s), ((0, 1), (1, 0))),
+        **_quiver_parts(2, arrows, (r, s), ((0, 1), (1, 0)) if s else ()),
     )
 
 
@@ -415,31 +425,10 @@ def sample_circular_stabilizer(rng: random.Random, m: int, n: int, r: int, s: in
 # Determinantal varieties.
 
 
-def _determinantal_realization(m: int, n: int, r: int, model: SphericalDivisorModel) -> MatrixRealization:
-    lattice, semi = model.weight_lattice, []
-    for i in range(1, r + 1):
-        chi = lattice.character([1 if k < i else 0 for k in range(r)])
-        semi.append(SemiInvariantSpec(f"Delta_{i}", chi, Minor(0, i)))
-
-    # The circular lambda_r at s = 0; its limit spans the rank <= r - 1 orbit X_{r-1}, which is no divisor.
-    lam = _circular_cocharacters(r, 0)[f"lambda_{r}"]
-
-    return MatrixRealization(
-        base_point=(_monomial_matrix(m, n, _standard_er(r)),),
-        torus=_circular_torus(m, n, r, 0),
-        semi_invariants=tuple(semi),
-        curves=(Curve(f"lambda_{r}", lam, (r - 1,), f"X_{r - 1}"),),
-        expected_orbit_dimension=r * (m + n - r),
-        stabilizer_sampler=lambda rng: sample_circular_stabilizer(rng, m, n, r, 0),
-        **_quiver_parts(2, ((0, 1),), (r,)),
-    )
-
-
 def _determinantal(m: int, n: int, r: int):
-    """The model, realization and wonderful data of the m x n matrices of rank <= r.
+    """The model, realization and wonderful data of the m x n matrices of rank <= r: the circular ones at s = 0.
 
-    The model is the circular one at s = 0, in closed form: it has no
-    boundary divisor.  The complement of the open orbit is the rank <= r - 1
+    The model has no boundary divisor.  The complement of the open orbit is the rank <= r - 1
     locus, of dimension (r - 1)(m + n - r + 1) and so of codimension
     m + n - 2r + 1 >= 3 (Bruns-Vetter, *Determinantal Rings*, LNM 1327, 1988),
     so it holds no divisor.
@@ -447,7 +436,7 @@ def _determinantal(m: int, n: int, r: int):
     if not 0 < r < min(m, n):
         raise FamilyParameterError("determinantal requires 0 < r < min(m, n)")
     model = _circular_model(m, n, r, 0)
-    return model, lambda: _determinantal_realization(m, n, r, model), lambda: _circular_wonderful(m, n, r, 0)
+    return model, lambda: _circular_realization(m, n, r, 0, model), lambda: _circular_wonderful(m, n, r, 0)
 
 
 def finalize_determinantal_model(
@@ -458,8 +447,8 @@ def finalize_determinantal_model(
     The orbit of each such curve's limit at t = 0 is measured with the
     Jacobian-rank oracle, and one of codimension 1 raises ``ValueError``: the
     determinantal model is built in closed form with no boundary divisor
-    (``_determinantal``).  ``trials`` and ``seed`` are not read, and
-    nothing in the package calls this check.
+    (``_determinantal``), and no curve of its realization names one.  ``trials``
+    and ``seed`` are not read, and nothing in the package calls this check.
     """
     base_dim = oracle.orbit_dimension(realization)
     for c in (c for c in realization.curves if c.boundary is not None):

@@ -720,19 +720,24 @@ def _draw_table(draw: Draw, key: tuple) -> dict:
 def _row_minors(rows, columns: int, top: bool) -> dict[int, int]:
     """det of ``rows``' first j rows (``top``), or of its last j, on every j-subset of the columns in the bitmask
     ``columns``, keyed by its bitmask, for every j up to their number; each is expanded along the row its block
-    adds to the one a size smaller, its last in a top block and its first in a bottom one."""
+    adds to the one a size smaller, its last in a top block and its first in a bottom one.  Each subset (its columns,
+    bitmask and the position past its last) is one a size smaller grown by a later column, as ``combinations`` orders."""
     indices = [j for j in range(columns.bit_length()) if columns >> j & 1]
-    minors, height = {0: 1}, len(rows)
+    minors, height, smaller = {0: 1}, len(rows), [((), 0, 0)]
     for size in range(1, len(indices) + 1):
         row, shift = (rows[size - 1], size - 1) if top else (rows[height - size], 0)
-        for chosen in combinations(indices, size):
-            mask = sum(1 << j for j in chosen)
-            total = 0
-            for pos, j in enumerate(chosen):
-                if row[j]:
-                    term = row[j] * minors[mask ^ 1 << j]
-                    total += -term if (shift + pos) & 1 else term
-            minors[mask] = total
+        grown = []
+        for before, low, start in smaller:
+            for past, column in enumerate(indices[start:], start + 1):
+                chosen, mask = (*before, column), low | 1 << column
+                total = 0
+                for pos, j in enumerate(chosen):
+                    if row[j]:
+                        term = row[j] * minors[mask ^ 1 << j]
+                        total += -term if (shift + pos) & 1 else term
+                minors[mask] = total
+                grown.append((chosen, mask, past))
+        smaller = grown
     return minors
 
 

@@ -186,7 +186,11 @@ def test_integers_are_ascii_digit_strings():
 # with and without boundaries, determinantal with m > n, complexes with l > 1
 # and with l = 0 or m = 0),
 # a determinantal `class-group`, and `gorenstein` on members whose output
-# carries the `is_principal` verdict and witness.
+# carries the `is_principal` verdict and witness.  The circular `verify`
+# digests here and below were recorded once the circular realization
+# declared its Delta_k and Nabla_k minors, so they pin weight and boundary
+# records; every determinantal one predates the determinantal realization
+# becoming the circular one at s = 0 and must not move.
 PINNED_OUTPUT_DIGESTS = {
     ("verify", "monoid:m=2", "0"): "9c4b9de53bf33c5dd55f4761451bbae2f2f0562dd5c15022abfeb3fe75bdb593",
     ("verify", "monoid:m=2", "5"): "f51b3464db626e152926cb56399bbfaf006845a4a73cddbb576bf481d8c81ca5",
@@ -194,13 +198,13 @@ PINNED_OUTPUT_DIGESTS = {
     ("verify", "monoid:m=3", "5"): "6e1fe809c492a0290b5c1b4a1785741092de45fda175a6c0a136ecb3a079888d",
     ("verify", "determinantal:m=3,n=3,r=2", "0"): "18a24bb23cc71cc4308a4f2538f6de7e96afed13a552fe68f0bb024919e066af",
     ("verify", "determinantal:m=3,n=3,r=2", "5"): "0d5f22da86392133426e3b6ac759dd9b28bf5cec9600f03404ac70277b6d6adc",
-    ("verify", "circular:m=2,n=3,r=1,s=1", "0"): "c9d0b3d9ce550817956c0d307ed1d021446eda0c7219a667a86c29cac278deed",
-    ("verify", "circular:m=2,n=3,r=1,s=1", "5"): "4273d5db0671166eb66e5a18b98998eba7865971154804438b432da42c23d8e0",
+    ("verify", "circular:m=2,n=3,r=1,s=1", "0"): "cac64b8d5ae64cf7b8812df492b789cd76de49d8fcbc09fb18bf132e7ee6cd5c",
+    ("verify", "circular:m=2,n=3,r=1,s=1", "5"): "5b6dc2da0d0fefd05372b512dabca78e60e2c0af13a8dc737381caf8d9c38395",
     ("verify", "complexes:l=1,m=2,n=2,r=1,s=1", "0"): "7f5d33598fd0e890b7df58e12a87e41df19b4352ffc961f76dc15aa7d3e4d50c",
     ("verify", "complexes:l=1,m=2,n=2,r=1,s=1", "5"): "4f4957ab5ccb2966e779ba08131ac6c85ad3f08c6bba2df6bd16b5f2d5798182",
     ("class-group", "determinantal:m=3,n=3,r=2", "0"): "2774472921b6d3a02f21255cdaaea168dc2858956431636d5a2fe08145501f32",
-    ("verify", "circular:m=2,n=2,r=1,s=1", "0"): "8178ee0787b0327de242bfea33fd2849590e5d664ae6dcafb38c663de2c08bff",
-    ("verify", "circular:m=3,n=3,r=1,s=2", "0"): "07269af9ab8b5c1690222653ef2242aaf156787c400289c436afd1272cfdddeb",
+    ("verify", "circular:m=2,n=2,r=1,s=1", "0"): "0c3f4a8b49db8f1f4280d30db339260a2c5e88c17cb273d3cbb89291fba7cd22",
+    ("verify", "circular:m=3,n=3,r=1,s=2", "0"): "0341a775ad5453201f77cdda767f6c4ffb32253e9995828663dc41d7c0039623",
     ("verify", "determinantal:m=3,n=2,r=1", "0"): "a2273af20b560bac3971d463885518f133c86075343ecc65210c76dbc31695e4",
     ("verify", "complexes:l=2,m=3,n=2,r=1,s=1", "0"): "1289aa2171b53e294e796f5f92146ff05af5b0860c5074598b317cbdbc6bd7d1",
     ("gorenstein", "monoid:m=3", "0"): "61c7fbd7c694f685316603cd75724bceb2e0e2e9ab13487d8786ff7f32bc3c83",
@@ -250,7 +254,7 @@ PINNED_ARGV_DIGESTS = {
     ("verify", "--family", "monoid:m=4"):
         (0, "83fff336370e48ca1521542d0b5956626e1f53ea358299b3798d568e3581b4b1"),
     ("verify", "--family", "circular:m=2,n=3,r=1,s=1"):
-        (0, "c9d0b3d9ce550817956c0d307ed1d021446eda0c7219a667a86c29cac278deed"),
+        (0, "cac64b8d5ae64cf7b8812df492b789cd76de49d8fcbc09fb18bf132e7ee6cd5c"),
     ("verify", "--family", "determinantal:m=3,n=3,r=2"):
         (0, "18a24bb23cc71cc4308a4f2538f6de7e96afed13a552fe68f0bb024919e066af"),
     ("verify", "--family", "complexes:l=1,m=2,n=2,r=1,s=1"):
@@ -260,11 +264,11 @@ PINNED_ARGV_DIGESTS = {
     ("verify", "--family", "complexes:l=2,m=3,n=2,r=1,s=1"):
         (0, "1289aa2171b53e294e796f5f92146ff05af5b0860c5074598b317cbdbc6bd7d1"),
     ("verify", "--family", "circular:m=3,n=2,r=1,s=1"):
-        (0, "4f847944a98d8a7cd0d147e9ec7b0a4545c5bcb8b0725dea843bb578c80edf05"),
+        (0, "30c8ff1bd83575bc2caf753ef9111d43710830bf08274f16edb9462b73c0467a"),
     # Both circular curves carry a boundary label; the smallest monoid; a
     # determinantal member with m > n.
     ("verify", "--family", "circular:m=3,n=3,r=1,s=2"):
-        (0, "07269af9ab8b5c1690222653ef2242aaf156787c400289c436afd1272cfdddeb"),
+        (0, "0341a775ad5453201f77cdda767f6c4ffb32253e9995828663dc41d7c0039623"),
     ("verify", "--family", "monoid:m=1"):
         (0, "7909659b4b38141bc456641ddda7f902c05b1ee0c200e3b979e19c1c06e50b68"),
     ("verify", "--family", "determinantal:m=4,n=3,r=2"):
@@ -339,6 +343,20 @@ def test_pinned_argv_digests():
         out = io.StringIO()
         assert run(list(argv), stdout=out) == code, argv
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
+
+
+def test_determinantal_verify_is_circular_verify_at_s_zero():
+    # determinantal:m,n,r is built as circular:m,n,r,0, so both specs print
+    # one report, the family text aside, for every 1 <= r < m <= n <= 5.
+    members = [(m, n, r) for m in range(2, 6) for n in range(m, 6) for r in range(1, m)]
+    for m, n, r in members:
+        texts = []
+        for spec in (f"determinantal:m={m},n={n},r={r}", f"circular:m={m},n={n},r={r},s=0"):
+            out = io.StringIO()
+            assert run(["verify", "--family", spec, "--seed", "0"], stdout=out) == 0, spec
+            texts.append(out.getvalue().replace(spec, "<family>"))
+        assert texts[0] == texts[1], (m, n, r)
+    assert len(members) == 20
 
 
 def test_determinantal_wonderful_section_uses_model_labels():

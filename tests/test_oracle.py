@@ -11,7 +11,7 @@ from test_families import realization_and_weight
 from valuation_reference import infer_boundary_valuation
 
 from sphemb import oracle, realization
-from sphemb.families import build_family
+from sphemb.families import admissible_circular_parameters, build_family
 from sphemb.realization import Curve, MatrixRealization, Minor, Pairing, ScaledMatrix, SemiInvariantSpec
 from sphemb.laurent import NegativeExponentError
 from sphemb.rootdata import TorusLattice
@@ -223,6 +223,32 @@ def test_verify_boundary_valuations_negative_control():
     assert all(rec.inputs["boundary"] == "X_1" for rec in bad)
     good = [rec for rec in report.records if rec.inputs["boundary"] != "X_1"]
     assert all(rec.match for rec in good)
+
+
+def test_planted_boundary_slips_fail_on_circular_members():
+    # The 10 circular members with boundaries read every boundary through
+    # Delta_k and Nabla_k: each valuation doubled, or shifted by 1 on its first
+    # coordinate, fails the report at exactly that boundary, 40 slips in all,
+    # while the true model passes with a matched record per boundary and form.
+    specs = ["circular:m={},n={},r={},s={}".format(*p) for p in admissible_circular_parameters(5, 5)]
+    members = [bundle for bundle in map(build_family, specs) if bundle.model.boundaries]
+    slips = 0
+    for bundle in members:
+        model, real = bundle.model, bundle.realization
+        report = verification_report(model, real, trials=8, seed=0)
+        records = [rec for rec in report.records if rec.check == "boundary_valuation"]
+        assert report.passed and report.stable, bundle.params
+        assert len(records) == len(model.boundaries) * len(real.semi_invariants), bundle.params
+        for i, boundary in enumerate(model.boundaries):
+            coords = boundary.valuation.coords
+            for slipped in ([2 * c for c in coords], [coords[0] + 1, *coords[1:]]):
+                planted = dataclasses.replace(boundary, valuation=model.weight_lattice.covector(slipped))
+                bad = dataclasses.replace(model, boundaries=model.boundaries[:i] + (planted,) + model.boundaries[i + 1 :])
+                report = verification_report(bad, real, trials=8, seed=0)
+                assert not report.passed, (bundle.params, boundary.id, slipped)
+                assert {rec.inputs["boundary"] for rec in report.records if not rec.match} == {boundary.id}
+                slips += 1
+    assert len(members) == 10 and slips == 40
 
 
 def test_reports_are_deterministic():

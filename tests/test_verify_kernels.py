@@ -155,14 +155,14 @@ def test_a_non_monomial_limit_is_refused_at_construction():
     # so a realization with curves refuses a base point with two nonzero
     # entries in one row or column at any arrow, whether its own forms read
     # the arrow or not; with no curve the base point stands.  The circular
-    # member declares no form, so none of its own forms reads arrow 0.
+    # member is taken with no form, so no form of its own reads arrow 0.
     base = ((1, 1, 0), (2, 2, 0), (0, 0, 3))
     curves = {"flat": {}, "cut": {(0, 2): 1}, "row": {(0, 1): 1}, "single": {(0, 0): 1, (0, 1): 1}}
     for label, lam in curves.items():
         with pytest.raises(ValueError, match="^base point is not monomial on arrow 0$"):
             _one_arrow(base, Curve(label, lam, ()))
     assert _one_arrow(base).curves == ()
-    real = build_family("circular:m=2,n=2,r=1,s=1").realization
+    real = dataclasses.replace(build_family("circular:m=2,n=2,r=1,s=1").realization, semi_invariants=())
     assert real.curves and not real.semi_invariants
     point = (scaled([[1, 0], [1, 0]]), scaled([[0, 0], [-1, 1]]))
     with pytest.raises(ValueError, match="^base point is not monomial on arrow 0$"):
