@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -24,7 +25,16 @@ from .lattice import (
     smith_normal_form,
     sparse_addmul,
 )
-from .rootdata import Character, Covector, SimpleRootSet, TorusLattice, antidominant_flags, pair, scaled_pairings
+from .rootdata import (
+    Character,
+    Covector,
+    LatticeMismatchError,
+    SimpleRootSet,
+    TorusLattice,
+    antidominant_flags,
+    pair,
+    scaled_pairings,
+)
 
 class ForeignLabelError(ValueError):
     """A divisor refers to a label that does not belong to the model."""
@@ -119,8 +129,9 @@ class SphericalDivisorModel:
     label_aliases: tuple[tuple[str, str], ...] = ()
     character_aliases: tuple[tuple[str, Character], ...] = ()
 
-    @property
+    @cached_property
     def label_order(self) -> tuple[str, ...]:
+        """Boundaries, then colours; built on first read and kept out of eq, hash and repr (not a field)."""
         return tuple(b.id for b in self.boundaries) + tuple(c.id for c in self.colors)
 
     @property
@@ -210,15 +221,40 @@ def _functionals(model: SphericalDivisorModel) -> list[Covector]:
 def pairing_table(model: SphericalDivisorModel) -> tuple[tuple[int, ...], ...]:
     """``scaled_pairings`` of each basis character against the functionals in ``label_order``.
 
-    Built on first read and kept on the model object, as ``class_group_data``
-    is, so a ``dataclasses.replace`` copy builds its own.
+    One transpose of the functionals' ``numerators`` gives a column per
+    lattice coordinate, its entries in ``label_order``.  A basis character
+    that is a single coordinate 1 reads its column as is; any other sums
+    c · column over its nonzero coordinates c.  Built on first read and kept
+    on the model object, as ``class_group_data`` is, so a
+    ``dataclasses.replace`` copy builds its own.
     """
     table = model.__dict__.get("_pairing_table")
     if table is None:
-        functionals = _functionals(model)
-        table = tuple(tuple(scaled_pairings(b, functionals)) for b in model.basis_characters)
+        table = _transposed_pairings(model.basis_characters, _functionals(model))
         object.__setattr__(model, "_pairing_table", table)
     return table
+
+
+def _transposed_pairings(basis: Sequence[Character], functionals: Sequence[Covector]) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``pairing_table``; a character and a covector on different lattices raise as in ``scaled_pairings``."""
+    if not basis or not functionals:
+        return ((),) * len(basis)
+    lattice = basis[0].lattice
+    if any(x.lattice is not lattice and x.lattice != lattice for x in (*basis, *functionals)):
+        raise LatticeMismatchError("character and covector on different lattices")
+    columns = list(zip(*(f.numerators for f in functionals)))
+    zero = (0,) * len(functionals)
+    rows = []
+    for b in basis:
+        support = [(i, c) for i, c in enumerate(b.coords) if c]
+        if len(support) == 1 and support[0][1] == 1:
+            rows.append(columns[support[0][0]])
+            continue
+        row = zero
+        for i, c in support:
+            row = tuple(a + c * x for a, x in zip(row, columns[i]))
+        rows.append(row)
+    return tuple(rows)
 
 
 def _integral_rows(model: SphericalDivisorModel, table: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -227,6 +263,8 @@ def _integral_rows(model: SphericalDivisorModel, table: Sequence[Sequence[int]])
     The first remainder, row by row, raises ``NonIntegralPairingError`` naming its label.
     """
     scales = [f.scale for f in _functionals(model)]
+    if all(scale == 1 for scale in scales):
+        return [list(values) for values in table]
     for values in table:
         for i, (value, scale) in enumerate(zip(values, scales)):
             if value % scale:
@@ -365,7 +403,8 @@ def class_group_data(model: SphericalDivisorModel) -> ClassGroupData:
         gen_inverse = ()
     else:
         preference = model.color_ids + model.boundary_ids
-        picked, cols = _choose_basis([free_rows[order.index(lab)] for lab in preference], f)
+        position = {lab: i for i, lab in enumerate(order)}
+        picked, cols = _choose_basis([free_rows[position[lab]] for lab in preference], f)
         if len(picked) == f:
             generators = tuple(preference[i] for i in picked)
             # Row i of the inverse of the generators' column matrix is column i of T.
@@ -567,13 +606,20 @@ def _read_model(doc) -> SphericalDivisorModel:
         raise ModelDocumentError("label count does not match rank")
     lattice = TorusLattice(labels)
 
+    # Coordinate types are checked in one pass; the per-coordinate loop runs only to name a bad one.
     def character(coords) -> Character:
-        return lattice.character([_typed(c, int, "a character coordinate") for c in _typed(coords, list, "a character")])
+        coords = _typed(coords, list, "a character")
+        if not {int}.issuperset(map(type, coords)):
+            for c in coords:
+                _typed(c, int, "a character coordinate")
+        return lattice.character(coords)
 
     def covector(coords) -> Covector:
-        return lattice.covector(
-            [_typed(c, (str, int), "a functional coordinate") for c in _typed(coords, list, "a functional")]
-        )
+        coords = _typed(coords, list, "a functional")
+        if not {str, int}.issuperset(map(type, coords)):
+            for c in coords:
+                _typed(c, (str, int), "a functional coordinate")
+        return lattice.covector(coords)
 
     def entries(key: str) -> list[dict]:
         return [_typed(item, dict, f"an entry of {key}") for item in _typed(doc[key], list, key)]

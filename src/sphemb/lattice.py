@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
@@ -44,7 +45,7 @@ class IntegerMatrix:
                 raise ValueError("cols does not match row width")
         else:
             width = 0 if cols is None else cols
-        flat = tuple(int(e) for r in row_data for e in r)
+        flat = tuple(map(int, chain.from_iterable(row_data)))
         return cls(len(row_data), width, flat)
 
     @classmethod

@@ -40,14 +40,19 @@ class TorusLattice:
     def rank(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Each label's position, built on first read and kept out of eq, hash and repr (not a field)."""
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):
             raise KeyError(f"unknown basis label {label!r}") from None
 
     def character(self, coords: Iterable[int]) -> "Character":
-        return Character(self, tuple(int(c) for c in coords))
+        return Character(self, tuple(map(int, coords)))
 
     def basis_character(self, label: str) -> "Character":
         i = self.index(label)
@@ -134,9 +139,11 @@ class Covector:
         coords = tuple(coords)
         if len(coords) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        if not all(type(c) is int for c in coords):
+        if {int}.issuperset(map(type, coords)):
+            scale, numerators = 1, coords
+        else:
             coords = tuple(map(_rational, coords))
-        scale, (numerators,) = (1, (coords,)) if all(type(c) is int for c in coords) else scaled_to_integers((coords,))
+            scale, (numerators,) = (1, (coords,)) if {int}.issuperset(map(type, coords)) else scaled_to_integers((coords,))
         self.__dict__.update(lattice=lattice, scale=scale, numerators=tuple(numerators))
 
     @cached_property

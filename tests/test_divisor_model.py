@@ -15,6 +15,7 @@ from sphemb.divisor_model import (
     PicardMembershipError,
     WonderfulModel,
     _choose_basis,
+    _functionals,
     _relation_matrix,
     canonical_divisor,
     class_group,
@@ -26,13 +27,14 @@ from sphemb.divisor_model import (
     model_from_json,
     model_to_json,
     model_to_json_dict,
+    pairing_table,
     principal_divisor,
     validate_model,
     wonderful_section_divisor,
 )
 from sphemb.families import admissible_circular_parameters, build_family
 from sphemb.lattice import IntegerMatrix, smith_normal_form, solve_integer
-from sphemb.rootdata import TorusLattice
+from sphemb.rootdata import LatticeMismatchError, TorusLattice, scaled_pairings
 
 
 def _random_character(model, rng):
@@ -338,19 +340,24 @@ def test_class_group_data_is_kept_on_the_model(monkeypatch):
 def test_one_pairing_table_per_model_object(monkeypatch):
     from sphemb import divisor_model, families
 
-    paired = []
-    scaled_pairings = divisor_model.scaled_pairings
-    monkeypatch.setattr(divisor_model, "scaled_pairings", lambda chi, fs: paired.append(chi) or scaled_pairings(chi, fs))
+    # ``paired`` lists the basis characters of every table built; the table
+    # is one transpose and makes no ``scaled_pairings`` call, which only
+    # ``principal_divisor`` still makes.
+    paired, single = [], []
+    transposed, scaled_pairings = divisor_model._transposed_pairings, divisor_model.scaled_pairings
+    monkeypatch.setattr(divisor_model, "_transposed_pairings", lambda basis, fs: paired.extend(basis) or transposed(basis, fs))
+    monkeypatch.setattr(divisor_model, "scaled_pairings", lambda chi, fs: single.append(chi) or scaled_pairings(chi, fs))
     # The families derive their functionals from tables and pair nothing at
     # construction; the first query builds the model's one table.
     assert not hasattr(families, "scaled_pairings")
 
     model = build_family("monoid:m=6").model
     basis = list(model.basis_characters)
-    assert paired == []
+    assert paired == [] and "_pairing_table" not in vars(model)
     data = class_group_data(model)
+    table = pairing_table(model)
     assert validate_model(model).ok and data.generators == ("D_1", "D_2", "D_3", "D_4", "D_5")
-    assert paired == basis
+    assert paired == basis and pairing_table(model) is table and single == []
 
     # A replaced model builds its own table: a copy of a model builds anew.
     paired.clear()
@@ -360,8 +367,12 @@ def test_one_pairing_table_per_model_object(monkeypatch):
     class_group_data(final)
     assert validate_model(final).ok
     assert paired == list(final.basis_characters)
-    class_group_data(dataclasses.replace(final))
+    twin = dataclasses.replace(final)
+    assert "_pairing_table" not in vars(twin)
+    class_group_data(twin)
     assert paired == list(final.basis_characters) * 2
+    assert pairing_table(twin) is not pairing_table(final) and pairing_table(twin) == pairing_table(final)
+    assert single == []
 
     # A planted slip: D_3's functional halved, D_5's divided by 3, X_1's
     # valuation negated, X_3's halved, X_5 replaced by -eps_7/2, and D_1 listed
@@ -725,6 +736,154 @@ def test_sublattice_model_pairs_through_scaled_numerators():
         principal_divisor(model, model.weight_lattice.character([2, 1]))
     with pytest.raises(NonIntegralPairingError, match="non-integral colour pairing at C"):
         principal_divisor(model, model.weight_lattice.character([1, 0]))
+
+
+# ---------------------------------------------------------------------------
+# The pairing table, one transpose of the functionals' numerators, against
+# one ``scaled_pairings`` pass per basis character.
+
+
+def _reference_pairing_table(model):
+    functionals = _functionals(model)
+    return tuple(tuple(scaled_pairings(b, functionals)) for b in model.basis_characters)
+
+
+def _grid_models():
+    yield from (build_family(f"monoid:m={m}").model for m in range(1, 41))
+    yield from (build_family("circular:m={},n={},r={},s={}".format(*p)).model for p in admissible_circular_parameters(7, 8))
+    for m in range(1, 8):
+        for n in range(1, 8):
+            for r in range(1, min(m, n)):
+                yield build_family(f"determinantal:m={m},n={n},r={r}").model
+
+
+def _document(labels, basis, colors, boundaries):
+    return model_from_json(
+        {
+            "lattice": {"rank": len(labels), "labels": list(labels)},
+            "basis_characters": basis,
+            "simple_roots": [],
+            "colors": [{"id": lab, "functional": f, "canonical_coefficient": -1} for lab, f in colors],
+            "boundaries": [{"id": lab, "valuation": v} for lab, v in boundaries],
+        }
+    )
+
+
+_ODD_DOCUMENTS = [
+    # A coefficient 2, negative entries and a two-term character, against
+    # integer, "1/2" and "3/2" functionals.
+    _document(
+        ("a", "b", "c"),
+        [[2, 0, 0], [0, -1, 0], [1, 1, 0], [0, 3, -2]],
+        [("C", ["1/2", 1, "3/2"]), ("E", [0, "-3/2", 2])],
+        [("X", [1, -1, 0]), ("Y", ["1/2", "1/2", "-1/2"])],
+    ),
+    # A zero basis character beside unit ones.
+    _document(("a", "b"), [[1, 0], [0, 0], [0, 1]], [("C", [1, 2])], [("X", [1, -1])]),
+    # No labels at all.
+    _document(("a", "b"), [[1, 0], [0, 1], [3, -2]], [], []),
+    # Rank 0, with labels and without.
+    _document((), [[]], [("C", [])], [("X", [])]),
+    _document((), [], [], []),
+]
+
+
+def test_pairing_table_matches_scaled_pairings():
+    count = 0
+    for model in [*_grid_models(), *_ODD_DOCUMENTS]:
+        table = pairing_table(model)
+        assert table == _reference_pairing_table(model)
+        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in table)
+        count += 1
+    assert count == 40 + len(admissible_circular_parameters(7, 8)) + 91 + 5
+    # Labels X, Y, C, E with numerators (1, -1, 0), (1, 1, -1), (1, 2, 3), (0, -3, 4), by hand.
+    assert pairing_table(_ODD_DOCUMENTS[0]) == ((2, 2, 2, 0), (1, -1, -2, 3), (0, 2, 3, -3), (-3, 5, 0, -17))
+    assert pairing_table(_ODD_DOCUMENTS[2]) == ((), (), ())
+    assert pairing_table(_ODD_DOCUMENTS[3]) == ((0, 0),)
+
+
+def test_pairing_table_refuses_a_foreign_lattice():
+    model = build_family("monoid:m=3").model
+    other = TorusLattice(("a", "b", "c", "d"))
+    for slipped in (
+        dataclasses.replace(model, basis_characters=model.basis_characters[:3] + (other.character([0, 0, 0, 1]),)),
+        dataclasses.replace(model, boundaries=(dataclasses.replace(model.boundaries[0], valuation=other.covector([0, 1, 1, 1])),) + model.boundaries[1:]),
+    ):
+        with pytest.raises(LatticeMismatchError, match="^character and covector on different lattices$"):
+            pairing_table(slipped)
+    # With no label, or no basis character, nothing is paired and nothing is refused.
+    assert pairing_table(dataclasses.replace(model, colors=(), boundaries=(), basis_characters=(other.character([1, 0, 0, 0]),))) == ((),)
+    assert pairing_table(dataclasses.replace(slipped, basis_characters=())) == ()
+
+
+# Coordinate types are checked in one pass over a list, and the
+# per-coordinate loop names the first bad one with the message it gave when
+# it checked every coordinate: a bool, a float, None or a nested list, in a
+# character or in a functional, behind a good first coordinate.
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, None, [1], []], ids=repr)
+@pytest.mark.parametrize(
+    "path, what",
+    [
+        (("basis_characters", 1), "a character coordinate"),
+        (("simple_roots", 0, "root"), "a character coordinate"),
+        (("character_aliases", "eps_9"), "a character coordinate"),
+        (("colors", 0, "functional"), "a functional coordinate"),
+        (("boundaries", 1, "valuation"), "a functional coordinate"),
+        (("simple_roots", 0, "coroot"), "a functional coordinate"),
+    ],
+)
+def test_one_pass_coordinate_checks_name_the_first_bad_coordinate(path, what, bad):
+    doc = model_to_json_dict(build_family("monoid:m=2").model)
+    doc["character_aliases"] = {"eps_9": [1, 0, 0]}
+    node = doc
+    for key in path:
+        node = node[key]
+    coords = list(node)
+    # A second bad coordinate after the first is not the one named.
+    coords[1], coords[2] = bad, 0.5
+    for given_as in (_edited(doc, path, coords), json.dumps(_edited(doc, path, coords))):
+        with pytest.raises(ModelDocumentError) as caught:
+            model_from_json(given_as)
+        assert str(caught.value) == f"{what} has the wrong type: {bad!r}"
+
+
+def test_scale_two_functional_raises_the_same_message_everywhere():
+    # One colour functional halved on a family model: the integral fast path
+    # is not taken, and the first non-integral label in basis order is named,
+    # with the same message from principal_divisor and from class_group,
+    # also once the table was built by validate_model.
+    model = build_family("monoid:m=5").model
+    colors = list(model.colors)
+    colors[2] = dataclasses.replace(colors[2], functional=model.weight_lattice.covector([c / 2 for c in colors[2].functional.coords]))
+    for validate_first in (False, True):
+        slipped = dataclasses.replace(model, colors=tuple(colors))
+        assert [f.scale for f in _functionals(slipped)].count(2) == 1
+        if validate_first:
+            assert validate_model(slipped).failures == ("colour functional D_3 is not integral on the lattice",)
+        with pytest.raises(NonIntegralPairingError) as from_group:
+            class_group(slipped)
+        with pytest.raises(NonIntegralPairingError) as from_divisor:
+            principal_divisor(slipped, slipped.character("eps_3"))
+        assert str(from_group.value) == str(from_divisor.value) == "non-integral colour pairing at D_3"
+    # An even pairing divides exactly, as it did before the fast path.
+    assert principal_divisor(slipped, 2 * slipped.character("eps_3")) == 2 * principal_divisor(model, slipped.character("eps_3")) - model.divisor({"D_3": 1})
+
+
+def test_label_order_is_read_once_per_model_object():
+    model = build_family("monoid:m=3").model
+    assert "label_order" not in vars(model)
+    order = model.label_order
+    assert order == ("X_0", "X_1", "X_2", "X_3", "D_1", "D_2") and model.label_order is order
+    # Not a field: equality, hash and repr do not read it.
+    fresh = build_family("monoid:m=3").model
+    assert fresh == model and hash(fresh) == hash(model) and repr(fresh) == repr(model)
+    assert "label_order" not in vars(fresh) and "label_order" not in repr(model)
+    # A copy with other boundaries reads its own order.
+    fewer = dataclasses.replace(model, boundaries=model.boundaries[1:])
+    assert fewer.label_order == ("X_1", "X_2", "X_3", "D_1", "D_2") and model.label_order is order
+    assert fewer.resolve_label("X_1") == "X_1"
+    with pytest.raises(ForeignLabelError, match="label 'X_0' does not belong to this model"):
+        fewer.resolve_label("X_0")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -217,3 +218,26 @@ def test_character_arithmetic_and_validation():
         Covector(lattice, (Fraction(1),))
     with pytest.raises(ValueError):
         TorusLattice(("x", "x"))
+
+
+def test_index_reads_one_position_table_per_lattice():
+    lattice = TorusLattice(("x", "y", "z"))
+    assert "_positions" not in vars(lattice)
+    assert [lattice.index(lab) for lab in ("z", "x", "y")] == [2, 0, 1]
+    assert lattice.basis_character("y").coords == (0, 1, 0)
+    # Not a field: equality, hash and repr do not read it.
+    fresh = TorusLattice(("x", "y", "z"))
+    assert fresh == lattice and hash(fresh) == hash(lattice) and repr(fresh) == repr(lattice)
+    assert "_positions" not in vars(fresh)
+    # An unknown label, hashable or not, raises the KeyError it raised before.
+    for label in ("w", ["x"], None, 0):
+        with pytest.raises(KeyError) as caught:
+            lattice.index(label)
+        assert caught.value.args == (f"unknown basis label {label!r}",)
+    with pytest.raises(KeyError, match="unknown basis label 'w'"):
+        lattice.basis_character("w")
+    # A copy with other labels reads its own positions.
+    other = dataclasses.replace(lattice, labels=("z", "w"))
+    assert other.index("w") == 1 and other.index("z") == 0 and lattice.index("z") == 2
+    with pytest.raises(KeyError):
+        other.index("x")
